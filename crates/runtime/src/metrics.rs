@@ -222,15 +222,19 @@ pub struct Metrics {
     pub recovery_us: Histogram,
     /// Gauge: live standing subscriptions in the registry.
     pub subscriptions: AtomicU64,
-    /// Bracket deltas pushed to standing subscriptions by ingested events.
+    /// Bracket deltas applied to standing subscriptions by ingested events
+    /// (one per event per subscription it moved). Not the number of channel
+    /// sends: those are one per touched subscription per `ingest_batch`
+    /// call (per event for `ingest`).
     pub deltas_pushed: AtomicU64,
     /// Per-subscription re-snapshots at epoch advances (recovery, repair,
     /// forced).
     pub sub_resnapshots: AtomicU64,
     /// Gauge: current subscription-registry epoch.
     pub sub_epoch: AtomicU64,
-    /// Time `ingest` spends delta-pushing one event to all affected
-    /// standing brackets — the staleness of the push path.
+    /// Time one `ingest` / `ingest_batch` call spends in the registry,
+    /// moving the affected standing brackets and pushing them — the
+    /// staleness of the push path.
     pub delta_push_latency: Histogram,
     /// Gauge: jobs sitting in the submission queue (sampled at submit and
     /// dispatch; the brownout controller's first watermark input).

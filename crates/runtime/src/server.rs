@@ -725,7 +725,10 @@ impl Runtime {
     /// to calling [`Runtime::ingest`] once per event in order — shard
     /// states, recovery digests, totals, and standing brackets come out
     /// bit-identical — but malformed events are skipped (and counted)
-    /// instead of failing the batch.
+    /// instead of failing the batch, and standing subscriptions are pushed
+    /// to per call, not per event: one `Delta` update per touched
+    /// subscription per `ingest_batch` call (per event for `ingest`),
+    /// carrying the bracket as of the end of the batch.
     pub fn ingest_batch(&self, events: &[Crossing]) -> IngestReport {
         let st = self.state.as_ref().expect("runtime is running");
         if events.is_empty() {
@@ -744,7 +747,8 @@ impl Runtime {
         st.deg_dirty.store(true, Ordering::Release);
         // One registry lock for the whole batch: totals and standing
         // brackets advance event by event in input order, exactly as the
-        // sequential path would.
+        // sequential path would; each touched subscription is pushed its
+        // final bracket once, when the batch ends.
         let push_t0 = Instant::now();
         let obs = st.subs.on_ingest_batch(&valid);
         if obs.deltas > 0 {
@@ -758,18 +762,16 @@ impl Runtime {
         // Group by owning shard into columnar lanes. Per-edge event order
         // is preserved: an edge maps to exactly one shard at a time, and
         // within a lane events keep input order.
-        let mut lanes_by_shard: HashMap<usize, ColumnarBatch> = HashMap::new();
+        let mut lanes_by_shard = vec![ColumnarBatch::default(); st.lanes.len()];
         for &c in &valid {
-            lanes_by_shard
-                .entry(st.map.shard_of(c.edge))
-                .or_default()
-                .push(c.edge, c.forward, c.time);
+            lanes_by_shard[st.map.shard_of(c.edge)].push(c.edge, c.forward, c.time);
         }
-        let mut shards: Vec<usize> = lanes_by_shard.keys().copied().collect();
-        shards.sort_unstable();
-        let lanes_used = shards.len();
-        for shard in shards {
-            let lane_batch = lanes_by_shard.remove(&shard).expect("grouped lane");
+        let mut lanes_used = 0usize;
+        for (shard, lane_batch) in lanes_by_shard.into_iter().enumerate() {
+            if lane_batch.is_empty() {
+                continue;
+            }
+            lanes_used += 1;
             // A migration may have re-routed some of the lane's edges
             // between grouping and the lane lock: dispatch the still-owned
             // prefix set as one batch and detour the moved rest through the

@@ -14,6 +14,22 @@
 //! `[lower, upper]` bracket by ±1 **count deltas** as crossings arrive —
 //! O(affected subscriptions) per event, O(1) per tick per subscription.
 //!
+//! The routing table is a `Vec` indexed by edge whose entries name dense
+//! slots of a subscription slab, so applying a delta hashes nothing;
+//! [`SubscriptionId`]s stay never-reused `u64`s and are resolved through a
+//! map only on subscribe, unsubscribe and by-id reads.
+//!
+//! ## Push granularity
+//!
+//! Brackets move event by event; subscribers hear about it once per
+//! processing round: **one push per touched subscription per
+//! [`SubscriptionRegistry::on_ingest_batch`] call** — so one per
+//! `Runtime::ingest_batch` call, and one per event for
+//! [`SubscriptionRegistry::on_ingest`] / `Runtime::ingest`, which are the
+//! batch of one. The update carries the bracket as of the end of the batch
+//! (`deltas` says how many events it folded in), so a subscriber's last
+//! received update always equals the live bracket.
+//!
 //! ## Exactness contract
 //!
 //! The maintained bracket is **bit-identical** to re-executing the plan
@@ -56,7 +72,7 @@
 //! runtime calls this under its ingest-lane lock, atomically with the
 //! shard-health flip.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,7 +127,9 @@ impl StandingBracket {
 pub enum UpdateCause {
     /// The subscription was just registered; this is its baseline.
     Registered,
-    /// One ingested crossing moved the bracket.
+    /// Ingested crossings moved the bracket: one push per touched
+    /// subscription per `ingest_batch` call (per event for `ingest`),
+    /// carrying the bracket as of the end of that call.
     Delta,
     /// An epoch advance recomputed the bracket from the mirror.
     Resnapshot,
@@ -201,9 +219,13 @@ pub struct RegistryStats {
 }
 
 struct Subscription {
+    id: u64,
     plan: Arc<QueryPlan>,
     bracket: StandingBracket,
     push: Option<Sender<BracketUpdate>>,
+    /// Moved by the ingest batch in progress and already listed in
+    /// `Inner::touched`; cleared when the batch flushes its pushes.
+    dirty: bool,
 }
 
 /// A certified net-flow interval for one quarantined edge, installed by the
@@ -227,9 +249,10 @@ struct Mirror {
     /// the accept predicate is `time >= watermark`, the same comparison
     /// `apply_crossing` makes against the form's last timestamp.
     watermark: Vec<[f64; 2]>,
-    /// Edges the integrity auditor (or a recovery fallback) quarantined:
-    /// their shards refuse to serve them, so brackets widen by totals.
-    quarantined: HashSet<usize>,
+    /// Per-edge flag: the integrity auditor (or a recovery fallback)
+    /// quarantined the edge, so its shard refuses to serve it and brackets
+    /// widen by totals.
+    quarantined: Vec<bool>,
     /// Certified intervals for quarantined edges: the fold intersects each
     /// with the lifetime worst case, so certificates only ever *tighten*
     /// the widening. Both intersection endpoints move in lockstep with the
@@ -238,15 +261,54 @@ struct Mirror {
     certs: HashMap<usize, Certificate>,
 }
 
+impl Mirror {
+    /// Flags `edges` as quarantined. Ids past the edge space name no sensor
+    /// a plan could reference, so they are ignored.
+    fn quarantine(&mut self, edges: impl IntoIterator<Item = usize>) {
+        for e in edges {
+            if let Some(flag) = self.quarantined.get_mut(e) {
+                *flag = true;
+            }
+        }
+    }
+}
+
 struct Inner {
     epoch: u64,
     next_id: u64,
     mirror: Mirror,
-    /// Boundary edge → the subscriptions it affects, with the edge's inward
-    /// orientation baked into each route (so delta application needs no
-    /// plan lookup).
-    routes: HashMap<usize, Vec<(u64, bool)>>,
-    subs: HashMap<u64, Subscription>,
+    /// Per boundary edge, the slab slots of the subscriptions it affects,
+    /// with the edge's inward orientation baked into each route (so delta
+    /// application needs no plan lookup and no hashing).
+    routes: Vec<Vec<(usize, bool)>>,
+    /// Live subscriptions by slot; freed slots are reused through `free`.
+    slab: Vec<Option<Subscription>>,
+    free: Vec<usize>,
+    /// `SubscriptionId` → slot. Ids are never reused, slots are; only
+    /// subscribe, unsubscribe and by-id reads come through here, and
+    /// iteration is in id order.
+    by_id: BTreeMap<u64, usize>,
+    /// Slots the ingest batch in progress has moved (scratch, empty between
+    /// batches).
+    touched: Vec<usize>,
+}
+
+impl Inner {
+    /// Live subscriptions in id order.
+    fn subs(&self) -> impl Iterator<Item = &Subscription> {
+        self.by_id.values().filter_map(|&slot| self.slab[slot].as_ref())
+    }
+
+    fn remove(&mut self, id: u64) -> bool {
+        let Some(slot) = self.by_id.remove(&id) else { return false };
+        if let Some(sub) = self.slab[slot].take() {
+            for be in &sub.plan.boundary {
+                self.routes[be.edge].retain(|&(s, _)| s != slot);
+            }
+        }
+        self.free.push(slot);
+        true
+    }
 }
 
 /// The standing-query registry: compiled plans, the edge→subscription
@@ -265,9 +327,9 @@ pub struct SubscriptionRegistry {
     deltas_applied: AtomicU64,
     resnapshots: AtomicU64,
     late_ignored: AtomicU64,
-    /// While set, per-event delta pushes are suppressed (brackets still
-    /// move under the lock, so correctness is untouched — only the push
-    /// fan-out cost is shed). Flipped by the runtime's brownout controller.
+    /// While set, delta pushes are suppressed (brackets still move under
+    /// the lock, so correctness is untouched — only the push fan-out cost is
+    /// shed). Flipped by the runtime's brownout controller.
     shed: AtomicBool,
     pushes_shed: AtomicU64,
 }
@@ -295,20 +357,21 @@ impl SubscriptionRegistry {
                 form.timestamps(false).last().copied().unwrap_or(f64::NEG_INFINITY),
             ]);
         }
+        let mut mirror =
+            Mirror { counts, watermark, quarantined: vec![false; n], certs: HashMap::new() };
+        mirror.quarantine(quarantined);
         SubscriptionRegistry {
             engine,
             totals: Arc::new(totals),
             inner: Mutex::new(Inner {
                 epoch: 0,
                 next_id: 0,
-                mirror: Mirror {
-                    counts,
-                    watermark,
-                    quarantined: quarantined.into_iter().collect(),
-                    certs: HashMap::new(),
-                },
-                routes: HashMap::new(),
-                subs: HashMap::new(),
+                mirror,
+                routes: vec![Vec::new(); n],
+                slab: Vec::new(),
+                free: Vec::new(),
+                by_id: BTreeMap::new(),
+                touched: Vec::new(),
             }),
             deltas_applied: AtomicU64::new(0),
             resnapshots: AtomicU64::new(0),
@@ -330,7 +393,8 @@ impl SubscriptionRegistry {
     ///
     /// The baseline is pushed as the first [`BracketUpdate`]
     /// (`cause == Registered`). A subscriber that drops its receiver is
-    /// auto-unsubscribed the next time a push fails.
+    /// auto-unsubscribed the next time a push to it fails — at the end of
+    /// the first ingest batch that touches it, or at the next epoch advance.
     pub fn subscribe(
         &self,
         sensing: &SensingGraph,
@@ -348,8 +412,12 @@ impl SubscriptionRegistry {
         let id = inner.next_id;
         inner.next_id += 1;
         let bracket = fold_bracket(&plan, &inner.mirror, &self.totals, inner.epoch);
+        let slot = inner.free.pop().unwrap_or_else(|| {
+            inner.slab.push(None);
+            inner.slab.len() - 1
+        });
         for be in &plan.boundary {
-            inner.routes.entry(be.edge).or_default().push((id, be.inward_forward));
+            inner.routes[be.edge].push((slot, be.inward_forward));
         }
         let boundary_edges = plan.boundary.len();
         let update = BracketUpdate {
@@ -362,49 +430,58 @@ impl SubscriptionRegistry {
             let _ = tx.send(update);
         }
         let plan_id = plan.id;
-        inner.subs.insert(id, Subscription { plan, bracket, push });
+        inner.slab[slot] = Some(Subscription { id, plan, bracket, push, dirty: false });
+        inner.by_id.insert(id, slot);
         Ok(Registered { id: SubscriptionId(id), bracket, plan_id, plan_cache_hit, boundary_edges })
     }
 
     /// Removes a subscription and its routing entries. Returns whether it
     /// existed.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        remove_sub(&mut self.inner.lock(), id.0)
+        self.inner.lock().remove(id.0)
     }
 
     /// Routes one ingested crossing: grows the lifetime totals, applies the
-    /// shard accept rule to the mirror, and moves every affected bracket by
-    /// its delta (pushing updates as it goes).
+    /// shard accept rule to the mirror, moves every affected bracket by its
+    /// delta and pushes each moved subscription its new bracket — the batch
+    /// of one of [`on_ingest_batch`](Self::on_ingest_batch).
     ///
     /// The serving runtime calls this for every event *before* handing it
     /// to the owning shard's ingest lane, so totals (and therefore
     /// degradation bounds) stay ahead of shard state at every instant.
     pub fn on_ingest(&self, c: &Crossing) -> IngestObservation {
-        let mut inner = self.inner.lock();
-        self.on_ingest_locked(&mut inner, c)
+        self.on_ingest_batch(std::slice::from_ref(c))
     }
 
-    /// Routes a whole ingest batch under **one** lock acquisition, applying
-    /// each event with semantics identical to [`on_ingest`](Self::on_ingest)
-    /// in input order. Returns the aggregate observation (summed deltas;
-    /// `late` set when any event was late). This is the registry half of the
-    /// batched-ingest path: totals, watermarks, and bracket deltas for the
-    /// batch land atomically with respect to epoch advances.
+    /// Routes a whole ingest batch under **one** lock acquisition. Totals,
+    /// watermarks and brackets move event by event in input order, so every
+    /// bracket (its `deltas` count included) ends where one
+    /// [`on_ingest`](Self::on_ingest) call per event would leave it, and
+    /// the batch lands atomically with respect to epoch advances. Pushes are
+    /// per batch, not per event: each subscription the batch touched
+    /// receives **one** `Delta` update carrying its bracket as of the end of
+    /// the batch. Returns the aggregate observation (summed deltas; `late`
+    /// set when any event was late).
     pub fn on_ingest_batch(&self, batch: &[Crossing]) -> IngestObservation {
         if batch.is_empty() {
             return IngestObservation::default();
         }
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
         let mut agg = IngestObservation::default();
         for c in batch {
-            let obs = self.on_ingest_locked(&mut inner, c);
+            let obs = self.apply_locked(inner, c);
             agg.deltas += obs.deltas;
             agg.late |= obs.late;
         }
+        self.deltas_applied.fetch_add(agg.deltas as u64, Ordering::Relaxed);
+        self.flush_pushes_locked(inner);
         agg
     }
 
-    fn on_ingest_locked(&self, inner: &mut Inner, c: &Crossing) -> IngestObservation {
+    /// Applies one event to the totals, the mirror and the brackets it
+    /// routes to, listing each moved subscription in `touched` once.
+    fn apply_locked(&self, inner: &mut Inner, c: &Crossing) -> IngestObservation {
         let dir = usize::from(!c.forward);
         self.totals[c.edge][dir].fetch_add(1, Ordering::Relaxed);
         // Same predicate as `apply_crossing`: reject iff strictly behind the
@@ -416,25 +493,18 @@ impl SubscriptionRegistry {
         } else {
             self.late_ignored.fetch_add(1, Ordering::Relaxed);
         }
-        let quarantined = inner.mirror.quarantined.contains(&c.edge);
+        let quarantined = inner.mirror.quarantined[c.edge];
         // A late event on a trusted edge changes nothing a re-execution
         // would see; on a quarantined edge the totals still grew, so the
         // widening below must happen regardless.
         if !accepted && !quarantined {
             return IngestObservation { deltas: 0, late: true };
         }
-        let Some(routes) = inner.routes.get(&c.edge) else {
-            return IngestObservation { deltas: 0, late: !accepted };
-        };
-        let epoch = inner.epoch;
-        let shedding = self.shed.load(Ordering::Relaxed);
         let mut deltas = 0usize;
-        let mut shed_now = 0u64;
-        let mut dead: Vec<u64> = Vec::new();
-        // `routes` and `subs` are disjoint fields, so the hot path walks the
-        // route list in place — no per-event allocation.
-        for &(id, inward_forward) in routes {
-            let Some(sub) = inner.subs.get_mut(&id) else { continue };
+        // `routes`, `slab` and `touched` are disjoint fields, so the hot
+        // path walks the route list in place — no per-event allocation.
+        for &(slot, inward_forward) in &inner.routes[c.edge] {
+            let Some(sub) = inner.slab[slot].as_mut() else { continue };
             let entered = c.forward == inward_forward;
             if quarantined {
                 // Mirror of the aggregator's worst case for a refused edge:
@@ -453,33 +523,47 @@ impl SubscriptionRegistry {
             }
             sub.bracket.deltas += 1;
             deltas += 1;
-            if let Some(tx) = &sub.push {
-                if shedding {
-                    // Brownout: the bracket moved (so correctness holds) but
-                    // the per-event push is shed; a Coalesced push catches
-                    // the subscriber up when shedding lifts.
-                    shed_now += 1;
-                    continue;
-                }
-                let pushed = tx.send(BracketUpdate {
-                    subscription: SubscriptionId(id),
-                    epoch,
-                    bracket: sub.bracket,
-                    cause: UpdateCause::Delta,
-                });
-                if pushed.is_err() {
-                    dead.push(id);
-                }
+            if !sub.dirty {
+                sub.dirty = true;
+                inner.touched.push(slot);
+            }
+        }
+        IngestObservation { deltas, late: !accepted }
+    }
+
+    /// Ends an ingest batch: one `Delta` push per touched subscription, or
+    /// one shed push each under brownout (the brackets moved, so correctness
+    /// holds; a `Coalesced` push catches subscribers up when shedding
+    /// lifts). Subscribers whose receiver is gone are removed afterwards.
+    fn flush_pushes_locked(&self, inner: &mut Inner) {
+        let epoch = inner.epoch;
+        let shedding = self.shed.load(Ordering::Relaxed);
+        let mut shed_now = 0u64;
+        let mut dead: Vec<u64> = Vec::new();
+        for slot in inner.touched.drain(..) {
+            let Some(sub) = inner.slab[slot].as_mut() else { continue };
+            sub.dirty = false;
+            let Some(tx) = &sub.push else { continue };
+            if shedding {
+                shed_now += 1;
+                continue;
+            }
+            let pushed = tx.send(BracketUpdate {
+                subscription: SubscriptionId(sub.id),
+                epoch,
+                bracket: sub.bracket,
+                cause: UpdateCause::Delta,
+            });
+            if pushed.is_err() {
+                dead.push(sub.id);
             }
         }
         if shed_now > 0 {
             self.pushes_shed.fetch_add(shed_now, Ordering::Relaxed);
         }
         for id in dead {
-            remove_sub(inner, id);
+            inner.remove(id);
         }
-        self.deltas_applied.fetch_add(deltas as u64, Ordering::Relaxed);
-        IngestObservation { deltas, late: !accepted }
     }
 
     /// Starts a new epoch: absorbs `extra_quarantine` into the mirror, then
@@ -499,37 +583,35 @@ impl SubscriptionRegistry {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         inner.epoch += 1;
-        inner.mirror.quarantined.extend(extra_quarantine);
+        inner.mirror.quarantine(extra_quarantine);
         let epoch = inner.epoch;
-        let mut out = Vec::with_capacity(inner.subs.len());
+        let mut out = Vec::with_capacity(inner.by_id.len());
         let mut dead: Vec<u64> = Vec::new();
-        let mut ids: Vec<u64> = inner.subs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let sub = inner.subs.get_mut(&id).expect("subscription present");
+        for &slot in inner.by_id.values() {
+            let Some(sub) = inner.slab[slot].as_mut() else { continue };
             let bracket = fold_bracket(&sub.plan, &inner.mirror, &self.totals, epoch);
             sub.bracket = bracket;
             let update = BracketUpdate {
-                subscription: SubscriptionId(id),
+                subscription: SubscriptionId(sub.id),
                 epoch,
                 bracket,
                 cause: UpdateCause::Resnapshot,
             };
             if let Some(tx) = &sub.push {
                 if tx.send(update).is_err() {
-                    dead.push(id);
+                    dead.push(sub.id);
                 }
             }
             out.push(update);
         }
         for id in dead {
-            remove_sub(inner, id);
+            inner.remove(id);
         }
         self.resnapshots.fetch_add(out.len() as u64, Ordering::Relaxed);
         out
     }
 
-    /// Turns per-event delta-push shedding on or off (the runtime's
+    /// Turns delta-push shedding on or off (the runtime's
     /// brownout controller drives this). While shedding, brackets keep
     /// moving under the lock but nothing is pushed. Turning shedding *off*
     /// pushes every push-attached subscription's current bracket once
@@ -549,30 +631,27 @@ impl SubscriptionRegistry {
         let epoch = inner.epoch;
         let mut out = Vec::new();
         let mut dead: Vec<u64> = Vec::new();
-        let mut ids: Vec<u64> = inner.subs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let sub = inner.subs.get(&id).expect("subscription present");
+        for sub in inner.subs() {
             let Some(tx) = &sub.push else { continue };
             let update = BracketUpdate {
-                subscription: SubscriptionId(id),
+                subscription: SubscriptionId(sub.id),
                 epoch,
                 bracket: sub.bracket,
                 cause: UpdateCause::Coalesced,
             };
             if tx.send(update).is_err() {
-                dead.push(id);
+                dead.push(sub.id);
             } else {
                 out.push(update);
             }
         }
         for id in dead {
-            remove_sub(inner, id);
+            inner.remove(id);
         }
         out
     }
 
-    /// Whether per-event delta pushes are currently shed.
+    /// Whether delta pushes are currently shed.
     pub fn shedding_pushes(&self) -> bool {
         self.shed.load(Ordering::Relaxed)
     }
@@ -592,7 +671,7 @@ impl SubscriptionRegistry {
             return false;
         }
         let mut inner = self.inner.lock();
-        if !inner.mirror.quarantined.contains(&edge) {
+        if !inner.mirror.quarantined[edge] {
             return false;
         }
         let base = [
@@ -610,16 +689,14 @@ impl SubscriptionRegistry {
 
     /// The current bracket of one subscription.
     pub fn bracket(&self, id: SubscriptionId) -> Option<StandingBracket> {
-        self.inner.lock().subs.get(&id.0).map(|s| s.bracket)
+        let inner = self.inner.lock();
+        let slot = *inner.by_id.get(&id.0)?;
+        inner.slab[slot].as_ref().map(|s| s.bracket)
     }
 
     /// All live `(id, bracket)` pairs, sorted by id.
     pub fn brackets(&self) -> Vec<(SubscriptionId, StandingBracket)> {
-        let inner = self.inner.lock();
-        let mut v: Vec<(SubscriptionId, StandingBracket)> =
-            inner.subs.iter().map(|(&id, s)| (SubscriptionId(id), s.bracket)).collect();
-        v.sort_unstable_by_key(|&(id, _)| id);
-        v
+        self.inner.lock().subs().map(|s| (SubscriptionId(s.id), s.bracket)).collect()
     }
 
     /// The current epoch.
@@ -629,7 +706,7 @@ impl SubscriptionRegistry {
 
     /// Live subscription count.
     pub fn len(&self) -> usize {
-        self.inner.lock().subs.len()
+        self.inner.lock().by_id.len()
     }
 
     /// True when nothing is registered.
@@ -650,19 +727,6 @@ impl SubscriptionRegistry {
     }
 }
 
-fn remove_sub(inner: &mut Inner, id: u64) -> bool {
-    let Some(sub) = inner.subs.remove(&id) else { return false };
-    for be in &sub.plan.boundary {
-        if let Some(routes) = inner.routes.get_mut(&be.edge) {
-            routes.retain(|&(sid, _)| sid != id);
-            if routes.is_empty() {
-                inner.routes.remove(&be.edge);
-            }
-        }
-    }
-    true
-}
-
 /// The baseline fold: net live occupancy along the plan's boundary, in plan
 /// order — term-for-term the fold the serving runtime's aggregator performs
 /// for a snapshot query at a time past every ingested event. Trusted edges
@@ -676,7 +740,7 @@ fn fold_bracket(
 ) -> StandingBracket {
     let (mut value, mut lower, mut upper) = (0.0f64, 0.0f64, 0.0f64);
     for be in &plan.boundary {
-        if mirror.quarantined.contains(&be.edge) {
+        if mirror.quarantined[be.edge] {
             let fwd = totals[be.edge][0].load(Ordering::Relaxed) as f64;
             let bwd = totals[be.edge][1].load(Ordering::Relaxed) as f64;
             let (total_in, total_out) = if be.inward_forward { (fwd, bwd) } else { (bwd, fwd) };
@@ -710,4 +774,26 @@ fn fold_bracket(
         }
     }
     StandingBracket { value, lower, upper, epoch, deltas: 0 }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quarantine_ids_past_the_edge_space_are_ignored() {
+        let store = FormStore::new(4);
+        let registry =
+            SubscriptionRegistry::new(Arc::new(QueryEngine::new(4)), &store, [1, 4, usize::MAX]);
+        assert!(registry.certify_quarantined(1, 0.0, 1.0), "in-range id is quarantined");
+        assert!(!registry.certify_quarantined(0, 0.0, 1.0), "other edges stay trusted");
+        assert!(registry.advance_epoch([3, 4, 1 << 40]).is_empty());
+        assert!(registry.certify_quarantined(3, 0.0, 1.0), "in-range extension is absorbed");
+        assert!(!registry.certify_quarantined(4, 0.0, 1.0));
+        // Ingest on every edge still indexes inside the bitmap.
+        for edge in 0..4 {
+            registry.on_ingest(&Crossing { time: 1.0, edge, forward: true });
+        }
+        assert_eq!(registry.epoch(), 1);
+    }
 }

@@ -10,12 +10,16 @@
 
 use std::sync::Arc;
 
+use crossbeam::channel::Receiver;
 use proptest::prelude::*;
-use stq_core::engine::QueryEngine;
+use stq_core::engine::{QueryEngine, QueryPlan};
 use stq_core::prelude::*;
 use stq_core::tracker::Crossing;
 use stq_forms::FormStore;
-use stq_subscribe::{SubscribeError, SubscriptionRegistry, UpdateCause};
+use stq_subscribe::{
+    BracketUpdate, StandingBracket, SubscribeError, SubscriptionId, SubscriptionRegistry,
+    UpdateCause,
+};
 
 /// A snapshot instant past every event either side will ever ingest: the
 /// standing bracket tracks *live net occupancy*, i.e. the snapshot fold at
@@ -125,48 +129,148 @@ fn assert_bits(a: f64, b: f64, ctx: &str) {
     assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {a} vs {b}");
 }
 
-/// The core differential: run a stream through the registry and the
-/// reference model side by side, checking bit-identity at every epoch
-/// boundary (and that re-snapshot reproduces the delta-maintained bracket
-/// exactly), on one graph with one quarantine list.
+/// Bit-for-bit bracket equality, `epoch` and `deltas` included.
+fn assert_same_bracket(a: &StandingBracket, b: &StandingBracket, ctx: &str) {
+    assert_bits(a.value, b.value, &format!("{ctx}: value"));
+    assert_bits(a.lower, b.lower, &format!("{ctx}: lower"));
+    assert_bits(a.upper, b.upper, &format!("{ctx}: upper"));
+    assert_eq!((a.epoch, a.deltas), (b.epoch, b.deltas), "{ctx}: epoch/deltas");
+}
+
+/// One subscription held in both registries under the same id: `plan` for
+/// the reference fold, `rx` and the `last` update it delivered for the push
+/// contract of the batched side.
+struct Sub {
+    id: SubscriptionId,
+    plan: Arc<QueryPlan>,
+    rx: Receiver<BracketUpdate>,
+    last: BracketUpdate,
+}
+
+/// Registers one region in both registries (pushing only on the batched
+/// side); `None` on a query miss.
+fn subscribe_both(
+    s: &Scenario,
+    g: &SampledGraph,
+    engine: &QueryEngine,
+    [single, batched]: [&SubscriptionRegistry; 2],
+    (region, approx): (&QueryRegion, Approximation),
+) -> Option<Sub> {
+    let (tx, rx) = crossbeam::channel::unbounded();
+    let reg = match batched.subscribe(&s.sensing, g, region, approx, Some(tx)) {
+        Ok(reg) => reg,
+        Err(SubscribeError::Unresolvable) => return None,
+    };
+    let twin = single.subscribe(&s.sensing, g, region, approx, None).expect("resolved above");
+    assert_eq!(twin.id, reg.id, "both registries hand out ids in step");
+    let plan = engine.cached(reg.plan_id).expect("plan of a live subscription must stay cached");
+    let last = rx.try_recv().expect("baseline push");
+    assert_eq!((last.cause, last.subscription), (UpdateCause::Registered, reg.id));
+    Some(Sub { id: reg.id, plan, rx, last })
+}
+
+/// The push contract after one `on_ingest_batch` (or epoch advance): every
+/// update on a subscription's channel carries its own id, at most one of
+/// them is a `Delta`, and the last one delivered so far is the live bracket.
+/// Returns the ids that received a `Delta`.
+fn check_pushes(batched: &SubscriptionRegistry, subs: &mut [Sub]) -> Vec<SubscriptionId> {
+    let mut moved = Vec::new();
+    for sub in subs {
+        let mut deltas = 0;
+        while let Ok(u) = sub.rx.try_recv() {
+            assert_eq!(u.subscription, sub.id, "update delivered to the wrong subscriber");
+            deltas += usize::from(u.cause == UpdateCause::Delta);
+            sub.last = u;
+        }
+        assert!(deltas <= 1, "{}: {deltas} Delta pushes in one batch", sub.id);
+        if deltas == 1 {
+            moved.push(sub.id);
+        }
+        let live = batched.bracket(sub.id).expect("subscription is live");
+        assert_same_bracket(&sub.last.bracket, &live, &format!("{} last push", sub.id));
+    }
+    moved
+}
+
+/// The core differential: run a stream through the registry one event at a
+/// time, through a second registry in random-sized batches, and through the
+/// reference model, side by side. Checks the reference fold bit for bit at
+/// every epoch boundary (and that re-snapshot reproduces the delta-maintained
+/// bracket exactly), that both registries agree on `brackets()` after every
+/// batch, and the batched side's push contract — including a receiver
+/// dropped mid-stream and a newcomer that takes over its slot — on one
+/// graph with one quarantine list.
 fn run_differential(s: &Scenario, g: &SampledGraph, quarantined: &[usize], seed: u64) {
     let engine = Arc::new(QueryEngine::new(64));
-    let registry =
-        SubscriptionRegistry::new(Arc::clone(&engine), &s.tracked.store, quarantined.to_vec());
+    let new_registry =
+        || SubscriptionRegistry::new(Arc::clone(&engine), &s.tracked.store, quarantined.to_vec());
+    let (registry, batched) = (new_registry(), new_registry());
+    let both = [&registry, &batched];
     let mut store = s.tracked.store.clone();
     let mut totals: Vec<[u64; 2]> = (0..store.num_edges())
         .map(|e| [store.form(e).total(true) as u64, store.form(e).total(false) as u64])
         .collect();
 
-    let mut subs = Vec::new();
-    for (q, _, _) in s.make_queries(4, 0.15, 300.0, seed ^ 0x99) {
-        for approx in [Approximation::Lower, Approximation::Upper] {
-            match registry.subscribe(&s.sensing, g, &q, approx, None) {
-                Ok(reg) => subs.push((
-                    reg.id,
-                    engine
-                        .cached(reg.plan_id)
-                        .unwrap_or_else(|| panic!("plan of a live subscription must stay cached")),
-                )),
-                Err(SubscribeError::Unresolvable) => {}
-            }
-        }
-    }
+    let regions = s.make_queries(4, 0.15, 300.0, seed ^ 0x99);
+    let wanted: Vec<(&QueryRegion, Approximation)> = regions
+        .iter()
+        .flat_map(|(q, _, _)| [(q, Approximation::Lower), (q, Approximation::Upper)])
+        .collect();
+    let mut subs: Vec<Sub> =
+        wanted.iter().filter_map(|&w| subscribe_both(s, g, &engine, both, w)).collect();
     if subs.is_empty() {
         return; // tiny deployments can miss every region; nothing to check
     }
+    // A twin of the first subscription whose receiver goes away mid-stream:
+    // whenever a batch moves the first one it moves the twin too, which is
+    // when the dead channel must be noticed.
+    let first = wanted.iter().find_map(|&w| subscribe_both(s, g, &engine, both, w));
+    let Sub { id: doomed, rx: doomed_rx, .. } = first.expect("resolved a moment ago");
+    let mut doomed_rx = Some(doomed_rx);
 
     let edges = monitored_edges(g);
     let events = stream(&edges, 400, 2_000.0, seed);
-    for (epoch_round, chunk) in events.chunks(100).enumerate() {
-        for c in chunk {
-            registry.on_ingest(c);
-            totals[c.edge][usize::from(!c.forward)] += 1;
-            reference_apply(&mut store, c);
+    let mut chunk_rng = seed | 1;
+    for (epoch_round, round) in events.chunks(100).enumerate() {
+        if epoch_round == 1 {
+            doomed_rx = None;
+        }
+        let mut rest = round;
+        while !rest.is_empty() {
+            chunk_rng = chunk_rng.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
+            let (chunk, tail) = rest.split_at(rest.len().min(1 + (chunk_rng >> 59) as usize));
+            rest = tail;
+            for c in chunk {
+                registry.on_ingest(c);
+                totals[c.edge][usize::from(!c.forward)] += 1;
+                reference_apply(&mut store, c);
+            }
+            batched.on_ingest_batch(chunk);
+            let moved = check_pushes(&batched, &mut subs);
+            if doomed_rx.is_none() && registry.bracket(doomed).is_some() {
+                if moved.contains(&subs[0].id) {
+                    assert!(batched.bracket(doomed).is_none(), "dead receiver outlived its batch");
+                    // Keep the two registries' id sequences in step, then
+                    // hand the freed slot to a different region: from here
+                    // on its bracket must follow its own boundary only.
+                    assert!(registry.unsubscribe(doomed));
+                    let heir =
+                        wanted.iter().rev().find_map(|&w| subscribe_both(s, g, &engine, both, w));
+                    subs.push(heir.expect("resolved a moment ago"));
+                } else {
+                    assert!(batched.bracket(doomed).is_some(), "untouched, so not yet noticed");
+                }
+            }
+            let (single, batch) = (registry.brackets(), batched.brackets());
+            assert_eq!(single.len(), batch.len());
+            for ((id_a, a), (id_b, b)) in single.iter().zip(&batch) {
+                assert_eq!(id_a, id_b);
+                assert_same_bracket(a, b, &format!("{id_a} one-by-one vs batched"));
+            }
         }
         // Between-epoch check: the delta-maintained bracket equals the
         // reference fold bit for bit.
-        for (id, plan) in &subs {
+        for Sub { id, plan, .. } in &subs {
             let b = registry.bracket(*id).expect("subscription is live");
             let (v, lo, hi) = reference_bracket(plan, &store, &totals, quarantined);
             let ctx = format!("{id} round {epoch_round} pre-epoch");
@@ -176,17 +280,19 @@ fn run_differential(s: &Scenario, g: &SampledGraph, quarantined: &[usize], seed:
         }
         // Epoch boundary: re-snapshot must reproduce the incrementally
         // maintained bracket exactly — the soundness of the hand-off.
-        let before: Vec<_> = subs.iter().map(|(id, _)| registry.bracket(*id).unwrap()).collect();
+        let before = registry.brackets();
         let updates = registry.advance_epoch([]);
-        assert_eq!(updates.len(), subs.len());
-        for (u, b) in updates.iter().zip(&before) {
-            assert_eq!(u.cause, UpdateCause::Resnapshot);
+        assert_eq!(updates.len(), before.len());
+        for (u, (id, b)) in updates.iter().zip(&before) {
+            assert_eq!((u.cause, u.subscription), (UpdateCause::Resnapshot, *id));
             assert_bits(u.bracket.value, b.value, "resnapshot value");
             assert_bits(u.bracket.lower, b.lower, "resnapshot lower");
             assert_bits(u.bracket.upper, b.upper, "resnapshot upper");
             assert_eq!(u.bracket.epoch, b.epoch + 1, "epoch must advance");
             assert_eq!(u.bracket.deltas, 0, "re-snapshot resets the delta count");
         }
+        batched.advance_epoch([]);
+        check_pushes(&batched, &mut subs);
     }
 }
 

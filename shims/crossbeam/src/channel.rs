@@ -2,7 +2,7 @@
 //! bounded backpressure, timeouts, and disconnect-on-last-drop.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Error returned by [`Sender::send`] when every receiver is gone; carries
@@ -86,6 +86,16 @@ struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers parked on `not_empty` and senders parked on `not_full`.
+    /// Each is raised under the mutex just before a `wait`/`wait_timeout`
+    /// (which releases the mutex atomically) and lowered as soon as the wait
+    /// returns, timeouts included — so whoever changes the queue under the
+    /// mutex knows whether anyone can be asleep, and skips the `futex_wake`
+    /// when nobody is. A waiter that was signalled but has not yet retaken
+    /// the mutex still counts: the worst case is one spare wake-up, never a
+    /// lost one.
+    parked_receivers: usize,
+    parked_senders: usize,
 }
 
 struct Shared<T> {
@@ -93,6 +103,66 @@ struct Shared<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: Option<usize>,
+}
+
+impl<T> Shared<T> {
+    /// Enqueues under the held mutex, then wakes one parked receiver if
+    /// there is one.
+    fn push(&self, mut st: MutexGuard<'_, State<T>>, value: T) {
+        st.queue.push_back(value);
+        let wake = st.parked_receivers > 0;
+        drop(st);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Dequeues under the held mutex; on success wakes one parked sender if
+    /// there is one. Hands the guard back when the queue is empty.
+    fn pop<'a>(&self, mut st: MutexGuard<'a, State<T>>) -> Result<T, MutexGuard<'a, State<T>>> {
+        let Some(value) = st.queue.pop_front() else { return Err(st) };
+        let wake = st.parked_senders > 0;
+        drop(st);
+        if wake {
+            self.not_full.notify_one();
+        }
+        Ok(value)
+    }
+
+    /// Parks a receiver until signalled, or until `timeout` when given.
+    fn park_receiver<'a>(
+        &self,
+        mut st: MutexGuard<'a, State<T>>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, State<T>> {
+        st.parked_receivers += 1;
+        let mut st = wait(&self.not_empty, st, timeout);
+        st.parked_receivers -= 1;
+        st
+    }
+
+    /// Parks a sender until signalled, or until `timeout` when given.
+    fn park_sender<'a>(
+        &self,
+        mut st: MutexGuard<'a, State<T>>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, State<T>> {
+        st.parked_senders += 1;
+        let mut st = wait(&self.not_full, st, timeout);
+        st.parked_senders -= 1;
+        st
+    }
+}
+
+fn wait<'a, S>(
+    cv: &Condvar,
+    st: MutexGuard<'a, S>,
+    timeout: Option<Duration>,
+) -> MutexGuard<'a, S> {
+    match timeout {
+        Some(t) => cv.wait_timeout(st, t).unwrap().0,
+        None => cv.wait(st).unwrap(),
+    }
 }
 
 /// The sending half; cloneable (MPMC).
@@ -119,7 +189,13 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
 
 fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            senders: 1,
+            receivers: 1,
+            parked_receivers: 0,
+            parked_senders: 0,
+        }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         capacity,
@@ -171,20 +247,18 @@ impl<T> Sender<T> {
             }
             match self.shared.capacity {
                 Some(cap) if st.queue.len() >= cap => {
-                    st = self.shared.not_full.wait(st).unwrap();
+                    st = self.shared.park_sender(st, None);
                 }
                 _ => break,
             }
         }
-        st.queue.push_back(value);
-        drop(st);
-        self.shared.not_empty.notify_one();
+        self.shared.push(st, value);
         Ok(())
     }
 
     /// Non-blocking send: enqueues immediately or reports why it cannot.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut st = self.shared.state.lock().unwrap();
+        let st = self.shared.state.lock().unwrap();
         if st.receivers == 0 {
             return Err(TrySendError::Disconnected(value));
         }
@@ -193,9 +267,7 @@ impl<T> Sender<T> {
                 return Err(TrySendError::Full(value));
             }
         }
-        st.queue.push_back(value);
-        drop(st);
-        self.shared.not_empty.notify_one();
+        self.shared.push(st, value);
         Ok(())
     }
 
@@ -213,15 +285,12 @@ impl<T> Sender<T> {
                     if now >= deadline {
                         return Err(SendTimeoutError::Timeout(value));
                     }
-                    let (guard, _) = self.shared.not_full.wait_timeout(st, deadline - now).unwrap();
-                    st = guard;
+                    st = self.shared.park_sender(st, Some(deadline - now));
                 }
                 _ => break,
             }
         }
-        st.queue.push_back(value);
-        drop(st);
-        self.shared.not_empty.notify_one();
+        self.shared.push(st, value);
         Ok(())
     }
 
@@ -241,15 +310,14 @@ impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut st = self.shared.state.lock().unwrap();
         loop {
-            if let Some(v) = st.queue.pop_front() {
-                drop(st);
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
+            st = match self.shared.pop(st) {
+                Ok(v) => return Ok(v),
+                Err(st) => st,
+            };
             if st.senders == 0 {
                 return Err(RecvError);
             }
-            st = self.shared.not_empty.wait(st).unwrap();
+            st = self.shared.park_receiver(st, None);
         }
     }
 
@@ -258,11 +326,10 @@ impl<T> Receiver<T> {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.state.lock().unwrap();
         loop {
-            if let Some(v) = st.queue.pop_front() {
-                drop(st);
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
+            st = match self.shared.pop(st) {
+                Ok(v) => return Ok(v),
+                Err(st) => st,
+            };
             if st.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
@@ -270,23 +337,16 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            let (guard, _) = self.shared.not_empty.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
+            st = self.shared.park_receiver(st, Some(deadline - now));
         }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut st = self.shared.state.lock().unwrap();
-        if let Some(v) = st.queue.pop_front() {
-            drop(st);
-            self.shared.not_full.notify_one();
-            return Ok(v);
-        }
-        if st.senders == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
+        match self.shared.pop(self.shared.state.lock().unwrap()) {
+            Ok(v) => Ok(v),
+            Err(st) if st.senders == 0 => Err(TryRecvError::Disconnected),
+            Err(_) => Err(TryRecvError::Empty),
         }
     }
 
@@ -412,5 +472,154 @@ mod tests {
             c.join().unwrap();
         }
         assert_eq!(counted.load(std::sync::atomic::Ordering::Relaxed), 4 * n);
+    }
+
+    // ---- wake-ups are skipped only when nobody is parked ----------------
+    //
+    // A parked thread raises its counter under the channel mutex and the
+    // condvar releases that mutex atomically, so once `until_parked` reads
+    // the expected counts the threads are asleep (or already signalled):
+    // the interleaving is forced, not slept for. A lost wake-up shows as
+    // `LOST` expiring, never as a hung test.
+
+    const LOST: Duration = Duration::from_secs(10);
+    const LONG: Duration = Duration::from_secs(60);
+
+    fn parked<T>(shared: &Shared<T>) -> (usize, usize) {
+        let st = shared.state.lock().unwrap();
+        (st.parked_receivers, st.parked_senders)
+    }
+
+    fn until_parked<T>(shared: &Shared<T>, receivers: usize, senders: usize) {
+        let begun = Instant::now();
+        while parked(shared) != (receivers, senders) {
+            assert!(begun.elapsed() < LOST, "threads never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs `op` on its own thread; the result arrives on the returned
+    /// std channel when `op` returns.
+    fn spawn_reporting<R: Send + 'static>(
+        op: impl FnOnce() -> R + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<R> {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(op());
+        });
+        done_rx
+    }
+
+    #[test]
+    fn every_send_flavour_wakes_a_parked_receiver() {
+        type Park = fn(&Receiver<u32>) -> Option<u32>;
+        type Wake = fn(&Sender<u32>);
+        let parks: [Park; 2] = [|rx| rx.recv().ok(), |rx| rx.recv_timeout(LONG).ok()];
+        let wakes: [Wake; 3] = [
+            |tx| tx.send(7).unwrap(),
+            |tx| tx.try_send(7).unwrap(),
+            |tx| tx.send_timeout(7, LONG).unwrap(),
+        ];
+        for park in parks {
+            for wake in wakes {
+                let (tx, rx) = bounded::<u32>(1);
+                let got = spawn_reporting(move || park(&rx));
+                until_parked(&tx.shared, 1, 0);
+                wake(&tx);
+                assert_eq!(got.recv_timeout(LOST), Ok(Some(7)), "wake-up lost");
+                assert_eq!(parked(&tx.shared), (0, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn every_recv_flavour_wakes_a_parked_sender() {
+        type Park = fn(&Sender<u32>) -> bool;
+        type Wake = fn(&Receiver<u32>) -> Option<u32>;
+        let parks: [Park; 2] = [|tx| tx.send(2).is_ok(), |tx| tx.send_timeout(2, LONG).is_ok()];
+        let wakes: [Wake; 3] =
+            [|rx| rx.recv().ok(), |rx| rx.try_recv().ok(), |rx| rx.recv_timeout(LONG).ok()];
+        for park in parks {
+            for wake in wakes {
+                let (tx, rx) = bounded::<u32>(1);
+                tx.send(1).unwrap();
+                let sent = spawn_reporting(move || park(&tx));
+                until_parked(&rx.shared, 0, 1);
+                assert_eq!(wake(&rx), Some(1));
+                assert_eq!(sent.recv_timeout(LOST), Ok(true), "wake-up lost");
+                assert_eq!(parked(&rx.shared), (0, 0));
+                assert_eq!(rx.try_recv(), Ok(2));
+            }
+        }
+    }
+
+    #[test]
+    fn timed_out_waits_leave_no_phantom_waiter() {
+        let (tx, rx) = bounded::<u32>(1);
+        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvTimeoutError::Timeout));
+        assert_eq!(parked(&tx.shared), (0, 0));
+        tx.send(1).unwrap();
+        assert_eq!(
+            tx.send_timeout(2, Duration::from_millis(10)),
+            Err(SendTimeoutError::Timeout(2))
+        );
+        assert_eq!(parked(&tx.shared), (0, 0));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    }
+
+    #[test]
+    fn n_sends_release_n_parked_receivers() {
+        let n = 4;
+        let (tx, rx) = unbounded::<usize>();
+        let got: Vec<_> = (0..n)
+            .map(|_| {
+                let rx = rx.clone();
+                spawn_reporting(move || rx.recv())
+            })
+            .collect();
+        until_parked(&tx.shared, n, 0);
+        for i in 0..n {
+            tx.send(i).unwrap();
+        }
+        let mut seen: Vec<usize> = got
+            .iter()
+            .map(|g| g.recv_timeout(LOST).expect("wake-up lost").expect("a message each"))
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..n).collect::<Vec<_>>());
+        assert_eq!(parked(&tx.shared), (0, 0));
+    }
+
+    #[test]
+    fn last_sender_drop_releases_every_parked_receiver() {
+        let n = 4;
+        let (tx, rx) = unbounded::<usize>();
+        let got: Vec<_> = (0..n)
+            .map(|_| {
+                let rx = rx.clone();
+                spawn_reporting(move || rx.recv())
+            })
+            .collect();
+        until_parked(&rx.shared, n, 0);
+        let tx2 = tx.clone();
+        drop(tx);
+        assert_eq!(parked(&rx.shared), (n, 0), "a surviving sender keeps them parked");
+        drop(tx2);
+        for g in &got {
+            assert_eq!(g.recv_timeout(LOST), Ok(Err(RecvError)), "disconnect wake-up lost");
+        }
+    }
+
+    #[test]
+    fn last_receiver_drop_releases_a_parked_sender() {
+        let (tx, rx) = bounded::<u32>(1);
+        tx.send(1).unwrap();
+        let sent = spawn_reporting(move || tx.send(2));
+        until_parked(&rx.shared, 0, 1);
+        let shared = rx.shared.clone();
+        drop(rx);
+        assert_eq!(sent.recv_timeout(LOST), Ok(Err(SendError(2))), "disconnect wake-up lost");
+        assert_eq!(parked(&shared), (0, 0));
     }
 }
