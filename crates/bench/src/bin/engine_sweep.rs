@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use stq_bench::SEEDS;
 use stq_core::prelude::*;
-use stq_forms::{ColumnarCounts, CountSource};
+use stq_forms::CountSource;
 use stq_runtime::{QuerySpec, Runtime, RuntimeConfig, ServedAnswer};
 
 /// A repeated-region workload: `distinct` resolvable regions, each asked
@@ -215,7 +215,6 @@ fn main() {
     let g = SampledGraph::from_sensors(&s.sensing, &faces, Connectivity::Triangulation);
 
     let w = build_workload(&s, &g, distinct, reps);
-    let col = ColumnarCounts::from_store(&s.tracked.store);
     println!(
         "# engine_sweep — {} junctions, {} distinct regions x {} reps x 3 kinds = {} requests",
         junctions,
@@ -229,10 +228,8 @@ fn main() {
     let (scalar_qps, scalar_sum) = time_scalar(&s, &g, &w);
     let (cold_qps, cold_sum, _) = time_engine(&s, &g, &w, &s.tracked.store, 0, false);
     let (warm_qps, warm_sum, warm_stats) = time_engine(&s, &g, &w, &s.tracked.store, 256, true);
-    let (warm_col_qps, warm_col_sum, _) = time_engine(&s, &g, &w, &col, 256, true);
     assert_eq!(scalar_sum.to_bits(), cold_sum.to_bits(), "cold batch must match scalar");
     assert_eq!(scalar_sum.to_bits(), warm_sum.to_bits(), "warm batch must match scalar");
-    assert_eq!(scalar_sum.to_bits(), warm_col_sum.to_bits(), "columnar must match scalar");
     let speedup_warm = warm_qps / scalar_qps.max(1e-9);
     println!("\n## batched vs scalar (same answers, bit-identical)");
     println!("{:<26} | {:>12} | {:>8}", "path", "tput q/s", "speedup");
@@ -240,7 +237,6 @@ fn main() {
         ("scalar answer()", scalar_qps),
         ("engine, cold cache", cold_qps),
         ("engine, warm cache", warm_qps),
-        ("engine, warm + columnar", warm_col_qps),
     ] {
         println!("{label:<26} | {:>12.0} | {:>7.2}x", qps, qps / scalar_qps.max(1e-9));
     }
@@ -297,7 +293,7 @@ fn main() {
          {{\"junctions\": {junctions}, \"objects\": {objects}, \"seed\": {}}},\n  \"workload\": \
          {{\"distinct_regions\": {}, \"reps\": {reps}, \"requests\": {}}},\n  \"throughput_qps\": \
          {{\"scalar\": {scalar_qps:.1}, \"engine_cold\": {cold_qps:.1}, \"engine_warm\": \
-         {warm_qps:.1}, \"engine_warm_columnar\": {warm_col_qps:.1}}},\n  \
+         {warm_qps:.1}}},\n  \
          \"speedup_warm_batched_vs_scalar\": {speedup_warm:.3},\n  \"hit_rate_sweep\": [\n{}\n  ],\n  \
          \"runtime_8_shard\": [\n    {{\"plan_cache\": 0, \"throughput_qps\": {:.1}, \
          \"plan_cache_hits\": {}, \"plan_cache_misses\": {}, \"plan_p95_us\": {}, \

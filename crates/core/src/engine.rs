@@ -12,7 +12,7 @@
 //!   the interior-cell set, and the distinct incident sensors in the same
 //!   pass — and freeze the result. A plan is independent of the query kind
 //!   and of the count store: the same plan answers snapshot, transient and
-//!   static queries against exact, learned, columnar or private stores.
+//!   static queries against exact, learned or private stores.
 //! - **Cache** ([`QueryEngine`]): plans are memoized in a bounded LRU keyed
 //!   by a fingerprint of the region's junction set and resolution side.
 //!   Repeated and batched queries over the same region skip resolution and

@@ -44,6 +44,7 @@
 //! ```
 
 pub mod abstracted;
+pub mod bracket;
 pub mod cost;
 pub mod degraded;
 pub mod engine;
@@ -59,6 +60,7 @@ pub mod sensing;
 pub mod streaming;
 pub mod tracker;
 
+pub use bracket::Bracket;
 pub use degraded::{DegradedAnswer, DegradedAnswerer, DegradedPolicy, DegradedStrategy};
 pub use engine::{EngineStats, PlanId, QueryEngine, QueryPlan};
 pub use impute::{ImputedInterval, Imputer};
@@ -77,6 +79,7 @@ pub use tracker::{crossings_of, ingest, ingest_with_faults, Crossing, Tracked};
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
     pub use crate::abstracted::AbstractTopology;
+    pub use crate::bracket::Bracket;
     pub use crate::cost::{measure_costs, CostModel};
     pub use crate::degraded::{DegradedAnswer, DegradedAnswerer, DegradedPolicy, DegradedStrategy};
     pub use crate::engine::{EngineStats, PlanId, QueryEngine, QueryPlan};

@@ -1,6 +1,6 @@
-//! Differential properties of the query engine: plan/execute — batched,
-//! cached, or columnar — is bit-identical to the scalar `answer` path, on
-//! clean and quarantined deployments.
+//! Differential properties of the query engine: plan/execute — batched or
+//! cached — is bit-identical to the scalar `answer` path, on clean and
+//! quarantined deployments.
 //!
 //! `engine_equivalence_suite` is the CI entry point: `STQ_EQUIV_SEED`
 //! re-keys the whole scenario, so a matrix over seeds exercises different
@@ -8,7 +8,6 @@
 
 use proptest::prelude::*;
 use stq_core::prelude::*;
-use stq_forms::ColumnarCounts;
 
 /// A small random scenario (kept tiny: each case builds a whole city).
 fn small_scenario() -> impl Strategy<Value = Scenario> {
@@ -69,7 +68,7 @@ proptest! {
 
     /// Engine-batched answers are bit-identical to the scalar path for all
     /// three query kinds, both resolutions, on clean AND quarantined
-    /// graphs — against the exact store and its columnar arena.
+    /// graphs.
     #[test]
     fn batched_equals_scalar_on_clean_and_quarantined(s in small_scenario(),
                                                       frac in 0.1f64..0.5,
@@ -77,7 +76,6 @@ proptest! {
                                                       stride in 2usize..6) {
         let g = deployment(&s, frac, seed);
         let gq = quarantined(&s, &g, stride);
-        let col = ColumnarCounts::from_store(&s.tracked.store);
         for graph in [&g, &gq] {
             let engine = QueryEngine::new(64);
             let mut batch = Vec::new();
@@ -92,10 +90,8 @@ proptest! {
                 }
             }
             let batched = engine.execute_batch(&s.tracked.store, &batch);
-            let columnar = engine.execute_batch(&col, &batch);
             for (i, expect) in scalar.iter().enumerate() {
                 assert_outcomes_identical(&batched[i], expect, "batched vs scalar");
-                assert_outcomes_identical(&columnar[i], expect, "columnar vs scalar");
             }
         }
     }
@@ -154,7 +150,6 @@ fn engine_equivalence_suite() {
     });
     let g = deployment(&s, 0.25, seed ^ 0xce);
     let gq = quarantined(&s, &g, 3);
-    let col = ColumnarCounts::from_store(&s.tracked.store);
     let queries = s.make_queries(10, 0.1, 1_000.0, seed ^ 0x40);
     assert!(!queries.is_empty());
     for graph in [&g, &gq] {
@@ -179,10 +174,8 @@ fn engine_equivalence_suite() {
                 assert_eq!(hits, batch.len(), "warm pass must be all cache hits");
             }
             let batched = engine.execute_batch(&s.tracked.store, &batch);
-            let columnar = engine.execute_batch(&col, &batch);
             for (i, expect) in scalar.iter().enumerate() {
                 assert_outcomes_identical(&batched[i], expect, "suite: batched vs scalar");
-                assert_outcomes_identical(&columnar[i], expect, "suite: columnar vs scalar");
             }
         }
     }

@@ -1,85 +1,15 @@
-//! A columnar [`CountSource`]: every directed timestamp log in one flat
-//! arena behind an offset table.
-//!
-//! A [`crate::FormStore`] keeps two `Vec<Time>` per edge, so a
-//! boundary integration hops between `2 × |∂Q|` separately allocated
-//! vectors. [`ColumnarCounts`] lays the same (sorted) sequences out
-//! back-to-back in a single arena with a `2·num_edges + 1` offset table:
-//! slot `2e` is edge `e`'s forward log, slot `2e + 1` its backward log.
-//! Evaluating a plan's boundary then walks contiguous memory — the
-//! vectorized execute path of the query engine — while answering through
-//! the very same [`events_until`] rank as the exact store, so counts are
-//! bit-identical to [`FormStore`]'s.
+//! The write-side columnar lane of batched ingest.
 
-use crate::form::{events_until, CountSource, FormStore};
 use crate::{EdgeIdx, Time};
-
-/// Frozen per-edge sorted-timestamp arena with offset table.
-///
-/// Built once from a [`FormStore`] snapshot; immutable afterwards (streamed
-/// updates go to the store it was built from, and a fresh arena is cut when
-/// the serving store rolls over).
-#[derive(Clone, Debug)]
-pub struct ColumnarCounts {
-    /// All directed logs, concatenated in slot order.
-    arena: Vec<Time>,
-    /// `offsets[s]..offsets[s + 1]` bounds slot `s` in the arena.
-    offsets: Vec<u32>,
-}
-
-impl ColumnarCounts {
-    /// Copies every form of `store` into one arena.
-    ///
-    /// # Panics
-    /// If the store holds more than `u32::MAX` timestamps (the offset table
-    /// is deliberately `u32` to halve its cache footprint).
-    pub fn from_store(store: &FormStore) -> Self {
-        let total: usize = store.total_events();
-        assert!(u32::try_from(total).is_ok(), "arena exceeds u32 offsets");
-        let mut arena = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(2 * store.num_edges() + 1);
-        offsets.push(0);
-        for e in 0..store.num_edges() {
-            for forward in [true, false] {
-                arena.extend_from_slice(store.form(e).timestamps(forward));
-                offsets.push(arena.len() as u32);
-            }
-        }
-        ColumnarCounts { arena, offsets }
-    }
-
-    /// Number of edges the arena covers.
-    pub fn num_edges(&self) -> usize {
-        (self.offsets.len() - 1) / 2
-    }
-
-    /// One directed log as a contiguous slice.
-    pub fn log(&self, edge: EdgeIdx, forward: bool) -> &[Time] {
-        let slot = 2 * edge + usize::from(!forward);
-        &self.arena[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
-    }
-}
-
-impl CountSource for ColumnarCounts {
-    fn count_until(&self, edge: EdgeIdx, forward: bool, t: Time) -> f64 {
-        events_until(self.log(edge, forward), t) as f64
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.arena.len() * std::mem::size_of::<Time>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-    }
-}
 
 /// A write-side columnar lane: one shard's slice of an ingest batch, laid
 /// out struct-of-arrays so the ingest path streams three dense columns
 /// instead of an array of structs.
 ///
-/// Where [`ColumnarCounts`] is the frozen query-side arena, `ColumnarBatch`
-/// is its moving counterpart: the batched-ingest path groups events by
-/// owning shard into one lane per shard, hands each lane to its worker over
-/// the shard channel, and the worker iterates the columns back into
-/// individual event applications (and one group-commit WAL frame). The
+/// The batched-ingest path groups events by owning shard into one lane per
+/// shard, hands each lane to its worker over the shard channel, and the
+/// worker iterates the columns back into individual event applications
+/// (and one group-commit WAL frame). The
 /// crate deliberately knows nothing about the runtime's event type —
 /// callers split it into `(edge, forward, time)` at the boundary.
 #[derive(Clone, Debug, Default)]
@@ -142,62 +72,6 @@ impl ColumnarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{snapshot_count, transient_count, BoundaryEdge};
-
-    fn store() -> FormStore {
-        let mut s = FormStore::new(4);
-        for (i, t) in [0.5, 1.0, 2.5, 4.0].into_iter().enumerate() {
-            s.record(0, true, t);
-            s.record(2, i % 2 == 0, t + 0.25);
-        }
-        s.record(3, false, 9.0);
-        s
-    }
-
-    #[test]
-    fn counts_match_form_store_exactly() {
-        let s = store();
-        let c = ColumnarCounts::from_store(&s);
-        assert_eq!(c.num_edges(), 4);
-        for e in 0..4 {
-            for forward in [true, false] {
-                for t in [-1.0, 0.5, 0.75, 2.5, 9.0, 100.0] {
-                    assert_eq!(
-                        c.count_until(e, forward, t).to_bits(),
-                        s.count_until(e, forward, t).to_bits(),
-                        "edge {e} fwd {forward} t {t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn boundary_integration_is_bit_identical() {
-        let s = store();
-        let c = ColumnarCounts::from_store(&s);
-        let boundary =
-            [BoundaryEdge::new(0, true), BoundaryEdge::new(2, false), BoundaryEdge::new(3, true)];
-        for t in [0.0, 1.0, 5.0] {
-            assert_eq!(
-                snapshot_count(&c, &boundary, t).to_bits(),
-                snapshot_count(&s, &boundary, t).to_bits()
-            );
-        }
-        assert_eq!(
-            transient_count(&c, &boundary, 0.5, 4.0).to_bits(),
-            transient_count(&s, &boundary, 0.5, 4.0).to_bits()
-        );
-    }
-
-    #[test]
-    fn empty_store_and_empty_logs() {
-        let c = ColumnarCounts::from_store(&FormStore::new(3));
-        assert_eq!(c.num_edges(), 3);
-        assert!(c.log(1, true).is_empty());
-        assert_eq!(c.count_until(2, false, 1e9), 0.0);
-        assert_eq!(c.storage_bytes(), 7 * 4);
-    }
 
     #[test]
     fn columnar_batch_roundtrips_in_push_order() {

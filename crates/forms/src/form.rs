@@ -6,8 +6,8 @@ use crate::{EdgeIdx, Time};
 /// `time ≤ t` — the paper's `C(γ_t(e), t)` on one directed log.
 ///
 /// This is *the* count primitive shared by every store: the exact
-/// [`TrackingForm`], the columnar arena of [`crate::columnar`], and the
-/// recent-event buffer of `stq_learned::BufferedSeries` all answer
+/// [`TrackingForm`] and the recent-event buffer of
+/// `stq_learned::BufferedSeries` both answer
 /// cumulative counts through this one `partition_point` rank, so boundary
 /// semantics (ties included, empty sequence → 0) cannot drift between them.
 pub fn events_until(seq: &[Time], t: Time) -> usize {

@@ -30,7 +30,7 @@ pub mod query;
 pub use audit::{
     audit, AuditConfig, AuditReport, ComponentSpec, EdgeHealth, EdgeVerdict, Evidence, Violation,
 };
-pub use columnar::{ColumnarBatch, ColumnarCounts};
+pub use columnar::ColumnarBatch;
 pub use form::{events_until, CountSource, FormStore, TrackingForm};
 pub use oracle::OracleTracker;
 pub use privacy::PrivateCounts;

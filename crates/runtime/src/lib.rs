@@ -49,11 +49,15 @@
 //! # }
 //! ```
 
+mod aggregate;
+mod dispatch;
+mod ingest;
 pub mod metrics;
 pub mod overload;
 pub mod server;
 mod shard;
 pub mod shardmap;
+mod state;
 mod supervisor;
 
 pub use metrics::{Histogram, Metrics, MetricsReport, QueryTrace, SubscriptionTrace};

@@ -6,7 +6,7 @@
 //! The query arithmetic here deliberately mirrors `stq_forms::query` term by
 //! term (`count_until` differences folded as `f64`), so that an aggregator
 //! which re-folds the per-edge contributions in boundary order reproduces
-//! the synchronous path bit for bit — see `crate::server`.
+//! the synchronous path bit for bit — see `crate::aggregate`.
 //!
 //! ## Exits and supervision
 //!
@@ -19,7 +19,7 @@
 //! (`crate::supervisor`), which recovers state and respawns.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,11 +27,13 @@ use crossbeam::channel::{Receiver, Sender};
 use stq_core::query::QueryKind;
 use stq_core::tracker::Crossing;
 use stq_durability::recovery::apply_crossing;
+use stq_durability::wal::DurableMark;
 use stq_durability::{state_digest, ShardDurability};
 use stq_forms::{BoundaryEdge, ColumnarBatch, TrackingForm};
-use stq_net::{DurabilityFaultPlan, FaultPlan, MessageCtx};
+use stq_net::MessageCtx;
 
 use crate::metrics::Metrics;
+use crate::state::Shared;
 
 /// Shard health states, stored as one `AtomicU8` per shard.
 pub(crate) const HEALTHY: u8 = 0;
@@ -83,13 +85,23 @@ pub(crate) enum ShardMsg {
     Retire(Sender<RetiredState>),
 }
 
-/// Everything a retiring worker owns, handed to the supervisor so it can
-/// move edge forms between shards and respawn.
+/// Everything a worker owns: what the supervisor seeds it with at startup
+/// and on every respawn, and what a retiring worker hands back so the
+/// supervisor can move edge forms between shards.
+#[derive(Default)]
 pub(crate) struct RetiredState {
     pub forms: HashMap<usize, TrackingForm>,
+    /// Edges the integrity auditor quarantined: this shard still holds their
+    /// (corrupted) forms but refuses to serve them.
     pub quarantined: HashSet<usize>,
     pub durability: Option<ShardDurability>,
+    /// Highest ingest sequence already folded into `forms` — the dedup
+    /// floor: queued channel messages at or below it were already applied
+    /// (directly or via recovery replay) and must be skipped.
     pub last_seq: u64,
+    /// Fault-plan clock carried over from the previous incarnation, so
+    /// crash/poison windows keyed on delivered messages stay on schedule
+    /// across respawns.
     pub delivered: u64,
 }
 
@@ -153,67 +165,15 @@ pub(crate) enum WorkerExit {
     Retired,
 }
 
-/// Construction parameters of one worker (the supervisor builds these both
-/// at startup and on every respawn).
-pub(crate) struct WorkerSeed {
-    pub id: usize,
-    pub forms: HashMap<usize, TrackingForm>,
-    pub quarantined: HashSet<usize>,
-    pub plan: FaultPlan,
-    pub dfaults: DurabilityFaultPlan,
-    pub durability: Option<ShardDurability>,
-    /// Highest ingest sequence already folded into `forms` — the dedup
-    /// floor: queued channel messages at or below it were already applied
-    /// (directly or via recovery replay) and must be skipped.
-    pub last_seq: u64,
-    /// Fault-plan clock carried over from the previous incarnation, so
-    /// crash/poison windows keyed on delivered messages stay on schedule
-    /// across respawns.
-    pub delivered: u64,
-    pub panic_threshold: u32,
-    pub health: Arc<Vec<AtomicU8>>,
-    pub durable_seq: Arc<Vec<AtomicU64>>,
-    pub metrics: Arc<Metrics>,
-}
-
 /// The worker-side state of one shard.
 pub(crate) struct ShardWorker {
-    id: usize,
-    forms: HashMap<usize, TrackingForm>,
-    /// Edges the integrity auditor quarantined: this shard still holds their
-    /// (corrupted) forms but refuses to serve them.
-    quarantined: HashSet<usize>,
-    plan: FaultPlan,
-    dfaults: DurabilityFaultPlan,
-    durability: Option<ShardDurability>,
-    last_seq: u64,
-    delivered: u64,
-    consecutive_panics: u32,
-    panic_threshold: u32,
-    health: Arc<Vec<AtomicU8>>,
-    durable_seq: Arc<Vec<AtomicU64>>,
-    metrics: Arc<Metrics>,
+    pub id: usize,
+    pub state: RetiredState,
+    pub consecutive_panics: u32,
+    pub shared: Arc<Shared>,
 }
 
 impl ShardWorker {
-    pub(crate) fn new(seed: WorkerSeed) -> Self {
-        ShardWorker {
-            id: seed.id,
-            forms: seed.forms,
-            quarantined: seed.quarantined,
-            plan: seed.plan,
-            dfaults: seed.dfaults,
-            durability: seed.durability,
-            last_seq: seed.last_seq,
-            delivered: seed.delivered,
-            consecutive_panics: 0,
-            panic_threshold: seed.panic_threshold,
-            health: seed.health,
-            durable_seq: seed.durable_seq,
-            metrics: seed.metrics,
-        }
-    }
-
     /// Serves messages until shutdown, escalation, or a scheduled kill.
     /// Returns the exit reason and the fault-plan clock to carry over.
     pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) -> (WorkerExit, u64) {
@@ -221,89 +181,92 @@ impl ShardWorker {
             match msg {
                 ShardMsg::Query(req) => {
                     if self.handle(req) {
-                        self.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        Metrics::bump(&self.metrics.escalations);
-                        return (WorkerExit::Escalated, self.delivered);
+                        self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
+                        Metrics::bump(&self.shared.metrics.escalations);
+                        return (WorkerExit::Escalated, self.state.delivered);
                     }
                 }
                 ShardMsg::Ingest { seq, event } => {
                     if self.ingest(seq, &event) {
-                        self.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        return (WorkerExit::Killed, self.delivered);
+                        self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
+                        return (WorkerExit::Killed, self.state.delivered);
                     }
                 }
                 ShardMsg::IngestBatch { first_seq, lane } => {
                     if self.ingest_batch(first_seq, &lane) {
-                        self.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        return (WorkerExit::Killed, self.delivered);
+                        self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
+                        return (WorkerExit::Killed, self.state.delivered);
                     }
                 }
                 ShardMsg::Flush(reply) => {
                     let _ = reply.send(self.flush());
                 }
                 ShardMsg::Digest(reply) => {
-                    let _ = reply.send((self.id, state_digest(&self.forms)));
+                    let _ = reply.send((self.id, state_digest(&self.state.forms)));
                 }
                 ShardMsg::Retire(reply) => {
-                    let state = RetiredState {
-                        forms: std::mem::take(&mut self.forms),
-                        quarantined: std::mem::take(&mut self.quarantined),
-                        durability: self.durability.take(),
-                        last_seq: self.last_seq,
-                        delivered: self.delivered,
-                    };
-                    match reply.send(state) {
-                        Ok(()) => return (WorkerExit::Retired, self.delivered),
-                        Err(err) => {
-                            // The supervisor gave up on the migration (its
-                            // receiver is gone): put the state back and keep
-                            // serving as if the Retire never arrived.
-                            let state = err.0;
-                            self.forms = state.forms;
-                            self.quarantined = state.quarantined;
-                            self.durability = state.durability;
-                        }
+                    let delivered = self.state.delivered;
+                    match reply.send(std::mem::take(&mut self.state)) {
+                        Ok(()) => return (WorkerExit::Retired, delivered),
+                        // The supervisor gave up on the migration (its
+                        // receiver is gone): put the state back and keep
+                        // serving as if the Retire never arrived.
+                        Err(err) => self.state = err.0,
                     }
                 }
             }
         }
-        (WorkerExit::Shutdown, self.delivered)
+        (WorkerExit::Shutdown, self.state.delivered)
+    }
+
+    /// Folds event `seq` into the forms — unless it already is: a
+    /// redo-replayed event can still sit in the channel from before the
+    /// previous incarnation died. Returns whether the event was new.
+    fn apply(&mut self, seq: u64, c: &Crossing) -> bool {
+        let state = &mut self.state;
+        if seq <= state.last_seq {
+            return false;
+        }
+        debug_assert_eq!(seq, state.last_seq + 1, "ingest lane must hand out contiguous sequences");
+        state.last_seq = seq;
+        Metrics::bump(&self.shared.metrics.ingested);
+        // The WAL records the event either way; live apply and recovery
+        // replay share `apply_crossing`, so both sides reject an
+        // out-of-order timestamp identically and states stay byte-identical.
+        if !apply_crossing(&mut state.forms, c) {
+            Metrics::bump(&self.shared.metrics.late_dropped);
+        }
+        true
+    }
+
+    /// Accounts for `records` WAL appends and publishes what they made
+    /// durable.
+    fn appended(&self, records: usize, mark: DurableMark) {
+        Metrics::add(&self.shared.metrics.wal_appends, records as u64);
+        if mark.snapshotted {
+            Metrics::bump(&self.shared.metrics.snapshots_taken);
+        }
+        if let Some(durable) = mark.durable_seq {
+            self.shared.durable_seq[self.id].store(durable, Ordering::Release);
+        }
     }
 
     /// Applies one ingested crossing. Returns true when a scheduled
     /// durability fault kills the worker right after this append.
     fn ingest(&mut self, seq: u64, c: &Crossing) -> bool {
-        if seq <= self.last_seq {
-            // Already applied — a redo-replayed event still queued in the
-            // channel from before the previous incarnation died.
+        if !self.apply(seq, c) {
             return false;
         }
-        debug_assert_eq!(seq, self.last_seq + 1, "ingest lane must hand out contiguous sequences");
-        self.last_seq = seq;
-        Metrics::bump(&self.metrics.ingested);
-        // The WAL records the event either way; live apply and recovery
-        // replay share `apply_crossing`, so both sides reject an
-        // out-of-order timestamp identically and states stay byte-identical.
-        if !apply_crossing(&mut self.forms, c) {
-            Metrics::bump(&self.metrics.late_dropped);
+        let Some(d) = self.state.durability.as_mut() else { return false };
+        let mark = d.append(seq, c, &self.state.forms).expect("WAL append");
+        self.appended(1, mark);
+        if !self.shared.dfaults.crash_due(self.id, seq) {
+            return false;
         }
-        if let Some(d) = self.durability.as_mut() {
-            let mark = d.append(seq, c, &self.forms).expect("WAL append");
-            Metrics::bump(&self.metrics.wal_appends);
-            if mark.snapshotted {
-                Metrics::bump(&self.metrics.snapshots_taken);
-            }
-            if let Some(durable) = mark.durable_seq {
-                self.durable_seq[self.id].store(durable, Ordering::Release);
-            }
-            if self.dfaults.crash_due(self.id, seq) {
-                let d = self.durability.take().expect("durability present");
-                let surviving = self.dfaults.surviving_tail_bytes(self.id, seq, d.unsynced_bytes());
-                let _ = d.kill_cut(surviving);
-                return true;
-            }
-        }
-        false
+        let d = self.state.durability.take().expect("durability present");
+        let surviving = self.shared.dfaults.surviving_tail_bytes(self.id, seq, d.unsynced_bytes());
+        let _ = d.kill_cut(surviving);
+        true
     }
 
     /// Applies one columnar lane of crossings, WAL-logged as a single
@@ -316,53 +279,26 @@ impl ShardWorker {
     /// single-event ingest (a synced batch frame would otherwise leave no
     /// tail for the fault plan to cut).
     fn ingest_batch(&mut self, first_seq: u64, lane: &ColumnarBatch) -> bool {
-        if lane.is_empty() {
-            return false;
-        }
-        let last = first_seq + lane.len() as u64 - 1;
-        if self.durability.is_some()
-            && (first_seq..=last).any(|s| s > self.last_seq && self.dfaults.crash_due(self.id, s))
+        let mut events = lane
+            .iter()
+            .zip(first_seq..)
+            .map(|((edge, forward, time), seq)| (seq, Crossing { edge, forward, time }));
+        let end = first_seq + lane.len() as u64;
+        if self.state.durability.is_some()
+            && (first_seq..end)
+                .any(|s| s > self.state.last_seq && self.shared.dfaults.crash_due(self.id, s))
         {
-            for (i, (edge, forward, time)) in lane.iter().enumerate() {
-                let c = Crossing { edge, forward, time };
-                if self.ingest(first_seq + i as u64, &c) {
-                    return true;
-                }
-            }
-            return false;
+            return events.any(|(seq, c)| self.ingest(seq, &c));
         }
         let mut applied: Vec<(u64, Crossing)> = Vec::with_capacity(lane.len());
-        for (i, (edge, forward, time)) in lane.iter().enumerate() {
-            let seq = first_seq + i as u64;
-            if seq <= self.last_seq {
-                continue; // dedup: replayed prefix from a previous incarnation
-            }
-            debug_assert_eq!(
-                seq,
-                self.last_seq + 1,
-                "ingest lane must hand out contiguous sequences"
-            );
-            self.last_seq = seq;
-            Metrics::bump(&self.metrics.ingested);
-            let c = Crossing { edge, forward, time };
-            if !apply_crossing(&mut self.forms, &c) {
-                Metrics::bump(&self.metrics.late_dropped);
-            }
-            applied.push((seq, c));
-        }
+        applied.extend(events.filter(|(seq, c)| self.apply(*seq, c)));
         if applied.is_empty() {
             return false;
         }
-        if let Some(d) = self.durability.as_mut() {
-            let mark = d.append_batch(&applied, &self.forms).expect("WAL batch append");
-            Metrics::add(&self.metrics.wal_appends, applied.len() as u64);
-            Metrics::bump(&self.metrics.wal_group_commits);
-            if mark.snapshotted {
-                Metrics::bump(&self.metrics.snapshots_taken);
-            }
-            if let Some(durable) = mark.durable_seq {
-                self.durable_seq[self.id].store(durable, Ordering::Release);
-            }
+        if let Some(d) = self.state.durability.as_mut() {
+            let mark = d.append_batch(&applied, &self.state.forms).expect("WAL batch append");
+            Metrics::bump(&self.shared.metrics.wal_group_commits);
+            self.appended(applied.len(), mark);
         }
         false
     }
@@ -372,11 +308,11 @@ impl ShardWorker {
     /// server's redo buffer is then the only recovery source and must keep
     /// every event.
     fn flush(&mut self) -> u64 {
-        if let Some(d) = self.durability.as_mut() {
+        if let Some(d) = self.state.durability.as_mut() {
             let durable = d.sync().expect("WAL sync");
-            self.durable_seq[self.id].store(durable, Ordering::Release);
+            self.shared.durable_seq[self.id].store(durable, Ordering::Release);
         }
-        self.last_seq
+        self.state.last_seq
     }
 
     /// Serves one query request. Returns true when the worker escalates.
@@ -385,26 +321,26 @@ impl ShardWorker {
         // delay): expired work is pure waste, and the aggregator's wait is
         // clamped to the same deadline, so it has already moved on.
         if req.deadline.is_some_and(|dl| Instant::now() >= dl) {
-            Metrics::bump(&self.metrics.shard_deadline_skips);
+            Metrics::bump(&self.shared.metrics.shard_deadline_skips);
             return false;
         }
-        let seen = self.delivered;
-        self.delivered += 1;
-        if self.plan.is_crashed(self.id, seen) {
-            Metrics::bump(&self.metrics.crash_dropped);
+        let seen = self.state.delivered;
+        self.state.delivered += 1;
+        if self.shared.fault.is_crashed(self.id, seen) {
+            Metrics::bump(&self.shared.metrics.crash_dropped);
             return false; // a crashed sensor neither computes nor replies
         }
-        let fate = self.plan.decide(MessageCtx {
+        let fate = self.shared.fault.decide(MessageCtx {
             query_id: req.query_id,
             node: self.id,
             attempt: req.attempt,
         });
         if fate.drop {
-            Metrics::bump(&self.metrics.dropped);
+            Metrics::bump(&self.shared.metrics.dropped);
             return false;
         }
         if fate.delay_ms > 0 {
-            Metrics::bump(&self.metrics.delayed);
+            Metrics::bump(&self.shared.metrics.delayed);
             // One radio message per perimeter sensor in the request: the
             // hold-up scales with the payload this shard must collect, and
             // it blocks the whole shard, like a congested radio.
@@ -421,9 +357,9 @@ impl ShardWorker {
         let mut moved: Vec<(usize, BoundaryEdge)> = Vec::new();
         let mut served: Vec<(usize, BoundaryEdge)> = Vec::new();
         for &(idx, be) in &req.edges {
-            if self.quarantined.contains(&be.edge) {
+            if self.state.quarantined.contains(&be.edge) {
                 refused.push(idx);
-            } else if !self.forms.contains_key(&be.edge) {
+            } else if !self.state.forms.contains_key(&be.edge) {
                 // A shard-map migration moved the edge away while this
                 // request was queued: report it back so the aggregator can
                 // re-route to the current owner instead of panicking here.
@@ -433,9 +369,9 @@ impl ShardWorker {
             }
         }
         if !refused.is_empty() {
-            Metrics::add(&self.metrics.quarantine_refusals, refused.len() as u64);
+            Metrics::add(&self.shared.metrics.quarantine_refusals, refused.len() as u64);
         }
-        let poison = fate.poison || self.plan.scheduled_poison(self.id, seen);
+        let poison = fate.poison || self.shared.fault.scheduled_poison(self.id, seen);
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             served
                 .iter()
@@ -451,29 +387,29 @@ impl ShardWorker {
         let mut escalate = false;
         let response = match computed {
             Ok(counts) => {
-                Metrics::bump(&self.metrics.shard_served);
+                Metrics::bump(&self.shared.metrics.shard_served);
                 self.consecutive_panics = 0;
                 ShardResponse { shard: self.id, counts, refused, moved, panicked: false }
             }
             Err(_) => {
-                Metrics::bump(&self.metrics.shard_panics);
+                Metrics::bump(&self.shared.metrics.shard_panics);
                 self.consecutive_panics += 1;
                 // A run of back-to-back panics is not per-query bad luck but
                 // a sick shard: reply (so the aggregator aborts fast), then
                 // escalate to the supervisor instead of letting every later
                 // query burn retries against it.
-                escalate =
-                    self.panic_threshold > 0 && self.consecutive_panics >= self.panic_threshold;
+                escalate = self.shared.panic_threshold > 0
+                    && self.consecutive_panics >= self.shared.panic_threshold;
                 ShardResponse { shard: self.id, counts: Vec::new(), refused, moved, panicked: true }
             }
         };
         if fate.duplicate {
-            Metrics::bump(&self.metrics.duplicated);
+            Metrics::bump(&self.shared.metrics.duplicated);
             let _ = req.reply.try_send(response.clone());
         }
         // The aggregator may have timed out and dropped the receiver, and
         // its response channel is bounded (sized for the worst-case message
-        // count, see `crate::server`): a failed or refused send is simply a
+        // count, see `ServerState::resp_capacity`): a failed or refused send is a
         // late answer nobody is waiting for, and must never block the
         // worker behind a gone aggregator.
         let _ = req.reply.try_send(response);
@@ -481,7 +417,7 @@ impl ShardWorker {
     }
 
     fn contribution(&self, idx: usize, be: BoundaryEdge, kind: QueryKind) -> EdgeCounts {
-        let form = &self.forms[&be.edge];
+        let form = &self.state.forms[&be.edge];
         // `count_until` as f64, matching `FormStore`'s `CountSource` impl.
         let cu = |forward: bool, t: f64| form.count_until(forward, t) as f64;
         let net_at = |t: f64| cu(be.inward_forward, t) - cu(!be.inward_forward, t);

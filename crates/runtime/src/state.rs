@@ -1,0 +1,206 @@
+//! The state the runtime's threads share: [`Shared`] between the server,
+//! the supervisor and every shard worker; [`ServerState`] between the
+//! submitting threads and the dispatchers.
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
+
+use crossbeam::channel::Sender;
+use parking_lot::Mutex;
+use stq_core::degraded::DegradedAnswerer;
+use stq_core::engine::QueryEngine;
+use stq_core::sampled::SampledGraph;
+use stq_core::sensing::SensingGraph;
+use stq_forms::FormStore;
+use stq_net::{DurabilityFaultPlan, FaultPlan};
+use stq_subscribe::{StandingBracket, SubscriptionId, SubscriptionRegistry};
+
+use crate::metrics::{Metrics, SubscriptionTrace};
+use crate::overload::OverloadState;
+use crate::server::RuntimeConfig;
+use crate::shard::{ShardMsg, HEALTHY};
+use crate::shardmap::{LoadAwareMap, ModuloMap, ShardMap};
+use crate::supervisor::IngestLane;
+
+/// What the server, the supervisor and every shard worker share. It holds
+/// no shard `Sender` on purpose: workers keep an `Arc<Shared>`, and shutdown
+/// works by the senders' owners ([`ServerState`], the supervisor) dropping
+/// them so each worker sees its channel disconnect.
+pub(crate) struct Shared {
+    /// Per-shard ingest sequence counter and redo buffer.
+    pub lanes: Vec<Mutex<IngestLane>>,
+    /// Per-shard health slot (`HEALTHY` / `UNHEALTHY` / `RECOVERING`).
+    pub health: Vec<AtomicU8>,
+    /// Per-shard durable floor: the highest sequence the WAL has synced.
+    pub durable_seq: Vec<AtomicU64>,
+    /// Fault injection applied to shard traffic.
+    pub fault: FaultPlan,
+    /// Seeded ingest-time crash injection (none without durability).
+    pub dfaults: DurabilityFaultPlan,
+    /// Consecutive panicked requests before a worker escalates.
+    pub panic_threshold: u32,
+    pub metrics: Arc<Metrics>,
+    /// Shared plan cache: dispatchers compile and reuse region plans here;
+    /// the supervisor invalidates it on every recovery.
+    pub engine: Arc<QueryEngine>,
+    /// Standing-query registry: every ingested event routes through it
+    /// (delta-push), and the supervisor re-snapshots it on every recovery
+    /// *before* the health flip, so a delta arriving mid-recovery can never
+    /// survive into a pre-crash bracket. It also owns the per-edge lifetime
+    /// crossing totals — the degradation bounds for silent shards — and
+    /// bumps them inside its lock, so standing brackets and totals can
+    /// never observe each other half-updated. Boxed: its lock word and
+    /// counters are written on every ingest and must not share a cache line
+    /// with the pointers beside it here, which every thread reads.
+    pub subs: Box<SubscriptionRegistry>,
+    /// The edge→shard routing map every layer shares: dispatchers and
+    /// ingest read it, the supervisor commits migrations into it. Its epoch
+    /// is the witness all layers agree on after a migration.
+    pub map: Box<dyn ShardMap>,
+}
+
+impl Shared {
+    pub(crate) fn new(store: &FormStore, cfg: &RuntimeConfig, quarantined: &[usize]) -> Self {
+        let ns = cfg.num_shards;
+        let metrics = Arc::new(Metrics::new());
+        metrics.quarantined_edges.store(quarantined.len() as u64, Ordering::Relaxed);
+        // The registry derives the lifetime totals, the applied-count mirror
+        // and the per-direction watermarks from the same store the shards
+        // start on.
+        let engine = Arc::new(QueryEngine::new(cfg.plan_cache));
+        let subs = Box::new(SubscriptionRegistry::new(
+            Arc::clone(&engine),
+            store,
+            quarantined.iter().copied(),
+        ));
+        // The shard map starts with the modulo assignment either way, so a
+        // fresh runtime is bit-identical under both; the load-aware variant
+        // reuses the registry's lifetime totals as its crossing-rate feed.
+        let map: Box<dyn ShardMap> = match cfg.rebalance.clone() {
+            Some(rc) => Box::new(LoadAwareMap::new(ns, Arc::clone(subs.totals()), rc)),
+            None => Box::new(ModuloMap::new(ns)),
+        };
+        Shared {
+            lanes: (0..ns)
+                .map(|_| Mutex::new(IngestLane { next_seq: 0, buf: VecDeque::new() }))
+                .collect(),
+            health: (0..ns).map(|_| AtomicU8::new(HEALTHY)).collect(),
+            durable_seq: (0..ns).map(|_| AtomicU64::new(0)).collect(),
+            fault: cfg.fault.clone(),
+            dfaults: cfg
+                .durability
+                .as_ref()
+                .map_or_else(DurabilityFaultPlan::none, |d| d.faults.clone()),
+            panic_threshold: cfg.panic_threshold,
+            metrics,
+            engine,
+            subs,
+            map,
+        }
+    }
+
+    pub(crate) fn healthy(&self, shard: usize) -> bool {
+        self.health[shard].load(Ordering::Acquire) == HEALTHY
+    }
+
+    /// Records a subscription lifecycle event in the trace ring.
+    pub(crate) fn trace_subscription(
+        &self,
+        id: SubscriptionId,
+        b: &StandingBracket,
+        cause: &'static str,
+    ) {
+        self.metrics.trace_subscription(SubscriptionTrace {
+            subscription: id.0,
+            epoch: b.epoch,
+            value: b.value,
+            lower: b.lower,
+            upper: b.upper,
+            cause,
+        });
+    }
+
+    /// Starts a new subscription epoch (absorbing `extra_quarantine`),
+    /// counts the re-snapshots and traces each one. Returns the new epoch.
+    pub(crate) fn resnapshot_and_trace(
+        &self,
+        extra_quarantine: impl IntoIterator<Item = usize>,
+    ) -> u64 {
+        let updates = self.subs.advance_epoch(extra_quarantine);
+        Metrics::add(&self.metrics.sub_resnapshots, updates.len() as u64);
+        let epoch = self.subs.epoch();
+        self.metrics.sub_epoch.store(epoch, Ordering::Relaxed);
+        for u in &updates {
+            self.trace_subscription(u.subscription, &u.bracket, "resnapshot");
+        }
+        epoch
+    }
+}
+
+/// Everything the submitting threads and the dispatchers read.
+pub(crate) struct ServerState {
+    pub shared: Arc<Shared>,
+    pub sensing: SensingGraph,
+    pub sampled: SampledGraph,
+    pub cfg: RuntimeConfig,
+    pub to_shards: Vec<Sender<ShardMsg>>,
+    /// Degraded-mode answering over the quarantined deployment (built only
+    /// when [`RuntimeConfig::degraded`] is set and something is
+    /// quarantined), with the construction-time store snapshot it certifies
+    /// its brackets against.
+    pub degraded: Option<(DegradedAnswerer, FormStore)>,
+    /// Flipped by the first `ingest` after startup: the snapshot-certified
+    /// brackets no longer describe the live store, so degraded-mode
+    /// consults stop.
+    pub deg_dirty: AtomicBool,
+    /// Overload control (admission gate, brownout controller, breakers);
+    /// `None` when [`RuntimeConfig::overload`] is unset.
+    pub overload: Option<OverloadState>,
+    /// Capacity of each query's aggregator response channel: every awaited
+    /// shard can answer once per attempt plus one injected duplicate, so
+    /// `2 × num_shards × (max_retries + 1)` bounds the messages a query
+    /// can ever receive — late answers beyond it are dropped by the
+    /// shard's `try_send`, exactly like answers after the receiver is gone.
+    pub resp_capacity: usize,
+}
+
+impl ServerState {
+    pub(crate) fn new(
+        shared: Arc<Shared>,
+        sensing: SensingGraph,
+        sampled: SampledGraph,
+        store: &FormStore,
+        cfg: RuntimeConfig,
+        quarantined: &[usize],
+        to_shards: Vec<Sender<ShardMsg>>,
+    ) -> Self {
+        let ns = cfg.num_shards;
+        let degraded = cfg.degraded.filter(|_| !quarantined.is_empty()).map(|policy| {
+            (DegradedAnswerer::new(&sensing, &sampled, quarantined, store, policy), store.clone())
+        });
+        let overload =
+            cfg.overload.as_ref().map(|oc| OverloadState::new(oc.clone(), &sensing, &sampled, ns));
+        ServerState {
+            shared,
+            sensing,
+            sampled,
+            resp_capacity: 2 * ns * (cfg.max_retries as usize + 1),
+            cfg,
+            to_shards,
+            degraded,
+            deg_dirty: AtomicBool::new(false),
+            overload,
+        }
+    }
+
+    /// Whether degraded-mode consults are off because an event was ingested
+    /// since startup; every skipped consult is counted.
+    pub(crate) fn degraded_consult_skipped(&self) -> bool {
+        let dirty = self.deg_dirty.load(Ordering::Acquire);
+        if dirty {
+            Metrics::bump(&self.shared.metrics.degraded_consults_skipped);
+        }
+        dirty
+    }
+}

@@ -33,26 +33,21 @@
 //! full audit → repair pipeline can then be run offline (`stq recover`).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
-use stq_core::engine::QueryEngine;
 use stq_core::tracker::Crossing;
 use stq_durability::{apply_crossing, recover_shard, ShardDurability};
 use stq_forms::TrackingForm;
-use stq_net::{DurabilityFaultPlan, FaultPlan};
-use stq_subscribe::SubscriptionRegistry;
 
-use crate::metrics::{Metrics, SubscriptionTrace};
-use crate::server::DurabilityConfig;
-use crate::shard::{
-    RetiredState, ShardMsg, ShardWorker, WorkerExit, WorkerSeed, HEALTHY, RECOVERING,
-};
-use crate::shardmap::{Migration, ShardMap};
+use crate::metrics::Metrics;
+use crate::server::{DurabilityConfig, RuntimeConfig};
+use crate::shard::{RetiredState, ShardMsg, ShardWorker, WorkerExit, HEALTHY, RECOVERING};
+use crate::shardmap::Migration;
+use crate::state::Shared;
 
 /// Per-shard ingest bookkeeping, shared between the server (sequence
 /// assignment, redo retention) and the supervisor (recovery replay).
@@ -95,6 +90,12 @@ pub(crate) struct MigrationOutcome {
 }
 
 pub(crate) struct Supervisor {
+    /// Lanes, health slots, durable floors, metrics, the plan cache
+    /// (cleared on every recovery), the standing-query registry (re-snapshot
+    /// on every recovery *before* the health flip) and the edge→shard map
+    /// (committed here, and only here, after a migration's forms have
+    /// physically moved).
+    shared: Arc<Shared>,
     durability: Option<DurabilityConfig>,
     /// Startup forms per shard — the recovery base when durability is off
     /// (`None` when durability is on: disk is the base then).
@@ -105,24 +106,7 @@ pub(crate) struct Supervisor {
     base_seq: Vec<u64>,
     /// Audit quarantine per shard, re-imposed on every respawn.
     quarantine: Vec<HashSet<usize>>,
-    plan: FaultPlan,
-    dfaults: DurabilityFaultPlan,
-    panic_threshold: u32,
     receivers: Vec<Receiver<ShardMsg>>,
-    lanes: Arc<Vec<Mutex<IngestLane>>>,
-    health: Arc<Vec<AtomicU8>>,
-    durable_seq: Arc<Vec<AtomicU64>>,
-    metrics: Arc<Metrics>,
-    /// The dispatchers' plan cache, cleared on every recovery (recovery may
-    /// extend quarantine, so cached plans are dropped conservatively).
-    engine: Arc<QueryEngine>,
-    /// The standing-query registry: every recovery advances its epoch (and
-    /// re-snapshots all brackets) *before* the health flip, so a delta
-    /// arriving mid-recovery can never survive into a pre-crash bracket.
-    subs: Arc<SubscriptionRegistry>,
-    /// The edge→shard map, committed here (and only here) after a
-    /// migration's forms have physically moved.
-    map: Arc<dyn ShardMap>,
     /// Senders to the shard channels, needed to post `Retire` during a
     /// migration.
     to_shards: Vec<Sender<ShardMsg>>,
@@ -138,50 +122,31 @@ impl Supervisor {
     /// Builds the supervisor and spawns the initial worker per shard.
     /// `parts[i]` are shard `i`'s forms; with durability on, each shard's
     /// directory is initialized with a base snapshot of them.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
+        shared: Arc<Shared>,
+        cfg: &RuntimeConfig,
         parts: Vec<HashMap<usize, TrackingForm>>,
         quarantine: Vec<HashSet<usize>>,
-        plan: FaultPlan,
-        durability: Option<DurabilityConfig>,
-        panic_threshold: u32,
         receivers: Vec<Receiver<ShardMsg>>,
-        lanes: Arc<Vec<Mutex<IngestLane>>>,
-        health: Arc<Vec<AtomicU8>>,
-        durable_seq: Arc<Vec<AtomicU64>>,
-        metrics: Arc<Metrics>,
-        engine: Arc<QueryEngine>,
-        subs: Arc<SubscriptionRegistry>,
-        map: Arc<dyn ShardMap>,
         to_shards: Vec<Sender<ShardMsg>>,
         events_tx: Sender<SupervisorMsg>,
     ) -> Self {
-        let dfaults =
-            durability.as_ref().map(|d| d.faults.clone()).unwrap_or_else(DurabilityFaultPlan::none);
+        let durability = cfg.durability.clone();
         let num_shards = receivers.len();
         let mut sup = Supervisor {
+            shared,
             base: if durability.is_none() { Some(parts.clone()) } else { None },
             base_seq: vec![0; num_shards],
             durability,
             quarantine,
-            plan,
-            dfaults,
-            panic_threshold,
             receivers,
-            lanes,
-            health,
-            durable_seq,
-            metrics,
-            engine,
-            subs,
-            map,
             to_shards,
             migrated_away: vec![HashSet::new(); num_shards],
             events_tx,
             handles: Vec::new(),
         };
         for (i, forms) in parts.into_iter().enumerate() {
-            let shard_durability = sup.durability.as_ref().map(|cfg| {
+            let durability = sup.durability.as_ref().map(|cfg| {
                 ShardDurability::initialize(
                     &cfg.wal_dir,
                     i,
@@ -193,7 +158,7 @@ impl Supervisor {
                 .expect("initialize shard durability")
             });
             let quarantined = sup.quarantine[i].clone();
-            sup.spawn_worker(i, forms, quarantined, shard_durability, 0, 0);
+            sup.respawn(i, RetiredState { forms, quarantined, durability, ..Default::default() });
         }
         sup
     }
@@ -226,21 +191,21 @@ impl Supervisor {
         debug_assert_ne!(ev.exit, WorkerExit::Shutdown, "shutdown exits are not reported");
         let shard = ev.shard;
         let t0 = Instant::now();
-        self.health[shard].store(RECOVERING, Ordering::Release);
-        self.metrics.recovering.fetch_add(1, Ordering::Relaxed);
+        self.shared.health[shard].store(RECOVERING, Ordering::Release);
+        self.shared.metrics.recovering.fetch_add(1, Ordering::Relaxed);
 
         // The lane lock freezes the redo buffer and the sequence counter for
         // the duration of the replay; concurrent `ingest` calls block, so
         // nothing can slip between the replayed prefix and the respawned
         // worker's dedup floor.
-        let lanes = Arc::clone(&self.lanes);
-        let lane = lanes[shard].lock();
+        let shared = Arc::clone(&self.shared);
+        let lane = shared.lanes[shard].lock();
         let mut extra_quarantine: HashSet<usize> = HashSet::new();
         let (mut forms, mut last_seq, mut durability) = match &self.durability {
             Some(cfg) => {
                 match recover_shard(&cfg.wal_dir, shard, cfg.snapshot_every, cfg.sync_every) {
                     Ok(rec) => {
-                        Metrics::add(&self.metrics.wal_replayed, rec.report.wal_records);
+                        Metrics::add(&self.shared.metrics.wal_replayed, rec.report.wal_records);
                         (rec.forms, rec.report.recovered_seq, Some(rec.durability))
                     }
                     Err(_) => {
@@ -267,7 +232,7 @@ impl Supervisor {
                 // durable floor). Sound fallback: quarantine the shard —
                 // refusals widen every answer's bounds — and hand the gap to
                 // the offline audit → repair path.
-                Metrics::add(&self.metrics.lost_events, first - last_seq - 1);
+                Metrics::add(&self.shared.metrics.lost_events, first - last_seq - 1);
                 extra_quarantine.extend(forms.keys().copied());
                 extra_quarantine.extend(lane.buf.iter().map(|&(_, c)| c.edge));
                 durability = None;
@@ -295,10 +260,10 @@ impl Supervisor {
             last_seq = seq;
             redone += 1;
         }
-        Metrics::add(&self.metrics.redo_replayed, redone);
+        Metrics::add(&self.shared.metrics.redo_replayed, redone);
         if let Some(d) = durability.as_mut() {
             let durable = d.sync().expect("redo WAL sync");
-            self.durable_seq[shard].store(durable, Ordering::Release);
+            self.shared.durable_seq[shard].store(durable, Ordering::Release);
         }
         debug_assert_eq!(last_seq, lane.next_seq, "redo must reach the lane head");
 
@@ -309,8 +274,8 @@ impl Supervisor {
         // Recovery is the one runtime event that can change the serving
         // topology (extra quarantine on unreadable disk or a redo gap), so
         // cached plans are dropped wholesale and recompiled on demand.
-        self.engine.invalidate();
-        Metrics::bump(&self.metrics.plan_invalidations);
+        self.shared.engine.invalidate();
+        Metrics::bump(&self.shared.metrics.plan_invalidations);
         // Advance the subscription epoch while the lane is still frozen and
         // the shard still reads Recovering: every standing bracket is
         // re-snapshot from the registry's mirror (which the lane lock keeps
@@ -318,31 +283,20 @@ impl Supervisor {
         // the crash is overwritten before any post-recovery delta can land
         // on top of it — the bump is atomic with the health flip below as
         // far as ingest can observe.
-        let resnapped = self.subs.advance_epoch(quarantined.iter().copied());
-        Metrics::add(&self.metrics.sub_resnapshots, resnapped.len() as u64);
-        self.metrics.sub_epoch.store(self.subs.epoch(), Ordering::Relaxed);
-        for u in &resnapped {
-            self.metrics.trace_subscription(SubscriptionTrace {
-                subscription: u.subscription.0,
-                epoch: u.epoch,
-                value: u.bracket.value,
-                lower: u.bracket.lower,
-                upper: u.bracket.upper,
-                cause: "resnapshot",
-            });
-        }
+        shared.resnapshot_and_trace(quarantined.iter().copied());
         // Health and the respawn counters flip BEFORE the worker spawns
         // (still under the lane lock): everything the new worker
         // acknowledges — flush barriers, digests, query replies — then
         // happens-after the shard is observably healthy, so a caller that
         // saw its flush complete can never read the shard as recovering.
         // Queries sent in the spawn gap just queue on the shard channel.
-        self.health[shard].store(HEALTHY, Ordering::Release);
-        self.metrics.recovering.fetch_sub(1, Ordering::Relaxed);
-        Metrics::bump(&self.metrics.shard_respawns);
-        self.spawn_worker(shard, forms, quarantined, durability, last_seq, ev.delivered);
+        self.shared.health[shard].store(HEALTHY, Ordering::Release);
+        self.shared.metrics.recovering.fetch_sub(1, Ordering::Relaxed);
+        Metrics::bump(&self.shared.metrics.shard_respawns);
+        let delivered = ev.delivered;
+        self.respawn(shard, RetiredState { forms, quarantined, durability, last_seq, delivered });
         drop(lane);
-        self.metrics.recovery_us.record(t0.elapsed().as_micros() as u64);
+        self.shared.metrics.recovery_us.record(t0.elapsed().as_micros() as u64);
     }
 
     /// Executes one shard-map migration end to end. Runs on the supervisor
@@ -351,19 +305,17 @@ impl Supervisor {
     /// ascending order for the whole protocol, which is also what makes the
     /// dispatchers' `shard_of` re-check under a lane lock race-free.
     fn migrate(&mut self, moves: Vec<Migration>) -> MigrationOutcome {
-        let aborted = MigrationOutcome { committed: false, edges_moved: 0 };
         let moves: Vec<Migration> = moves.into_iter().filter(|m| m.from != m.to).collect();
         let mut involved: Vec<usize> = moves.iter().flat_map(|m| [m.from, m.to]).collect();
         involved.sort_unstable();
         involved.dedup();
         if moves.is_empty()
-            || involved.iter().any(|&s| self.health[s].load(Ordering::Acquire) != HEALTHY)
+            || involved.iter().any(|&s| self.shared.health[s].load(Ordering::Acquire) != HEALTHY)
         {
-            Metrics::bump(&self.metrics.rebalance_aborted);
-            return aborted;
+            return self.abort_migration(HashMap::new());
         }
-        let lanes = Arc::clone(&self.lanes);
-        let mut guards: Vec<_> = involved.iter().map(|&s| lanes[s].lock()).collect();
+        let shared = Arc::clone(&self.shared);
+        let mut guards: Vec<_> = involved.iter().map(|&s| shared.lanes[s].lock()).collect();
         // Retire every involved worker. The shard channel is FIFO, so the
         // reply proves every ingest sent before the lanes froze has been
         // applied — Retire doubles as the quiesce barrier, no separate
@@ -377,26 +329,11 @@ impl Supervisor {
                 Some(state) => {
                     retired.insert(s, state);
                 }
-                None => {
-                    // Could not retire this worker (shutdown race or a
-                    // stuck shard): respawn the already-retired ones with
-                    // their state unchanged and abort. Dropping `rx` makes
-                    // a late Retire reply fail at the sender, which
-                    // restores that worker in place — the stale message is
-                    // harmless.
-                    for (s, st) in retired.drain() {
-                        self.spawn_worker(
-                            s,
-                            st.forms,
-                            st.quarantined,
-                            st.durability,
-                            st.last_seq,
-                            st.delivered,
-                        );
-                    }
-                    Metrics::bump(&self.metrics.rebalance_aborted);
-                    return aborted;
-                }
+                // Could not retire this worker (shutdown race or a stuck
+                // shard). Dropping `rx` makes a late Retire reply fail at
+                // the sender, which restores that worker in place — the
+                // stale message is harmless.
+                None => return self.abort_migration(retired),
             }
         }
         // Move the edge forms (and their quarantine flags) between the
@@ -420,18 +357,7 @@ impl Supervisor {
             committed_moves.push(m);
         }
         if committed_moves.is_empty() {
-            for (s, st) in retired.drain() {
-                self.spawn_worker(
-                    s,
-                    st.forms,
-                    st.quarantined,
-                    st.durability,
-                    st.last_seq,
-                    st.delivered,
-                );
-            }
-            Metrics::bump(&self.metrics.rebalance_aborted);
-            return aborted;
+            return self.abort_migration(retired);
         }
         // Persist the cut. Durability-on shards re-snapshot (advancing the
         // durable floor past every pre-migration event, so no migrated-away
@@ -443,8 +369,8 @@ impl Supervisor {
             if let Some(d) = st.durability.as_mut() {
                 d.snapshot_now(&st.forms).expect("migration snapshot");
                 let durable = d.sync().expect("migration WAL sync");
-                self.durable_seq[s].store(durable, Ordering::Release);
-                Metrics::bump(&self.metrics.snapshots_taken);
+                self.shared.durable_seq[s].store(durable, Ordering::Release);
+                Metrics::bump(&self.shared.metrics.snapshots_taken);
             }
             if let Some(base) = self.base.as_mut() {
                 base[s] = st.forms.clone();
@@ -455,67 +381,43 @@ impl Supervisor {
         // Commit: the new assignment, the plan-cache drop, and the standing
         // bracket re-snapshot all become visible while ingest is still
         // frozen, so every layer observes the same map epoch.
-        self.map.commit(&committed_moves);
-        self.engine.invalidate();
-        Metrics::bump(&self.metrics.plan_invalidations);
-        let resnapped = self.subs.advance_epoch(std::iter::empty());
-        Metrics::add(&self.metrics.sub_resnapshots, resnapped.len() as u64);
-        self.metrics.sub_epoch.store(self.subs.epoch(), Ordering::Relaxed);
-        for u in &resnapped {
-            self.metrics.trace_subscription(SubscriptionTrace {
-                subscription: u.subscription.0,
-                epoch: u.epoch,
-                value: u.bracket.value,
-                lower: u.bracket.lower,
-                upper: u.bracket.upper,
-                cause: "resnapshot",
-            });
-        }
-        Metrics::bump(&self.metrics.rebalances);
-        Metrics::add(&self.metrics.edges_migrated, committed_moves.len() as u64);
-        self.metrics.map_epoch.store(self.map.epoch(), Ordering::Relaxed);
+        self.shared.map.commit(&committed_moves);
+        self.shared.engine.invalidate();
+        Metrics::bump(&self.shared.metrics.plan_invalidations);
+        shared.resnapshot_and_trace([]);
+        Metrics::bump(&self.shared.metrics.rebalances);
+        Metrics::add(&self.shared.metrics.edges_migrated, committed_moves.len() as u64);
+        self.shared.metrics.map_epoch.store(self.shared.map.epoch(), Ordering::Relaxed);
         // Respawn. Health never left HEALTHY: queries sent during the
         // window queued on the shard channels and are served by the new
         // incarnations against the migrated form set.
         let edges_moved = committed_moves.len();
         for &s in &involved {
             let st = retired.remove(&s).expect("retired");
-            self.spawn_worker(
-                s,
-                st.forms,
-                st.quarantined,
-                st.durability,
-                st.last_seq,
-                st.delivered,
-            );
+            self.respawn(s, st);
         }
         drop(guards);
         MigrationOutcome { committed: true, edges_moved }
     }
 
-    fn spawn_worker(
-        &mut self,
-        shard: usize,
-        forms: HashMap<usize, TrackingForm>,
-        quarantined: HashSet<usize>,
-        durability: Option<ShardDurability>,
-        last_seq: u64,
-        delivered: u64,
-    ) {
-        let worker = ShardWorker::new(WorkerSeed {
+    /// Gives up on a migration before its commit: the workers retired so far
+    /// respawn with their state unchanged and routing stays as it was.
+    fn abort_migration(&mut self, retired: HashMap<usize, RetiredState>) -> MigrationOutcome {
+        for (shard, state) in retired {
+            self.respawn(shard, state);
+        }
+        Metrics::bump(&self.shared.metrics.rebalance_aborted);
+        MigrationOutcome { committed: false, edges_moved: 0 }
+    }
+
+    /// Spawns shard `shard`'s next incarnation over `state`.
+    fn respawn(&mut self, shard: usize, state: RetiredState) {
+        let worker = ShardWorker {
             id: shard,
-            forms,
-            quarantined,
-            plan: self.plan.clone(),
-            dfaults: self.dfaults.clone(),
-            durability,
-            last_seq,
-            delivered,
-            panic_threshold: self.panic_threshold,
-            health: Arc::clone(&self.health),
-            durable_seq: Arc::clone(&self.durable_seq),
-            metrics: Arc::clone(&self.metrics),
-        });
+            state,
+            consecutive_panics: 0,
+            shared: Arc::clone(&self.shared),
+        };
         let rx = self.receivers[shard].clone();
         let events = self.events_tx.clone();
         let handle = std::thread::Builder::new()

@@ -250,6 +250,42 @@ fn expired_deadline_job_never_reaches_a_shard() {
 }
 
 #[test]
+fn expired_answers_are_counted_in_the_plan_metrics() {
+    // Every answer plans through the engine — expired ones included — so
+    // the runtime's plan counters must move in step with the engine's own.
+    // No subscriptions here: they plan through the engine without a query.
+    let f = fixture();
+    let rt = runtime(f, RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() });
+    let (before, engine_before) = (rt.metrics().report(), rt.engine_stats());
+    let mut expired = 0u64;
+    for round in 0..3 {
+        for seed in [61, 62, 63] {
+            let spec = covered_spec(f, 1, seed);
+            // Alternate served and already-expired submissions of the same
+            // regions, so both paths see plan-cache misses and hits.
+            if (round + seed) % 2 == 0 {
+                assert!(!rt.query(spec).expired);
+            } else {
+                assert!(rt.query(spec.with_budget(Duration::ZERO)).expired);
+                expired += 1;
+            }
+        }
+    }
+    let (after, engine_after) = (rt.metrics().report(), rt.engine_stats());
+    assert_eq!(after.deadline_expired - before.deadline_expired, expired);
+    assert!(expired >= 4 && after.queries - before.queries == 9);
+    assert_eq!(
+        (after.plan_cache_hits + after.plan_cache_misses)
+            - (before.plan_cache_hits + before.plan_cache_misses),
+        (engine_after.hits + engine_after.misses) - (engine_before.hits + engine_before.misses),
+        "runtime plan counters must not undercount the engine's"
+    );
+    assert_eq!(after.plan_cache_hits - before.plan_cache_hits, engine_after.hits);
+    assert_eq!(after.plan_cache_misses - before.plan_cache_misses, engine_after.misses);
+    rt.shutdown();
+}
+
+#[test]
 fn breaker_trips_skips_probes_and_recovers() {
     let f = fixture();
     // Shard 0 silently swallows its first two deliveries (a crash window the

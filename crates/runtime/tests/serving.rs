@@ -399,3 +399,42 @@ fn degraded_mode_escalation_upgrades_quarantined_answers() {
     }
     rt.shutdown();
 }
+
+#[test]
+fn degraded_consults_skipped_after_ingest_are_counted() {
+    // The degraded-mode ladder certifies against the construction-time
+    // store, so it switches itself off at the first ingested event. Until
+    // that hole is closed it must at least be visible: every consult the
+    // gate skips is counted.
+    let f = fixture();
+    // A covered query and one of its boundary edges to quarantine.
+    let (spec, edge) = specs(f, 8, 0.15, 43)
+        .into_iter()
+        .find_map(|spec| {
+            let covered = f.sampled.resolve_lower(&spec.region.junctions);
+            let boundary = f.scenario.sensing.boundary_of(&covered, Some(f.sampled.monitored()));
+            boundary.first().map(|be| (spec, be.edge))
+        })
+        .expect("a covered query with a boundary");
+    let rt = Runtime::with_quarantine(
+        f.scenario.sensing.clone(),
+        f.sampled.clone(),
+        store(f),
+        RuntimeConfig {
+            num_shards: 2,
+            degraded: Some(DegradedPolicy::default()),
+            ..RuntimeConfig::default()
+        },
+        &[edge],
+    );
+    assert_eq!(rt.metrics().report().degraded_consults_skipped, 0);
+    rt.ingest(Crossing { time: 10_000.0, edge, forward: true }).expect("ingest");
+    rt.flush_ingest();
+    let served = rt.query(spec);
+    assert!(served.quarantined >= 1 && served.degraded, "the quarantined edge is refused");
+    assert_eq!(served.strategy, DegradedStrategy::None, "no consult after ingest");
+    let report = rt.metrics().report();
+    assert!(report.degraded_consults_skipped >= 1, "the skipped consult must be counted");
+    assert!(report.to_string().contains("consults skipped "));
+    rt.shutdown();
+}

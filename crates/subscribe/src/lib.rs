@@ -79,6 +79,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
+use stq_core::bracket::Bracket;
 use stq_core::engine::{PlanId, QueryEngine, QueryPlan};
 use stq_core::query::{Approximation, QueryRegion};
 use stq_core::sampled::SampledGraph;
@@ -221,11 +222,29 @@ pub struct RegistryStats {
 struct Subscription {
     id: u64,
     plan: Arc<QueryPlan>,
-    bracket: StandingBracket,
+    bracket: Bracket,
+    /// The registry epoch `bracket` was last re-snapshot under.
+    epoch: u64,
+    /// Deltas folded into `bracket` since that re-snapshot.
+    deltas: u64,
     push: Option<Sender<BracketUpdate>>,
     /// Moved by the ingest batch in progress and already listed in
     /// `Inner::touched`; cleared when the batch flushes its pushes.
     dirty: bool,
+}
+
+impl Subscription {
+    fn standing(&self) -> StandingBracket {
+        let Bracket { est: value, lo: lower, hi: upper } = self.bracket;
+        StandingBracket { value, lower, upper, epoch: self.epoch, deltas: self.deltas }
+    }
+
+    /// The current bracket as an update (a subscription's epoch is always
+    /// the registry's: epoch advances re-stamp every subscription).
+    fn update(&self, cause: UpdateCause) -> BracketUpdate {
+        let subscription = SubscriptionId(self.id);
+        BracketUpdate { subscription, epoch: self.epoch, bracket: self.standing(), cause }
+    }
 }
 
 /// A certified net-flow interval for one quarantined edge, installed by the
@@ -411,28 +430,32 @@ impl SubscriptionRegistry {
         let inner = &mut *inner;
         let id = inner.next_id;
         inner.next_id += 1;
-        let bracket = fold_bracket(&plan, &inner.mirror, &self.totals, inner.epoch);
+        let sub = Subscription {
+            id,
+            bracket: fold_bracket(&plan, &inner.mirror, &self.totals),
+            epoch: inner.epoch,
+            deltas: 0,
+            plan,
+            push,
+            dirty: false,
+        };
+        let update = sub.update(UpdateCause::Registered);
         let slot = inner.free.pop().unwrap_or_else(|| {
             inner.slab.push(None);
             inner.slab.len() - 1
         });
-        for be in &plan.boundary {
+        for be in &sub.plan.boundary {
             inner.routes[be.edge].push((slot, be.inward_forward));
         }
-        let boundary_edges = plan.boundary.len();
-        let update = BracketUpdate {
-            subscription: SubscriptionId(id),
-            epoch: inner.epoch,
-            bracket,
-            cause: UpdateCause::Registered,
-        };
-        if let Some(tx) = &push {
+        let boundary_edges = sub.plan.boundary.len();
+        if let Some(tx) = &sub.push {
             let _ = tx.send(update);
         }
-        let plan_id = plan.id;
-        inner.slab[slot] = Some(Subscription { id, plan, bracket, push, dirty: false });
+        let plan_id = sub.plan.id;
+        inner.slab[slot] = Some(sub);
         inner.by_id.insert(id, slot);
-        Ok(Registered { id: SubscriptionId(id), bracket, plan_id, plan_cache_hit, boundary_edges })
+        let (id, bracket) = (update.subscription, update.bracket);
+        Ok(Registered { id, bracket, plan_id, plan_cache_hit, boundary_edges })
     }
 
     /// Removes a subscription and its routing entries. Returns whether it
@@ -507,21 +530,12 @@ impl SubscriptionRegistry {
             let Some(sub) = inner.slab[slot].as_mut() else { continue };
             let entered = c.forward == inward_forward;
             if quarantined {
-                // Mirror of the aggregator's worst case for a refused edge:
-                // the bound it would recompute is ±(lifetime total), so each
-                // event widens the matching endpoint by exactly 1.
-                if entered {
-                    sub.bracket.upper += 1.0;
-                } else {
-                    sub.bracket.lower -= 1.0;
-                }
+                // Mirror of the aggregator's worst case for a refused edge.
+                sub.bracket.widen(entered);
             } else {
-                let d = if entered { 1.0 } else { -1.0 };
-                sub.bracket.value += d;
-                sub.bracket.lower += d;
-                sub.bracket.upper += d;
+                sub.bracket.shift(entered);
             }
-            sub.bracket.deltas += 1;
+            sub.deltas += 1;
             deltas += 1;
             if !sub.dirty {
                 sub.dirty = true;
@@ -536,7 +550,6 @@ impl SubscriptionRegistry {
     /// holds; a `Coalesced` push catches subscribers up when shedding
     /// lifts). Subscribers whose receiver is gone are removed afterwards.
     fn flush_pushes_locked(&self, inner: &mut Inner) {
-        let epoch = inner.epoch;
         let shedding = self.shed.load(Ordering::Relaxed);
         let mut shed_now = 0u64;
         let mut dead: Vec<u64> = Vec::new();
@@ -548,13 +561,7 @@ impl SubscriptionRegistry {
                 shed_now += 1;
                 continue;
             }
-            let pushed = tx.send(BracketUpdate {
-                subscription: SubscriptionId(sub.id),
-                epoch,
-                bracket: sub.bracket,
-                cause: UpdateCause::Delta,
-            });
-            if pushed.is_err() {
+            if tx.send(sub.update(UpdateCause::Delta)).is_err() {
                 dead.push(sub.id);
             }
         }
@@ -589,14 +596,9 @@ impl SubscriptionRegistry {
         let mut dead: Vec<u64> = Vec::new();
         for &slot in inner.by_id.values() {
             let Some(sub) = inner.slab[slot].as_mut() else { continue };
-            let bracket = fold_bracket(&sub.plan, &inner.mirror, &self.totals, epoch);
-            sub.bracket = bracket;
-            let update = BracketUpdate {
-                subscription: SubscriptionId(sub.id),
-                epoch,
-                bracket,
-                cause: UpdateCause::Resnapshot,
-            };
+            sub.bracket = fold_bracket(&sub.plan, &inner.mirror, &self.totals);
+            (sub.epoch, sub.deltas) = (epoch, 0);
+            let update = sub.update(UpdateCause::Resnapshot);
             if let Some(tx) = &sub.push {
                 if tx.send(update).is_err() {
                     dead.push(sub.id);
@@ -628,17 +630,11 @@ impl SubscriptionRegistry {
         if on || !was {
             return Vec::new();
         }
-        let epoch = inner.epoch;
         let mut out = Vec::new();
         let mut dead: Vec<u64> = Vec::new();
         for sub in inner.subs() {
             let Some(tx) = &sub.push else { continue };
-            let update = BracketUpdate {
-                subscription: SubscriptionId(sub.id),
-                epoch,
-                bracket: sub.bracket,
-                cause: UpdateCause::Coalesced,
-            };
+            let update = sub.update(UpdateCause::Coalesced);
             if tx.send(update).is_err() {
                 dead.push(sub.id);
             } else {
@@ -691,12 +687,12 @@ impl SubscriptionRegistry {
     pub fn bracket(&self, id: SubscriptionId) -> Option<StandingBracket> {
         let inner = self.inner.lock();
         let slot = *inner.by_id.get(&id.0)?;
-        inner.slab[slot].as_ref().map(|s| s.bracket)
+        inner.slab[slot].as_ref().map(Subscription::standing)
     }
 
     /// All live `(id, bracket)` pairs, sorted by id.
     pub fn brackets(&self) -> Vec<(SubscriptionId, StandingBracket)> {
-        self.inner.lock().subs().map(|s| (SubscriptionId(s.id), s.bracket)).collect()
+        self.inner.lock().subs().map(|s| (SubscriptionId(s.id), s.standing())).collect()
     }
 
     /// The current epoch.
@@ -728,52 +724,42 @@ impl SubscriptionRegistry {
 }
 
 /// The baseline fold: net live occupancy along the plan's boundary, in plan
-/// order — term-for-term the fold the serving runtime's aggregator performs
-/// for a snapshot query at a time past every ingested event. Trusted edges
-/// contribute their net inward count to all three components; quarantined
-/// edges contribute their lifetime worst case to the bounds only.
-fn fold_bracket(
-    plan: &QueryPlan,
-    mirror: &Mirror,
-    totals: &[[AtomicU64; 2]],
-    epoch: u64,
-) -> StandingBracket {
-    let (mut value, mut lower, mut upper) = (0.0f64, 0.0f64, 0.0f64);
+/// order — term-for-term the [`Bracket`] fold the serving runtime's
+/// aggregator performs for a snapshot query at a time past every ingested
+/// event. Trusted edges report their net inward count; quarantined edges are
+/// unknown up to their lifetime totals, intersected with a certificate when
+/// one is installed.
+fn fold_bracket(plan: &QueryPlan, mirror: &Mirror, totals: &[[AtomicU64; 2]]) -> Bracket {
+    let mut bracket = Bracket::default();
     for be in &plan.boundary {
-        if mirror.quarantined[be.edge] {
-            let fwd = totals[be.edge][0].load(Ordering::Relaxed) as f64;
-            let bwd = totals[be.edge][1].load(Ordering::Relaxed) as f64;
-            let (total_in, total_out) = if be.inward_forward { (fwd, bwd) } else { (bwd, fwd) };
-            let (mut edge_lo, mut edge_hi) = (-total_out, total_in);
-            if let Some(cert) = mirror.certs.get(&be.edge) {
-                // Certified net forward flow at certify time, widened by the
-                // events since (forward raises the net by ≤ 1 each, backward
-                // lowers it by ≤ 1 each), oriented inward, intersected with
-                // the lifetime worst case. Both endpoints then move in
-                // lockstep with the worst case, so the ±1 delta rule in
-                // `on_ingest` stays bitwise exact for certified edges too.
-                let fwd_since = fwd - cert.base[0] as f64;
-                let bwd_since = bwd - cert.base[1] as f64;
-                let (c_lo, c_hi) = if be.inward_forward {
-                    (cert.lo - bwd_since, cert.hi + fwd_since)
-                } else {
-                    (-cert.hi - fwd_since, -cert.lo + bwd_since)
-                };
-                edge_lo = edge_lo.max(c_lo);
-                edge_hi = edge_hi.min(c_hi);
+        // `(forward, backward)` → `(entries, exits)` across this edge.
+        let orient = |fwd: f64, bwd: f64| if be.inward_forward { (fwd, bwd) } else { (bwd, fwd) };
+        if !mirror.quarantined[be.edge] {
+            let [fwd, bwd] = mirror.counts[be.edge];
+            let (entries, exits) = orient(fwd as f64, bwd as f64);
+            bracket.add_exact(entries - exits);
+            continue;
+        }
+        let fwd = totals[be.edge][0].load(Ordering::Relaxed) as f64;
+        let bwd = totals[be.edge][1].load(Ordering::Relaxed) as f64;
+        let (entries, exits) = orient(fwd, bwd);
+        match mirror.certs.get(&be.edge) {
+            None => bracket.add_unknown(entries, exits),
+            Some(cert) => {
+                // Certified net forward flow at certify time, oriented
+                // inward and widened by the events since (an entry raises
+                // the net by ≤ 1, an exit lowers it by ≤ 1). Both endpoints
+                // then move in lockstep with the worst case, so
+                // `Bracket::widen` stays bitwise exact for certified edges.
+                let (lo, hi) =
+                    if be.inward_forward { (cert.lo, cert.hi) } else { (-cert.hi, -cert.lo) };
+                let (in_since, out_since) =
+                    orient(fwd - cert.base[0] as f64, bwd - cert.base[1] as f64);
+                bracket.add_certified(entries, exits, lo - out_since, hi + in_since);
             }
-            lower += edge_lo;
-            upper += edge_hi;
-        } else {
-            let fwd = mirror.counts[be.edge][0] as f64;
-            let bwd = mirror.counts[be.edge][1] as f64;
-            let net = if be.inward_forward { fwd - bwd } else { bwd - fwd };
-            value += net;
-            lower += net;
-            upper += net;
         }
     }
-    StandingBracket { value, lower, upper, epoch, deltas: 0 }
+    bracket
 }
 
 #[cfg(test)]
