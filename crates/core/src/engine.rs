@@ -8,11 +8,11 @@
 //! do:
 //!
 //! - **Plan** ([`QueryPlan::compile`]): resolve the region (§4.6), walk the
-//!   boundary *once* — collecting the deduplicated inward-oriented chain,
-//!   the interior-cell set, and the distinct incident sensors in the same
-//!   pass — and freeze the result. A plan is independent of the query kind
-//!   and of the count store: the same plan answers snapshot, transient and
-//!   static queries against exact, learned or private stores.
+//!   boundary *once* — collecting the inward-oriented chain and the
+//!   distinct incident sensors in the same pass — and freeze the result. A
+//!   plan is independent of the query kind and of the count store: the same
+//!   plan answers snapshot, transient and static queries against exact,
+//!   learned or private stores.
 //! - **Cache** ([`QueryEngine`]): plans are memoized in a bounded LRU keyed
 //!   by a fingerprint of the region's junction set and resolution side.
 //!   Repeated and batched queries over the same region skip resolution and
@@ -22,6 +22,37 @@
 //!   edges in the plan's (deterministic) chain order, so results are
 //!   bit-identical to the scalar `evaluate` path; batches fan out across
 //!   worker threads, one plan per task.
+//!
+//! ## Compilation hashes nothing
+//!
+//! A cache miss works on sorted slices and per-call bitsets, never on a
+//! hash container (the plan cache's own map aside):
+//!
+//! 1. [`QueryEngine::plan`] sorts the region's junctions into the cache key
+//!    and fingerprints it — once; the compile it triggers reuses both.
+//! 2. [`SampledGraph::resolve`] maps the key to component ids, sorts them
+//!    and counts runs: a run as long as its component is a face of `R₂`,
+//!    any run is a face of `R₁`. The selected faces are concatenated and
+//!    sorted into the plan's `interior`.
+//! 3. [`SensingGraph::boundary_walk`] marks `interior` in a bitset over
+//!    vertices, then visits each interior vertex's half-edges in rotation
+//!    order; a half-edge whose target is unmarked is a boundary edge. Its
+//!    two dual faces go into a bitset over faces whose popcount is
+//!    `nodes_accessed`. No "edge already emitted" set exists: a crossing
+//!    edge has exactly one half-edge leaving the interior.
+//!
+//! **Determinism.** The chain order is "sorted interior × rotation order":
+//! a function of the region's contents and the embedding alone, not of any
+//! container's iteration order. Every fold over a plan's boundary, on every
+//! path and in every process, therefore adds the same terms in the same
+//! order — what the bit-identity suites and the [`PlanId`] contract rest on.
+//!
+//! **No cached scratch.** The bitsets (one bit per junction, one per face)
+//! and the component-id buffer are allocated per compile. When this path
+//! was sized, an epoch-stamped thread-local scratch measured the same
+//! compile time on the benchmark's 2 500-junction town, so the stateless
+//! form stays: nothing to size, invalidate on a graph swap, or share
+//! between threads.
 //!
 //! ## Cache invalidation
 //!
@@ -40,11 +71,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::query::{evaluate, Approximation, QueryKind, QueryOutcome, QueryRegion};
 use crate::sampled::SampledGraph;
-use crate::sensing::SensingGraph;
+use crate::sensing::{sorted, SensingGraph};
 use stq_forms::{BoundaryEdge, CountSource};
 use stq_planar::embedding::VertexId;
 
@@ -87,10 +118,16 @@ fn fingerprint(junctions: &[VertexId], tag: u8) -> PlanId {
     PlanId(h)
 }
 
-fn sorted_junctions(region: &QueryRegion) -> Vec<VertexId> {
-    let mut v: Vec<VertexId> = region.junctions.iter().copied().collect();
-    v.sort_unstable();
-    v
+/// The cache key of `region` resolved to its `approx` side: the sorted
+/// junction ids and their fingerprint, derived once per lookup.
+fn plan_key(region: &QueryRegion, approx: Approximation) -> (Vec<VertexId>, PlanId) {
+    let key = sorted(&region.junctions);
+    let tag = match approx {
+        Approximation::Lower => 0,
+        Approximation::Upper => 1,
+    };
+    let id = fingerprint(&key, tag);
+    (key, id)
 }
 
 impl QueryPlan {
@@ -103,29 +140,25 @@ impl QueryPlan {
         region: &QueryRegion,
         approx: Approximation,
     ) -> QueryPlan {
-        let key = sorted_junctions(region);
-        let tag = match approx {
-            Approximation::Lower => 0,
-            Approximation::Upper => 1,
-        };
-        let id = fingerprint(&key, tag);
-        let covered = match approx {
-            Approximation::Lower => sampled.resolve_lower(&region.junctions),
-            Approximation::Upper => sampled.resolve_upper(&region.junctions),
-        };
-        if covered.is_empty() {
-            return QueryPlan {
-                id,
-                interior: Vec::new(),
-                boundary: Vec::new(),
-                nodes_accessed: 0,
-                miss: true,
-            };
+        let (key, id) = plan_key(region, approx);
+        Self::compile_keyed(sensing, sampled, &key, id, approx)
+    }
+
+    /// [`compile`](Self::compile) from the already derived sorted junction
+    /// `key` and its fingerprint `id` — what a cache miss holds.
+    fn compile_keyed(
+        sensing: &SensingGraph,
+        sampled: &SampledGraph,
+        key: &[VertexId],
+        id: PlanId,
+        approx: Approximation,
+    ) -> QueryPlan {
+        let interior = sampled.resolve(key, approx);
+        if interior.is_empty() {
+            return QueryPlan { id, interior, boundary: Vec::new(), nodes_accessed: 0, miss: true };
         }
         let (boundary, nodes_accessed) =
-            sensing.boundary_with_sensors(&covered, Some(sampled.monitored()));
-        let mut interior: Vec<VertexId> = covered.into_iter().collect();
-        interior.sort_unstable();
+            sensing.boundary_walk(&interior, Some(sampled.monitored()));
         QueryPlan { id, interior, boundary, nodes_accessed, miss: false }
     }
 
@@ -133,9 +166,9 @@ impl QueryPlan {
     /// own junction set, every edge eligible. Never a miss (an empty region
     /// integrates to zero, matching `ground_truth` semantics).
     pub fn compile_exact(sensing: &SensingGraph, region: &QueryRegion) -> QueryPlan {
-        let interior = sorted_junctions(region);
+        let interior = sorted(&region.junctions);
         let id = fingerprint(&interior, 2);
-        let (boundary, nodes_accessed) = sensing.boundary_with_sensors(&region.junctions, None);
+        let (boundary, nodes_accessed) = sensing.boundary_walk(&interior, None);
         QueryPlan { id, interior, boundary, nodes_accessed, miss: false }
     }
 
@@ -253,6 +286,14 @@ impl QueryEngine {
         }
     }
 
+    /// The plan cache, recovered if a thread panicked while holding it: the
+    /// cache holds only re-derivable plans and every update (a tick bump, one
+    /// insert, one remove) leaves it valid, so one panicking query must not
+    /// turn into a panic on every later one.
+    fn lock(&self) -> MutexGuard<'_, PlanCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the plan for `region`/`approx`, compiling on a cache miss.
     /// The flag is `true` when the plan came from the cache.
     pub fn plan(
@@ -262,14 +303,9 @@ impl QueryEngine {
         region: &QueryRegion,
         approx: Approximation,
     ) -> (Arc<QueryPlan>, bool) {
-        let key = sorted_junctions(region);
-        let tag = match approx {
-            Approximation::Lower => 0,
-            Approximation::Upper => 1,
-        };
-        let id = fingerprint(&key, tag);
+        let (key, id) = plan_key(region, approx);
         if self.capacity > 0 {
-            let mut cache = self.cache.lock().expect("plan cache poisoned");
+            let mut cache = self.lock();
             cache.tick += 1;
             let tick = cache.tick;
             if let Some(entry) = cache.map.get_mut(&id.0) {
@@ -281,9 +317,9 @@ impl QueryEngine {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(QueryPlan::compile(sensing, sampled, region, approx));
+        let plan = Arc::new(QueryPlan::compile_keyed(sensing, sampled, &key, id, approx));
         if self.capacity > 0 {
-            let mut cache = self.cache.lock().expect("plan cache poisoned");
+            let mut cache = self.lock();
             cache.tick += 1;
             let tick = cache.tick;
             if cache.map.len() >= self.capacity && !cache.map.contains_key(&id.0) {
@@ -303,7 +339,7 @@ impl QueryEngine {
 
     /// The cached plan for `id`, if it is still resident.
     pub fn cached(&self, id: PlanId) -> Option<Arc<QueryPlan>> {
-        let mut cache = self.cache.lock().expect("plan cache poisoned");
+        let mut cache = self.lock();
         cache.tick += 1;
         let tick = cache.tick;
         cache.map.get_mut(&id.0).map(|e| {
@@ -316,7 +352,7 @@ impl QueryEngine {
     /// compiles against is replaced (quarantine demotion, failover reroute,
     /// crash recovery, shard-map migration).
     pub fn invalidate(&self) {
-        self.cache.lock().expect("plan cache poisoned").map.clear();
+        self.lock().map.clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -336,7 +372,7 @@ impl QueryEngine {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            cached: self.cache.lock().expect("plan cache poisoned").map.len(),
+            cached: self.lock().map.len(),
         }
     }
 
@@ -556,5 +592,31 @@ mod tests {
         let out = engine.execute_ids(&s.tracked.store, &[(plan.id, QueryKind::Snapshot(t0))]);
         assert!(out[0].is_none(), "invalidation drops every cached plan");
         assert_eq!(engine.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn poisoned_cache_lock_is_recovered() {
+        let (s, g) = fixture();
+        let engine = QueryEngine::new(8);
+        let (q, _, _) = s.make_queries(1, 0.12, 2_000.0, 7).remove(0);
+        let (p1, _) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = engine.cache.lock().unwrap();
+                    panic!("query thread dies holding the plan cache");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err() && engine.cache.is_poisoned());
+        // Every entry point still works, and the cache kept its entry.
+        let (p2, hit) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
+        assert!(hit && Arc::ptr_eq(&p1, &p2));
+        assert!(engine.cached(p1.id).is_some());
+        assert_eq!(engine.stats().cached, 1);
+        engine.invalidate();
+        assert_eq!(engine.stats().cached, 0);
+        let (_, hit) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
+        assert!(!hit);
     }
 }

@@ -13,7 +13,8 @@
 
 use std::collections::HashSet;
 
-use crate::sensing::SensingGraph;
+use crate::query::Approximation;
+use crate::sensing::{sorted, SensingGraph};
 use stq_geom::triangulate;
 use stq_planar::dual::subgraph_faces;
 use stq_planar::embedding::{FaceId, VertexId};
@@ -39,7 +40,7 @@ pub struct SampledGraph {
     sensors: Vec<FaceId>,
     /// Face id of `G̃` for each junction (component of the cut road graph).
     component_of: Vec<usize>,
-    /// Junctions of each `G̃` face.
+    /// Junctions of each `G̃` face, ascending.
     components: Vec<Vec<VertexId>>,
     /// The component containing `v_ext` — the unobservable outside world.
     ext_component: usize,
@@ -193,40 +194,53 @@ impl SampledGraph {
         &self.components
     }
 
-    /// Lower-bound resolution `R₂` (Fig. 7): the union of `G̃` faces fully
-    /// contained in the query's junction set.
-    pub fn resolve_lower(&self, query: &HashSet<VertexId>) -> HashSet<VertexId> {
-        let mut in_query_count = std::collections::HashMap::new();
-        for &j in query {
-            *in_query_count.entry(self.component_of[j]).or_insert(0usize) += 1;
-        }
-        let mut covered = HashSet::new();
-        for (&comp, &cnt) in &in_query_count {
-            if cnt == self.components[comp].len() {
-                covered.extend(self.components[comp].iter().copied());
+    /// Resolves a junction set against `G̃` (§4.6, Fig. 7) — the single
+    /// region resolution behind every entry point. `junctions` must be
+    /// strictly increasing (sorted, no duplicates); the returned interior
+    /// is too.
+    ///
+    /// - [`Approximation::Lower`] (`R₂`): the union of `G̃` faces fully
+    ///   contained in the set.
+    /// - [`Approximation::Upper`] (`R₁`): the union of `G̃` faces that
+    ///   intersect it. The outside-world face (the one merged with `v_ext`)
+    ///   can never be part of an answerable region: objects begin there
+    ///   *before* tracking, so its boundary integral does not reflect a
+    ///   population. If any junction falls in it, no valid upper bound
+    ///   exists on this sampled graph and the empty interior (a query miss)
+    ///   is returned.
+    ///
+    /// The junctions' component ids are sorted and run-length counted, so
+    /// nothing is hashed: a run as long as its component is a contained
+    /// face, any run at all is an intersected one.
+    pub fn resolve(&self, junctions: &[VertexId], approx: Approximation) -> Vec<VertexId> {
+        debug_assert!(junctions.windows(2).all(|w| w[0] < w[1]), "junctions strictly increasing");
+        let mut comps: Vec<usize> = junctions.iter().map(|&j| self.component_of[j]).collect();
+        comps.sort_unstable();
+        let mut interior = Vec::new();
+        let mut rest = comps.as_slice();
+        while let Some(&comp) = rest.first() {
+            let run = rest.iter().take_while(|&&c| c == comp).count();
+            rest = &rest[run..];
+            match approx {
+                Approximation::Lower if run != self.components[comp].len() => continue,
+                Approximation::Upper if comp == self.ext_component => return Vec::new(),
+                _ => interior.extend_from_slice(&self.components[comp]),
             }
         }
-        covered
+        interior.sort_unstable();
+        interior
     }
 
-    /// Upper-bound resolution `R₁` (Fig. 7): the union of `G̃` faces that
-    /// intersect the query's junction set.
-    ///
-    /// The outside-world face (the one merged with `v_ext`) can never be
-    /// part of an answerable region: objects begin there *before* tracking,
-    /// so its boundary integral does not reflect a population. If any query
-    /// junction falls in it, no valid upper bound exists on this sampled
-    /// graph and the empty set (a query miss) is returned.
+    /// Lower-bound resolution `R₂` of a junction set: sorts it and
+    /// delegates to [`resolve`](Self::resolve).
+    pub fn resolve_lower(&self, query: &HashSet<VertexId>) -> HashSet<VertexId> {
+        self.resolve(&sorted(query), Approximation::Lower).into_iter().collect()
+    }
+
+    /// Upper-bound resolution `R₁` of a junction set (empty on a miss):
+    /// sorts it and delegates to [`resolve`](Self::resolve).
     pub fn resolve_upper(&self, query: &HashSet<VertexId>) -> HashSet<VertexId> {
-        let comps: HashSet<usize> = query.iter().map(|&j| self.component_of[j]).collect();
-        if comps.contains(&self.ext_component) {
-            return HashSet::new();
-        }
-        let mut covered = HashSet::new();
-        for comp in comps {
-            covered.extend(self.components[comp].iter().copied());
-        }
-        covered
+        self.resolve(&sorted(query), Approximation::Upper).into_iter().collect()
     }
 
     /// The component merged with the outside world.
@@ -245,9 +259,9 @@ impl SampledGraph {
             .enumerate()
             .filter(|&(id, _)| id != self.ext_component)
             .map(|(id, junctions)| {
-                let set: HashSet<VertexId> = junctions.iter().copied().collect();
                 let boundary = sensing
-                    .boundary_of(&set, Some(&self.monitored))
+                    .boundary_walk(junctions, Some(&self.monitored))
+                    .0
                     .into_iter()
                     .map(|be| (be.edge, be.inward_forward))
                     .collect();

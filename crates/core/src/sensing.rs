@@ -5,11 +5,86 @@ use std::collections::HashSet;
 use stq_geom::{Point, Polygon, Rect};
 use stq_mobility::RoadNetwork;
 use stq_planar::dual::DualGraph;
-use stq_planar::embedding::{EdgeId, FaceId, Faces, VertexId};
+use stq_planar::embedding::{Embedding, FaceId, Faces, VertexId};
 use stq_planar::paths::WeightedAdj;
 use stq_spatial::GridIndex;
 
 use stq_forms::BoundaryEdge;
+
+/// A junction set as the strictly increasing slice the resolution and the
+/// boundary walk take.
+pub(crate) fn sorted(set: &HashSet<VertexId>) -> Vec<VertexId> {
+    let mut v: Vec<VertexId> = set.iter().copied().collect();
+    v.sort_unstable();
+    v
+}
+
+/// A fixed-size bitset, allocated per walk: membership without hashing.
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    fn new(len: usize) -> Self {
+        BitSet(vec![0; len.div_ceil(64)])
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn count(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// The single boundary walk, over the two structures it reads: the road
+/// embedding and its dual.
+///
+/// Membership is a per-call bitset over vertices, the sensor count a bitset
+/// over faces; nothing is hashed. No "edge already emitted" set is needed:
+/// an edge with exactly one endpoint inside has exactly one half-edge
+/// leaving an interior vertex, and that half-edge appears once in its
+/// origin's rotation. A loop has both endpoints on the same side and is
+/// never a boundary edge; parallel edges are distinct edges and are each
+/// emitted.
+fn walk_boundary(
+    emb: &Embedding,
+    dual: &DualGraph,
+    interior: &[VertexId],
+    monitored: Option<&[bool]>,
+) -> (Vec<BoundaryEdge>, usize) {
+    debug_assert!(interior.windows(2).all(|w| w[0] < w[1]), "interior strictly increasing");
+    let mut inside = BitSet::new(emb.num_vertices());
+    for &u in interior {
+        inside.insert(u);
+    }
+    let mut sensors = BitSet::new(dual.num_vertices);
+    let mut chain = Vec::new();
+    for &u in interior {
+        for &h in emb.rotation(u) {
+            if inside.contains(emb.target(h)) {
+                continue;
+            }
+            let e = emb.edge_of(h);
+            if let Some(mon) = monitored {
+                debug_assert!(mon[e], "boundary edge {e} of a sampled region must be monitored");
+                if !mon[e] {
+                    continue;
+                }
+            }
+            let (f, g) = dual.edge_faces[e];
+            sensors.insert(f);
+            sensors.insert(g);
+            // `h` leaves the region, so the edge's forward direction points
+            // inward exactly when `h` is its backward half.
+            chain.push(BoundaryEdge::new(e, h != 2 * e));
+        }
+    }
+    (chain, sensors.count())
+}
 
 /// The sensing graph: one sensor per road-network face (city block), one
 /// communication link per road edge, one sensing cell per junction.
@@ -155,74 +230,44 @@ impl SensingGraph {
     /// endpoint in `U`, oriented inward. With `monitored = None` all edges
     /// qualify (the unsampled graph); otherwise only monitored edges do —
     /// in a valid sampled region the caller guarantees every boundary edge
-    /// is monitored, which `debug_assert`s in the walk verify.
+    /// is monitored, which `debug_assert`s in the walk verify. Sorts the set
+    /// and delegates to [`boundary_walk`](Self::boundary_walk).
     pub fn boundary_of(
         &self,
         region: &HashSet<VertexId>,
         monitored: Option<&[bool]>,
     ) -> Vec<BoundaryEdge> {
-        self.walk_boundary(region, monitored, None)
+        self.boundary_walk(&sorted(region), monitored).0
     }
 
     /// [`boundary_of`](Self::boundary_of) plus the number of distinct
-    /// sensors incident to the chain, computed in the *same* pass: each
-    /// boundary edge's two dual faces are folded into the sensor set as the
-    /// edge is emitted, instead of re-walking the finished chain through
-    /// [`boundary_sensors`](Self::boundary_sensors).
+    /// sensors incident to the chain. Sorts the set and delegates to
+    /// [`boundary_walk`](Self::boundary_walk).
     pub fn boundary_with_sensors(
         &self,
         region: &HashSet<VertexId>,
         monitored: Option<&[bool]>,
     ) -> (Vec<BoundaryEdge>, usize) {
-        let mut sensors: HashSet<FaceId> = HashSet::new();
-        let chain = self.walk_boundary(region, monitored, Some(&mut sensors));
-        (chain, sensors.len())
+        self.boundary_walk(&sorted(region), monitored)
     }
 
-    /// The single boundary walk behind both public entry points. Region
-    /// vertices are visited in sorted order, so the emitted chain — and
-    /// therefore the order of every floating-point fold over it — is a
-    /// deterministic function of the region's *contents*, not of `HashSet`
-    /// iteration order. Plan fingerprints and bit-identity tests rely on
-    /// this.
-    fn walk_boundary(
+    /// The inward boundary chain of `interior` plus the number of distinct
+    /// sensors (dual faces) incident to it — the slice entry point every
+    /// other one delegates to. `interior` must be strictly increasing
+    /// (sorted, no duplicates); `monitored` is as in
+    /// [`boundary_of`](Self::boundary_of).
+    ///
+    /// Vertices are visited in slice order and each one's half-edges in
+    /// rotation order, so the emitted chain — and therefore the order of
+    /// every floating-point fold over it — is a function of the region's
+    /// *contents* and the embedding, not of any container's iteration
+    /// order. Plan fingerprints and bit-identity tests rely on this.
+    pub fn boundary_walk(
         &self,
-        region: &HashSet<VertexId>,
+        interior: &[VertexId],
         monitored: Option<&[bool]>,
-        mut sensors: Option<&mut HashSet<FaceId>>,
-    ) -> Vec<BoundaryEdge> {
-        let emb = self.road.embedding();
-        let mut verts: Vec<VertexId> = region.iter().copied().collect();
-        verts.sort_unstable();
-        let mut out = Vec::new();
-        let mut seen: HashSet<EdgeId> = HashSet::new();
-        for &u in &verts {
-            for &h in emb.rotation(u) {
-                let e = emb.edge_of(h);
-                let (a, b) = emb.edge_endpoints(e);
-                let inside_a = region.contains(&a);
-                let inside_b = region.contains(&b);
-                if inside_a == inside_b || !seen.insert(e) {
-                    continue;
-                }
-                if let Some(mon) = monitored {
-                    debug_assert!(
-                        mon[e],
-                        "boundary edge {e} of a sampled region must be monitored"
-                    );
-                    if !mon[e] {
-                        continue;
-                    }
-                }
-                if let Some(fs) = sensors.as_deref_mut() {
-                    let (f, g) = self.dual.edge_faces[e];
-                    fs.insert(f);
-                    fs.insert(g);
-                }
-                out.push(BoundaryEdge::new(e, inside_b));
-            }
-        }
-        out
+    ) -> (Vec<BoundaryEdge>, usize) {
+        walk_boundary(self.road.embedding(), &self.dual, interior, monitored)
     }
 
     /// Distinct sensors (faces) incident to a boundary chain — the nodes a
@@ -290,6 +335,48 @@ mod tests {
             let head = if be.inward_forward { bb } else { a };
             assert_eq!(head, u, "inward orientation must point at the region");
         }
+    }
+
+    /// The argument that lets the walk go without an "already emitted" set:
+    /// on an embedding with self-loops and a pair of parallel edges, every
+    /// crossing edge of every vertex subset is emitted exactly once, inward,
+    /// loops never, parallels both.
+    #[test]
+    fn walk_emits_each_crossing_edge_once_with_loops_and_parallels() {
+        // e0 = (0,1) and e1 = (1,0) are parallel with opposite construction
+        // directions; e2 = (0,0) and e4 = (2,2) are loops; e3 = (1,2).
+        let edges = vec![(0, 1), (1, 0), (0, 0), (1, 2), (2, 2)];
+        let rotations = vec![vec![0, 3, 4, 5], vec![1, 2, 6], vec![7, 8, 9]];
+        let emb = Embedding::from_rotations(vec![None; 3], edges.clone(), rotations).unwrap();
+        let dual = DualGraph::new(&emb, &emb.faces());
+        for mask in 0u32..8 {
+            let interior: Vec<usize> = (0..3).filter(|&v| mask & (1 << v) != 0).collect();
+            let (chain, sensors) = walk_boundary(&emb, &dual, &interior, None);
+            let mut emitted: Vec<usize> = chain.iter().map(|be| be.edge).collect();
+            emitted.sort_unstable();
+            let crossing: Vec<usize> = (0..edges.len())
+                .filter(|&e| interior.contains(&edges[e].0) != interior.contains(&edges[e].1))
+                .collect();
+            assert_eq!(emitted, crossing, "interior {interior:?}");
+            for be in &chain {
+                let (tail, head) = edges[be.edge];
+                let points_at = if be.inward_forward { head } else { tail };
+                assert!(interior.contains(&points_at), "edge {} of {interior:?}", be.edge);
+            }
+            let mut faces: Vec<usize> = chain
+                .iter()
+                .flat_map(|be| {
+                    let (f, g) = dual.edge_faces[be.edge];
+                    [f, g]
+                })
+                .collect();
+            faces.sort_unstable();
+            faces.dedup();
+            assert_eq!(sensors, faces.len(), "interior {interior:?}");
+        }
+        // Slice order × rotation order: both parallels, in vertex 0's rotation.
+        let (chain, _) = walk_boundary(&emb, &dual, &[0], None);
+        assert_eq!(chain, vec![BoundaryEdge::new(0, false), BoundaryEdge::new(1, true)]);
     }
 
     #[test]

@@ -1,13 +1,167 @@
 //! Differential properties of the query engine: plan/execute — batched or
 //! cached — is bit-identical to the scalar `answer` path, on clean and
-//! quarantined deployments.
+//! quarantined deployments; and plan compilation itself equals an
+//! independent reference.
 //!
-//! `engine_equivalence_suite` is the CI entry point: `STQ_EQUIV_SEED`
-//! re-keys the whole scenario, so a matrix over seeds exercises different
-//! cities, workloads and deployments against the same assertions.
+//! `answer` *is* `QueryPlan::compile(..).execute(..)`, so the first family
+//! checks caching and batching but cannot catch a compile bug. [`reference`]
+//! is the oracle for that: a transcription of the hash-container resolution
+//! and boundary walk the bitset compile replaced, kept here (tests only) to
+//! compare every plan field against.
+//!
+//! `engine_equivalence_suite` and `compile_matches_hashset_reference` are
+//! the CI entry points: `STQ_EQUIV_SEED` re-keys the whole scenario, so a
+//! matrix over seeds exercises different cities, workloads and deployments
+//! against the same assertions.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use stq_core::prelude::*;
+use stq_geom::{Point, Rect};
+
+/// The compile path as it was before it stopped hashing: `HashMap`/`HashSet`
+/// region resolution and a boundary walk that probes a `HashSet` per
+/// half-edge endpoint and dedups through a `seen` set. Slow and obviously
+/// right; shares no code with `stq-core`'s resolution or walk.
+mod reference {
+    use std::collections::{HashMap, HashSet};
+
+    use stq_core::prelude::*;
+    use stq_forms::BoundaryEdge;
+
+    pub struct Plan {
+        pub id: PlanId,
+        pub interior: Vec<usize>,
+        pub boundary: Vec<BoundaryEdge>,
+        pub nodes_accessed: usize,
+        pub miss: bool,
+    }
+
+    fn resolve_lower(g: &SampledGraph, query: &HashSet<usize>) -> HashSet<usize> {
+        let mut in_query_count = HashMap::new();
+        for &j in query {
+            *in_query_count.entry(g.component_of(j)).or_insert(0usize) += 1;
+        }
+        let mut covered = HashSet::new();
+        for (&comp, &cnt) in &in_query_count {
+            if cnt == g.components()[comp].len() {
+                covered.extend(g.components()[comp].iter().copied());
+            }
+        }
+        covered
+    }
+
+    fn resolve_upper(g: &SampledGraph, query: &HashSet<usize>) -> HashSet<usize> {
+        let comps: HashSet<usize> = query.iter().map(|&j| g.component_of(j)).collect();
+        if comps.contains(&g.ext_component()) {
+            return HashSet::new();
+        }
+        let mut covered = HashSet::new();
+        for comp in comps {
+            covered.extend(g.components()[comp].iter().copied());
+        }
+        covered
+    }
+
+    fn walk_boundary(
+        sensing: &SensingGraph,
+        region: &HashSet<usize>,
+        monitored: Option<&[bool]>,
+    ) -> (Vec<BoundaryEdge>, usize) {
+        let emb = sensing.road().embedding();
+        let mut verts: Vec<usize> = region.iter().copied().collect();
+        verts.sort_unstable();
+        let mut out = Vec::new();
+        let mut seen: HashSet<usize> = HashSet::new();
+        let mut sensors: HashSet<usize> = HashSet::new();
+        for &u in &verts {
+            for &h in emb.rotation(u) {
+                let e = emb.edge_of(h);
+                let (a, b) = emb.edge_endpoints(e);
+                let inside_a = region.contains(&a);
+                let inside_b = region.contains(&b);
+                if inside_a == inside_b || !seen.insert(e) {
+                    continue;
+                }
+                if monitored.is_some_and(|mon| !mon[e]) {
+                    continue;
+                }
+                let (f, g) = sensing.dual().edge_faces[e];
+                sensors.insert(f);
+                sensors.insert(g);
+                out.push(BoundaryEdge::new(e, inside_b));
+            }
+        }
+        (out, sensors.len())
+    }
+
+    /// FNV-1a over the sorted junction ids plus a resolution tag.
+    fn fingerprint(junctions: &[usize], tag: u8) -> PlanId {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |byte: u8| {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        eat(tag);
+        for &j in junctions {
+            for b in (j as u64).to_le_bytes() {
+                eat(b);
+            }
+        }
+        PlanId(h)
+    }
+
+    fn sorted(set: &HashSet<usize>) -> Vec<usize> {
+        let mut v: Vec<usize> = set.iter().copied().collect();
+        v.sort_unstable();
+        v
+    }
+
+    pub fn compile(
+        sensing: &SensingGraph,
+        sampled: &SampledGraph,
+        region: &QueryRegion,
+        approx: Approximation,
+    ) -> Plan {
+        let (tag, covered) = match approx {
+            Approximation::Lower => (0, resolve_lower(sampled, &region.junctions)),
+            Approximation::Upper => (1, resolve_upper(sampled, &region.junctions)),
+        };
+        let id = fingerprint(&sorted(&region.junctions), tag);
+        if covered.is_empty() {
+            return Plan {
+                id,
+                interior: Vec::new(),
+                boundary: Vec::new(),
+                nodes_accessed: 0,
+                miss: true,
+            };
+        }
+        let (boundary, nodes_accessed) =
+            walk_boundary(sensing, &covered, Some(sampled.monitored()));
+        Plan { id, interior: sorted(&covered), boundary, nodes_accessed, miss: false }
+    }
+
+    pub fn compile_exact(sensing: &SensingGraph, region: &QueryRegion) -> Plan {
+        let interior = sorted(&region.junctions);
+        let id = fingerprint(&interior, 2);
+        let (boundary, nodes_accessed) = walk_boundary(sensing, &region.junctions, None);
+        Plan { id, interior, boundary, nodes_accessed, miss: false }
+    }
+}
+
+/// Every field of a compiled plan equals the reference's — chain order and
+/// orientation included.
+fn assert_plan_matches(plan: &QueryPlan, expect: &reference::Plan, ctx: &str) {
+    assert_eq!(plan.id, expect.id, "{ctx}: id");
+    assert_eq!(plan.miss, expect.miss, "{ctx}: miss");
+    assert_eq!(plan.interior, expect.interior, "{ctx}: interior");
+    assert_eq!(plan.boundary, expect.boundary, "{ctx}: boundary");
+    assert_eq!(plan.nodes_accessed, expect.nodes_accessed, "{ctx}: nodes_accessed");
+}
 
 /// A small random scenario (kept tiny: each case builds a whole city).
 fn small_scenario() -> impl Strategy<Value = Scenario> {
@@ -35,18 +189,21 @@ fn deployment(s: &Scenario, frac: f64, seed: u64) -> SampledGraph {
     SampledGraph::from_sensors(&s.sensing, &faces, Connectivity::Triangulation)
 }
 
-/// Demotes every `stride`-th monitored edge — the shape quarantine leaves
-/// behind after an integrity audit.
-fn quarantined(s: &Scenario, g: &SampledGraph, stride: usize) -> SampledGraph {
-    let dead: Vec<usize> = g
-        .monitored()
+/// Every `stride`-th monitored edge — the failures the suites inject.
+fn every_nth_monitored(g: &SampledGraph, stride: usize) -> Vec<usize> {
+    g.monitored()
         .iter()
         .enumerate()
         .filter(|&(_, &on)| on)
         .map(|(e, _)| e)
         .step_by(stride)
-        .collect();
-    g.demote_edges(&s.sensing, &dead)
+        .collect()
+}
+
+/// Demotes every `stride`-th monitored edge — the shape quarantine leaves
+/// behind after an integrity audit.
+fn quarantined(s: &Scenario, g: &SampledGraph, stride: usize) -> SampledGraph {
+    g.demote_edges(&s.sensing, &every_nth_monitored(g, stride))
 }
 
 /// Bitwise outcome equality: the value compares by f64 bit pattern, the
@@ -128,15 +285,45 @@ proptest! {
             prop_assert_eq!((st.invalidations, st.hits, st.misses), (1, 1, 2));
         }
     }
+
+    /// The `&HashSet` entry points are adapters: for arbitrary junction sets
+    /// they return what the slice entry points return, and resolving the
+    /// empty set yields the empty set.
+    #[test]
+    fn hashset_adapters_equal_slice_entry_points(s in small_scenario(),
+                                                 frac in 0.1f64..0.5,
+                                                 seed in 0u64..100,
+                                                 picks in proptest::collection::vec(0usize..10_000, 0..60)) {
+        let g = deployment(&s, frac, seed);
+        let n = s.sensing.road().num_junctions();
+        let set: HashSet<usize> = picks.iter().map(|&p| p % n).collect();
+        let mut slice: Vec<usize> = set.iter().copied().collect();
+        slice.sort_unstable();
+        for (approx, via_set) in [
+            (Approximation::Lower, g.resolve_lower(&set)),
+            (Approximation::Upper, g.resolve_upper(&set)),
+        ] {
+            let interior = g.resolve(&slice, approx);
+            prop_assert!(interior.windows(2).all(|w| w[0] < w[1]), "interior strictly increasing");
+            prop_assert_eq!(&via_set, &interior.iter().copied().collect::<HashSet<usize>>());
+            let walked = s.sensing.boundary_walk(&interior, Some(g.monitored()));
+            prop_assert_eq!(&s.sensing.boundary_with_sensors(&via_set, Some(g.monitored())), &walked);
+            prop_assert_eq!(&s.sensing.boundary_of(&via_set, Some(g.monitored())), &walked.0);
+        }
+        prop_assert_eq!(s.sensing.boundary_of(&set, None), s.sensing.boundary_walk(&slice, None).0);
+        let empty = HashSet::new();
+        prop_assert!(g.resolve_lower(&empty).is_empty());
+        prop_assert!(g.resolve_upper(&empty).is_empty());
+        prop_assert!(s.sensing.boundary_of(&empty, None).is_empty());
+    }
 }
 
-/// The CI engine-equivalence job's entry point: one deterministic
-/// scenario per `STQ_EQUIV_SEED`, differential over 3 kinds × 2
-/// resolutions × clean/quarantined graphs × cold/warm cache.
-#[test]
-fn engine_equivalence_suite() {
-    let seed: u64 = std::env::var("STQ_EQUIV_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(11);
-    let s = Scenario::build(ScenarioConfig {
+fn suite_seed() -> u64 {
+    std::env::var("STQ_EQUIV_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(11)
+}
+
+fn suite_scenario(seed: u64) -> Scenario {
+    Scenario::build(ScenarioConfig {
         junctions: 240,
         mix: WorkloadMix { random_waypoint: 12, commuter: 8, transit: 6 },
         trajectory: TrajectoryConfig {
@@ -147,7 +334,88 @@ fn engine_equivalence_suite() {
         },
         seed,
         ..Default::default()
-    });
+    })
+}
+
+/// Compile against the independent reference: every plan field, on random
+/// rectangles (some empty, some reaching the outside-world component), both
+/// resolutions, clean / quarantined / rerouted graphs, through
+/// `QueryPlan::compile` and through an engine miss; plus `compile_exact`.
+#[test]
+fn compile_matches_hashset_reference() {
+    let seed = suite_seed();
+    let s = suite_scenario(seed);
+    let g = deployment(&s, 0.25, seed ^ 0xce);
+    let graphs = [
+        ("clean", g.clone()),
+        ("quarantined", quarantined(&s, &g, 3)),
+        ("rerouted", g.reroute_around(&s.sensing, &every_nth_monitored(&g, 3))),
+    ];
+
+    let bb = s.sensing.road().bbox();
+    let (w, h) = (bb.max.x - bb.min.x, bb.max.y - bb.min.y);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xb175);
+    // Centres may fall outside the city and sides may be tiny or most of
+    // it, so the draw includes empty regions and ones along the rim.
+    let mut rects: Vec<Rect> = (0..60)
+        .map(|_| {
+            let cx = bb.min.x + w * rng.gen_range(-0.2..=1.2);
+            let cy = bb.min.y + h * rng.gen_range(-0.2..=1.2);
+            Rect::centered(
+                Point::new(cx, cy),
+                w * rng.gen_range(0.0..=0.7),
+                h * rng.gen_range(0.0..=0.7),
+            )
+        })
+        .collect();
+    rects.push(bb.inflated(1.0)); // every junction: reaches the outside-world component
+    rects.push(Rect::centered(Point::new(bb.min.x - 10.0 * w, bb.min.y), w, h)); // no junction
+
+    let (mut empty, mut misses, mut answered, mut reach_ext) = (0, 0, 0, 0);
+    for (i, rect) in rects.into_iter().enumerate() {
+        let q = QueryRegion::from_rect(&s.sensing, rect);
+        empty += usize::from(q.is_empty());
+        let exact = QueryPlan::compile_exact(&s.sensing, &q);
+        assert_plan_matches(&exact, &reference::compile_exact(&s.sensing, &q), "exact");
+        for (name, graph) in &graphs {
+            reach_ext += usize::from(
+                q.junctions.iter().any(|&j| graph.component_of(j) == graph.ext_component()),
+            );
+            let engine = QueryEngine::new(4);
+            for approx in [Approximation::Lower, Approximation::Upper] {
+                let ctx = format!("rect {i}, {name}, {approx:?}");
+                let expect = reference::compile(&s.sensing, graph, &q, approx);
+                assert_plan_matches(
+                    &QueryPlan::compile(&s.sensing, graph, &q, approx),
+                    &expect,
+                    &ctx,
+                );
+                let (planned, hit) = engine.plan(&s.sensing, graph, &q, approx);
+                assert!(!hit, "{ctx}: a fresh engine compiles");
+                assert_plan_matches(&planned, &expect, &ctx);
+                if expect.miss {
+                    misses += 1;
+                } else {
+                    answered += 1;
+                    assert!(!expect.boundary.is_empty(), "{ctx}: a resolved region has a boundary");
+                }
+            }
+        }
+    }
+    // The draw must actually have exercised every shape it promises.
+    assert!(
+        empty > 0 && misses > 0 && answered > 0 && reach_ext > 0,
+        "{empty} {misses} {answered} {reach_ext}"
+    );
+}
+
+/// The CI engine-equivalence job's entry point: one deterministic
+/// scenario per `STQ_EQUIV_SEED`, differential over 3 kinds × 2
+/// resolutions × clean/quarantined graphs × cold/warm cache.
+#[test]
+fn engine_equivalence_suite() {
+    let seed = suite_seed();
+    let s = suite_scenario(seed);
     let g = deployment(&s, 0.25, seed ^ 0xce);
     let gq = quarantined(&s, &g, 3);
     let queries = s.make_queries(10, 0.1, 1_000.0, seed ^ 0x40);
