@@ -86,8 +86,7 @@ fn main() {
     // Weight sensors by how often their faces border historical queries.
     let mut weight = vec![0.0f64; s.sensing.num_faces()];
     for h in &historical {
-        let set: std::collections::HashSet<usize> = h.iter().copied().collect();
-        let b = s.sensing.boundary_of(&set, None);
+        let (b, _) = s.sensing.boundary_walk(h, None);
         for f in s.sensing.boundary_sensors(&b) {
             weight[f] += 1.0;
         }

@@ -3,7 +3,7 @@
 //!
 //! (a) hotspot skew — the same 1M-object / 10M-crossing stream (80% of the
 //! traffic on 64 hot edges that all start on shard 0) routed by the static
-//! `ModuloMap` vs the migrating `LoadAwareMap`; reports events/sec and the
+//! modulo assignment vs the rebalancing `ShardMap`; reports events/sec and the
 //! per-shard load imbalance (`max/mean − 1`), asserting the load-aware map
 //! lands at most half the modulo imbalance;
 //!

@@ -153,7 +153,7 @@ fn answer_all(
     let (mut sound, mut misses, mut infinite) = (0usize, 0usize, 0usize);
     let (mut cov_sum, mut width_sum, mut finite) = (0.0f64, 0.0f64, 0usize);
     for (q, t0, t1) in queries {
-        let inside = |j: usize| q.junctions.contains(&j);
+        let inside = |j: usize| q.contains(j);
         for kind in
             [QueryKind::Snapshot(*t0), QueryKind::Transient(*t0, *t1), QueryKind::Static(*t0, *t1)]
         {
@@ -211,7 +211,7 @@ fn answer_degraded(
     };
     let (mut cov_sum, mut conf_sum, mut width_sum) = (0.0f64, 0.0f64, 0.0f64);
     for (q, t0, t1) in queries {
-        let inside = |j: usize| q.junctions.contains(&j);
+        let inside = |j: usize| q.contains(j);
         for kind in
             [QueryKind::Snapshot(*t0), QueryKind::Transient(*t0, *t1), QueryKind::Static(*t0, *t1)]
         {

@@ -210,14 +210,7 @@ pub fn build_evaluator(
 /// Extracts historical junction sets from a query workload (for the
 /// submodular prior).
 pub fn regions_of(queries: &[(QueryRegion, f64, f64)]) -> Vec<Vec<usize>> {
-    queries
-        .iter()
-        .map(|(q, _, _)| {
-            let mut v: Vec<usize> = q.junctions.iter().copied().collect();
-            v.sort_unstable();
-            v
-        })
-        .collect()
+    queries.iter().map(|(q, _, _)| q.junctions().to_vec()).collect()
 }
 
 /// One query's evaluation through an [`Evaluator`].
@@ -245,7 +238,7 @@ pub fn evaluate(s: &Scenario, ev: &Evaluator, q: &QueryRegion, kind: QueryKind) 
             }
         }
         Evaluator::Baseline(b) => {
-            let region: HashSet<usize> = q.junctions.iter().copied().collect();
+            let region: HashSet<usize> = q.junctions().iter().copied().collect();
             let value = match kind {
                 QueryKind::Snapshot(t) => b.snapshot(&region, t),
                 QueryKind::Static(t0, t1) => b.static_interval(&region, t0, t1),

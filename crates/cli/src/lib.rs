@@ -26,7 +26,7 @@ use stq_mobility::stats::{population_curve, WorkloadStats};
 use stq_net::{ChaosConfig, CrashWindow, SensorFaultKind, SensorFaultMix, SensorFaultPlan};
 use stq_runtime::{
     DurabilityConfig, OverloadConfig, QuerySpec, RebalanceConfig, Runtime, RuntimeConfig,
-    SubscribeError,
+    SubscribeError, SubscriptionHandle,
 };
 use stq_sampling::SamplingMethod;
 
@@ -297,573 +297,647 @@ fn evidence_label(e: &Evidence) -> &'static str {
     }
 }
 
+/// Parses `--kind` into the constructor that turns a query's `(t0, t1)`
+/// window into its [`QueryKind`]. Subcommands call it before doing any
+/// work, so a bad kind fails before a city is built or an event ingested.
+fn kind_from(args: &Args) -> Result<fn(f64, f64) -> QueryKind, CliError> {
+    let make: fn(f64, f64) -> QueryKind = match args.get_str("kind").unwrap_or("snapshot") {
+        "snapshot" => |t0, _| QueryKind::Snapshot(t0),
+        "static" => QueryKind::Static,
+        "transient" => QueryKind::Transient,
+        other => return Err(CliError::Usage(format!("unknown query kind: {other}"))),
+    };
+    Ok(make)
+}
+
+/// Parses an opt-in `--<flag> 0|1` switch (off when absent).
+fn switch_from(args: &Args, flag: &str) -> Result<bool, CliError> {
+    match args.get::<u8>(flag, 0)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CliError::Usage(format!("--{flag} must be 0 or 1"))),
+    }
+}
+
 /// Runs one command, writing human-readable output into `out`.
 pub fn run(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
     match args.command.as_str() {
-        "generate" => {
-            let s = scenario_from(args)?;
-            writeln!(
-                out,
-                "city: {} junctions, {} roads, {} sensors, {} gates",
-                s.sensing.road().num_junctions(),
-                s.sensing.num_edges(),
-                s.sensing.num_sensors(),
-                s.sensing.road().gate_junctions().len()
-            )?;
-            if let Some(path) = args.get_str("svg") {
-                std::fs::write(path, Scene::new(&s.sensing).to_svg())?;
-                writeln!(out, "wrote {path}")?;
-            }
-            Ok(())
-        }
-        "simulate" => {
-            let s = scenario_from(args)?;
-            let stats = WorkloadStats::compute(s.sensing.road(), &s.trajectories);
-            writeln!(out, "objects: {}  crossings: {}", stats.objects, s.tracked.num_crossings)?;
-            writeln!(
-                out,
-                "distance: {:.0}  exited: {}  edge-load gini: {:.3}",
-                stats.total_distance,
-                stats.exited,
-                stats.edge_load_gini()
-            )?;
-            let curve = population_curve(
-                s.sensing.road(),
-                &s.trajectories,
-                9,
-                s.config.trajectory.duration,
-            );
-            write!(out, "population: ")?;
-            for (t, p) in curve {
-                write!(out, "{p}@{t:.0} ")?;
-            }
-            writeln!(out)?;
-            Ok(())
-        }
-        "deploy" => {
-            let s = scenario_from(args)?;
-            let g = deployment_from(args, &s)?;
-            let topo = AbstractTopology::build(&s.sensing, &g);
-            writeln!(
-                out,
-                "deployment: {} communication sensors ({:.1}%), {} monitored links ({:.1}%)",
-                g.sensors().len(),
-                100.0 * g.size_fraction(&s.sensing),
-                g.num_monitored_edges(),
-                100.0 * g.num_monitored_edges() as f64 / s.sensing.num_edges() as f64
-            )?;
-            writeln!(
-                out,
-                "abstract topology: {} nodes, {} chains, mean {:.1} hops/chain",
-                topo.nodes.len(),
-                topo.chains.len(),
-                topo.mean_chain_hops()
-            )?;
-            if let Some(path) = args.get_str("svg") {
-                std::fs::write(path, Scene::new(&s.sensing).with_sampled(&s.sensing, &g).to_svg())?;
-                writeln!(out, "wrote {path}")?;
-            }
-            Ok(())
-        }
-        "query" => {
-            let s = scenario_from(args)?;
-            let g = deployment_from(args, &s)?;
-            let area: f64 = args.get("area", 0.05)?;
-            let n: usize = args.get("queries", 5)?;
-            let seed: u64 = args.get("seed", 2024)?;
-            let kind_name = args.get_str("kind").unwrap_or("snapshot");
-            let learned = match args.get_str("learned") {
-                Some("linear") => Some(stq_learned::RegressorKind::Linear),
-                Some("pwl") => Some(stq_learned::RegressorKind::PiecewiseLinear(16)),
-                Some("step") => Some(stq_learned::RegressorKind::Step(16)),
-                Some(other) => return Err(CliError::Usage(format!("unknown model: {other}"))),
-                None => None,
-            };
-            let store: Box<dyn stq_forms::CountSource> = match learned {
-                Some(kind) => {
-                    Box::new(LearnedStore::fit(&s.tracked.store, Some(g.monitored()), kind))
-                }
-                None => Box::new(s.tracked.store.clone()),
-            };
-            writeln!(
-                out,
-                "{:>3} | {:>10} | {:>10} | {:>8} | {:>6}",
-                "#", "exact η", "answer η̂", "rel.err", "nodes"
-            )?;
-            for (i, (q, t0, t1)) in s.make_queries(n, area, 2_000.0, seed ^ 0x7).iter().enumerate()
-            {
-                let kind = match kind_name {
-                    "snapshot" => QueryKind::Snapshot(*t0),
-                    "static" => QueryKind::Static(*t0, *t1),
-                    "transient" => QueryKind::Transient(*t0, *t1),
-                    other => return Err(CliError::Usage(format!("unknown query kind: {other}"))),
-                };
-                let truth = ground_truth(&s.sensing, &s.tracked.store, q, kind);
-                let est = answer(&s.sensing, &g, store.as_ref(), q, kind, Approximation::Lower);
-                let err = relative_error(truth, est.value)
-                    .map(|e| format!("{:.1}%", e * 100.0))
-                    .unwrap_or_else(|| "-".into());
-                writeln!(
-                    out,
-                    "{i:>3} | {truth:>10.1} | {:>10.1} | {err:>8} | {:>6}{}",
-                    est.value,
-                    est.nodes_accessed,
-                    if est.miss { "  MISS" } else { "" }
-                )?;
-            }
-            Ok(())
-        }
-        "serve" => {
-            let area: f64 = args.get("area", 0.05)?;
-            let n: usize = args.get("queries", 8)?;
-            let seed: u64 = args.get("seed", 2024)?;
-            let kind_name = args.get_str("kind").unwrap_or("snapshot");
-            let chaos = chaos_from(args, seed)?;
-            let shards: usize = args.get("shards", 4)?;
-            let dispatchers: usize = args.get("dispatchers", 2)?;
-            if shards == 0 || dispatchers == 0 {
-                return Err(CliError::Usage(
-                    "--shards and --dispatchers must be at least 1".into(),
-                ));
-            }
-            let durability = match args.get_str("wal-dir") {
-                Some(dir) => Some(DurabilityConfig {
-                    wal_dir: PathBuf::from(dir),
-                    snapshot_every: args.get("snapshot-every", 65_536)?,
-                    sync_every: args.get("sync-every", 32)?,
-                    faults: chaos.durability.clone(),
-                }),
-                None => {
-                    if args.get_str("kill").is_some() {
-                        return Err(CliError::Usage(
-                            "--kill injects a WAL-append crash and needs --wal-dir".into(),
-                        ));
-                    }
-                    None
-                }
-            };
-            let ingest_n: usize = args.get("ingest", 0)?;
-            // Standing subscriptions: `--subscribe N` registers N regions
-            // before ingestion so the stream moves their brackets by count
-            // deltas. The flag combinations are validated the same way the
-            // durability flags are — a modifier without its anchor is a
-            // refusal, not a silent no-op.
-            let subscribe_n = args.get_opt::<usize>("subscribe")?;
-            let subscribe_area: f64 = match args.get_opt::<f64>("subscribe-area")? {
-                Some(a) => {
-                    if subscribe_n.is_none() {
-                        return Err(CliError::Usage(
-                            "--subscribe-area sizes standing regions and needs --subscribe".into(),
-                        ));
-                    }
-                    a
-                }
-                None => area,
-            };
-            if subscribe_n == Some(0) {
-                return Err(CliError::Usage(
-                    "--subscribe must register at least one standing query".into(),
-                ));
-            }
-            if !(0.0..=1.0).contains(&subscribe_area) {
-                return Err(CliError::Usage("--subscribe-area must be in [0, 1]".into()));
-            }
-            // Degraded-mode answering is opt-in: it trades the default
-            // worst-case widening on quarantined boundaries for detour /
-            // imputation / learned-fallback answers with honest brackets.
-            let impute = match args.get::<u8>("impute", 0)? {
-                0 => false,
-                1 => true,
-                _ => return Err(CliError::Usage("--impute must be 0 or 1".into())),
-            };
-            if impute && chaos.sensor_mix.total() == 0.0 {
-                return Err(CliError::Usage(
-                    "--impute answers through quarantine and needs sensor-fault flags".into(),
-                ));
-            }
-            // Overload control is opt-in: `--overload 1` turns on the
-            // admission gate (queries then go through `try_submit` and can
-            // come back REJECTED), brownout shedding, and circuit breakers;
-            // `--deadline-ms` stamps a default budget on every query.
-            let overload_on = match args.get::<u8>("overload", 0)? {
-                0 => false,
-                1 => true,
-                _ => return Err(CliError::Usage("--overload must be 0 or 1".into())),
-            };
-            let deadline_ms = args.get_opt::<u64>("deadline-ms")?;
-            if deadline_ms.is_some() && !overload_on {
-                return Err(CliError::Usage(
-                    "--deadline-ms stamps a default query budget and needs --overload 1".into(),
-                ));
-            }
-            if deadline_ms == Some(0) {
-                return Err(CliError::Usage("--deadline-ms must be at least 1".into()));
-            }
-            // Load-aware shard rebalancing is opt-in: `--rebalance 1`
-            // swaps the static modulo edge→shard map for one that migrates
-            // hot edges between shards as crossing rates skew. `--batch N`
-            // streams ingestion in columnar batches of N events (one
-            // group-commit WAL frame per shard lane) instead of one event
-            // at a time.
-            let rebalance_on = match args.get::<u8>("rebalance", 0)? {
-                0 => false,
-                1 => true,
-                _ => return Err(CliError::Usage("--rebalance must be 0 or 1".into())),
-            };
-            let batch = args.get_opt::<usize>("batch")?;
-            if batch == Some(0) {
-                return Err(CliError::Usage("--batch must be at least 1".into()));
-            }
-            if batch.is_some() && ingest_n == 0 {
-                return Err(CliError::Usage(
-                    "--batch sizes ingest batches and needs --ingest".into(),
-                ));
-            }
-            let cfg = RuntimeConfig {
-                num_shards: shards,
-                dispatchers,
-                shard_timeout: std::time::Duration::from_millis(args.get("timeout-ms", 20)?),
-                max_retries: args.get("retries", 2)?,
-                fault: chaos.message.clone(),
-                durability,
-                degraded: impute.then(DegradedPolicy::default),
-                overload: overload_on.then(|| OverloadConfig {
-                    default_deadline: deadline_ms.map(std::time::Duration::from_millis),
-                    ..OverloadConfig::default()
-                }),
-                rebalance: rebalance_on.then(RebalanceConfig::default),
-                ..RuntimeConfig::default()
-            };
-            let s = scenario_from(args)?;
-            let g = deployment_from(args, &s)?;
-            // Sensor faults: corrupt ingestion, audit + repair, then serve
-            // the repaired store with the quarantined edges blocked at the
-            // shards (audit verdicts gate serving).
-            let rt = if chaos.sensor_mix.total() > 0.0 {
-                let (plan, tracked, outcome) = faulty_pipeline(&s, &g, &chaos);
-                writeln!(
-                    out,
-                    "sensor faults: {} corrupted links, {} repaired, {} quarantined",
-                    plan.corrupted_edges().len(),
-                    outcome.repaired.len(),
-                    outcome.quarantined.len()
-                )?;
-                Runtime::with_quarantine(
-                    s.sensing.clone(),
-                    g.clone(),
-                    &tracked.store,
-                    cfg,
-                    &outcome.quarantined,
-                )
-            } else {
-                Runtime::new(s.sensing.clone(), g.clone(), &s.tracked.store, cfg)
-            };
-            // Standing queries register before ingestion: their baselines
-            // snapshot the pre-stream state and every streamed crossing on a
-            // subscribed boundary then arrives as a bracket delta.
-            let mut handles = Vec::new();
-            if let Some(nsub) = subscribe_n {
-                let mut unresolvable = 0usize;
-                for (region, _, _) in s.make_queries(nsub, subscribe_area, 2_000.0, seed ^ 0x51) {
-                    match rt.subscribe(region, Approximation::Lower) {
-                        Ok(h) => handles.push(h),
-                        Err(SubscribeError::Unresolvable) => unresolvable += 1,
-                    }
-                }
-                writeln!(
-                    out,
-                    "standing: registered {} subscriptions ({unresolvable} unresolvable)",
-                    handles.len()
-                )?;
-                // Imputation can certify flow intervals on quarantined
-                // links before any live event arrives, tightening every
-                // standing bracket at once (still containing the truth).
-                if impute && !handles.is_empty() {
-                    let certified = rt.certify_standing_brackets(1.0e12);
-                    if certified > 0 {
-                        writeln!(
-                            out,
-                            "standing: imputation certified {certified} quarantined links"
-                        )?;
-                    }
-                }
-            }
-            // Live ingestion: stream synthetic post-horizon crossings over
-            // the monitored links, WAL-logging each when --wal-dir is set
-            // (and firing any scheduled --kill, which the supervisor must
-            // survive). The flush barrier lines every shard up before
-            // queries are served.
-            if ingest_n > 0 {
-                let monitored: Vec<usize> =
-                    (0..s.sensing.num_edges()).filter(|&e| g.monitored()[e]).collect();
-                if monitored.is_empty() {
-                    return Err(CliError::Usage("--ingest needs monitored links".into()));
-                }
-                let t0 = s.config.trajectory.duration;
-                let event = |i: usize| Crossing {
-                    time: t0 + 1.0 + i as f64 * 0.1,
-                    edge: monitored[i % monitored.len()],
-                    forward: i % 2 == 0,
-                };
-                match batch {
-                    Some(bn) => {
-                        let events: Vec<Crossing> = (0..ingest_n).map(event).collect();
-                        for chunk in events.chunks(bn) {
-                            let report = rt.ingest_batch(chunk);
-                            debug_assert_eq!(report.rejected, 0);
-                        }
-                    }
-                    None => {
-                        for i in 0..ingest_n {
-                            rt.ingest(event(i)).expect("ingest");
-                        }
-                    }
-                }
-                let applied = rt.flush_ingest();
-                writeln!(out, "ingested {ingest_n} crossings (per-shard applied: {applied:?})")?;
-                if rebalance_on {
-                    writeln!(
-                        out,
-                        "rebalance: map epoch {}, shard loads {:?}",
-                        rt.map_epoch(),
-                        rt.shard_loads()
-                    )?;
-                }
-            }
-            if !handles.is_empty() {
-                writeln!(
-                    out,
-                    "{:>7} | {:>10} | {:>10} | {:>10} | {:>6} | {:>5}",
-                    "sub", "value", "lower", "upper", "deltas", "epoch"
-                )?;
-                for h in &handles {
-                    let b = rt.standing_bracket(h.id).expect("subscription is live");
-                    writeln!(
-                        out,
-                        "{:>7} | {:>10.1} | {:>10.1} | {:>10.1} | {:>6} | {:>5}{}",
-                        h.id,
-                        b.value,
-                        b.lower,
-                        b.upper,
-                        b.deltas,
-                        b.epoch,
-                        if b.is_exact() { "" } else { "  WIDENED" }
-                    )?;
-                }
-            }
-            let specs: Vec<QuerySpec> = s
-                .make_queries(n, area, 2_000.0, seed ^ 0x7)
-                .into_iter()
-                .map(|(region, t0, t1)| {
-                    let kind = match kind_name {
-                        "snapshot" => Ok(QueryKind::Snapshot(t0)),
-                        "static" => Ok(QueryKind::Static(t0, t1)),
-                        "transient" => Ok(QueryKind::Transient(t0, t1)),
-                        other => Err(CliError::Usage(format!("unknown query kind: {other}"))),
-                    }?;
-                    Ok(QuerySpec::new(region, kind, Approximation::Lower))
-                })
-                .collect::<Result<_, CliError>>()?;
-            writeln!(
-                out,
-                "{:>3} | {:>10} | {:>10} | {:>10} | {:>6} | {:>5} | {:>8}",
-                "#", "answer η̂", "lower", "upper", "cover", "retry", "µs"
-            )?;
-            // Submit everything first so the queue and shard pool actually
-            // run concurrently, then collect in submission order. With
-            // overload control on, the admission gate may refuse some
-            // submissions outright — those print as REJECTED rows.
-            let pending: Vec<_> = specs
-                .into_iter()
-                .map(|spec| if overload_on { rt.try_submit(spec) } else { Ok(rt.submit(spec)) })
-                .collect();
-            for (i, p) in pending.into_iter().enumerate() {
-                let a = match p {
-                    Ok(pending) => pending.wait(),
-                    Err(rej) => {
-                        writeln!(
-                            out,
-                            "{i:>3} | {:>10} (retry after {} ms)",
-                            "REJECTED",
-                            rej.retry_after.as_millis()
-                        )?;
-                        continue;
-                    }
-                };
-                // Degraded strategies print which rung of the escalation
-                // answered (and how much structural coverage certified it);
-                // classic worst-case degradation keeps the bare tag.
-                let tag = if a.miss {
-                    "  MISS".to_string()
-                } else if a.expired {
-                    "  EXPIRED".to_string()
-                } else if a.strategy != DegradedStrategy::None {
-                    format!("  {} conf {:.2}", a.strategy.label().to_uppercase(), a.confidence)
-                } else if a.quarantined > 0 {
-                    "  QUARANTINED".to_string()
-                } else if a.brownout > 0 {
-                    format!("  BROWNOUT L{}", a.brownout)
-                } else if a.degraded {
-                    "  DEGRADED".to_string()
-                } else {
-                    String::new()
-                };
-                writeln!(
-                    out,
-                    "{i:>3} | {:>10.1} | {:>10.1} | {:>10.1} | {:>6.2} | {:>5} | {:>8}{tag}",
-                    a.value,
-                    a.lower,
-                    a.upper,
-                    a.coverage,
-                    a.retries,
-                    a.latency.as_micros(),
-                )?;
-            }
-            writeln!(out, "{}", rt.metrics().report())?;
-            rt.shutdown();
-            Ok(())
-        }
-        "audit" => {
-            let s = scenario_from(args)?;
-            let g = deployment_from(args, &s)?;
-            let chaos = chaos_from(args, args.get("seed", 2024)?)?;
-            let (plan, _tracked, outcome) = faulty_pipeline(&s, &g, &chaos);
-            writeln!(
-                out,
-                "injected: {} corrupted of {} monitored links (seed {})",
-                plan.corrupted_edges().len(),
-                g.num_monitored_edges(),
-                chaos.seed
-            )?;
-            for kind in SensorFaultKind::ALL {
-                let n = plan.edges_of(kind).len();
-                if n > 0 {
-                    writeln!(out, "  {:<12} {n}", kind.label())?;
-                }
-            }
-            writeln!(
-                out,
-                "{:>6} | {:>8} | {:>5} | {:>11} | evidence",
-                "edge", "health", "conf", "outcome"
-            )?;
-            for e in outcome.initial.flagged() {
-                let v = outcome.initial.verdict(e).expect("flagged edge has a verdict");
-                let fate = if outcome.repaired.iter().any(|r| r.edge == e) {
-                    "repaired"
-                } else if outcome.quarantined.contains(&e) {
-                    "quarantined"
-                } else {
-                    "cleared"
-                };
-                let kinds: Vec<&str> = v.evidence.iter().map(evidence_label).collect();
-                writeln!(
-                    out,
-                    "{e:>6} | {:>8} | {:>5.2} | {fate:>11} | {}",
-                    health_label(v.health),
-                    v.confidence,
-                    kinds.join(", ")
-                )?;
-            }
-            let unflips = outcome.repaired.iter().filter(|r| r.kind == RepairKind::Unflip).count();
-            let dedups = outcome.repaired.iter().filter(|r| r.kind == RepairKind::Dedup).count();
-            writeln!(
-                out,
-                "audit: {} flagged, {} repaired ({unflips} unflip, {dedups} dedup), {} quarantined",
-                outcome.initial.flagged().len(),
-                outcome.repaired.len(),
-                outcome.quarantined.len()
-            )?;
-            writeln!(
-                out,
-                "granularity: {} → {} components after demotion",
-                g.components().len(),
-                outcome.graph.components().len()
-            )?;
-            Ok(())
-        }
-        "recover" => {
-            // Offline crash recovery: rebuild every shard's state from its
-            // snapshot + WAL, report torn tails, reassemble the store, and
-            // run the integrity audit over it — the same audit → quarantine
-            // path the live supervisor hands unexplained gaps to.
-            let dir = args
-                .get_str("wal-dir")
-                .ok_or_else(|| CliError::Usage("recover needs --wal-dir".into()))?;
-            let snapshot_every: u64 = args.get("snapshot-every", 65_536)?;
-            let sync_every: u64 = args.get("sync-every", 32)?;
-            let s = scenario_from(args)?;
-            let g = deployment_from(args, &s)?;
-            let root = PathBuf::from(dir);
-            let mut shards: Vec<usize> = std::fs::read_dir(&root)?
-                .filter_map(|e| e.ok())
-                .filter_map(|e| {
-                    e.file_name().to_str()?.strip_prefix("shard-")?.parse::<usize>().ok()
-                })
-                .collect();
-            shards.sort_unstable();
-            if shards.is_empty() {
-                return Err(CliError::Usage(format!("no shard-<i> directories under {dir}")));
-            }
-            writeln!(
-                out,
-                "{:>5} | {:>9} | {:>8} | {:>9} | {:>6} | {:>9}",
-                "shard", "snap seq", "wal recs", "recovered", "tail", "discarded"
-            )?;
-            let mut store = FormStore::new(s.sensing.num_edges());
-            let mut torn = 0usize;
-            for &i in &shards {
-                let rec = stq_durability::recover_shard(&root, i, snapshot_every, sync_every)?;
-                let r = &rec.report;
-                writeln!(
-                    out,
-                    "{i:>5} | {:>9} | {:>8} | {:>9} | {:>6} | {:>9}",
-                    r.snapshot_seq,
-                    r.wal_records,
-                    r.recovered_seq,
-                    if r.torn_tail { "TORN" } else { "clean" },
-                    r.discarded_bytes
-                )?;
-                torn += usize::from(r.torn_tail);
-                for (e, form) in rec.forms {
-                    if e >= store.num_edges() {
-                        return Err(CliError::Usage(format!(
-                            "recovered edge {e} exceeds the city's {} edges — pass the same \
-                             --junctions/--seed the serving run used",
-                            store.num_edges()
-                        )));
-                    }
-                    store.set_form(e, form);
-                }
-            }
-            writeln!(
-                out,
-                "recovered {} shards ({torn} torn tails), {} events total",
-                shards.len(),
-                store.total_events()
-            )?;
-            let horizon = (0.0, s.config.trajectory.duration);
-            let outcome = quarantine_and_repair(
-                &s.sensing,
-                &g,
-                &mut store,
-                horizon,
-                &RepairConfig::default(),
-            );
-            writeln!(
-                out,
-                "audit: {} flagged, {} repaired, {} quarantined",
-                outcome.initial.flagged().len(),
-                outcome.repaired.len(),
-                outcome.quarantined.len()
-            )?;
-            Ok(())
-        }
+        "generate" => generate(args, out),
+        "simulate" => simulate(args, out),
+        "deploy" => deploy(args, out),
+        "query" => query(args, out),
+        "serve" => serve(args, out),
+        "audit" => audit(args, out),
+        "recover" => recover(args, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}")?;
             Ok(())
         }
         other => Err(CliError::Usage(format!("unknown command: {other}\n\n{USAGE}"))),
     }
+}
+
+fn generate(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let s = scenario_from(args)?;
+    writeln!(
+        out,
+        "city: {} junctions, {} roads, {} sensors, {} gates",
+        s.sensing.road().num_junctions(),
+        s.sensing.num_edges(),
+        s.sensing.num_sensors(),
+        s.sensing.road().gate_junctions().len()
+    )?;
+    if let Some(path) = args.get_str("svg") {
+        std::fs::write(path, Scene::new(&s.sensing).to_svg())?;
+        writeln!(out, "wrote {path}")?;
+    }
+    Ok(())
+}
+
+fn simulate(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let s = scenario_from(args)?;
+    let stats = WorkloadStats::compute(s.sensing.road(), &s.trajectories);
+    writeln!(out, "objects: {}  crossings: {}", stats.objects, s.tracked.num_crossings)?;
+    writeln!(
+        out,
+        "distance: {:.0}  exited: {}  edge-load gini: {:.3}",
+        stats.total_distance,
+        stats.exited,
+        stats.edge_load_gini()
+    )?;
+    let curve =
+        population_curve(s.sensing.road(), &s.trajectories, 9, s.config.trajectory.duration);
+    write!(out, "population: ")?;
+    for (t, p) in curve {
+        write!(out, "{p}@{t:.0} ")?;
+    }
+    writeln!(out)?;
+    Ok(())
+}
+
+fn deploy(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let s = scenario_from(args)?;
+    let g = deployment_from(args, &s)?;
+    let topo = AbstractTopology::build(&s.sensing, &g);
+    writeln!(
+        out,
+        "deployment: {} communication sensors ({:.1}%), {} monitored links ({:.1}%)",
+        g.sensors().len(),
+        100.0 * g.size_fraction(&s.sensing),
+        g.num_monitored_edges(),
+        100.0 * g.num_monitored_edges() as f64 / s.sensing.num_edges() as f64
+    )?;
+    writeln!(
+        out,
+        "abstract topology: {} nodes, {} chains, mean {:.1} hops/chain",
+        topo.nodes.len(),
+        topo.chains.len(),
+        topo.mean_chain_hops()
+    )?;
+    if let Some(path) = args.get_str("svg") {
+        std::fs::write(path, Scene::new(&s.sensing).with_sampled(&s.sensing, &g).to_svg())?;
+        writeln!(out, "wrote {path}")?;
+    }
+    Ok(())
+}
+
+fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let kind_of = kind_from(args)?;
+    let s = scenario_from(args)?;
+    let g = deployment_from(args, &s)?;
+    let area: f64 = args.get("area", 0.05)?;
+    let n: usize = args.get("queries", 5)?;
+    let seed: u64 = args.get("seed", 2024)?;
+    let learned = match args.get_str("learned") {
+        Some("linear") => Some(stq_learned::RegressorKind::Linear),
+        Some("pwl") => Some(stq_learned::RegressorKind::PiecewiseLinear(16)),
+        Some("step") => Some(stq_learned::RegressorKind::Step(16)),
+        Some(other) => return Err(CliError::Usage(format!("unknown model: {other}"))),
+        None => None,
+    };
+    let store: Box<dyn stq_forms::CountSource> = match learned {
+        Some(kind) => Box::new(LearnedStore::fit(&s.tracked.store, Some(g.monitored()), kind)),
+        None => Box::new(s.tracked.store.clone()),
+    };
+    writeln!(
+        out,
+        "{:>3} | {:>10} | {:>10} | {:>8} | {:>6}",
+        "#", "exact η", "answer η̂", "rel.err", "nodes"
+    )?;
+    for (i, (q, t0, t1)) in s.make_queries(n, area, 2_000.0, seed ^ 0x7).iter().enumerate() {
+        let kind = kind_of(*t0, *t1);
+        let truth = ground_truth(&s.sensing, &s.tracked.store, q, kind);
+        let est = answer(&s.sensing, &g, store.as_ref(), q, kind, Approximation::Lower);
+        let err = relative_error(truth, est.value)
+            .map(|e| format!("{:.1}%", e * 100.0))
+            .unwrap_or_else(|| "-".into());
+        writeln!(
+            out,
+            "{i:>3} | {truth:>10.1} | {:>10.1} | {err:>8} | {:>6}{}",
+            est.value,
+            est.nodes_accessed,
+            if est.miss { "  MISS" } else { "" }
+        )?;
+    }
+    Ok(())
+}
+
+/// The validated flags of one `serve` run: everything that can be refused
+/// is refused while building this, before the city exists.
+struct ServeOpts {
+    area: f64,
+    queries: usize,
+    seed: u64,
+    kind_of: fn(f64, f64) -> QueryKind,
+    chaos: ChaosConfig,
+    ingest: usize,
+    batch: Option<usize>,
+    subscribe: Option<usize>,
+    subscribe_area: f64,
+    /// `--impute`, `--overload` and `--rebalance` live here, as the
+    /// `degraded`, `overload` and `rebalance` sections they switch on.
+    cfg: RuntimeConfig,
+}
+
+impl ServeOpts {
+    fn from_args(args: &Args) -> Result<Self, CliError> {
+        let area: f64 = args.get("area", 0.05)?;
+        let queries: usize = args.get("queries", 8)?;
+        let seed: u64 = args.get("seed", 2024)?;
+        let kind_of = kind_from(args)?;
+        let chaos = chaos_from(args, seed)?;
+        let shards: usize = args.get("shards", 4)?;
+        let dispatchers: usize = args.get("dispatchers", 2)?;
+        if shards == 0 || dispatchers == 0 {
+            return Err(CliError::Usage("--shards and --dispatchers must be at least 1".into()));
+        }
+        let durability = match args.get_str("wal-dir") {
+            Some(dir) => Some(DurabilityConfig {
+                wal_dir: PathBuf::from(dir),
+                snapshot_every: args.get("snapshot-every", 65_536)?,
+                sync_every: args.get("sync-every", 32)?,
+                faults: chaos.durability.clone(),
+            }),
+            None if args.get_str("kill").is_some() => {
+                return Err(CliError::Usage(
+                    "--kill injects a WAL-append crash and needs --wal-dir".into(),
+                ));
+            }
+            None => None,
+        };
+        let ingest: usize = args.get("ingest", 0)?;
+        // Standing subscriptions: `--subscribe N` registers N regions
+        // before ingestion so the stream moves their brackets by count
+        // deltas. The flag combinations are validated the same way the
+        // durability flags are — a modifier without its anchor is a
+        // refusal, not a silent no-op.
+        let subscribe = args.get_opt::<usize>("subscribe")?;
+        let subscribe_area: f64 = match args.get_opt::<f64>("subscribe-area")? {
+            Some(_) if subscribe.is_none() => {
+                return Err(CliError::Usage(
+                    "--subscribe-area sizes standing regions and needs --subscribe".into(),
+                ));
+            }
+            Some(a) => a,
+            None => area,
+        };
+        if subscribe == Some(0) {
+            return Err(CliError::Usage(
+                "--subscribe must register at least one standing query".into(),
+            ));
+        }
+        if !(0.0..=1.0).contains(&subscribe_area) {
+            return Err(CliError::Usage("--subscribe-area must be in [0, 1]".into()));
+        }
+        // Degraded-mode answering is opt-in: it trades the default
+        // worst-case widening on quarantined boundaries for detour /
+        // imputation / learned-fallback answers with honest brackets.
+        let impute = switch_from(args, "impute")?;
+        if impute && chaos.sensor_mix.total() == 0.0 {
+            return Err(CliError::Usage(
+                "--impute answers through quarantine and needs sensor-fault flags".into(),
+            ));
+        }
+        // Overload control is opt-in: `--overload 1` turns on the
+        // admission gate (queries then go through `try_submit` and can
+        // come back REJECTED), brownout shedding, and circuit breakers;
+        // `--deadline-ms` stamps a default budget on every query.
+        let overload = switch_from(args, "overload")?;
+        let deadline_ms = args.get_opt::<u64>("deadline-ms")?;
+        if deadline_ms.is_some() && !overload {
+            return Err(CliError::Usage(
+                "--deadline-ms stamps a default query budget and needs --overload 1".into(),
+            ));
+        }
+        if deadline_ms == Some(0) {
+            return Err(CliError::Usage("--deadline-ms must be at least 1".into()));
+        }
+        // Load-aware shard rebalancing is opt-in: with `--rebalance 1` the
+        // edge→shard map migrates hot edges between shards as crossing
+        // rates skew instead of keeping the static modulo assignment.
+        // `--batch N` streams ingestion in columnar batches of N events
+        // (one group-commit WAL frame per shard lane) instead of one event
+        // at a time.
+        let rebalance = switch_from(args, "rebalance")?;
+        let batch = args.get_opt::<usize>("batch")?;
+        if batch == Some(0) {
+            return Err(CliError::Usage("--batch must be at least 1".into()));
+        }
+        if batch.is_some() && ingest == 0 {
+            return Err(CliError::Usage("--batch sizes ingest batches and needs --ingest".into()));
+        }
+        let cfg = RuntimeConfig {
+            num_shards: shards,
+            dispatchers,
+            shard_timeout: std::time::Duration::from_millis(args.get("timeout-ms", 20)?),
+            max_retries: args.get("retries", 2)?,
+            fault: chaos.message.clone(),
+            durability,
+            degraded: impute.then(DegradedPolicy::default),
+            overload: overload.then(|| OverloadConfig {
+                default_deadline: deadline_ms.map(std::time::Duration::from_millis),
+                ..OverloadConfig::default()
+            }),
+            rebalance: rebalance.then(RebalanceConfig::default),
+            ..RuntimeConfig::default()
+        };
+        Ok(ServeOpts {
+            area,
+            queries,
+            seed,
+            kind_of,
+            chaos,
+            ingest,
+            batch,
+            subscribe,
+            subscribe_area,
+            cfg,
+        })
+    }
+}
+
+fn serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let opts = ServeOpts::from_args(args)?;
+    let s = scenario_from(args)?;
+    let g = deployment_from(args, &s)?;
+    let rt = start_runtime(&opts, &s, &g, out)?;
+    // Standing queries register before ingestion: their baselines
+    // snapshot the pre-stream state and every streamed crossing on a
+    // subscribed boundary then arrives as a bracket delta.
+    let handles = subscribe_standing(&opts, &s, &rt, out)?;
+    if opts.ingest > 0 {
+        stream_ingest(&opts, &s, &g, &rt, out)?;
+    }
+    if !handles.is_empty() {
+        write_standing_table(&rt, &handles, out)?;
+    }
+    write_answer_table(&opts, &s, &rt, out)?;
+    writeln!(out, "{}", rt.metrics().report())?;
+    rt.shutdown();
+    Ok(())
+}
+
+/// Builds the runtime `opts` describes. Sensor faults: corrupt ingestion,
+/// audit + repair, then serve the repaired store with the quarantined edges
+/// blocked at the shards (audit verdicts gate serving).
+fn start_runtime(
+    opts: &ServeOpts,
+    s: &Scenario,
+    g: &SampledGraph,
+    out: &mut impl std::io::Write,
+) -> Result<Runtime, CliError> {
+    let cfg = opts.cfg.clone();
+    if opts.chaos.sensor_mix.total() == 0.0 {
+        return Ok(Runtime::new(s.sensing.clone(), g.clone(), &s.tracked.store, cfg));
+    }
+    let (plan, tracked, outcome) = faulty_pipeline(s, g, &opts.chaos);
+    writeln!(
+        out,
+        "sensor faults: {} corrupted links, {} repaired, {} quarantined",
+        plan.corrupted_edges().len(),
+        outcome.repaired.len(),
+        outcome.quarantined.len()
+    )?;
+    Ok(Runtime::with_quarantine(
+        s.sensing.clone(),
+        g.clone(),
+        &tracked.store,
+        cfg,
+        &outcome.quarantined,
+    ))
+}
+
+/// Registers the `--subscribe N` standing regions (none without the flag).
+fn subscribe_standing(
+    opts: &ServeOpts,
+    s: &Scenario,
+    rt: &Runtime,
+    out: &mut impl std::io::Write,
+) -> Result<Vec<SubscriptionHandle>, CliError> {
+    let mut handles = Vec::new();
+    let Some(nsub) = opts.subscribe else {
+        return Ok(handles);
+    };
+    let mut unresolvable = 0usize;
+    for (region, _, _) in s.make_queries(nsub, opts.subscribe_area, 2_000.0, opts.seed ^ 0x51) {
+        match rt.subscribe(region, Approximation::Lower) {
+            Ok(h) => handles.push(h),
+            Err(SubscribeError::Unresolvable) => unresolvable += 1,
+        }
+    }
+    writeln!(
+        out,
+        "standing: registered {} subscriptions ({unresolvable} unresolvable)",
+        handles.len()
+    )?;
+    // Imputation can certify flow intervals on quarantined links before
+    // any live event arrives, tightening every standing bracket at once
+    // (still containing the truth).
+    if opts.cfg.degraded.is_some() && !handles.is_empty() {
+        let certified = rt.certify_standing_brackets(1.0e12);
+        if certified > 0 {
+            writeln!(out, "standing: imputation certified {certified} quarantined links")?;
+        }
+    }
+    Ok(handles)
+}
+
+/// Live ingestion: stream synthetic post-horizon crossings over the
+/// monitored links, WAL-logging each when --wal-dir is set (and firing any
+/// scheduled --kill, which the supervisor must survive). The flush barrier
+/// lines every shard up before queries are served.
+fn stream_ingest(
+    opts: &ServeOpts,
+    s: &Scenario,
+    g: &SampledGraph,
+    rt: &Runtime,
+    out: &mut impl std::io::Write,
+) -> Result<(), CliError> {
+    let ingest_n = opts.ingest;
+    let monitored: Vec<usize> = (0..s.sensing.num_edges()).filter(|&e| g.monitored()[e]).collect();
+    if monitored.is_empty() {
+        return Err(CliError::Usage("--ingest needs monitored links".into()));
+    }
+    let t0 = s.config.trajectory.duration;
+    let event = |i: usize| Crossing {
+        time: t0 + 1.0 + i as f64 * 0.1,
+        edge: monitored[i % monitored.len()],
+        forward: i % 2 == 0,
+    };
+    match opts.batch {
+        Some(bn) => {
+            let events: Vec<Crossing> = (0..ingest_n).map(event).collect();
+            for chunk in events.chunks(bn) {
+                let report = rt.ingest_batch(chunk);
+                debug_assert_eq!(report.rejected, 0);
+            }
+        }
+        None => {
+            for i in 0..ingest_n {
+                rt.ingest(event(i)).expect("ingest");
+            }
+        }
+    }
+    let applied = rt.flush_ingest();
+    writeln!(out, "ingested {ingest_n} crossings (per-shard applied: {applied:?})")?;
+    if opts.cfg.rebalance.is_some() {
+        writeln!(
+            out,
+            "rebalance: map epoch {}, shard loads {:?}",
+            rt.map_epoch(),
+            rt.shard_loads()
+        )?;
+    }
+    Ok(())
+}
+
+fn write_standing_table(
+    rt: &Runtime,
+    handles: &[SubscriptionHandle],
+    out: &mut impl std::io::Write,
+) -> Result<(), CliError> {
+    writeln!(
+        out,
+        "{:>7} | {:>10} | {:>10} | {:>10} | {:>6} | {:>5}",
+        "sub", "value", "lower", "upper", "deltas", "epoch"
+    )?;
+    for h in handles {
+        let b = rt.standing_bracket(h.id).expect("subscription is live");
+        writeln!(
+            out,
+            "{:>7} | {:>10.1} | {:>10.1} | {:>10.1} | {:>6} | {:>5}{}",
+            h.id,
+            b.value,
+            b.lower,
+            b.upper,
+            b.deltas,
+            b.epoch,
+            if b.is_exact() { "" } else { "  WIDENED" }
+        )?;
+    }
+    Ok(())
+}
+
+/// Serves the `--queries N` one-shot queries and prints one row each.
+fn write_answer_table(
+    opts: &ServeOpts,
+    s: &Scenario,
+    rt: &Runtime,
+    out: &mut impl std::io::Write,
+) -> Result<(), CliError> {
+    let specs: Vec<QuerySpec> = s
+        .make_queries(opts.queries, opts.area, 2_000.0, opts.seed ^ 0x7)
+        .into_iter()
+        .map(|(region, t0, t1)| {
+            QuerySpec::new(region, (opts.kind_of)(t0, t1), Approximation::Lower)
+        })
+        .collect();
+    writeln!(
+        out,
+        "{:>3} | {:>10} | {:>10} | {:>10} | {:>6} | {:>5} | {:>8}",
+        "#", "answer η̂", "lower", "upper", "cover", "retry", "µs"
+    )?;
+    // Submit everything first so the queue and shard pool actually run
+    // concurrently, then collect in submission order. With overload
+    // control on, the admission gate may refuse some submissions outright
+    // — those print as REJECTED rows.
+    let gated = opts.cfg.overload.is_some();
+    let pending: Vec<_> = specs
+        .into_iter()
+        .map(|spec| if gated { rt.try_submit(spec) } else { Ok(rt.submit(spec)) })
+        .collect();
+    for (i, p) in pending.into_iter().enumerate() {
+        let a = match p {
+            Ok(pending) => pending.wait(),
+            Err(rej) => {
+                writeln!(
+                    out,
+                    "{i:>3} | {:>10} (retry after {} ms)",
+                    "REJECTED",
+                    rej.retry_after.as_millis()
+                )?;
+                continue;
+            }
+        };
+        // Degraded strategies print which rung of the escalation answered
+        // (and how much structural coverage certified it); classic
+        // worst-case degradation keeps the bare tag.
+        let tag = if a.miss {
+            "  MISS".to_string()
+        } else if a.expired {
+            "  EXPIRED".to_string()
+        } else if a.strategy != DegradedStrategy::None {
+            format!("  {} conf {:.2}", a.strategy.label().to_uppercase(), a.confidence)
+        } else if a.quarantined > 0 {
+            "  QUARANTINED".to_string()
+        } else if a.brownout > 0 {
+            format!("  BROWNOUT L{}", a.brownout)
+        } else if a.degraded {
+            "  DEGRADED".to_string()
+        } else {
+            String::new()
+        };
+        writeln!(
+            out,
+            "{i:>3} | {:>10.1} | {:>10.1} | {:>10.1} | {:>6.2} | {:>5} | {:>8}{tag}",
+            a.value,
+            a.lower,
+            a.upper,
+            a.coverage,
+            a.retries,
+            a.latency.as_micros(),
+        )?;
+    }
+    Ok(())
+}
+
+fn audit(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let s = scenario_from(args)?;
+    let g = deployment_from(args, &s)?;
+    let chaos = chaos_from(args, args.get("seed", 2024)?)?;
+    let (plan, _tracked, outcome) = faulty_pipeline(&s, &g, &chaos);
+    writeln!(
+        out,
+        "injected: {} corrupted of {} monitored links (seed {})",
+        plan.corrupted_edges().len(),
+        g.num_monitored_edges(),
+        chaos.seed
+    )?;
+    for kind in SensorFaultKind::ALL {
+        let n = plan.edges_of(kind).len();
+        if n > 0 {
+            writeln!(out, "  {:<12} {n}", kind.label())?;
+        }
+    }
+    writeln!(
+        out,
+        "{:>6} | {:>8} | {:>5} | {:>11} | evidence",
+        "edge", "health", "conf", "outcome"
+    )?;
+    for e in outcome.initial.flagged() {
+        let v = outcome.initial.verdict(e).expect("flagged edge has a verdict");
+        let fate = if outcome.repaired.iter().any(|r| r.edge == e) {
+            "repaired"
+        } else if outcome.quarantined.contains(&e) {
+            "quarantined"
+        } else {
+            "cleared"
+        };
+        let kinds: Vec<&str> = v.evidence.iter().map(evidence_label).collect();
+        writeln!(
+            out,
+            "{e:>6} | {:>8} | {:>5.2} | {fate:>11} | {}",
+            health_label(v.health),
+            v.confidence,
+            kinds.join(", ")
+        )?;
+    }
+    let unflips = outcome.repaired.iter().filter(|r| r.kind == RepairKind::Unflip).count();
+    let dedups = outcome.repaired.iter().filter(|r| r.kind == RepairKind::Dedup).count();
+    writeln!(
+        out,
+        "audit: {} flagged, {} repaired ({unflips} unflip, {dedups} dedup), {} quarantined",
+        outcome.initial.flagged().len(),
+        outcome.repaired.len(),
+        outcome.quarantined.len()
+    )?;
+    writeln!(
+        out,
+        "granularity: {} → {} components after demotion",
+        g.components().len(),
+        outcome.graph.components().len()
+    )?;
+    Ok(())
+}
+
+/// Offline crash recovery: rebuild every shard's state from its snapshot +
+/// WAL, report torn tails, reassemble the store, and run the integrity audit
+/// over it — the same audit → quarantine path the live supervisor hands
+/// unexplained gaps to.
+fn recover(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let dir =
+        args.get_str("wal-dir").ok_or_else(|| CliError::Usage("recover needs --wal-dir".into()))?;
+    let snapshot_every: u64 = args.get("snapshot-every", 65_536)?;
+    let sync_every: u64 = args.get("sync-every", 32)?;
+    let s = scenario_from(args)?;
+    let g = deployment_from(args, &s)?;
+    let root = PathBuf::from(dir);
+    let mut shards: Vec<usize> = std::fs::read_dir(&root)?
+        .filter_map(|e| e.ok())
+        .filter_map(|e| e.file_name().to_str()?.strip_prefix("shard-")?.parse::<usize>().ok())
+        .collect();
+    shards.sort_unstable();
+    if shards.is_empty() {
+        return Err(CliError::Usage(format!("no shard-<i> directories under {dir}")));
+    }
+    writeln!(
+        out,
+        "{:>5} | {:>9} | {:>8} | {:>9} | {:>6} | {:>9}",
+        "shard", "snap seq", "wal recs", "recovered", "tail", "discarded"
+    )?;
+    let mut store = FormStore::new(s.sensing.num_edges());
+    let mut torn = 0usize;
+    for &i in &shards {
+        let rec = stq_durability::recover_shard(&root, i, snapshot_every, sync_every)?;
+        let r = &rec.report;
+        writeln!(
+            out,
+            "{i:>5} | {:>9} | {:>8} | {:>9} | {:>6} | {:>9}",
+            r.snapshot_seq,
+            r.wal_records,
+            r.recovered_seq,
+            if r.torn_tail { "TORN" } else { "clean" },
+            r.discarded_bytes
+        )?;
+        torn += usize::from(r.torn_tail);
+        for (e, form) in rec.forms {
+            if e >= store.num_edges() {
+                return Err(CliError::Usage(format!(
+                    "recovered edge {e} exceeds the city's {} edges — pass the same \
+                     --junctions/--seed the serving run used",
+                    store.num_edges()
+                )));
+            }
+            store.set_form(e, form);
+        }
+    }
+    writeln!(
+        out,
+        "recovered {} shards ({torn} torn tails), {} events total",
+        shards.len(),
+        store.total_events()
+    )?;
+    let horizon = (0.0, s.config.trajectory.duration);
+    let outcome =
+        quarantine_and_repair(&s.sensing, &g, &mut store, horizon, &RepairConfig::default());
+    writeln!(
+        out,
+        "audit: {} flagged, {} repaired, {} quarantined",
+        outcome.initial.flagged().len(),
+        outcome.repaired.len(),
+        outcome.quarantined.len()
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1192,6 +1266,22 @@ mod tests {
     fn serve_rejects_bad_probability() {
         let args = Args::parse(["serve", "--drop", "1.5"].map(String::from)).unwrap();
         assert!(run(&args, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn bad_kind_is_refused_before_any_work() {
+        let argv = ["serve", "--junctions", "100", "--kind", "bogus", "--ingest", "500"];
+        let args = Args::parse(argv.map(String::from)).unwrap();
+        let mut out = Vec::new();
+        let err = run(&args, &mut out).expect_err("an unknown kind is a usage error");
+        assert!(matches!(err, CliError::Usage(_)));
+        assert_eq!(err.to_string(), "unknown query kind: bogus");
+        // No `ingested 500 crossings` line, nor any other: nothing ran.
+        assert_eq!(String::from_utf8(out).unwrap(), "");
+
+        let args = Args::parse(["query", "--kind", "bogus"].map(String::from)).unwrap();
+        let err = run(&args, &mut Vec::new()).expect_err("query refuses it too");
+        assert_eq!(err.to_string(), "unknown query kind: bogus");
     }
 
     #[test]

@@ -393,8 +393,7 @@ impl DegradedAnswerer {
         }
         let (lo_boundary, lo_miss) = (&lo_plan.boundary, lo_plan.miss);
         let hi_boundary = &hi_plan.boundary;
-        let kept: &HashSet<usize> = &query.junctions;
-        let query_cells: Vec<usize> = query.junctions.iter().copied().collect();
+        let query_cells = query.junctions();
         // Each population bound is the best of several certified routes,
         // and carries the junction-cell resolution of the route that won:
         //
@@ -432,7 +431,7 @@ impl DegradedAnswerer {
             };
             let raw_lo = if lo_miss { f64::NEG_INFINITY } else { fold(lo_boundary).0 };
             let sub_rb = ev.region_bounds(&lo_plan.interior);
-            let query_rb = ev.region_bounds(&query_cells);
+            let query_rb = ev.region_bounds(query_cells);
             let super_rb = ev.region_bounds(&hi_plan.interior);
 
             // Lower: best certified value; on ties, the route with the most
@@ -458,7 +457,7 @@ impl DegradedAnswerer {
             }
             for ep in enclosures {
                 let pop_e = evaluate(store, &ep.boundary, QueryKind::Snapshot(t));
-                let (enc_hi, enc_cells) = ev.enclosure_upper(pop_e, &ep.interior, kept);
+                let (enc_hi, enc_cells) = ev.enclosure_upper(pop_e, &ep.interior, query_cells);
                 if enc_hi < upper.0 || (enc_hi <= upper.0 && enc_cells < upper.1) {
                     upper = (enc_hi, enc_cells);
                 }
@@ -666,7 +665,7 @@ mod tests {
     }
 
     fn oracle_truth(tracked: &Tracked, q: &QueryRegion, kind: QueryKind) -> f64 {
-        let inside = |j: usize| q.junctions.contains(&j);
+        let inside = |j: usize| q.contains(j);
         match kind {
             QueryKind::Snapshot(t) => tracked.oracle.snapshot_count(&inside, t) as f64,
             QueryKind::Transient(t0, t1) => tracked.oracle.transient_count(&inside, t0, t1) as f64,

@@ -25,12 +25,16 @@
 //!
 //! ## Compilation hashes nothing
 //!
-//! A cache miss works on sorted slices and per-call bitsets, never on a
-//! hash container (the plan cache's own map aside):
+//! A region's junction set is one strictly increasing slice from
+//! [`QueryRegion::from_rect`] to the end of the walk, so a cache miss works
+//! on sorted slices and per-call bitsets, never on a hash container (the
+//! plan cache's own map aside), and the engine sorts nothing:
 //!
-//! 1. [`QueryEngine::plan`] sorts the region's junctions into the cache key
-//!    and fingerprints it — once; the compile it triggers reuses both.
-//! 2. [`SampledGraph::resolve`] maps the key to component ids, sorts them
+//! 1. [`QueryEngine::plan`] fingerprints [`QueryRegion::junctions`] in place
+//!    and compares the cached key against that slice: a hit allocates
+//!    nothing. A miss hands slice and fingerprint to the compile and copies
+//!    the slice once, into the cache entry.
+//! 2. [`SampledGraph::resolve`] maps the slice to component ids, sorts them
 //!    and counts runs: a run as long as its component is a face of `R₂`,
 //!    any run is a face of `R₁`. The selected faces are concatenated and
 //!    sorted into the plan's `interior`.
@@ -75,7 +79,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::query::{evaluate, Approximation, QueryKind, QueryOutcome, QueryRegion};
 use crate::sampled::SampledGraph;
-use crate::sensing::{sorted, SensingGraph};
+use crate::sensing::SensingGraph;
 use stq_forms::{BoundaryEdge, CountSource};
 use stq_planar::embedding::VertexId;
 
@@ -118,16 +122,13 @@ fn fingerprint(junctions: &[VertexId], tag: u8) -> PlanId {
     PlanId(h)
 }
 
-/// The cache key of `region` resolved to its `approx` side: the sorted
-/// junction ids and their fingerprint, derived once per lookup.
-fn plan_key(region: &QueryRegion, approx: Approximation) -> (Vec<VertexId>, PlanId) {
-    let key = sorted(&region.junctions);
+/// The cache identity of `region` resolved to its `approx` side.
+fn plan_id(region: &QueryRegion, approx: Approximation) -> PlanId {
     let tag = match approx {
         Approximation::Lower => 0,
         Approximation::Upper => 1,
     };
-    let id = fingerprint(&key, tag);
-    (key, id)
+    fingerprint(region.junctions(), tag)
 }
 
 impl QueryPlan {
@@ -140,12 +141,11 @@ impl QueryPlan {
         region: &QueryRegion,
         approx: Approximation,
     ) -> QueryPlan {
-        let (key, id) = plan_key(region, approx);
-        Self::compile_keyed(sensing, sampled, &key, id, approx)
+        Self::compile_keyed(sensing, sampled, region.junctions(), plan_id(region, approx), approx)
     }
 
-    /// [`compile`](Self::compile) from the already derived sorted junction
-    /// `key` and its fingerprint `id` — what a cache miss holds.
+    /// [`compile`](Self::compile) from the region's junction slice `key` and
+    /// its already derived fingerprint `id` — what a cache miss holds.
     fn compile_keyed(
         sensing: &SensingGraph,
         sampled: &SampledGraph,
@@ -166,7 +166,7 @@ impl QueryPlan {
     /// own junction set, every edge eligible. Never a miss (an empty region
     /// integrates to zero, matching `ground_truth` semantics).
     pub fn compile_exact(sensing: &SensingGraph, region: &QueryRegion) -> QueryPlan {
-        let interior = sorted(&region.junctions);
+        let interior = region.junctions().to_vec();
         let id = fingerprint(&interior, 2);
         let (boundary, nodes_accessed) = sensing.boundary_walk(&interior, None);
         QueryPlan { id, interior, boundary, nodes_accessed, miss: false }
@@ -303,13 +303,13 @@ impl QueryEngine {
         region: &QueryRegion,
         approx: Approximation,
     ) -> (Arc<QueryPlan>, bool) {
-        let (key, id) = plan_key(region, approx);
+        let id = plan_id(region, approx);
         if self.capacity > 0 {
             let mut cache = self.lock();
             cache.tick += 1;
             let tick = cache.tick;
             if let Some(entry) = cache.map.get_mut(&id.0) {
-                if entry.key == key {
+                if entry.key == region.junctions() {
                     entry.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return (Arc::clone(&entry.plan), true);
@@ -317,8 +317,10 @@ impl QueryEngine {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(QueryPlan::compile_keyed(sensing, sampled, &key, id, approx));
+        let key = region.junctions();
+        let plan = Arc::new(QueryPlan::compile_keyed(sensing, sampled, key, id, approx));
         if self.capacity > 0 {
+            let key = key.to_vec(); // copied outside the lock
             let mut cache = self.lock();
             cache.tick += 1;
             let tick = cache.tick;
@@ -354,16 +356,6 @@ impl QueryEngine {
     pub fn invalidate(&self) {
         self.lock().map.clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Monotone invalidation generation: bumped once per
-    /// [`invalidate`](Self::invalidate). Topology-changing protocols (crash recovery,
-    /// shard-map migration) use it as a cheap witness that the cache was
-    /// flushed atomically with their own epoch bump — a reader comparing
-    /// generations around an epoch read can tell whether a cached plan
-    /// could predate the change.
-    pub fn invalidation_generation(&self) -> u64 {
-        self.invalidations.load(Ordering::Acquire)
     }
 
     /// Cache accounting so far.
@@ -417,21 +409,6 @@ impl QueryEngine {
             }
         });
         results.into_iter().map(|o| o.expect("every index executed")).collect()
-    }
-
-    /// [`execute_batch`](Self::execute_batch) addressed by [`PlanId`]:
-    /// resolves each id against the cache first. `None` marks ids whose
-    /// plan was evicted or never compiled — the caller re-plans those.
-    pub fn execute_ids<S: CountSource + Sync + ?Sized>(
-        &self,
-        store: &S,
-        batch: &[(PlanId, QueryKind)],
-    ) -> Vec<Option<QueryOutcome>> {
-        let resolved: Vec<Option<(Arc<QueryPlan>, QueryKind)>> =
-            batch.iter().map(|&(id, kind)| self.cached(id).map(|p| (p, kind))).collect();
-        let live: Vec<(Arc<QueryPlan>, QueryKind)> = resolved.iter().flatten().cloned().collect();
-        let mut outcomes = self.execute_batch(store, &live).into_iter();
-        resolved.into_iter().map(|slot| slot.map(|_| outcomes.next().expect("outcome"))).collect()
     }
 }
 
@@ -574,24 +551,6 @@ mod tests {
             assert_eq!(parallel[i].value.to_bits(), solo.value.to_bits());
             assert_eq!(parallel[i].miss, solo.miss);
         }
-    }
-
-    #[test]
-    fn execute_ids_resolves_cache_and_reports_evictions() {
-        let (s, g) = fixture();
-        let engine = QueryEngine::new(16);
-        let (q, t0, _) = s.make_queries(1, 0.12, 2_000.0, 13).remove(0);
-        let (plan, _) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
-        let out = engine.execute_ids(
-            &s.tracked.store,
-            &[(plan.id, QueryKind::Snapshot(t0)), (PlanId(0xdead_beef), QueryKind::Snapshot(t0))],
-        );
-        assert!(out[0].is_some());
-        assert!(out[1].is_none(), "unknown ids surface as None");
-        engine.invalidate();
-        let out = engine.execute_ids(&s.tracked.store, &[(plan.id, QueryKind::Snapshot(t0))]);
-        assert!(out[0].is_none(), "invalidation drops every cached plan");
-        assert_eq!(engine.stats().invalidations, 1);
     }
 
     #[test]

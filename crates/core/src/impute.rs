@@ -483,7 +483,8 @@ impl Evaluation<'_> {
     /// Certified upper bound on the population of any sub-region of an
     /// all-healthy *enclosure* that is disjoint from the fine faces counted
     /// off: the enclosure's exact population minus the certified lowers of
-    /// every contained face that shares no junction cell with `kept`.
+    /// every contained face that shares no junction cell with `kept` (a
+    /// strictly increasing junction slice).
     /// Returns the bound and the junction cells the certificate cannot
     /// distinguish from the kept region (its effective resolution).
     ///
@@ -494,7 +495,7 @@ impl Evaluation<'_> {
         &self,
         enclosure_pop: f64,
         enclosure_interior: &[usize],
-        kept: &HashSet<usize>,
+        kept: &[usize],
     ) -> (f64, usize) {
         let inside: HashSet<usize> = enclosure_interior.iter().copied().collect();
         let mut upper = enclosure_pop;
@@ -502,7 +503,7 @@ impl Evaluation<'_> {
         for (i, f) in self.imp.face_pops.iter().enumerate() {
             if !f.junctions.is_empty()
                 && f.junctions.iter().all(|j| inside.contains(j))
-                && !f.junctions.iter().any(|j| kept.contains(j))
+                && !f.junctions.iter().any(|j| kept.binary_search(j).is_ok())
             {
                 upper -= self.face_lo[i];
                 // Only a face whose lower carries information sharpens the

@@ -1,7 +1,5 @@
 //! Query evaluation on sampled sensing graphs (paper §4.6–§4.7).
 
-use std::collections::HashSet;
-
 use crate::sampled::SampledGraph;
 use crate::sensing::SensingGraph;
 use stq_forms::{
@@ -12,18 +10,36 @@ use stq_planar::embedding::VertexId;
 
 /// A spatial query region: a rectangle converted to the junction cells of
 /// the sensing graph it covers (§5.1.5).
+///
+/// The junction set is a strictly increasing list from construction on —
+/// the form the plan cache fingerprints, [`SampledGraph::resolve`] resolves
+/// and [`SensingGraph::boundary_walk`] walks — and [`from_rect`] is the only
+/// way to build one, so no hop between them sorts or hashes it.
+///
+/// [`from_rect`]: Self::from_rect
 #[derive(Clone, Debug)]
 pub struct QueryRegion {
     /// The original rectangle (kept for flooding-cost accounting).
     pub rect: Rect,
-    /// Junction cells forming the region.
-    pub junctions: HashSet<VertexId>,
+    /// Junction cells forming the region, strictly increasing.
+    junctions: Vec<VertexId>,
 }
 
 impl QueryRegion {
-    /// Converts a rectangle to a query region on `sensing`.
+    /// Converts a rectangle to a query region on `sensing`, keeping the
+    /// order [`SensingGraph::junctions_in_rect`] returns.
     pub fn from_rect(sensing: &SensingGraph, rect: Rect) -> Self {
-        QueryRegion { rect, junctions: sensing.junctions_in_rect(&rect).into_iter().collect() }
+        QueryRegion { rect, junctions: sensing.junctions_in_rect(&rect) }
+    }
+
+    /// The junction cells forming the region, strictly increasing.
+    pub fn junctions(&self) -> &[VertexId] {
+        &self.junctions
+    }
+
+    /// True when junction cell `j` belongs to the region.
+    pub fn contains(&self, j: VertexId) -> bool {
+        self.junctions.binary_search(&j).is_ok()
     }
 
     /// True when the rectangle covers no junction cell.
@@ -172,7 +188,7 @@ mod tests {
             assert!(!out.miss);
             let truth = ground_truth(&f.sensing, &f.tracked.store, &q, QueryKind::Snapshot(t));
             assert_eq!(out.value, truth);
-            let oracle = f.tracked.oracle.snapshot_count(&|j| q.junctions.contains(&j), t) as f64;
+            let oracle = f.tracked.oracle.snapshot_count(&|j| q.contains(j), t) as f64;
             assert_eq!(out.value, oracle);
         }
     }
@@ -288,8 +304,7 @@ mod tests {
             QueryKind::Transient(t0, t1),
             Approximation::Lower,
         );
-        let oracle_net =
-            f.tracked.oracle.transient_count(&|j| q.junctions.contains(&j), t0, t1) as f64;
+        let oracle_net = f.tracked.oracle.transient_count(&|j| q.contains(j), t0, t1) as f64;
         assert_eq!(tr.value, oracle_net);
 
         // Static interval: the form estimator lower-bounds the oracle.
@@ -302,7 +317,7 @@ mod tests {
             Approximation::Lower,
         );
         let oracle_static =
-            f.tracked.oracle.static_interval_count(&|j| q.junctions.contains(&j), t0, t1) as f64;
+            f.tracked.oracle.static_interval_count(&|j| q.contains(j), t0, t1) as f64;
         assert!(
             st.value + 1e-9 >= oracle_static,
             "min-of-snapshots upper-bounds the true static count"
@@ -315,6 +330,30 @@ mod tests {
         assert_eq!(relative_error(10.0, 9.0), Some(0.1));
         assert_eq!(relative_error(0.0, 5.0), None);
         assert_eq!(relative_error(4.0, 4.0), Some(0.0));
+    }
+
+    #[test]
+    fn region_is_the_strictly_increasing_junction_slice() {
+        let f = fixture();
+        let rect = mid_rect(&f.sensing, 0.2, 0.75);
+        let q = QueryRegion::from_rect(&f.sensing, rect);
+        assert!(!q.is_empty());
+        assert!(q.junctions().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(q.junctions(), f.sensing.junctions_in_rect(&rect));
+        for j in 0..f.sensing.road().embedding().num_vertices() {
+            assert_eq!(q.contains(j), q.junctions().contains(&j), "junction {j}");
+        }
+
+        let off_map = Rect::from_corners(
+            stq_geom::Point::new(-99.0, -99.0),
+            stq_geom::Point::new(-98.0, -98.0),
+        );
+        let empty = QueryRegion::from_rect(&f.sensing, off_map);
+        assert!(empty.is_empty() && empty.junctions().is_empty());
+        let g = SampledGraph::unsampled(&f.sensing);
+        for approx in [Approximation::Lower, Approximation::Upper] {
+            assert!(crate::engine::QueryPlan::compile(&f.sensing, &g, &empty, approx).miss);
+        }
     }
 
     #[test]

@@ -468,7 +468,7 @@ mod tests {
         let bb = f.sensing.road().bbox();
         let rect = stq_geom::Rect::from_corners(bb.min.lerp(bb.max, 0.2), bb.min.lerp(bb.max, 0.8));
         let q = QueryRegion::from_rect(&f.sensing, rect);
-        let inside = |j: usize| q.junctions.contains(&j);
+        let inside = |j: usize| q.contains(j);
         for kind in [
             QueryKind::Snapshot(1_500.0),
             QueryKind::Transient(400.0, 2_200.0),

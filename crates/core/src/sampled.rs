@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 
 use crate::query::Approximation;
-use crate::sensing::{sorted, SensingGraph};
+use crate::sensing::SensingGraph;
 use stq_geom::triangulate;
 use stq_planar::dual::subgraph_faces;
 use stq_planar::embedding::{FaceId, VertexId};
@@ -194,10 +194,9 @@ impl SampledGraph {
         &self.components
     }
 
-    /// Resolves a junction set against `G̃` (§4.6, Fig. 7) — the single
-    /// region resolution behind every entry point. `junctions` must be
-    /// strictly increasing (sorted, no duplicates); the returned interior
-    /// is too.
+    /// Resolves a junction set against `G̃` (§4.6, Fig. 7) — the only
+    /// region resolution there is. `junctions` must be strictly increasing
+    /// (sorted, no duplicates); the returned interior is too.
     ///
     /// - [`Approximation::Lower`] (`R₂`): the union of `G̃` faces fully
     ///   contained in the set.
@@ -229,18 +228,6 @@ impl SampledGraph {
         }
         interior.sort_unstable();
         interior
-    }
-
-    /// Lower-bound resolution `R₂` of a junction set: sorts it and
-    /// delegates to [`resolve`](Self::resolve).
-    pub fn resolve_lower(&self, query: &HashSet<VertexId>) -> HashSet<VertexId> {
-        self.resolve(&sorted(query), Approximation::Lower).into_iter().collect()
-    }
-
-    /// Upper-bound resolution `R₁` of a junction set (empty on a miss):
-    /// sorts it and delegates to [`resolve`](Self::resolve).
-    pub fn resolve_upper(&self, query: &HashSet<VertexId>) -> HashSet<VertexId> {
-        self.resolve(&sorted(query), Approximation::Upper).into_iter().collect()
     }
 
     /// The component merged with the outside world.
@@ -440,14 +427,14 @@ mod tests {
             let bb = s.road().bbox();
             stq_geom::Rect::from_corners(bb.min, bb.min.lerp(bb.max, 0.6))
         };
-        let query: HashSet<usize> = s.junctions_in_rect(&rect).into_iter().collect();
-        let lower = g.resolve_lower(&query);
-        assert!(lower.is_subset(&query));
-        let upper = g.resolve_upper(&query);
+        let query = s.junctions_in_rect(&rect);
+        let lower = g.resolve(&query, Approximation::Lower);
+        assert!(lower.iter().all(|j| query.contains(j)));
+        let upper = g.resolve(&query, Approximation::Upper);
         if !upper.is_empty() {
             // Non-missed upper bounds contain the query and the lower bound.
-            assert!(query.is_subset(&upper));
-            assert!(lower.is_subset(&upper));
+            assert!(query.iter().all(|j| upper.contains(j)));
+            assert!(lower.iter().all(|j| upper.contains(j)));
         }
     }
 
@@ -457,13 +444,12 @@ mod tests {
         let g = sampled(&s, 0.15, Connectivity::Knn(4));
         let bb = s.road().bbox();
         let rect = stq_geom::Rect::from_corners(bb.min.lerp(bb.max, 0.2), bb.min.lerp(bb.max, 0.8));
-        let query: HashSet<usize> = s.junctions_in_rect(&rect).into_iter().collect();
-        let lower = g.resolve_lower(&query);
+        let lower = g.resolve(&s.junctions_in_rect(&rect), Approximation::Lower);
         if lower.is_empty() {
             return; // miss: nothing to check
         }
-        // boundary_of debug_asserts monitoring; also check explicitly.
-        let b = s.boundary_of(&lower, Some(g.monitored()));
+        // boundary_walk debug_asserts monitoring; also check explicitly.
+        let (b, _) = s.boundary_walk(&lower, Some(g.monitored()));
         assert!(!b.is_empty());
         for be in &b {
             assert!(g.monitored()[be.edge]);
@@ -523,9 +509,7 @@ mod tests {
         assert!(!q1.is_empty() && !q2.is_empty());
         let g = SampledGraph::from_submodular(&s, &[q1.clone(), q2.clone()], 1e9);
         // With an unlimited budget both historical regions resolve exactly.
-        let q1set: HashSet<usize> = q1.iter().copied().collect();
-        let lower = g.resolve_lower(&q1set);
-        assert_eq!(lower, q1set);
+        assert_eq!(g.resolve(&q1, Approximation::Lower), q1);
     }
 
     #[test]

@@ -113,11 +113,7 @@ impl Scenario {
     pub fn historical_regions(&self, n: usize, area_frac: f64, seed: u64) -> Vec<Vec<usize>> {
         self.make_queries(n, area_frac, 0.0, seed)
             .into_iter()
-            .map(|(q, _, _)| {
-                let mut v: Vec<usize> = q.junctions.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
+            .map(|(q, _, _)| q.junctions().to_vec())
             .collect()
     }
 }

@@ -1,7 +1,5 @@
 //! The sensing graph `G`: dual of the road network (paper §3.2).
 
-use std::collections::HashSet;
-
 use stq_geom::{Point, Polygon, Rect};
 use stq_mobility::RoadNetwork;
 use stq_planar::dual::DualGraph;
@@ -10,14 +8,6 @@ use stq_planar::paths::WeightedAdj;
 use stq_spatial::GridIndex;
 
 use stq_forms::BoundaryEdge;
-
-/// A junction set as the strictly increasing slice the resolution and the
-/// boundary walk take.
-pub(crate) fn sorted(set: &HashSet<VertexId>) -> Vec<VertexId> {
-    let mut v: Vec<VertexId> = set.iter().copied().collect();
-    v.sort_unstable();
-    v
-}
 
 /// A fixed-size bitset, allocated per walk: membership without hashing.
 struct BitSet(Vec<u64>);
@@ -220,42 +210,22 @@ impl SensingGraph {
     /// Junctions inside `rect`, excluding `v_ext` — a rectangle query region
     /// converted to sensing cells (paper §5.1.5).
     pub fn junctions_in_rect(&self, rect: &Rect) -> Vec<VertexId> {
+        // `iter()`, not `into_iter()`: collecting in place would hand back
+        // the grid's entry buffer (three times the bytes, plus its growth
+        // slack), and a `QueryRegion` keeps this vector for its lifetime.
         let mut out: Vec<VertexId> =
-            self.junction_grid.range(rect).into_iter().map(|e| e.id as usize).collect();
+            self.junction_grid.range(rect).iter().map(|e| e.id as usize).collect();
         out.sort_unstable();
         out
     }
 
     /// Boundary chain of a junction set `U`: every edge with exactly one
-    /// endpoint in `U`, oriented inward. With `monitored = None` all edges
-    /// qualify (the unsampled graph); otherwise only monitored edges do —
-    /// in a valid sampled region the caller guarantees every boundary edge
-    /// is monitored, which `debug_assert`s in the walk verify. Sorts the set
-    /// and delegates to [`boundary_walk`](Self::boundary_walk).
-    pub fn boundary_of(
-        &self,
-        region: &HashSet<VertexId>,
-        monitored: Option<&[bool]>,
-    ) -> Vec<BoundaryEdge> {
-        self.boundary_walk(&sorted(region), monitored).0
-    }
-
-    /// [`boundary_of`](Self::boundary_of) plus the number of distinct
-    /// sensors incident to the chain. Sorts the set and delegates to
-    /// [`boundary_walk`](Self::boundary_walk).
-    pub fn boundary_with_sensors(
-        &self,
-        region: &HashSet<VertexId>,
-        monitored: Option<&[bool]>,
-    ) -> (Vec<BoundaryEdge>, usize) {
-        self.boundary_walk(&sorted(region), monitored)
-    }
-
-    /// The inward boundary chain of `interior` plus the number of distinct
-    /// sensors (dual faces) incident to it — the slice entry point every
-    /// other one delegates to. `interior` must be strictly increasing
-    /// (sorted, no duplicates); `monitored` is as in
-    /// [`boundary_of`](Self::boundary_of).
+    /// endpoint in `U`, oriented inward, plus the number of distinct sensors
+    /// (dual faces) incident to it. `interior` must be strictly increasing
+    /// (sorted, no duplicates). With `monitored = None` all edges qualify
+    /// (the unsampled graph); otherwise only monitored edges do — in a valid
+    /// sampled region the caller guarantees every boundary edge is
+    /// monitored, which `debug_assert`s in the walk verify.
     ///
     /// Vertices are visited in slice order and each one's half-edges in
     /// rotation order, so the emitted chain — and therefore the order of
@@ -289,6 +259,7 @@ impl SensingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use stq_mobility::gen::perturbed_grid;
 
     fn sensing() -> SensingGraph {
@@ -327,8 +298,7 @@ mod tests {
         let emb = s.road().embedding();
         // Single-junction region: all incident edges are boundary, inward.
         let u = 12; // centre of the 5x5 lattice
-        let region: HashSet<usize> = [u].into_iter().collect();
-        let b = s.boundary_of(&region, None);
+        let (b, _) = s.boundary_walk(&[u], None);
         assert_eq!(b.len(), emb.degree(u));
         for be in &b {
             let (a, bb) = emb.edge_endpoints(be.edge);
@@ -383,8 +353,8 @@ mod tests {
     fn interior_edges_excluded_from_boundary() {
         let s = sensing();
         // A 2x2 block of junctions: 12, 13, 17, 18 on the 5-lattice.
-        let region: HashSet<usize> = [12, 13, 17, 18].into_iter().collect();
-        let b = s.boundary_of(&region, None);
+        let region = [12, 13, 17, 18];
+        let (b, _) = s.boundary_walk(&region, None);
         for be in &b {
             let (a, bb) = s.road().embedding().edge_endpoints(be.edge);
             assert_ne!(region.contains(&a), region.contains(&bb));
@@ -400,8 +370,7 @@ mod tests {
     #[test]
     fn boundary_sensors_are_adjacent_faces() {
         let s = sensing();
-        let region: HashSet<usize> = [12].into_iter().collect();
-        let b = s.boundary_of(&region, None);
+        let (b, _) = s.boundary_walk(&[12], None);
         let sensors = s.boundary_sensors(&b);
         // The four blocks around the centre junction.
         assert_eq!(sensors.len(), 4);

@@ -176,7 +176,6 @@ pub fn ingest_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use stq_forms::{snapshot_count, transient_count};
     use stq_mobility::gen::perturbed_grid;
     use stq_mobility::trajectory::{generate_mix, TrajectoryConfig, WorkloadMix};
@@ -199,9 +198,8 @@ mod tests {
     fn forms_match_oracle_snapshots() {
         let (sensing, tracked) = setup();
         let all: Vec<usize> = sensing.road().junctions().collect();
-        for (i, chunk) in all.chunks(7).enumerate() {
-            let region: HashSet<usize> = chunk.iter().copied().collect();
-            let boundary = sensing.boundary_of(&region, None);
+        for (i, region) in all.chunks(7).enumerate() {
+            let (boundary, _) = sensing.boundary_walk(region, None);
             for &t in &[0.0, 250.0, 900.0, 1500.0, 2500.0] {
                 let formed = snapshot_count(&tracked.store, &boundary, t);
                 let truth = tracked.oracle.snapshot_count(&|j| region.contains(&j), t) as f64;
@@ -213,8 +211,8 @@ mod tests {
     #[test]
     fn forms_match_oracle_transient() {
         let (sensing, tracked) = setup();
-        let region: HashSet<usize> = sensing.road().junctions().take(9).collect();
-        let boundary = sensing.boundary_of(&region, None);
+        let region: Vec<usize> = sensing.road().junctions().take(9).collect();
+        let (boundary, _) = sensing.boundary_walk(&region, None);
         for &(t0, t1) in &[(0.0, 500.0), (100.0, 1200.0), (800.0, 2000.0)] {
             let formed = transient_count(&tracked.store, &boundary, t0, t1);
             let truth = tracked.oracle.transient_count(&|j| region.contains(&j), t0, t1) as f64;
@@ -234,8 +232,8 @@ mod tests {
         // Region = every junction: the only boundary edges are the ramps, so
         // the count equals objects currently inside the network.
         let (sensing, tracked) = setup();
-        let region: HashSet<usize> = sensing.road().junctions().collect();
-        let boundary = sensing.boundary_of(&region, None);
+        let region: Vec<usize> = sensing.road().junctions().collect();
+        let (boundary, _) = sensing.boundary_walk(&region, None);
         for be in &boundary {
             assert!(sensing.road().ramps().contains(&be.edge));
         }

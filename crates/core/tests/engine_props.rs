@@ -14,8 +14,6 @@
 //! matrix over seeds exercises different cities, workloads and deployments
 //! against the same assertions.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,11 +124,12 @@ mod reference {
         region: &QueryRegion,
         approx: Approximation,
     ) -> Plan {
+        let query: HashSet<usize> = region.junctions().iter().copied().collect();
         let (tag, covered) = match approx {
-            Approximation::Lower => (0, resolve_lower(sampled, &region.junctions)),
-            Approximation::Upper => (1, resolve_upper(sampled, &region.junctions)),
+            Approximation::Lower => (0, resolve_lower(sampled, &query)),
+            Approximation::Upper => (1, resolve_upper(sampled, &query)),
         };
-        let id = fingerprint(&sorted(&region.junctions), tag);
+        let id = fingerprint(&sorted(&query), tag);
         if covered.is_empty() {
             return Plan {
                 id,
@@ -146,9 +145,10 @@ mod reference {
     }
 
     pub fn compile_exact(sensing: &SensingGraph, region: &QueryRegion) -> Plan {
-        let interior = sorted(&region.junctions);
+        let query: HashSet<usize> = region.junctions().iter().copied().collect();
+        let interior = sorted(&query);
         let id = fingerprint(&interior, 2);
-        let (boundary, nodes_accessed) = walk_boundary(sensing, &region.junctions, None);
+        let (boundary, nodes_accessed) = walk_boundary(sensing, &query, None);
         Plan { id, interior, boundary, nodes_accessed, miss: false }
     }
 }
@@ -285,37 +285,6 @@ proptest! {
             prop_assert_eq!((st.invalidations, st.hits, st.misses), (1, 1, 2));
         }
     }
-
-    /// The `&HashSet` entry points are adapters: for arbitrary junction sets
-    /// they return what the slice entry points return, and resolving the
-    /// empty set yields the empty set.
-    #[test]
-    fn hashset_adapters_equal_slice_entry_points(s in small_scenario(),
-                                                 frac in 0.1f64..0.5,
-                                                 seed in 0u64..100,
-                                                 picks in proptest::collection::vec(0usize..10_000, 0..60)) {
-        let g = deployment(&s, frac, seed);
-        let n = s.sensing.road().num_junctions();
-        let set: HashSet<usize> = picks.iter().map(|&p| p % n).collect();
-        let mut slice: Vec<usize> = set.iter().copied().collect();
-        slice.sort_unstable();
-        for (approx, via_set) in [
-            (Approximation::Lower, g.resolve_lower(&set)),
-            (Approximation::Upper, g.resolve_upper(&set)),
-        ] {
-            let interior = g.resolve(&slice, approx);
-            prop_assert!(interior.windows(2).all(|w| w[0] < w[1]), "interior strictly increasing");
-            prop_assert_eq!(&via_set, &interior.iter().copied().collect::<HashSet<usize>>());
-            let walked = s.sensing.boundary_walk(&interior, Some(g.monitored()));
-            prop_assert_eq!(&s.sensing.boundary_with_sensors(&via_set, Some(g.monitored())), &walked);
-            prop_assert_eq!(&s.sensing.boundary_of(&via_set, Some(g.monitored())), &walked.0);
-        }
-        prop_assert_eq!(s.sensing.boundary_of(&set, None), s.sensing.boundary_walk(&slice, None).0);
-        let empty = HashSet::new();
-        prop_assert!(g.resolve_lower(&empty).is_empty());
-        prop_assert!(g.resolve_upper(&empty).is_empty());
-        prop_assert!(s.sensing.boundary_of(&empty, None).is_empty());
-    }
 }
 
 fn suite_seed() -> u64 {
@@ -379,7 +348,7 @@ fn compile_matches_hashset_reference() {
         assert_plan_matches(&exact, &reference::compile_exact(&s.sensing, &q), "exact");
         for (name, graph) in &graphs {
             reach_ext += usize::from(
-                q.junctions.iter().any(|&j| graph.component_of(j) == graph.ext_component()),
+                q.junctions().iter().any(|&j| graph.component_of(j) == graph.ext_component()),
             );
             let engine = QueryEngine::new(4);
             for approx in [Approximation::Lower, Approximation::Upper] {

@@ -1,8 +1,6 @@
 //! Framework-level property tests: on randomly generated cities, workloads
 //! and deployments, the paper's structural guarantees hold.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
 use stq_core::prelude::*;
 use stq_forms::snapshot_count;
@@ -42,9 +40,9 @@ proptest! {
         let q = QueryRegion::from_rect(&s.sensing, rect);
         if q.is_empty() { return Ok(()); }
         let t = 1_500.0 * t_frac;
-        let boundary = s.sensing.boundary_of(&q.junctions, None);
+        let (boundary, _) = s.sensing.boundary_walk(q.junctions(), None);
         let formed = snapshot_count(&s.tracked.store, &boundary, t);
-        let truth = s.tracked.oracle.snapshot_count(&|j| q.junctions.contains(&j), t) as f64;
+        let truth = s.tracked.oracle.snapshot_count(&|j| q.contains(j), t) as f64;
         prop_assert_eq!(formed, truth);
     }
 
@@ -95,8 +93,7 @@ proptest! {
             }
         }
         for comp in g.components().iter().take(20) {
-            let set: HashSet<usize> = comp.iter().copied().collect();
-            for be in s.sensing.boundary_of(&set, None) {
+            for be in s.sensing.boundary_walk(comp, None).0 {
                 prop_assert!(g.monitored()[be.edge]);
             }
         }
@@ -185,7 +182,7 @@ proptest! {
         let graph = out.graph.demote_edges(&s.sensing, &untrusted);
 
         let (q, t0, t1) = s.make_queries(1, 0.2, 400.0, seed ^ 0x5d).remove(0);
-        let inside = |j: usize| q.junctions.contains(&j);
+        let inside = |j: usize| q.contains(j);
         for kind in [QueryKind::Snapshot(t0), QueryKind::Transient(t0, t1),
                      QueryKind::Static(t0, t1)] {
             let b = answer_with_bounds(&s.sensing, &graph, &tracked.store, &q, kind);

@@ -119,7 +119,7 @@ impl Runtime {
         // Group by owning shard into columnar lanes. Per-edge event order
         // is preserved: an edge maps to exactly one shard at a time, and
         // within a lane events keep input order.
-        let map = st.shared.map.as_ref();
+        let map = &st.shared.map;
         let mut lanes_by_shard = vec![ColumnarBatch::default(); st.shared.lanes.len()];
         for &c in &valid {
             lanes_by_shard[map.shard_of(c.edge)].push(c.edge, c.forward, c.time);
@@ -170,8 +170,8 @@ impl Runtime {
 
     /// Plans and executes one load-aware rebalance round through the
     /// supervisor (which serializes it against crash recoveries). Returns
-    /// the number of edges migrated — 0 when the map has no rebalancing
-    /// (modulo), the plan is empty, or the migration aborted.
+    /// the number of edges migrated — 0 when rebalancing is off, the plan is
+    /// empty, or the migration aborted.
     pub fn rebalance_now(&self) -> usize {
         let moves = self.st().shared.map.plan_rebalance();
         if moves.is_empty() {

@@ -6,8 +6,8 @@
 //!
 //! - **Sharded edge stores behind a [`ShardMap`]** — the per-edge
 //!   [`stq_forms::TrackingForm`]s are partitioned across worker threads
-//!   (initially edge `e` on shard `e % N`; a [`LoadAwareMap`] migrates hot
-//!   edges between shards as crossing rates skew). A query resolves its
+//!   (initially edge `e` on shard `e % N`; with a [`RebalanceConfig`] the
+//!   map migrates hot edges between shards as crossing rates skew). A query resolves its
 //!   region once, fans its boundary edges out to the owning shards over
 //!   channels, and re-folds the per-edge contributions in boundary order,
 //!   making full-coverage answers bit-identical to the synchronous
@@ -67,7 +67,7 @@ pub use server::{
     ServedAnswer, SubscriptionHandle,
 };
 pub use shard::ShardHealth;
-pub use shardmap::{LoadAwareMap, Migration, ModuloMap, RebalanceConfig, ShardMap};
+pub use shardmap::{Migration, RebalanceConfig, ShardMap};
 pub use stq_net::{
     ChaosBuilder, ChaosConfig, ChaosError, CrashWindow, DurabilityFaultPlan, FaultDecision,
     FaultPlan, IngestCrash, MessageCtx, SensorFault, SensorFaultKind, SensorFaultMix,

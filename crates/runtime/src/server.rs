@@ -123,10 +123,10 @@ pub struct RuntimeConfig {
     /// precision regardless of load.
     pub overload: Option<OverloadConfig>,
     /// Load-aware shard rebalancing (see [`crate::shardmap`]). `None` (the
-    /// default) keeps the static modulo edge→shard assignment; `Some`
-    /// installs a [`crate::LoadAwareMap`] that tracks per-edge crossing
-    /// rates and migrates hot edge ranges between shards when the imbalance
-    /// trigger fires.
+    /// default) keeps the static modulo edge→shard assignment; with
+    /// `Some` the [`crate::ShardMap`] tracks per-edge crossing rates and
+    /// migrates hot edge ranges between shards when the imbalance trigger
+    /// fires.
     pub rebalance: Option<RebalanceConfig>,
 }
 
@@ -553,7 +553,7 @@ impl Runtime {
         let metrics = &st.shared.metrics;
         let mut cost_milli = 0u64;
         if let Some(ov) = st.overload.as_ref() {
-            match ov.try_admit(ov.price(spec.region.junctions.len())) {
+            match ov.try_admit(ov.price(spec.region.junctions().len())) {
                 Ok(milli) => cost_milli = milli,
                 Err(retry_after) => {
                     Metrics::bump(&metrics.admission_rejected);

@@ -1,29 +1,27 @@
-//! Edge→shard routing maps: the single authority every layer of the
+//! The edge→shard routing map: the single authority every layer of the
 //! runtime consults to decide which shard owns an edge.
 //!
 //! Routing used to be a hard-coded `edge % num_shards` spread across the
 //! ingest path, the query fan-out, the redo-buffer bookkeeping, and the
 //! supervisor's recovery replay. That worked only because the function was
-//! pure and immutable; a load-aware map that *migrates* edges needs all
-//! five layers to agree on one assignment at every instant, so the mapping
-//! now lives behind the [`ShardMap`] trait and is shared as a single
-//! `Arc<dyn ShardMap>`.
+//! pure and immutable; a map that *migrates* edges needs all five layers to
+//! agree on one assignment at every instant, so the mapping lives in one
+//! [`ShardMap`] they all share.
 //!
-//! Two implementations:
-//!
-//! - [`ModuloMap`] — the classic static `e % N` (the default). Its epoch is
-//!   always 0 and it never plans a rebalance.
-//! - [`LoadAwareMap`] — tracks per-edge crossing rates in a decayed
-//!   histogram fed from the subscription registry's lifetime-totals table
-//!   (no second counter array on the hot path) and, when one shard's load
-//!   runs past the configured imbalance ratio, plans a migration of its
-//!   hottest edges to the least-loaded shard. Committing a migration bumps
-//!   the **map epoch**; the supervisor performs the actual state hand-off
-//!   and re-snapshots standing subscriptions atomically with the bump (see
-//!   `crate::supervisor`).
+//! The map starts from the static `e % N` assignment. Without a
+//! [`RebalanceConfig`] it stays there: the epoch is always 0 and no
+//! rebalance is ever due or planned. With one
+//! (`RuntimeConfig::rebalance`), it tracks per-edge crossing rates in a
+//! decayed histogram fed from the subscription registry's lifetime-totals
+//! table (no second counter array on the hot path) and, when one shard's
+//! load runs past the configured imbalance ratio, plans a migration of its
+//! hottest edges to the least-loaded shard. Committing a migration bumps the
+//! **map epoch**; the supervisor performs the actual state hand-off and
+//! re-snapshots standing subscriptions atomically with the bump (see
+//! `crate::supervisor`).
 //!
 //! The map itself is lock-free on the routing path: `shard_of` is one
-//! atomic load, and `record_route` two relaxed adds.
+//! atomic load, and `record_route` one relaxed add (two when rebalancing).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,86 +39,7 @@ pub struct Migration {
     pub to: usize,
 }
 
-/// The edge→shard routing authority. Shared by ingest, query fan-out, redo
-/// bookkeeping, recovery replay, and subscription delta routing — all of
-/// which must observe assignment changes atomically with the epoch bump.
-pub trait ShardMap: Send + Sync {
-    /// Number of shards the map routes over.
-    fn num_shards(&self) -> usize;
-
-    /// The shard currently owning `edge`.
-    fn shard_of(&self, edge: usize) -> usize;
-
-    /// Monotone epoch, bumped once per committed migration batch. A reader
-    /// that re-checks `shard_of` after observing an unchanged epoch saw a
-    /// consistent assignment.
-    fn epoch(&self) -> u64;
-
-    /// Accounts `events` routed to `shard` (load bookkeeping only).
-    fn record_route(&self, shard: usize, events: u64);
-
-    /// Per-shard routed-event counts since startup (the imbalance witness
-    /// benchmarks report).
-    fn loads(&self) -> Vec<u64>;
-
-    /// Whether enough traffic has accrued since the last plan to make a
-    /// rebalance check worthwhile. Never true for static maps.
-    fn rebalance_due(&self) -> bool {
-        false
-    }
-
-    /// Plans (but does not apply) a migration batch. Empty when balanced.
-    fn plan_rebalance(&self) -> Vec<Migration> {
-        Vec::new()
-    }
-
-    /// Applies a committed migration batch and bumps the epoch. The caller
-    /// (the supervisor's migration protocol) is responsible for moving the
-    /// actual shard state first; the map only flips the routing entries.
-    fn commit(&self, moves: &[Migration]);
-}
-
-/// The classic static map: edge `e` lives on shard `e % N`, forever.
-pub struct ModuloMap {
-    num_shards: usize,
-    loads: Vec<AtomicU64>,
-}
-
-impl ModuloMap {
-    /// A static modulo map over `num_shards` shards.
-    pub fn new(num_shards: usize) -> Self {
-        assert!(num_shards >= 1, "need at least one shard");
-        ModuloMap { num_shards, loads: (0..num_shards).map(|_| AtomicU64::new(0)).collect() }
-    }
-}
-
-impl ShardMap for ModuloMap {
-    fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    fn shard_of(&self, edge: usize) -> usize {
-        edge % self.num_shards
-    }
-
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    fn record_route(&self, shard: usize, events: u64) {
-        self.loads[shard].fetch_add(events, Ordering::Relaxed);
-    }
-
-    fn loads(&self) -> Vec<u64> {
-        self.loads.iter().map(|l| l.load(Ordering::Relaxed)).collect()
-    }
-
-    fn commit(&self, moves: &[Migration]) {
-        debug_assert!(moves.is_empty(), "a static map never plans migrations");
-    }
-}
-
-/// Tuning knobs of the [`LoadAwareMap`].
+/// Tuning knobs of a rebalancing [`ShardMap`].
 #[derive(Clone, Debug)]
 pub struct RebalanceConfig {
     /// Routed events between rebalance checks. The check itself is an
@@ -155,60 +74,77 @@ struct LoadWindow {
     last_totals: Vec<u64>,
 }
 
-/// A routing map that migrates hot edges toward balance.
-///
-/// Per-edge load is read from the subscription registry's lifetime-totals
-/// table (`forward + backward` crossings), which `ingest` already maintains
-/// — the map keeps no per-event counter of its own. Each `plan_rebalance`
-/// pass folds the window's traffic into a decayed per-edge histogram,
-/// aggregates it per shard, and when the hottest shard exceeds
-/// [`RebalanceConfig::min_imbalance`] × the mean, greedily reassigns its
-/// hottest edges to the least-loaded shard until the excess is gone (capped
-/// at [`RebalanceConfig::max_moves`]).
-pub struct LoadAwareMap {
-    num_shards: usize,
-    /// Current owner per edge (u32 is plenty: shards are thread counts).
-    assign: Vec<AtomicU32>,
-    epoch: AtomicU64,
-    loads: Vec<AtomicU64>,
+/// What only a rebalancing map carries: its knobs, its clock, the
+/// registry's totals it reads load from, and the decayed rate window
+/// between plan passes.
+struct Rebalancer {
+    cfg: RebalanceConfig,
     /// Routed events since the last plan pass (the `rebalance_due` clock).
     routed: AtomicU64,
-    cfg: RebalanceConfig,
     /// The registry's per-edge lifetime `[forward, backward]` totals.
     totals: Arc<Vec<[AtomicU64; 2]>>,
     window: Mutex<LoadWindow>,
 }
 
-impl LoadAwareMap {
-    /// A load-aware map starting from the modulo assignment, accounting
-    /// load against the registry's `totals` table.
-    pub fn new(num_shards: usize, totals: Arc<Vec<[AtomicU64; 2]>>, cfg: RebalanceConfig) -> Self {
+/// The edge→shard routing authority. Shared by ingest, query fan-out, redo
+/// bookkeeping, recovery replay, and subscription delta routing — all of
+/// which must observe assignment changes atomically with the epoch bump.
+///
+/// When rebalancing, per-edge load is read from the subscription registry's
+/// lifetime-totals table (`forward + backward` crossings), which `ingest`
+/// already maintains — the map keeps no per-event counter of its own. Each
+/// `plan_rebalance` pass folds the window's traffic into a decayed per-edge
+/// histogram, aggregates it per shard, and when the hottest shard exceeds
+/// [`RebalanceConfig::min_imbalance`] × the mean, greedily reassigns its
+/// hottest edges to the least-loaded shard until the excess is gone (capped
+/// at [`RebalanceConfig::max_moves`]).
+pub struct ShardMap {
+    num_shards: usize,
+    /// Current owner per edge (u32 is plenty: shards are thread counts).
+    assign: Vec<AtomicU32>,
+    epoch: AtomicU64,
+    loads: Vec<AtomicU64>,
+    /// `None`: the assignment never changes. Boxed: the map sits inline in
+    /// the runtime's shared state, and the clock every routed batch bumps
+    /// must not share a cache line with fields every thread reads.
+    rebalancer: Option<Box<Rebalancer>>,
+}
+
+impl ShardMap {
+    /// A map over `num_shards` shards starting from the modulo assignment
+    /// of the `totals.len()` edges; with `rebalance` it accounts load
+    /// against the registry's `totals` table and plans migrations.
+    pub fn new(
+        num_shards: usize,
+        totals: &Arc<Vec<[AtomicU64; 2]>>,
+        rebalance: Option<RebalanceConfig>,
+    ) -> Self {
         assert!(num_shards >= 1, "need at least one shard");
-        assert!((0.0..1.0).contains(&cfg.decay), "decay must be in [0, 1)");
-        assert!(cfg.min_imbalance >= 1.0, "min_imbalance below 1 would always trigger");
         let num_edges = totals.len();
-        LoadAwareMap {
+        let rebalancer = rebalance.map(|cfg| {
+            assert!((0.0..1.0).contains(&cfg.decay), "decay must be in [0, 1)");
+            assert!(cfg.min_imbalance >= 1.0, "min_imbalance below 1 would always trigger");
+            Box::new(Rebalancer {
+                cfg,
+                routed: AtomicU64::new(0),
+                totals: Arc::clone(totals),
+                window: Mutex::new(LoadWindow {
+                    decayed: vec![0.0; num_edges],
+                    last_totals: vec![0; num_edges],
+                }),
+            })
+        });
+        ShardMap {
             num_shards,
             assign: (0..num_edges).map(|e| AtomicU32::new((e % num_shards) as u32)).collect(),
             epoch: AtomicU64::new(0),
             loads: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-            routed: AtomicU64::new(0),
-            cfg,
-            totals,
-            window: Mutex::new(LoadWindow {
-                decayed: vec![0.0; num_edges],
-                last_totals: vec![0; num_edges],
-            }),
+            rebalancer,
         }
     }
-}
 
-impl ShardMap for LoadAwareMap {
-    fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    fn shard_of(&self, edge: usize) -> usize {
+    /// The shard currently owning `edge`.
+    pub fn shard_of(&self, edge: usize) -> usize {
         match self.assign.get(edge) {
             Some(a) => a.load(Ordering::Acquire) as usize,
             // Unknown edges (rejected by ingest anyway) keep the static rule.
@@ -216,34 +152,50 @@ impl ShardMap for LoadAwareMap {
         }
     }
 
-    fn epoch(&self) -> u64 {
+    /// Monotone epoch, bumped once per committed migration batch. A reader
+    /// that re-checks `shard_of` after observing an unchanged epoch saw a
+    /// consistent assignment.
+    pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    fn record_route(&self, shard: usize, events: u64) {
+    /// Accounts `events` routed to `shard` (load bookkeeping only).
+    pub fn record_route(&self, shard: usize, events: u64) {
         self.loads[shard].fetch_add(events, Ordering::Relaxed);
-        self.routed.fetch_add(events, Ordering::Relaxed);
+        if let Some(r) = &self.rebalancer {
+            r.routed.fetch_add(events, Ordering::Relaxed);
+        }
     }
 
-    fn loads(&self) -> Vec<u64> {
+    /// Per-shard routed-event counts since startup (the imbalance witness
+    /// benchmarks report).
+    pub fn loads(&self) -> Vec<u64> {
         self.loads.iter().map(|l| l.load(Ordering::Relaxed)).collect()
     }
 
-    fn rebalance_due(&self) -> bool {
-        self.routed.load(Ordering::Relaxed) >= self.cfg.check_every
+    /// Whether enough traffic has accrued since the last plan to make a
+    /// rebalance check worthwhile. Never true without a [`RebalanceConfig`].
+    pub fn rebalance_due(&self) -> bool {
+        self.rebalancer
+            .as_ref()
+            .is_some_and(|r| r.routed.load(Ordering::Relaxed) >= r.cfg.check_every)
     }
 
-    fn plan_rebalance(&self) -> Vec<Migration> {
-        let mut w = self.window.lock();
-        self.routed.store(0, Ordering::Relaxed);
+    /// Plans (but does not apply) a migration batch. Empty when balanced,
+    /// and always without a [`RebalanceConfig`].
+    pub fn plan_rebalance(&self) -> Vec<Migration> {
+        let Some(Rebalancer { cfg, routed, totals, window }) = self.rebalancer.as_deref() else {
+            return Vec::new();
+        };
+        let mut w = window.lock();
+        routed.store(0, Ordering::Relaxed);
         let num_edges = w.decayed.len();
         // Fold the window's traffic into the decayed histogram.
         for e in 0..num_edges {
-            let t = self.totals[e][0].load(Ordering::Relaxed)
-                + self.totals[e][1].load(Ordering::Relaxed);
+            let t = totals[e][0].load(Ordering::Relaxed) + totals[e][1].load(Ordering::Relaxed);
             let delta = t.saturating_sub(w.last_totals[e]) as f64;
             w.last_totals[e] = t;
-            w.decayed[e] = self.cfg.decay * w.decayed[e] + delta;
+            w.decayed[e] = cfg.decay * w.decayed[e] + delta;
         }
         // Aggregate per shard under the *current* assignment.
         let mut shard_load = vec![0.0f64; self.num_shards];
@@ -261,7 +213,7 @@ impl ShardMap for LoadAwareMap {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(s, _)| s)
             .expect("at least one shard");
-        if shard_load[hot] <= self.cfg.min_imbalance * mean {
+        if shard_load[hot] <= cfg.min_imbalance * mean {
             return Vec::new();
         }
         // Hottest edges first; ties break on the edge id so planning is
@@ -274,7 +226,7 @@ impl ShardMap for LoadAwareMap {
         hot_edges.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut moves = Vec::new();
         for (edge, rate) in hot_edges {
-            if moves.len() >= self.cfg.max_moves || shard_load[hot] <= mean {
+            if moves.len() >= cfg.max_moves || shard_load[hot] <= mean {
                 break;
             }
             let to = shard_load
@@ -294,7 +246,10 @@ impl ShardMap for LoadAwareMap {
         moves
     }
 
-    fn commit(&self, moves: &[Migration]) {
+    /// Applies a committed migration batch and bumps the epoch. The caller
+    /// (the supervisor's migration protocol) is responsible for moving the
+    /// actual shard state first; the map only flips the routing entries.
+    pub fn commit(&self, moves: &[Migration]) {
         if moves.is_empty() {
             return;
         }
@@ -320,7 +275,8 @@ mod tests {
 
     #[test]
     fn modulo_map_matches_the_static_rule() {
-        let m = ModuloMap::new(4);
+        // 32 known edges; ids past them fall back to the same static rule.
+        let m = ShardMap::new(4, &totals(32), None);
         for e in 0..64 {
             assert_eq!(m.shard_of(e), e % 4);
         }
@@ -334,7 +290,7 @@ mod tests {
     #[test]
     fn load_aware_starts_modulo_and_needs_traffic_to_plan() {
         let t = totals(32);
-        let m = LoadAwareMap::new(4, t, RebalanceConfig::default());
+        let m = ShardMap::new(4, &t, Some(RebalanceConfig::default()));
         for e in 0..32 {
             assert_eq!(m.shard_of(e), e % 4);
         }
@@ -349,7 +305,7 @@ mod tests {
         t[0][0].store(1000, Ordering::Relaxed);
         t[4][0].store(900, Ordering::Relaxed);
         t[8][1].store(800, Ordering::Relaxed);
-        let m = LoadAwareMap::new(4, Arc::clone(&t), RebalanceConfig::default());
+        let m = ShardMap::new(4, &t, Some(RebalanceConfig::default()));
         let moves = m.plan_rebalance();
         assert!(!moves.is_empty(), "hotspot must trigger a plan");
         assert!(moves.iter().all(|mv| mv.from == 0), "only the hot shard sheds edges");
@@ -370,7 +326,7 @@ mod tests {
             for e in 0..64 {
                 t[e][0].store(((e as u64) * 37) % 211, Ordering::Relaxed);
             }
-            LoadAwareMap::new(4, t, RebalanceConfig::default()).plan_rebalance()
+            ShardMap::new(4, &t, Some(RebalanceConfig::default())).plan_rebalance()
         };
         assert_eq!(mk(), mk());
     }
@@ -379,7 +335,7 @@ mod tests {
     fn rebalance_due_tracks_routed_events() {
         let t = totals(8);
         let cfg = RebalanceConfig { check_every: 10, ..RebalanceConfig::default() };
-        let m = LoadAwareMap::new(2, t, cfg);
+        let m = ShardMap::new(2, &t, Some(cfg));
         assert!(!m.rebalance_due());
         m.record_route(0, 9);
         assert!(!m.rebalance_due());

@@ -20,7 +20,7 @@ use crate::metrics::{Metrics, SubscriptionTrace};
 use crate::overload::OverloadState;
 use crate::server::RuntimeConfig;
 use crate::shard::{ShardMsg, HEALTHY};
-use crate::shardmap::{LoadAwareMap, ModuloMap, ShardMap};
+use crate::shardmap::ShardMap;
 use crate::supervisor::IngestLane;
 
 /// What the server, the supervisor and every shard worker share. It holds
@@ -57,7 +57,7 @@ pub(crate) struct Shared {
     /// The edge→shard routing map every layer shares: dispatchers and
     /// ingest read it, the supervisor commits migrations into it. Its epoch
     /// is the witness all layers agree on after a migration.
-    pub map: Box<dyn ShardMap>,
+    pub map: ShardMap,
 }
 
 impl Shared {
@@ -75,12 +75,9 @@ impl Shared {
             quarantined.iter().copied(),
         ));
         // The shard map starts with the modulo assignment either way, so a
-        // fresh runtime is bit-identical under both; the load-aware variant
+        // fresh runtime is bit-identical with and without rebalancing, which
         // reuses the registry's lifetime totals as its crossing-rate feed.
-        let map: Box<dyn ShardMap> = match cfg.rebalance.clone() {
-            Some(rc) => Box::new(LoadAwareMap::new(ns, Arc::clone(subs.totals()), rc)),
-            None => Box::new(ModuloMap::new(ns)),
-        };
+        let map = ShardMap::new(ns, subs.totals(), cfg.rebalance.clone());
         Shared {
             lanes: (0..ns)
                 .map(|_| Mutex::new(IngestLane { next_seq: 0, buf: VecDeque::new() }))

@@ -51,23 +51,20 @@ fn runtime(f: &Fixture, cfg: RuntimeConfig) -> Runtime {
 }
 
 fn sync_value(f: &Fixture, spec: &QuerySpec) -> Option<f64> {
-    let covered = match spec.approx {
-        Approximation::Lower => f.sampled.resolve_lower(&spec.region.junctions),
-        Approximation::Upper => f.sampled.resolve_upper(&spec.region.junctions),
-    };
+    let covered = f.sampled.resolve(spec.region.junctions(), spec.approx);
     if covered.is_empty() {
         return None;
     }
-    let boundary = f.scenario.sensing.boundary_of(&covered, Some(f.sampled.monitored()));
+    let (boundary, _) = f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored()));
     Some(evaluate(store(f), &boundary, spec.kind))
 }
 
 fn boundary_len(f: &Fixture, spec: &QuerySpec) -> usize {
-    let covered = f.sampled.resolve_lower(&spec.region.junctions);
+    let covered = f.sampled.resolve(spec.region.junctions(), Approximation::Lower);
     if covered.is_empty() {
         return 0;
     }
-    f.scenario.sensing.boundary_of(&covered, Some(f.sampled.monitored())).len()
+    f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored())).0.len()
 }
 
 /// A covered query with a non-trivial boundary (≥ `min_boundary` edges), so

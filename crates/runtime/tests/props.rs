@@ -34,14 +34,11 @@ fn fixture() -> &'static Fixture {
 }
 
 fn sync_value(f: &Fixture, spec: &QuerySpec) -> Option<f64> {
-    let covered = match spec.approx {
-        Approximation::Lower => f.sampled.resolve_lower(&spec.region.junctions),
-        Approximation::Upper => f.sampled.resolve_upper(&spec.region.junctions),
-    };
+    let covered = f.sampled.resolve(spec.region.junctions(), spec.approx);
     if covered.is_empty() {
         return None;
     }
-    let boundary = f.scenario.sensing.boundary_of(&covered, Some(f.sampled.monitored()));
+    let (boundary, _) = f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored()));
     Some(evaluate(&f.scenario.tracked.store, &boundary, spec.kind))
 }
 

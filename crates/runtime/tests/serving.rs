@@ -48,14 +48,11 @@ fn runtime(f: &Fixture, cfg: RuntimeConfig) -> Runtime {
 /// The value the runtime must reproduce when coverage is complete: the
 /// synchronous resolve → boundary → evaluate path.
 fn sync_value(f: &Fixture, spec: &QuerySpec) -> Option<f64> {
-    let covered = match spec.approx {
-        Approximation::Lower => f.sampled.resolve_lower(&spec.region.junctions),
-        Approximation::Upper => f.sampled.resolve_upper(&spec.region.junctions),
-    };
+    let covered = f.sampled.resolve(spec.region.junctions(), spec.approx);
     if covered.is_empty() {
         return None;
     }
-    let boundary = f.scenario.sensing.boundary_of(&covered, Some(f.sampled.monitored()));
+    let (boundary, _) = f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored()));
     Some(evaluate(store(f), &boundary, spec.kind))
 }
 
@@ -349,7 +346,7 @@ fn degraded_mode_escalation_upgrades_quarantined_answers() {
         if served.strategy != DegradedStrategy::None {
             upgraded += 1;
             assert!(served.degraded, "a degraded strategy implies a degraded answer");
-            let inside = |j: usize| spec.region.junctions.contains(&j);
+            let inside = |j: usize| spec.region.contains(j);
             let truth = match spec.kind {
                 QueryKind::Snapshot(t) => {
                     f.scenario.tracked.oracle.snapshot_count(&inside, t) as f64
@@ -411,8 +408,9 @@ fn degraded_consults_skipped_after_ingest_are_counted() {
     let (spec, edge) = specs(f, 8, 0.15, 43)
         .into_iter()
         .find_map(|spec| {
-            let covered = f.sampled.resolve_lower(&spec.region.junctions);
-            let boundary = f.scenario.sensing.boundary_of(&covered, Some(f.sampled.monitored()));
+            let covered = f.sampled.resolve(spec.region.junctions(), Approximation::Lower);
+            let (boundary, _) =
+                f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored()));
             boundary.first().map(|be| (spec, be.edge))
         })
         .expect("a covered query with a boundary");

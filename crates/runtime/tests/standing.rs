@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use stq_core::prelude::*;
 use stq_core::tracker::Crossing;
+use stq_geom::{Point, Rect};
 use stq_runtime::{
     DurabilityConfig, DurabilityFaultPlan, QuerySpec, Runtime, RuntimeConfig, ShardHealth,
     SubscribeError, SubscriptionHandle, UpdateCause,
@@ -323,8 +324,9 @@ fn certified_intervals_tighten_standing_brackets() {
 fn subscribe_rejects_unresolvable() {
     let f = fixture();
     let rt = runtime(f, RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() });
-    let (mut region, _, _) = f.scenario.make_queries(1, 0.1, 1_500.0, 7).remove(0);
-    region.junctions.clear();
+    let off_map = Rect::from_corners(Point::new(-99.0, -99.0), Point::new(-98.0, -98.0));
+    let region = QueryRegion::from_rect(&f.scenario.sensing, off_map);
+    assert!(region.is_empty());
     let Err(err) = rt.subscribe(region.clone(), Approximation::Lower) else {
         panic!("empty region must be refused");
     };

@@ -9,8 +9,6 @@
 //! cargo run --release -p stq --example city_traffic
 //! ```
 
-use std::collections::HashSet;
-
 use stq::core::prelude::*;
 use stq::sampling::{sample, SamplingMethod};
 
@@ -42,14 +40,7 @@ fn main() {
             towers.push(q);
         }
     }
-    let historical: Vec<Vec<usize>> = towers
-        .iter()
-        .map(|q| {
-            let mut v: Vec<usize> = q.junctions.iter().copied().collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
+    let historical: Vec<Vec<usize>> = towers.iter().map(|q| q.junctions().to_vec()).collect();
 
     // Three deployments at comparable cost.
     let cands = sensing.sensor_candidates();
@@ -144,8 +135,8 @@ fn main() {
 
     // Sanity: the nine towers tile the city, so summing exact tower loads
     // gives the city-wide population.
-    let all: HashSet<usize> = sensing.road().junctions().collect();
-    let all_b = sensing.boundary_of(&all, None);
+    let all: Vec<usize> = sensing.road().junctions().collect();
+    let (all_b, _) = sensing.boundary_walk(&all, None);
     let city = stq::forms::snapshot_count(&scenario.tracked.store, &all_b, times[0]);
     let sum: f64 = towers
         .iter()

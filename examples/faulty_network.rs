@@ -59,11 +59,11 @@ fn main() {
     {
         let spec = QuerySpec::new(region, QueryKind::Transient(t0, t1), Approximation::Lower);
         // The synchronous single-threaded path the runtime must bracket.
-        let covered = sampled.resolve_lower(&spec.region.junctions);
+        let covered = sampled.resolve(spec.region.junctions(), Approximation::Lower);
         if covered.is_empty() {
             continue;
         }
-        let boundary = scenario.sensing.boundary_of(&covered, Some(sampled.monitored()));
+        let (boundary, _) = scenario.sensing.boundary_walk(&covered, Some(sampled.monitored()));
         let sync = evaluate(&scenario.tracked.store, &boundary, spec.kind);
 
         let served = rt.query(spec);

@@ -10,8 +10,6 @@
 //! cargo run --release -p stq --example highway_transit
 //! ```
 
-use std::collections::HashSet;
-
 use stq::core::prelude::*;
 use stq::forms::{gross_flow, snapshot_count};
 use stq::mobility::gen::highway;
@@ -27,7 +25,7 @@ fn main() {
     let gates = sensing.road().gate_junctions();
 
     // The monitored region: the highway lanes only (junctions 0..n).
-    let region: HashSet<usize> = (0..n).collect();
+    let region: Vec<usize> = (0..n).collect();
 
     // One weaving vehicle: enters the highway, hops off at each interchange
     // onto the service road, and back on at the next one.
@@ -66,7 +64,7 @@ fn main() {
     assert!(steady.validate(sensing.road()));
 
     let tracked = ingest(&sensing, &[weaving, steady]);
-    let boundary = sensing.boundary_of(&region, None);
+    let (boundary, _) = sensing.boundary_walk(&region, None);
     let t_end = t + 10.0;
 
     // Naive counting: every boundary entry increments, exits ignored.

@@ -69,7 +69,7 @@ fn main() {
         sensing,
         stq::geom::Rect::centered(bb.center(), bb.width() * 0.4, bb.height() * 0.4),
     );
-    let boundary = sensing.boundary_of(&q.junctions, None);
+    let (boundary, _) = sensing.boundary_walk(q.junctions(), None);
 
     // Exact vs streaming-store vs private answers over the day.
     let private = PrivateCounts::new(

@@ -173,11 +173,11 @@ fn trait_object_compatibility() {
         for kind in
             [QueryKind::Snapshot(t0), QueryKind::Static(t0, t1), QueryKind::Transient(t0, t1)]
         {
-            let covered = g.resolve_lower(&q.junctions);
+            let covered = g.resolve(q.junctions(), Approximation::Lower);
             if covered.is_empty() {
                 continue;
             }
-            let b = s.sensing.boundary_of(&covered, Some(g.monitored()));
+            let (b, _) = s.sensing.boundary_walk(&covered, Some(g.monitored()));
             let v = stq::core::query::evaluate(src, &b, kind);
             assert!(v.is_finite());
         }

@@ -1,8 +1,6 @@
 //! End-to-end pipeline integration: city generation → workload → tracking →
 //! sampling → query answering, across every workspace crate.
 
-use std::collections::HashSet;
-
 use stq::core::prelude::*;
 use stq::sampling::{sample, SamplingMethod};
 
@@ -53,7 +51,7 @@ fn unsampled_graph_is_exact_for_all_query_kinds() {
     let sensing = &s.sensing;
     let g = SampledGraph::unsampled(sensing);
     for (q, t0, t1) in s.make_queries(15, 0.1, 1_500.0, 13) {
-        let inside = |j: usize| q.junctions.contains(&j);
+        let inside = |j: usize| q.contains(j);
         let snap = answer(
             sensing,
             &g,
@@ -136,11 +134,11 @@ fn network_simulator_agrees_with_query_engine() {
     let net = stq::net::Network::new(sensing.num_faces(), &links);
 
     let (q, t0, _) = s.make_queries(1, 0.2, 1_000.0, 31).remove(0);
-    let covered = g.resolve_lower(&q.junctions);
+    let covered = g.resolve(q.junctions(), Approximation::Lower);
     if covered.is_empty() {
         return;
     }
-    let boundary = sensing.boundary_of(&covered, Some(g.monitored()));
+    let (boundary, _) = sensing.boundary_walk(&covered, Some(g.monitored()));
     let perimeter = sensing.boundary_sensors(&boundary);
     assert!(!perimeter.is_empty());
 
@@ -182,11 +180,8 @@ fn map_matched_gps_reproduces_counts() {
     // central region (map matching loses entry walks, so allow slack).
     let tracked2 = ingest(sensing, &rematched);
     let (q, t0, _) = s.make_queries(1, 0.5, 1_000.0, 3).remove(0);
-    let orig: f64 = {
-        let region: HashSet<usize> = q.junctions.iter().copied().collect();
-        s.tracked.oracle.snapshot_count(&|j| region.contains(&j), t0) as f64
-    };
-    let b = sensing.boundary_of(&q.junctions, None);
+    let orig = s.tracked.oracle.snapshot_count(&|j| q.contains(j), t0) as f64;
+    let (b, _) = sensing.boundary_walk(q.junctions(), None);
     let matched = stq::forms::snapshot_count(&tracked2.store, &b, t0);
     assert!(
         (orig - matched).abs() <= (orig * 0.5).max(4.0),

@@ -39,9 +39,7 @@ fn sampled_graph_duality_invariants() {
         }
         // (2) Each component's boundary is fully monitored.
         for comp in g.components() {
-            let set: HashSet<usize> = comp.iter().copied().collect();
-            let b = s.sensing.boundary_of(&set, None);
-            for be in b {
+            for be in s.sensing.boundary_walk(comp, None).0 {
                 assert!(g.monitored()[be.edge]);
             }
         }

@@ -49,7 +49,7 @@ fn streamed_exact_store_equals_batch_everywhere() {
 
     // Arbitrary region snapshots match the batch store exactly.
     for (q, t0, _) in s.make_queries(10, 0.15, 500.0, 3) {
-        let b = s.sensing.boundary_of(&q.junctions, None);
+        let (b, _) = s.sensing.boundary_walk(q.junctions(), None);
         assert_eq!(snapshot_count(&store, &b, t0), snapshot_count(&s.tracked.store, &b, t0));
     }
 }
@@ -119,7 +119,7 @@ fn streaming_store_usable_through_count_source_trait() {
     }
     let src: &dyn CountSource = &store;
     let (q, t0, t1) = s.make_queries(1, 0.25, 800.0, 13).remove(0);
-    let b = s.sensing.boundary_of(&q.junctions, None);
+    let (b, _) = s.sensing.boundary_walk(q.junctions(), None);
     for kind in [QueryKind::Snapshot(t0), QueryKind::Transient(t0, t1)] {
         let v = stq::core::query::evaluate(src, &b, kind);
         assert!(v.is_finite());
