@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use stq_bench::SEEDS;
+use stq_bench::{runtime_scenario, sweep_args, write_sweep_json, SEEDS};
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_runtime::{
@@ -231,37 +231,12 @@ fn run_cell(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(SEEDS[0]);
+    let (quick, pinned) = sweep_args();
+    let seed = pinned.unwrap_or(SEEDS[0]);
     let (junctions, objects, regions, sat_rounds, cell_secs) =
         if quick { (150, 45, 16, 2, 1.0) } else { (300, 100, 32, 4, 2.0) };
 
-    let scenario = Scenario::build(ScenarioConfig {
-        junctions,
-        mix: WorkloadMix {
-            random_waypoint: objects / 3,
-            commuter: objects / 3,
-            transit: objects - 2 * (objects / 3),
-        },
-        seed,
-        ..Default::default()
-    });
-    let cands = scenario.sensing.sensor_candidates();
-    let ids = stq_sampling::sample(
-        stq_sampling::SamplingMethod::QuadTree,
-        &cands,
-        cands.len() / 4,
-        seed ^ 0x51,
-    );
-    let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
-    let sampled =
-        SampledGraph::from_sensors(&scenario.sensing, &faces, Connectivity::Triangulation);
+    let (scenario, sampled) = runtime_scenario(seed, junctions, objects);
     let w = workload(&scenario, &sampled, regions, seed);
     println!(
         "# overload_sweep — seed {seed}, {junctions} junctions, {} base specs, \
@@ -364,7 +339,5 @@ fn main() {
         controlled_goodput[2],
         controlled_goodput[3],
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_overload.json", &json).expect("write BENCH_overload.json");
-    println!("wrote results/BENCH_overload.json");
+    write_sweep_json(quick, "BENCH_overload.json", &json);
 }

@@ -1,10 +1,11 @@
 //! Sensor-failure sweep: kills a growing fraction of monitored sensors,
 //! runs the 1-form integrity audit + quarantine-and-repair pipeline, and
 //! checks that every served bracket still contains the oracle truth. Emits
-//! `results/BENCH_sensors.json` plus a human-readable table.
+//! `results/BENCH_sensors.json` (`target/quick/BENCH_sensors.json` under
+//! `--quick`) plus a human-readable table.
 //!
 //! ```sh
-//! cargo run --release -p stq-bench --bin sensor_failure_sweep [-- --quick]
+//! cargo run --release -p stq-bench --bin sensor_failure_sweep [-- --quick --seed N]
 //! ```
 //!
 //! Two experiments:
@@ -41,7 +42,7 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use stq_bench::SEEDS;
+use stq_bench::{runtime_scenario, sweep_args, write_sweep_json, SEEDS};
 use stq_core::prelude::*;
 use stq_forms::Evidence;
 use stq_net::{SensorFaultMix, SensorFaultPlan};
@@ -111,30 +112,6 @@ fn width_json(finite: usize, mean: f64) -> String {
     } else {
         format!("{mean:.3}")
     }
-}
-
-fn build(seed: u64, junctions: usize, objects: usize) -> (Scenario, SampledGraph) {
-    let scenario = Scenario::build(ScenarioConfig {
-        junctions,
-        mix: WorkloadMix {
-            random_waypoint: objects / 3,
-            commuter: objects / 3,
-            transit: objects - 2 * (objects / 3),
-        },
-        seed,
-        ..Default::default()
-    });
-    let cands = scenario.sensing.sensor_candidates();
-    let ids = stq_sampling::sample(
-        stq_sampling::SamplingMethod::QuadTree,
-        &cands,
-        cands.len() / 4,
-        seed ^ 0x51,
-    );
-    let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
-    let sampled =
-        SampledGraph::from_sensors(&scenario.sensing, &faces, Connectivity::Triangulation);
-    (scenario, sampled)
 }
 
 fn monitored_edges(g: &SampledGraph) -> Vec<usize> {
@@ -549,15 +526,9 @@ fn repair_cell(s: &Scenario, g: &SampledGraph, seed: u64) -> RepairOut {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let quick = argv.iter().any(|a| a == "--quick");
     // `--seed N` pins the whole pipeline to one seed (the CI chaos matrix
     // runs three of them); without it the standard bench seed set is used.
-    let pinned: Option<u64> = argv
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| argv.get(i + 1))
-        .map(|v| v.parse().expect("--seed takes an integer"));
+    let (quick, pinned) = sweep_args();
     let (junctions, objects, regions) = if quick { (150, 45, 8) } else { (300, 100, 18) };
     let seeds: Vec<u64> = match pinned {
         Some(s) => vec![s],
@@ -591,7 +562,7 @@ fn main() {
     let mut total_isolated_exact = 0usize;
 
     for &seed in &seeds {
-        let (scenario, sampled) = build(seed, junctions, objects);
+        let (scenario, sampled) = runtime_scenario(seed, junctions, objects);
         let queries = scenario.make_queries(regions, 0.06, 2_000.0, seed ^ 0x9E);
         for &frac in &fracs {
             let o = sweep_cell(&scenario, &sampled, frac, seed, &queries);
@@ -775,7 +746,5 @@ fn main() {
         json_cocktail,
         json_repair
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_sensors.json", &json).expect("write BENCH_sensors.json");
-    println!("wrote results/BENCH_sensors.json");
+    write_sweep_json(quick, "BENCH_sensors.json", &json);
 }

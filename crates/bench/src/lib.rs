@@ -154,6 +154,53 @@ pub fn paper_scenario(seed: u64) -> Scenario {
     })
 }
 
+/// The serving-runtime scenario of the two robustness sweeps: a city of
+/// `junctions` with `objects` split in thirds over the three mobility
+/// models, and a quarter of its sensor candidates deployed by QuadTree
+/// sampling, triangulated.
+pub fn runtime_scenario(seed: u64, junctions: usize, objects: usize) -> (Scenario, SampledGraph) {
+    let scenario = Scenario::build(ScenarioConfig {
+        junctions,
+        mix: WorkloadMix {
+            random_waypoint: objects / 3,
+            commuter: objects / 3,
+            transit: objects - 2 * (objects / 3),
+        },
+        seed,
+        ..Default::default()
+    });
+    let cands = scenario.sensing.sensor_candidates();
+    let ids = stq_sampling::sample(SamplingMethod::QuadTree, &cands, cands.len() / 4, seed ^ 0x51);
+    let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
+    let sampled =
+        SampledGraph::from_sensors(&scenario.sensing, &faces, Connectivity::Triangulation);
+    (scenario, sampled)
+}
+
+/// The two sweeps' command line: `--quick` selects the fast profile and
+/// `--seed N` pins the run to one seed (the CI matrix runs three).
+pub fn sweep_args() -> (bool, Option<u64>) {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let seed = args
+        .iter()
+        .position(|a| a == "--seed")
+        .and_then(|i| args.get(i + 1))
+        .map(|v| v.parse().expect("--seed takes an integer"));
+    (quick, seed)
+}
+
+/// Writes a sweep's JSON: a full run to the tracked `results/{name}`, a
+/// `--quick` run to the untracked `target/quick/{name}`, so a smoke run
+/// never overwrites the committed full-profile figures.
+pub fn write_sweep_json(quick: bool, name: &str, json: &str) {
+    let dir = if quick { "target/quick" } else { "results" };
+    std::fs::create_dir_all(dir).expect("create sweep output dir");
+    let path = format!("{dir}/{name}");
+    std::fs::write(&path, json).expect("write sweep JSON");
+    println!("wrote {path}");
+}
+
 /// A per-method evaluator: either a sampled graph or the baseline index.
 pub enum Evaluator {
     /// A sampled sensing graph queried through the framework.

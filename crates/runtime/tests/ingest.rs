@@ -9,7 +9,9 @@ use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use stq_core::prelude::*;
+use stq_core::query::evaluate;
 use stq_core::tracker::Crossing;
+use stq_forms::FormStore;
 use stq_runtime::{
     DurabilityConfig, DurabilityFaultPlan, IngestError, QuerySpec, RebalanceConfig, Runtime,
     RuntimeConfig, ShardHealth,
@@ -103,6 +105,12 @@ fn specs(f: &Fixture, n: usize, seed: u64) -> Vec<QuerySpec> {
             })
         })
         .collect()
+}
+
+/// The synchronous oracle over an explicitly maintained store.
+fn sync_value(f: &Fixture, oracle: &FormStore, spec: &QuerySpec) -> Option<f64> {
+    let plan = QueryPlan::compile(&f.scenario.sensing, &f.sampled, &spec.region, spec.approx);
+    (!plan.miss).then(|| evaluate(oracle, &plan.boundary, spec.kind))
 }
 
 #[test]
@@ -202,6 +210,15 @@ fn assert_batch_matches_sequential(
     }
     rt_bat.flush_ingest();
 
+    if durable {
+        // Every event reaches the WAL on both paths; only the batched one
+        // group-commits (one frame per per-shard lane).
+        for (rt, batched) in [(&rt_seq, false), (&rt_bat, true)] {
+            let m = rt.metrics().report();
+            assert_eq!(m.wal_appends, n_events as u64, "every event must reach the WAL: {m}");
+            assert_eq!(m.wal_group_commits > 0, batched, "only batched ingest group-commits: {m}");
+        }
+    }
     assert_eq!(rt_bat.shard_digests(), want_digests, "batch ingest must be bit-identical");
     let got_brackets = rt_bat.standing_brackets();
     assert_eq!(want_brackets.len(), got_brackets.len());
@@ -348,8 +365,8 @@ fn loadaware_map_migrates_and_answers_match_modulo() {
         "migration must hand shards back healthy"
     );
 
-    // The imbalance witness: the load-aware run spreads the routed events
-    // strictly more evenly than the static modulo assignment.
+    // The imbalance witness: the load-aware run's routed imbalance is at
+    // most half the static modulo assignment's (counts, so deterministic).
     let imbalance = |loads: &[u64]| {
         let max = *loads.iter().max().unwrap() as f64;
         let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
@@ -357,7 +374,10 @@ fn loadaware_map_migrates_and_answers_match_modulo() {
     };
     let im_mod = imbalance(&rt_mod.shard_loads());
     let im_bal = imbalance(&rt_bal.shard_loads());
-    assert!(im_bal < im_mod, "load-aware imbalance {im_bal:.3} must beat modulo {im_mod:.3}");
+    assert!(
+        im_bal <= 0.5 * im_mod,
+        "load-aware imbalance {im_bal:.3} must be at most half of modulo {im_mod:.3}"
+    );
 
     // Routing is invisible to answers: both serve the same values.
     let mut exact_seen = 0usize;
@@ -416,21 +436,55 @@ fn migration_then_crash_then_recover_keeps_digests() {
     rt_ref.shutdown();
     std::fs::remove_dir_all(&dir_ref).ok();
 
-    // Killed run: shard 0 (the initial hotspot) dies mid-stream, after the
-    // first migration has already moved edges away from it. The flush after
-    // every batch keeps recovery strictly ordered before the next ingest,
-    // so the migration schedule stays identical to the reference.
-    let dir = tmpdir("mig-kill");
-    let rt = mk(&dir, DurabilityFaultPlan::killing(0xbeef_cafe, &[(0, 900)]));
-    for chunk in &chunks {
-        rt.ingest_batch(chunk);
-        rt.flush_ingest();
+    // The oracle and query set every killed run is bracketed against.
+    let mut oracle = f.scenario.tracked.store.clone();
+    for c in &events {
+        oracle.record(c.edge, c.forward, c.time);
     }
-    assert_eq!(rt.shard_digests(), want, "digests must survive migration + crash + recovery");
-    let m = rt.metrics().report();
-    assert!(m.rebalances >= 1, "migration must have happened: {m}");
-    assert!(m.shard_respawns >= 1, "the kill must have fired: {m}");
-    assert!(rt.shard_health().iter().all(|h| *h == ShardHealth::Healthy), "all shards re-admitted");
-    rt.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
+    let queries = specs(f, 5, 31);
+
+    // Killed runs: shard 0 (the initial hotspot) dies mid-stream, after the
+    // first migration has already moved edges away from it, and shard 1
+    // dies at its 500th append — its modulo share of the stream is under
+    // 300 events, so that kill only fires on a shard the migrations moved
+    // hot edges *onto*. The flush after every batch keeps recovery strictly
+    // ordered before the next ingest, so the migration schedule stays
+    // identical to the reference. Each seed re-keys the torn-tail draws of
+    // both kills.
+    for seed in [11u64, 23, 37] {
+        eprintln!("fault seed {seed}");
+        let dir = tmpdir("mig-kill");
+        let rt = mk(&dir, DurabilityFaultPlan::killing(0xbeef_cafe ^ seed, &[(0, 900), (1, 500)]));
+        for chunk in &chunks {
+            rt.ingest_batch(chunk);
+            rt.flush_ingest();
+        }
+        assert_eq!(rt.shard_digests(), want, "digests must survive migration + crash + recovery");
+        let m = rt.metrics().report();
+        assert!(m.rebalances >= 1, "migration must have happened: {m}");
+        assert!(m.shard_respawns >= 2, "both kills must have fired: {m}");
+        assert!(
+            rt.shard_health().iter().all(|h| *h == ShardHealth::Healthy),
+            "all shards re-admitted"
+        );
+        // Migration and recovery are invisible to soundness.
+        let mut exact_seen = 0usize;
+        for spec in &queries {
+            let served = rt.query(spec.clone());
+            let Some(exact) = sync_value(f, &oracle, spec) else {
+                assert!(served.miss);
+                continue;
+            };
+            assert!(
+                !served.miss && served.lower <= exact + 1e-9 && exact <= served.upper + 1e-9,
+                "post-recovery bounds [{}, {}] must bracket oracle {exact}",
+                served.lower,
+                served.upper
+            );
+            exact_seen += usize::from(served.coverage == 1.0);
+        }
+        assert!(exact_seen > 0, "recovered shards must serve full-coverage answers");
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -74,13 +74,31 @@ fn runtime(f: &Fixture, cfg: RuntimeConfig) -> Runtime {
     Runtime::new(f.scenario.sensing.clone(), f.sampled.clone(), &f.scenario.tracked.store, cfg)
 }
 
-fn durable_cfg(dir: &std::path::Path, faults: DurabilityFaultPlan) -> Option<DurabilityConfig> {
-    Some(DurabilityConfig {
-        wal_dir: dir.to_path_buf(),
-        snapshot_every: 64,
-        sync_every: 16,
-        faults,
-    })
+fn durable_cfg(
+    dir: &std::path::Path,
+    snapshot_every: u64,
+    faults: DurabilityFaultPlan,
+) -> Option<DurabilityConfig> {
+    Some(DurabilityConfig { wal_dir: dir.to_path_buf(), snapshot_every, sync_every: 16, faults })
+}
+
+/// Torn-tail fault seeds: each re-keys how many unsynced WAL bytes survive
+/// a kill, so the cut lands on different suffixes (mid-record included).
+const FAULT_SEEDS: [u64; 3] = [11, 23, 37];
+
+/// Snapshot cadences that put several, one and zero rollovers per shard
+/// inside the killed streams below (200–300 events per shard): recovery
+/// from a fresh snapshot plus a short WAL, from one old snapshot plus a
+/// long WAL, and from the WAL alone.
+const SNAPSHOT_CADENCES: [u64; 3] = [64, 192, 1024];
+
+/// Every (cadence, seed) cell, each named on stderr as it starts so a
+/// failing assertion says which cell it belongs to.
+fn fault_cells() -> impl Iterator<Item = (u64, u64)> {
+    SNAPSHOT_CADENCES
+        .into_iter()
+        .flat_map(|every| FAULT_SEEDS.into_iter().map(move |seed| (every, seed)))
+        .inspect(|(every, seed)| eprintln!("snapshot_every {every}, fault seed {seed}"))
 }
 
 fn specs(f: &Fixture, n: usize, seed: u64) -> Vec<QuerySpec> {
@@ -133,15 +151,28 @@ fn kill_mid_ingest_recovers_byte_identical_state() {
     let want = rt_ref.shard_digests();
     rt_ref.shutdown();
 
+    for (snapshot_every, seed) in fault_cells() {
+        killed_run_matches(f, &events, ns, &want, snapshot_every, seed);
+    }
+}
+
+fn killed_run_matches(
+    f: &Fixture,
+    events: &[Crossing],
+    ns: usize,
+    want: &[u64],
+    snapshot_every: u64,
+    seed: u64,
+) {
     // Killed run: durability on, two scheduled kill -9s on shard 0 — one
     // mid-batch, one after a flush barrier so it provably fires live.
     let dir = tmpdir("kill");
-    let faults = DurabilityFaultPlan::killing(0xfeed_beef, &[(0, 50), (0, 220)]);
+    let faults = DurabilityFaultPlan::killing(0xfeed_beef ^ seed, &[(0, 50), (0, 220)]);
     let rt = runtime(
         f,
         RuntimeConfig {
             num_shards: ns,
-            durability: durable_cfg(&dir, faults),
+            durability: durable_cfg(&dir, snapshot_every, faults),
             ..RuntimeConfig::default()
         },
     );
@@ -172,7 +203,13 @@ fn kill_mid_ingest_recovers_byte_identical_state() {
     // keeps live ingests from exceeding it.
     assert!(report.ingested <= events.len() as u64);
     assert!(report.ingested + report.redo_replayed >= events.len() as u64);
-    assert!(report.snapshots_taken > 0, "stream is long enough to roll snapshots");
+    // A shard sees a third of the stream: snapshots roll exactly when the
+    // cadence fits inside that.
+    assert_eq!(
+        report.snapshots_taken > 0,
+        snapshot_every <= (events.len() / ns) as u64,
+        "snapshot rollovers: {report}"
+    );
     rt.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -190,7 +227,7 @@ fn clean_restart_from_disk_matches_memory() {
         f,
         RuntimeConfig {
             num_shards: 2,
-            durability: durable_cfg(&dir, DurabilityFaultPlan::none()),
+            durability: durable_cfg(&dir, 64, DurabilityFaultPlan::none()),
             ..RuntimeConfig::default()
         },
     );
@@ -220,17 +257,29 @@ fn post_recovery_answers_bracket_the_oracle() {
         oracle.record(c.edge, c.forward, c.time);
     }
 
+    for (snapshot_every, seed) in fault_cells() {
+        killed_run_brackets(f, &events, &oracle, snapshot_every, seed);
+    }
+}
+
+fn killed_run_brackets(
+    f: &Fixture,
+    events: &[Crossing],
+    oracle: &FormStore,
+    snapshot_every: u64,
+    seed: u64,
+) {
     let dir = tmpdir("bracket");
-    let faults = DurabilityFaultPlan::killing(0x0dd_cafe, &[(0, 40), (1, 70)]);
+    let faults = DurabilityFaultPlan::killing(0x0dd_cafe ^ seed, &[(0, 40), (1, 70)]);
     let rt = runtime(
         f,
         RuntimeConfig {
             num_shards: 3,
-            durability: durable_cfg(&dir, faults),
+            durability: durable_cfg(&dir, snapshot_every, faults),
             ..RuntimeConfig::default()
         },
     );
-    for &c in &events {
+    for &c in events {
         rt.ingest(c).expect("ingest");
     }
     rt.flush_ingest();
@@ -238,7 +287,7 @@ fn post_recovery_answers_bracket_the_oracle() {
     let mut exact_seen = 0usize;
     for spec in specs(f, 6, 71) {
         let served = rt.query(spec.clone());
-        let Some(exact) = sync_value(f, &oracle, &spec) else {
+        let Some(exact) = sync_value(f, oracle, &spec) else {
             assert!(served.miss);
             continue;
         };
