@@ -71,28 +71,6 @@ impl DegradedStrategy {
             DegradedStrategy::LearnedFallback => "learned",
         }
     }
-
-    /// Stable numeric code (trace rings store it compactly).
-    pub fn code(&self) -> u8 {
-        match self {
-            DegradedStrategy::None => 0,
-            DegradedStrategy::Demoted => 1,
-            DegradedStrategy::MultiFaceDetour => 2,
-            DegradedStrategy::Imputation => 3,
-            DegradedStrategy::LearnedFallback => 4,
-        }
-    }
-
-    /// Inverse of [`Self::code`].
-    pub fn from_code(code: u8) -> DegradedStrategy {
-        match code {
-            1 => DegradedStrategy::Demoted,
-            2 => DegradedStrategy::MultiFaceDetour,
-            3 => DegradedStrategy::Imputation,
-            4 => DegradedStrategy::LearnedFallback,
-            _ => DegradedStrategy::None,
-        }
-    }
 }
 
 /// Tuning for the degraded-mode escalation.
@@ -747,19 +725,6 @@ mod tests {
             assert_ne!(a.strategy, DegradedStrategy::Imputation);
             let truth = oracle_truth(&tracked, &q, kind);
             assert!(a.bracket.contains(truth));
-        }
-    }
-
-    #[test]
-    fn strategy_codes_round_trip() {
-        for s in [
-            DegradedStrategy::None,
-            DegradedStrategy::Demoted,
-            DegradedStrategy::MultiFaceDetour,
-            DegradedStrategy::Imputation,
-            DegradedStrategy::LearnedFallback,
-        ] {
-            assert_eq!(DegradedStrategy::from_code(s.code()), s);
         }
     }
 

@@ -15,13 +15,12 @@
 //!   learned or private stores.
 //! - **Cache** ([`QueryEngine`]): plans are memoized in a bounded LRU keyed
 //!   by a fingerprint of the region's junction set and resolution side.
-//!   Repeated and batched queries over the same region skip resolution and
-//!   the boundary walk entirely.
-//! - **Execute** ([`QueryPlan::execute`], [`QueryEngine::execute_batch`]):
-//!   fold the plan's boundary against a [`CountSource`]. The fold visits
-//!   edges in the plan's (deterministic) chain order, so results are
-//!   bit-identical to the scalar `evaluate` path; batches fan out across
-//!   worker threads, one plan per task.
+//!   Repeated queries over the same region skip resolution and the
+//!   boundary walk entirely.
+//! - **Execute** ([`QueryPlan::execute`]): fold the plan's boundary against
+//!   a [`CountSource`]. The fold visits edges in the plan's (deterministic)
+//!   chain order, so results are bit-identical to the scalar `evaluate`
+//!   path.
 //!
 //! ## Compilation hashes nothing
 //!
@@ -74,7 +73,7 @@
 //! the freshest resolution, not about correctness of bounds.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::query::{evaluate, Approximation, QueryKind, QueryOutcome, QueryRegion};
@@ -175,17 +174,6 @@ impl QueryPlan {
     /// Number of junction cells the plan's resolution covers.
     pub fn covered_cells(&self) -> usize {
         self.interior.len()
-    }
-
-    /// Estimated serving cost of this plan in abstract admission units:
-    /// the boundary edges a full-precision execution must collect (the
-    /// perimeter work of §4.9) plus one unit per shard the fan-out can
-    /// contact (the message overhead). Relative pricing for an admission
-    /// gate, not a latency prediction.
-    pub fn cost_units(&self, num_shards: usize) -> f64 {
-        let edges = self.boundary.len() as f64;
-        let fanout = (num_shards.max(1) as f64).min(edges.max(1.0));
-        edges + fanout
     }
 
     /// The boundary positions a precision-shedding stride keeps: every
@@ -367,49 +355,6 @@ impl QueryEngine {
             cached: self.lock().map.len(),
         }
     }
-
-    /// Executes a batch in parallel across plans (scoped worker threads,
-    /// work-stealing by index). Output order matches input order, and each
-    /// outcome is bit-identical to `batch[i].0.execute(store, batch[i].1)`
-    /// run alone: parallelism is across queries, never inside one fold.
-    pub fn execute_batch<S: CountSource + Sync + ?Sized>(
-        &self,
-        store: &S,
-        batch: &[(Arc<QueryPlan>, QueryKind)],
-    ) -> Vec<QueryOutcome> {
-        let n = batch.len();
-        let threads =
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(n.max(1));
-        if threads <= 1 {
-            return batch.iter().map(|(p, k)| p.execute(store, *k)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<QueryOutcome>> = vec![None; n];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let (plan, kind) = &batch[i];
-                            mine.push((i, plan.execute(store, *kind)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, out) in h.join().expect("batch worker panicked") {
-                    results[i] = Some(out);
-                }
-            }
-        });
-        results.into_iter().map(|o| o.expect("every index executed")).collect()
-    }
 }
 
 #[cfg(test)]
@@ -476,9 +421,6 @@ mod tests {
                     assert_eq!(be.edge, plan.boundary[idx].edge);
                 }
             }
-            // Coarser strides never cost more admission units than finer ones.
-            assert!(plan.cost_units(4) >= plan.boundary.len() as f64);
-            assert!(plan.cost_units(1) <= plan.cost_units(8));
         }
     }
 
@@ -533,24 +475,6 @@ mod tests {
         let (_, h2) = off.plan(&s.sensing, &g, q, Approximation::Lower);
         assert!(!h1 && !h2, "capacity 0 never caches");
         assert_eq!(off.stats().cached, 0);
-    }
-
-    #[test]
-    fn batch_matches_sequential_bitwise() {
-        let (s, g) = fixture();
-        let engine = QueryEngine::new(32);
-        let mut batch = Vec::new();
-        for (q, t0, t1) in s.make_queries(5, 0.12, 2_000.0, 11) {
-            let (plan, _) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
-            batch.push((Arc::clone(&plan), QueryKind::Snapshot(t0)));
-            batch.push((plan, QueryKind::Transient(t0, t1)));
-        }
-        let parallel = engine.execute_batch(&s.tracked.store, &batch);
-        for (i, (plan, kind)) in batch.iter().enumerate() {
-            let solo = plan.execute(&s.tracked.store, *kind);
-            assert_eq!(parallel[i].value.to_bits(), solo.value.to_bits());
-            assert_eq!(parallel[i].miss, solo.miss);
-        }
     }
 
     #[test]

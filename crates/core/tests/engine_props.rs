@@ -246,7 +246,8 @@ proptest! {
                     }
                 }
             }
-            let batched = engine.execute_batch(&s.tracked.store, &batch);
+            let batched: Vec<_> =
+                batch.iter().map(|(plan, kind)| plan.execute(&s.tracked.store, *kind)).collect();
             for (i, expect) in scalar.iter().enumerate() {
                 assert_outcomes_identical(&batched[i], expect, "batched vs scalar");
             }
@@ -410,7 +411,8 @@ fn engine_equivalence_suite() {
             if pass == 1 {
                 assert_eq!(hits, batch.len(), "warm pass must be all cache hits");
             }
-            let batched = engine.execute_batch(&s.tracked.store, &batch);
+            let batched: Vec<_> =
+                batch.iter().map(|(plan, kind)| plan.execute(&s.tracked.store, *kind)).collect();
             for (i, expect) in scalar.iter().enumerate() {
                 assert_outcomes_identical(&batched[i], expect, "suite: batched vs scalar");
             }

@@ -17,7 +17,7 @@
 //! - [`EnergyModel`] — per-message transmit/receive costs, so experiments
 //!   can report energy alongside message counts.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 pub mod chaos;
 pub mod durability;
@@ -143,28 +143,7 @@ impl Network {
     /// `gateway`) contacts every perimeter sensor along shortest routes from
     /// the gateway and aggregates centrally.
     pub fn server_aggregation(&self, gateway: usize, perimeter: &[usize]) -> CostReport {
-        self.server_aggregation_from(&self.bfs(gateway, None), gateway, perimeter)
-    }
-
-    /// [`Network::server_aggregation`] against a cached BFS tree — repeated
-    /// dispatches from the same gateway (the common case for a long-lived
-    /// query server) pay for the BFS once.
-    pub fn server_aggregation_cached(
-        &self,
-        cache: &mut BfsCache,
-        gateway: usize,
-        perimeter: &[usize],
-    ) -> CostReport {
-        let state = cache.state(self, gateway).clone();
-        self.server_aggregation_from(&state, gateway, perimeter)
-    }
-
-    fn server_aggregation_from(
-        &self,
-        state: &BfsState,
-        gateway: usize,
-        perimeter: &[usize],
-    ) -> CostReport {
+        let state = self.bfs(gateway, None);
         let mut report = CostReport::default();
         let mut contacted = std::collections::HashSet::new();
         for &p in perimeter {
@@ -279,40 +258,6 @@ pub struct BfsState {
     pub parents: Vec<usize>,
 }
 
-/// Memoized full-network BFS trees keyed by source sensor.
-///
-/// A long-lived query server dispatches many queries from the same gateway;
-/// the shortest-path tree from that gateway never changes while the topology
-/// is fixed, so it is computed once and reused. Only complete (non-early-exit)
-/// searches are cached — partial states would under-report reachability for a
-/// later query with a wider perimeter.
-#[derive(Debug, Default)]
-pub struct BfsCache {
-    states: HashMap<usize, BfsState>,
-}
-
-impl BfsCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The full BFS tree from `source`, computing it on first use.
-    pub fn state(&mut self, net: &Network, source: usize) -> &BfsState {
-        self.states.entry(source).or_insert_with(|| net.bfs(source, None))
-    }
-
-    /// Number of distinct sources cached.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,19 +357,6 @@ mod tests {
         // A source beyond the network reaches nothing instead of panicking.
         let n = path_net();
         assert!(n.hops_from(99).iter().all(|&h| h == usize::MAX));
-    }
-
-    #[test]
-    fn cached_aggregation_matches_uncached() {
-        let n = path_net();
-        let mut cache = BfsCache::new();
-        assert!(cache.is_empty());
-        for perimeter in [vec![2, 4], vec![5], vec![1, 3, 5]] {
-            let direct = n.server_aggregation(0, &perimeter);
-            let cached = n.server_aggregation_cached(&mut cache, 0, &perimeter);
-            assert_eq!(direct, cached);
-        }
-        assert_eq!(cache.len(), 1, "one gateway, one cached tree");
     }
 
     #[test]

@@ -178,7 +178,9 @@ metrics! {
         counter misses,
         /// Queries answered from partial shard data.
         counter degraded,
-        /// Gauge: boundary edges the integrity auditor quarantined at startup.
+        /// Gauge: edges flagged in the registry's quarantine column — by the
+        /// integrity auditor at startup, or by a recovery that lost a shard's
+        /// history; refreshed at every write of the column.
         gauge quarantined_edges,
         /// Degraded answers where plain demotion already resolved best.
         counter degraded_demoted,

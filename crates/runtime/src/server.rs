@@ -22,7 +22,7 @@
 //!               redo buffer, respawns, re-admits
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -251,8 +251,10 @@ impl Runtime {
         Self::with_quarantine(sensing, sampled, store, cfg, &[])
     }
 
-    /// Like [`Runtime::new`], but hands each shard the set of its edges the
-    /// integrity auditor quarantined. The shard keeps the (corrupted) forms
+    /// Like [`Runtime::new`], but starts with the edges the integrity
+    /// auditor quarantined flagged in the registry's quarantine column (the
+    /// one copy; flags are never cleared and follow their edge across
+    /// migrations and respawns). The owning shard keeps the (corrupted) forms
     /// yet refuses to serve them, so every answer touching a quarantined
     /// edge comes back with reduced coverage and widened bounds instead of
     /// silently folding bad data.
@@ -269,10 +271,6 @@ impl Runtime {
         let shared = Arc::new(Shared::new(store, &cfg, quarantined));
         let mut parts: Vec<HashMap<usize, TrackingForm>> =
             (0..ns).map(|_| HashMap::new()).collect();
-        let mut bad: Vec<HashSet<usize>> = (0..ns).map(|_| HashSet::new()).collect();
-        for &e in quarantined {
-            bad[shared.map.shard_of(e)].insert(e);
-        }
         for e in 0..store.num_edges() {
             parts[shared.map.shard_of(e)].insert(e, store.form(e).clone());
         }
@@ -290,7 +288,6 @@ impl Runtime {
             Arc::clone(&shared),
             &cfg,
             parts,
-            bad,
             receivers,
             to_shards.clone(),
             events_tx.clone(),

@@ -18,7 +18,7 @@
 //! panics deterministically. Both exits are reported to the supervisor
 //! (`crate::supervisor`), which recovers state and respawns.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,9 +91,6 @@ pub(crate) enum ShardMsg {
 #[derive(Default)]
 pub(crate) struct RetiredState {
     pub forms: HashMap<usize, TrackingForm>,
-    /// Edges the integrity auditor quarantined: this shard still holds their
-    /// (corrupted) forms but refuses to serve them.
-    pub quarantined: HashSet<usize>,
     pub durability: Option<ShardDurability>,
     /// Highest ingest sequence already folded into `forms` — the dedup
     /// floor: queued channel messages at or below it were already applied
@@ -349,15 +346,17 @@ impl ShardWorker {
             );
         }
         // Audit verdicts gate serving: quarantined edges are refused (their
-        // positions reported so the aggregator can widen soundly), healthy
-        // ones are computed inside a panic guard — a poisoned payload must
-        // surface as a failed response, not kill the worker and hang every
-        // later query routed to this shard.
+        // positions reported so the aggregator can widen soundly; the shard
+        // may still hold their corrupted forms), healthy ones are computed
+        // inside a panic guard — a poisoned payload must surface as a failed
+        // response, not kill the worker and hang every later query routed to
+        // this shard. The flags are the registry's column, the one copy.
+        let quarantined = self.shared.subs.quarantined();
         let mut refused = Vec::new();
         let mut moved: Vec<(usize, BoundaryEdge)> = Vec::new();
         let mut served: Vec<(usize, BoundaryEdge)> = Vec::new();
         for &(idx, be) in &req.edges {
-            if self.state.quarantined.contains(&be.edge) {
+            if quarantined.get(be.edge).is_some_and(|q| q.load(Ordering::Acquire)) {
                 refused.push(idx);
             } else if !self.state.forms.contains_key(&be.edge) {
                 // A shard-map migration moved the edge away while this

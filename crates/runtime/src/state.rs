@@ -50,7 +50,10 @@ pub(crate) struct Shared {
     /// survive into a pre-crash bracket. It also owns the per-edge lifetime
     /// crossing totals — the degradation bounds for silent shards — and
     /// bumps them inside its lock, so standing brackets and totals can
-    /// never observe each other half-updated. Boxed: its lock word and
+    /// never observe each other half-updated — and the per-edge quarantine
+    /// flags, shared out like the totals, set under the same lock and never
+    /// cleared: the shard workers refuse by them, the aggregator and the
+    /// standing fold widen by them. Boxed: its lock word and
     /// counters are written on every ingest and must not share a cache line
     /// with the pointers beside it here, which every thread reads.
     pub subs: Box<SubscriptionRegistry>,
@@ -64,7 +67,6 @@ impl Shared {
     pub(crate) fn new(store: &FormStore, cfg: &RuntimeConfig, quarantined: &[usize]) -> Self {
         let ns = cfg.num_shards;
         let metrics = Arc::new(Metrics::new());
-        metrics.quarantined_edges.store(quarantined.len() as u64, Ordering::Relaxed);
         // The registry derives the lifetime totals, the applied-count mirror
         // and the per-direction watermarks from the same store the shards
         // start on.
@@ -78,7 +80,7 @@ impl Shared {
         // fresh runtime is bit-identical with and without rebalancing, which
         // reuses the registry's lifetime totals as its crossing-rate feed.
         let map = ShardMap::new(ns, subs.totals(), cfg.rebalance.clone());
-        Shared {
+        let shared = Shared {
             lanes: (0..ns)
                 .map(|_| Mutex::new(IngestLane { next_seq: 0, buf: VecDeque::new() }))
                 .collect(),
@@ -94,7 +96,16 @@ impl Shared {
             engine,
             subs,
             map,
-        }
+        };
+        shared.refresh_quarantine_gauge();
+        shared
+    }
+
+    /// Sets the `quarantined_edges` gauge to what the registry's column
+    /// holds; called after every write of the column.
+    fn refresh_quarantine_gauge(&self) {
+        let flagged = self.subs.quarantined().iter().filter(|q| q.load(Ordering::Acquire)).count();
+        self.metrics.quarantined_edges.store(flagged as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn healthy(&self, shard: usize) -> bool {
@@ -118,13 +129,15 @@ impl Shared {
         });
     }
 
-    /// Starts a new subscription epoch (absorbing `extra_quarantine`),
+    /// Starts a new subscription epoch (absorbing `extra_quarantine` into
+    /// the registry's column — the one place the runtime extends quarantine),
     /// counts the re-snapshots and traces each one. Returns the new epoch.
     pub(crate) fn resnapshot_and_trace(
         &self,
         extra_quarantine: impl IntoIterator<Item = usize>,
     ) -> u64 {
         let updates = self.subs.advance_epoch(extra_quarantine);
+        self.refresh_quarantine_gauge();
         Metrics::add(&self.metrics.sub_resnapshots, updates.len() as u64);
         let epoch = self.subs.epoch();
         self.metrics.sub_epoch.store(epoch, Ordering::Relaxed);

@@ -27,12 +27,15 @@
 //! While a shard recovers its health slot reads `Recovering`; the
 //! aggregator skips it and answers with sound widened `[lower, upper]`
 //! brackets (a skipped edge contributes its lifetime worst case). If the
-//! composition ever *does* have a gap (mid-log damage plus a trimmed
-//! buffer), the supervisor quarantines the whole shard's edges — refusals
-//! widen bounds soundly — rather than serving silently wrong counts; the
-//! full audit → repair pipeline can then be run offline (`stq recover`).
+//! shard's history is ever *lost* — the disk is unreadable, or the
+//! composition has a gap (mid-log damage plus a trimmed buffer) — the
+//! supervisor flags every edge the shard map routes to the shard in the
+//! registry's quarantine column and respawns the worker empty: refusals
+//! widen bounds soundly, where a partial history would serve silently wrong
+//! counts. The flags belong to the edges and are never cleared; the full
+//! audit → repair pipeline can then be run offline (`stq recover`).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -104,16 +107,10 @@ pub(crate) struct Supervisor {
     /// recovery replays only redo events past it. Zero at startup; a
     /// migration refreshes the involved bases to the retirement cut.
     base_seq: Vec<u64>,
-    /// Audit quarantine per shard, re-imposed on every respawn.
-    quarantine: Vec<HashSet<usize>>,
     receivers: Vec<Receiver<ShardMsg>>,
     /// Senders to the shard channels, needed to post `Retire` during a
     /// migration.
     to_shards: Vec<Sender<ShardMsg>>,
-    /// Edges migrated *away* from each shard. Recovery's redo replay skips
-    /// these (the event's form now lives on another shard) while still
-    /// advancing the sequence floor, so replay stays gapless.
-    migrated_away: Vec<HashSet<usize>>,
     events_tx: Sender<SupervisorMsg>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -126,7 +123,6 @@ impl Supervisor {
         shared: Arc<Shared>,
         cfg: &RuntimeConfig,
         parts: Vec<HashMap<usize, TrackingForm>>,
-        quarantine: Vec<HashSet<usize>>,
         receivers: Vec<Receiver<ShardMsg>>,
         to_shards: Vec<Sender<ShardMsg>>,
         events_tx: Sender<SupervisorMsg>,
@@ -138,10 +134,8 @@ impl Supervisor {
             base: if durability.is_none() { Some(parts.clone()) } else { None },
             base_seq: vec![0; num_shards],
             durability,
-            quarantine,
             receivers,
             to_shards,
-            migrated_away: vec![HashSet::new(); num_shards],
             events_tx,
             handles: Vec::new(),
         };
@@ -157,8 +151,7 @@ impl Supervisor {
                 )
                 .expect("initialize shard durability")
             });
-            let quarantined = sup.quarantine[i].clone();
-            sup.respawn(i, RetiredState { forms, quarantined, durability, ..Default::default() });
+            sup.respawn(i, RetiredState { forms, durability, ..Default::default() });
         }
         sup
     }
@@ -200,80 +193,71 @@ impl Supervisor {
         // worker's dedup floor.
         let shared = Arc::clone(&self.shared);
         let lane = shared.lanes[shard].lock();
-        let mut extra_quarantine: HashSet<usize> = HashSet::new();
-        let (mut forms, mut last_seq, mut durability) = match &self.durability {
-            Some(cfg) => {
-                match recover_shard(&cfg.wal_dir, shard, cfg.snapshot_every, cfg.sync_every) {
-                    Ok(rec) => {
-                        Metrics::add(&self.shared.metrics.wal_replayed, rec.report.wal_records);
-                        (rec.forms, rec.report.recovered_seq, Some(rec.durability))
-                    }
-                    Err(_) => {
-                        // Disk is unreadable: serve nothing from this shard
-                        // (every edge refused → sound widened bounds) rather
-                        // than guessing at state.
-                        extra_quarantine.extend(lane.buf.iter().map(|&(_, c)| c.edge));
-                        (HashMap::new(), lane.next_seq, None)
-                    }
-                }
-            }
-            None => (
+        // What the recovery base yields: the forms, the sequence they reach
+        // and the handle to keep logging through — or nothing, when the disk
+        // is unreadable.
+        let recovered = match &self.durability {
+            Some(cfg) => recover_shard(&cfg.wal_dir, shard, cfg.snapshot_every, cfg.sync_every)
+                .ok()
+                .map(|rec| {
+                    Metrics::add(&self.shared.metrics.wal_replayed, rec.report.wal_records);
+                    (rec.forms, rec.report.recovered_seq, Some(rec.durability))
+                }),
+            None => Some((
                 self.base.as_ref().expect("base forms kept when durability is off")[shard].clone(),
                 self.base_seq[shard],
                 None,
-            ),
+            )),
+        };
+        // The redo buffer has to take over no later than where that prefix
+        // ends, or sequences in between are gone for good.
+        let redo_from = lane.buf.front().map_or(lane.next_seq + 1, |&(first, _)| first);
+        let (forms, durability, extra_quarantine) = match recovered {
+            Some((mut forms, floor, mut durability)) if redo_from <= floor + 1 => {
+                // Redo: everything in the retention buffer past the recovered
+                // prefix, re-appended and re-applied in sequence order.
+                let (mut last_seq, mut redone) = (floor, 0u64);
+                for &(seq, ref c) in lane.buf.iter().filter(|&&(seq, _)| seq > floor) {
+                    // A migration leaves no event of a moved edge to replay
+                    // on its old shard: durability-off it clears the redo
+                    // buffer at the cut, durability-on it snapshots, so the
+                    // recovered prefix ends at or after the cut.
+                    debug_assert_eq!(shared.map.shard_of(c.edge), shard, "redo of a moved edge");
+                    apply_crossing(&mut forms, c);
+                    if let Some(d) = durability.as_mut() {
+                        d.append(seq, c, &forms).expect("redo WAL append");
+                    }
+                    last_seq = seq;
+                    redone += 1;
+                }
+                Metrics::add(&self.shared.metrics.redo_replayed, redone);
+                if let Some(d) = durability.as_mut() {
+                    let durable = d.sync().expect("redo WAL sync");
+                    self.shared.durable_seq[shard].store(durable, Ordering::Release);
+                }
+                debug_assert_eq!(last_seq, lane.next_seq, "redo must reach the lane head");
+                (forms, durability, Vec::new())
+            }
+            // History lost: the disk gave nothing (the whole lane is gone),
+            // or mid-log damage left a gap the trimmed buffer cannot bridge.
+            // A partial history is worth nothing, so nothing is replayed and
+            // nothing logged any more: the worker resumes empty at the lane
+            // head and every edge the map routes to this shard is refused —
+            // refusals widen every answer's bounds soundly — until the
+            // offline audit → repair path has dealt with the damage.
+            history_lost => {
+                let lost =
+                    history_lost.map_or(lane.next_seq, |(_, floor, _)| redo_from - floor - 1);
+                Metrics::add(&self.shared.metrics.lost_events, lost);
+                let num_edges = shared.subs.totals().len();
+                let owned = (0..num_edges).filter(|&e| shared.map.shard_of(e) == shard).collect();
+                (HashMap::new(), None, owned)
+            }
         };
 
-        // Redo: everything in the retention buffer past the recovered
-        // prefix, re-appended and re-applied in sequence order.
-        if let Some(&(first, _)) = lane.buf.front() {
-            if first > last_seq + 1 {
-                // A gap the buffer cannot bridge (mid-log damage past the
-                // durable floor). Sound fallback: quarantine the shard —
-                // refusals widen every answer's bounds — and hand the gap to
-                // the offline audit → repair path.
-                Metrics::add(&self.shared.metrics.lost_events, first - last_seq - 1);
-                extra_quarantine.extend(forms.keys().copied());
-                extra_quarantine.extend(lane.buf.iter().map(|&(_, c)| c.edge));
-                durability = None;
-                last_seq = first - 1;
-            }
-        }
-        let mut redone = 0u64;
-        let floor = last_seq;
-        for &(seq, ref c) in lane.buf.iter().filter(|&&(seq, _)| seq > floor) {
-            if self.migrated_away[shard].contains(&c.edge) {
-                // The edge's form was migrated to another shard after this
-                // event was applied there; replaying it here would recreate
-                // a stale copy. Skip the apply but still advance the floor —
-                // the sequence stream stays gapless. (With durability on,
-                // the migration snapshot advanced the durable floor past
-                // every pre-migration event, so this only fires for the
-                // in-memory redo path.)
-                last_seq = seq;
-                continue;
-            }
-            apply_crossing(&mut forms, c);
-            if let Some(d) = durability.as_mut() {
-                d.append(seq, c, &forms).expect("redo WAL append");
-            }
-            last_seq = seq;
-            redone += 1;
-        }
-        Metrics::add(&self.shared.metrics.redo_replayed, redone);
-        if let Some(d) = durability.as_mut() {
-            let durable = d.sync().expect("redo WAL sync");
-            self.shared.durable_seq[shard].store(durable, Ordering::Release);
-        }
-        debug_assert_eq!(last_seq, lane.next_seq, "redo must reach the lane head");
-
-        // Persist any extra quarantine into the supervisor's own set: a
-        // *second* recovery of this shard must re-impose it, not forget it.
-        self.quarantine[shard].extend(extra_quarantine);
-        let quarantined = self.quarantine[shard].clone();
         // Recovery is the one runtime event that can change the serving
-        // topology (extra quarantine on unreadable disk or a redo gap), so
-        // cached plans are dropped wholesale and recompiled on demand.
+        // topology (a shard's edges quarantined on lost history), so cached
+        // plans are dropped wholesale and recompiled on demand.
         self.shared.engine.invalidate();
         Metrics::bump(&self.shared.metrics.plan_invalidations);
         // Advance the subscription epoch while the lane is still frozen and
@@ -283,7 +267,7 @@ impl Supervisor {
         // the crash is overwritten before any post-recovery delta can land
         // on top of it — the bump is atomic with the health flip below as
         // far as ingest can observe.
-        shared.resnapshot_and_trace(quarantined.iter().copied());
+        shared.resnapshot_and_trace(extra_quarantine);
         // Health and the respawn counters flip BEFORE the worker spawns
         // (still under the lane lock): everything the new worker
         // acknowledges — flush barriers, digests, query replies — then
@@ -293,8 +277,8 @@ impl Supervisor {
         self.shared.health[shard].store(HEALTHY, Ordering::Release);
         self.shared.metrics.recovering.fetch_sub(1, Ordering::Relaxed);
         Metrics::bump(&self.shared.metrics.shard_respawns);
-        let delivered = ev.delivered;
-        self.respawn(shard, RetiredState { forms, quarantined, durability, last_seq, delivered });
+        let (last_seq, delivered) = (lane.next_seq, ev.delivered);
+        self.respawn(shard, RetiredState { forms, durability, last_seq, delivered });
         drop(lane);
         self.shared.metrics.recovery_us.record(t0.elapsed().as_micros() as u64);
     }
@@ -336,9 +320,11 @@ impl Supervisor {
                 None => return self.abort_migration(retired),
             }
         }
-        // Move the edge forms (and their quarantine flags) between the
-        // retired states. A move whose edge the source no longer holds is
-        // dropped — the plan raced an earlier migration of the same edge.
+        // Move the edge forms between the retired states (a quarantine flag
+        // belongs to the edge, in the registry's column, and follows it
+        // without being carried). A move whose edge the source no longer
+        // holds is dropped — the plan raced an earlier migration of the same
+        // edge.
         let mut committed_moves: Vec<Migration> = Vec::with_capacity(moves.len());
         for &m in &moves {
             let Some(form) = retired.get_mut(&m.from).expect("retired").forms.remove(&m.edge)
@@ -346,14 +332,6 @@ impl Supervisor {
                 continue;
             };
             retired.get_mut(&m.to).expect("retired").forms.insert(m.edge, form);
-            if retired.get_mut(&m.from).expect("retired").quarantined.remove(&m.edge) {
-                retired.get_mut(&m.to).expect("retired").quarantined.insert(m.edge);
-            }
-            if self.quarantine[m.from].remove(&m.edge) {
-                self.quarantine[m.to].insert(m.edge);
-            }
-            self.migrated_away[m.from].insert(m.edge);
-            self.migrated_away[m.to].remove(&m.edge);
             committed_moves.push(m);
         }
         if committed_moves.is_empty() {

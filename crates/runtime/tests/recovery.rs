@@ -1,8 +1,10 @@
 //! Crash-recovery tests of the supervised runtime: a shard worker killed
 //! mid-ingest (kill -9 semantics, torn WAL tail included) must come back
 //! with **byte-identical** tracking-form state, queries against a
-//! recovering shard must keep returning sound brackets, and workers that
-//! panic repeatedly must escalate to the supervisor and heal.
+//! recovering shard must keep returning sound brackets, workers that
+//! panic repeatedly must escalate to the supervisor and heal, and a shard
+//! whose history is lost (unreadable snapshot, mid-log gap) must come back
+//! refusing every edge it owns instead of serving a truncated history.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,7 +13,7 @@ use std::time::Duration;
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_core::tracker::Crossing;
-use stq_forms::FormStore;
+use stq_forms::{BoundaryEdge, FormStore};
 use stq_runtime::{
     CrashWindow, DurabilityConfig, DurabilityFaultPlan, FaultPlan, QuerySpec, Runtime,
     RuntimeConfig, ShardHealth,
@@ -124,14 +126,18 @@ fn specs(f: &Fixture, n: usize, seed: u64) -> Vec<QuerySpec> {
         .collect()
 }
 
-/// The synchronous oracle over an explicitly maintained store.
-fn sync_value(f: &Fixture, oracle: &FormStore, spec: &QuerySpec) -> Option<f64> {
+/// The boundary chain the serving graph resolves `spec` to (`None`: a miss).
+fn boundary(f: &Fixture, spec: &QuerySpec) -> Option<Vec<BoundaryEdge>> {
     let covered = f.sampled.resolve(spec.region.junctions(), spec.approx);
     if covered.is_empty() {
         return None;
     }
-    let (boundary, _) = f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored()));
-    Some(evaluate(oracle, &boundary, spec.kind))
+    Some(f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored())).0)
+}
+
+/// The synchronous oracle over an explicitly maintained store.
+fn sync_value(f: &Fixture, oracle: &FormStore, spec: &QuerySpec) -> Option<f64> {
+    boundary(f, spec).map(|chain| evaluate(oracle, &chain, spec.kind))
 }
 
 #[test]
@@ -311,6 +317,148 @@ fn killed_run_brackets(
     assert!(rt.metrics().report().shard_respawns >= 1);
     rt.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard-0 worker dies at sequence `kill_at` of a two-shard durable run
+/// whose disk `damage` ruins first (called with the WAL root once the first
+/// `before_damage` events are flushed), so recovery finds its history lost.
+/// Whatever the cause, the outcome is one: every edge the map routes to
+/// shard 0 is flagged in the one quarantine column, so the shard refuses all
+/// of them and both folds — the aggregator's and the standing bracket's —
+/// widen by the same edges.
+fn lost_history_run(tag: &str, kill_at: u64, before_damage: usize, damage: fn(&std::path::Path)) {
+    let f = fixture();
+    let ne = f.scenario.sensing.num_edges();
+    let events = stream(ne, 4 * ne);
+    let t_end = 10_000.0 + events.len() as f64;
+    let mut oracle = f.scenario.tracked.store.clone();
+    for c in &events {
+        oracle.record(c.edge, c.forward, c.time);
+    }
+    // Never rebalanced, so the map is still the modulo assignment.
+    let owned_by_zero = (0..ne).filter(|e| e % 2 == 0).count() as u64;
+
+    for seed in FAULT_SEEDS {
+        eprintln!("{tag}: fault seed {seed}");
+        let dir = tmpdir(tag);
+        let faults = DurabilityFaultPlan::killing(0xdead_d15c ^ seed, &[(0, kill_at)]);
+        let rt = runtime(
+            f,
+            RuntimeConfig {
+                num_shards: 2,
+                durability: durable_cfg(&dir, 1024, faults),
+                ..RuntimeConfig::default()
+            },
+        );
+        // Registered before the kill: the recovery epoch must re-snapshot
+        // these onto the same refusals the shard then serves by.
+        let standing: Vec<_> = f
+            .scenario
+            .make_queries(6, 0.15, 1_500.0, seed)
+            .into_iter()
+            .filter_map(|(region, _, _)| {
+                let spec = QuerySpec::new(
+                    region.clone(),
+                    QueryKind::Snapshot(t_end),
+                    Approximation::Lower,
+                );
+                rt.subscribe(region, Approximation::Lower).ok().map(|h| (h, spec))
+            })
+            .collect();
+        assert!(!standing.is_empty(), "fixture must resolve some standing regions");
+
+        let (first, rest) = events.split_at(before_damage);
+        for &c in first {
+            rt.ingest(c).expect("ingest");
+        }
+        rt.flush_ingest();
+        damage(&dir);
+        for &c in rest {
+            rt.ingest(c).expect("ingest");
+        }
+        rt.flush_ingest();
+
+        let mut refused_seen = 0usize;
+        for spec in specs(f, 20, seed) {
+            let served = rt.query(spec.clone());
+            let Some(chain) = boundary(f, &spec) else {
+                assert!(served.miss);
+                continue;
+            };
+            let exact = evaluate(&oracle, &chain, spec.kind);
+            assert!(
+                served.lower <= exact + 1e-9 && exact <= served.upper + 1e-9,
+                "lost-history bounds [{}, {}] must bracket oracle {exact} (coverage {})",
+                served.lower,
+                served.upper,
+                served.coverage
+            );
+            if chain.iter().any(|be| be.edge % 2 == 0) {
+                refused_seen += 1;
+                assert!(
+                    served.degraded && served.coverage < 1.0,
+                    "an answer touching the lost shard cannot claim full coverage"
+                );
+            }
+        }
+        assert!(refused_seen > 0, "some query must touch shard 0");
+        for (h, spec) in &standing {
+            let b = rt.standing_bracket(h.id).expect("subscription is live");
+            let served = rt.query(spec.clone());
+            assert_eq!(
+                [b.value.to_bits(), b.lower.to_bits(), b.upper.to_bits()],
+                [served.value.to_bits(), served.lower.to_bits(), served.upper.to_bits()],
+                "standing [{}, {}] vs re-executed [{}, {}]: both folds read one column",
+                b.lower,
+                b.upper,
+                served.lower,
+                served.upper
+            );
+        }
+
+        let report = rt.metrics().report();
+        assert!(report.shard_respawns >= 1, "the scheduled kill must fire: {report}");
+        assert!(report.lost_events > 0, "the lost history must be accounted: {report}");
+        assert_eq!(report.quarantined_edges, owned_by_zero, "the gauge follows the column");
+        assert!(report.quarantine_refusals > 0);
+        assert!(rt.shard_health().iter().all(|h| *h == ShardHealth::Healthy));
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Flips every bit of the byte at `offset`, in place (the owning worker may
+/// hold the file open for appending; its length must not change).
+fn flip_byte(path: &std::path::Path, offset: u64) {
+    use std::io::{Read, Seek, SeekFrom, Write};
+    let mut file = std::fs::OpenOptions::new().read(true).write(true).open(path).unwrap();
+    let mut byte = [0u8];
+    file.seek(SeekFrom::Start(offset)).unwrap();
+    file.read_exact(&mut byte).unwrap();
+    file.seek(SeekFrom::Start(offset)).unwrap();
+    file.write_all(&[!byte[0]]).unwrap();
+    file.sync_all().unwrap();
+}
+
+#[test]
+fn unreadable_snapshot_quarantines_the_whole_shard() {
+    // The base snapshot is damaged right after startup, so `recover_shard`
+    // returns `InvalidData`: the disk gives nothing.
+    lost_history_run("unreadable", 20, 0, |dir| {
+        let snapshot = dir.join("shard-0").join("snapshot.bin");
+        flip_byte(&snapshot, std::fs::metadata(&snapshot).unwrap().len() / 2);
+    });
+}
+
+#[test]
+fn mid_log_gap_quarantines_the_whole_shard() {
+    // 80 events put 40 synced records in shard 0's WAL and trim its redo
+    // buffer to that durable floor; damaging record 3's payload then makes
+    // replay stop at record 2, far short of where the buffer resumes.
+    lost_history_run("gap", 60, 80, |dir| {
+        let record = stq_durability::wal::RECORD_LEN;
+        flip_byte(&dir.join("shard-0").join("wal.log"), 2 * record + 8 + 10);
+    });
 }
 
 #[test]

@@ -71,6 +71,17 @@
 //! one because re-snapshot overwrites the bracket wholesale. The serving
 //! runtime calls this under its ingest-lane lock, atomically with the
 //! shard-health flip.
+//!
+//! ## One quarantine column
+//!
+//! Which edges are quarantined is kept once: a per-edge flag vector the
+//! registry owns and shares out through
+//! [`SubscriptionRegistry::quarantined`], like the lifetime totals through
+//! [`SubscriptionRegistry::totals`]. Flags are set under the registry lock
+//! ([`SubscriptionRegistry::new`], [`SubscriptionRegistry::advance_epoch`])
+//! and **never cleared**. The runtime's shard workers read the same column
+//! lock-free to refuse an edge, so the aggregator's fold and the
+//! standing-bracket fold widen by one definition of "refused".
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -268,28 +279,12 @@ struct Mirror {
     /// the accept predicate is `time >= watermark`, the same comparison
     /// `apply_crossing` makes against the form's last timestamp.
     watermark: Vec<[f64; 2]>,
-    /// Per-edge flag: the integrity auditor (or a recovery fallback)
-    /// quarantined the edge, so its shard refuses to serve it and brackets
-    /// widen by totals.
-    quarantined: Vec<bool>,
     /// Certified intervals for quarantined edges: the fold intersects each
     /// with the lifetime worst case, so certificates only ever *tighten*
     /// the widening. Both intersection endpoints move in lockstep with the
     /// worst case under new events, which keeps the ±1 delta rule bitwise
     /// exact.
     certs: HashMap<usize, Certificate>,
-}
-
-impl Mirror {
-    /// Flags `edges` as quarantined. Ids past the edge space name no sensor
-    /// a plan could reference, so they are ignored.
-    fn quarantine(&mut self, edges: impl IntoIterator<Item = usize>) {
-        for e in edges {
-            if let Some(flag) = self.quarantined.get_mut(e) {
-                *flag = true;
-            }
-        }
-    }
 }
 
 struct Inner {
@@ -342,6 +337,12 @@ pub struct SubscriptionRegistry {
     /// every ingested event (late or not) *inside* the registry lock, and
     /// shared with the serving runtime, whose degradation bounds read them.
     totals: Arc<Vec<[AtomicU64; 2]>>,
+    /// Per-edge quarantine flag, the only copy there is: the integrity
+    /// auditor (or a recovery that lost a shard's history) quarantined the
+    /// edge, so its shard refuses to serve it and brackets widen by totals.
+    /// Set only while `inner` is locked, never cleared, and shared with the
+    /// serving runtime, whose shard workers read it lock-free.
+    quarantined: Arc<Vec<AtomicBool>>,
     inner: Mutex<Inner>,
     deltas_applied: AtomicU64,
     resnapshots: AtomicU64,
@@ -376,16 +377,16 @@ impl SubscriptionRegistry {
                 form.timestamps(false).last().copied().unwrap_or(f64::NEG_INFINITY),
             ]);
         }
-        let mut mirror =
-            Mirror { counts, watermark, quarantined: vec![false; n], certs: HashMap::new() };
-        mirror.quarantine(quarantined);
+        let flags: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        flag_quarantined(&flags, quarantined);
         SubscriptionRegistry {
             engine,
             totals: Arc::new(totals),
+            quarantined: Arc::new(flags),
             inner: Mutex::new(Inner {
                 epoch: 0,
                 next_id: 0,
-                mirror,
+                mirror: Mirror { counts, watermark, certs: HashMap::new() },
                 routes: vec![Vec::new(); n],
                 slab: Vec::new(),
                 free: Vec::new(),
@@ -404,6 +405,13 @@ impl SubscriptionRegistry {
     /// worst-case degradation bounds). Bumped only by [`Self::on_ingest`].
     pub fn totals(&self) -> &Arc<Vec<[AtomicU64; 2]>> {
         &self.totals
+    }
+
+    /// The shared per-edge quarantine flags (the runtime's shard workers
+    /// read these to refuse an edge). Set only by [`Self::new`] and
+    /// [`Self::advance_epoch`], never cleared; load with `Acquire`.
+    pub fn quarantined(&self) -> &Arc<Vec<AtomicBool>> {
+        &self.quarantined
     }
 
     /// Registers a standing region: compiles (or cache-loads) its plan,
@@ -432,7 +440,7 @@ impl SubscriptionRegistry {
         inner.next_id += 1;
         let sub = Subscription {
             id,
-            bracket: fold_bracket(&plan, &inner.mirror, &self.totals),
+            bracket: fold_bracket(&plan, &inner.mirror, &self.totals, &self.quarantined),
             epoch: inner.epoch,
             deltas: 0,
             plan,
@@ -516,7 +524,7 @@ impl SubscriptionRegistry {
         } else {
             self.late_ignored.fetch_add(1, Ordering::Relaxed);
         }
-        let quarantined = inner.mirror.quarantined[c.edge];
+        let quarantined = self.quarantined[c.edge].load(Ordering::Acquire);
         // A late event on a trusted edge changes nothing a re-execution
         // would see; on a quarantined edge the totals still grew, so the
         // widening below must happen regardless.
@@ -590,13 +598,13 @@ impl SubscriptionRegistry {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         inner.epoch += 1;
-        inner.mirror.quarantine(extra_quarantine);
+        flag_quarantined(&self.quarantined, extra_quarantine);
         let epoch = inner.epoch;
         let mut out = Vec::with_capacity(inner.by_id.len());
         let mut dead: Vec<u64> = Vec::new();
         for &slot in inner.by_id.values() {
             let Some(sub) = inner.slab[slot].as_mut() else { continue };
-            sub.bracket = fold_bracket(&sub.plan, &inner.mirror, &self.totals);
+            sub.bracket = fold_bracket(&sub.plan, &inner.mirror, &self.totals, &self.quarantined);
             (sub.epoch, sub.deltas) = (epoch, 0);
             let update = sub.update(UpdateCause::Resnapshot);
             if let Some(tx) = &sub.push {
@@ -667,7 +675,7 @@ impl SubscriptionRegistry {
             return false;
         }
         let mut inner = self.inner.lock();
-        if !inner.mirror.quarantined[edge] {
+        if !self.quarantined[edge].load(Ordering::Acquire) {
             return false;
         }
         let base = [
@@ -676,11 +684,6 @@ impl SubscriptionRegistry {
         ];
         inner.mirror.certs.insert(edge, Certificate { lo, hi, base });
         true
-    }
-
-    /// How many quarantined edges currently carry a certified interval.
-    pub fn certified_edges(&self) -> usize {
-        self.inner.lock().mirror.certs.len()
     }
 
     /// The current bracket of one subscription.
@@ -723,18 +726,36 @@ impl SubscriptionRegistry {
     }
 }
 
+/// Sets the flags of `edges` in the quarantine column; the caller holds the
+/// registry lock (or is still building the registry). Ids past the edge
+/// space name no sensor a plan could reference, so they are ignored.
+/// `Release` pairs with the `Acquire` load of every reader: a shard worker
+/// that sees a flag refuses the edge from then on.
+fn flag_quarantined(column: &[AtomicBool], edges: impl IntoIterator<Item = usize>) {
+    for e in edges {
+        if let Some(flag) = column.get(e) {
+            flag.store(true, Ordering::Release);
+        }
+    }
+}
+
 /// The baseline fold: net live occupancy along the plan's boundary, in plan
 /// order — term-for-term the [`Bracket`] fold the serving runtime's
 /// aggregator performs for a snapshot query at a time past every ingested
 /// event. Trusted edges report their net inward count; quarantined edges are
 /// unknown up to their lifetime totals, intersected with a certificate when
 /// one is installed.
-fn fold_bracket(plan: &QueryPlan, mirror: &Mirror, totals: &[[AtomicU64; 2]]) -> Bracket {
+fn fold_bracket(
+    plan: &QueryPlan,
+    mirror: &Mirror,
+    totals: &[[AtomicU64; 2]],
+    quarantined: &[AtomicBool],
+) -> Bracket {
     let mut bracket = Bracket::default();
     for be in &plan.boundary {
         // `(forward, backward)` → `(entries, exits)` across this edge.
         let orient = |fwd: f64, bwd: f64| if be.inward_forward { (fwd, bwd) } else { (bwd, fwd) };
-        if !mirror.quarantined[be.edge] {
+        if !quarantined[be.edge].load(Ordering::Acquire) {
             let [fwd, bwd] = mirror.counts[be.edge];
             let (entries, exits) = orient(fwd as f64, bwd as f64);
             bracket.add_exact(entries - exits);
