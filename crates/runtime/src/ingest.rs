@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! ingest / ingest_batch ─▶ check_event ─▶ registry (totals + standing deltas)
-//!                          ─▶ lane lock: trim → stamp → redo-push
+//!                          ─▶ lane lock: trim → stamp (→ redo-push when durable)
 //!                                        → record_route → send
 //! ```
 
@@ -68,10 +68,10 @@ pub struct IngestReport {
 
 impl Runtime {
     /// Streams one boundary-crossing event into the owning shard. The event
-    /// is sequence-stamped, retained in the redo buffer until the shard
-    /// acknowledges durability, and folded into the shard's forms (and WAL)
-    /// by the worker. The per-edge lifetime totals grow *before* the shard
-    /// applies the event, so degradation bounds for silent shards stay
+    /// is sequence-stamped, retained in a durable lane's redo buffer until
+    /// the shard acknowledges durability, and folded into the shard's forms
+    /// (and WAL) by the worker. The per-edge lifetime totals grow *before* the
+    /// shard applies the event, so degradation bounds for silent shards stay
     /// sound at every instant — and the subscription registry applies the
     /// event's bracket deltas in the same step (the event-driven push path:
     /// standing answers are fresh the moment `ingest` returns, without any
@@ -237,8 +237,8 @@ enum Payload {
 
 /// Puts `payload` on `shard`'s lane. The caller holds the lane lock and has
 /// checked, under it, that the map still routes every event here; the lock
-/// covers the trim, sequence assignment, redo push AND the channel send, so
-/// sequences arrive at the worker in order.
+/// covers the trim, sequence assignment, redo push (durable lanes only) AND
+/// the channel send, so sequences arrive at the worker in order.
 fn enqueue(st: &ServerState, shard: usize, lane: &mut IngestLane, payload: Payload) {
     let durable = st.shared.durable_seq[shard].load(Ordering::Acquire);
     while lane.buf.front().is_some_and(|&(s, _)| s <= durable) {
@@ -247,7 +247,9 @@ fn enqueue(st: &ServerState, shard: usize, lane: &mut IngestLane, payload: Paylo
     let first_seq = lane.next_seq + 1;
     let mut stamp = |c: Crossing| {
         lane.next_seq += 1;
-        lane.buf.push_back((lane.next_seq, c));
+        if st.cfg.durability.is_some() {
+            lane.buf.push_back((lane.next_seq, c));
+        }
     };
     let msg = match payload {
         Payload::One(event) => {
@@ -278,5 +280,68 @@ fn send_one(st: &ServerState, c: Crossing) {
             return enqueue(st, shard, &mut lane, Payload::One(c));
         }
         // Migrated between the read and the lock; re-route.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use stq_core::prelude::*;
+
+    use super::*;
+    use crate::server::{DurabilityConfig, RuntimeConfig};
+
+    #[test]
+    fn lane_retains_only_what_a_kill_could_need() {
+        let scenario = Scenario::build(ScenarioConfig {
+            junctions: 120,
+            mix: WorkloadMix { random_waypoint: 8, commuter: 4, transit: 2 },
+            seed: 29,
+            ..Default::default()
+        });
+        // Nothing is queried, so which sensors are deployed does not matter.
+        let sampled = SampledGraph::unsampled(&scenario.sensing);
+        let ne = scenario.sensing.num_edges();
+        let event = |i: usize| Crossing {
+            time: 10_000.0 + i as f64 * 0.25,
+            edge: i % ne,
+            forward: i % 3 != 0,
+        };
+        let events: Vec<Crossing> = (0..4096).map(event).collect();
+        let dir = std::env::temp_dir().join(format!("stq-rt-lane-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let durable = DurabilityConfig { sync_every: 16, ..DurabilityConfig::new(&dir) };
+        for durability in [None, Some(durable)] {
+            let cfg = RuntimeConfig { num_shards: 3, durability, ..RuntimeConfig::default() };
+            let rt = Runtime::new(
+                scenario.sensing.clone(),
+                sampled.clone(),
+                &scenario.tracked.store,
+                cfg,
+            );
+            for batch in events.chunks(256) {
+                assert_eq!(rt.ingest_batch(batch).accepted, batch.len());
+            }
+            rt.flush_ingest();
+            let st = rt.st();
+            let stamped: u64 = st.shared.lanes.iter().map(|lane| lane.lock().next_seq).sum();
+            assert_eq!(stamped, 4096);
+            let durable = st.cfg.durability.is_some();
+            if durable {
+                // The flush synced everything; each lane's next enqueue
+                // trims it down to the one event past that floor.
+                for shard in 0..st.shared.lanes.len() {
+                    rt.ingest(Crossing { edge: shard, ..event(4096) }).expect("ingest");
+                }
+            }
+            for (lane, floor) in st.shared.lanes.iter().zip(&st.shared.durable_seq) {
+                let (lane, floor) = (lane.lock(), floor.load(Ordering::Acquire));
+                // Nothing can kill a memory-only worker, so nothing is kept
+                // to rebuild one; a durable lane keeps what is not yet synced.
+                assert_eq!(lane.buf.is_empty(), !durable, "retained {}", lane.buf.len());
+                assert!(lane.buf.iter().all(|&(seq, _)| seq > floor), "untrimmed below {floor}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -23,11 +23,11 @@
 //!   with an honest `coverage` fraction instead of failing.
 //! - **Durability and supervision** — with a [`DurabilityConfig`], each
 //!   shard write-ahead-logs ingested crossings and periodically installs
-//!   compact snapshots; a supervisor thread watches for workers that die
-//!   (scheduled kill -9 with torn WAL tails) or escalate after consecutive
-//!   panicked requests, replays snapshot + WAL + the server's redo buffer to
-//!   a **byte-identical** state, and re-admits the shard. While a shard
-//!   recovers, queries skip it and keep returning sound widened brackets.
+//!   compact snapshots; a supervisor thread re-admits workers that die
+//!   (scheduled kill -9 with torn WAL tails: rebuilt from snapshot + WAL +
+//!   redo buffer to a **byte-identical** state) or escalate after consecutive
+//!   panicked requests (handing their state over). While a shard recovers,
+//!   queries skip it and keep returning sound widened brackets.
 //! - **Standing subscriptions** — [`Runtime::subscribe`] registers a region
 //!   once (compiled through the shared plan engine) and from then on every
 //!   ingested crossing on the region's boundary moves the subscription's

@@ -18,8 +18,8 @@
 //! ingest() ─▶ per-shard lane (seq + redo buffer) ─▶ shard worker
 //!                                                    ├─ apply to forms
 //!                                                    └─ WAL append/snapshot
-//! supervisor ◀─ worker exits (kill / escalation); replays snapshot + WAL +
-//!               redo buffer, respawns, re-admits
+//! supervisor ◀─ worker exits: an escalation hands its state over, a kill is
+//!               rebuilt from snapshot + WAL + redo buffer; respawns, re-admits
 //! ```
 
 use std::collections::HashMap;
@@ -100,8 +100,8 @@ pub struct RuntimeConfig {
     /// Consecutive panicked requests before a worker escalates to the
     /// supervisor instead of serving on (0 disables escalation).
     pub panic_threshold: u32,
-    /// WAL + snapshot persistence; `None` keeps state memory-only (the
-    /// redo buffer then retains every ingested event for exact respawns).
+    /// WAL + snapshot persistence; `None` keeps state memory-only (no
+    /// worker can then be killed, so the ingest lanes retain nothing).
     pub durability: Option<DurabilityConfig>,
     /// Capacity of the dispatchers' shared query-plan cache (0 disables
     /// caching: every query re-resolves its region and re-walks the

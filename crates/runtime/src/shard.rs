@@ -16,7 +16,8 @@
 //! the worker *escalate* — mark itself unhealthy and exit — instead of
 //! letting every future query burn its retry budget against a sensor that
 //! panics deterministically. Both exits are reported to the supervisor
-//! (`crate::supervisor`), which recovers state and respawns.
+//! (`crate::supervisor`), which respawns the shard: over the state an
+//! escalating worker hands it, or over one rebuilt after a kill.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -48,8 +49,8 @@ pub enum ShardHealth {
     /// The worker escalated or died; the supervisor has not yet picked the
     /// shard up. Queries skip it (degraded answers, sound bounds).
     Unhealthy,
-    /// The supervisor is replaying snapshot + WAL; queries skip the shard
-    /// until it is re-admitted.
+    /// The supervisor is re-admitting the shard (after a kill: replaying
+    /// snapshot + WAL); queries skip it until then.
     Recovering,
 }
 
@@ -86,8 +87,8 @@ pub(crate) enum ShardMsg {
 }
 
 /// Everything a worker owns: what the supervisor seeds it with at startup
-/// and on every respawn, and what a retiring worker hands back so the
-/// supervisor can move edge forms between shards.
+/// and on every respawn, and what a worker that chooses to exit hands back —
+/// retiring (its edge forms may move to other shards) or escalating.
 #[derive(Default)]
 pub(crate) struct RetiredState {
     pub forms: HashMap<usize, TrackingForm>,
@@ -151,10 +152,10 @@ pub(crate) enum WorkerExit {
     /// Every sender is gone: runtime shutdown. Not reported upward.
     Shutdown,
     /// `panic_threshold` consecutive requests panicked: the worker marked
-    /// the shard unhealthy and handed itself to the supervisor.
+    /// the shard unhealthy and handed its whole state to the supervisor.
     Escalated,
     /// A scheduled durability fault killed the process mid-ingest (the WAL
-    /// tail was cut per the fault plan).
+    /// tail was cut per the fault plan) and its memory is gone with it.
     Killed,
     /// The worker handed its state to the supervisor for a shard-map
     /// migration. Not reported upward — the supervisor already holds the
@@ -172,27 +173,27 @@ pub(crate) struct ShardWorker {
 
 impl ShardWorker {
     /// Serves messages until shutdown, escalation, or a scheduled kill.
-    /// Returns the exit reason and the fault-plan clock to carry over.
-    pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) -> (WorkerExit, u64) {
+    /// Returns the exit reason and the state the worker still holds.
+    pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) -> (WorkerExit, RetiredState) {
         while let Ok(msg) = rx.recv() {
             match msg {
                 ShardMsg::Query(req) => {
                     if self.handle(req) {
                         self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
                         Metrics::bump(&self.shared.metrics.escalations);
-                        return (WorkerExit::Escalated, self.state.delivered);
+                        return (WorkerExit::Escalated, self.state);
                     }
                 }
                 ShardMsg::Ingest { seq, event } => {
                     if self.ingest(seq, &event) {
                         self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        return (WorkerExit::Killed, self.state.delivered);
+                        return (WorkerExit::Killed, self.state);
                     }
                 }
                 ShardMsg::IngestBatch { first_seq, lane } => {
                     if self.ingest_batch(first_seq, &lane) {
                         self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        return (WorkerExit::Killed, self.state.delivered);
+                        return (WorkerExit::Killed, self.state);
                     }
                 }
                 ShardMsg::Flush(reply) => {
@@ -202,9 +203,8 @@ impl ShardWorker {
                     let _ = reply.send((self.id, state_digest(&self.state.forms)));
                 }
                 ShardMsg::Retire(reply) => {
-                    let delivered = self.state.delivered;
                     match reply.send(std::mem::take(&mut self.state)) {
-                        Ok(()) => return (WorkerExit::Retired, delivered),
+                        Ok(()) => return (WorkerExit::Retired, self.state),
                         // The supervisor gave up on the migration (its
                         // receiver is gone): put the state back and keep
                         // serving as if the Retire never arrived.
@@ -213,7 +213,7 @@ impl ShardWorker {
                 }
             }
         }
-        (WorkerExit::Shutdown, self.state.delivered)
+        (WorkerExit::Shutdown, self.state)
     }
 
     /// Folds event `seq` into the forms — unless it already is: a
@@ -263,6 +263,8 @@ impl ShardWorker {
         let d = self.state.durability.take().expect("durability present");
         let surviving = self.shared.dfaults.surviving_tail_bytes(self.id, seq, d.unsynced_bytes());
         let _ = d.kill_cut(surviving);
+        // kill -9: memory is gone; only the fault plan's clock is reported.
+        self.state = RetiredState { delivered: self.state.delivered, ..Default::default() };
         true
     }
 
@@ -301,9 +303,8 @@ impl ShardWorker {
     }
 
     /// Syncs the WAL (publishing the durable floor) and reports the highest
-    /// applied sequence. Without durability the floor is *not* advanced: the
-    /// server's redo buffer is then the only recovery source and must keep
-    /// every event.
+    /// applied sequence. Without durability there is no floor to publish and
+    /// no redo buffer waiting on one: a memory-only lane retains nothing.
     fn flush(&mut self) -> u64 {
         if let Some(d) = self.state.durability.as_mut() {
             let durable = d.sync().expect("WAL sync");

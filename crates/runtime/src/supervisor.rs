@@ -1,28 +1,33 @@
 //! The shard supervisor: spawns workers, watches for abnormal exits
-//! (scheduled kills, escalations), recovers their state, and respawns them.
+//! (scheduled kills, escalations), and respawns them — over the state they
+//! handed back or, after a kill, over a rebuilt one.
 //!
 //! ## Recovery contract
 //!
-//! A worker's in-memory forms die with it. The supervisor rebuilds them from
+//! An **escalating** worker chose to exit, so nothing it held is lost: it
+//! hands its whole state over with the exit report (forms, the open WAL
+//! handle with its unsynced tail, dedup floor, fault clock) and the shard
+//! respawns over exactly that, durable or not — a migration's `Retire`
+//! hand-over, initiated by the worker. Nothing is replayed or re-logged.
+//!
+//! A **killed** worker's in-memory forms die with it (a simulated kill -9;
+//! only a durable shard can be killed). The supervisor rebuilds them from
 //! two sources that together always cover the full ingest stream:
 //!
 //! 1. **Durable state** — snapshot + WAL replay via
-//!    [`stq_durability::recover_shard`] (when durability is configured).
-//!    This restores every event up to some prefix of the stream; a torn WAL
-//!    tail only shortens the prefix.
-//! 2. **The redo buffer** — the server retains every ingested event whose
-//!    durability the shard has not yet acknowledged (`durable_seq`). Events
-//!    past the recovered prefix are re-appended to the WAL and re-applied
-//!    here, in sequence order, through the same
+//!    [`stq_durability::recover_shard`]. This restores every event up to
+//!    some prefix of the stream; a torn WAL tail only shortens the prefix.
+//! 2. **The redo buffer** — a durable lane retains every ingested event
+//!    whose durability the shard has not yet acknowledged (`durable_seq`).
+//!    Events past the recovered prefix are re-appended to the WAL and
+//!    re-applied here, in sequence order, through the same
 //!    [`apply_crossing`](stq_durability::apply_crossing) rule the live path
 //!    uses.
 //!
 //! The recovered prefix never ends before `durable_seq` (synced bytes
 //! survive any crash) and the redo buffer starts no later than
 //! `durable_seq + 1`, so the composition is gapless: the respawned worker's
-//! state is **byte-identical** to an uninterrupted run. Without durability
-//! the buffer is simply never trimmed and recovery replays it in full on top
-//! of the startup forms — same argument, all in memory.
+//! state is **byte-identical** to an uninterrupted run.
 //!
 //! While a shard recovers its health slot reads `Recovering`; the
 //! aggregator skips it and answers with sound widened `[lower, upper]`
@@ -57,17 +62,19 @@ use crate::state::Shared;
 pub(crate) struct IngestLane {
     /// Highest sequence number handed out.
     pub next_seq: u64,
-    /// Events not yet acknowledged durable, oldest first. Trimmed against
-    /// the shard's `durable_seq`; without durability it retains everything.
+    /// Events past the durable floor (what a kill could lose), oldest
+    /// first, trimmed against the shard's `durable_seq`. Always empty without
+    /// durability: the lane is then a sequence counter.
     pub buf: VecDeque<(u64, Crossing)>,
 }
 
-/// What a dying worker reports upward.
+/// What an exiting worker reports upward.
 pub(crate) struct WorkerEvent {
     pub shard: usize,
     pub exit: WorkerExit,
-    /// Fault-plan clock at death, carried into the next incarnation.
-    pub delivered: u64,
+    /// What [`ShardWorker::run`] returned with: everything after an
+    /// escalation, only the fault-plan clock (`delivered`) after a kill.
+    pub state: RetiredState,
 }
 
 /// Messages the supervisor thread consumes.
@@ -100,19 +107,14 @@ pub(crate) struct Supervisor {
     /// physically moved).
     shared: Arc<Shared>,
     durability: Option<DurabilityConfig>,
-    /// Startup forms per shard — the recovery base when durability is off
-    /// (`None` when durability is on: disk is the base then).
-    base: Option<Vec<HashMap<usize, TrackingForm>>>,
-    /// Ingest sequence each durability-off recovery base was captured at:
-    /// recovery replays only redo events past it. Zero at startup; a
-    /// migration refreshes the involved bases to the retirement cut.
-    base_seq: Vec<u64>,
     receivers: Vec<Receiver<ShardMsg>>,
     /// Senders to the shard channels, needed to post `Retire` during a
     /// migration.
     to_shards: Vec<Sender<ShardMsg>>,
     events_tx: Sender<SupervisorMsg>,
-    handles: Vec<JoinHandle<()>>,
+    /// Each shard's current incarnation; a respawn joins the one it
+    /// replaces, so no exited thread's stack stays mapped behind a handle.
+    handles: Vec<Option<JoinHandle<()>>>,
 }
 
 impl Supervisor {
@@ -127,17 +129,13 @@ impl Supervisor {
         to_shards: Vec<Sender<ShardMsg>>,
         events_tx: Sender<SupervisorMsg>,
     ) -> Self {
-        let durability = cfg.durability.clone();
-        let num_shards = receivers.len();
         let mut sup = Supervisor {
             shared,
-            base: if durability.is_none() { Some(parts.clone()) } else { None },
-            base_seq: vec![0; num_shards],
-            durability,
+            durability: cfg.durability.clone(),
+            handles: receivers.iter().map(|_| None).collect(),
             receivers,
             to_shards,
             events_tx,
-            handles: Vec::new(),
         };
         for (i, forms) in parts.into_iter().enumerate() {
             let durability = sup.durability.as_ref().map(|cfg| {
@@ -157,8 +155,8 @@ impl Supervisor {
     }
 
     /// The supervision loop: recover-and-respawn on every abnormal worker
-    /// exit until the runtime signals shutdown, then join every worker
-    /// thread ever spawned.
+    /// exit until the runtime signals shutdown, then join every shard's
+    /// last incarnation (`respawn` joined the earlier ones).
     pub(crate) fn run(mut self, events_rx: Receiver<SupervisorMsg>) {
         while let Ok(msg) = events_rx.recv() {
             match msg {
@@ -175,84 +173,30 @@ impl Supervisor {
         // disconnect — by shutdown time the runtime has already dropped the
         // dispatcher-side senders.
         self.to_shards.clear();
-        for h in self.handles.drain(..) {
+        for h in self.handles.drain(..).flatten() {
             let _ = h.join();
         }
     }
 
     fn recover(&mut self, ev: WorkerEvent) {
-        debug_assert_ne!(ev.exit, WorkerExit::Shutdown, "shutdown exits are not reported");
-        let shard = ev.shard;
+        let WorkerEvent { shard, exit, state } = ev;
+        debug_assert_ne!(exit, WorkerExit::Shutdown, "shutdown exits are not reported");
         let t0 = Instant::now();
         self.shared.health[shard].store(RECOVERING, Ordering::Release);
         self.shared.metrics.recovering.fetch_add(1, Ordering::Relaxed);
 
-        // The lane lock freezes the redo buffer and the sequence counter for
-        // the duration of the replay; concurrent `ingest` calls block, so
-        // nothing can slip between the replayed prefix and the respawned
-        // worker's dedup floor.
+        // The lane lock freezes the redo buffer and the sequence counter
+        // until the next incarnation is spawned; concurrent `ingest` calls
+        // block, so nothing can slip between a replayed prefix and the
+        // respawned worker's dedup floor.
         let shared = Arc::clone(&self.shared);
         let lane = shared.lanes[shard].lock();
-        // What the recovery base yields: the forms, the sequence they reach
-        // and the handle to keep logging through — or nothing, when the disk
-        // is unreadable.
-        let recovered = match &self.durability {
-            Some(cfg) => recover_shard(&cfg.wal_dir, shard, cfg.snapshot_every, cfg.sync_every)
-                .ok()
-                .map(|rec| {
-                    Metrics::add(&self.shared.metrics.wal_replayed, rec.report.wal_records);
-                    (rec.forms, rec.report.recovered_seq, Some(rec.durability))
-                }),
-            None => Some((
-                self.base.as_ref().expect("base forms kept when durability is off")[shard].clone(),
-                self.base_seq[shard],
-                None,
-            )),
-        };
-        // The redo buffer has to take over no later than where that prefix
-        // ends, or sequences in between are gone for good.
-        let redo_from = lane.buf.front().map_or(lane.next_seq + 1, |&(first, _)| first);
-        let (forms, durability, extra_quarantine) = match recovered {
-            Some((mut forms, floor, mut durability)) if redo_from <= floor + 1 => {
-                // Redo: everything in the retention buffer past the recovered
-                // prefix, re-appended and re-applied in sequence order.
-                let (mut last_seq, mut redone) = (floor, 0u64);
-                for &(seq, ref c) in lane.buf.iter().filter(|&&(seq, _)| seq > floor) {
-                    // A migration leaves no event of a moved edge to replay
-                    // on its old shard: durability-off it clears the redo
-                    // buffer at the cut, durability-on it snapshots, so the
-                    // recovered prefix ends at or after the cut.
-                    debug_assert_eq!(shared.map.shard_of(c.edge), shard, "redo of a moved edge");
-                    apply_crossing(&mut forms, c);
-                    if let Some(d) = durability.as_mut() {
-                        d.append(seq, c, &forms).expect("redo WAL append");
-                    }
-                    last_seq = seq;
-                    redone += 1;
-                }
-                Metrics::add(&self.shared.metrics.redo_replayed, redone);
-                if let Some(d) = durability.as_mut() {
-                    let durable = d.sync().expect("redo WAL sync");
-                    self.shared.durable_seq[shard].store(durable, Ordering::Release);
-                }
-                debug_assert_eq!(last_seq, lane.next_seq, "redo must reach the lane head");
-                (forms, durability, Vec::new())
-            }
-            // History lost: the disk gave nothing (the whole lane is gone),
-            // or mid-log damage left a gap the trimmed buffer cannot bridge.
-            // A partial history is worth nothing, so nothing is replayed and
-            // nothing logged any more: the worker resumes empty at the lane
-            // head and every edge the map routes to this shard is refused —
-            // refusals widen every answer's bounds soundly — until the
-            // offline audit → repair path has dealt with the damage.
-            history_lost => {
-                let lost =
-                    history_lost.map_or(lane.next_seq, |(_, floor, _)| redo_from - floor - 1);
-                Metrics::add(&self.shared.metrics.lost_events, lost);
-                let num_edges = shared.subs.totals().len();
-                let owned = (0..num_edges).filter(|&e| shared.map.shard_of(e) == shard).collect();
-                (HashMap::new(), None, owned)
-            }
+        let (state, extra_quarantine) = match exit {
+            // The worker chose to exit and handed over everything it held;
+            // ingests queued past that state's own `last_seq` are the next
+            // incarnation's to apply, in order. Only a kill loses memory.
+            WorkerExit::Escalated => (state, Vec::new()),
+            _ => self.rebuild(shard, &lane, state.delivered),
         };
 
         // Recovery is the one runtime event that can change the serving
@@ -263,7 +207,7 @@ impl Supervisor {
         // Advance the subscription epoch while the lane is still frozen and
         // the shard still reads Recovering: every standing bracket is
         // re-snapshot from the registry's mirror (which the lane lock keeps
-        // in lock-step with the redo replay above), so a delta that raced
+        // in lock-step with a kill's redo replay), so a delta that raced
         // the crash is overwritten before any post-recovery delta can land
         // on top of it — the bump is atomic with the health flip below as
         // far as ingest can observe.
@@ -277,10 +221,65 @@ impl Supervisor {
         self.shared.health[shard].store(HEALTHY, Ordering::Release);
         self.shared.metrics.recovering.fetch_sub(1, Ordering::Relaxed);
         Metrics::bump(&self.shared.metrics.shard_respawns);
-        let (last_seq, delivered) = (lane.next_seq, ev.delivered);
-        self.respawn(shard, RetiredState { forms, durability, last_seq, delivered });
+        self.respawn(shard, state);
         drop(lane);
         self.shared.metrics.recovery_us.record(t0.elapsed().as_micros() as u64);
+    }
+
+    /// A killed shard's state rebuilt up to the head of its frozen lane —
+    /// disk, then the redo tail — and the edges to quarantine if that fails.
+    fn rebuild(&self, shard: usize, lane: &IngestLane, clock: u64) -> (RetiredState, Vec<usize>) {
+        let shared = &self.shared;
+        // What the disk yields: the forms, the sequence they reach and the
+        // handle to keep logging through — or nothing, when it is unreadable
+        // (or absent: nothing kills a memory-only worker, so that is sound).
+        let recovered = self.durability.as_ref().and_then(|cfg| {
+            let rec =
+                recover_shard(&cfg.wal_dir, shard, cfg.snapshot_every, cfg.sync_every).ok()?;
+            Metrics::add(&shared.metrics.wal_replayed, rec.report.wal_records);
+            Some((rec.forms, rec.report.recovered_seq, rec.durability))
+        });
+        // The redo buffer has to take over no later than where that prefix
+        // ends, or sequences in between are gone for good.
+        let redo_from = lane.buf.front().map_or(lane.next_seq + 1, |&(first, _)| first);
+        let (forms, durability, lost_edges) = match recovered {
+            Some((mut forms, floor, mut durability)) if redo_from <= floor + 1 => {
+                // Redo: everything in the retention buffer past the recovered
+                // prefix, re-appended and re-applied in sequence order.
+                let (mut last_seq, mut redone) = (floor, 0u64);
+                for &(seq, ref c) in lane.buf.iter().filter(|&&(seq, _)| seq > floor) {
+                    // A migration leaves no event of a moved edge to replay
+                    // on its old shard: it snapshots at the cut, so the
+                    // recovered prefix ends at or after it.
+                    debug_assert_eq!(shared.map.shard_of(c.edge), shard, "redo of a moved edge");
+                    apply_crossing(&mut forms, c);
+                    durability.append(seq, c, &forms).expect("redo WAL append");
+                    last_seq = seq;
+                    redone += 1;
+                }
+                Metrics::add(&shared.metrics.redo_replayed, redone);
+                let durable = durability.sync().expect("redo WAL sync");
+                shared.durable_seq[shard].store(durable, Ordering::Release);
+                debug_assert_eq!(last_seq, lane.next_seq, "redo must reach the lane head");
+                (forms, Some(durability), Vec::new())
+            }
+            // History lost: the disk gave nothing (the whole lane is gone),
+            // or mid-log damage left a gap the trimmed buffer cannot bridge.
+            // A partial history is worth nothing, so nothing is replayed and
+            // nothing logged any more: the worker resumes empty at the lane
+            // head and every edge the map routes to this shard is refused —
+            // refusals widen every answer's bounds soundly — until the
+            // offline audit → repair path has dealt with the damage.
+            history_lost => {
+                let lost =
+                    history_lost.map_or(lane.next_seq, |(_, floor, _)| redo_from - floor - 1);
+                Metrics::add(&shared.metrics.lost_events, lost);
+                let num_edges = shared.subs.totals().len();
+                let owned = (0..num_edges).filter(|&e| shared.map.shard_of(e) == shard).collect();
+                (HashMap::new(), None, owned)
+            }
+        };
+        (RetiredState { forms, durability, last_seq: lane.next_seq, delivered: clock }, lost_edges)
     }
 
     /// Executes one shard-map migration end to end. Runs on the supervisor
@@ -299,7 +298,7 @@ impl Supervisor {
             return self.abort_migration(HashMap::new());
         }
         let shared = Arc::clone(&self.shared);
-        let mut guards: Vec<_> = involved.iter().map(|&s| shared.lanes[s].lock()).collect();
+        let guards: Vec<_> = involved.iter().map(|&s| shared.lanes[s].lock()).collect();
         // Retire every involved worker. The shard channel is FIFO, so the
         // reply proves every ingest sent before the lanes froze has been
         // applied — Retire doubles as the quiesce barrier, no separate
@@ -337,23 +336,16 @@ impl Supervisor {
         if committed_moves.is_empty() {
             return self.abort_migration(retired);
         }
-        // Persist the cut. Durability-on shards re-snapshot (advancing the
-        // durable floor past every pre-migration event, so no migrated-away
-        // record can ever be WAL-replayed on its old shard); durability-off
-        // shards refresh the recovery base to the retirement cut and drop
-        // the now-covered redo buffer.
-        for (i, &s) in involved.iter().enumerate() {
+        // Persist the cut: durable shards re-snapshot, advancing the durable
+        // floor past every pre-migration event, so no migrated-away record
+        // can ever be WAL-replayed on its old shard.
+        for &s in &involved {
             let st = retired.get_mut(&s).expect("retired");
             if let Some(d) = st.durability.as_mut() {
                 d.snapshot_now(&st.forms).expect("migration snapshot");
                 let durable = d.sync().expect("migration WAL sync");
                 self.shared.durable_seq[s].store(durable, Ordering::Release);
                 Metrics::bump(&self.shared.metrics.snapshots_taken);
-            }
-            if let Some(base) = self.base.as_mut() {
-                base[s] = st.forms.clone();
-                self.base_seq[s] = st.last_seq;
-                guards[i].buf.clear();
             }
         }
         // Commit: the new assignment, the plan-cache drop, and the standing
@@ -388,7 +380,8 @@ impl Supervisor {
         MigrationOutcome { committed: false, edges_moved: 0 }
     }
 
-    /// Spawns shard `shard`'s next incarnation over `state`.
+    /// Spawns shard `shard`'s next incarnation over `state` and joins the one
+    /// it replaces (its exit report or `Retire` reply is out: it is returning).
     fn respawn(&mut self, shard: usize, state: RetiredState) {
         let worker = ShardWorker {
             id: shard,
@@ -401,13 +394,14 @@ impl Supervisor {
         let handle = std::thread::Builder::new()
             .name(format!("stq-shard-{shard}"))
             .spawn(move || {
-                let (exit, delivered) = worker.run(rx);
+                let (exit, state) = worker.run(rx);
                 if exit != WorkerExit::Shutdown && exit != WorkerExit::Retired {
-                    let _ =
-                        events.send(SupervisorMsg::Worker(WorkerEvent { shard, exit, delivered }));
+                    let _ = events.send(SupervisorMsg::Worker(WorkerEvent { shard, exit, state }));
                 }
             })
             .expect("spawn shard worker");
-        self.handles.push(handle);
+        if let Some(previous) = self.handles[shard].replace(handle) {
+            let _ = previous.join();
+        }
     }
 }

@@ -522,6 +522,96 @@ fn repeated_panics_escalate_then_heal() {
 }
 
 #[test]
+fn escalation_after_ingest_hands_state_back() {
+    // The fault window of `repeated_panics_escalate_then_heal`, but on a
+    // shard that has ingested: each of the three escalations lands at a
+    // different lane head, with more of the stream still to come. An
+    // escalating worker chose to exit, so its state moves to the next
+    // incarnation as it is — with or without a disk, nothing is rebuilt.
+    let f = fixture();
+    let ne = f.scenario.sensing.num_edges();
+    let events = stream(ne, 900);
+    let ns = 2;
+
+    let rt_ref = runtime(f, RuntimeConfig { num_shards: ns, ..RuntimeConfig::default() });
+    rt_ref.ingest_batch(&events);
+    rt_ref.flush_ingest();
+    let want = rt_ref.shard_digests();
+    rt_ref.shutdown();
+
+    let all: Vec<QuerySpec> = specs(f, 8, 91)
+        .into_iter()
+        .filter(|s| sync_value(f, &f.scenario.tracked.store, s).is_some())
+        .collect();
+    for durable in [false, true] {
+        eprintln!("durability {durable}");
+        let dir = tmpdir("escalate");
+        let none = DurabilityFaultPlan::none();
+        let rt = runtime(
+            f,
+            RuntimeConfig {
+                num_shards: ns,
+                dispatchers: 1,
+                shard_timeout: Duration::from_millis(50),
+                max_retries: 1,
+                fault: FaultPlan::none().with_poison_window(CrashWindow {
+                    node: 0,
+                    after_messages: 0,
+                    lasts_messages: 6,
+                }),
+                panic_threshold: 2,
+                durability: if durable { durable_cfg(&dir, 192, none) } else { None },
+                ..RuntimeConfig::default()
+            },
+        );
+        // The oracle advances with the stream: a query sent after an ingest
+        // call returned queues behind those events on every shard it asks.
+        let mut oracle = f.scenario.tracked.store.clone();
+        let mut asked = all.iter().cycle();
+        let (first, rest) = events.split_at(500);
+        for chunk in std::iter::once(first).chain(rest.chunks(50)) {
+            assert_eq!(rt.ingest_batch(chunk).accepted, chunk.len());
+            for c in chunk {
+                oracle.record(c.edge, c.forward, c.time);
+            }
+            for spec in asked.by_ref().take(2) {
+                let served = rt.query(spec.clone());
+                let exact = sync_value(f, &oracle, spec).unwrap();
+                assert!(
+                    served.lower <= exact + 1e-9 && exact <= served.upper + 1e-9,
+                    "[{}, {}] must bracket {exact} while shard 0 escalates",
+                    served.lower,
+                    served.upper
+                );
+            }
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !rt.shard_health().iter().all(|h| *h == ShardHealth::Healthy) {
+            assert!(std::time::Instant::now() < deadline, "recovery must finish promptly");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(rt.flush_ingest().iter().sum::<u64>(), events.len() as u64);
+        assert_eq!(rt.shard_digests(), want, "handed-over state must be byte-identical");
+        for spec in &all {
+            let served = rt.query(spec.clone());
+            assert_eq!(served.coverage, 1.0, "the fault window is over: healed shards serve");
+            assert_eq!(served.value.to_bits(), sync_value(f, &oracle, spec).unwrap().to_bits());
+        }
+
+        let report = rt.metrics().report();
+        assert!(report.escalations >= 1, "consecutive panics must escalate: {report}");
+        assert!(report.shard_respawns >= 1, "escalated worker must be respawned");
+        assert_eq!(
+            (report.redo_replayed, report.wal_replayed),
+            (0, 0),
+            "an escalation rebuilds nothing: {report}"
+        );
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn queries_during_recovery_stay_sound_and_fast() {
     // A permanently-poisoned shard 0 with escalation enabled cycles through
     // unhealthy → recovering → healthy → poisoned again. Queries issued
@@ -558,5 +648,45 @@ fn queries_during_recovery_stay_sound_and_fast() {
     let report = rt.metrics().report();
     assert!(report.escalations >= 1);
     assert!(report.shard_respawns >= 1);
+    rt.shutdown();
+}
+
+/// This process's mapped address space in KiB (`VmSize`).
+#[cfg(target_os = "linux")]
+fn vm_size_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("VmSize:")).expect("VmSize line");
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn respawns_do_not_pile_up_thread_stacks() {
+    // The permanently-poisoned runtime above, driven long enough to respawn
+    // a thousand times. An exited thread keeps its stack (2 MiB) mapped
+    // until somebody joins it, so the supervisor has to join each
+    // incarnation it replaces instead of collecting handles until shutdown.
+    let f = fixture();
+    let cfg = RuntimeConfig {
+        num_shards: 2,
+        dispatchers: 2,
+        shard_timeout: Duration::from_secs(2),
+        max_retries: 1,
+        fault: FaultPlan::none().with_poison(1.0),
+        panic_threshold: 1,
+        ..RuntimeConfig::default()
+    };
+    let rt = runtime(f, cfg);
+    let all = specs(f, 5, 103);
+    let before = vm_size_kib();
+    for spec in all.iter().cycle().take(2_000) {
+        let served = rt.query(spec.clone());
+        assert!(served.miss || served.degraded, "poisoned shards cannot produce exact answers");
+    }
+    let grown = vm_size_kib().saturating_sub(before);
+    let respawns = rt.metrics().report().shard_respawns;
+    assert!(respawns >= 1_000, "only {respawns} respawns");
+    assert!(grown < 1024 * respawns, "{grown} KiB more mapped after {respawns} respawns");
+    eprintln!("{grown} KiB more mapped after {respawns} respawns");
     rt.shutdown();
 }
