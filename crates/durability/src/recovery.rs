@@ -13,23 +13,22 @@
 //! only *widen* a query's `[lower, upper]` bracket via the degradation
 //! bounds, never narrow it past the truth.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use stq_core::tracker::Crossing;
-use stq_forms::TrackingForm;
+use stq_forms::ShardForms;
 
 use crate::snapshot::{load_snapshot, state_digest};
 use crate::wal::{replay_wal, ShardDurability};
 
-/// Applies one crossing to an edge → form map, skipping (and reporting
+/// Applies one crossing to a shard's forms, skipping (and reporting
 /// `false` for) an event whose timestamp would violate the per-direction
 /// monotonicity invariant. Live ingest and recovery replay share this
 /// function, so the rebuilt state is byte-identical to the uninterrupted one
 /// *by construction* — both sides make the same accept/reject decision for
 /// every event in sequence order.
-pub fn apply_crossing(forms: &mut HashMap<usize, TrackingForm>, c: &Crossing) -> bool {
-    let form = forms.entry(c.edge).or_insert_with(|| TrackingForm::from_sequences(vec![], vec![]));
+pub fn apply_crossing(forms: &mut ShardForms, c: &Crossing) -> bool {
+    let form = forms.get_mut_or_insert(c.edge);
     if form.timestamps(c.forward).last().is_some_and(|&last| c.time < last) {
         return false;
     }
@@ -60,8 +59,8 @@ pub struct RecoveryReport {
 /// A recovered shard: rebuilt state plus a resumable durability handle.
 #[derive(Debug)]
 pub struct RecoveredShard {
-    /// Edge → tracking form, byte-identical to the durable prefix.
-    pub forms: HashMap<usize, TrackingForm>,
+    /// The shard's forms, byte-identical to the durable prefix.
+    pub forms: ShardForms,
     /// Durability handle resumed at the recovered sequence (WAL truncated to
     /// its valid prefix).
     pub durability: ShardDurability,
@@ -95,7 +94,7 @@ pub fn recover_shard(
     let snap = load_snapshot(&dir)?;
     let (mut forms, snapshot_seq) = match &snap {
         Some(s) => (s.restore(), s.covered_seq),
-        None => (HashMap::new(), 0),
+        None => (ShardForms::default(), 0),
     };
     let replay = replay_wal(&dir.join("wal.log"), snapshot_seq)?;
     for (_seq, c) in &replay.events {
@@ -147,16 +146,13 @@ mod tests {
         n: u64,
         snapshot_every: u64,
         sync_every: u64,
-    ) -> (HashMap<usize, TrackingForm>, ShardDurability) {
-        let mut forms: HashMap<usize, TrackingForm> = HashMap::new();
+    ) -> (ShardForms, ShardDurability) {
+        let mut forms = ShardForms::default();
         let mut d =
             ShardDurability::initialize(root, 0, &forms, 0, snapshot_every, sync_every).unwrap();
         for seq in 1..=n {
             let c = ev(seq);
-            forms
-                .entry(c.edge)
-                .or_insert_with(|| TrackingForm::from_sequences(vec![], vec![]))
-                .record(c.forward, c.time);
+            forms.get_mut_or_insert(c.edge).record(c.forward, c.time);
             d.append(seq, &c, &forms).unwrap();
         }
         (forms, d)
@@ -207,10 +203,7 @@ mod tests {
         let next = rec.report.recovered_seq + 1;
         for seq in next..next + 20 {
             let c = ev(seq);
-            rec.forms
-                .entry(c.edge)
-                .or_insert_with(|| TrackingForm::from_sequences(vec![], vec![]))
-                .record(c.forward, c.time);
+            rec.forms.get_mut_or_insert(c.edge).record(c.forward, c.time);
             rec.durability.append(seq, &c, &rec.forms).unwrap();
         }
         rec.durability.sync().unwrap();

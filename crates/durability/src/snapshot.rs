@@ -19,12 +19,12 @@
 //! state byte-for-byte, which is what lets recovery tests assert digest
 //! equality against an uninterrupted run.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use stq_forms::TrackingForm;
+use stq_forms::{ShardForms, TrackingForm};
 
 use crate::crc::crc32;
 
@@ -43,27 +43,25 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// Captures `forms` (edge id → form) in deterministic ascending-edge
-    /// order.
-    pub fn capture(shard: usize, covered_seq: u64, forms: &HashMap<usize, TrackingForm>) -> Self {
-        let mut keys: Vec<usize> = forms.keys().copied().collect();
-        keys.sort_unstable();
-        let edges = keys
-            .into_iter()
-            .map(|e| {
-                let f = &forms[&e];
-                (e, f.timestamps(true).to_vec(), f.timestamps(false).to_vec())
-            })
+    /// Captures `forms` (a [`ShardForms`], or any `(edge, form)` pairs) in edge order.
+    pub fn capture<'a, K: Borrow<usize>>(
+        shard: usize,
+        covered_seq: u64,
+        forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
+    ) -> Self {
+        let edges = ShardForms::ascending(forms)
+            .map(|(e, f)| (e, f.timestamps(true).to_vec(), f.timestamps(false).to_vec()))
             .collect();
         ShardSnapshot { shard, covered_seq, edges }
     }
 
-    /// Rebuilds the edge → form map this snapshot captured.
-    pub fn restore(&self) -> HashMap<usize, TrackingForm> {
-        self.edges
-            .iter()
-            .map(|(e, fwd, bwd)| (*e, TrackingForm::from_sequences(fwd.clone(), bwd.clone())))
-            .collect()
+    /// Rebuilds the shard state this snapshot captured.
+    pub fn restore(&self) -> ShardForms {
+        let mut forms = ShardForms::default();
+        for (e, fwd, bwd) in &self.edges {
+            forms.insert(*e, TrackingForm::from_sequences(fwd.clone(), bwd.clone()));
+        }
+        forms
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -125,8 +123,10 @@ impl ShardSnapshot {
             let bwd = read_times(bwd_len, &mut off)?;
             edges.push((edge, fwd, bwd));
         }
-        if off != body.len() {
-            return None; // trailing bytes protected by the CRC but unexplained
+        // Trailing bytes nothing explains, or edge ids not ascending as the format
+        // promises: a repeat would restore with one of its two forms silently dropped.
+        if off != body.len() || !edges.windows(2).all(|w| w[0].0 < w[1].0) {
+            return None;
         }
         Some(ShardSnapshot { shard, covered_seq, edges })
     }
@@ -174,9 +174,9 @@ pub fn load_snapshot(dir: &Path) -> std::io::Result<Option<ShardSnapshot>> {
 /// `(edge, direction lengths, raw time bits)`. Two states digest equal iff
 /// every edge's timestamp sequences are bit-identical — the equality crash
 /// recovery is required to restore.
-pub fn state_digest(forms: &HashMap<usize, TrackingForm>) -> u64 {
-    let mut keys: Vec<usize> = forms.keys().copied().collect();
-    keys.sort_unstable();
+pub fn state_digest<'a, K: Borrow<usize>>(
+    forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
+) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     let eat = |h: &mut u64, word: u64| {
         for b in word.to_le_bytes() {
@@ -184,8 +184,7 @@ pub fn state_digest(forms: &HashMap<usize, TrackingForm>) -> u64 {
             *h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
-    for e in keys {
-        let f = &forms[&e];
+    for (e, f) in ShardForms::ascending(forms) {
         eat(&mut h, e as u64);
         for forward in [true, false] {
             let ts = f.timestamps(forward);
@@ -209,8 +208,8 @@ mod tests {
         d
     }
 
-    fn sample_forms() -> HashMap<usize, TrackingForm> {
-        let mut m = HashMap::new();
+    fn sample_forms() -> ShardForms {
+        let mut m = ShardForms::default();
         m.insert(3, TrackingForm::from_sequences(vec![0.5, 1.25, 7.0], vec![2.0]));
         m.insert(11, TrackingForm::from_sequences(vec![], vec![0.125, 0.125, 9.5]));
         m.insert(4, TrackingForm::from_sequences(vec![1e-12], vec![]));
@@ -251,11 +250,31 @@ mod tests {
     }
 
     #[test]
+    fn repeated_or_descending_edge_ids_are_invalid_data() {
+        // Checksum-valid files (written through `encode`) that break the
+        // format's ascending-edge promise: restoring one would keep only one
+        // of the two forms and digest unlike what was captured.
+        let dir = tmpdir("edge-order");
+        let edge = |e: usize, t: f64| (e, vec![t], vec![]);
+        for edges in [vec![edge(7, 1.0), edge(7, 2.0)], vec![edge(4, 1.0), edge(3, 2.0)]] {
+            let snap = ShardSnapshot { shard: 0, covered_seq: 9, edges };
+            install_snapshot(&dir, &snap).unwrap();
+            let err = load_snapshot(&dir).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{:?}", snap.edges);
+        }
+        let ordered =
+            ShardSnapshot { shard: 0, covered_seq: 9, edges: vec![edge(3, 2.0), edge(4, 1.0)] };
+        install_snapshot(&dir, &ordered).unwrap();
+        assert_eq!(load_snapshot(&dir).unwrap().unwrap(), ordered);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn reinstall_replaces_atomically() {
         let dir = tmpdir("reinstall");
         install_snapshot(&dir, &ShardSnapshot::capture(1, 5, &sample_forms())).unwrap();
         let mut forms = sample_forms();
-        forms.get_mut(&3).unwrap().record(true, 9.75);
+        forms.get_mut_or_insert(3).record(true, 9.75);
         let newer = ShardSnapshot::capture(1, 6, &forms);
         install_snapshot(&dir, &newer).unwrap();
         assert_eq!(load_snapshot(&dir).unwrap().unwrap(), newer);
@@ -268,7 +287,7 @@ mod tests {
         let forms = sample_forms();
         let base = state_digest(&forms);
         let mut tweaked = sample_forms();
-        let f = tweaked.get_mut(&11).unwrap();
+        let f = tweaked.get_mut_or_insert(11);
         let mut bwd = f.timestamps(false).to_vec();
         bwd[1] += 1e-9;
         *f = TrackingForm::from_sequences(f.timestamps(true).to_vec(), bwd);

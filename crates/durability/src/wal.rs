@@ -20,7 +20,7 @@
 //! the torn tail, reported so the caller can truncate the file and hand the
 //! gap to the quarantine path.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -323,10 +323,10 @@ impl ShardDurability {
 
     /// Initializes fresh durable state for a shard: installs a base snapshot
     /// of `forms` covering `base_seq` and creates an empty log.
-    pub fn initialize(
+    pub fn initialize<'a, K: Borrow<usize>>(
         root: &Path,
         shard: usize,
-        forms: &HashMap<usize, TrackingForm>,
+        forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
         base_seq: u64,
         snapshot_every: u64,
         sync_every: u64,
@@ -374,11 +374,11 @@ impl ShardDurability {
     /// Appends one crossing, then syncs or snapshots when the respective
     /// interval is due. `forms` is the shard's in-memory state *including*
     /// this crossing — the state a due snapshot must capture.
-    pub fn append(
+    pub fn append<'a, K: Borrow<usize>>(
         &mut self,
         seq: u64,
         c: &Crossing,
-        forms: &HashMap<usize, TrackingForm>,
+        forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
     ) -> std::io::Result<DurableMark> {
         self.wal.append(seq, c)?;
         self.since_snapshot += 1;
@@ -402,10 +402,10 @@ impl ShardDurability {
     /// batch. The batch always returns a durable sequence: the group either
     /// commits as a unit or (on a crash mid-frame) is lost as a unit and
     /// re-supplied by the server's redo buffer.
-    pub fn append_batch(
+    pub fn append_batch<'a, K: Borrow<usize>>(
         &mut self,
         records: &[(u64, Crossing)],
-        forms: &HashMap<usize, TrackingForm>,
+        forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
     ) -> std::io::Result<DurableMark> {
         if records.is_empty() {
             return Ok(DurableMark::default());
@@ -423,7 +423,10 @@ impl ShardDurability {
     }
 
     /// Installs a snapshot of `forms` now and truncates the log.
-    pub fn snapshot_now(&mut self, forms: &HashMap<usize, TrackingForm>) -> std::io::Result<()> {
+    pub fn snapshot_now<'a, K: Borrow<usize>>(
+        &mut self,
+        forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
+    ) -> std::io::Result<()> {
         let covered = self.wal.last_seq();
         install_snapshot(&self.dir, &ShardSnapshot::capture(self.shard, covered, forms))?;
         self.wal.reset_after_snapshot(covered)?;
@@ -674,7 +677,7 @@ mod tests {
     #[test]
     fn durability_batch_is_durable_after_one_call() {
         let dir = tmpdir("batch-durable");
-        let forms: HashMap<usize, TrackingForm> = HashMap::new();
+        let forms = stq_forms::ShardForms::default();
         let mut d = ShardDurability::initialize(&dir, 0, &forms, 0, 1_000_000, 1_000_000).unwrap();
         let batch: Vec<(u64, Crossing)> = (1..=10u64).map(|s| (s, ev(s))).collect();
         let mark = d.append_batch(&batch, &forms).unwrap();

@@ -1,7 +1,9 @@
 //! Property tests for crash recovery: killing a shard at an **arbitrary
 //! byte offset** of its WAL — including mid-record torn writes — and
 //! replaying snapshot + WAL reproduces exactly the state an uninterrupted
-//! run over the surviving event prefix would have built.
+//! run over the surviving event prefix would have built. The uninterrupted
+//! run is kept in a plain `HashMap` — the reference `ShardForms` (what
+//! recovery builds) is checked against, through the same `state_digest`.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -9,8 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use stq_core::tracker::Crossing;
-use stq_durability::{recover_shard, state_digest, ShardDurability};
-use stq_forms::TrackingForm;
+use stq_durability::{
+    install_snapshot, load_snapshot, recover_shard, state_digest, ShardDurability, ShardSnapshot,
+};
+use stq_forms::{ShardForms, TrackingForm};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -65,8 +69,114 @@ fn run_and_kill(
     digests
 }
 
+/// Edge ids read back from disk are input from outside the program: today
+/// any `usize` recovers, and nothing may start sizing an allocation by one.
+#[test]
+fn wild_edge_ids_recover_like_any_other() {
+    let wild = [usize::MAX, 1 << 40, 3];
+    let ev = |seq: u64| Crossing {
+        time: seq as f64 * 0.5,
+        edge: wild[seq as usize % wild.len()],
+        forward: seq % 2 == 0,
+    };
+    let root = tmpdir("wild");
+    let mut oracle: HashMap<usize, TrackingForm> = HashMap::new();
+    apply(&mut oracle, &Crossing { time: 0.25, edge: usize::MAX, forward: true });
+    apply(&mut oracle, &Crossing { time: 0.25, edge: 1 << 40, forward: false });
+    // The base snapshot already names both; then single frames, a batch
+    // frame, and singles again, none of them rolled into a later snapshot.
+    let mut d = ShardDurability::initialize(&root, 0, &oracle, 0, 1_000, 4).unwrap();
+    for seq in 1..=5 {
+        apply(&mut oracle, &ev(seq));
+        d.append(seq, &ev(seq), &oracle).unwrap();
+    }
+    let batch: Vec<(u64, Crossing)> = (6..=14).map(|seq| (seq, ev(seq))).collect();
+    for (_, c) in &batch {
+        apply(&mut oracle, c);
+    }
+    d.append_batch(&batch, &oracle).unwrap();
+    for seq in 15..=17 {
+        apply(&mut oracle, &ev(seq));
+        d.append(seq, &ev(seq), &oracle).unwrap();
+    }
+    d.sync().unwrap();
+    drop(d);
+
+    let rec = recover_shard(&root, 0, 1_000, 4).expect("wild ids are not corruption");
+    assert_eq!(rec.report.snapshot_seq, 0);
+    assert_eq!(rec.report.wal_records, 17);
+    assert!(!rec.report.torn_tail && !rec.report.seq_break);
+    assert_eq!(rec.digest(), state_digest(&oracle));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Edge ids the model below draws from: a few small ones, so operations
+/// collide, and two no table could be sized by.
+const MODEL_EDGES: [usize; 7] = [0, 1, 2, 6, 11, 1 << 40, usize::MAX];
+
+fn sequences(f: &TrackingForm) -> (&[f64], &[f64]) {
+    (f.timestamps(true), f.timestamps(false))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `ShardForms` against the plain map it replaced, over random
+    /// migrations in (`insert`), migrations out (`take`), first sightings
+    /// (`get_mut_or_insert`) and recorded crossings: same ownership, same
+    /// ascending walk, one digest through the one `state_digest`, and
+    /// byte-identical snapshot files from either.
+    #[test]
+    fn shard_forms_match_the_hashmap_model(
+        ops in proptest::collection::vec((0u8..4, 0..MODEL_EDGES.len(), any::<bool>()), 0..120),
+    ) {
+        let mut shard = ShardForms::default();
+        let mut model: HashMap<usize, TrackingForm> = HashMap::new();
+        for (step, &(op, e, forward)) in ops.iter().enumerate() {
+            let (edge, t) = (MODEL_EDGES[e], step as f64 * 0.5);
+            match op {
+                0 => {
+                    let bwd = if forward { vec![t] } else { vec![] };
+                    let form = TrackingForm::from_sequences(vec![t], bwd);
+                    let (was, want) = (shard.insert(edge, form.clone()), model.insert(edge, form));
+                    prop_assert_eq!(was.as_ref().map(sequences), want.as_ref().map(sequences));
+                }
+                1 => {
+                    let (got, want) = (shard.take(edge), model.remove(&edge));
+                    prop_assert_eq!(got.as_ref().map(sequences), want.as_ref().map(sequences));
+                }
+                2 => {
+                    let want = model.entry(edge).or_default();
+                    prop_assert_eq!(sequences(shard.get_mut_or_insert(edge)), sequences(want));
+                }
+                _ => {
+                    shard.get_mut_or_insert(edge).record(forward, t);
+                    model.entry(edge).or_default().record(forward, t);
+                }
+            }
+            for &edge in &MODEL_EDGES {
+                prop_assert_eq!(shard.owns(edge), model.contains_key(&edge));
+                prop_assert_eq!(shard.get(edge).map(sequences), model.get(&edge).map(sequences));
+            }
+            let mut want: Vec<_> = model.iter().map(|(&e, f)| (e, sequences(f))).collect();
+            want.sort_unstable_by_key(|&(e, _)| e);
+            let walked: Vec<_> = shard.iter().map(|(e, f)| (e, sequences(f))).collect();
+            prop_assert_eq!(walked, want);
+            prop_assert_eq!((shard.len(), shard.is_empty()), (model.len(), model.is_empty()));
+            prop_assert_eq!(state_digest(&shard), state_digest(&model));
+        }
+        let (ours, theirs) = (tmpdir("model-shard"), tmpdir("model-map"));
+        install_snapshot(&ours, &ShardSnapshot::capture(1, 7, &shard)).unwrap();
+        install_snapshot(&theirs, &ShardSnapshot::capture(1, 7, &model)).unwrap();
+        prop_assert_eq!(
+            std::fs::read(ours.join("snapshot.bin")).unwrap(),
+            std::fs::read(theirs.join("snapshot.bin")).unwrap()
+        );
+        let restored = load_snapshot(&ours).unwrap().unwrap().restore();
+        prop_assert_eq!(state_digest(&restored), state_digest(&model));
+        std::fs::remove_dir_all(&ours).ok();
+        std::fs::remove_dir_all(&theirs).ok();
+    }
 
     /// The tentpole property: for any event count, any snapshot/sync
     /// cadence, and a crash surviving any byte length of the unsynced tail
@@ -145,7 +255,7 @@ proptest! {
         // as the server's redo buffer would.
         for seq in base + 1..=base + more {
             let c = ev(seq, 6);
-            apply(&mut rec.forms, &c);
+            rec.forms.get_mut_or_insert(c.edge).record(c.forward, c.time);
             rec.durability.append(seq, &c, &rec.forms).unwrap();
         }
         rec.durability.sync().unwrap();

@@ -16,6 +16,12 @@
 //! boundary, re-entering objects cancel instead of double-counting, without
 //! any identifier ever being stored.
 //!
+//! [`FormStore`] holds every edge's form; [`ShardForms`] is the part of it one
+//! shard of the serving runtime owns — the one type shard state has from the
+//! start-up partition through migration and recovery to the snapshot on disk.
+//! Both answer counts through [`CountSource`], so the evaluators in
+//! [`query`] fold a whole boundary or a single edge of it the same way.
+//!
 //! The [`oracle`] module provides an identifier-based ground-truth counter
 //! used only by tests and benchmarks to certify exactness of the form-based
 //! counts on fully-monitored graphs.
@@ -31,7 +37,7 @@ pub use audit::{
     audit, AuditConfig, AuditReport, ComponentSpec, EdgeHealth, EdgeVerdict, Evidence, Violation,
 };
 pub use columnar::ColumnarBatch;
-pub use form::{events_until, CountSource, FormStore, TrackingForm};
+pub use form::{events_until, CountSource, FormStore, ShardForms, TrackingForm};
 pub use oracle::OracleTracker;
 pub use privacy::PrivateCounts;
 pub use query::{

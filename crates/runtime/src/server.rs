@@ -22,7 +22,6 @@
 //!               rebuilt from snapshot + WAL + redo buffer; respawns, re-admits
 //! ```
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,7 +33,7 @@ use stq_core::degraded::DegradedPolicy;
 use stq_core::query::{Approximation, QueryKind, QueryRegion};
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
-use stq_forms::{FormStore, TrackingForm};
+use stq_forms::{FormStore, ShardForms};
 use stq_net::{DurabilityFaultPlan, FaultPlan};
 use stq_subscribe::{
     BracketUpdate, RegistryStats, StandingBracket, SubscribeError, SubscriptionId,
@@ -269,11 +268,8 @@ impl Runtime {
         assert!(cfg.dispatchers >= 1, "need at least one dispatcher");
         let ns = cfg.num_shards;
         let shared = Arc::new(Shared::new(store, &cfg, quarantined));
-        let mut parts: Vec<HashMap<usize, TrackingForm>> =
-            (0..ns).map(|_| HashMap::new()).collect();
-        for e in 0..store.num_edges() {
-            parts[shared.map.shard_of(e)].insert(e, store.form(e).clone());
-        }
+        let parts: Vec<ShardForms> =
+            (0..ns).map(|s| ShardForms::cut_from(store, |e| shared.map.shard_of(e) == s)).collect();
         let (to_shards, receivers): (Vec<_>, Vec<_>) =
             (0..ns).map(|_| channel::unbounded::<ShardMsg>()).unzip();
 

@@ -1,12 +1,12 @@
-//! Shard workers: each owns the tracking forms of the edges assigned to it,
-//! applies ingested boundary-crossing events (write-ahead-logged when
-//! durability is on), and answers per-edge boundary contributions for the
-//! aggregator.
+//! Shard workers: each owns the tracking forms of the edges assigned to it
+//! (one `stq_forms::ShardForms`), applies ingested boundary-crossing events
+//! (write-ahead-logged when durability is on), and answers per-edge boundary
+//! contributions for the aggregator.
 //!
-//! The query arithmetic here deliberately mirrors `stq_forms::query` term by
-//! term (`count_until` differences folded as `f64`), so that an aggregator
-//! which re-folds the per-edge contributions in boundary order reproduces
-//! the synchronous path bit for bit — see `crate::aggregate`.
+//! A contribution is `stq_forms::query`'s own term, evaluated over the
+//! one-edge boundary, so an aggregator which re-folds the per-edge
+//! contributions in boundary order reproduces the synchronous path bit for
+//! bit — see `crate::aggregate`.
 //!
 //! ## Exits and supervision
 //!
@@ -19,7 +19,6 @@
 //! (`crate::supervisor`), which respawns the shard: over the state an
 //! escalating worker hands it, or over one rebuilt after a kill.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,7 +29,7 @@ use stq_core::tracker::Crossing;
 use stq_durability::recovery::apply_crossing;
 use stq_durability::wal::DurableMark;
 use stq_durability::{state_digest, ShardDurability};
-use stq_forms::{BoundaryEdge, ColumnarBatch, TrackingForm};
+use stq_forms::{snapshot_count, transient_count, BoundaryEdge, ColumnarBatch, ShardForms};
 use stq_net::MessageCtx;
 
 use crate::metrics::Metrics;
@@ -91,7 +90,7 @@ pub(crate) enum ShardMsg {
 /// retiring (its edge forms may move to other shards) or escalating.
 #[derive(Default)]
 pub(crate) struct RetiredState {
-    pub forms: HashMap<usize, TrackingForm>,
+    pub forms: ShardForms,
     pub durability: Option<ShardDurability>,
     /// Highest ingest sequence already folded into `forms` — the dedup
     /// floor: queued channel messages at or below it were already applied
@@ -175,7 +174,18 @@ impl ShardWorker {
     /// Serves messages until shutdown, escalation, or a scheduled kill.
     /// Returns the exit reason and the state the worker still holds.
     pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) -> (WorkerExit, RetiredState) {
-        while let Ok(msg) = rx.recv() {
+        let mut wrote = false;
+        loop {
+            // Having applied an ingest and found nothing queued, let the
+            // writer run before parking: it is usually about to send the next
+            // lane, and on a shared CPU a park here is a wake-up and two
+            // context switches per lane inside its `ingest_batch` call. A
+            // query's reply is being waited for, so no yield follows one.
+            if wrote && rx.is_empty() {
+                std::thread::yield_now();
+            }
+            let Ok(msg) = rx.recv() else { break };
+            wrote = matches!(msg, ShardMsg::Ingest { .. } | ShardMsg::IngestBatch { .. });
             match msg {
                 ShardMsg::Query(req) => {
                     if self.handle(req) {
@@ -359,7 +369,7 @@ impl ShardWorker {
         for &(idx, be) in &req.edges {
             if quarantined.get(be.edge).is_some_and(|q| q.load(Ordering::Acquire)) {
                 refused.push(idx);
-            } else if !self.state.forms.contains_key(&be.edge) {
+            } else if !self.state.forms.owns(be.edge) {
                 // A shard-map migration moved the edge away while this
                 // request was queued: report it back so the aggregator can
                 // re-route to the current owner instead of panicking here.
@@ -417,18 +427,12 @@ impl ShardWorker {
     }
 
     fn contribution(&self, idx: usize, be: BoundaryEdge, kind: QueryKind) -> EdgeCounts {
-        let form = &self.state.forms[&be.edge];
-        // `count_until` as f64, matching `FormStore`'s `CountSource` impl.
-        let cu = |forward: bool, t: f64| form.count_until(forward, t) as f64;
-        let net_at = |t: f64| cu(be.inward_forward, t) - cu(!be.inward_forward, t);
+        let forms = &self.state.forms;
+        let net_at = |t: f64| snapshot_count(forms, &[be], t);
         match kind {
             QueryKind::Snapshot(t) => EdgeCounts { idx, a: net_at(t), b: 0.0 },
             QueryKind::Transient(t0, t1) => {
-                // count_between(inward) − count_between(outward), each as the
-                // f64 difference of count_untils (the CountSource default).
-                let inn = cu(be.inward_forward, t1) - cu(be.inward_forward, t0);
-                let out = cu(!be.inward_forward, t1) - cu(!be.inward_forward, t0);
-                EdgeCounts { idx, a: inn - out, b: 0.0 }
+                EdgeCounts { idx, a: transient_count(forms, &[be], t0, t1), b: 0.0 }
             }
             QueryKind::Static(t0, t1) => EdgeCounts { idx, a: net_at(t0), b: net_at(t1) },
         }

@@ -5,9 +5,9 @@
 //! ## Recovery contract
 //!
 //! An **escalating** worker chose to exit, so nothing it held is lost: it
-//! hands its whole state over with the exit report (forms, the open WAL
-//! handle with its unsynced tail, dedup floor, fault clock) and the shard
-//! respawns over exactly that, durable or not — a migration's `Retire`
+//! hands its whole state over with the exit report (its `ShardForms`, the
+//! open WAL handle with its unsynced tail, dedup floor, fault clock) and the
+//! shard respawns over exactly that, durable or not — a migration's `Retire`
 //! hand-over, initiated by the worker. Nothing is replayed or re-logged.
 //!
 //! A **killed** worker's in-memory forms die with it (a simulated kill -9;
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use stq_core::tracker::Crossing;
 use stq_durability::{apply_crossing, recover_shard, ShardDurability};
-use stq_forms::TrackingForm;
+use stq_forms::ShardForms;
 
 use crate::metrics::Metrics;
 use crate::server::{DurabilityConfig, RuntimeConfig};
@@ -124,7 +124,7 @@ impl Supervisor {
     pub(crate) fn start(
         shared: Arc<Shared>,
         cfg: &RuntimeConfig,
-        parts: Vec<HashMap<usize, TrackingForm>>,
+        parts: Vec<ShardForms>,
         receivers: Vec<Receiver<ShardMsg>>,
         to_shards: Vec<Sender<ShardMsg>>,
         events_tx: Sender<SupervisorMsg>,
@@ -276,7 +276,7 @@ impl Supervisor {
                 Metrics::add(&shared.metrics.lost_events, lost);
                 let num_edges = shared.subs.totals().len();
                 let owned = (0..num_edges).filter(|&e| shared.map.shard_of(e) == shard).collect();
-                (HashMap::new(), None, owned)
+                (ShardForms::default(), None, owned)
             }
         };
         (RetiredState { forms, durability, last_seq: lane.next_seq, delivered: clock }, lost_edges)
@@ -326,8 +326,7 @@ impl Supervisor {
         // edge.
         let mut committed_moves: Vec<Migration> = Vec::with_capacity(moves.len());
         for &m in &moves {
-            let Some(form) = retired.get_mut(&m.from).expect("retired").forms.remove(&m.edge)
-            else {
+            let Some(form) = retired.get_mut(&m.from).expect("retired").forms.take(m.edge) else {
                 continue;
             };
             retired.get_mut(&m.to).expect("retired").forms.insert(m.edge, form);
