@@ -18,7 +18,7 @@ use stq_core::degraded::{DegradedAnswer, DegradedStrategy};
 use stq_core::engine::QueryPlan;
 use stq_core::query::QueryKind;
 
-use crate::dispatch::{fan_out, Collected};
+use crate::dispatch::{fan_out, Collected, Dispatcher};
 use crate::metrics::{Metrics, QueryTrace};
 use crate::overload::stride_for;
 use crate::server::QuerySpec;
@@ -225,31 +225,41 @@ fn fold(
 /// deadline already passed: here that means no fan-out — the (cached) plan
 /// still yields a sound worst-case bracket from the lifetime totals, so even
 /// a budget-starved client gets honest bounds.
-pub(crate) fn answer(st: &ServerState, id: u64, spec: &QuerySpec) -> ServedAnswer {
+///
+/// `dispatcher` is the calling dispatcher thread's own state. A submitter
+/// answering a job whose deadline ran out before it got a queue slot has
+/// none and needs none: that answer is the expired one by construction.
+pub(crate) fn answer(
+    st: &ServerState,
+    dispatcher: Option<&mut Dispatcher>,
+    id: u64,
+    spec: &QuerySpec,
+) -> ServedAnswer {
     let start = Instant::now();
-    let expired = spec.deadline.is_some_and(|dl| start >= dl);
+    let live = dispatcher.filter(|_| !spec.deadline.is_some_and(|dl| start >= dl));
+    let expired = live.is_none();
     let p = plan_for(st, id, spec, start);
     let answer = if p.plan.miss {
         // The degraded answerer's detour / imputation machinery may still
         // certify a bracket on its repaired graphs.
         let certified = if expired { None } else { consult_degraded(st, spec) };
         ServedAnswer::degraded(ServedAnswer::miss(&p, expired), certified)
-    } else if expired {
+    } else if let Some(d) = live {
+        execute(st, d, spec, &p)
+    } else {
         let (bracket, coverage) = fold(st, &p.plan, &[], spec.kind);
         ServedAnswer::expired(&p, bracket, coverage)
-    } else {
-        execute(st, spec, &p)
     };
     record_served(st, &answer);
     answer
 }
 
 /// Fan-out, fold, and the degraded-mode escalation for one planned query.
-fn execute(st: &ServerState, spec: &QuerySpec, p: &Planned) -> ServedAnswer {
+fn execute(st: &ServerState, d: &mut Dispatcher, spec: &QuerySpec, p: &Planned) -> ServedAnswer {
     let exec_t0 = Instant::now();
     let level = st.overload.as_ref().map_or(0, |ov| ov.brownout.level());
-    let got = fan_out(st, p.id, spec, &p.plan, level);
-    let (bracket, coverage) = fold(st, &p.plan, &got.slots, spec.kind);
+    let got = fan_out(st, d, p.id, spec, &p.plan, level);
+    let (bracket, coverage) = fold(st, &p.plan, got.slots, spec.kind);
     // Quarantine-degraded answers escalate through the repair strategies.
     let certified =
         if got.refused > 0 && coverage < 1.0 { consult_degraded(st, spec) } else { None };

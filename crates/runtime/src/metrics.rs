@@ -352,9 +352,10 @@ metrics! {
 }
 
 impl Metrics {
-    /// A fresh registry.
+    /// A fresh registry. The query-trace ring is allocated whole, so the
+    /// dispatcher that records a query never pays for growing it.
     pub fn new() -> Self {
-        Self::default()
+        Metrics { traces: Mutex::new(VecDeque::with_capacity(TRACE_CAP)), ..Self::default() }
     }
 
     /// Convenience relaxed increment.

@@ -40,6 +40,7 @@ use stq_subscribe::{
 };
 
 pub use crate::aggregate::ServedAnswer;
+use crate::dispatch::Dispatcher;
 pub use crate::ingest::{IngestError, IngestReport};
 use crate::metrics::Metrics;
 use crate::overload::{OverloadConfig, Rejected};
@@ -312,9 +313,10 @@ impl Runtime {
                 std::thread::Builder::new()
                     .name(format!("stq-dispatch-{d}"))
                     .spawn(move || {
+                        let mut own = Dispatcher::new(&st);
                         while let Ok(job) = rx.recv() {
                             st.shared.metrics.queue_depth.store(rx.len() as u64, Ordering::Relaxed);
-                            serve(&st, job);
+                            serve(&st, Some(&mut own), job);
                         }
                     })
                     .expect("spawn dispatcher")
@@ -517,13 +519,13 @@ impl Runtime {
             Some(dl) => {
                 let now = Instant::now();
                 if dl <= now {
-                    serve(st, job);
+                    serve(st, None, job);
                     return pending;
                 }
                 match jobs.send_timeout(job, dl - now) {
                     Ok(()) => {}
                     Err(channel::SendTimeoutError::Timeout(job)) => {
-                        serve(st, job);
+                        serve(st, None, job);
                         return pending;
                     }
                     Err(channel::SendTimeoutError::Disconnected(_)) => {
@@ -557,7 +559,7 @@ impl Runtime {
         let (job, pending) = self.job(spec, cost_milli);
         if job.spec.deadline.is_some_and(|dl| dl <= Instant::now()) {
             // Expired on arrival: answer straight away, no queue slot.
-            serve(st, job);
+            serve(st, None, job);
             return Ok(pending);
         }
         match jobs.try_send(job) {
@@ -618,11 +620,12 @@ impl Drop for Runtime {
     }
 }
 
-/// Answers one job on the calling thread — a dispatcher, or the submitter
-/// itself for a job whose deadline ran out before it got a queue slot — and
-/// releases its admission reservation.
-fn serve(st: &ServerState, job: Job) {
-    let answer = crate::aggregate::answer(st, job.id, &job.spec);
+/// Answers one job on the calling thread — a dispatcher with its own state,
+/// or (`None`) the submitter itself for a job whose deadline ran out before
+/// it got a queue slot, which is the expired answer and reaches no shard —
+/// and releases its admission reservation.
+fn serve(st: &ServerState, dispatcher: Option<&mut Dispatcher>, job: Job) {
+    let answer = crate::aggregate::answer(st, dispatcher, job.id, &job.spec);
     if let Some(ov) = st.overload.as_ref() {
         ov.release(job.cost_milli);
     }

@@ -32,6 +32,7 @@ use stq_durability::{state_digest, ShardDurability};
 use stq_forms::{snapshot_count, transient_count, BoundaryEdge, ColumnarBatch, ShardForms};
 use stq_net::MessageCtx;
 
+use crate::dispatch::Group;
 use crate::metrics::Metrics;
 use crate::state::Shared;
 
@@ -103,12 +104,13 @@ pub(crate) struct RetiredState {
 }
 
 /// A fan-out request: the boundary edges of one query that this shard owns,
-/// tagged with their position in the full boundary chain.
+/// tagged with their position in the full boundary chain — the dispatcher's
+/// group, shared, not copied.
 pub(crate) struct ShardRequest {
     pub query_id: u64,
     pub attempt: u32,
     pub kind: QueryKind,
-    pub edges: Vec<(usize, BoundaryEdge)>,
+    pub edges: Group,
     /// The query's deadline, when it carries one: a request that is already
     /// past it is dropped at the worker without computing (the aggregator
     /// gave up at the same instant, so nobody is waiting for the answer).
@@ -119,6 +121,9 @@ pub(crate) struct ShardRequest {
 /// A shard's answer: one contribution per requested edge.
 #[derive(Clone, Debug)]
 pub(crate) struct ShardResponse {
+    /// The query answered: a dispatcher's reply channel outlives its
+    /// queries, so a late answer must say whose it is.
+    pub query_id: u64,
     pub shard: usize,
     pub counts: Vec<EdgeCounts>,
     /// Boundary positions this shard refused to serve because the edge is
@@ -128,7 +133,7 @@ pub(crate) struct ShardResponse {
     /// moved them while the request was in flight. The aggregator re-routes
     /// them to their current owner.
     pub moved: Vec<(usize, BoundaryEdge)>,
-    /// The worker panicked while computing; `counts` is empty. The
+    /// The worker panicked while computing; the lists are empty. The
     /// aggregator treats this as a failed attempt (retryable), not data.
     pub panicked: bool,
 }
@@ -173,19 +178,12 @@ pub(crate) struct ShardWorker {
 impl ShardWorker {
     /// Serves messages until shutdown, escalation, or a scheduled kill.
     /// Returns the exit reason and the state the worker still holds.
+    ///
+    /// How an idle worker waits is the channel's rule, not this loop's:
+    /// `recv` backs off once before it parks (`shims/crossbeam`), after a
+    /// reply as after an ingest, so nothing here yields.
     pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) -> (WorkerExit, RetiredState) {
-        let mut wrote = false;
-        loop {
-            // Having applied an ingest and found nothing queued, let the
-            // writer run before parking: it is usually about to send the next
-            // lane, and on a shared CPU a park here is a wake-up and two
-            // context switches per lane inside its `ingest_batch` call. A
-            // query's reply is being waited for, so no yield follows one.
-            if wrote && rx.is_empty() {
-                std::thread::yield_now();
-            }
-            let Ok(msg) = rx.recv() else { break };
-            wrote = matches!(msg, ShardMsg::Ingest { .. } | ShardMsg::IngestBatch { .. });
+        while let Ok(msg) = rx.recv() {
             match msg {
                 ShardMsg::Query(req) => {
                     if self.handle(req) {
@@ -362,44 +360,49 @@ impl ShardWorker {
         // inside a panic guard — a poisoned payload must surface as a failed
         // response, not kill the worker and hang every later query routed to
         // this shard. The flags are the registry's column, the one copy.
+        // One pass classifies and computes; `refused` and `moved` allocate
+        // only when something lands in them.
         let quarantined = self.shared.subs.quarantined();
-        let mut refused = Vec::new();
-        let mut moved: Vec<(usize, BoundaryEdge)> = Vec::new();
-        let mut served: Vec<(usize, BoundaryEdge)> = Vec::new();
-        for &(idx, be) in &req.edges {
-            if quarantined.get(be.edge).is_some_and(|q| q.load(Ordering::Acquire)) {
-                refused.push(idx);
-            } else if !self.state.forms.owns(be.edge) {
-                // A shard-map migration moved the edge away while this
-                // request was queued: report it back so the aggregator can
-                // re-route to the current owner instead of panicking here.
-                moved.push((idx, be));
-            } else {
-                served.push((idx, be));
-            }
-        }
-        if !refused.is_empty() {
-            Metrics::add(&self.shared.metrics.quarantine_refusals, refused.len() as u64);
-        }
+        let refuses =
+            |edge: usize| quarantined.get(edge).is_some_and(|q| q.load(Ordering::Acquire));
         let poison = fate.poison || self.shared.fault.scheduled_poison(self.id, seen);
+        let (query_id, shard) = (req.query_id, self.id);
+        let blank = |panicked| ShardResponse {
+            query_id,
+            shard,
+            counts: Vec::new(),
+            refused: Vec::new(),
+            moved: Vec::new(),
+            panicked,
+        };
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            served
-                .iter()
-                .map(|&(idx, be)| {
+            let mut resp =
+                ShardResponse { counts: Vec::with_capacity(req.edges.len()), ..blank(false) };
+            for &(idx, be) in req.edges.iter() {
+                if refuses(be.edge) {
+                    resp.refused.push(idx);
+                } else if !self.state.forms.owns(be.edge) {
+                    // A shard-map migration moved the edge away while this
+                    // request was queued: report it back so the aggregator can
+                    // re-route to the current owner instead of panicking here.
+                    resp.moved.push((idx, be));
+                } else {
                     // Poison corrupts the payload in flight: the edge id now
                     // addresses a sensor nobody owns, and the lookup panics.
                     let be =
                         if poison { BoundaryEdge::new(usize::MAX, be.inward_forward) } else { be };
-                    self.contribution(idx, be, req.kind)
-                })
-                .collect::<Vec<_>>()
+                    resp.counts.push(self.contribution(idx, be, req.kind));
+                }
+            }
+            resp
         }));
         let mut escalate = false;
-        let response = match computed {
-            Ok(counts) => {
+        let (response, refusals) = match computed {
+            Ok(resp) => {
                 Metrics::bump(&self.shared.metrics.shard_served);
                 self.consecutive_panics = 0;
-                ShardResponse { shard: self.id, counts, refused, moved, panicked: false }
+                let refusals = resp.refused.len();
+                (resp, refusals)
             }
             Err(_) => {
                 Metrics::bump(&self.shared.metrics.shard_panics);
@@ -410,18 +413,22 @@ impl ShardWorker {
                 // query burn retries against it.
                 escalate = self.shared.panic_threshold > 0
                     && self.consecutive_panics >= self.shared.panic_threshold;
-                ShardResponse { shard: self.id, counts: Vec::new(), refused, moved, panicked: true }
+                // The panic cut the pass short, and the refusal counter is
+                // owed the whole request.
+                (blank(true), req.edges.iter().filter(|(_, be)| refuses(be.edge)).count())
             }
         };
+        if refusals > 0 {
+            Metrics::add(&self.shared.metrics.quarantine_refusals, refusals as u64);
+        }
         if fate.duplicate {
             Metrics::bump(&self.shared.metrics.duplicated);
             let _ = req.reply.try_send(response.clone());
         }
-        // The aggregator may have timed out and dropped the receiver, and
-        // its response channel is bounded (sized for the worst-case message
-        // count, see `ServerState::resp_capacity`): a failed or refused send is a
-        // late answer nobody is waiting for, and must never block the
-        // worker behind a gone aggregator.
+        // The dispatcher may have moved on to another query or shut down, and
+        // its reply channel is bounded (see `ServerState::resp_capacity`): a
+        // failed or refused send is a late answer nobody is waiting for, and
+        // must never block the worker behind it.
         let _ = req.reply.try_send(response);
         escalate
     }

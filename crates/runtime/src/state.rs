@@ -167,11 +167,21 @@ pub(crate) struct ServerState {
     /// Overload control (admission gate, brownout controller, breakers);
     /// `None` when [`RuntimeConfig::overload`] is unset.
     pub overload: Option<OverloadState>,
-    /// Capacity of each query's aggregator response channel: every awaited
-    /// shard can answer once per attempt plus one injected duplicate, so
-    /// `2 × num_shards × (max_retries + 1)` bounds the messages a query
-    /// can ever receive — late answers beyond it are dropped by the
-    /// shard's `try_send`, exactly like answers after the receiver is gone.
+    /// Capacity of each dispatcher's reply channel, which lives as long as
+    /// its thread: `2 × num_shards × (max_retries + 2)`. The query in hand
+    /// accounts for `2 × num_shards × (max_retries + 1)` — every awaited
+    /// shard answers once per attempt plus one injected duplicate — and
+    /// `fan_out` empties the channel before its first send. The other
+    /// `2 × num_shards` are for what a per-query channel never saw: the
+    /// answers, one per shard and its duplicate, that were still being
+    /// computed for the query before when the dispatcher gave up on it;
+    /// `collect` discards them by `query_id`. Answers to requests abandoned
+    /// longer ago, coming out back to back from a shard that had stalled
+    /// while the dispatcher is off the CPU, can still fill the channel;
+    /// shards `try_send`, so whatever does not fit is dropped — a late answer
+    /// like one to a receiver that is gone, or a current one that then
+    /// counts as a silent shard for one attempt (retried, or degraded
+    /// soundly) — never a blocked worker.
     pub resp_capacity: usize,
 }
 
@@ -195,7 +205,7 @@ impl ServerState {
             shared,
             sensing,
             sampled,
-            resp_capacity: 2 * ns * (cfg.max_retries as usize + 1),
+            resp_capacity: 2 * ns * (cfg.max_retries as usize + 2),
             cfg,
             to_shards,
             degraded,

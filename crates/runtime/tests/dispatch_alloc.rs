@@ -1,0 +1,174 @@
+//! A warm query allocates nothing on its dispatcher thread: ROADMAP item 2's
+//! "zero allocations per warm query", held at the dispatch hop as
+//! `crates/core/tests/plan_alloc.rs` holds it at the engine hop. It is also
+//! what keeps a per-query reply channel from coming back: creating one
+//! allocates.
+//!
+//! A binary of its own because it replaces the global allocator with one
+//! that counts. Counts are kept per runtime thread, found by thread name.
+//! What the *submitting* thread allocates per query — the cloned spec and
+//! the `bounded(1)` channel behind its `PendingAnswer` (an `Arc` and the one
+//! slot, which the shim allocates when the channel is created) — lands in
+//! the `OTHER` slot and is outside the assertion.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use stq_core::prelude::*;
+use stq_runtime::{QuerySpec, Runtime, RuntimeConfig};
+
+/// Whose allocation it was: index into [`COUNTS`].
+const UNRESOLVED: usize = 0;
+const DISPATCHER: usize = 1;
+const SHARDS: [usize; 2] = [2, 3];
+const OTHER: usize = 4;
+/// The thread is inside `slot_of_current_thread`, which may allocate.
+const RESOLVING: usize = usize::MAX;
+
+static COUNTS: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+/// Counting (and the name lookup behind it) is on only between the test's
+/// `ARMED` stores, when every runtime thread is long past its start-up:
+/// `std::thread::current` must not run before the thread has installed its
+/// own handle.
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    static SLOT: Cell<usize> = const { Cell::new(UNRESOLVED) };
+}
+
+fn slot_of_current_thread() -> usize {
+    match std::thread::current().name() {
+        Some("stq-dispatch-0") => DISPATCHER,
+        Some("stq-shard-0") => SHARDS[0],
+        Some("stq-shard-1") => SHARDS[1],
+        _ => OTHER,
+    }
+}
+
+fn bump() {
+    if !ARMED.load(Ordering::Relaxed) {
+        return;
+    }
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = SLOT.try_with(|slot| {
+        if slot.get() == UNRESOLVED {
+            slot.set(RESOLVING);
+            slot.set(slot_of_current_thread());
+        }
+        if slot.get() != RESOLVING {
+            COUNTS[slot.get()].fetch_add(1, Ordering::Relaxed);
+        }
+    });
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` unchanged; the only addition is
+// `bump`, which touches a thread-local and a static and does not unwind, and
+// whose own allocations (the name lookup) re-enter it behind `RESOLVING`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations per runtime thread while `f` ran: `(dispatcher, [shard 0,
+/// shard 1])`.
+fn allocations_during(f: impl FnOnce()) -> (u64, [u64; 2]) {
+    let read = || {
+        let at = |slot: usize| COUNTS[slot].load(Ordering::Relaxed);
+        (at(DISPATCHER), SHARDS.map(at))
+    };
+    let before = read();
+    ARMED.store(true, Ordering::SeqCst);
+    f();
+    ARMED.store(false, Ordering::SeqCst);
+    let after = read();
+    (after.0 - before.0, [after.1[0] - before.1[0], after.1[1] - before.1[1]])
+}
+
+#[test]
+fn warm_query_allocates_nothing_on_the_dispatcher() {
+    let s = Scenario::build(ScenarioConfig {
+        junctions: 180,
+        mix: WorkloadMix { random_waypoint: 20, commuter: 12, transit: 6 },
+        seed: 41,
+        ..Default::default()
+    });
+    let cands = s.sensing.sensor_candidates();
+    let ids =
+        stq_sampling::sample(stq_sampling::SamplingMethod::QuadTree, &cands, cands.len() / 4, 7);
+    let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
+    let sampled = SampledGraph::from_sensors(&s.sensing, &faces, Connectivity::Triangulation);
+
+    // Nine regions the serving graph resolves: eight to warm, one held back.
+    let mut specs: Vec<Vec<QuerySpec>> = s
+        .make_queries(24, 0.15, 1_500.0, 17)
+        .into_iter()
+        .filter(|(region, ..)| {
+            !sampled.resolve(region.junctions(), Approximation::Lower).is_empty()
+        })
+        .map(|(region, t0, t1)| {
+            [QueryKind::Snapshot(t0), QueryKind::Transient(t0, t1), QueryKind::Static(t0, t1)]
+                .map(|kind| QuerySpec::new(region.clone(), kind, Approximation::Lower))
+                .to_vec()
+        })
+        .collect();
+    assert!(specs.len() >= 9, "only {} resolvable regions", specs.len());
+    specs.truncate(9);
+    let held_back = specs.pop().expect("nine regions");
+    let warm: Vec<QuerySpec> = specs.into_iter().flatten().collect();
+
+    let cfg = RuntimeConfig { num_shards: 2, dispatchers: 1, ..RuntimeConfig::default() };
+    let rt = Runtime::new(s.sensing.clone(), sampled, &s.tracked.store, cfg);
+    let ask = |spec: &QuerySpec| {
+        let a = rt.query(spec.clone());
+        assert!(!a.miss && a.coverage == 1.0 && a.retries == 0, "a full-coverage query");
+        a.shards as u64
+    };
+    for spec in &warm {
+        ask(spec);
+    }
+
+    let queries = 1_000;
+    let mut requests = 0;
+    let (dispatcher, shards) = allocations_during(|| {
+        requests = warm.iter().cycle().take(queries).map(ask).sum::<u64>();
+    });
+    println!(
+        "{queries} warm queries, {requests} shard requests: {dispatcher} allocations on the \
+         dispatcher, {shards:?} on the shards"
+    );
+    assert_eq!(dispatcher, 0, "a warm query must not touch the heap on its dispatcher");
+    // One per request, the response's `counts`; a shard asked by every query
+    // was sent `queries` requests.
+    assert!(shards.iter().all(|&n| n <= queries as u64), "shards allocated {shards:?}");
+    assert!(shards.iter().sum::<u64>() > 0, "the counter sees the shards allocate");
+
+    // A plan the dispatcher has not routed yet does allocate there (its
+    // groups), so the zero above is a reading, not a blind counter.
+    let (dispatcher, _) = allocations_during(|| {
+        ask(&held_back[0]);
+    });
+    assert!(dispatcher > 0, "the counter sees a first-time plan allocate");
+    rt.shutdown();
+}

@@ -6,8 +6,10 @@ use std::time::Duration;
 
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
-use stq_forms::FormStore;
-use stq_runtime::{CrashWindow, FaultPlan, QuerySpec, Runtime, RuntimeConfig, ServedAnswer};
+use stq_forms::{BoundaryEdge, FormStore};
+use stq_runtime::{
+    CrashWindow, FaultPlan, MessageCtx, QuerySpec, Runtime, RuntimeConfig, ServedAnswer,
+};
 
 struct Fixture {
     scenario: Scenario,
@@ -45,15 +47,20 @@ fn runtime(f: &Fixture, cfg: RuntimeConfig) -> Runtime {
     Runtime::new(f.scenario.sensing.clone(), f.sampled.clone(), store(f), cfg)
 }
 
-/// The value the runtime must reproduce when coverage is complete: the
-/// synchronous resolve → boundary → evaluate path.
-fn sync_value(f: &Fixture, spec: &QuerySpec) -> Option<f64> {
+/// The boundary chain the runtime's plan must have (`None`: a miss): the
+/// synchronous resolve → boundary walk.
+fn sync_boundary(f: &Fixture, spec: &QuerySpec) -> Option<Vec<BoundaryEdge>> {
     let covered = f.sampled.resolve(spec.region.junctions(), spec.approx);
     if covered.is_empty() {
         return None;
     }
-    let (boundary, _) = f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored()));
-    Some(evaluate(store(f), &boundary, spec.kind))
+    Some(f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored())).0)
+}
+
+/// The value the runtime must reproduce when coverage is complete: the
+/// synchronous resolve → boundary → evaluate path.
+fn sync_value(f: &Fixture, spec: &QuerySpec) -> Option<f64> {
+    Some(evaluate(store(f), &sync_boundary(f, spec)?, spec.kind))
 }
 
 fn specs(f: &Fixture, n: usize, frac: f64, seed: u64) -> Vec<QuerySpec> {
@@ -209,6 +216,95 @@ fn retries_recover_from_message_drops() {
     assert!(report.dropped > 0, "the plan must actually drop messages");
     assert!(report.retries > 0, "drops must trigger retries");
     assert!(report.duplicated > 0, "the plan must duplicate some responses");
+}
+
+/// A dispatcher keeps one reply channel for its lifetime, so the answers to
+/// a query it gave up on arrive while it collects the next one. Query *k*
+/// runs out of budget on a delayed shard; *k+1*, a different plan on the
+/// same shard, queues behind the sleeping worker, so — the shard's channel
+/// being FIFO — *k*'s late reply and its duplicate reach the dispatcher
+/// before *k+1*'s own, while it waits for exactly that shard. Boundary
+/// positions start at 0 in every plan, so one leaked response would fill
+/// *k+1*'s slots with *k*'s counts.
+#[test]
+fn late_replies_on_the_shared_channel_never_leak_into_the_next_query() {
+    const SHARDS: usize = 3;
+    let f = fixture();
+    // One spec per resolvable region, neighbours differing in region, time
+    // argument and kind.
+    let kinds =
+        |t0, t1| [QueryKind::Snapshot(t0), QueryKind::Static(t0, t1), QueryKind::Transient(t0, t1)];
+    let queries = f.scenario.make_queries(12, 0.15, 1_500.0, 17);
+    let cases: Vec<(QuerySpec, f64, [usize; SHARDS])> = (queries.into_iter().enumerate())
+        .filter_map(|(i, (region, t0, t1))| {
+            let spec = QuerySpec::new(region, kinds(t0, t1)[i % 3], Approximation::Lower);
+            // Boundary edges per owning shard (the modulo map: no rebalancing).
+            let mut owned = [0; SHARDS];
+            sync_boundary(f, &spec)?.iter().for_each(|be| owned[be.edge % SHARDS] += 1);
+            let exact = sync_value(f, &spec)?;
+            Some((spec, exact, owned))
+        })
+        .collect();
+    assert!(cases.len() >= 4, "only {} resolvable regions", cases.len());
+    let sound = |a: &ServedAnswer, exact: f64| {
+        assert!(a.lower <= exact + 1e-12 && exact <= a.upper + 1e-12, "unsound: {a:?} vs {exact}");
+        assert_eq!(a.retries, 0);
+    };
+
+    for seed in [11, 23, 37] {
+        // Every response duplicated; three requests in ten held up for 1–2 ms
+        // per boundary edge in them.
+        let fault = FaultPlan::lossy(seed, 0.0, 0.3, 1.0, 2);
+        let delay_ms = |query_id: u64, node: usize| {
+            fault.decide(MessageCtx { query_id, node, attempt: 0 }).delay_ms
+        };
+        let rt = runtime(
+            f,
+            RuntimeConfig {
+                num_shards: SHARDS,
+                dispatchers: 1,
+                shard_timeout: Duration::from_secs(20),
+                max_retries: 0,
+                fault: fault.clone(),
+                ..RuntimeConfig::default()
+            },
+        );
+        // The runtime numbers queries from 0 in submission order, and a fault
+        // decision is a pure function of (query id, shard, attempt): the test
+        // reads ahead which pairs of consecutive ids make the scenario.
+        let (mut id, mut leaks_invited) = (0u64, 0);
+        while id < 200 {
+            let (k, k_exact, k_owned) = &cases[id as usize % cases.len()];
+            let (next, next_exact, next_owned) = &cases[(id as usize + 1) % cases.len()];
+            // A shard that sleeps ≥ 8 ms on k — well past k's budget — and
+            // that k+1 needs too, while nothing holds k+1 itself up.
+            let slow = (0..SHARDS)
+                .find(|&s| delay_ms(id, s) > 0 && k_owned[s] >= 8 && next_owned[s] > 0)
+                .filter(|_| (0..SHARDS).all(|s| delay_ms(id + 1, s) == 0));
+            let a = rt.query(k.clone().with_budget(Duration::from_millis(3)));
+            assert_eq!(a.query_id, id);
+            sound(&a, *k_exact);
+            id += 1;
+            // (A dispatcher kept off the CPU past the shard's sleep finds the
+            // late reply waiting and takes it: then nothing timed out.)
+            if slow.is_none() || a.coverage == 1.0 {
+                continue;
+            }
+            let b = rt.query(next.clone());
+            assert_eq!(b.query_id, id);
+            sound(&b, *next_exact);
+            assert_eq!(b.coverage, 1.0, "query {id} after a timed-out one");
+            assert_eq!(b.value.to_bits(), next_exact.to_bits(), "query {id} took a stale reply");
+            assert_eq!(b.lower.to_bits(), b.upper.to_bits());
+            id += 1;
+            leaks_invited += 1;
+        }
+        assert!(leaks_invited >= 5, "seed {seed}: the scenario arose only {leaks_invited} times");
+        let report = rt.metrics().report();
+        assert!(report.delayed > 0 && report.duplicated > 0 && report.timeouts > 0);
+        assert_eq!(report.retries, 0);
+        rt.shutdown();
+    }
 }
 
 #[test]

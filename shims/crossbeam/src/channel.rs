@@ -1,5 +1,14 @@
 //! MPMC channels with crossbeam semantics: cloneable senders and receivers,
 //! bounded backpressure, timeouts, and disconnect-on-last-drop.
+//!
+//! A receiver blocks like crossbeam's: it backs off, then parks. Finding the
+//! queue empty it gives up the CPU once (`YIELDS_BEFORE_PARK`) and looks
+//! again before it sleeps on the condvar, because in a request / reply
+//! pipeline the message is usually one scheduling step away and a park is a
+//! `futex` sleep plus a `futex_wake` by the sender. A receiver that is
+//! yielding is not counted as parked, so the sender skips its wake-up. There
+//! is no spin phase, and a sender that finds a bounded queue full parks at
+//! once: that is backpressure, not a hand-off about to complete.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -82,6 +91,13 @@ pub enum TryRecvError {
     Disconnected,
 }
 
+/// How often a blocking receive that finds the queue empty yields the CPU
+/// and re-checks before it parks.
+const YIELDS_BEFORE_PARK: u32 = 1;
+
+/// Slots a bounded channel allocates when it is created.
+const EAGER_SLOTS: usize = 64;
+
 struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
@@ -127,6 +143,28 @@ impl<T> Shared<T> {
             self.not_full.notify_one();
         }
         Ok(value)
+    }
+
+    /// What a blocking receive does on finding the queue empty: back off on
+    /// its first `YIELDS_BEFORE_PARK` visits (counted in `yields`, one
+    /// counter per call), park after that. The mutex is released across the
+    /// yield and the caller re-checks the queue under it afterwards, exactly
+    /// as after a wake-up, so a message sent meanwhile is seen;
+    /// `parked_receivers` was not raised, so that send skipped its
+    /// `notify_one` rightly.
+    fn await_message<'a>(
+        &'a self,
+        st: MutexGuard<'a, State<T>>,
+        timeout: Option<Duration>,
+        yields: &mut u32,
+    ) -> MutexGuard<'a, State<T>> {
+        if *yields < YIELDS_BEFORE_PARK {
+            *yields += 1;
+            drop(st);
+            std::thread::yield_now();
+            return self.state.lock().unwrap();
+        }
+        self.park_receiver(st, timeout)
     }
 
     /// Parks a receiver until signalled, or until `timeout` when given.
@@ -183,6 +221,12 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
 /// Creates a channel holding at most `cap` in-flight messages; sends block
 /// while full. `cap = 0` is treated as capacity 1 (this shim has no
 /// rendezvous mode; nothing in the workspace uses one).
+///
+/// As crossbeam's array flavour does, the queue's slots are allocated here
+/// (the first `EAGER_SLOTS` of them: a huge `cap` must not reserve a huge
+/// buffer), so a `send` into a small bounded channel — a reply into a
+/// `bounded(1)`, typically from another thread than the creator's — never
+/// allocates.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     with_capacity(Some(cap.max(1)))
 }
@@ -190,7 +234,7 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
 fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
-            queue: VecDeque::new(),
+            queue: VecDeque::with_capacity(capacity.map_or(0, |cap| cap.min(EAGER_SLOTS))),
             senders: 1,
             receivers: 1,
             parked_receivers: 0,
@@ -309,6 +353,7 @@ impl<T> Receiver<T> {
     /// Blocks until a message arrives (or every sender is gone).
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut st = self.shared.state.lock().unwrap();
+        let mut yields = 0;
         loop {
             st = match self.shared.pop(st) {
                 Ok(v) => return Ok(v),
@@ -317,7 +362,7 @@ impl<T> Receiver<T> {
             if st.senders == 0 {
                 return Err(RecvError);
             }
-            st = self.shared.park_receiver(st, None);
+            st = self.shared.await_message(st, None, &mut yields);
         }
     }
 
@@ -325,6 +370,7 @@ impl<T> Receiver<T> {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.state.lock().unwrap();
+        let mut yields = 0;
         loop {
             st = match self.shared.pop(st) {
                 Ok(v) => return Ok(v),
@@ -337,7 +383,7 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            st = self.shared.park_receiver(st, Some(deadline - now));
+            st = self.shared.await_message(st, Some(deadline - now), &mut yields);
         }
     }
 
@@ -588,6 +634,67 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..n).collect::<Vec<_>>());
+        assert_eq!(parked(&tx.shared), (0, 0));
+    }
+
+    // ---- the back-off window loses no wake-up ---------------------------
+    //
+    // A receiver that found the queue empty unlocks, yields, relocks and
+    // re-checks before it parks. These run that window as often as the
+    // scheduler allows, from both sides: a send that lands inside it skips
+    // the `notify_one` (nobody is parked) and must still be seen.
+
+    #[test]
+    fn ping_pong_across_the_back_off_window() {
+        let rounds = 100_000u32;
+        let (ping_tx, ping_rx) = bounded::<u32>(1);
+        let (pong_tx, pong_rx) = bounded::<u32>(1);
+        let (ping, pong) = (ping_tx.shared.clone(), pong_tx.shared.clone());
+        // The echo side blocks in `recv`; a wake-up lost there starves the
+        // driver below, whose own `recv_timeout` is the watchdog for both.
+        let echoed = spawn_reporting(move || {
+            while let Ok(v) = ping_rx.recv() {
+                pong_tx.send(v).unwrap();
+            }
+        });
+        let driven = spawn_reporting(move || {
+            for i in 0..rounds {
+                ping_tx.send(i).unwrap();
+                assert_eq!(pong_rx.recv_timeout(LOST), Ok(i), "wake-up lost in round {i}");
+            }
+        });
+        assert_eq!(driven.recv_timeout(LONG), Ok(()), "driver failed");
+        assert_eq!(echoed.recv_timeout(LOST), Ok(()), "disconnect wake-up lost");
+        assert_eq!(parked(&ping), (0, 0));
+        assert_eq!(parked(&pong), (0, 0));
+    }
+
+    #[test]
+    fn n_senders_feed_n_receivers_their_exact_share() {
+        let (n, each) = (4usize, 25_000usize);
+        let (tx, rx) = unbounded::<usize>();
+        // Every receiver leaves after `each` messages, so one whose wake-up
+        // was lost cannot be covered for by the others: its share stays
+        // queued and its report never comes.
+        let received: Vec<_> = (0..n)
+            .map(|_| {
+                let rx = rx.clone();
+                spawn_reporting(move || (0..each).map(|_| rx.recv().unwrap()).sum::<usize>())
+            })
+            .collect();
+        let sent: Vec<_> = (0..n)
+            .map(|_| {
+                let tx = tx.clone();
+                spawn_reporting(move || (0..each).for_each(|i| tx.send(i).unwrap()))
+            })
+            .collect();
+        for s in &sent {
+            assert_eq!(s.recv_timeout(LONG), Ok(()));
+        }
+        let total: usize =
+            received.iter().map(|r| r.recv_timeout(LOST).expect("wake-up lost")).sum();
+        assert_eq!(total, n * (each * (each - 1) / 2));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         assert_eq!(parked(&tx.shared), (0, 0));
     }
 

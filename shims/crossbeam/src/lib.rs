@@ -6,7 +6,9 @@
 //! `scope` delegates to `std::thread::scope`; the channels are a
 //! Mutex + Condvar ring implementing the crossbeam semantics the runtime
 //! relies on — cloneable senders *and* receivers, `recv_timeout`, and
-//! "channel disconnects when the other side is fully dropped".
+//! "channel disconnects when the other side is fully dropped". A receiver
+//! blocks like crossbeam's: it backs off, then parks (one `yield_now`, no
+//! spin phase — see [`channel`]).
 
 pub mod channel;
 
