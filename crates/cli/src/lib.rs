@@ -535,7 +535,7 @@ impl ServeOpts {
         // Load-aware shard rebalancing is opt-in: with `--rebalance 1` the
         // edge→shard map migrates hot edges between shards as crossing
         // rates skew instead of keeping the static modulo assignment.
-        // `--batch N` streams ingestion in columnar batches of N events
+        // `--batch N` streams ingestion in batches of N events
         // (one group-commit WAL frame per shard lane) instead of one event
         // at a time.
         let rebalance = switch_from(args, "rebalance")?;

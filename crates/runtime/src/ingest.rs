@@ -3,22 +3,25 @@
 //!
 //! ```text
 //! ingest / ingest_batch ─▶ check_event ─▶ registry (totals + standing deltas)
-//!                          ─▶ lane lock: trim → stamp (→ redo-push when durable)
-//!                                        → record_route → send
+//!                          ─▶ lane lock(s): stamp (durable: trim → retain)
+//!                                           → record_route → send
 //! ```
+//!
+//! Owners are read without a lock, so a batch is sent only under the map
+//! epoch it was grouped under (`dispatch`), and one event only after
+//! re-reading its owner under the lane lock (`send_one`).
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use stq_core::tracker::Crossing;
-use stq_forms::ColumnarBatch;
 
 use crate::metrics::Metrics;
 use crate::server::Runtime;
 use crate::shard::ShardMsg;
 use crate::state::ServerState;
-use crate::supervisor::{IngestLane, SupervisorMsg};
+use crate::supervisor::{IngestLane, Lane, SupervisorMsg};
 
 /// Why [`Runtime::ingest`] refused an event. Rejections are counted in
 /// [`crate::metrics::Metrics::ingest_rejected`] and never reach a shard,
@@ -89,20 +92,28 @@ impl Runtime {
         Ok(())
     }
 
-    /// Streams a batch of events, grouped into per-shard columnar lanes and
-    /// WAL-appended as one group-commit frame per lane (a single sync for
-    /// the whole lane instead of one per record). Semantically equivalent
-    /// to calling [`Runtime::ingest`] once per event in order — shard
-    /// states, recovery digests, totals, and standing brackets come out
-    /// bit-identical — but malformed events are skipped (and counted)
-    /// instead of failing the batch, and standing subscriptions are pushed
-    /// to per call, not per event: one `Delta` update per touched
-    /// subscription per `ingest_batch` call (per event for `ingest`),
-    /// carrying the bracket as of the end of the batch.
+    /// Streams a batch of events, copied once into one lane per owning shard
+    /// (its events, in input order) and WAL-appended as one group-commit
+    /// frame per lane (a single sync for the whole lane instead of one per
+    /// record). Semantically equivalent to calling [`Runtime::ingest`] once
+    /// per event in order — shard states, recovery digests, totals, and
+    /// standing brackets come out bit-identical — but malformed events are
+    /// skipped (and counted) instead of failing the batch, and standing
+    /// subscriptions are pushed to per call, not per event: one `Delta`
+    /// update per touched subscription per `ingest_batch` call (per event
+    /// for `ingest`), carrying the bracket as of the end of the batch.
     pub fn ingest_batch(&self, events: &[Crossing]) -> IngestReport {
         let st = self.st();
-        let mut valid: Vec<Crossing> = Vec::with_capacity(events.len());
-        valid.extend(events.iter().filter(|c| check_event(st, c).is_ok()));
+        // Once per event (a refusal is counted); a clean batch is not copied.
+        let kept: Vec<Crossing>;
+        let valid = match events.iter().position(|c| check_event(st, c).is_err()) {
+            None => events,
+            Some(bad) => {
+                let rest = events[bad + 1..].iter().filter(|c| check_event(st, c).is_ok());
+                kept = events[..bad].iter().chain(rest).copied().collect();
+                &kept
+            }
+        };
         let rejected = events.len() - valid.len();
         if valid.is_empty() {
             return IngestReport { accepted: 0, rejected, lanes: 0 };
@@ -111,54 +122,24 @@ impl Runtime {
         // brackets advance event by event in input order, exactly as the
         // sequential path would; each touched subscription is pushed its
         // final bracket once, when the batch ends.
-        through_registry(st, &valid);
+        through_registry(st, valid);
         // Ingest pressure surfaces on the read-side admission gate while
         // the batch is in flight, so a write flood degrades reads honestly
         // instead of invisibly starving them.
         let charged = st.overload.as_ref().map_or(0, |ov| ov.charge_ingest(valid.len()));
-        // Group by owning shard into columnar lanes. Per-edge event order
-        // is preserved: an edge maps to exactly one shard at a time, and
-        // within a lane events keep input order.
-        let map = &st.shared.map;
-        let mut lanes_by_shard = vec![ColumnarBatch::default(); st.shared.lanes.len()];
-        for &c in &valid {
-            lanes_by_shard[map.shard_of(c.edge)].push(c.edge, c.forward, c.time);
-        }
-        let mut lanes_used = 0usize;
-        for (shard, lane_batch) in lanes_by_shard.into_iter().enumerate() {
-            if lane_batch.is_empty() {
-                continue;
+        // A grouping that straddled a migration's commit is not sent, in
+        // part or in whole, but made again.
+        let lanes = loop {
+            if let Some(lanes) = dispatch(st, group(st, valid)) {
+                break lanes;
             }
-            lanes_used += 1;
-            // A migration may have re-routed some of the lane's edges
-            // between grouping and the lane lock: dispatch the still-owned
-            // prefix set as one batch and detour the moved rest through the
-            // per-event path (which re-reads the map under the lock).
-            let mut moved: Vec<Crossing> = Vec::new();
-            {
-                let mut lane = st.shared.lanes[shard].lock();
-                let mut own = ColumnarBatch::with_capacity(lane_batch.len());
-                for (edge, forward, time) in lane_batch.iter() {
-                    if map.shard_of(edge) == shard {
-                        own.push(edge, forward, time);
-                    } else {
-                        moved.push(Crossing { edge, forward, time });
-                    }
-                }
-                if !own.is_empty() {
-                    enqueue(st, shard, &mut lane, Payload::Lane(own));
-                }
-            }
-            for c in moved {
-                send_one(st, c);
-            }
-        }
+        };
         Metrics::bump(&st.shared.metrics.ingest_batches);
         if let Some(ov) = st.overload.as_ref() {
             ov.release(charged);
         }
         self.maybe_rebalance();
-        IngestReport { accepted: valid.len(), rejected, lanes: lanes_used }
+        IngestReport { accepted: valid.len(), rejected, lanes }
     }
 
     /// Fires the load-aware rebalance check after an ingest step.
@@ -227,44 +208,63 @@ fn through_registry(st: &ServerState, events: &[Crossing]) {
     }
 }
 
-/// What one lane-lock hold hands a shard: `ingest`'s single event (one WAL
-/// record) or one of `ingest_batch`'s columnar lanes (one group-commit
-/// frame).
-enum Payload {
-    One(Crossing),
-    Lane(ColumnarBatch),
+/// A validated batch grouped by owning shard under one map epoch, so that
+/// an edge's events are all in one lane: `(shard, lane)`, ascending, none empty.
+struct Grouping {
+    epoch: u64,
+    lanes: Vec<(usize, Lane)>,
 }
 
-/// Puts `payload` on `shard`'s lane. The caller holds the lane lock and has
-/// checked, under it, that the map still routes every event here; the lock
-/// covers the trim, sequence assignment, redo push (durable lanes only) AND
-/// the channel send, so sequences arrive at the worker in order.
-fn enqueue(st: &ServerState, shard: usize, lane: &mut IngestLane, payload: Payload) {
-    let durable = st.shared.durable_seq[shard].load(Ordering::Acquire);
-    while lane.buf.front().is_some_and(|&(s, _)| s <= durable) {
-        lane.buf.pop_front();
+fn group(st: &ServerState, events: &[Crossing]) -> Grouping {
+    let map = &st.shared.map;
+    let epoch = map.epoch(); // before any `shard_of`, as in `dispatch.rs::route`
+    let mut by_shard = vec![Vec::new(); st.shared.lanes.len()];
+    for &c in events {
+        by_shard[map.shard_of(c.edge)].push(c);
     }
+    let used = by_shard.into_iter().enumerate().filter(|(_, lane)| !lane.is_empty());
+    Grouping { epoch, lanes: used.map(|(shard, lane)| (shard, lane.into())).collect() }
+}
+
+/// Sends every lane of `grouping` and says how many — or none (`None`) when
+/// the map has moved on since. The lanes' locks are taken together, ascending
+/// (the supervisor's order); a migration stores its owners, then bumps the
+/// epoch, under every involved shard's, so no owner read here has changed or can.
+fn dispatch(st: &ServerState, grouping: Grouping) -> Option<usize> {
+    let mut held: Vec<_> =
+        grouping.lanes.iter().map(|&(shard, _)| st.shared.lanes[shard].lock()).collect();
+    if st.shared.map.epoch() != grouping.epoch {
+        return None;
+    }
+    for ((shard, lane), guard) in grouping.lanes.into_iter().zip(&mut held) {
+        let first_seq = stamp(st, shard, guard, lane.len() as u64, || lane.clone());
+        let _ = st.to_shards[shard].send(ShardMsg::IngestBatch { first_seq, lane });
+    }
+    Some(held.len())
+}
+
+/// Hands out `events` sequences on `shard`'s lane and returns the first; a
+/// durable lane drops what the WAL has synced and retains `sent()`. The caller
+/// holds the lane lock, has checked under it that the map still routes the
+/// events here, and sends them under it too, so they reach the worker in order.
+fn stamp(
+    st: &ServerState,
+    shard: usize,
+    lane: &mut IngestLane,
+    events: u64,
+    sent: impl FnOnce() -> Lane,
+) -> u64 {
     let first_seq = lane.next_seq + 1;
-    let mut stamp = |c: Crossing| {
-        lane.next_seq += 1;
-        if st.cfg.durability.is_some() {
-            lane.buf.push_back((lane.next_seq, c));
+    if st.cfg.durability.is_some() {
+        let floor = st.shared.durable_seq[shard].load(Ordering::Acquire);
+        while lane.buf.front().is_some_and(|(first, old)| first + old.len() as u64 <= floor + 1) {
+            lane.buf.pop_front();
         }
-    };
-    let msg = match payload {
-        Payload::One(event) => {
-            stamp(event);
-            ShardMsg::Ingest { seq: first_seq, event }
-        }
-        Payload::Lane(own) => {
-            for (edge, forward, time) in own.iter() {
-                stamp(Crossing { edge, forward, time });
-            }
-            ShardMsg::IngestBatch { first_seq, lane: own }
-        }
-    };
-    st.shared.map.record_route(shard, lane.next_seq + 1 - first_seq);
-    let _ = st.to_shards[shard].send(msg);
+        lane.buf.push_back((first_seq, sent()));
+    }
+    lane.next_seq += events;
+    st.shared.map.record_route(shard, events);
+    first_seq
 }
 
 /// Sends one validated event to its owning shard. The map re-read under the
@@ -277,7 +277,9 @@ fn send_one(st: &ServerState, c: Crossing) {
         let shard = st.shared.map.shard_of(c.edge);
         let mut lane = st.shared.lanes[shard].lock();
         if st.shared.map.shard_of(c.edge) == shard {
-            return enqueue(st, shard, &mut lane, Payload::One(c));
+            let seq = stamp(st, shard, &mut lane, 1, || Lane::from([c]));
+            let _ = st.to_shards[shard].send(ShardMsg::Ingest { seq, event: c });
+            return;
         }
         // Migrated between the read and the lock; re-route.
     }
@@ -285,28 +287,39 @@ fn send_one(st: &ServerState, c: Crossing) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use crossbeam::channel::Receiver;
     use stq_core::prelude::*;
+    use stq_durability::{apply_crossing, state_digest};
+    use stq_forms::ShardForms;
 
     use super::*;
     use crate::server::{DurabilityConfig, RuntimeConfig};
+    use crate::shardmap::Migration;
+    use crate::state::Shared;
 
-    #[test]
-    fn lane_retains_only_what_a_kill_could_need() {
-        let scenario = Scenario::build(ScenarioConfig {
+    fn scenario() -> Scenario {
+        Scenario::build(ScenarioConfig {
             junctions: 120,
             mix: WorkloadMix { random_waypoint: 8, commuter: 4, transit: 2 },
             seed: 29,
             ..Default::default()
-        });
+        })
+    }
+
+    fn event(num_edges: usize, i: usize) -> Crossing {
+        Crossing { time: 10_000.0 + i as f64 * 0.25, edge: i % num_edges, forward: i % 3 != 0 }
+    }
+
+    #[test]
+    fn lane_retains_only_what_a_kill_could_need() {
+        let scenario = scenario();
         // Nothing is queried, so which sensors are deployed does not matter.
         let sampled = SampledGraph::unsampled(&scenario.sensing);
         let ne = scenario.sensing.num_edges();
-        let event = |i: usize| Crossing {
-            time: 10_000.0 + i as f64 * 0.25,
-            edge: i % ne,
-            forward: i % 3 != 0,
-        };
-        let events: Vec<Crossing> = (0..4096).map(event).collect();
+        let events: Vec<Crossing> = (0..4096 + 256).map(|i| event(ne, i)).collect();
+        let (events, one_more_batch) = events.split_at(4096);
         let dir = std::env::temp_dir().join(format!("stq-rt-lane-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -322,26 +335,133 @@ mod tests {
             for batch in events.chunks(256) {
                 assert_eq!(rt.ingest_batch(batch).accepted, batch.len());
             }
-            rt.flush_ingest();
+            // The flush synced everything: each lane's next enqueue drops
+            // whatever it still held.
+            let floors = rt.flush_ingest();
+            assert_eq!(floors.iter().sum::<u64>(), 4096);
+            // One event per lane, too few for the worker to sync on its own
+            // (`sync_every`), then a batch on top of it.
             let st = rt.st();
-            let stamped: u64 = st.shared.lanes.iter().map(|lane| lane.lock().next_seq).sum();
-            assert_eq!(stamped, 4096);
-            let durable = st.cfg.durability.is_some();
-            if durable {
-                // The flush synced everything; each lane's next enqueue
-                // trims it down to the one event past that floor.
+            let one_event_each = |i| {
                 for shard in 0..st.shared.lanes.len() {
-                    rt.ingest(Crossing { edge: shard, ..event(4096) }).expect("ingest");
+                    rt.ingest(Crossing { edge: shard, ..event(ne, i) }).expect("ingest");
                 }
-            }
-            for (lane, floor) in st.shared.lanes.iter().zip(&st.shared.durable_seq) {
-                let (lane, floor) = (lane.lock(), floor.load(Ordering::Acquire));
+            };
+            one_event_each(4096);
+            assert_eq!(rt.ingest_batch(one_more_batch).lanes, 3);
+            let retained = |shard: usize| -> Vec<(u64, usize)> {
+                let lane = st.shared.lanes[shard].lock();
+                lane.buf.iter().map(|(first, sent)| (*first, sent.len())).collect()
+            };
+            if st.cfg.durability.is_none() {
                 // Nothing can kill a memory-only worker, so nothing is kept
-                // to rebuild one; a durable lane keeps what is not yet synced.
-                assert_eq!(lane.buf.is_empty(), !durable, "retained {}", lane.buf.len());
-                assert!(lane.buf.iter().all(|&(seq, _)| seq > floor), "untrimmed below {floor}");
+                // to rebuild one.
+                assert!((0..3).all(|shard| retained(shard).is_empty()));
+                continue;
+            }
+            // A durable lane keeps what was not synced when it was last sent
+            // to, one entry per lane sent — not one per event.
+            let heads = rt.flush_ingest();
+            let in_batch = |shard: usize| (heads[shard] - floors[shard] - 1) as usize;
+            for (shard, (floor, head)) in floors.iter().zip(&heads).enumerate() {
+                assert!(in_batch(shard) > 1, "the batch reached every shard");
+                assert_eq!(retained(shard), [(floor + 1, 1), (floor + 2, in_batch(shard))]);
+                // As if the WAL were synced to the batch's last event but one
+                // (the workers are idle and will not sync one event more).
+                st.shared.durable_seq[shard].store(head - 1, Ordering::Release);
+            }
+            // A floor inside a lane keeps the whole lane.
+            one_event_each(4097);
+            for (shard, (floor, head)) in floors.iter().zip(&heads).enumerate() {
+                assert_eq!(retained(shard), [(floor + 2, in_batch(shard)), (head + 1, 1)]);
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A three-shard server state over `scenario` whose shard channels end in
+    /// the test: no worker, no supervisor, so what was sent stays observable.
+    fn unserved(scenario: &Scenario) -> (ServerState, Vec<Receiver<ShardMsg>>) {
+        let cfg = RuntimeConfig { num_shards: 3, ..RuntimeConfig::default() };
+        let store = &scenario.tracked.store;
+        let shared = Arc::new(Shared::new(store, &cfg, &[]));
+        let (to_shards, rxs) = (0..cfg.num_shards).map(|_| channel::unbounded()).unzip();
+        let sensing = scenario.sensing.clone();
+        let sampled = SampledGraph::unsampled(&sensing);
+        (ServerState::new(shared, sensing, sampled, store, cfg, &[], to_shards), rxs)
+    }
+
+    /// Per shard, the events that reached its channel, in order — their
+    /// sequences contiguous from 1 — and the digest of that shard's cut of
+    /// the store (under the current map) once they are applied.
+    fn delivered(
+        st: &ServerState,
+        scenario: &Scenario,
+        rxs: &[Receiver<ShardMsg>],
+    ) -> Vec<(Vec<Crossing>, u64)> {
+        let owned = |shard| move |e| st.shared.map.shard_of(e) == shard;
+        let drain = |(shard, rx): (usize, &Receiver<ShardMsg>)| {
+            let mut forms = ShardForms::cut_from(&scenario.tracked.store, owned(shard));
+            let mut got: Vec<Crossing> = Vec::new();
+            while let Ok(msg) = rx.try_recv() {
+                let (first_seq, lane) = match msg {
+                    ShardMsg::Ingest { seq, event } => (seq, Lane::from([event])),
+                    ShardMsg::IngestBatch { first_seq, lane } => (first_seq, lane),
+                    _ => panic!("only ingests were sent"),
+                };
+                assert_eq!(first_seq, got.len() as u64 + 1, "shard {shard}: sequence gap");
+                got.extend(lane.iter());
+            }
+            assert!(got.iter().all(|c| apply_crossing(&mut forms, c)), "shard {shard}: late event");
+            assert_eq!(st.shared.lanes[shard].lock().next_seq, got.len() as u64);
+            (got, state_digest(&forms))
+        };
+        rxs.iter().enumerate().map(drain).collect()
+    }
+
+    #[test]
+    fn a_grouping_is_sent_only_under_the_map_epoch_it_was_made_under() {
+        let scenario = scenario();
+        let ne = scenario.sensing.num_edges();
+        // A third of the events cross edge 2, which shard 2 hands to shard 0.
+        let hot = Migration { edge: 2, from: 2, to: 0 };
+        let events: Vec<Crossing> = (0..96)
+            .map(|i| Crossing { edge: if i % 3 == 0 { hot.edge } else { i % ne }, ..event(ne, i) })
+            .collect();
+        let on_hot = |events: &[Crossing]| -> Vec<Crossing> {
+            events.iter().filter(|c| c.edge == hot.edge).copied().collect()
+        };
+
+        // The reference: the per-event path, after the migration.
+        let (st, rxs) = unserved(&scenario);
+        st.shared.map.commit(&[hot]);
+        events.iter().for_each(|&c| send_one(&st, c));
+        let want = delivered(&st, &scenario, &rxs);
+        assert_eq!(on_hot(&want[hot.to].0), on_hot(&events));
+
+        // The commit lands after the whole batch was grouped, or half-way
+        // through: edge 2's earlier events sit in lane 2 and its later ones
+        // in lane 0, which is sent first (the parent then detoured lane 2's
+        // to shard 0 *behind* them, where the worker drops them as late).
+        for grouped_before_commit in [events.len(), events.len() / 2] {
+            let (st, rxs) = unserved(&scenario);
+            let (before, after) = events.split_at(grouped_before_commit);
+            let stale = group(&st, before);
+            st.shared.map.commit(&[hot]);
+            let mut lanes = vec![Vec::new(); rxs.len()];
+            for (shard, lane) in stale.lanes.into_iter().chain(group(&st, after).lanes) {
+                lanes[shard].extend(lane.iter().copied());
+            }
+            assert_eq!(on_hot(&lanes[hot.from]), on_hot(before));
+            assert_eq!(on_hot(&lanes[hot.to]), on_hot(after));
+            let lanes = lanes.into_iter().enumerate().map(|(shard, lane)| (shard, lane.into()));
+            let stale = Grouping { epoch: stale.epoch, lanes: lanes.collect() };
+
+            assert_eq!(dispatch(&st, stale), None, "sent under a newer map");
+            assert!(rxs.iter().all(|rx| rx.is_empty()), "part of a stale grouping was sent");
+            assert!(st.shared.lanes.iter().all(|lane| lane.lock().next_seq == 0));
+            assert_eq!(dispatch(&st, group(&st, &events)), Some(3), "nothing committed since");
+            assert_eq!(delivered(&st, &scenario, &rxs), want);
+        }
     }
 }

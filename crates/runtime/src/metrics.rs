@@ -226,7 +226,7 @@ metrics! {
         /// Events `ingest`/`ingest_batch` refused (unknown edge or non-finite
         /// timestamp) — counted instead of panicking the caller.
         counter ingest_rejected,
-        /// Columnar batches dispatched through `ingest_batch`.
+        /// `ingest_batch` calls that sent at least one lane to a shard.
         counter ingest_batches,
         /// Records appended to shard write-ahead logs.
         counter wal_appends,

@@ -429,7 +429,6 @@ impl OverloadState {
         Ok(milli)
     }
 
-    /// Returns a reservation made by [`Self::try_admit`].
     /// Reserves gate capacity for a batch of ingested events (one
     /// milli-unit per event — ingest is orders of magnitude cheaper than a
     /// query) so a write flood shows up as admission pressure on reads
@@ -444,6 +443,7 @@ impl OverloadState {
         milli
     }
 
+    /// Returns a reservation made by [`Self::try_admit`].
     pub(crate) fn release(&self, milli: u64) {
         if milli > 0 {
             self.inflight_milli.fetch_sub(milli, Ordering::Relaxed);

@@ -572,12 +572,12 @@ impl Runtime {
                     ov.release(job.cost_milli);
                 }
                 Metrics::bump(&metrics.admission_rejected);
-                // Rough drain hint: one full backoff schedule.
-                let retry_after = st
-                    .overload
-                    .as_ref()
-                    .map(|ov| ov.queue_retry_after())
-                    .unwrap_or(st.cfg.shard_timeout * (st.cfg.max_retries + 1));
+                // Rough drain hint: one full backoff schedule, saturating
+                // (both factors are the caller's numbers).
+                let (timeout, retries) = (st.cfg.shard_timeout, st.cfg.max_retries);
+                let schedule = || timeout.checked_mul(retries.saturating_add(1));
+                let hint = st.overload.as_ref().map(|ov| ov.queue_retry_after());
+                let retry_after = hint.or_else(schedule).unwrap_or(Duration::MAX);
                 Err(Rejected { retry_after })
             }
             Err(channel::TrySendError::Disconnected(_)) => {

@@ -29,12 +29,13 @@ use stq_core::tracker::Crossing;
 use stq_durability::recovery::apply_crossing;
 use stq_durability::wal::DurableMark;
 use stq_durability::{state_digest, ShardDurability};
-use stq_forms::{snapshot_count, transient_count, BoundaryEdge, ColumnarBatch, ShardForms};
+use stq_forms::{snapshot_count, transient_count, BoundaryEdge, ShardForms};
 use stq_net::MessageCtx;
 
 use crate::dispatch::Group;
 use crate::metrics::Metrics;
 use crate::state::Shared;
+use crate::supervisor::Lane;
 
 /// Shard health states, stored as one `AtomicU8` per shard.
 pub(crate) const HEALTHY: u8 = 0;
@@ -70,10 +71,9 @@ pub(crate) enum ShardMsg {
     Query(ShardRequest),
     /// Apply one ingested crossing (WAL-logged when durability is on).
     Ingest { seq: u64, event: Crossing },
-    /// Apply a columnar lane of crossings with contiguous sequences starting
-    /// at `first_seq`, group-committed as one WAL frame when durability is
-    /// on.
-    IngestBatch { first_seq: u64, lane: ColumnarBatch },
+    /// Apply a lane of crossings with contiguous sequences starting at
+    /// `first_seq`, group-committed as one WAL frame when durability is on.
+    IngestBatch { first_seq: u64, lane: Lane },
     /// Sync the WAL and reply with the highest applied sequence — the
     /// barrier tests and benchmarks use to line states up.
     Flush(Sender<u64>),
@@ -276,20 +276,16 @@ impl ShardWorker {
         true
     }
 
-    /// Applies one columnar lane of crossings, WAL-logged as a single
-    /// group-commit frame. Returns true when a scheduled durability fault
-    /// kills the worker.
+    /// Applies one lane of crossings, WAL-logged as a single group-commit
+    /// frame. Returns true when a scheduled durability fault kills the worker.
     ///
     /// When a scheduled crash falls inside the batch's sequence range the
     /// whole lane degrades to the per-event path, so the kill cut lands
     /// exactly after the faulted append — byte-identical crash semantics to
     /// single-event ingest (a synced batch frame would otherwise leave no
     /// tail for the fault plan to cut).
-    fn ingest_batch(&mut self, first_seq: u64, lane: &ColumnarBatch) -> bool {
-        let mut events = lane
-            .iter()
-            .zip(first_seq..)
-            .map(|((edge, forward, time), seq)| (seq, Crossing { edge, forward, time }));
+    fn ingest_batch(&mut self, first_seq: u64, lane: &[Crossing]) -> bool {
+        let mut events = (first_seq..).zip(lane.iter().copied());
         let end = first_seq + lane.len() as u64;
         if self.state.durability.is_some()
             && (first_seq..end)

@@ -2,7 +2,6 @@
 //! the supervisor and every shard worker; [`ServerState`] between the
 //! submitting threads and the dispatchers.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -28,7 +27,7 @@ use crate::supervisor::IngestLane;
 /// works by the senders' owners ([`ServerState`], the supervisor) dropping
 /// them so each worker sees its channel disconnect.
 pub(crate) struct Shared {
-    /// Per-shard ingest sequence counter and redo buffer.
+    /// Per-shard ingest sequence counter and redo buffer (of lanes).
     pub lanes: Vec<Mutex<IngestLane>>,
     /// Per-shard health slot (`HEALTHY` / `UNHEALTHY` / `RECOVERING`).
     pub health: Vec<AtomicU8>,
@@ -81,9 +80,7 @@ impl Shared {
         // reuses the registry's lifetime totals as its crossing-rate feed.
         let map = ShardMap::new(ns, subs.totals(), cfg.rebalance.clone());
         let shared = Shared {
-            lanes: (0..ns)
-                .map(|_| Mutex::new(IngestLane { next_seq: 0, buf: VecDeque::new() }))
-                .collect(),
+            lanes: (0..ns).map(|_| Mutex::default()).collect(),
             health: (0..ns).map(|_| AtomicU8::new(HEALTHY)).collect(),
             durable_seq: (0..ns).map(|_| AtomicU64::new(0)).collect(),
             fault: cfg.fault.clone(),

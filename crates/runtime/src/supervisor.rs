@@ -17,10 +17,10 @@
 //! 1. **Durable state** — snapshot + WAL replay via
 //!    [`stq_durability::recover_shard`]. This restores every event up to
 //!    some prefix of the stream; a torn WAL tail only shortens the prefix.
-//! 2. **The redo buffer** — a durable lane retains every ingested event
-//!    whose durability the shard has not yet acknowledged (`durable_seq`).
-//!    Events past the recovered prefix are re-appended to the WAL and
-//!    re-applied here, in sequence order, through the same
+//! 2. **The redo buffer** — a durable lane retains, whole, every lane it
+//!    sent whose last event the shard has not yet acknowledged as durable
+//!    (`durable_seq`). Events past the recovered prefix are re-appended to
+//!    the WAL and re-applied here, in sequence order, through the same
 //!    [`apply_crossing`](stq_durability::apply_crossing) rule the live path
 //!    uses.
 //!
@@ -57,15 +57,20 @@ use crate::shard::{RetiredState, ShardMsg, ShardWorker, WorkerExit, HEALTHY, REC
 use crate::shardmap::Migration;
 use crate::state::Shared;
 
+/// The events one `ingest` / `ingest_batch` call sent one shard, in order:
+/// one allocation for the channel, the redo buffer, the worker and the WAL.
+pub(crate) type Lane = Arc<[Crossing]>;
+
 /// Per-shard ingest bookkeeping, shared between the server (sequence
 /// assignment, redo retention) and the supervisor (recovery replay).
+#[derive(Default)]
 pub(crate) struct IngestLane {
     /// Highest sequence number handed out.
     pub next_seq: u64,
-    /// Events past the durable floor (what a kill could lose), oldest
-    /// first, trimmed against the shard's `durable_seq`. Always empty without
-    /// durability: the lane is then a sequence counter.
-    pub buf: VecDeque<(u64, Crossing)>,
+    /// The lanes a kill could lose part of, oldest first, each with its first
+    /// event's sequence, dropped once `durable_seq` reaches their last. Always
+    /// empty without durability: the lane is then a sequence counter.
+    pub buf: VecDeque<(u64, Lane)>,
 }
 
 /// What an exiting worker reports upward.
@@ -244,10 +249,11 @@ impl Supervisor {
         let redo_from = lane.buf.front().map_or(lane.next_seq + 1, |&(first, _)| first);
         let (forms, durability, lost_edges) = match recovered {
             Some((mut forms, floor, mut durability)) if redo_from <= floor + 1 => {
-                // Redo: everything in the retention buffer past the recovered
-                // prefix, re-appended and re-applied in sequence order.
-                let (mut last_seq, mut redone) = (floor, 0u64);
-                for &(seq, ref c) in lane.buf.iter().filter(|&&(seq, _)| seq > floor) {
+                // Redo: everything retained past the recovered prefix (which
+                // may end inside a lane), re-appended and re-applied in order.
+                let retained = lane.buf.iter().flat_map(|(first, sent)| (*first..).zip(&sent[..]));
+                let mut last_seq = floor;
+                for (seq, c) in retained.filter(|&(seq, _)| seq > floor) {
                     // A migration leaves no event of a moved edge to replay
                     // on its old shard: it snapshots at the cut, so the
                     // recovered prefix ends at or after it.
@@ -255,9 +261,8 @@ impl Supervisor {
                     apply_crossing(&mut forms, c);
                     durability.append(seq, c, &forms).expect("redo WAL append");
                     last_seq = seq;
-                    redone += 1;
                 }
-                Metrics::add(&shared.metrics.redo_replayed, redone);
+                Metrics::add(&shared.metrics.redo_replayed, last_seq - floor);
                 let durable = durability.sync().expect("redo WAL sync");
                 shared.durable_seq[shard].store(durable, Ordering::Release);
                 debug_assert_eq!(last_seq, lane.next_seq, "redo must reach the lane head");
@@ -285,8 +290,8 @@ impl Supervisor {
     /// Executes one shard-map migration end to end. Runs on the supervisor
     /// thread (so migrations are serialized against recoveries); ingest on
     /// the involved shards is frozen by holding their lane locks in
-    /// ascending order for the whole protocol, which is also what makes the
-    /// dispatchers' `shard_of` re-check under a lane lock race-free.
+    /// ascending order for the whole protocol, which is also what makes an
+    /// ingest's owner or epoch re-check under its lane locks race-free.
     fn migrate(&mut self, moves: Vec<Migration>) -> MigrationOutcome {
         let moves: Vec<Migration> = moves.into_iter().filter(|m| m.from != m.to).collect();
         let mut involved: Vec<usize> = moves.iter().flat_map(|m| [m.from, m.to]).collect();

@@ -10,12 +10,17 @@
 //! the `bounded(1)` channel behind its `PendingAnswer` (an `Arc` and the one
 //! slot, which the shim allocates when the channel is created) — lands in
 //! the `OTHER` slot and is outside the assertion.
+//!
+//! The write path's case counts the *calling* thread instead: what one
+//! clean `ingest_batch` allocates there is per lane, not per event.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use stq_core::prelude::*;
+use stq_core::tracker::Crossing;
 use stq_runtime::{QuerySpec, Runtime, RuntimeConfig};
 
 /// Whose allocation it was: index into [`COUNTS`].
@@ -23,15 +28,20 @@ const UNRESOLVED: usize = 0;
 const DISPATCHER: usize = 1;
 const SHARDS: [usize; 2] = [2, 3];
 const OTHER: usize = 4;
+/// A test thread that put itself here (`count_this_thread_as_caller`).
+const CALLER: usize = 5;
 /// The thread is inside `slot_of_current_thread`, which may allocate.
 const RESOLVING: usize = usize::MAX;
 
-static COUNTS: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+static COUNTS: [AtomicU64; 6] = [const { AtomicU64::new(0) }; 6];
 /// Counting (and the name lookup behind it) is on only between the test's
 /// `ARMED` stores, when every runtime thread is long past its start-up:
 /// `std::thread::current` must not run before the thread has installed its
 /// own handle.
 static ARMED: AtomicBool = AtomicBool::new(false);
+/// One test at a time: `ARMED` is global, and every runtime names its
+/// threads alike.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static SLOT: Cell<usize> = const { Cell::new(UNRESOLVED) };
@@ -91,23 +101,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per runtime thread while `f` ran: `(dispatcher, [shard 0,
-/// shard 1])`.
-fn allocations_during(f: impl FnOnce()) -> (u64, [u64; 2]) {
+/// Allocations while `f` ran: `(dispatcher, [shard 0, shard 1], caller)`.
+fn allocations_during(f: impl FnOnce()) -> (u64, [u64; 2], u64) {
     let read = || {
         let at = |slot: usize| COUNTS[slot].load(Ordering::Relaxed);
-        (at(DISPATCHER), SHARDS.map(at))
+        (at(DISPATCHER), SHARDS.map(at), at(CALLER))
     };
     let before = read();
     ARMED.store(true, Ordering::SeqCst);
     f();
     ARMED.store(false, Ordering::SeqCst);
     let after = read();
-    (after.0 - before.0, [after.1[0] - before.1[0], after.1[1] - before.1[1]])
+    (after.0 - before.0, [after.1[0] - before.1[0], after.1[1] - before.1[1]], after.2 - before.2)
 }
 
 #[test]
 fn warm_query_allocates_nothing_on_the_dispatcher() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let s = Scenario::build(ScenarioConfig {
         junctions: 180,
         mix: WorkloadMix { random_waypoint: 20, commuter: 12, transit: 6 },
@@ -151,7 +161,7 @@ fn warm_query_allocates_nothing_on_the_dispatcher() {
 
     let queries = 1_000;
     let mut requests = 0;
-    let (dispatcher, shards) = allocations_during(|| {
+    let (dispatcher, shards, _) = allocations_during(|| {
         requests = warm.iter().cycle().take(queries).map(ask).sum::<u64>();
     });
     println!(
@@ -166,9 +176,57 @@ fn warm_query_allocates_nothing_on_the_dispatcher() {
 
     // A plan the dispatcher has not routed yet does allocate there (its
     // groups), so the zero above is a reading, not a blind counter.
-    let (dispatcher, _) = allocations_during(|| {
+    let (dispatcher, ..) = allocations_during(|| {
         ask(&held_back[0]);
     });
     assert!(dispatcher > 0, "the counter sees a first-time plan allocate");
+    rt.shutdown();
+}
+
+#[test]
+fn clean_batch_allocates_per_lane_on_the_caller() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    SLOT.with(|slot| slot.set(CALLER));
+    let s = Scenario::build(ScenarioConfig {
+        junctions: 120,
+        mix: WorkloadMix { random_waypoint: 8, commuter: 4, transit: 2 },
+        seed: 29,
+        ..Default::default()
+    });
+    let ne = s.sensing.num_edges() & !1; // even: event `i` goes to shard `i % 2`
+    let sampled = SampledGraph::unsampled(&s.sensing);
+    let cfg = RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() };
+    let rt = Runtime::new(s.sensing.clone(), sampled, &s.tracked.store, cfg);
+
+    // Allocations on this thread inside each of 32 `ingest_batch` calls of
+    // `len` events, half of them to either shard. The flush between calls
+    // (not counted) keeps the shard channels' queues from growing.
+    let mut sent = 0;
+    let mut per_batch = |len: usize| -> Vec<u64> {
+        let mut counts = Vec::with_capacity(32);
+        for _ in 0..32 {
+            let batch: Vec<Crossing> = (sent..sent + len)
+                .map(|i| Crossing { time: 10_000.0 + i as f64, edge: i % ne, forward: i % 3 != 0 })
+                .collect();
+            sent += len;
+            let (.., caller) = allocations_during(|| {
+                assert_eq!(rt.ingest_batch(&batch).lanes, 2);
+            });
+            rt.flush_ingest();
+            counts.push(caller);
+        }
+        counts
+    };
+    per_batch(256); // warm-up: the queues reach their size
+    let (short, long) = (per_batch(256), per_batch(1024));
+    println!("allocations per clean ingest_batch: {short:?} at 256 events, {long:?} at 1024");
+    // 16: the table of lanes, six steps of growth to 128 events and the
+    // shared slice for either lane, the lane locks. Nothing for validation,
+    // the redo buffer or the send. (PR 22 read 42: the validated copy, three
+    // growing columns a lane and three more for its re-filtered twin.)
+    assert!(short.iter().all(|&n| n <= 16), "256 events: {short:?}");
+    // Four times the events is two more doublings a lane, nothing else
+    // (PR 22: 54).
+    assert!(long.iter().all(|&n| n <= 16 + 2 * 2), "1024 events: {long:?}");
     rt.shutdown();
 }

@@ -110,19 +110,20 @@ fn gate_only(max_inflight_cost: f64) -> OverloadConfig {
 /// request: queries take tens of milliseconds, so a short submission burst
 /// reliably fills a capacity-1 queue.
 fn slow_runtime(f: &Fixture, queue_capacity: usize) -> Runtime {
-    runtime(
-        f,
-        RuntimeConfig {
-            num_shards: 1,
-            dispatchers: 1,
-            queue_capacity,
-            shard_timeout: Duration::from_secs(5),
-            max_retries: 0,
-            fault: FaultPlan::lossy(5, 0.0, 1.0, 0.0, 1),
-            overload: Some(gate_only(f64::INFINITY)),
-            ..RuntimeConfig::default()
-        },
-    )
+    runtime(f, slow_cfg(queue_capacity))
+}
+
+fn slow_cfg(queue_capacity: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        num_shards: 1,
+        dispatchers: 1,
+        queue_capacity,
+        shard_timeout: Duration::from_secs(5),
+        max_retries: 0,
+        fault: FaultPlan::lossy(5, 0.0, 1.0, 0.0, 1),
+        overload: Some(gate_only(f64::INFINITY)),
+        ..RuntimeConfig::default()
+    }
 }
 
 #[test]
@@ -193,6 +194,38 @@ fn full_queue_rejects_try_submit_while_submit_blocks() {
     assert_eq!(report.admission_rejected, rejected as u64);
     assert_eq!(report.deadline_expired, 0);
     rt.shutdown();
+}
+
+#[test]
+fn full_queue_hint_saturates_on_a_timeout_or_retry_count_too_large_to_multiply() {
+    let f = fixture();
+    let spec = covered_spec(f, 8, 61);
+    // `shard_timeout × (max_retries + 1)`: the product overflows for the
+    // first, the sum for the second.
+    for (shard_timeout, max_retries) in [(Duration::MAX, 1), (Duration::from_secs(5), u32::MAX)] {
+        for overload in [Some(gate_only(f64::INFINITY)), None] {
+            // With overload control the hint is its p95 window, and the
+            // schedule is not even computed.
+            let controlled = overload.is_some();
+            let cfg = RuntimeConfig { shard_timeout, max_retries, overload, ..slow_cfg(1) };
+            let rt = runtime(f, cfg);
+            let burst: Vec<_> = (0..12).map(|_| rt.try_submit(spec.clone())).collect();
+            let hints: Vec<Duration> =
+                burst.iter().filter_map(|r| r.as_ref().err()).map(|rej| rej.retry_after).collect();
+            assert!(!hints.is_empty(), "a capacity-1 queue must reject most of a 12-burst");
+            for hint in hints {
+                if controlled {
+                    assert!(hint <= Duration::from_millis(250), "{hint:?}");
+                } else {
+                    assert!(hint >= shard_timeout, "{hint:?} for {shard_timeout:?}");
+                }
+            }
+            for pending in burst.into_iter().flatten() {
+                assert!(!pending.wait().expired);
+            }
+            rt.shutdown();
+        }
+    }
 }
 
 #[test]

@@ -221,6 +221,61 @@ fn killed_run_matches(
 }
 
 #[test]
+fn kill_inside_a_batched_lane_redoes_only_what_is_past_the_floor() {
+    let f = fixture();
+    let ne = f.scenario.sensing.num_edges();
+    let events = stream(ne, 600);
+    let ns = 2;
+    let rt_ref = runtime(f, RuntimeConfig { num_shards: ns, ..RuntimeConfig::default() });
+    for batch in events.chunks(200) {
+        rt_ref.ingest_batch(batch);
+    }
+    rt_ref.flush_ingest();
+    let want = rt_ref.shard_digests();
+    rt_ref.shutdown();
+
+    // Shard 0's lanes of the first two batches: sequences `1..=n1`, then
+    // `n1 + 1..=n1 + n2`. It dies 55 events into the second. A lane with a
+    // kill in it is appended record by record and synced every 16th, so the
+    // disk ends somewhere in `n1 + 48..=n1 + 55` (the seed decides how much
+    // of the unsynced tail survives): inside the one lane the redo buffer
+    // holds, which is replayed from there and not from its first event.
+    let lane_len = |batch: &[Crossing]| batch.iter().filter(|c| c.edge % ns == 0).count() as u64;
+    let (n1, n2) = (lane_len(&events[..200]), lane_len(&events[200..400]));
+    assert!(n2 > 55);
+    for seed in FAULT_SEEDS {
+        let dir = tmpdir("lane");
+        let faults = DurabilityFaultPlan::killing(0xfeed_beef ^ seed, &[(0, n1 + 55)]);
+        let rt = runtime(
+            f,
+            RuntimeConfig {
+                num_shards: ns,
+                durability: durable_cfg(&dir, 1024, faults),
+                ..RuntimeConfig::default()
+            },
+        );
+        for batch in events.chunks(200) {
+            assert_eq!(rt.ingest_batch(batch).lanes, ns);
+            // Synced, so the next lane is the only one retained; and the
+            // flush after the kill waits the recovery out.
+            rt.flush_ingest();
+        }
+        assert_eq!(rt.shard_digests(), want, "seed {seed}: recovered state must be byte-identical");
+        let report = rt.metrics().report();
+        assert_eq!(report.shard_respawns, 1, "{report}");
+        // No snapshot rolled over, so what the WAL replayed is the floor.
+        let floor = report.wal_replayed;
+        assert!((n1 + 48..=n1 + 55).contains(&floor), "seed {seed}: floor {floor}, n1 {n1}");
+        assert_eq!(report.redo_replayed, n1 + n2 - floor, "seed {seed}: redo starts past {floor}");
+        // The dead worker applied 55 of the lane's events; the redo, not a
+        // live apply, supplied the rest.
+        assert_eq!(report.ingested, events.len() as u64 - (n2 - 55), "{report}");
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn clean_restart_from_disk_matches_memory() {
     // No faults at all: durable state written by one runtime equals the
     // in-memory truth record for record (covers WAL + snapshot + replay on
