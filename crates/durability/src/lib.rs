@@ -22,6 +22,14 @@
 //!   snapshot the WAL is truncated: recovery cost is bounded by the
 //!   snapshot interval, not the shard's lifetime.
 //!
+//! Boring to read, and cheap to write: each format has **one encoder**, fed
+//! what the caller already holds. A WAL frame is encoded from the lane of
+//! crossings a shard worker was handed ([`WalWriter::append_lane`]; a single
+//! record is a one-event lane) into a buffer the writer keeps; a snapshot is
+//! streamed from the live forms' own sequences through one 64 KiB chunk
+//! (`snapshot::write_snapshot`), never cloned and never held whole; and the
+//! checksum over both ([`crc`]) runs eight bytes a step.
+//!
 //! Fault injection (fsync loss, torn mid-record writes) lives in
 //! `stq_net::DurabilityFaultPlan`; this crate only provides the mechanics
 //! (`WalWriter::kill_cut`) to apply a planned cut, in the same seeded,
@@ -32,7 +40,7 @@ pub mod recovery;
 pub mod snapshot;
 pub mod wal;
 
-pub use crc::crc32;
+pub use crc::{crc32, Crc32};
 pub use recovery::{apply_crossing, recover_shard, RecoveredShard, RecoveryReport};
 pub use snapshot::{install_snapshot, load_snapshot, state_digest, ShardSnapshot};
 pub use wal::{replay_wal, ShardDurability, WalReplay, WalWriter};

@@ -91,9 +91,11 @@ pub fn recover_shard(
     sync_every: u64,
 ) -> std::io::Result<RecoveredShard> {
     let dir = ShardDurability::shard_dir(root, shard);
-    let snap = load_snapshot(&dir)?;
-    let (mut forms, snapshot_seq) = match &snap {
-        Some(s) => (s.restore(), s.covered_seq),
+    let (mut forms, snapshot_seq) = match load_snapshot(&dir)? {
+        Some(snap) => {
+            let covered = snap.covered_seq;
+            (snap.restore(), covered)
+        }
         None => (ShardForms::default(), 0),
     };
     let replay = replay_wal(&dir.join("wal.log"), snapshot_seq)?;

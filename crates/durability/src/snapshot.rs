@@ -18,6 +18,20 @@
 //! Timestamps are raw `f64` bit patterns: a load reproduces the captured
 //! state byte-for-byte, which is what lets recovery tests assert digest
 //! equality against an uninterrupted run.
+//!
+//! ## Streamed, never materialised
+//!
+//! There is one encoder, `write_snapshot`, and it never holds the file: it
+//! walks `(edge, forward times, backward times)` slices in ascending edge
+//! order, fills a fixed `CHUNK` (64 KiB) of bytes, folds each chunk into a
+//! running [`Crc32`] and writes it out, so the checksum in the trailer is
+//! known when the last chunk is. [`install_snapshot`] feeds it a [`ShardSnapshot`]'s
+//! vectors; the running service (`install_forms`, behind
+//! `ShardDurability::{initialize, snapshot_now}`) feeds it the live forms'
+//! own slices, so a rollover clones no sequence and its memory is one chunk
+//! whatever the shard holds. The bytes are the format's, not the encoder's:
+//! the test module keeps the old build-it-all-then-checksum encoder as the
+//! reference and compares files byte for byte.
 
 use std::borrow::Borrow;
 use std::fs::File;
@@ -26,9 +40,13 @@ use std::path::{Path, PathBuf};
 
 use stq_forms::{ShardForms, TrackingForm};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 
 const MAGIC: &[u8; 8] = b"STQSNAP1";
+/// Bytes the encoder buffers between writes. Everything the format holds is
+/// an 8-byte word but the trailer, so a chunk always fills exactly.
+const CHUNK: usize = 64 << 10;
+const _: () = assert!(CHUNK % 8 == 0, "a chunk is a whole number of words");
 
 /// A point-in-time capture of one shard's tracking-form state.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,38 +67,17 @@ impl ShardSnapshot {
         covered_seq: u64,
         forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
     ) -> Self {
-        let edges = ShardForms::ascending(forms)
-            .map(|(e, f)| (e, f.timestamps(true).to_vec(), f.timestamps(false).to_vec()))
-            .collect();
+        let edges = sequences(forms).map(|(e, fwd, bwd)| (e, fwd.to_vec(), bwd.to_vec())).collect();
         ShardSnapshot { shard, covered_seq, edges }
     }
 
-    /// Rebuilds the shard state this snapshot captured.
-    pub fn restore(&self) -> ShardForms {
+    /// Rebuilds the shard state this snapshot captured, out of its vectors.
+    pub fn restore(self) -> ShardForms {
         let mut forms = ShardForms::default();
-        for (e, fwd, bwd) in &self.edges {
-            forms.insert(*e, TrackingForm::from_sequences(fwd.clone(), bwd.clone()));
+        for (e, fwd, bwd) in self.edges {
+            forms.insert(e, TrackingForm::from_sequences(fwd, bwd));
         }
         forms
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.edges.len() * 24);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.shard as u64).to_le_bytes());
-        out.extend_from_slice(&self.covered_seq.to_le_bytes());
-        out.extend_from_slice(&(self.edges.len() as u64).to_le_bytes());
-        for (edge, fwd, bwd) in &self.edges {
-            out.extend_from_slice(&(*edge as u64).to_le_bytes());
-            out.extend_from_slice(&(fwd.len() as u64).to_le_bytes());
-            out.extend_from_slice(&(bwd.len() as u64).to_le_bytes());
-            for t in fwd.iter().chain(bwd.iter()) {
-                out.extend_from_slice(&t.to_bits().to_le_bytes());
-            }
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
@@ -107,11 +104,14 @@ impl ShardSnapshot {
             let fwd_len = u64_at(&mut off)? as usize;
             let bwd_len = u64_at(&mut off)? as usize;
             let read_times = |n: usize, o: &mut usize| -> Option<Vec<f64>> {
+                // One bounds check for the sequence; the capacity is still
+                // not sized by a length read from disk.
+                let end = n.checked_mul(8).and_then(|bytes| o.checked_add(bytes))?;
+                let raw = body.get(*o..end)?;
+                *o = end;
                 let mut v = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let raw = body.get(*o..*o + 8)?;
-                    *o += 8;
-                    let t = f64::from_bits(u64::from_le_bytes(raw.try_into().unwrap()));
+                for word in raw.chunks_exact(8) {
+                    let t = f64::from_bits(u64::from_le_bytes(word.try_into().unwrap()));
                     if !t.is_finite() {
                         return None;
                     }
@@ -132,21 +132,85 @@ impl ShardSnapshot {
     }
 }
 
+/// What a snapshot holds of `forms`, in the order it holds it: ascending
+/// `(edge, forward times, backward times)`, borrowed.
+fn sequences<'a, K: Borrow<usize>>(
+    forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
+) -> impl ExactSizeIterator<Item = (usize, &'a [f64], &'a [f64])> {
+    ShardForms::ascending(forms).map(|(e, f)| (e, f.timestamps(true), f.timestamps(false)))
+}
+
 fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join("snapshot.bin")
 }
 
-/// Writes `snap` to `dir/snapshot.bin` via a temp file and atomic rename: a
-/// crash during installation leaves either the old snapshot or the new one,
-/// never a torn hybrid.
-pub fn install_snapshot(dir: &Path, snap: &ShardSnapshot) -> std::io::Result<()> {
-    let tmp = dir.join("snapshot.bin.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&snap.encode())?;
-        f.sync_all()?;
+/// The file a snapshot streams into: words collect in one [`CHUNK`], and
+/// every full chunk goes to the running checksum and the file.
+struct ChunkedFile {
+    file: File,
+    crc: Crc32,
+    chunk: Vec<u8>,
+}
+
+impl ChunkedFile {
+    fn put(&mut self, words: impl IntoIterator<Item = u64>) -> std::io::Result<()> {
+        for word in words {
+            self.chunk.extend_from_slice(&word.to_le_bytes());
+            if self.chunk.len() == CHUNK {
+                self.crc.update(&self.chunk);
+                self.file.write_all(&self.chunk)?;
+                self.chunk.clear();
+            }
+        }
+        Ok(())
     }
+}
+
+/// The one snapshot encoder. Streams `edges` — ascending by edge id, as many
+/// as the iterator says it holds — to `dir/snapshot.bin` via a temp file and
+/// atomic rename: a crash during installation leaves either the old snapshot
+/// or the new one, never a torn hybrid.
+fn write_snapshot<'a>(
+    dir: &Path,
+    shard: usize,
+    covered_seq: u64,
+    edges: impl ExactSizeIterator<Item = (usize, &'a [f64], &'a [f64])>,
+) -> std::io::Result<()> {
+    let tmp = dir.join("snapshot.bin.tmp");
+    let mut out = ChunkedFile {
+        file: File::create(&tmp)?,
+        crc: Crc32::default(),
+        chunk: Vec::with_capacity(CHUNK),
+    };
+    out.put([u64::from_le_bytes(*MAGIC), shard as u64, covered_seq, edges.len() as u64])?;
+    for (edge, fwd, bwd) in edges {
+        out.put([edge as u64, fwd.len() as u64, bwd.len() as u64])?;
+        out.put(fwd.iter().chain(bwd).map(|t| t.to_bits()))?;
+    }
+    let ChunkedFile { mut file, mut crc, mut chunk } = out;
+    crc.update(&chunk);
+    chunk.extend_from_slice(&crc.finish().to_le_bytes());
+    file.write_all(&chunk)?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, snapshot_path(dir))
+}
+
+/// Writes `snap` to `dir/snapshot.bin` (temp file, then atomic rename).
+pub fn install_snapshot(dir: &Path, snap: &ShardSnapshot) -> std::io::Result<()> {
+    let edges = snap.edges.iter().map(|(e, fwd, bwd)| (*e, &fwd[..], &bwd[..]));
+    write_snapshot(dir, snap.shard, snap.covered_seq, edges)
+}
+
+/// Writes the snapshot [`ShardSnapshot::capture`] would take of `forms`,
+/// straight from the forms' own sequences: nothing is cloned on the way.
+pub(crate) fn install_forms<'a, K: Borrow<usize>>(
+    dir: &Path,
+    shard: usize,
+    covered_seq: u64,
+    forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
+) -> std::io::Result<()> {
+    write_snapshot(dir, shard, covered_seq, sequences(forms))
 }
 
 /// Loads `dir/snapshot.bin`. `Ok(None)` when no snapshot exists; a present
@@ -216,6 +280,70 @@ mod tests {
         m
     }
 
+    /// The format spelled out the plain way — the whole file built in
+    /// memory, then checksummed: the reference the streamed encoder's files
+    /// are compared against, byte for byte.
+    fn reference_encode(snap: &ShardSnapshot) -> Vec<u8> {
+        let mut out = Vec::with_capacity(32 + snap.edges.len() * 24);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&(snap.shard as u64).to_le_bytes());
+        out.extend_from_slice(&snap.covered_seq.to_le_bytes());
+        out.extend_from_slice(&(snap.edges.len() as u64).to_le_bytes());
+        for (edge, fwd, bwd) in &snap.edges {
+            out.extend_from_slice(&(*edge as u64).to_le_bytes());
+            out.extend_from_slice(&(fwd.len() as u64).to_le_bytes());
+            out.extend_from_slice(&(bwd.len() as u64).to_le_bytes());
+            for t in fwd.iter().chain(bwd.iter()) {
+                out.extend_from_slice(&t.to_bits().to_le_bytes());
+            }
+        }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn streamed_snapshot_bytes_equal_the_reference_encoding() {
+        let ramp = |n: usize| -> Vec<f64> { (0..n).map(|i| 0.5 + i as f64 * 0.25).collect() };
+        let shard_of = |edges: Vec<(usize, Vec<f64>, Vec<f64>)>| {
+            let mut forms = ShardForms::default();
+            for (e, fwd, bwd) in edges {
+                forms.insert(e, TrackingForm::from_sequences(fwd, bwd));
+            }
+            forms
+        };
+        let mut owned_but_empty = sample_forms();
+        owned_but_empty.insert(7, TrackingForm::default());
+        let words = CHUNK / 8;
+        // The file header is 4 words and an edge's header 3.
+        let cases = [
+            ("sample forms", sample_forms()),
+            ("no edge at all", ShardForms::default()),
+            ("an owned edge with no event", owned_but_empty),
+            (
+                "a chunk boundary inside a sequence",
+                shard_of(vec![(2, ramp(words + 1_000), ramp(3)), (9, ramp(2), ramp(words * 2))]),
+            ),
+            (
+                "a chunk boundary between two edges",
+                shard_of(vec![(1, ramp(words - 4 - 3 - 5), ramp(5)), (2, ramp(4), vec![])]),
+            ),
+        ];
+        let dir = tmpdir("bytes");
+        let file = dir.join("snapshot.bin");
+        for (case, forms) in cases {
+            let snap = ShardSnapshot::capture(3, 77, &forms);
+            let want = reference_encode(&snap);
+            install_snapshot(&dir, &snap).unwrap();
+            assert!(std::fs::read(&file).unwrap() == want, "{case}: from a captured snapshot");
+            std::fs::remove_file(&file).unwrap();
+            install_forms(&dir, 3, 77, &forms).unwrap();
+            assert!(std::fs::read(&file).unwrap() == want, "{case}: from the live forms");
+            assert_eq!(load_snapshot(&dir).unwrap().unwrap(), snap, "{case}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn install_then_load_roundtrips_bit_exactly() {
         let dir = tmpdir("roundtrip");
@@ -251,7 +379,7 @@ mod tests {
 
     #[test]
     fn repeated_or_descending_edge_ids_are_invalid_data() {
-        // Checksum-valid files (written through `encode`) that break the
+        // Checksum-valid files (written by the encoder itself) that break the
         // format's ascending-edge promise: restoring one would keep only one
         // of the two forms and digest unlike what was captured.
         let dir = tmpdir("edge-order");

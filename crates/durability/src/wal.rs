@@ -29,7 +29,7 @@ use stq_core::tracker::Crossing;
 use stq_forms::TrackingForm;
 
 use crate::crc::crc32;
-use crate::snapshot::{install_snapshot, ShardSnapshot};
+use crate::snapshot::install_forms;
 
 /// Fixed payload size: `seq u64 + edge u64 + flags u8 + time-bits u64`.
 pub(crate) const PAYLOAD_LEN: usize = 25;
@@ -64,6 +64,9 @@ pub struct WalWriter {
     synced: u64,
     last_seq: u64,
     records: u64,
+    /// The frame being encoded, header first: kept between appends so a
+    /// frame costs no allocation, and handed to the file in one write.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -78,6 +81,7 @@ impl WalWriter {
             synced: 0,
             last_seq: base_seq,
             records: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -103,54 +107,61 @@ impl WalWriter {
             synced: valid_len,
             last_seq,
             records,
+            frame: Vec::new(),
         })
     }
 
-    /// Appends one record. `seq` must continue the shard's contiguous
-    /// sequence — the invariant replay uses to prove nothing vanished
-    /// mid-log.
+    /// Appends one record — a one-event lane. `seq` must continue the shard's
+    /// contiguous sequence — the invariant replay uses to prove nothing
+    /// vanished mid-log.
     pub fn append(&mut self, seq: u64, c: &Crossing) -> std::io::Result<()> {
-        assert_eq!(seq, self.last_seq + 1, "WAL sequence must be contiguous");
-        let payload = encode_payload(seq, c);
-        let mut rec = [0u8; HEADER_LEN + PAYLOAD_LEN];
-        rec[0..4].copy_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
-        rec[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
-        rec[8..].copy_from_slice(&payload);
-        self.file.write_all(&rec)?;
-        self.written += RECORD_LEN;
-        self.last_seq = seq;
-        self.records += 1;
+        self.append_lane(seq, std::slice::from_ref(c))
+    }
+
+    /// The one frame encoder. Appends `lane`, whose events carry the
+    /// sequences `first_seq..`, as **one** length-prefixed frame: a single
+    /// header whose length is `k × PAYLOAD_LEN` and whose CRC covers the
+    /// concatenated payloads, followed by the `k` fixed-size payloads.
+    /// `first_seq` must continue the log contiguously.
+    ///
+    /// [`replay_wal`] accepts any mix of frame sizes, and a one-event frame
+    /// is the classic single record. A torn cut inside a frame loses the
+    /// whole frame — the group either commits or does not, which is exactly
+    /// the group-commit contract.
+    ///
+    /// The writer claims a sequence only once the file took its frame: after
+    /// an `Err` its counters read as before the call, so a later `sync`
+    /// cannot report a floor over records that were never written.
+    pub fn append_lane(&mut self, first_seq: u64, lane: &[Crossing]) -> std::io::Result<()> {
+        if lane.is_empty() {
+            return Ok(());
+        }
+        assert_eq!(first_seq, self.last_seq + 1, "WAL sequence must be contiguous");
+        let len = u32::try_from(lane.len() * PAYLOAD_LEN).expect("a frame's length fits its u32");
+        self.frame.clear();
+        self.frame.resize(HEADER_LEN, 0);
+        for (seq, c) in (first_seq..).zip(lane) {
+            self.frame.extend_from_slice(&encode_payload(seq, c));
+        }
+        let crc = crc32(&self.frame[HEADER_LEN..]);
+        self.frame[0..4].copy_from_slice(&len.to_le_bytes());
+        self.frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.file.write_all(&self.frame)?;
+        self.written += self.frame.len() as u64;
+        self.last_seq += lane.len() as u64;
+        self.records += lane.len() as u64;
         Ok(())
     }
 
-    /// Appends a batch of records as **one** length-prefixed frame: a single
-    /// header whose length is `k × PAYLOAD_LEN` and whose CRC covers the
-    /// concatenated payloads, followed by the `k` fixed-size payloads. The
-    /// batch's sequence numbers must continue the log contiguously.
-    ///
-    /// Replay is format-compatible with [`WalWriter::append`]: a
-    /// single-record frame is byte-identical to the classic record, and
-    /// [`replay_wal`] accepts any mix of frame sizes. A torn cut inside a
-    /// batch frame loses the whole frame — the group either commits or does
-    /// not, which is exactly the group-commit contract.
+    /// [`WalWriter::append_lane`] for records that carry their sequences,
+    /// which must be contiguous among themselves as well.
     pub fn append_batch(&mut self, records: &[(u64, Crossing)]) -> std::io::Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let mut payload = Vec::with_capacity(records.len() * PAYLOAD_LEN);
-        for &(seq, ref c) in records {
-            assert_eq!(seq, self.last_seq + 1, "WAL sequence must be contiguous");
-            payload.extend_from_slice(&encode_payload(seq, c));
-            self.last_seq = seq;
-        }
-        let mut header = [0u8; HEADER_LEN];
-        header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
-        self.file.write_all(&header)?;
-        self.file.write_all(&payload)?;
-        self.written += (HEADER_LEN + payload.len()) as u64;
-        self.records += records.len() as u64;
-        Ok(())
+        let Some(&(first_seq, _)) = records.first() else { return Ok(()) };
+        let contiguous =
+            records.iter().map(|r| r.0).eq(first_seq..first_seq + records.len() as u64);
+        assert!(contiguous, "WAL sequence must be contiguous");
+        let lane: Vec<Crossing> = records.iter().map(|r| r.1).collect();
+        self.append_lane(first_seq, &lane)
     }
 
     /// Flushes and marks everything written so far as durable. Returns the
@@ -333,7 +344,7 @@ impl ShardDurability {
     ) -> std::io::Result<Self> {
         let dir = Self::shard_dir(root, shard);
         std::fs::create_dir_all(&dir)?;
-        install_snapshot(&dir, &ShardSnapshot::capture(shard, base_seq, forms))?;
+        install_forms(&dir, shard, base_seq, forms)?;
         let wal = WalWriter::create(&Self::wal_path(&dir), base_seq)?;
         Ok(ShardDurability {
             dir,
@@ -395,24 +406,25 @@ impl ShardDurability {
         Ok(DurableMark::default())
     }
 
-    /// Group commit: appends `records` as one WAL frame (see
-    /// [`WalWriter::append_batch`]) and makes the whole batch durable with
-    /// a **single** sync — or a snapshot rollover when one is due. `forms`
-    /// is the shard's in-memory state *including* every record of the
-    /// batch. The batch always returns a durable sequence: the group either
-    /// commits as a unit or (on a crash mid-frame) is lost as a unit and
-    /// re-supplied by the server's redo buffer.
+    /// Group commit: appends `lane` (sequences `first_seq..`) as one WAL
+    /// frame (see [`WalWriter::append_lane`]) and makes the whole lane
+    /// durable with a **single** sync — or a snapshot rollover when one is
+    /// due. `forms` is the shard's in-memory state *including* every event
+    /// of the lane. A non-empty lane always returns a durable sequence: the
+    /// group either commits as a unit or (on a crash mid-frame) is lost as a
+    /// unit and re-supplied by the server's redo buffer.
     pub fn append_batch<'a, K: Borrow<usize>>(
         &mut self,
-        records: &[(u64, Crossing)],
+        first_seq: u64,
+        lane: &[Crossing],
         forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
     ) -> std::io::Result<DurableMark> {
-        if records.is_empty() {
+        if lane.is_empty() {
             return Ok(DurableMark::default());
         }
-        self.wal.append_batch(records)?;
-        self.since_snapshot += records.len() as u64;
-        self.since_sync += records.len() as u64;
+        self.wal.append_lane(first_seq, lane)?;
+        self.since_snapshot += lane.len() as u64;
+        self.since_sync += lane.len() as u64;
         if self.since_snapshot >= self.snapshot_every {
             self.snapshot_now(forms)?;
             return Ok(DurableMark { durable_seq: Some(self.wal.last_seq()), snapshotted: true });
@@ -422,13 +434,14 @@ impl ShardDurability {
         Ok(DurableMark { durable_seq: Some(durable), snapshotted: false })
     }
 
-    /// Installs a snapshot of `forms` now and truncates the log.
+    /// Installs a snapshot of `forms` now, streamed from their own sequences,
+    /// and truncates the log.
     pub fn snapshot_now<'a, K: Borrow<usize>>(
         &mut self,
         forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
     ) -> std::io::Result<()> {
         let covered = self.wal.last_seq();
-        install_snapshot(&self.dir, &ShardSnapshot::capture(self.shard, covered, forms))?;
+        install_forms(&self.dir, self.shard, covered, forms)?;
         self.wal.reset_after_snapshot(covered)?;
         self.since_snapshot = 0;
         self.since_sync = 0;
@@ -627,6 +640,55 @@ mod tests {
     }
 
     #[test]
+    fn frames_are_byte_identical_to_the_two_encoders_they_replaced() {
+        // The frame spelled out the plain way, as `append` and
+        // `append_batch` each used to build it themselves.
+        let frame_of = |records: &[(u64, Crossing)]| -> Vec<u8> {
+            let mut payload = Vec::new();
+            for &(seq, ref c) in records {
+                payload.extend_from_slice(&encode_payload(seq, c));
+            }
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            frame
+        };
+        let dir = tmpdir("golden");
+        let path = dir.join("wal.log");
+        let mut w = WalWriter::create(&path, 4).unwrap();
+        let mut want = Vec::new();
+        w.append(5, &ev(5)).unwrap();
+        want.extend(frame_of(&[(5, ev(5))]));
+        let batch: Vec<(u64, Crossing)> = (6..=300u64).map(|s| (s, ev(s))).collect();
+        w.append_batch(&batch).unwrap();
+        want.extend(frame_of(&batch));
+        let lane: Vec<Crossing> = (301..=340u64).map(ev).collect();
+        w.append_lane(301, &lane).unwrap();
+        want.extend(frame_of(&(301..=340u64).map(|s| (s, ev(s))).collect::<Vec<_>>()));
+        w.append(341, &ev(341)).unwrap();
+        want.extend(frame_of(&[(341, ev(341))]));
+        w.sync().unwrap();
+        assert_eq!((w.last_seq(), w.records(), w.unsynced_bytes()), (341, 337, 0));
+        assert!(std::fs::read(&path).unwrap() == want, "the log's bytes moved");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_write_claims_no_sequence() {
+        // `/dev/full` refuses every write with ENOSPC. The lane is larger
+        // than `BufWriter`'s 8 KiB buffer, so the write reaches the device
+        // inside `append_lane` and not at some later flush.
+        let mut w = WalWriter::create(Path::new("/dev/full"), 7).unwrap();
+        let lane: Vec<Crossing> = (8..8 + 400u64).map(ev).collect();
+        assert!(lane.len() * PAYLOAD_LEN > 8 << 10);
+        w.append_lane(8, &lane).expect_err("the device is full");
+        assert_eq!((w.last_seq(), w.records(), w.unsynced_bytes()), (7, 0, 0));
+        // Nothing was written, so the floor a sync reports is still the base.
+        assert_eq!(w.sync().unwrap(), 7);
+    }
+
+    #[test]
     fn torn_batch_frame_is_lost_as_a_unit() {
         let dir = tmpdir("batch-torn");
         let path = dir.join("wal.log");
@@ -679,8 +741,8 @@ mod tests {
         let dir = tmpdir("batch-durable");
         let forms = stq_forms::ShardForms::default();
         let mut d = ShardDurability::initialize(&dir, 0, &forms, 0, 1_000_000, 1_000_000).unwrap();
-        let batch: Vec<(u64, Crossing)> = (1..=10u64).map(|s| (s, ev(s))).collect();
-        let mark = d.append_batch(&batch, &forms).unwrap();
+        let lane: Vec<Crossing> = (1..=10u64).map(ev).collect();
+        let mark = d.append_batch(1, &lane, &forms).unwrap();
         assert_eq!(mark.durable_seq, Some(10), "group commit publishes the batch's tail");
         assert!(!mark.snapshotted);
         assert_eq!(d.unsynced_bytes(), 0, "the single sync covered the whole frame");

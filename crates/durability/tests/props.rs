@@ -94,7 +94,7 @@ fn wild_edge_ids_recover_like_any_other() {
     for (_, c) in &batch {
         apply(&mut oracle, c);
     }
-    d.append_batch(&batch, &oracle).unwrap();
+    d.append_batch(6, &batch.iter().map(|r| r.1).collect::<Vec<_>>(), &oracle).unwrap();
     for seq in 15..=17 {
         apply(&mut oracle, &ev(seq));
         d.append(seq, &ev(seq), &oracle).unwrap();

@@ -279,29 +279,36 @@ impl ShardWorker {
     /// Applies one lane of crossings, WAL-logged as a single group-commit
     /// frame. Returns true when a scheduled durability fault kills the worker.
     ///
+    /// Sequences are contiguous, so whatever of the lane this incarnation
+    /// already holds (a redo replay got there before the channel did) is a
+    /// *prefix* of it: the rest is applied and logged as the slice it is,
+    /// and nothing is copied.
+    ///
     /// When a scheduled crash falls inside the batch's sequence range the
     /// whole lane degrades to the per-event path, so the kill cut lands
     /// exactly after the faulted append — byte-identical crash semantics to
     /// single-event ingest (a synced batch frame would otherwise leave no
     /// tail for the fault plan to cut).
     fn ingest_batch(&mut self, first_seq: u64, lane: &[Crossing]) -> bool {
-        let mut events = (first_seq..).zip(lane.iter().copied());
-        let end = first_seq + lane.len() as u64;
-        if self.state.durability.is_some()
-            && (first_seq..end)
-                .any(|s| s > self.state.last_seq && self.shared.dfaults.crash_due(self.id, s))
-        {
-            return events.any(|(seq, c)| self.ingest(seq, &c));
-        }
-        let mut applied: Vec<(u64, Crossing)> = Vec::with_capacity(lane.len());
-        applied.extend(events.filter(|(seq, c)| self.apply(*seq, c)));
-        if applied.is_empty() {
+        let held = (self.state.last_seq + 1).saturating_sub(first_seq).min(lane.len() as u64);
+        let (first_seq, lane) = (first_seq + held, &lane[held as usize..]);
+        if lane.is_empty() {
             return false;
         }
+        let seqs = first_seq..first_seq + lane.len() as u64;
+        if self.state.durability.is_some()
+            && seqs.clone().any(|s| self.shared.dfaults.crash_due(self.id, s))
+        {
+            return seqs.zip(lane).any(|(seq, c)| self.ingest(seq, c));
+        }
+        for (seq, c) in seqs.zip(lane) {
+            self.apply(seq, c);
+        }
         if let Some(d) = self.state.durability.as_mut() {
-            let mark = d.append_batch(&applied, &self.state.forms).expect("WAL batch append");
+            let mark =
+                d.append_batch(first_seq, lane, &self.state.forms).expect("WAL batch append");
             Metrics::bump(&self.shared.metrics.wal_group_commits);
-            self.appended(applied.len(), mark);
+            self.appended(lane.len(), mark);
         }
         false
     }
@@ -439,5 +446,59 @@ impl ShardWorker {
             }
             QueryKind::Static(t0, t1) => EdgeCounts { idx, a: net_at(t0), b: net_at(t1) },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use stq_durability::replay_wal;
+    use stq_forms::FormStore;
+
+    use super::*;
+    use crate::server::RuntimeConfig;
+
+    #[test]
+    fn a_lane_whose_head_is_already_held_is_applied_and_logged_from_there() {
+        let event =
+            |i: u64| Crossing { time: i as f64 * 0.5, edge: (i % 4) as usize, forward: true };
+        let events: Vec<Crossing> = (1..=20).map(event).collect();
+        let mut want = ShardForms::default();
+        assert!(events.iter().all(|c| apply_crossing(&mut want, c)));
+
+        let dir = std::env::temp_dir().join(format!("stq-rt-prefix-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for durable in [false, true] {
+            let cfg = RuntimeConfig { num_shards: 1, ..RuntimeConfig::default() };
+            let shared = Arc::new(Shared::new(&FormStore::new(4), &cfg, &[]));
+            let forms = ShardForms::default();
+            let durability = durable
+                .then(|| ShardDurability::initialize(&dir, 0, &forms, 0, 1_000, 1_000).unwrap());
+            let state = RetiredState { forms, durability, ..Default::default() };
+            let mut worker = ShardWorker { id: 0, state, consecutive_panics: 0, shared };
+            let logged = |w: &ShardWorker| {
+                let report = w.shared.metrics.report();
+                (report.ingested, report.wal_appends, report.wal_group_commits)
+            };
+            let frames = durable as u64;
+
+            assert!(!worker.ingest_batch(1, &events[..10]));
+            assert_eq!(logged(&worker), (10, 10 * frames, frames));
+            // Sequences 6..=20 over a worker that holds 1..=10: the last ten
+            // are new, and they are one frame.
+            assert!(!worker.ingest_batch(6, &events[5..]));
+            assert_eq!(logged(&worker), (20, 20 * frames, 2 * frames));
+            // All of it held: nothing applied, no empty frame, no commit.
+            assert!(!worker.ingest_batch(11, &events[10..]));
+            assert_eq!(logged(&worker), (20, 20 * frames, 2 * frames));
+            assert_eq!(worker.flush(), 20);
+            assert_eq!(state_digest(&worker.state.forms), state_digest(&want));
+            if durable {
+                let log = replay_wal(&dir.join("shard-0").join("wal.log"), 0).unwrap();
+                assert!(!log.torn && !log.seq_break);
+                assert!(log.events.iter().copied().eq((1..=20).zip(events.iter().copied())));
+                assert_eq!(log.valid_bytes, 2 * (8 + 10 * 25), "two frames of ten");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

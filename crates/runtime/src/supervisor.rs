@@ -84,7 +84,9 @@ pub(crate) struct WorkerEvent {
 
 /// Messages the supervisor thread consumes.
 pub(crate) enum SupervisorMsg {
-    Worker(WorkerEvent),
+    /// Boxed: an exit report carries a whole `RetiredState`, WAL handle and
+    /// its frame buffer included, and is the rare message here.
+    Worker(Box<WorkerEvent>),
     /// Execute a shard-map migration: retire the involved workers, move the
     /// listed edge forms between their states, commit the new assignment,
     /// and respawn. Replies on `done` when the protocol finishes.
@@ -165,7 +167,7 @@ impl Supervisor {
     pub(crate) fn run(mut self, events_rx: Receiver<SupervisorMsg>) {
         while let Ok(msg) = events_rx.recv() {
             match msg {
-                SupervisorMsg::Worker(ev) => self.recover(ev),
+                SupervisorMsg::Worker(ev) => self.recover(*ev),
                 SupervisorMsg::Migrate { moves, done } => {
                     let outcome = self.migrate(moves);
                     let _ = done.send(outcome);
@@ -400,7 +402,8 @@ impl Supervisor {
             .spawn(move || {
                 let (exit, state) = worker.run(rx);
                 if exit != WorkerExit::Shutdown && exit != WorkerExit::Retired {
-                    let _ = events.send(SupervisorMsg::Worker(WorkerEvent { shard, exit, state }));
+                    let report = Box::new(WorkerEvent { shard, exit, state });
+                    let _ = events.send(SupervisorMsg::Worker(report));
                 }
             })
             .expect("spawn shard worker");

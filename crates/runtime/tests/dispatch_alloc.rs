@@ -11,8 +11,10 @@
 //! slot, which the shim allocates when the channel is created) — lands in
 //! the `OTHER` slot and is outside the assertion.
 //!
-//! The write path's case counts the *calling* thread instead: what one
-//! clean `ingest_batch` allocates there is per lane, not per event.
+//! The write path's cases count the *calling* thread — what one clean
+//! `ingest_batch` allocates there is per lane, not per event — and the shard
+//! threads: a memory-only worker applies the lane it was handed and copies
+//! nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -228,5 +230,45 @@ fn clean_batch_allocates_per_lane_on_the_caller() {
     // Four times the events is two more doublings a lane, nothing else
     // (PR 22: 54).
     assert!(long.iter().all(|&n| n <= 16 + 2 * 2), "1024 events: {long:?}");
+    rt.shutdown();
+}
+
+#[test]
+fn clean_lanes_allocate_only_form_growth_on_the_shards() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let s = Scenario::build(ScenarioConfig {
+        junctions: 120,
+        mix: WorkloadMix { random_waypoint: 8, commuter: 4, transit: 2 },
+        seed: 29,
+        ..Default::default()
+    });
+    let sampled = SampledGraph::unsampled(&s.sensing);
+    let cfg = RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() };
+    let rt = Runtime::new(s.sensing.clone(), sampled, &s.tracked.store, cfg);
+
+    // Event `i` crosses edge `i % 2` forward, so each shard's lane of every
+    // batch lands on one sequence of one form: all that can grow is that
+    // sequence, by doubling.
+    let batch_at = |first: usize| -> Vec<Crossing> {
+        (first..first + 256)
+            .map(|i| Crossing { time: 10_000.0 + i as f64, edge: i % 2, forward: true })
+            .collect()
+    };
+    rt.ingest_batch(&batch_at(0)); // warm-up: the queues reach their size
+    rt.flush_ingest();
+    let lanes = 64;
+    let batches: Vec<Vec<Crossing>> = (1..=lanes).map(|k| batch_at(k * 256)).collect();
+    let (_, shards, _) = allocations_during(|| {
+        for batch in &batches {
+            assert_eq!(rt.ingest_batch(batch).lanes, 2);
+        }
+        // Inside the window: the workers have applied every lane by then.
+        assert_eq!(rt.flush_ingest(), [128 * (lanes as u64 + 1); 2]);
+    });
+    println!("{lanes} clean 128-event lanes a shard: {shards:?} allocations on the shards");
+    // [6, 6]: 8 192 events double a sequence six times. PR 23 read [70, 70]:
+    // one more per lane, the `applied` vector of `(seq, event)` pairs the
+    // worker rebuilt every lane in.
+    assert!(shards.iter().all(|&n| n < lanes as u64), "shards allocated {shards:?}");
     rt.shutdown();
 }

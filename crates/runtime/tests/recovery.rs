@@ -254,14 +254,25 @@ fn kill_inside_a_batched_lane_redoes_only_what_is_past_the_floor() {
                 ..RuntimeConfig::default()
             },
         );
-        for batch in events.chunks(200) {
+        let send = |batch: &[Crossing]| {
             assert_eq!(rt.ingest_batch(batch).lanes, ns);
             // Synced, so the next lane is the only one retained; and the
             // flush after the kill waits the recovery out.
             rt.flush_ingest();
-        }
+        };
+        events[..400].chunks(200).for_each(send);
+        let before = rt.metrics().report();
+        send(&events[400..]);
         assert_eq!(rt.shard_digests(), want, "seed {seed}: recovered state must be byte-identical");
         let report = rt.metrics().report();
+        // What the workers logged themselves (the redo's appends are the
+        // supervisor's): frames for shard 0's first lane and shard 1's two,
+        // 55 single records of the lane with the kill in it. The respawned
+        // worker resumes at the lane head, so all of its next lane is past
+        // its `last_seq` and goes down as the one frame it is.
+        assert_eq!((before.wal_appends, before.wal_group_commits), (400 - n2 + 55, 3), "{before}");
+        assert_eq!(report.wal_appends - before.wal_appends, 200, "{report}");
+        assert_eq!(report.wal_group_commits - before.wal_group_commits, ns as u64, "{report}");
         assert_eq!(report.shard_respawns, 1, "{report}");
         // No snapshot rolled over, so what the WAL replayed is the floor.
         let floor = report.wal_replayed;
@@ -271,6 +282,12 @@ fn kill_inside_a_batched_lane_redoes_only_what_is_past_the_floor() {
         // live apply, supplied the rest.
         assert_eq!(report.ingested, events.len() as u64 - (n2 - 55), "{report}");
         rt.shutdown();
+        // Disk prefix, redo tail and the new incarnation's frame are one
+        // contiguous log.
+        let log = stq_durability::replay_wal(&dir.join("shard-0").join("wal.log"), 0).unwrap();
+        assert!(!log.torn && !log.seq_break, "seed {seed}");
+        let on_shard_0 = events.iter().filter(|c| c.edge % ns == 0).copied();
+        assert!(log.events.iter().copied().eq((1..).zip(on_shard_0)), "seed {seed}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
