@@ -233,7 +233,9 @@ impl DegradedAnswerer {
 
     /// Answers one query with the escalation described in the module docs.
     /// `store`'s healthy-edge counts must be exact; its quarantined edges
-    /// are never read by a certified path.
+    /// are never read by a certified path. `store` is read only at `kind`'s
+    /// own one or two instants: the serving runtime answers over a table
+    /// that holds nothing else.
     pub fn answer<S: CountSource + ?Sized>(
         &self,
         sensing: &SensingGraph,
@@ -253,6 +255,15 @@ impl DegradedAnswerer {
         };
         if self.quarantined.is_empty() {
             strategy = DegradedStrategy::None;
+        }
+        // Every certificate here rests on counts that obey conservation: no
+        // population is negative or exceeds that of a region containing it.
+        // Counts that invert the structural bracket break that premise (a
+        // stream of crossings no object could have made), so they certify
+        // nothing.
+        if base.lower > base.upper {
+            let bracket = BoundedAnswer { miss: true, coverage: 0.0, ..base };
+            return DegradedAnswer { bracket, value: 0.0, strategy, confidence: 0.0 };
         }
 
         // Fine-graph resolution: the structural ceiling imputation can reach.
@@ -744,5 +755,42 @@ mod tests {
         assert_eq!(a.strategy, DegradedStrategy::None);
         let plain = answer_with_bounds(&f.sensing, &f.graph, &tracked.store, &q, kind);
         assert_eq!(a.bracket.coverage, plain.coverage);
+    }
+
+    #[test]
+    fn counts_that_break_conservation_certify_nothing() {
+        // Every edge crossed in turn, two of three forward: no object could
+        // have made these crossings, and the counts they leave can put more
+        // objects in a sub-region than in a region containing it. The
+        // structural bracket then inverts; the answerer must say "miss", not
+        // panic clamping a learned point into it.
+        let f = fixture();
+        let (tracked, quarantined) = faulted(&f);
+        let policy = DegradedPolicy::default();
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, &tracked.store, policy);
+        let mut store = tracked.store.clone();
+        let ne = store.num_edges();
+        for i in 0..4 * ne {
+            store.record(i % ne, i % 3 != 0, 10_000.0 + i as f64 * 0.25);
+        }
+        let t_end = 10_000.0 + ne as f64;
+        let (mut inverted, mut answered) = (0, 0);
+        for (q, _) in queries(&f) {
+            for kind in [
+                QueryKind::Snapshot(t_end),
+                QueryKind::Transient(400.0, t_end),
+                QueryKind::Static(10_100.0, t_end),
+            ] {
+                let demoted = answer_with_bounds(&f.sensing, ans.demoted(), &store, &q, kind);
+                inverted += usize::from(demoted.lower > demoted.upper);
+                let a = ans.answer(&f.sensing, &store, &q, kind);
+                if !a.bracket.miss {
+                    answered += 1;
+                    assert!(a.bracket.lower <= a.bracket.upper, "{kind:?}: inverted bracket");
+                }
+            }
+        }
+        assert!(inverted > 0, "the stream must invert some structural bracket");
+        eprintln!("{inverted} structural brackets inverted, {answered} answers certified");
     }
 }

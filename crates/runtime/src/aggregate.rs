@@ -18,7 +18,7 @@ use stq_core::degraded::{DegradedAnswer, DegradedStrategy};
 use stq_core::engine::QueryPlan;
 use stq_core::query::QueryKind;
 
-use crate::dispatch::{fan_out, Collected, Dispatcher};
+use crate::dispatch::{fan_out, live_counts, Collected, Dispatcher};
 use crate::metrics::{Metrics, QueryTrace};
 use crate::overload::stride_for;
 use crate::server::QuerySpec;
@@ -288,17 +288,14 @@ fn feed_brownout(st: &ServerState, exec_us: u64) {
     }
 }
 
-/// The degraded-mode consult gate: an answerer must be configured, no event
-/// may have been ingested since startup (the brackets are certified against
-/// the construction-time store), and the escalation must land on a non-miss
-/// bracket.
+/// The degraded-mode consult: an answerer must be configured, every shard
+/// must report its live counts at the query's instants, and the escalation
+/// must land on a non-miss bracket having read only counts they reported.
 fn consult_degraded(st: &ServerState, spec: &QuerySpec) -> Option<DegradedAnswer> {
-    let (deg, store) = st.degraded.as_ref()?;
-    if st.degraded_consult_skipped() {
-        return None;
-    }
-    let a = deg.answer(&st.sensing, store, &spec.region, spec.kind);
-    (!a.bracket.miss).then_some(a)
+    let deg = st.degraded.as_ref()?;
+    let counts = live_counts(st, spec.kind, spec.deadline)?;
+    let a = deg.answer(&st.sensing, &counts, &spec.region, spec.kind);
+    (!a.bracket.miss && !counts.missed()).then_some(a)
 }
 
 /// Folds one served answer into the metric registry and trace ring.

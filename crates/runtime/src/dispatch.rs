@@ -1,6 +1,7 @@
 //! The fan-out / retry / breaker loop: one query's boundary edges out to
 //! their owning shards and the per-edge contributions back, attempt by
-//! attempt, until everything reported or the budget ran out.
+//! attempt, until everything reported or the budget ran out. Also the
+//! degraded ladder's one request to every shard ([`live_counts`]).
 //!
 //! ## What a dispatcher owns between queries
 //!
@@ -37,17 +38,19 @@
 //!   reallocated; shards are asked in ascending index order on every
 //!   attempt.
 
+use std::cell::Cell;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender};
 use stq_core::engine::QueryPlan;
-use stq_forms::BoundaryEdge;
+use stq_core::query::QueryKind;
+use stq_forms::{BoundaryEdge, CountSource, Time};
 
 use crate::metrics::Metrics;
 use crate::overload::{stride_for, Gate, Transition};
 use crate::server::QuerySpec;
-use crate::shard::{EdgeCounts, ShardMsg, ShardRequest, ShardResponse};
+use crate::shard::{EdgeCounts, InstantCounts, ShardMsg, ShardRequest, ShardResponse};
 use crate::state::ServerState;
 
 /// How often a waiting aggregator re-checks shard health, so a worker dying
@@ -185,6 +188,21 @@ fn record_transition(st: &ServerState, tr: Option<Transition>) {
     }
 }
 
+/// When attempt `attempt`'s window closes: attempt k waits 2^k × the base
+/// window (exponential backoff), clamped to the query deadline, which no
+/// attempt may overshoot. `None` waits for the shards alone. Both factors
+/// are the caller's numbers (`RuntimeConfig::shard_timeout`, `max_retries`),
+/// so every step saturates: a window too long to express is the deadline's,
+/// or nobody's.
+fn window_end(st: &ServerState, deadline: Option<Instant>, attempt: u32) -> Option<Instant> {
+    let window = st.cfg.shard_timeout.checked_mul(1 << attempt.min(31));
+    let end = window.and_then(|w| Instant::now().checked_add(w));
+    match (end, deadline) {
+        (Some(end), Some(dl)) => Some(end.min(dl)),
+        (end, dl) => end.or(dl),
+    }
+}
+
 /// One query's fan-out in flight.
 struct Fanout<'a, 'd> {
     st: &'a ServerState,
@@ -296,26 +314,11 @@ impl Fanout<'_, '_> {
         d.awaiting.iter().zip(&d.panicked).all(|(&awaited, &panicked)| !awaited || panicked)
     }
 
-    /// When this attempt's window closes: attempt k waits 2^k × the base
-    /// window (exponential backoff), clamped to the query deadline, which no
-    /// attempt may overshoot. `None` waits for the shards alone. Both
-    /// factors are the caller's numbers (`RuntimeConfig::shard_timeout`,
-    /// `max_retries`), so every step saturates: a window too long to
-    /// express is the deadline's, or nobody's.
-    fn window_end(&self, attempt: u32) -> Option<Instant> {
-        let window = self.st.cfg.shard_timeout.checked_mul(1 << attempt.min(31));
-        let end = window.and_then(|w| Instant::now().checked_add(w));
-        match (end, self.spec.deadline) {
-            (Some(end), Some(dl)) => Some(end.min(dl)),
-            (end, dl) => end.or(dl),
-        }
-    }
-
     /// Waits out this attempt's window for the awaited shards, then charges
     /// the breakers of those that stayed silent.
     fn collect(&mut self, attempt: u32) {
         let st = self.st;
-        let end = self.window_end(attempt);
+        let end = window_end(st, self.spec.deadline, attempt);
         while self.d.awaiting.contains(&true) {
             let now = Instant::now();
             if end.is_some_and(|end| now >= end) {
@@ -391,6 +394,95 @@ impl Fanout<'_, '_> {
             record_transition(self.st, ov.breakers.success(resp.shard));
         }
     }
+}
+
+/// The counts the degraded ladder answers over: every edge a shard serves,
+/// at the one or two instants of a query of `kind`. An edge or instant the
+/// table does not hold reads as 0 and marks the table `missed`; an answer
+/// computed from such a read certifies nothing.
+pub(crate) struct LiveCounts {
+    at: [Time; 2],
+    /// Per edge, `None` when no shard reported it.
+    table: Vec<Option<InstantCounts>>,
+    missed: Cell<bool>,
+}
+
+impl LiveCounts {
+    /// Whether anything read a count the table does not hold.
+    pub(crate) fn missed(&self) -> bool {
+        self.missed.get()
+    }
+}
+
+impl CountSource for LiveCounts {
+    fn count_until(&self, edge: usize, forward: bool, t: Time) -> f64 {
+        let instant = self.at.iter().position(|&at| at == t);
+        match (instant, self.table.get(edge).copied().flatten()) {
+            (Some(i), Some(counts)) => counts[i][usize::from(!forward)],
+            _ => {
+                self.missed.set(true);
+                0.0
+            }
+        }
+    }
+
+    fn storage_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.table[..])
+    }
+}
+
+/// Asks every shard for its counts at `kind`'s instants. Every lane lock is
+/// held, ascending (the supervisor's order), while the requests go out; an
+/// ingest sends under its lanes' locks, so the replies form one cut of the
+/// ingest stream. Waits one attempt window, clamped to `deadline`. `None`
+/// when a shard is not `Healthy` or does not answer in time.
+pub(crate) fn live_counts(
+    st: &ServerState,
+    kind: QueryKind,
+    deadline: Option<Instant>,
+) -> Option<LiveCounts> {
+    let at = match kind {
+        QueryKind::Snapshot(t) => [t, t],
+        QueryKind::Transient(t0, t1) | QueryKind::Static(t0, t1) => [t0, t1],
+    };
+    let shards = 0..st.to_shards.len();
+    let all_healthy = || shards.clone().all(|shard| st.shared.healthy(shard));
+    let (reply, replies) = channel::bounded(shards.len());
+    {
+        let _cut: Vec<_> = st.shared.lanes.iter().map(|lane| lane.lock()).collect();
+        if !all_healthy() {
+            return None;
+        }
+        for to in &st.to_shards {
+            let _ = to.send(ShardMsg::Counts { at, reply: reply.clone() });
+        }
+    }
+    let end = window_end(st, deadline, 0);
+    let mut table = vec![None; st.shared.subs.totals().len()];
+    for _ in shards.clone() {
+        // In slices, like `Fanout::collect`: a shard that leaves `Healthy`
+        // ends the wait.
+        let rows = loop {
+            let now = Instant::now();
+            if end.is_some_and(|end| now >= end) {
+                return None;
+            }
+            let slice = end.map_or(HEALTH_RECHECK, |end| (end - now).min(HEALTH_RECHECK));
+            match replies.recv_timeout(slice) {
+                Ok(rows) => break rows,
+                Err(_) if !all_healthy() => return None,
+                Err(_) => {}
+            }
+        };
+        // An id past the edge space (read from a damaged disk) names no
+        // sensor a plan could reference.
+        for (edge, counts) in rows {
+            if let Some(slot) = table.get_mut(edge) {
+                *slot = Some(counts);
+            }
+        }
+    }
+    Some(LiveCounts { at, table, missed: Cell::new(false) })
 }
 
 #[cfg(test)]

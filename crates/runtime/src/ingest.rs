@@ -196,9 +196,6 @@ fn check_event(st: &ServerState, c: &Crossing) -> Result<(), IngestError> {
 /// lifetime totals (inside the registry lock) and delta-pushes affected
 /// brackets.
 fn through_registry(st: &ServerState, events: &[Crossing]) {
-    // The degraded answerer's brackets are certified against the
-    // construction-time store; any new event invalidates them.
-    st.deg_dirty.store(true, Ordering::Release);
     let metrics = &st.shared.metrics;
     let push_t0 = Instant::now();
     let obs = st.shared.subs.on_ingest_batch(events);

@@ -190,11 +190,6 @@ metrics! {
         counter degraded_imputed,
         /// Degraded answers that fell back to a learned point estimate.
         counter degraded_learned,
-        /// Degraded-mode consults (`consult_degraded`, `certify_standing_brackets`)
-        /// skipped because an event was ingested since startup: the certified
-        /// brackets describe the construction-time store, so the answer fell
-        /// back to worst-case totals.
-        counter degraded_consults_skipped,
         /// Shard requests sent (fan-out messages, including retries).
         counter shard_requests,
         /// Requests a shard handled successfully.
@@ -428,14 +423,13 @@ impl fmt::Display for MetricsReport {
         writeln!(
             f,
             "degraded-mode: quarantined edges {}, demoted {}, detour {}, imputed {}, learned {}, \
-             width p95 {}, consults skipped {}",
+             width p95 {}",
             self.quarantined_edges,
             self.degraded_demoted,
             self.degraded_detour,
             self.degraded_imputed,
             self.degraded_learned,
-            self.degraded_width_p95,
-            self.degraded_consults_skipped
+            self.degraded_width_p95
         )?;
         writeln!(
             f,

@@ -198,9 +198,7 @@ fn degraded_mode_counters_round_trip_report() {
     Metrics::add(&m.degraded_imputed, 5);
     Metrics::bump(&m.degraded_learned);
     m.degraded_width.record(6);
-    Metrics::add(&m.degraded_consults_skipped, 3);
     let r = m.report();
-    assert_eq!(r.degraded_consults_skipped, 3);
     assert_eq!(r.quarantined_edges, 14);
     assert_eq!(r.degraded_demoted, 1);
     assert_eq!(r.degraded_detour, 2);
@@ -210,7 +208,7 @@ fn degraded_mode_counters_round_trip_report() {
     let text = r.to_string();
     assert!(text.contains("quarantined edges 14"));
     assert!(text.contains("imputed 5"));
-    assert!(text.contains(", consults skipped 3\n"));
+    assert!(text.contains(&format!(", width p95 {}\n", r.degraded_width_p95)));
     // Pre-existing lines keep their shape (additive change only).
     assert!(text.contains("latency p50"));
     assert!(text.contains("queries 0"));

@@ -113,8 +113,13 @@ pub struct RuntimeConfig {
     /// worst-case-totals degradation, which stays **bitwise identical** to
     /// the standing-subscription fold — turning this on trades that
     /// equivalence for far tighter brackets on quarantine-degraded answers.
-    /// Only consulted while no event has been ingested since startup: the
-    /// certified brackets are computed against the construction-time store.
+    /// The ladder reads live counts, before and after ingest alike: each
+    /// consult asks every shard for its counts at the query's instants (one
+    /// cut of the ingest stream) and stands down — the ordinary bracket
+    /// answers — when a shard is unhealthy or silent, or when the ladder
+    /// reads an edge no shard serves (quarantined, at start-up or on a lost
+    /// history). The learned fallback's models stay fitted to the start-up
+    /// logs: a point value inside a certified bracket, never a bound.
     pub degraded: Option<DegradedPolicy>,
     /// Overload control: deadline budgets, cost-based admission, brownout
     /// precision shedding, and per-shard circuit breakers (see
@@ -422,25 +427,19 @@ impl Runtime {
 
     /// Certifies quarantined-edge flow intervals into the subscription
     /// registry from the degraded-mode imputer, then re-snapshots so every
-    /// standing bracket tightens at once. `t` must be at or past the last
-    /// event time so net-flow-at-`t` equals the lifetime net flow the
-    /// registry folds. Returns how many edges were certified; 0 when
-    /// degraded mode is off, the imputer found no finite interval, or an
-    /// event has been ingested since the answerer was built (certificates
-    /// would no longer be anchored to the mirrored counts).
+    /// standing bracket tightens at once. The registry evaluates the imputer
+    /// under its lock over its mirror of the accepted counts
+    /// ([`SubscriptionRegistry::certify_imputed`](stq_subscribe::SubscriptionRegistry::certify_imputed)):
+    /// those are the counts at any `t` at or past every edge-direction
+    /// watermark, where net flow at `t` is the lifetime net flow the registry
+    /// folds — so it refuses any other `t`. Works before and after ingest
+    /// alike. Returns how many edges were certified; 0 when degraded mode is
+    /// off, `t` is behind a watermark, or the imputer found no finite
+    /// interval.
     pub fn certify_standing_brackets(&self, t: f64) -> usize {
         let st = self.st();
-        let Some((deg, store)) = st.degraded.as_ref() else { return 0 };
-        let Some(imp) = deg.imputer() else { return 0 };
-        if st.degraded_consult_skipped() {
-            return 0;
-        }
-        let mut installed = 0usize;
-        for (edge, iv) in imp.intervals_at(store, t) {
-            if iv.is_finite() && st.shared.subs.certify_quarantined(edge, iv.lo, iv.hi) {
-                installed += 1;
-            }
-        }
+        let Some(imp) = st.degraded.as_ref().and_then(|deg| deg.imputer()) else { return 0 };
+        let installed = st.shared.subs.certify_imputed(imp, t);
         if installed > 0 {
             self.resnapshot_subscriptions();
         }

@@ -29,7 +29,7 @@ use stq_core::tracker::Crossing;
 use stq_durability::recovery::apply_crossing;
 use stq_durability::wal::DurableMark;
 use stq_durability::{state_digest, ShardDurability};
-use stq_forms::{snapshot_count, transient_count, BoundaryEdge, ShardForms};
+use stq_forms::{snapshot_count, transient_count, BoundaryEdge, ShardForms, Time, TrackingForm};
 use stq_net::MessageCtx;
 
 use crate::dispatch::Group;
@@ -79,6 +79,11 @@ pub(crate) enum ShardMsg {
     Flush(Sender<u64>),
     /// Reply with `(shard, state_digest)` of the in-memory forms.
     Digest(Sender<(usize, u64)>),
+    /// Reply with the counts the degraded ladder reads: for every owned edge
+    /// the quarantine column does not flag, `count_until` per direction at
+    /// each of `at` (`dispatch::live_counts`). Like `Digest`, this does not
+    /// advance the fault-plan clock.
+    Counts { at: [Time; 2], reply: Sender<Vec<(usize, InstantCounts)>> },
     /// Hand the worker's entire state back to the supervisor and exit: the
     /// quiesce step of a shard-map migration. Because the channel is FIFO,
     /// receiving `Retire` proves every previously sent ingest has been
@@ -150,6 +155,10 @@ pub(crate) struct EdgeCounts {
     pub b: f64,
 }
 
+/// One edge's cumulative counts at a query's two instants,
+/// `[instant][forward, backward]`.
+pub(crate) type InstantCounts = [[f64; 2]; 2];
+
 /// Why [`ShardWorker::run`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WorkerExit {
@@ -209,6 +218,9 @@ impl ShardWorker {
                 }
                 ShardMsg::Digest(reply) => {
                     let _ = reply.send((self.id, state_digest(&self.state.forms)));
+                }
+                ShardMsg::Counts { at, reply } => {
+                    let _ = reply.send(self.counts_at(at));
                 }
                 ShardMsg::Retire(reply) => {
                     match reply.send(std::mem::take(&mut self.state)) {
@@ -446,6 +458,20 @@ impl ShardWorker {
             }
             QueryKind::Static(t0, t1) => EdgeCounts { idx, a: net_at(t0), b: net_at(t1) },
         }
+    }
+
+    /// Per owned edge the quarantine column does not flag, its counts at both
+    /// of `at`. A flagged edge's form is suspect, or holds only what arrived
+    /// since its shard lost its history: it is left out, so a ladder that
+    /// reads it stands down.
+    fn counts_at(&self, at: [Time; 2]) -> Vec<(usize, InstantCounts)> {
+        let quarantined = self.shared.subs.quarantined();
+        let served =
+            |edge: usize| !quarantined.get(edge).is_some_and(|q| q.load(Ordering::Acquire));
+        let forms = self.state.forms.iter().filter(|&(edge, _)| served(edge));
+        let counts =
+            |form: &TrackingForm, t| [true, false].map(|fwd| form.count_until(fwd, t) as f64);
+        forms.map(|(edge, form)| (edge, at.map(|t| counts(form, t)))).collect()
     }
 }
 

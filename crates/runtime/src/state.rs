@@ -2,7 +2,7 @@
 //! the supervisor and every shard worker; [`ServerState`] between the
 //! submitting threads and the dispatchers.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Sender;
@@ -145,22 +145,19 @@ impl Shared {
     }
 }
 
-/// Everything the submitting threads and the dispatchers read.
+/// Everything the submitting threads and the dispatchers read. No counts:
+/// those live in the shards' forms and the registry's mirror.
 pub(crate) struct ServerState {
     pub shared: Arc<Shared>,
     pub sensing: SensingGraph,
     pub sampled: SampledGraph,
     pub cfg: RuntimeConfig,
     pub to_shards: Vec<Sender<ShardMsg>>,
-    /// Degraded-mode answering over the quarantined deployment (built only
-    /// when [`RuntimeConfig::degraded`] is set and something is
-    /// quarantined), with the construction-time store snapshot it certifies
-    /// its brackets against.
-    pub degraded: Option<(DegradedAnswerer, FormStore)>,
-    /// Flipped by the first `ingest` after startup: the snapshot-certified
-    /// brackets no longer describe the live store, so degraded-mode
-    /// consults stop.
-    pub deg_dirty: AtomicBool,
+    /// Degraded-mode answering over the start-up quarantine (built only
+    /// when [`RuntimeConfig::degraded`] is set and something is quarantined):
+    /// a consult reads the shards' live forms (`dispatch::live_counts`),
+    /// certification the registry's mirror.
+    pub degraded: Option<DegradedAnswerer>,
     /// Overload control (admission gate, brownout controller, breakers);
     /// `None` when [`RuntimeConfig::overload`] is unset.
     pub overload: Option<OverloadState>,
@@ -193,9 +190,11 @@ impl ServerState {
         to_shards: Vec<Sender<ShardMsg>>,
     ) -> Self {
         let ns = cfg.num_shards;
-        let degraded = cfg.degraded.filter(|_| !quarantined.is_empty()).map(|policy| {
-            (DegradedAnswerer::new(&sensing, &sampled, quarantined, store, policy), store.clone())
-        });
+        // The learned fallback fits its models to the start-up logs once.
+        let degraded = cfg
+            .degraded
+            .filter(|_| !quarantined.is_empty())
+            .map(|policy| DegradedAnswerer::new(&sensing, &sampled, quarantined, store, policy));
         let overload =
             cfg.overload.as_ref().map(|oc| OverloadState::new(oc.clone(), &sensing, &sampled, ns));
         ServerState {
@@ -206,18 +205,7 @@ impl ServerState {
             cfg,
             to_shards,
             degraded,
-            deg_dirty: AtomicBool::new(false),
             overload,
         }
-    }
-
-    /// Whether degraded-mode consults are off because an event was ingested
-    /// since startup; every skipped consult is counted.
-    pub(crate) fn degraded_consult_skipped(&self) -> bool {
-        let dirty = self.deg_dirty.load(Ordering::Acquire);
-        if dirty {
-            Metrics::bump(&self.shared.metrics.degraded_consults_skipped);
-        }
-        dirty
     }
 }

@@ -523,6 +523,68 @@ fn unreadable_snapshot_quarantines_the_whole_shard() {
 }
 
 #[test]
+fn degraded_ladder_stands_down_on_edges_a_lost_history_quarantined() {
+    // Degraded mode over a start-up quarantine of shard 1's edges, and then
+    // shard 0 loses its history as in `unreadable_snapshot_…`. Its edges are
+    // flagged, so no `Counts` reply carries them — the respawned worker's
+    // forms would hold only what arrived since — and a ladder that reads one
+    // stands down: every answer, certified or not, brackets the oracle.
+    let f = fixture();
+    let ne = f.scenario.sensing.num_edges();
+    let events = stream(ne, 4 * ne);
+    let mut oracle = f.scenario.tracked.store.clone();
+    for c in &events {
+        oracle.record(c.edge, c.forward, c.time);
+    }
+    // Odd edges are shard 1's under the modulo map, which is never rebalanced.
+    let quarantined: Vec<usize> =
+        (0..ne).filter(|&e| e % 2 == 1 && f.sampled.monitored()[e]).step_by(4).collect();
+    for seed in FAULT_SEEDS {
+        eprintln!("fault seed {seed}");
+        let dir = tmpdir("ladder");
+        let faults = DurabilityFaultPlan::killing(0xdead_d15c ^ seed, &[(0, 20)]);
+        let rt = Runtime::with_quarantine(
+            f.scenario.sensing.clone(),
+            f.sampled.clone(),
+            &f.scenario.tracked.store,
+            RuntimeConfig {
+                num_shards: 2,
+                durability: durable_cfg(&dir, 1024, faults),
+                degraded: Some(DegradedPolicy::default()),
+                ..RuntimeConfig::default()
+            },
+            &quarantined,
+        );
+        let snapshot = dir.join("shard-0").join("snapshot.bin");
+        flip_byte(&snapshot, std::fs::metadata(&snapshot).unwrap().len() / 2);
+        for &c in &events {
+            rt.ingest(c).expect("ingest");
+        }
+        rt.flush_ingest();
+        assert!(rt.metrics().report().lost_events > 0, "shard 0's history must be lost");
+
+        let mut certified = 0usize;
+        for spec in specs(f, 20, seed) {
+            let served = rt.query(spec.clone());
+            certified += usize::from(served.strategy != DegradedStrategy::None);
+            let Some(chain) = boundary(f, &spec) else { continue };
+            let exact = evaluate(&oracle, &chain, spec.kind);
+            assert!(
+                served.lower <= exact + 1e-9 && exact <= served.upper + 1e-9,
+                "{:?} [{}]: [{}, {}] must bracket oracle {exact}",
+                spec.kind,
+                served.strategy.label(),
+                served.lower,
+                served.upper
+            );
+        }
+        eprintln!("{certified} answers certified by the ladder");
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn mid_log_gap_quarantines_the_whole_shard() {
     // 80 events put 40 synced records in shard 0's WAL and trim its redo
     // buffer to that durable floor; damaging record 3's payload then makes

@@ -415,10 +415,7 @@ fn degraded_mode_escalation_upgrades_quarantined_answers() {
     // stay sound against the oracle (the certified paths only read healthy
     // logs, which are clean here).
     let f = fixture();
-    let quarantined: Vec<usize> = (0..f.scenario.sensing.num_edges())
-        .filter(|&e| f.sampled.monitored()[e])
-        .step_by(7)
-        .collect();
+    let quarantined = every_seventh_monitored(f);
     let rt = Runtime::with_quarantine(
         f.scenario.sensing.clone(),
         f.sampled.clone(),
@@ -477,58 +474,125 @@ fn degraded_mode_escalation_upgrades_quarantined_answers() {
         "per-strategy counters must add up to the upgraded answers"
     );
     assert!(rt.metrics().recent_traces().iter().any(|t| t.strategy != "none"));
-
-    // Ingesting a single event invalidates the snapshot-certified brackets:
-    // every later answer falls back to the classic worst-case degradation.
-    rt.ingest(Crossing { time: 10_000.0, edge: quarantined[0], forward: true }).expect("ingest");
-    rt.flush_ingest();
-    for spec in &all {
-        let served = rt.query(spec.clone());
-        assert_eq!(
-            served.strategy,
-            DegradedStrategy::None,
-            "degraded-mode consults must stop after ingest"
-        );
-    }
     rt.shutdown();
 }
 
+/// Every 7th monitored edge: the start-up quarantine of the degraded-mode
+/// tests.
+fn every_seventh_monitored(f: &Fixture) -> Vec<usize> {
+    (0..f.scenario.sensing.num_edges()).filter(|&e| f.sampled.monitored()[e]).step_by(7).collect()
+}
+
+/// What the bit-for-bit comparisons compare: the answer and its strategy.
+fn ladder_bits(
+    value: f64,
+    lower: f64,
+    upper: f64,
+    strategy: DegradedStrategy,
+) -> ([u64; 3], DegradedStrategy) {
+    ([value, lower, upper].map(f64::to_bits), strategy)
+}
+
 #[test]
-fn degraded_consults_skipped_after_ingest_are_counted() {
-    // The degraded-mode ladder certifies against the construction-time
-    // store, so it switches itself off at the first ingested event. Until
-    // that hole is closed it must at least be visible: every consult the
-    // gate skips is counted.
+fn degraded_ladder_after_ingest_matches_the_synchronous_answerer() {
+    // The ladder reads the shards' live counts at each query's instants, so
+    // it keeps escalating after ingest, and what it certifies is exactly
+    // what `DegradedAnswerer::answer` certifies over a store that recorded
+    // the same events — inside the start-up history (there also exactly what
+    // it certified before the stream) and after the stream.
     let f = fixture();
-    // A covered query and one of its boundary edges to quarantine.
-    let (spec, edge) = specs(f, 8, 0.15, 43)
-        .into_iter()
-        .find_map(|spec| {
-            let covered = f.sampled.resolve(spec.region.junctions(), Approximation::Lower);
-            let (boundary, _) =
-                f.scenario.sensing.boundary_walk(&covered, Some(f.sampled.monitored()));
-            boundary.first().map(|be| (spec, be.edge))
-        })
-        .expect("a covered query with a boundary");
+    let quarantined = every_seventh_monitored(f);
+    let policy = DegradedPolicy::default();
     let rt = Runtime::with_quarantine(
         f.scenario.sensing.clone(),
         f.sampled.clone(),
         store(f),
         RuntimeConfig {
-            num_shards: 2,
-            degraded: Some(DegradedPolicy::default()),
+            num_shards: 3,
+            // A consult that times out stands down; the comparison below
+            // needs every one answered.
+            shard_timeout: Duration::from_secs(5),
+            degraded: Some(policy),
             ..RuntimeConfig::default()
         },
-        &[edge],
+        &quarantined,
     );
-    assert_eq!(rt.metrics().report().degraded_consults_skipped, 0);
-    rt.ingest(Crossing { time: 10_000.0, edge, forward: true }).expect("ingest");
+    let reference =
+        DegradedAnswerer::new(&f.scenario.sensing, &f.sampled, &quarantined, store(f), policy);
+    let inside = specs(f, 8, 0.15, 43);
+    let before: Vec<ServedAnswer> = inside.iter().map(|spec| rt.query(spec.clone())).collect();
+
+    // In order and after the history, on healthy and quarantined edges alike.
+    let ne = f.scenario.sensing.num_edges();
+    let events: Vec<Crossing> = (0..4 * ne)
+        .map(|i| Crossing { time: 10_000.0 + i as f64 * 0.25, edge: i % ne, forward: i % 3 != 0 })
+        .collect();
+    let mut live = store(f).clone();
+    for c in &events {
+        live.record(c.edge, c.forward, c.time);
+    }
+    for chunk in events.chunks(97) {
+        assert_eq!(rt.ingest_batch(chunk).accepted, chunk.len());
+    }
     rt.flush_ingest();
-    let served = rt.query(spec);
-    assert!(served.quarantined >= 1 && served.degraded, "the quarantined edge is refused");
-    assert_eq!(served.strategy, DegradedStrategy::None, "no consult after ingest");
-    let report = rt.metrics().report();
-    assert!(report.degraded_consults_skipped >= 1, "the skipped consult must be counted");
-    assert!(report.to_string().contains("consults skipped "));
+    let t_end = 10_000.0 + events.len() as f64 * 0.25;
+    let after: Vec<QuerySpec> = inside
+        .iter()
+        .map(|spec| {
+            let kind = match spec.kind {
+                QueryKind::Snapshot(_) => QueryKind::Snapshot(t_end),
+                QueryKind::Transient(t0, _) => QueryKind::Transient(t0, t_end),
+                QueryKind::Static(..) => QueryKind::Static(10_100.0, t_end),
+            };
+            QuerySpec { kind, ..spec.clone() }
+        })
+        .collect();
+
+    let mut escalated = [0usize; 2];
+    for (i, spec) in inside.iter().chain(&after).enumerate() {
+        let served = rt.query(spec.clone());
+        let got = ladder_bits(served.value, served.lower, served.upper, served.strategy);
+        if let Some(old) = before.get(i).filter(|old| old.strategy != DegradedStrategy::None) {
+            let want = ladder_bits(old.value, old.lower, old.upper, old.strategy);
+            assert_eq!(got, want, "{:?}: the ladder certified differently after ingest", spec.kind);
+        }
+        if served.strategy == DegradedStrategy::None {
+            continue;
+        }
+        escalated[usize::from(i >= inside.len())] += 1;
+        let a = reference.answer(&f.scenario.sensing, &live, &spec.region, spec.kind);
+        let want = ladder_bits(a.value, a.bracket.lower, a.bracket.upper, a.strategy);
+        assert_eq!(got, want, "{:?}: the runtime's ladder and the reference differ", spec.kind);
+    }
+    let escalated_before = before.iter().filter(|a| a.strategy != DegradedStrategy::None).count();
+    eprintln!("escalated of {}: {escalated:?} (before the stream {escalated_before})", after.len());
+    assert_eq!(escalated[0], escalated_before, "inside the history the same answers escalate");
+    assert!(escalated[1] > 0, "some query past the stream must escalate: {escalated:?}");
+    rt.shutdown();
+}
+
+#[test]
+fn certifying_behind_a_watermark_installs_nothing() {
+    // Certificates bound the lifetime net flow the standing fold widens, and
+    // the registry's mirror holds that flow only from the last event on: an
+    // instant inside the start-up history is refused, not certified.
+    let f = fixture();
+    let rt = Runtime::with_quarantine(
+        f.scenario.sensing.clone(),
+        f.sampled.clone(),
+        store(f),
+        RuntimeConfig { degraded: Some(DegradedPolicy::default()), ..RuntimeConfig::default() },
+        &every_seventh_monitored(f),
+    );
+    let region = f.scenario.make_queries(1, 0.3, 1_500.0, 7).remove(0).0;
+    let sub = rt.subscribe(region, Approximation::Lower).expect("the region resolves");
+    assert_eq!(rt.certify_standing_brackets(1_500.0), 0, "inside the history");
+    assert_eq!(rt.certify_standing_brackets(f64::NAN), 0);
+    let untouched = rt.standing_bracket(sub.id).expect("live");
+    assert_eq!((untouched.epoch, untouched.lower, untouched.upper), {
+        let b = sub.baseline;
+        (b.epoch, b.lower, b.upper)
+    });
+    assert!(rt.certify_standing_brackets(1.0e12) > 0, "past every event the imputer certifies");
     rt.shutdown();
 }

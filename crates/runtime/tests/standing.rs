@@ -76,6 +76,26 @@ fn stream(num_edges: usize, n: usize) -> Vec<Crossing> {
         .collect()
 }
 
+/// The last `n` crossings of the start-up history undone, newest first: each
+/// crossed back the other way, after the history. Objects could make these
+/// crossings, and they leave every population where it stood before the `n`
+/// — so conservation certificates computed after them are sound, which they
+/// need not be after `stream`.
+fn undo_stream(f: &Fixture, n: usize) -> Vec<Crossing> {
+    let store = &f.scenario.tracked.store;
+    let mut history: Vec<(f64, usize, bool)> = (0..store.num_edges())
+        .flat_map(|e| [true, false].map(|fwd| (e, fwd)))
+        .flat_map(|(e, fwd)| store.form(e).timestamps(fwd).iter().map(move |&t| (t, e, fwd)))
+        .collect();
+    history.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let undo = |(i, &(_, edge, fwd)): (usize, &(f64, usize, bool))| Crossing {
+        time: 10_000.0 + i as f64 * 0.25,
+        edge,
+        forward: !fwd,
+    };
+    history.iter().take(n).enumerate().map(undo).collect()
+}
+
 fn runtime(f: &Fixture, cfg: RuntimeConfig) -> Runtime {
     Runtime::new(f.scenario.sensing.clone(), f.sampled.clone(), &f.scenario.tracked.store, cfg)
 }
@@ -273,36 +293,41 @@ fn certified_intervals_tighten_standing_brackets() {
     let installed = rt.certify_standing_brackets(T_LATE);
     assert!(installed > 0, "the imputer must certify some quarantined edges");
 
+    // Certified brackets never exclude the clean (exact-count) bracket: the
+    // certified interval contains each quarantined edge's true flow, which
+    // is exactly what the clean runtime folds.
+    let contain_clean = || {
+        for ((id, new), (hc, _)) in rt.standing_brackets().into_iter().zip(&subs_clean) {
+            let clean = rt_clean.standing_bracket(hc.id).expect("clean subscription is live");
+            assert!(
+                new.lower <= clean.lower && new.upper >= clean.upper,
+                "{id}: certified bracket [{}, {}] excludes clean [{}, {}]",
+                new.lower,
+                new.upper,
+                clean.lower,
+                clean.upper
+            );
+        }
+    };
     let mut tightened = false;
-    for (((_, old), (id, new)), (hc, _)) in
-        before.iter().zip(rt.standing_brackets()).zip(&subs_clean)
-    {
+    for ((_, old), (id, new)) in before.iter().zip(rt.standing_brackets()) {
         // Intersection only tightens…
         assert!(new.lower >= old.lower, "{id}: certification loosened the lower bound");
         assert!(new.upper <= old.upper, "{id}: certification loosened the upper bound");
         tightened |= new.lower > old.lower || new.upper < old.upper;
-        // …and never excludes the clean (exact-count) bracket: the
-        // certified interval contains each quarantined edge's true flow,
-        // which is exactly what the clean runtime folds.
-        let clean = rt_clean.standing_bracket(hc.id).expect("clean subscription is live");
-        assert!(
-            new.lower <= clean.lower && new.upper >= clean.upper,
-            "{id}: certified bracket [{}, {}] excludes clean [{}, {}]",
-            new.lower,
-            new.upper,
-            clean.lower,
-            clean.upper
-        );
     }
     assert!(tightened, "certification must strictly tighten at least one bracket");
+    contain_clean();
 
     // With certificates installed, deltas and re-snapshots must still land
     // on identical bits: both certificate endpoints move in lockstep with
     // the worst case under new events.
-    for &c in &stream(f.scenario.sensing.num_edges(), 450) {
+    for &c in &undo_stream(f, 450) {
         rt.ingest(c).expect("ingest");
+        rt_clean.ingest(c).expect("ingest");
     }
     rt.flush_ingest();
+    rt_clean.flush_ingest();
     let delta_maintained = rt.standing_brackets();
     rt.resnapshot_subscriptions();
     for ((id, d), (id2, r)) in delta_maintained.iter().zip(rt.standing_brackets()) {
@@ -312,8 +337,10 @@ fn certified_intervals_tighten_standing_brackets() {
         assert_eq!(d.upper.to_bits(), r.upper.to_bits(), "{id}: certified lockstep upper");
     }
 
-    // Ingestion invalidates the construction-time certification anchor.
-    assert_eq!(rt.certify_standing_brackets(T_LATE), 0, "dirty runtimes refuse to certify");
+    // The registry's mirror is live, so certifying past the stream installs
+    // again, still around the clean brackets.
+    assert!(rt.certify_standing_brackets(T_LATE) > 0, "live runtimes certify after ingest");
+    contain_clean();
     rt_clean.shutdown();
     rt.shutdown();
 }

@@ -47,13 +47,16 @@
 //!   for late-dropped events). The registry applies the same rule as a
 //!   delta: an inward event adds 1 to `upper`, an outward event subtracts 1
 //!   from `lower`, and `value` stays put.
-//! - A quarantined edge that carries a **certified interval** (installed by
-//!   [`SubscriptionRegistry::certify_quarantined`] from the degraded-mode
-//!   imputer) contributes the intersection of that interval — widened by
-//!   the events since certification — with the lifetime worst case. Both
-//!   intersection endpoints move in lockstep with the worst case under new
-//!   events, so the same ±1 delta rule keeps delta-maintained and
-//!   re-snapshot brackets bit-identical.
+//! - A quarantined edge that carries a **certified interval** contributes
+//!   the intersection of that interval — widened by the events since
+//!   certification — with the lifetime worst case. Both intersection
+//!   endpoints move in lockstep with the worst case under new events, so
+//!   the same ±1 delta rule keeps delta-maintained and re-snapshot brackets
+//!   bit-identical. Certificates are computed under the registry lock from
+//!   the mirror ([`SubscriptionRegistry::certify_imputed`] runs the
+//!   degraded-mode imputer over the accepted counts), so an interval and
+//!   the totals it is widened from describe one instant of the stream, and
+//!   certifying works as well after ingest as before it.
 //!
 //! All counts are integers, every intermediate is far below 2⁵³, and the
 //! baseline fold visits boundary edges in plan order — so float addition is
@@ -92,11 +95,12 @@ use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use stq_core::bracket::Bracket;
 use stq_core::engine::{PlanId, QueryEngine, QueryPlan};
+use stq_core::impute::Imputer;
 use stq_core::query::{Approximation, QueryRegion};
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
 use stq_core::tracker::Crossing;
-use stq_forms::FormStore;
+use stq_forms::{CountSource, FormStore, Time};
 
 /// Stable handle of one standing subscription.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -258,12 +262,12 @@ impl Subscription {
     }
 }
 
-/// A certified net-flow interval for one quarantined edge, installed by the
-/// degraded-mode imputation machinery (`stq_core::impute`): at certify time
-/// the edge's net forward flow provably lay in `[lo, hi]`. `base` snapshots
-/// the lifetime totals at that moment so later events widen the certificate
-/// soundly (each forward event can raise the net by at most 1, each
-/// backward event lower it by at most 1).
+/// A certified net-flow interval for one quarantined edge, installed by
+/// [`SubscriptionRegistry::certify_imputed`]: at certify time the edge's net
+/// forward flow provably lay in `[lo, hi]`. `base` snapshots the lifetime
+/// totals at that moment, under the same lock, so later events widen the
+/// certificate soundly (each forward event can raise the net by at most 1,
+/// each backward event lower it by at most 1).
 struct Certificate {
     lo: f64,
     hi: f64,
@@ -285,6 +289,20 @@ struct Mirror {
     /// worst case under new events, which keeps the ±1 delta rule bitwise
     /// exact.
     certs: HashMap<usize, Certificate>,
+}
+
+/// The mirror's accepted counts as a [`CountSource`]: each edge direction's
+/// count at any instant at or past its watermark.
+struct Accepted<'a>(&'a [[u64; 2]]);
+
+impl CountSource for Accepted<'_> {
+    fn count_until(&self, edge: usize, forward: bool, _t: Time) -> f64 {
+        self.0[edge][usize::from(!forward)] as f64
+    }
+
+    fn storage_bytes(&self) -> usize {
+        std::mem::size_of_val(self.0)
+    }
 }
 
 struct Inner {
@@ -660,30 +678,38 @@ impl SubscriptionRegistry {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Installs a certified net-forward-flow interval `[lo, hi]` for a
-    /// quarantined edge (from the degraded-mode conservation-interval
-    /// imputer). The current lifetime totals are captured as the
-    /// certificate's base, so later events widen it soundly. Folds
-    /// intersect the certificate with the lifetime worst case — running
-    /// brackets pick it up at the next [`Self::advance_epoch`].
+    /// Installs a certificate for every quarantined edge to which `imp`, the
+    /// degraded-mode conservation-interval imputer, evaluated over the
+    /// mirror's accepted counts at `t`, gives a finite net-forward-flow
+    /// interval. One lock covers the evaluation and each certificate's base
+    /// (the lifetime totals, so later events widen it soundly): both come
+    /// from one instant of the stream. Folds intersect a certificate with the
+    /// lifetime worst case — running brackets pick it up at the next
+    /// [`Self::advance_epoch`]. Returns how many were installed.
     ///
-    /// Returns `false` (and installs nothing) when the edge is not
-    /// quarantined or the interval is not finite — certificates only make
-    /// sense where the worst-case widening applies.
-    pub fn certify_quarantined(&self, edge: usize, lo: f64, hi: f64) -> bool {
-        if !(lo.is_finite() && hi.is_finite() && lo <= hi) || edge >= self.totals.len() {
-            return false;
-        }
+    /// The mirror holds each edge direction's count up to its last accepted
+    /// event, which is its count at any `t` at or past the watermark, and
+    /// the lifetime net flow the fold widens. So a `t` behind any watermark
+    /// (or not a number) installs nothing: the imputer would bound the flow
+    /// up to `t`, not the flow the fold uses.
+    pub fn certify_imputed(&self, imp: &Imputer, t: Time) -> usize {
         let mut inner = self.inner.lock();
-        if !self.quarantined[edge].load(Ordering::Acquire) {
-            return false;
+        let mirror = &mut inner.mirror;
+        if !mirror.watermark.iter().flatten().all(|&w| t >= w) {
+            return 0;
         }
-        let base = [
-            self.totals[edge][0].load(Ordering::Relaxed),
-            self.totals[edge][1].load(Ordering::Relaxed),
-        ];
-        inner.mirror.certs.insert(edge, Certificate { lo, hi, base });
-        true
+        let intervals = imp.intervals_at(&Accepted(&mirror.counts), t);
+        let mut installed = 0;
+        for (edge, iv) in intervals {
+            if iv.is_finite()
+                && self.quarantined.get(edge).is_some_and(|q| q.load(Ordering::Acquire))
+            {
+                let base = [0, 1].map(|dir| self.totals[edge][dir].load(Ordering::Relaxed));
+                mirror.certs.insert(edge, Certificate { lo: iv.lo, hi: iv.hi, base });
+                installed += 1;
+            }
+        }
+        installed
     }
 
     /// The current bracket of one subscription.
@@ -792,11 +818,13 @@ mod tests {
         let store = FormStore::new(4);
         let registry =
             SubscriptionRegistry::new(Arc::new(QueryEngine::new(4)), &store, [1, 4, usize::MAX]);
-        assert!(registry.certify_quarantined(1, 0.0, 1.0), "in-range id is quarantined");
-        assert!(!registry.certify_quarantined(0, 0.0, 1.0), "other edges stay trusted");
+        let flagged = |r: &SubscriptionRegistry| -> Vec<usize> {
+            (0..4).filter(|&e| r.quarantined()[e].load(Ordering::Acquire)).collect()
+        };
+        assert_eq!(registry.quarantined().len(), 4);
+        assert_eq!(flagged(&registry), [1], "in-range id is quarantined, others stay trusted");
         assert!(registry.advance_epoch([3, 4, 1 << 40]).is_empty());
-        assert!(registry.certify_quarantined(3, 0.0, 1.0), "in-range extension is absorbed");
-        assert!(!registry.certify_quarantined(4, 0.0, 1.0));
+        assert_eq!(flagged(&registry), [1, 3], "in-range extension is absorbed");
         // Ingest on every edge still indexes inside the bitmap.
         for edge in 0..4 {
             registry.on_ingest(&Crossing { time: 1.0, edge, forward: true });
