@@ -310,6 +310,17 @@ fn kind_from(args: &Args) -> Result<fn(f64, f64) -> QueryKind, CliError> {
     Ok(make)
 }
 
+/// Parses `--snapshot-every` and `--sync-every` (65 536 and 32 events when
+/// absent). A cadence of 0 events is refused: it has no meaning to clamp.
+fn cadences_from(args: &Args) -> Result<(u64, u64), CliError> {
+    let snapshot_every: u64 = args.get("snapshot-every", 65_536)?;
+    let sync_every: u64 = args.get("sync-every", 32)?;
+    if snapshot_every == 0 || sync_every == 0 {
+        return Err(CliError::Usage("--snapshot-every and --sync-every must be at least 1".into()));
+    }
+    Ok((snapshot_every, sync_every))
+}
+
 /// Parses an opt-in `--<flag> 0|1` switch (off when absent).
 fn switch_from(args: &Args, flag: &str) -> Result<bool, CliError> {
     match args.get::<u8>(flag, 0)? {
@@ -471,36 +482,32 @@ impl ServeOpts {
         if shards == 0 || dispatchers == 0 {
             return Err(CliError::Usage("--shards and --dispatchers must be at least 1".into()));
         }
-        let durability = match args.get_str("wal-dir") {
-            Some(dir) => Some(DurabilityConfig {
-                wal_dir: PathBuf::from(dir),
-                snapshot_every: args.get("snapshot-every", 65_536)?,
-                sync_every: args.get("sync-every", 32)?,
-                faults: chaos.durability.clone(),
-            }),
-            None if args.get_str("kill").is_some() => {
-                return Err(CliError::Usage(
-                    "--kill injects a WAL-append crash and needs --wal-dir".into(),
-                ));
-            }
-            None => None,
-        };
+        let (snapshot_every, sync_every) = cadences_from(args)?;
+        let wal_dir = args.get_str("wal-dir");
         let ingest: usize = args.get("ingest", 0)?;
         // Standing subscriptions: `--subscribe N` registers N regions
         // before ingestion so the stream moves their brackets by count
-        // deltas. The flag combinations are validated the same way the
-        // durability flags are — a modifier without its anchor is a
-        // refusal, not a silent no-op.
+        // deltas.
         let subscribe = args.get_opt::<usize>("subscribe")?;
-        let subscribe_area: f64 = match args.get_opt::<f64>("subscribe-area")? {
-            Some(_) if subscribe.is_none() => {
-                return Err(CliError::Usage(
-                    "--subscribe-area sizes standing regions and needs --subscribe".into(),
-                ));
+        // Overload control is opt-in: `--overload 1` turns on the
+        // admission gate (queries then go through `try_submit` and can
+        // come back REJECTED), brownout shedding, and circuit breakers;
+        // `--deadline-ms` stamps a default budget on every query.
+        let overload = switch_from(args, "overload")?;
+        // A modifier without its anchor is a refusal, not a silent no-op.
+        for (flag, anchored, anchor) in [
+            ("kill", wal_dir.is_some(), "--wal-dir"),
+            ("snapshot-every", wal_dir.is_some(), "--wal-dir"),
+            ("sync-every", wal_dir.is_some(), "--wal-dir"),
+            ("subscribe-area", subscribe.is_some(), "--subscribe"),
+            ("deadline-ms", overload, "--overload 1"),
+            ("batch", ingest > 0, "--ingest"),
+        ] {
+            if !anchored && args.get_str(flag).is_some() {
+                return Err(CliError::Usage(format!("--{flag} needs {anchor}")));
             }
-            Some(a) => a,
-            None => area,
-        };
+        }
+        let subscribe_area: f64 = args.get("subscribe-area", area)?;
         if subscribe == Some(0) {
             return Err(CliError::Usage(
                 "--subscribe must register at least one standing query".into(),
@@ -518,34 +525,26 @@ impl ServeOpts {
                 "--impute answers through quarantine and needs sensor-fault flags".into(),
             ));
         }
-        // Overload control is opt-in: `--overload 1` turns on the
-        // admission gate (queries then go through `try_submit` and can
-        // come back REJECTED), brownout shedding, and circuit breakers;
-        // `--deadline-ms` stamps a default budget on every query.
-        let overload = switch_from(args, "overload")?;
         let deadline_ms = args.get_opt::<u64>("deadline-ms")?;
-        if deadline_ms.is_some() && !overload {
-            return Err(CliError::Usage(
-                "--deadline-ms stamps a default query budget and needs --overload 1".into(),
-            ));
-        }
         if deadline_ms == Some(0) {
             return Err(CliError::Usage("--deadline-ms must be at least 1".into()));
         }
         // Load-aware shard rebalancing is opt-in: with `--rebalance 1` the
         // edge→shard map migrates hot edges between shards as crossing
         // rates skew instead of keeping the static modulo assignment.
-        // `--batch N` streams ingestion in batches of N events
-        // (one group-commit WAL frame per shard lane) instead of one event
-        // at a time.
+        // `--batch N` streams ingestion in calls of N events (one WAL frame
+        // per shard lane) instead of one event a call.
         let rebalance = switch_from(args, "rebalance")?;
         let batch = args.get_opt::<usize>("batch")?;
         if batch == Some(0) {
             return Err(CliError::Usage("--batch must be at least 1".into()));
         }
-        if batch.is_some() && ingest == 0 {
-            return Err(CliError::Usage("--batch sizes ingest batches and needs --ingest".into()));
-        }
+        let durability = wal_dir.map(|dir| DurabilityConfig {
+            wal_dir: PathBuf::from(dir),
+            snapshot_every,
+            sync_every,
+            faults: chaos.durability.clone(),
+        });
         let cfg = RuntimeConfig {
             num_shards: shards,
             dispatchers,
@@ -679,24 +678,17 @@ fn stream_ingest(
         return Err(CliError::Usage("--ingest needs monitored links".into()));
     }
     let t0 = s.config.trajectory.duration;
-    let event = |i: usize| Crossing {
-        time: t0 + 1.0 + i as f64 * 0.1,
-        edge: monitored[i % monitored.len()],
-        forward: i % 2 == 0,
-    };
-    match opts.batch {
-        Some(bn) => {
-            let events: Vec<Crossing> = (0..ingest_n).map(event).collect();
-            for chunk in events.chunks(bn) {
-                let report = rt.ingest_batch(chunk);
-                debug_assert_eq!(report.rejected, 0);
-            }
-        }
-        None => {
-            for i in 0..ingest_n {
-                rt.ingest(event(i)).expect("ingest");
-            }
-        }
+    let events: Vec<Crossing> = (0..ingest_n)
+        .map(|i| Crossing {
+            time: t0 + 1.0 + i as f64 * 0.1,
+            edge: monitored[i % monitored.len()],
+            forward: i % 2 == 0,
+        })
+        .collect();
+    // Without `--batch`, every event is a call of its own.
+    for chunk in events.chunks(opts.batch.unwrap_or(1)) {
+        let report = rt.ingest_batch(chunk);
+        debug_assert_eq!(report.rejected, 0);
     }
     let applied = rt.flush_ingest();
     writeln!(out, "ingested {ingest_n} crossings (per-shard applied: {applied:?})")?;
@@ -877,8 +869,7 @@ fn audit(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
 fn recover(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
     let dir =
         args.get_str("wal-dir").ok_or_else(|| CliError::Usage("recover needs --wal-dir".into()))?;
-    let snapshot_every: u64 = args.get("snapshot-every", 65_536)?;
-    let sync_every: u64 = args.get("sync-every", 32)?;
+    let (snapshot_every, sync_every) = cadences_from(args)?;
     let s = scenario_from(args)?;
     let g = deployment_from(args, &s)?;
     let root = PathBuf::from(dir);
@@ -1382,6 +1373,35 @@ mod tests {
         assert!(err.to_string().contains("--wal-dir"), "{err}");
         let args = Args::parse(["serve", "--kill", "bogus"].map(String::from)).unwrap();
         assert!(run(&args, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn cadences_without_wal_dir_are_rejected() {
+        for flag in ["--snapshot-every", "--sync-every"] {
+            let args = Args::parse(["serve", flag, "8"].map(String::from)).unwrap();
+            let err = run(&args, &mut Vec::new()).expect_err("a cadence with no WAL is a refusal");
+            assert!(matches!(err, CliError::Usage(_)));
+            assert!(err.to_string().contains(&format!("{flag} ")), "{err}");
+            assert!(err.to_string().contains("needs --wal-dir"), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_cadences_are_rejected() {
+        let dir = std::env::temp_dir().join(format!("stq-cli-zero-{}", std::process::id()));
+        let wal = dir.to_str().unwrap();
+        for command in ["serve", "recover"] {
+            for flag in ["--snapshot-every", "--sync-every"] {
+                let argv = [command, "--wal-dir", wal, flag, "0"];
+                let args = Args::parse(argv.map(String::from)).unwrap();
+                let mut out = Vec::new();
+                let err = run(&args, &mut out).expect_err("a cadence of 0 events is a refusal");
+                assert!(matches!(err, CliError::Usage(_)));
+                assert!(err.to_string().contains("must be at least 1"), "{command} {flag}: {err}");
+                assert!(out.is_empty(), "{command} {flag}: refused before any work");
+            }
+        }
+        assert!(!dir.exists(), "nothing was written");
     }
 
     #[test]

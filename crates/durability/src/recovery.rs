@@ -155,7 +155,7 @@ mod tests {
         for seq in 1..=n {
             let c = ev(seq);
             forms.get_mut_or_insert(c.edge).record(c.forward, c.time);
-            d.append(seq, &c, &forms).unwrap();
+            d.append(seq, std::slice::from_ref(&c), &forms).unwrap();
         }
         (forms, d)
     }
@@ -206,7 +206,7 @@ mod tests {
         for seq in next..next + 20 {
             let c = ev(seq);
             rec.forms.get_mut_or_insert(c.edge).record(c.forward, c.time);
-            rec.durability.append(seq, &c, &rec.forms).unwrap();
+            rec.durability.append(seq, std::slice::from_ref(&c), &rec.forms).unwrap();
         }
         rec.durability.sync().unwrap();
         drop(rec);

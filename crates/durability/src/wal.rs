@@ -382,46 +382,21 @@ impl ShardDurability {
         })
     }
 
-    /// Appends one crossing, then syncs or snapshots when the respective
-    /// interval is due. `forms` is the shard's in-memory state *including*
-    /// this crossing — the state a due snapshot must capture.
+    /// Appends `lane` (sequences `first_seq..`) as one WAL frame (see
+    /// [`WalWriter::append_lane`]), then applies the one rule every frame
+    /// follows: snapshot if `snapshot_every` events have been appended since
+    /// the last one, otherwise sync if `sync_every` have since the last sync.
+    /// A one-event lane is the classic single record; a lane of `sync_every`
+    /// events or more commits with its own sync, and a shorter one waits for
+    /// a later frame's — the server's redo buffer holds it until then.
+    /// `forms` is the shard's in-memory state *including* every event of the
+    /// lane — the state a due snapshot must capture.
     pub fn append<'a, K: Borrow<usize>>(
-        &mut self,
-        seq: u64,
-        c: &Crossing,
-        forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
-    ) -> std::io::Result<DurableMark> {
-        self.wal.append(seq, c)?;
-        self.since_snapshot += 1;
-        self.since_sync += 1;
-        if self.since_snapshot >= self.snapshot_every {
-            self.snapshot_now(forms)?;
-            return Ok(DurableMark { durable_seq: Some(seq), snapshotted: true });
-        }
-        if self.since_sync >= self.sync_every {
-            let durable = self.wal.sync()?;
-            self.since_sync = 0;
-            return Ok(DurableMark { durable_seq: Some(durable), snapshotted: false });
-        }
-        Ok(DurableMark::default())
-    }
-
-    /// Group commit: appends `lane` (sequences `first_seq..`) as one WAL
-    /// frame (see [`WalWriter::append_lane`]) and makes the whole lane
-    /// durable with a **single** sync — or a snapshot rollover when one is
-    /// due. `forms` is the shard's in-memory state *including* every event
-    /// of the lane. A non-empty lane always returns a durable sequence: the
-    /// group either commits as a unit or (on a crash mid-frame) is lost as a
-    /// unit and re-supplied by the server's redo buffer.
-    pub fn append_batch<'a, K: Borrow<usize>>(
         &mut self,
         first_seq: u64,
         lane: &[Crossing],
         forms: impl IntoIterator<Item = (K, &'a TrackingForm)>,
     ) -> std::io::Result<DurableMark> {
-        if lane.is_empty() {
-            return Ok(DurableMark::default());
-        }
         self.wal.append_lane(first_seq, lane)?;
         self.since_snapshot += lane.len() as u64;
         self.since_sync += lane.len() as u64;
@@ -429,9 +404,11 @@ impl ShardDurability {
             self.snapshot_now(forms)?;
             return Ok(DurableMark { durable_seq: Some(self.wal.last_seq()), snapshotted: true });
         }
-        let durable = self.wal.sync()?;
-        self.since_sync = 0;
-        Ok(DurableMark { durable_seq: Some(durable), snapshotted: false })
+        if self.since_sync >= self.sync_every {
+            let durable = self.sync()?;
+            return Ok(DurableMark { durable_seq: Some(durable), snapshotted: false });
+        }
+        Ok(DurableMark::default())
     }
 
     /// Installs a snapshot of `forms` now, streamed from their own sequences,
@@ -740,12 +717,41 @@ mod tests {
     fn durability_batch_is_durable_after_one_call() {
         let dir = tmpdir("batch-durable");
         let forms = stq_forms::ShardForms::default();
-        let mut d = ShardDurability::initialize(&dir, 0, &forms, 0, 1_000_000, 1_000_000).unwrap();
+        let mut d = ShardDurability::initialize(&dir, 0, &forms, 0, 1_000_000, 10).unwrap();
         let lane: Vec<Crossing> = (1..=10u64).map(ev).collect();
-        let mark = d.append_batch(1, &lane, &forms).unwrap();
+        let mark = d.append(1, &lane, &forms).unwrap();
         assert_eq!(mark.durable_seq, Some(10), "group commit publishes the batch's tail");
         assert!(!mark.snapshotted);
         assert_eq!(d.unsynced_bytes(), 0, "the single sync covered the whole frame");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_sync_rule_for_every_lane_size() {
+        let dir = tmpdir("sync-rule");
+        let forms = stq_forms::ShardForms::default();
+        let mut d = ShardDurability::initialize(&dir, 0, &forms, 0, 1_000_000, 16).unwrap();
+        // Lane sizes, and whether the frame each makes syncs: the 16th
+        // one-event lane does, as the 16th single record always did; a lane
+        // of 16 events or more does by itself; a shorter one waits.
+        let mut lanes = vec![(1, false); 15];
+        lanes.extend([(1, true), (5, false), (40, true), (3, false), (20, true)]);
+        let (mut next, mut unsynced) = (1u64, 0u64);
+        for &(len, syncs) in &lanes {
+            let lane: Vec<Crossing> = (next..next + len).map(ev).collect();
+            let mark = d.append(next, &lane, &forms).unwrap();
+            next += len;
+            let frame = (HEADER_LEN + len as usize * PAYLOAD_LEN) as u64;
+            unsynced = if syncs { 0 } else { unsynced + frame };
+            let want = DurableMark { durable_seq: syncs.then_some(next - 1), snapshotted: false };
+            assert_eq!(mark, want, "the lane of {len} ending at {}", next - 1);
+            assert_eq!(d.unsynced_bytes(), unsynced, "the lane of {len} ending at {}", next - 1);
+        }
+        let r = replay_wal(&dir.join("shard-0").join("wal.log"), 0).unwrap();
+        assert!(!r.torn && !r.seq_break);
+        assert!(r.events.iter().map(|&(seq, _)| seq).eq(1..next), "contiguous from 1");
+        let headers = (lanes.len() * HEADER_LEN) as u64;
+        assert_eq!(r.valid_bytes, headers + (next - 1) * PAYLOAD_LEN as u64, "one frame per lane");
         std::fs::remove_dir_all(&dir).ok();
     }
 

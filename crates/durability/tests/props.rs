@@ -62,7 +62,7 @@ fn run_and_kill(
     for seq in 1..=n {
         let c = ev(seq, edges);
         apply(&mut forms, &c);
-        d.append(seq, &c, &forms).unwrap();
+        d.append(seq, std::slice::from_ref(&c), &forms).unwrap();
         digests.push(state_digest(&forms));
     }
     d.kill_cut(surviving_unsynced).unwrap();
@@ -88,16 +88,16 @@ fn wild_edge_ids_recover_like_any_other() {
     let mut d = ShardDurability::initialize(&root, 0, &oracle, 0, 1_000, 4).unwrap();
     for seq in 1..=5 {
         apply(&mut oracle, &ev(seq));
-        d.append(seq, &ev(seq), &oracle).unwrap();
+        d.append(seq, &[ev(seq)], &oracle).unwrap();
     }
     let batch: Vec<(u64, Crossing)> = (6..=14).map(|seq| (seq, ev(seq))).collect();
     for (_, c) in &batch {
         apply(&mut oracle, c);
     }
-    d.append_batch(6, &batch.iter().map(|r| r.1).collect::<Vec<_>>(), &oracle).unwrap();
+    d.append(6, &batch.iter().map(|r| r.1).collect::<Vec<_>>(), &oracle).unwrap();
     for seq in 15..=17 {
         apply(&mut oracle, &ev(seq));
-        d.append(seq, &ev(seq), &oracle).unwrap();
+        d.append(seq, &[ev(seq)], &oracle).unwrap();
     }
     d.sync().unwrap();
     drop(d);
@@ -222,7 +222,7 @@ proptest! {
         for seq in 1..=n {
             let c = ev(seq, 5);
             apply(&mut forms, &c);
-            let mark = d.append(seq, &c, &forms).unwrap();
+            let mark = d.append(seq, std::slice::from_ref(&c), &forms).unwrap();
             if let Some(ds) = mark.durable_seq {
                 durable = ds;
             }
@@ -256,7 +256,7 @@ proptest! {
         for seq in base + 1..=base + more {
             let c = ev(seq, 6);
             rec.forms.get_mut_or_insert(c.edge).record(c.forward, c.time);
-            rec.durability.append(seq, &c, &rec.forms).unwrap();
+            rec.durability.append(seq, std::slice::from_ref(&c), &rec.forms).unwrap();
         }
         rec.durability.sync().unwrap();
         drop(rec);

@@ -1,17 +1,18 @@
 //! The write path: event validation, the registry hand-off, and the one
-//! routine that puts events on a shard lane.
+//! routine that puts events on a shard lane. There is one path: `ingest` is
+//! `ingest_batch` of one event, which reaches its shard as a lane of one.
 //!
 //! ```text
 //! ingest / ingest_batch ─▶ check_event ─▶ registry (totals + standing deltas)
-//!                          ─▶ lane lock(s): stamp (durable: trim → retain)
-//!                                           → record_route → send
+//!                          ─▶ group ─▶ lane locks: epoch check → stamp
+//!                                      (durable: trim → retain) → record_route → send
 //! ```
 //!
-//! Owners are read without a lock, so a batch is sent only under the map
-//! epoch it was grouped under (`dispatch`), and one event only after
-//! re-reading its owner under the lane lock (`send_one`).
+//! Owners are read without a lock, so a grouping is sent only under the map
+//! epoch it was made under (`dispatch`).
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
@@ -70,33 +71,30 @@ pub struct IngestReport {
 }
 
 impl Runtime {
-    /// Streams one boundary-crossing event into the owning shard. The event
-    /// is sequence-stamped, retained in a durable lane's redo buffer until
-    /// the shard acknowledges durability, and folded into the shard's forms
-    /// (and WAL) by the worker. The per-edge lifetime totals grow *before* the
-    /// shard applies the event, so degradation bounds for silent shards stay
-    /// sound at every instant — and the subscription registry applies the
-    /// event's bracket deltas in the same step (the event-driven push path:
-    /// standing answers are fresh the moment `ingest` returns, without any
-    /// re-execution).
+    /// Streams one boundary-crossing event into its owning shard, as
+    /// [`Runtime::ingest_batch`] of that one event: it reaches the shard as a
+    /// lane of one, and a durable shard logs it as a one-event WAL frame. The
+    /// per-edge lifetime totals grow *before* the shard applies the event, so
+    /// degradation bounds for silent shards stay sound at every instant — and
+    /// the subscription registry applies the event's bracket deltas in the
+    /// same step (the event-driven push path: standing answers are fresh the
+    /// moment `ingest` returns, without any re-execution).
     ///
     /// A malformed event (unknown edge, non-finite timestamp) is refused
     /// with an [`IngestError`] before touching any shared state; refusals
     /// are counted in the `ingest_rejected` metric.
     pub fn ingest(&self, c: Crossing) -> Result<(), IngestError> {
-        let st = self.st();
-        check_event(st, &c)?;
-        through_registry(st, std::slice::from_ref(&c));
-        send_one(st, c);
-        self.maybe_rebalance();
+        check_event(self.st(), &c)?;
+        self.ingest_valid(std::slice::from_ref(&c));
         Ok(())
     }
 
     /// Streams a batch of events, copied once into one lane per owning shard
-    /// (its events, in input order) and WAL-appended as one group-commit
-    /// frame per lane (a single sync for the whole lane instead of one per
-    /// record). Semantically equivalent to calling [`Runtime::ingest`] once
-    /// per event in order — shard states, recovery digests, totals, and
+    /// (its events, in input order). A worker applies its lane, and a durable
+    /// one logs it as one WAL frame under the one sync rule
+    /// ([`DurabilityConfig::sync_every`](crate::DurabilityConfig::sync_every)).
+    /// Calling [`Runtime::ingest`] once per event in order takes the same path
+    /// with lanes of one — shard states, recovery digests, totals, and
     /// standing brackets come out bit-identical — but malformed events are
     /// skipped (and counted) instead of failing the batch, and standing
     /// subscriptions are pushed to per call, not per event: one `Delta`
@@ -115,13 +113,19 @@ impl Runtime {
             }
         };
         let rejected = events.len() - valid.len();
+        IngestReport { accepted: valid.len(), rejected, lanes: self.ingest_valid(valid) }
+    }
+
+    /// The one ingest path, for events that passed `check_event`: returns
+    /// the number of shard lanes they were sent as.
+    fn ingest_valid(&self, valid: &[Crossing]) -> usize {
         if valid.is_empty() {
-            return IngestReport { accepted: 0, rejected, lanes: 0 };
+            return 0;
         }
-        // One registry lock for the whole batch: totals and standing
-        // brackets advance event by event in input order, exactly as the
-        // sequential path would; each touched subscription is pushed its
-        // final bracket once, when the batch ends.
+        let st = self.st();
+        // One registry lock for the whole call: totals and standing
+        // brackets advance event by event in input order; each touched
+        // subscription is pushed its final bracket once, when the call ends.
         through_registry(st, valid);
         // Ingest pressure surfaces on the read-side admission gate while
         // the batch is in flight, so a write flood degrades reads honestly
@@ -139,7 +143,7 @@ impl Runtime {
             ov.release(charged);
         }
         self.maybe_rebalance();
-        IngestReport { accepted: valid.len(), rejected, lanes }
+        lanes
     }
 
     /// Fires the load-aware rebalance check after an ingest step.
@@ -234,58 +238,33 @@ fn dispatch(st: &ServerState, grouping: Grouping) -> Option<usize> {
         return None;
     }
     for ((shard, lane), guard) in grouping.lanes.into_iter().zip(&mut held) {
-        let first_seq = stamp(st, shard, guard, lane.len() as u64, || lane.clone());
+        let first_seq = stamp(st, shard, guard, &lane);
         let _ = st.to_shards[shard].send(ShardMsg::IngestBatch { first_seq, lane });
     }
     Some(held.len())
 }
 
-/// Hands out `events` sequences on `shard`'s lane and returns the first; a
-/// durable lane drops what the WAL has synced and retains `sent()`. The caller
-/// holds the lane lock, has checked under it that the map still routes the
-/// events here, and sends them under it too, so they reach the worker in order.
-fn stamp(
-    st: &ServerState,
-    shard: usize,
-    lane: &mut IngestLane,
-    events: u64,
-    sent: impl FnOnce() -> Lane,
-) -> u64 {
-    let first_seq = lane.next_seq + 1;
+/// Hands out `lane`'s sequences on `shard`'s ingest lane and returns the
+/// first; a durable one drops what the WAL has synced and retains `lane`. The
+/// caller holds the lane lock, has checked under it that the map still routes
+/// the events here, and sends them under it too, so they reach the worker in
+/// order.
+fn stamp(st: &ServerState, shard: usize, ingest: &mut IngestLane, lane: &Lane) -> u64 {
+    let first_seq = ingest.next_seq + 1;
     if st.cfg.durability.is_some() {
         let floor = st.shared.durable_seq[shard].load(Ordering::Acquire);
-        while lane.buf.front().is_some_and(|(first, old)| first + old.len() as u64 <= floor + 1) {
-            lane.buf.pop_front();
+        while ingest.buf.front().is_some_and(|(first, old)| first + old.len() as u64 <= floor + 1) {
+            ingest.buf.pop_front();
         }
-        lane.buf.push_back((first_seq, sent()));
+        ingest.buf.push_back((first_seq, Arc::clone(lane)));
     }
-    lane.next_seq += events;
-    st.shared.map.record_route(shard, events);
+    ingest.next_seq += lane.len() as u64;
+    st.shared.map.record_route(shard, lane.len() as u64);
     first_seq
-}
-
-/// Sends one validated event to its owning shard. The map re-read under the
-/// lane lock makes routing race-free against migrations: a migration
-/// commits its new assignment while holding the involved lane locks, so a
-/// map read under a lane lock that still routes here is current — on a
-/// mismatch we simply retry against the new owner.
-fn send_one(st: &ServerState, c: Crossing) {
-    loop {
-        let shard = st.shared.map.shard_of(c.edge);
-        let mut lane = st.shared.lanes[shard].lock();
-        if st.shared.map.shard_of(c.edge) == shard {
-            let seq = stamp(st, shard, &mut lane, 1, || Lane::from([c]));
-            let _ = st.to_shards[shard].send(ShardMsg::Ingest { seq, event: c });
-            return;
-        }
-        // Migrated between the read and the lock; re-route.
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use crossbeam::channel::Receiver;
     use stq_core::prelude::*;
     use stq_durability::{apply_crossing, state_digest};
@@ -388,30 +367,38 @@ mod tests {
         (ServerState::new(shared, sensing, sampled, store, cfg, &[], to_shards), rxs)
     }
 
-    /// Per shard, the events that reached its channel, in order — their
-    /// sequences contiguous from 1 — and the digest of that shard's cut of
-    /// the store (under the current map) once they are applied.
+    /// `events`, as `shard` receives them, and the digest of that shard's cut
+    /// of the store (under the current map) once they are applied.
+    fn on_shard(
+        st: &ServerState,
+        scenario: &Scenario,
+        shard: usize,
+        events: Vec<Crossing>,
+    ) -> (Vec<Crossing>, u64) {
+        let owned = |e| st.shared.map.shard_of(e) == shard;
+        let mut forms = ShardForms::cut_from(&scenario.tracked.store, owned);
+        assert!(events.iter().all(|c| apply_crossing(&mut forms, c)), "shard {shard}: late event");
+        (events, state_digest(&forms))
+    }
+
+    /// Per shard, [`on_shard`] of the events that reached its channel, in
+    /// order, their sequences contiguous from 1.
     fn delivered(
         st: &ServerState,
         scenario: &Scenario,
         rxs: &[Receiver<ShardMsg>],
     ) -> Vec<(Vec<Crossing>, u64)> {
-        let owned = |shard| move |e| st.shared.map.shard_of(e) == shard;
         let drain = |(shard, rx): (usize, &Receiver<ShardMsg>)| {
-            let mut forms = ShardForms::cut_from(&scenario.tracked.store, owned(shard));
             let mut got: Vec<Crossing> = Vec::new();
             while let Ok(msg) = rx.try_recv() {
-                let (first_seq, lane) = match msg {
-                    ShardMsg::Ingest { seq, event } => (seq, Lane::from([event])),
-                    ShardMsg::IngestBatch { first_seq, lane } => (first_seq, lane),
-                    _ => panic!("only ingests were sent"),
+                let ShardMsg::IngestBatch { first_seq, lane } = msg else {
+                    panic!("only ingests were sent")
                 };
                 assert_eq!(first_seq, got.len() as u64 + 1, "shard {shard}: sequence gap");
                 got.extend(lane.iter());
             }
-            assert!(got.iter().all(|c| apply_crossing(&mut forms, c)), "shard {shard}: late event");
             assert_eq!(st.shared.lanes[shard].lock().next_seq, got.len() as u64);
-            (got, state_digest(&forms))
+            on_shard(st, scenario, shard, got)
         };
         rxs.iter().enumerate().map(drain).collect()
     }
@@ -429,11 +416,15 @@ mod tests {
             events.iter().filter(|c| c.edge == hot.edge).copied().collect()
         };
 
-        // The reference: the per-event path, after the migration.
+        // The reference: each shard's share of the events under the map
+        // after the migration, in input order.
         let (st, rxs) = unserved(&scenario);
         st.shared.map.commit(&[hot]);
-        events.iter().for_each(|&c| send_one(&st, c));
-        let want = delivered(&st, &scenario, &rxs);
+        let share = |shard: usize| {
+            let owned = events.iter().filter(|c| st.shared.map.shard_of(c.edge) == shard);
+            on_shard(&st, &scenario, shard, owned.copied().collect())
+        };
+        let want: Vec<_> = (0..rxs.len()).map(share).collect();
         assert_eq!(on_hot(&want[hot.to].0), on_hot(&events));
 
         // The commit lands after the whole batch was grouped, or half-way

@@ -12,10 +12,10 @@
 //!   channels, and re-folds the per-edge contributions in boundary order,
 //!   making full-coverage answers bit-identical to the synchronous
 //!   [`stq_core::query::evaluate`] path.
-//! - **Batched ingest** — [`Runtime::ingest_batch`] copies each event once,
-//!   into its owning shard's lane (one shared slice per shard), and each lane
-//!   is group-committed as one WAL frame with a single sync, bit-identical
-//!   in effect to the per-event [`Runtime::ingest`] path.
+//! - **One ingest path** — [`Runtime::ingest_batch`] copies each event once,
+//!   into its owning shard's lane (one shared slice per shard), and a durable
+//!   worker logs each lane as one WAL frame; [`Runtime::ingest`] is the same
+//!   path with a lane of one.
 //! - **Fault injection and graceful degradation** — a seeded
 //!   [`stq_net::FaultPlan`] drops, delays, and duplicates shard traffic and
 //!   crashes shards on schedule; the aggregator retries with exponential

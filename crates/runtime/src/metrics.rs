@@ -213,20 +213,21 @@ metrics! {
         counter quarantine_refusals,
         /// Ingestion events dropped for arriving behind the stream watermark.
         counter late_dropped,
-        /// Exact-duplicate crossings suppressed at ingestion.
-        counter dup_crossings,
         /// Crossings ingested by shard workers (deduplicated redo deliveries
         /// excluded).
         counter ingested,
         /// Events `ingest`/`ingest_batch` refused (unknown edge or non-finite
         /// timestamp) — counted instead of panicking the caller.
         counter ingest_rejected,
-        /// `ingest_batch` calls that sent at least one lane to a shard.
+        /// `ingest` / `ingest_batch` calls that sent at least one lane to a
+        /// shard (an `ingest` call sends one lane of one event).
         counter ingest_batches,
         /// Records appended to shard write-ahead logs.
         counter wal_appends,
-        /// Group-commit WAL frames written (one per shard lane per batch; each
-        /// frame is one header + one sync for its whole record group).
+        /// WAL frames a worker appended from a lane, one per lane (a lane of
+        /// one is a frame of one). Not counted: the one-event frames a lane
+        /// with a scheduled kill in it is logged as, and the supervisor's redo
+        /// appends.
         counter wal_group_commits,
         /// Snapshot rollovers (snapshot installed, WAL truncated).
         counter snapshots_taken,
@@ -363,14 +364,6 @@ impl Metrics {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Folds a [`StreamTracker`](stq_core::streaming::StreamTracker)'s
-    /// ingestion accounting into the registry, so rejected and deduplicated
-    /// traffic shows up next to the serving counters.
-    pub fn absorb_stream(&self, s: &stq_core::streaming::StreamStats) {
-        Metrics::add(&self.late_dropped, s.late_dropped);
-        Metrics::add(&self.dup_crossings, s.duplicates_suppressed);
-    }
-
     /// Records a completed query's trace (evicting the oldest past capacity).
     pub fn trace(&self, t: QueryTrace) {
         let mut ring = self.traces.lock();
@@ -417,8 +410,8 @@ impl fmt::Display for MetricsReport {
         writeln!(f, "retry rounds {}, timeout windows {}", self.retries, self.timeouts)?;
         writeln!(
             f,
-            "health: worker panics {}, quarantine refusals {}, late events {}, dup crossings {}",
-            self.shard_panics, self.quarantine_refusals, self.late_dropped, self.dup_crossings
+            "health: worker panics {}, quarantine refusals {}, late events {}",
+            self.shard_panics, self.quarantine_refusals, self.late_dropped
         )?;
         writeln!(
             f,

@@ -114,6 +114,7 @@ fn durability_counters_round_trip_report() {
     Metrics::bump(&m.shard_respawns);
     Metrics::add(&m.wal_replayed, 40);
     Metrics::add(&m.redo_replayed, 5);
+    Metrics::add(&m.late_dropped, 4);
     m.recovery_us.record(800);
     let r = m.report();
     assert_eq!(r.ingested, 100);
@@ -122,6 +123,7 @@ fn durability_counters_round_trip_report() {
     let text = r.to_string();
     assert!(text.contains("wal appends 100"));
     assert!(text.contains("respawns 1"));
+    assert!(text.contains("late events 4\n"));
     // Pre-existing lines keep their shape (additive change only).
     assert!(text.contains("latency p50"));
 }
@@ -282,19 +284,6 @@ fn query_trace_records_brownout_and_expiry() {
     assert_eq!(t.len(), 1);
     assert_eq!(t[0].brownout, 3);
     assert!(t[0].expired);
-}
-
-#[test]
-fn stream_stats_are_absorbed() {
-    let m = Metrics::new();
-    let s =
-        stq_core::streaming::StreamStats { accepted: 5, late_dropped: 2, duplicates_suppressed: 3 };
-    m.absorb_stream(&s);
-    m.absorb_stream(&s);
-    let r = m.report();
-    assert_eq!(r.late_dropped, 4);
-    assert_eq!(r.dup_crossings, 6);
-    assert!(r.to_string().contains("late events 4"));
 }
 
 #[test]

@@ -61,8 +61,12 @@ pub struct DurabilityConfig {
     /// so this should stay large: replaying even 64 K records is ~2 MB of
     /// sequential reads, far cheaper than snapshotting often.
     pub snapshot_every: u64,
-    /// Appends between WAL syncs; a sync publishes the shard's durable
-    /// floor and lets the server trim its redo buffer.
+    /// Events appended between WAL syncs, checked after every WAL frame (one
+    /// per lane a worker is sent; `ingest` sends lanes of one): a lane of
+    /// `sync_every` events or more syncs on its own, a shorter one once the
+    /// events since the last sync reach it. A sync publishes the shard's
+    /// durable floor and lets the server trim its redo buffer, which holds
+    /// every lane until then.
     pub sync_every: u64,
     /// Seeded ingest-time crash injection (kill -9 with torn-tail cut).
     pub faults: DurabilityFaultPlan,

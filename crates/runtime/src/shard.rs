@@ -69,10 +69,9 @@ impl ShardHealth {
 pub(crate) enum ShardMsg {
     /// Answer boundary contributions for one query.
     Query(ShardRequest),
-    /// Apply one ingested crossing (WAL-logged when durability is on).
-    Ingest { seq: u64, event: Crossing },
     /// Apply a lane of crossings with contiguous sequences starting at
-    /// `first_seq`, group-committed as one WAL frame when durability is on.
+    /// `first_seq`, logged as one WAL frame when durability is on. A single
+    /// ingested event is a lane of one.
     IngestBatch { first_seq: u64, lane: Lane },
     /// Sync the WAL and reply with the highest applied sequence — the
     /// barrier tests and benchmarks use to line states up.
@@ -201,12 +200,6 @@ impl ShardWorker {
                         return (WorkerExit::Escalated, self.state);
                     }
                 }
-                ShardMsg::Ingest { seq, event } => {
-                    if self.ingest(seq, &event) {
-                        self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        return (WorkerExit::Killed, self.state);
-                    }
-                }
                 ShardMsg::IngestBatch { first_seq, lane } => {
                     if self.ingest_batch(first_seq, &lane) {
                         self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
@@ -236,14 +229,9 @@ impl ShardWorker {
         (WorkerExit::Shutdown, self.state)
     }
 
-    /// Folds event `seq` into the forms — unless it already is: a
-    /// redo-replayed event can still sit in the channel from before the
-    /// previous incarnation died. Returns whether the event was new.
-    fn apply(&mut self, seq: u64, c: &Crossing) -> bool {
+    /// Folds event `seq`, the next one, into the forms.
+    fn apply(&mut self, seq: u64, c: &Crossing) {
         let state = &mut self.state;
-        if seq <= state.last_seq {
-            return false;
-        }
         debug_assert_eq!(seq, state.last_seq + 1, "ingest lane must hand out contiguous sequences");
         state.last_seq = seq;
         Metrics::bump(&self.shared.metrics.ingested);
@@ -253,7 +241,6 @@ impl ShardWorker {
         if !apply_crossing(&mut state.forms, c) {
             Metrics::bump(&self.shared.metrics.late_dropped);
         }
-        true
     }
 
     /// Accounts for `records` WAL appends and publishes what they made
@@ -268,59 +255,47 @@ impl ShardWorker {
         }
     }
 
-    /// Applies one ingested crossing. Returns true when a scheduled
-    /// durability fault kills the worker right after this append.
-    fn ingest(&mut self, seq: u64, c: &Crossing) -> bool {
-        if !self.apply(seq, c) {
-            return false;
-        }
-        let Some(d) = self.state.durability.as_mut() else { return false };
-        let mark = d.append(seq, c, &self.state.forms).expect("WAL append");
-        self.appended(1, mark);
-        if !self.shared.dfaults.crash_due(self.id, seq) {
-            return false;
-        }
-        let d = self.state.durability.take().expect("durability present");
-        let surviving = self.shared.dfaults.surviving_tail_bytes(self.id, seq, d.unsynced_bytes());
-        let _ = d.kill_cut(surviving);
-        // kill -9: memory is gone; only the fault plan's clock is reported.
-        self.state = RetiredState { delivered: self.state.delivered, ..Default::default() };
-        true
-    }
-
-    /// Applies one lane of crossings, WAL-logged as a single group-commit
-    /// frame. Returns true when a scheduled durability fault kills the worker.
+    /// Applies one lane of crossings — the only way events reach a worker —
+    /// and logs it as one WAL frame (one `wal_group_commits`). Returns true
+    /// when a scheduled durability fault kills the worker.
     ///
     /// Sequences are contiguous, so whatever of the lane this incarnation
     /// already holds (a redo replay got there before the channel did) is a
     /// *prefix* of it: the rest is applied and logged as the slice it is,
     /// and nothing is copied.
     ///
-    /// When a scheduled crash falls inside the batch's sequence range the
-    /// whole lane degrades to the per-event path, so the kill cut lands
-    /// exactly after the faulted append — byte-identical crash semantics to
-    /// single-event ingest (a synced batch frame would otherwise leave no
-    /// tail for the fault plan to cut).
+    /// When a scheduled crash falls inside the lane, it is applied and logged
+    /// one event a frame instead (frames no `wal_group_commits` counts), so
+    /// the kill cut lands right after the faulted append, whatever the lane's
+    /// length: a frame synced past the crash would leave the fault plan no
+    /// tail to cut.
     fn ingest_batch(&mut self, first_seq: u64, lane: &[Crossing]) -> bool {
         let held = (self.state.last_seq + 1).saturating_sub(first_seq).min(lane.len() as u64);
         let (first_seq, lane) = (first_seq + held, &lane[held as usize..]);
-        if lane.is_empty() {
-            return false;
-        }
         let seqs = first_seq..first_seq + lane.len() as u64;
-        if self.state.durability.is_some()
-            && seqs.clone().any(|s| self.shared.dfaults.crash_due(self.id, s))
-        {
-            return seqs.zip(lane).any(|(seq, c)| self.ingest(seq, c));
-        }
-        for (seq, c) in seqs.zip(lane) {
-            self.apply(seq, c);
-        }
-        if let Some(d) = self.state.durability.as_mut() {
-            let mark =
-                d.append_batch(first_seq, lane, &self.state.forms).expect("WAL batch append");
-            Metrics::bump(&self.shared.metrics.wal_group_commits);
-            self.appended(lane.len(), mark);
+        let crash_inside = self.state.durability.is_some()
+            && seqs.clone().any(|s| self.shared.dfaults.crash_due(self.id, s));
+        let frame_len = if crash_inside { 1 } else { lane.len().max(1) };
+        for (frame, first) in lane.chunks(frame_len).zip(seqs.step_by(frame_len)) {
+            for (seq, c) in (first..).zip(frame) {
+                self.apply(seq, c);
+            }
+            let Some(d) = self.state.durability.as_mut() else { continue };
+            let mark = d.append(first, frame, &self.state.forms).expect("WAL append");
+            self.appended(frame.len(), mark);
+            if !crash_inside {
+                Metrics::bump(&self.shared.metrics.wal_group_commits);
+            } else if self.shared.dfaults.crash_due(self.id, first) {
+                // kill -9: the unsynced tail is cut as the fault plan says and
+                // memory is gone; only the fault plan's clock is reported.
+                if let Some(d) = self.state.durability.take() {
+                    let dfaults = &self.shared.dfaults;
+                    let tail = dfaults.surviving_tail_bytes(self.id, first, d.unsynced_bytes());
+                    let _ = d.kill_cut(tail);
+                }
+                self.state = RetiredState { delivered: self.state.delivered, ..Default::default() };
+                return true;
+            }
         }
         false
     }

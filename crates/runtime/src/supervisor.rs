@@ -252,7 +252,8 @@ impl Supervisor {
         let (forms, durability, lost_edges) = match recovered {
             Some((mut forms, floor, mut durability)) if redo_from <= floor + 1 => {
                 // Redo: everything retained past the recovered prefix (which
-                // may end inside a lane), re-appended and re-applied in order.
+                // may end inside a lane), re-applied and re-appended in order,
+                // one event a frame.
                 let retained = lane.buf.iter().flat_map(|(first, sent)| (*first..).zip(&sent[..]));
                 let mut last_seq = floor;
                 for (seq, c) in retained.filter(|&(seq, _)| seq > floor) {
@@ -261,7 +262,8 @@ impl Supervisor {
                     // recovered prefix ends at or after it.
                     debug_assert_eq!(shared.map.shard_of(c.edge), shard, "redo of a moved edge");
                     apply_crossing(&mut forms, c);
-                    durability.append(seq, c, &forms).expect("redo WAL append");
+                    let frame = std::slice::from_ref(c);
+                    durability.append(seq, frame, &forms).expect("redo WAL append");
                     last_seq = seq;
                 }
                 Metrics::add(&shared.metrics.redo_replayed, last_seq - floor);

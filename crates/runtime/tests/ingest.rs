@@ -1,5 +1,5 @@
-//! Ingest-path tests: malformed-event refusal, columnar batched ingest
-//! being bit-identical to the sequential path, `flush_ingest` as a true
+//! Ingest-path tests: malformed-event refusal, per-event and batched ingest
+//! both landing on a harness oracle's shard states, `flush_ingest` as a true
 //! barrier under concurrent writers, and load-aware shard rebalancing
 //! (migrations must leave answers, digests, and recovery untouched).
 
@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_core::tracker::Crossing;
-use stq_forms::FormStore;
+use stq_durability::state_digest;
+use stq_forms::{FormStore, ShardForms};
 use stq_runtime::{
     DurabilityConfig, DurabilityFaultPlan, IngestError, QuerySpec, RebalanceConfig, Runtime,
     RuntimeConfig, ShardHealth,
@@ -152,9 +153,11 @@ fn malformed_events_are_refused_and_counted() {
     rt.shutdown();
 }
 
-/// Runs the same stream through per-event ingest and through
-/// `ingest_batch` with the given chunk sizes; shard digests, standing
-/// brackets, and full-coverage answers must come out bit-identical.
+/// Runs the same stream through one `ingest` call per event and through
+/// `ingest_batch` with the given chunk sizes. Both runs' shard digests must
+/// equal a harness-owned oracle's — every event recorded into a `FormStore`,
+/// cut per shard — and their standing brackets and full-coverage answers
+/// must match bit for bit.
 fn assert_batch_matches_sequential(
     quarantined: &[usize],
     durable: bool,
@@ -165,6 +168,13 @@ fn assert_batch_matches_sequential(
     let ne = f.scenario.sensing.num_edges();
     let events = stream(ne, n_events);
     let ns = 3;
+    let mut oracle = f.scenario.tracked.store.clone();
+    for c in &events {
+        oracle.record(c.edge, c.forward, c.time);
+    }
+    // Rebalancing is off, so edge `e` stays on shard `e % ns`.
+    let cut = |shard| ShardForms::cut_from(&oracle, |e| e % ns == shard);
+    let want_digests: Vec<u64> = (0..ns).map(|shard| state_digest(&cut(shard))).collect();
     let mk = |dir: Option<&std::path::Path>| {
         let cfg = RuntimeConfig {
             num_shards: ns,
@@ -192,7 +202,6 @@ fn assert_batch_matches_sequential(
         rt_seq.ingest(c).expect("ingest");
     }
     rt_seq.flush_ingest();
-    let want_digests = rt_seq.shard_digests();
     let want_brackets = rt_seq.standing_brackets();
 
     let dir_bat = durable.then(|| tmpdir("bat"));
@@ -201,25 +210,28 @@ fn assert_batch_matches_sequential(
     assert_eq!(sub_seq.is_some(), sub_bat.is_some());
     let mut off = 0usize;
     let mut i = 0usize;
+    let mut lanes = 0usize;
     while off < events.len() {
         let k = chunks[i % chunks.len()].max(1).min(events.len() - off);
         let report = rt_bat.ingest_batch(&events[off..off + k]);
         assert_eq!((report.accepted, report.rejected), (k, 0));
+        lanes += report.lanes;
         off += k;
         i += 1;
     }
     rt_bat.flush_ingest();
 
     if durable {
-        // Every event reaches the WAL on both paths; only the batched one
-        // group-commits (one frame per per-shard lane).
-        for (rt, batched) in [(&rt_seq, false), (&rt_bat, true)] {
+        // Every event reaches the WAL, as one frame per lane: a lane of one
+        // per `ingest` call, one per shard an `ingest_batch` call reached.
+        for (rt, frames) in [(&rt_seq, n_events), (&rt_bat, lanes)] {
             let m = rt.metrics().report();
             assert_eq!(m.wal_appends, n_events as u64, "every event must reach the WAL: {m}");
-            assert_eq!(m.wal_group_commits > 0, batched, "only batched ingest group-commits: {m}");
+            assert_eq!(m.wal_group_commits, frames as u64, "one frame per lane: {m}");
         }
     }
-    assert_eq!(rt_bat.shard_digests(), want_digests, "batch ingest must be bit-identical");
+    assert_eq!(rt_seq.shard_digests(), want_digests, "per-event ingest must match the oracle");
+    assert_eq!(rt_bat.shard_digests(), want_digests, "batch ingest must match the oracle");
     let got_brackets = rt_bat.standing_brackets();
     assert_eq!(want_brackets.len(), got_brackets.len());
     for ((_, a), (_, b)) in want_brackets.iter().zip(&got_brackets) {
