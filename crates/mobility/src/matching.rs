@@ -9,11 +9,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::network::RoadNetwork;
+use crate::network::{RoadNetwork, Router};
 use crate::trajectory::Trajectory;
 use crate::Time;
 use stq_geom::Point;
-use stq_planar::paths::dijkstra_to;
 use stq_spatial::GridIndex;
 
 /// A raw GPS fix.
@@ -95,12 +94,12 @@ pub fn map_match(net: &RoadNetwork, fixes: &[GpsFix], id: u64) -> Trajectory {
     }
 
     // Stitch consecutive snapped junctions with shortest paths.
-    let adj = net.adjacency(f64::INFINITY / 4.0);
+    let mut router = Router::new(net);
     let mut visits: Vec<(Time, usize)> = vec![snapped[0]];
     for w in snapped.windows(2) {
         let (t0, a) = w[0];
         let (t1, b) = w[1];
-        match dijkstra_to(&adj, a, b) {
+        match router.path(a, b) {
             Some((verts, edges)) if !edges.is_empty() => {
                 let total: f64 = edges.iter().map(|&e| net.edge_length(e)).sum();
                 let mut acc = 0.0;

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use stq_geom::{Point, Rect};
 use stq_planar::embedding::{EdgeId, VertexId};
-use stq_planar::paths::{dijkstra_to, WeightedAdj};
+use stq_planar::paths::{PathFinder, WeightedAdj};
 use stq_planar::Embedding;
 
 /// Errors from road-network construction.
@@ -226,8 +226,7 @@ impl RoadNetwork {
         from: VertexId,
         to: VertexId,
     ) -> Option<(Vec<VertexId>, Vec<EdgeId>)> {
-        let adj = self.adjacency(f64::INFINITY / 4.0);
-        dijkstra_to(&adj, from, to)
+        Router::new(self).path(from, to)
     }
 
     /// Junctions adjacent to `v_ext` (the entry/exit gates).
@@ -248,6 +247,42 @@ impl RoadNetwork {
     /// Total length of all roads (ramps excluded).
     pub fn total_road_length(&self) -> f64 {
         self.lengths.iter().sum()
+    }
+}
+
+/// Shortest junction paths over one network, avoiding the outside world,
+/// from one goal-directed search whose scratch every query reuses.
+///
+/// The bound is the straight-line distance to the target, and 0 at `v_ext`,
+/// which has no position. It is admissible and consistent because every
+/// road weighs its segment's Euclidean length (the same `Point::dist` the
+/// bound takes), and a ramp weighs `∞/4`, which no bound exceeds. So each
+/// path is a shortest path of the plain-Dijkstra search, and the same one
+/// wherever the shortest path is unique (see [`PathFinder`]).
+pub(crate) struct Router<'a> {
+    net: &'a RoadNetwork,
+    adj: WeightedAdj,
+    finder: PathFinder,
+}
+
+impl<'a> Router<'a> {
+    pub(crate) fn new(net: &'a RoadNetwork) -> Self {
+        Router { net, adj: net.adjacency(f64::INFINITY / 4.0), finder: PathFinder::new() }
+    }
+
+    /// Shortest path `from → to` as `(vertices, edges)`.
+    pub(crate) fn path(
+        &mut self,
+        from: VertexId,
+        to: VertexId,
+    ) -> Option<(Vec<VertexId>, Vec<EdgeId>)> {
+        let emb = &self.net.emb;
+        match emb.position(to) {
+            Some(goal) => self
+                .finder
+                .path(&self.adj, from, to, |v| emb.position(v).map_or(0.0, |p| p.dist(goal))),
+            None => self.finder.path(&self.adj, from, to, |_| 0.0),
+        }
     }
 }
 

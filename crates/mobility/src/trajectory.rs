@@ -8,10 +8,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::network::RoadNetwork;
+use crate::network::{RoadNetwork, Router};
 use crate::Time;
 use stq_planar::embedding::VertexId;
-use stq_planar::paths::{dijkstra_to, WeightedAdj};
 
 /// A timed walk over road-network junctions.
 ///
@@ -105,6 +104,16 @@ impl WorkloadMix {
 /// Generates a full workload: `mix` objects with the given config,
 /// deterministic under `seed`. Hotspots for the commuter share are drawn
 /// once from the network extent.
+///
+/// Every trip is one shortest-path query, answered by one goal-directed
+/// search that all trips share (`Router`): its bound is the straight-line
+/// distance to the trip's destination, which never exceeds a road path's
+/// length because every road weighs its segment length. On generic city
+/// coordinates shortest paths are unique, so the search returns the path
+/// plain Dijkstra would, and visit times are summed from `edge_length`, not
+/// from the search's distances: the trajectories are the ones an
+/// exhaustive search gives, bit for bit, after settling a fraction of the
+/// junctions.
 pub fn generate_mix(
     net: &RoadNetwork,
     mix: WorkloadMix,
@@ -112,7 +121,8 @@ pub fn generate_mix(
     seed: u64,
 ) -> Vec<Trajectory> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let adj = net.adjacency(f64::INFINITY / 4.0);
+    let mut router = Router::new(net);
+    let junctions: Vec<VertexId> = net.junctions().collect();
     let bbox = net.bbox();
     let n_hot = 3.max(net.num_junctions() / 300);
     let hotspots: Vec<(stq_geom::Point, f64)> = (0..n_hot)
@@ -124,27 +134,30 @@ pub fn generate_mix(
             (p, bbox.width().max(bbox.height()) * 0.1)
         })
         .collect();
-    let hot_weights = hotspot_weights(net, &hotspots);
+    let hot_cumulative = hotspot_cumulative(net, &hotspots);
 
     let mut out = Vec::with_capacity(mix.total());
     let mut id = 0u64;
     for _ in 0..mix.random_waypoint {
-        out.push(random_waypoint(net, &adj, id, cfg, None, &mut rng));
+        out.push(random_waypoint(net, &mut router, &junctions, id, cfg, None, &mut rng));
         id += 1;
     }
+    let hot = Some(hot_cumulative.as_slice());
     for _ in 0..mix.commuter {
-        out.push(random_waypoint(net, &adj, id, cfg, Some(&hot_weights), &mut rng));
+        out.push(random_waypoint(net, &mut router, &junctions, id, cfg, hot, &mut rng));
         id += 1;
     }
     for _ in 0..mix.transit {
-        out.push(transit(net, &adj, id, cfg, &mut rng));
+        out.push(transit(net, &mut router, id, cfg, &mut rng));
         id += 1;
     }
     out
 }
 
-/// Junction sampling weights as a Gaussian mixture around hotspots.
-fn hotspot_weights(net: &RoadNetwork, hotspots: &[(stq_geom::Point, f64)]) -> Vec<f64> {
+/// Running sums of the junction sampling weights, a Gaussian mixture around
+/// hotspots: entry `v` is the weight of every vertex up to and including
+/// `v` (`v_ext` weighs 0), added left to right.
+fn hotspot_cumulative(net: &RoadNetwork, hotspots: &[(stq_geom::Point, f64)]) -> Vec<f64> {
     let n = net.embedding().num_vertices();
     let mut w = vec![0.0; n];
     for v in net.junctions() {
@@ -156,26 +169,28 @@ fn hotspot_weights(net: &RoadNetwork, hotspots: &[(stq_geom::Point, f64)]) -> Ve
         }
         w[v] = acc;
     }
+    let mut total = 0.0;
+    for x in &mut w {
+        total += *x;
+        *x = total;
+    }
     w
 }
 
-fn sample_weighted(weights: &[f64], rng: &mut StdRng) -> usize {
-    let total: f64 = weights.iter().sum();
-    let mut x = rng.gen_range(0.0..total);
-    for (i, &w) in weights.iter().enumerate() {
-        x -= w;
-        if x <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
+/// Index `i` with probability proportional to its weight, given the running
+/// sums `cumulative` of the weights: the first whose running sum reaches the
+/// draw. The draw never exceeds the last sum, so the index is in range.
+fn sample_weighted(cumulative: &[f64], rng: &mut StdRng) -> usize {
+    let total = *cumulative.last().expect("the network has junctions");
+    let x = rng.gen_range(0.0..total);
+    cumulative.partition_point(|&c| c < x)
 }
 
 /// Walks the object in from `v_ext` to `start` instantaneously at `t`,
 /// returning the visit prefix.
 fn entry_walk(
     net: &RoadNetwork,
-    adj: &WeightedAdj,
+    router: &mut Router,
     start: VertexId,
     t: Time,
     rng: &mut StdRng,
@@ -184,33 +199,34 @@ fn entry_walk(
     let gate = gates[rng.gen_range(0..gates.len())];
     let mut visits = vec![(t, net.v_ext()), (t, gate)];
     if gate != start {
-        if let Some((verts, _)) = dijkstra_to(adj, gate, start) {
+        if let Some((verts, _)) = router.path(gate, start) {
             visits.extend(verts.into_iter().skip(1).map(|v| (t, v)));
         }
     }
     visits
 }
 
-/// Random-waypoint trajectory; with `weights`, destinations are sampled from
-/// the hotspot mixture instead of uniformly.
+/// Random-waypoint trajectory over `junctions`; with `cumulative` (running
+/// weight sums), destinations are sampled from the hotspot mixture instead
+/// of uniformly.
 fn random_waypoint(
     net: &RoadNetwork,
-    adj: &WeightedAdj,
+    router: &mut Router,
+    junctions: &[VertexId],
     id: u64,
     cfg: TrajectoryConfig,
-    weights: Option<&[f64]>,
+    cumulative: Option<&[f64]>,
     rng: &mut StdRng,
 ) -> Trajectory {
-    let junctions: Vec<VertexId> = net.junctions().collect();
     let pick = |rng: &mut StdRng| -> VertexId {
-        match weights {
-            Some(w) => sample_weighted(w, rng),
+        match cumulative {
+            Some(c) => sample_weighted(c, rng),
             None => junctions[rng.gen_range(0..junctions.len())],
         }
     };
     let spawn = rng.gen_range(0.0..cfg.duration * 0.5);
     let start = pick(rng);
-    let mut visits = entry_walk(net, adj, start, spawn, rng);
+    let mut visits = entry_walk(net, router, start, spawn, rng);
     let mut now = spawn;
     let mut here = start;
 
@@ -223,7 +239,7 @@ fn random_waypoint(
         if dest == here {
             continue;
         }
-        let Some((verts, edges)) = dijkstra_to(adj, here, dest) else { continue };
+        let Some((verts, edges)) = router.path(here, dest) else { continue };
         for (v, e) in verts.into_iter().skip(1).zip(edges) {
             now += net.edge_length(e) / cfg.speed;
             visits.push((now, v));
@@ -239,7 +255,7 @@ fn random_waypoint(
             // Leave through the nearest gate.
             let gates = net.gate_junctions();
             let gate = gates[rng.gen_range(0..gates.len())];
-            if let Some((verts, edges)) = dijkstra_to(adj, here, gate) {
+            if let Some((verts, edges)) = router.path(here, gate) {
                 for (v, e) in verts.into_iter().skip(1).zip(edges) {
                     now += net.edge_length(e) / cfg.speed;
                     visits.push((now, v));
@@ -256,7 +272,7 @@ fn random_waypoint(
 /// exit. Models through traffic.
 fn transit(
     net: &RoadNetwork,
-    adj: &WeightedAdj,
+    router: &mut Router,
     id: u64,
     cfg: TrajectoryConfig,
     rng: &mut StdRng,
@@ -272,7 +288,7 @@ fn transit(
     };
     let mut visits = vec![(spawn, net.v_ext()), (spawn, a)];
     let mut now = spawn;
-    if let Some((verts, edges)) = dijkstra_to(adj, a, b) {
+    if let Some((verts, edges)) = router.path(a, b) {
         for (v, e) in verts.into_iter().skip(1).zip(edges) {
             now += net.edge_length(e) / cfg.speed;
             visits.push((now, v));

@@ -145,6 +145,17 @@ fn one_ingest_path() {
 }
 
 #[test]
+fn one_single_target_search() {
+    assert_absent(&Guard {
+        rule: "a single-target shortest path is `stq_planar::paths::PathFinder`: a second \
+               early-exit search beside it would be a second set of tie and weight rules",
+        patterns: &["dijkstra_to"],
+        roots: &["crates/*/src"],
+        except: &[],
+    });
+}
+
+#[test]
 fn word_end_patterns_leave_longer_identifiers_alone() {
     assert!(matches("ShardMsg::Ingest { seq, event }", "ShardMsg::Ingest\\b"));
     assert!(matches("ShardMsg::Ingest", "ShardMsg::Ingest\\b"));
