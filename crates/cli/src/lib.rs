@@ -147,8 +147,20 @@ sensor-fault flags (fractions of monitored links): --dead F --lossy F
   imputation and learned fallback instead of worst-case widening
 methods: uniform|systematic|stratified|kdtree|quadtree";
 
+/// Parses `--<flag>` as a fraction in `[0, 1]` (`default` when absent).
+fn fraction(args: &Args, flag: &str, default: f64) -> Result<f64, CliError> {
+    let p: f64 = args.get(flag, default)?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(CliError::Usage(format!("--{flag} must be in [0, 1]")));
+    }
+    Ok(p)
+}
+
 fn scenario_from(args: &Args) -> Result<Scenario, CliError> {
     let junctions: usize = args.get("junctions", 600)?;
+    if junctions < 4 {
+        return Err(CliError::Usage("--junctions must be at least 4".into()));
+    }
     let objects: usize = args.get("objects", 120)?;
     let seed: u64 = args.get("seed", 2024)?;
     Ok(Scenario::build(ScenarioConfig {
@@ -175,12 +187,16 @@ fn method_from(args: &Args) -> Result<SamplingMethod, CliError> {
 }
 
 fn deployment_from(args: &Args, s: &Scenario) -> Result<SampledGraph, CliError> {
-    let size: f64 = args.get("size", 0.1)?;
-    if !(0.0..=1.0).contains(&size) {
-        return Err(CliError::Usage("--size must be in [0, 1]".into()));
-    }
+    let size = fraction(args, "size", 0.1)?;
     let seed: u64 = args.get("seed", 2024)?;
     let cands = s.sensing.sensor_candidates();
+    if cands.len() < 3 {
+        return Err(CliError::Usage(format!(
+            "a deployment needs at least 3 sensor candidates; this city has {} \
+             (raise --junctions)",
+            cands.len()
+        )));
+    }
     let m = ((cands.len() as f64 * size).round() as usize).clamp(3, cands.len());
     let ids = stq_sampling::sample(method_from(args)?, &cands, m, seed ^ 0x5a);
     let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
@@ -194,23 +210,12 @@ fn deployment_from(args: &Args, s: &Scenario) -> Result<SampledGraph, CliError> 
 /// Parses the sensor-fault mix flags (fractions of monitored links).
 fn sensor_mix_from(args: &Args) -> Result<SensorFaultMix, CliError> {
     let mix = SensorFaultMix {
-        dead: args.get("dead", 0.0)?,
-        lossy: args.get("lossy", 0.0)?,
-        duplicating: args.get("dup-sensors", 0.0)?,
-        flipped: args.get("flip", 0.0)?,
-        skewed: args.get("skew", 0.0)?,
+        dead: fraction(args, "dead", 0.0)?,
+        lossy: fraction(args, "lossy", 0.0)?,
+        duplicating: fraction(args, "dup-sensors", 0.0)?,
+        flipped: fraction(args, "flip", 0.0)?,
+        skewed: fraction(args, "skew", 0.0)?,
     };
-    for (flag, p) in [
-        ("dead", mix.dead),
-        ("lossy", mix.lossy),
-        ("dup-sensors", mix.duplicating),
-        ("flip", mix.flipped),
-        ("skew", mix.skewed),
-    ] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(CliError::Usage(format!("--{flag} must be in [0, 1]")));
-        }
-    }
     if mix.total() > 1.0 {
         return Err(CliError::Usage("sensor-fault fractions must sum to ≤ 1".into()));
     }
@@ -222,15 +227,10 @@ fn sensor_mix_from(args: &Args) -> Result<SensorFaultMix, CliError> {
 /// `--fault-seed` still works, and giving both (or either twice) with
 /// different values is rejected instead of letting one silently win.
 fn chaos_from(args: &Args, default_seed: u64) -> Result<ChaosConfig, CliError> {
-    let drop_p: f64 = args.get("drop", 0.0)?;
-    let delay_p: f64 = args.get("delay", 0.0)?;
-    let dup_p: f64 = args.get("dup", 0.0)?;
+    let drop_p = fraction(args, "drop", 0.0)?;
+    let delay_p = fraction(args, "delay", 0.0)?;
+    let dup_p = fraction(args, "dup", 0.0)?;
     let delay_ms: u64 = args.get("delay-ms", 2)?;
-    for (flag, p) in [("drop", drop_p), ("delay", delay_p), ("dup", dup_p)] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(CliError::Usage(format!("--{flag} must be in [0, 1]")));
-        }
-    }
     let mut b = ChaosConfig::builder()
         .message_loss(drop_p, delay_p, dup_p, delay_ms)
         .sensor_mix(sensor_mix_from(args)?);
@@ -414,9 +414,9 @@ fn deploy(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
 
 fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
     let kind_of = kind_from(args)?;
+    let area = fraction(args, "area", 0.05)?;
     let s = scenario_from(args)?;
     let g = deployment_from(args, &s)?;
-    let area: f64 = args.get("area", 0.05)?;
     let n: usize = args.get("queries", 5)?;
     let seed: u64 = args.get("seed", 2024)?;
     let learned = match args.get_str("learned") {
@@ -472,7 +472,7 @@ struct ServeOpts {
 
 impl ServeOpts {
     fn from_args(args: &Args) -> Result<Self, CliError> {
-        let area: f64 = args.get("area", 0.05)?;
+        let area = fraction(args, "area", 0.05)?;
         let queries: usize = args.get("queries", 8)?;
         let seed: u64 = args.get("seed", 2024)?;
         let kind_of = kind_from(args)?;
@@ -507,15 +507,12 @@ impl ServeOpts {
                 return Err(CliError::Usage(format!("--{flag} needs {anchor}")));
             }
         }
-        let subscribe_area: f64 = args.get("subscribe-area", area)?;
         if subscribe == Some(0) {
             return Err(CliError::Usage(
                 "--subscribe must register at least one standing query".into(),
             ));
         }
-        if !(0.0..=1.0).contains(&subscribe_area) {
-            return Err(CliError::Usage("--subscribe-area must be in [0, 1]".into()));
-        }
+        let subscribe_area = fraction(args, "subscribe-area", area)?;
         // Degraded-mode answering is opt-in: it trades the default
         // worst-case widening on quarantined boundaries for detour /
         // imputation / learned-fallback answers with honest brackets.
@@ -1273,6 +1270,45 @@ mod tests {
         let args = Args::parse(["query", "--kind", "bogus"].map(String::from)).unwrap();
         let err = run(&args, &mut Vec::new()).expect_err("query refuses it too");
         assert_eq!(err.to_string(), "unknown query kind: bogus");
+    }
+
+    /// Runs `argv`, which must be refused as a usage error with `message`
+    /// before anything is printed.
+    fn assert_refused(argv: &[&str], message: &str) {
+        let args = Args::parse(argv.iter().map(|s| s.to_string())).unwrap();
+        let mut out = Vec::new();
+        let err = run(&args, &mut out).expect_err("a usage error");
+        assert!(matches!(err, CliError::Usage(_)), "{argv:?}: {err}");
+        assert!(err.to_string().contains(message), "{argv:?}: {err}");
+        assert_eq!(String::from_utf8(out).unwrap(), "", "{argv:?}: nothing ran");
+    }
+
+    #[test]
+    fn bad_area_is_refused_before_any_work() {
+        for area in ["5", "-1", "nan"] {
+            assert_refused(&["query", "--junctions", "100", "--area", area], "--area must be in");
+        }
+        // Serve names `--area`, not the `--subscribe-area` it defaults.
+        assert_refused(&["serve", "--area", "5"], "--area must be in [0, 1]");
+    }
+
+    #[test]
+    fn a_full_area_query_is_served() {
+        let common = ["--junctions", "100", "--objects", "10", "--size", "0.3", "--area", "1"];
+        let mut argv = vec!["query", "--queries", "2"];
+        argv.extend_from_slice(&common);
+        assert_eq!(run_cmd(&argv).lines().count(), 3, "a header and two rows");
+        let mut argv = vec!["serve", "--queries", "2", "--shards", "2"];
+        argv.extend_from_slice(&common);
+        assert!(run_cmd(&argv).contains("answer η̂"));
+    }
+
+    #[test]
+    fn tiny_cities_are_refused_before_any_work() {
+        assert_refused(&["generate", "--junctions", "3"], "--junctions must be at least 4");
+        for command in ["deploy", "query", "serve", "audit"] {
+            assert_refused(&[command, "--junctions", "4"], "at least 3 sensor candidates");
+        }
     }
 
     #[test]

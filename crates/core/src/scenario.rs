@@ -77,7 +77,8 @@ impl Scenario {
     /// Generates `n` rectangular query regions whose area is `area_frac` of
     /// the total sensing area, uniformly placed, with random temporal
     /// windows of length `window` inside the simulation horizon (§5.1.5).
-    /// Regions that cover no junction are re-drawn (bounded retries).
+    /// Regions that cover no junction are re-drawn (bounded retries). On an
+    /// axis the square is wider than, it is centred on the city instead.
     pub fn make_queries(
         &self,
         n: usize,
@@ -95,8 +96,8 @@ impl Scenario {
         let mut attempts = 0;
         while out.len() < n && attempts < n * 50 {
             attempts += 1;
-            let cx = rng.gen_range(bb.min.x + side * 0.5..=bb.max.x - side * 0.5);
-            let cy = rng.gen_range(bb.min.y + side * 0.5..=bb.max.y - side * 0.5);
+            let cx = centre_on_axis(&mut rng, bb.min.x, bb.max.x, side);
+            let cy = centre_on_axis(&mut rng, bb.min.y, bb.max.y, side);
             let rect = Rect::centered(Point::new(cx, cy), side, side);
             let q = QueryRegion::from_rect(&self.sensing, rect);
             if q.is_empty() {
@@ -115,6 +116,18 @@ impl Scenario {
             .into_iter()
             .map(|(q, _, _)| q.junctions().to_vec())
             .collect()
+    }
+}
+
+/// Where a square of `side` centres on the axis `[lo, hi]`: a uniform draw
+/// that keeps it inside where it fits, the midpoint (no draw) where it does
+/// not.
+fn centre_on_axis(rng: &mut StdRng, lo: f64, hi: f64, side: f64) -> f64 {
+    let (first, last) = (lo + side * 0.5, hi - side * 0.5);
+    if first <= last {
+        rng.gen_range(first..=last)
+    } else {
+        (lo + hi) * 0.5
     }
 }
 
@@ -153,6 +166,43 @@ mod tests {
             assert!(!q.is_empty());
             assert!(*t0 < *t1);
             assert!(*t1 <= s.config.trajectory.duration);
+        }
+    }
+
+    #[test]
+    fn full_area_squares_centre_and_fitting_squares_draw_as_before() {
+        let s = tiny();
+        // A square of the city's whole area is wider than its shorter side.
+        let full = s.make_queries(5, 1.0, 500.0, 9);
+        assert_eq!(full.len(), 5);
+        assert!(full.iter().all(|(q, _, _)| !q.is_empty()));
+
+        // Where the square fits, the centres are the unguarded draws.
+        let bb = s.sensing.road().bbox();
+        let duration = s.config.trajectory.duration;
+        for frac in [0.05, 0.3] {
+            let side = (bb.area() * frac).sqrt();
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut want = Vec::new();
+            for _ in 0..8 * 50 {
+                if want.len() == 8 {
+                    break;
+                }
+                let cx = rng.gen_range(bb.min.x + side * 0.5..=bb.max.x - side * 0.5);
+                let cy = rng.gen_range(bb.min.y + side * 0.5..=bb.max.y - side * 0.5);
+                let rect = Rect::centered(Point::new(cx, cy), side, side);
+                let q = QueryRegion::from_rect(&s.sensing, rect);
+                if !q.is_empty() {
+                    let t0 = rng.gen_range(duration * 0.05..=duration * 0.95 - 500.0);
+                    want.push((q.junctions().to_vec(), t0));
+                }
+            }
+            let got: Vec<(Vec<usize>, f64)> = s
+                .make_queries(8, frac, 500.0, 4)
+                .into_iter()
+                .map(|(q, t0, _)| (q.junctions().to_vec(), t0))
+                .collect();
+            assert_eq!(got, want, "area {frac}");
         }
     }
 

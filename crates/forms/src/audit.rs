@@ -195,11 +195,6 @@ impl AuditReport {
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
-
-    /// True when every audited edge came back `Healthy`.
-    pub fn is_clean(&self) -> bool {
-        self.verdicts.values().all(|v| v.health == EdgeHealth::Healthy)
-    }
 }
 
 /// Runs the full audit.
@@ -427,7 +422,11 @@ mod tests {
     #[test]
     fn clean_traffic_is_clean() {
         let report = run(&clean_store(8));
-        assert!(report.is_clean(), "verdicts: {:?}", report.verdicts().collect::<Vec<_>>());
+        assert!(
+            report.verdicts().all(|v| v.health == EdgeHealth::Healthy),
+            "verdicts: {:?}",
+            report.verdicts().collect::<Vec<_>>()
+        );
         assert!(report.violations().is_empty());
         assert_eq!(report.health(0), EdgeHealth::Healthy);
         assert!(report.confidence(0) > 0.9);

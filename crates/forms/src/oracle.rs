@@ -40,11 +40,6 @@ impl OracleTracker {
         trail.push((t, junction));
     }
 
-    /// Number of tracked objects.
-    pub fn num_objects(&self) -> usize {
-        self.trails.len()
-    }
-
     /// The junction occupied by `object` at time `t`, or `None` if the
     /// object has no event at or before `t`.
     pub fn location_at(&self, object: ObjectId, t: Time) -> Option<Junction> {

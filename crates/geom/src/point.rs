@@ -79,12 +79,6 @@ impl Point {
         self.y.atan2(self.x)
     }
 
-    /// Returns the vector rotated by 90° counter-clockwise.
-    #[inline]
-    pub fn perp(self) -> Point {
-        Point::new(-self.y, self.x)
-    }
-
     /// Returns the unit vector in the same direction, or the zero vector if
     /// `self` is (numerically) zero.
     #[inline]
@@ -195,13 +189,6 @@ mod tests {
         let b = Point::new(2.0, 4.0);
         assert_eq!(a.lerp(b, 0.25), Point::new(0.5, 1.0));
         assert_eq!(a.midpoint(b), Point::new(1.0, 2.0));
-    }
-
-    #[test]
-    fn perp_rotates_ccw() {
-        let a = Point::new(1.0, 0.0);
-        assert_eq!(a.perp(), Point::new(0.0, 1.0));
-        assert!(a.cross(a.perp()) > 0.0);
     }
 
     #[test]

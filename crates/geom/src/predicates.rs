@@ -65,21 +65,6 @@ pub fn in_circle(a: Point, b: Point, c: Point, d: Point) -> bool {
     det > 0.0
 }
 
-/// Circumcenter of the triangle `a, b, c`, or `None` if the points are
-/// (numerically) collinear.
-pub fn circumcenter(a: Point, b: Point, c: Point) -> Option<Point> {
-    let d = 2.0 * cross3(a, b, c);
-    if d.abs() < f64::EPSILON * 64.0 * (b - a).norm() * (c - a).norm() {
-        return None;
-    }
-    let a2 = a.x * a.x + a.y * a.y;
-    let b2 = b.x * b.x + b.y * b.y;
-    let c2 = c.x * c.x + c.y * c.y;
-    let ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d;
-    let uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d;
-    Some(Point::new(ux, uy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,23 +90,6 @@ mod tests {
         // as it must a point just outside.
         assert!(!in_circle(a, b, c, Point::new(1.0, 1.0)));
         assert!(!in_circle(a, b, c, Point::new(1.0, 1.0 + 1e-9)));
-    }
-
-    #[test]
-    fn circumcenter_right_triangle() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 0.0);
-        let c = Point::new(0.0, 2.0);
-        let cc = circumcenter(a, b, c).unwrap();
-        assert!((cc.x - 1.0).abs() < 1e-12 && (cc.y - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn circumcenter_collinear_none() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(1.0, 1.0);
-        let c = Point::new(2.0, 2.0);
-        assert!(circumcenter(a, b, c).is_none());
     }
 
     #[test]

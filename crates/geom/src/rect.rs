@@ -85,15 +85,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// True when `other` lies entirely inside `self` (closed).
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        !other.is_empty()
-            && other.min.x >= self.min.x
-            && other.max.x <= self.max.x
-            && other.min.y >= self.min.y
-            && other.max.y <= self.max.y
-    }
-
     /// True when the rectangles share at least one point.
     pub fn intersects(&self, other: &Rect) -> bool {
         !(self.is_empty()
@@ -160,9 +151,6 @@ mod tests {
         assert!(r.contains(Point::new(1.0, 1.0)));
         assert!(r.contains(Point::new(0.0, 0.0))); // boundary is closed
         assert!(!r.contains(Point::new(2.1, 1.0)));
-        let inner = Rect::from_corners(Point::new(0.5, 0.5), Point::new(1.5, 1.5));
-        assert!(r.contains_rect(&inner));
-        assert!(!inner.contains_rect(&r));
     }
 
     #[test]

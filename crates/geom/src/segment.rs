@@ -1,7 +1,6 @@
 //! Line segments and segment–segment intersection.
 
 use crate::point::Point;
-use crate::predicates::cross3;
 use crate::EPS;
 
 /// A directed line segment from [`Segment::a`] to [`Segment::b`].
@@ -47,12 +46,6 @@ impl Segment {
     #[inline]
     pub fn len(&self) -> f64 {
         self.a.dist(self.b)
-    }
-
-    /// True when the endpoints (numerically) coincide.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.len() <= EPS
     }
 
     /// Point at parameter `t` (`a` at 0, `b` at 1).
@@ -166,17 +159,6 @@ fn param_on(s: &Segment, p: Point) -> f64 {
     }
 }
 
-/// True iff the two segments *properly* cross: they intersect at a single
-/// point interior to both.
-pub fn segments_cross_properly(s1: &Segment, s2: &Segment) -> bool {
-    let d1 = cross3(s2.a, s2.b, s1.a);
-    let d2 = cross3(s2.a, s2.b, s1.b);
-    let d3 = cross3(s1.a, s1.b, s2.a);
-    let d4 = cross3(s1.a, s1.b, s2.b);
-    ((d1 > 0.0 && d2 < 0.0) || (d1 < 0.0 && d2 > 0.0))
-        && ((d3 > 0.0 && d4 < 0.0) || (d3 < 0.0 && d4 > 0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,7 +179,6 @@ mod tests {
             }
             other => panic!("expected point, got {other:?}"),
         }
-        assert!(segments_cross_properly(&s1, &s2));
     }
 
     #[test]
@@ -205,7 +186,6 @@ mod tests {
         let s1 = seg(0.0, 0.0, 1.0, 0.0);
         let s2 = seg(0.0, 1.0, 1.0, 1.0);
         assert_eq!(segment_intersection(&s1, &s2), SegmentIntersection::None);
-        assert!(!segments_cross_properly(&s1, &s2));
     }
 
     #[test]
@@ -219,8 +199,6 @@ mod tests {
             }
             other => panic!("expected point, got {other:?}"),
         }
-        // Touching is not a *proper* crossing.
-        assert!(!segments_cross_properly(&s1, &s2));
     }
 
     #[test]
@@ -263,7 +241,6 @@ mod tests {
     #[test]
     fn degenerate_segment() {
         let s = seg(1.0, 1.0, 1.0, 1.0);
-        assert!(s.is_degenerate());
         assert_eq!(s.project(Point::new(5.0, 5.0)), Point::new(1.0, 1.0));
     }
 

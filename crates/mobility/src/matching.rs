@@ -115,23 +115,23 @@ pub fn map_match(net: &RoadNetwork, fixes: &[GpsFix], id: u64) -> Trajectory {
     Trajectory { id, visits }
 }
 
-/// Fraction of matched junction arrivals that also appear in the reference
-/// walk (a simple recall-style accuracy score for tests).
-pub fn match_accuracy(reference: &Trajectory, matched: &Trajectory) -> f64 {
-    if matched.visits.is_empty() {
-        return 0.0;
-    }
-    let ref_set: std::collections::HashSet<usize> =
-        reference.visits.iter().map(|&(_, v)| v).collect();
-    let hits = matched.visits.iter().filter(|&&(_, v)| ref_set.contains(&v)).count();
-    hits as f64 / matched.visits.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::perturbed_grid;
     use crate::trajectory::{generate_mix, TrajectoryConfig, WorkloadMix};
+
+    /// Fraction of matched junction arrivals that also appear in the
+    /// reference walk (a simple recall-style accuracy score).
+    fn match_accuracy(reference: &Trajectory, matched: &Trajectory) -> f64 {
+        if matched.visits.is_empty() {
+            return 0.0;
+        }
+        let ref_set: std::collections::HashSet<usize> =
+            reference.visits.iter().map(|&(_, v)| v).collect();
+        let hits = matched.visits.iter().filter(|&&(_, v)| ref_set.contains(&v)).count();
+        hits as f64 / matched.visits.len() as f64
+    }
 
     fn setup() -> (RoadNetwork, Trajectory) {
         let net = perturbed_grid(6, 6, 0.1, 0.0, 4, 21).unwrap();

@@ -243,11 +243,6 @@ impl RoadNetwork {
             })
             .collect()
     }
-
-    /// Total length of all roads (ramps excluded).
-    pub fn total_road_length(&self) -> f64 {
-        self.lengths.iter().sum()
-    }
 }
 
 /// Shortest junction paths over one network, avoiding the outside world,
@@ -392,7 +387,6 @@ mod tests {
     fn lengths_and_bbox() {
         let (pos, edges) = lattice(3);
         let net = RoadNetwork::new(pos, edges, 2).unwrap();
-        assert_eq!(net.total_road_length(), 12.0); // 12 unit edges
         assert_eq!(net.bbox().area(), 4.0);
         for &r in net.ramps() {
             assert_eq!(net.edge_length(r), 0.0);

@@ -64,14 +64,6 @@ impl WorkloadStats {
         let weighted: f64 = loads.iter().enumerate().map(|(i, &l)| (i as f64 + 1.0) * l).sum();
         (2.0 * weighted) / (n * total) - (n + 1.0) / n
     }
-
-    /// The `k` busiest edges with their loads, descending.
-    pub fn top_edges(&self, k: usize) -> Vec<(usize, usize)> {
-        let mut idx: Vec<(usize, usize)> = self.edge_load.iter().copied().enumerate().collect();
-        idx.sort_by_key(|&(_, load)| std::cmp::Reverse(load));
-        idx.truncate(k);
-        idx
-    }
 }
 
 /// Population inside the network over time: objects present at each sample
@@ -163,17 +155,6 @@ mod tests {
         }
         // Someone is inside at some point.
         assert!(curve.iter().any(|&(_, p)| p > 0));
-    }
-
-    #[test]
-    fn top_edges_sorted() {
-        let (net, trajs) = setup();
-        let stats = WorkloadStats::compute(&net, &trajs);
-        let top = stats.top_edges(5);
-        assert_eq!(top.len(), 5);
-        for w in top.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
     }
 
     #[test]

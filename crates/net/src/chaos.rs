@@ -62,7 +62,6 @@ pub struct ChaosBuilder {
     max_delay_ms: u64,
     poison_p: f64,
     crashes: Vec<CrashWindow>,
-    poison_windows: Vec<CrashWindow>,
     sensor_mix: SensorFaultMix,
     ingest_crashes: Vec<(usize, u64)>,
 }
@@ -109,12 +108,6 @@ impl ChaosBuilder {
         self
     }
 
-    /// A scheduled poison window (see [`FaultPlan::with_poison_window`]).
-    pub fn poison_window(mut self, window: CrashWindow) -> Self {
-        self.poison_windows.push(window);
-        self
-    }
-
     /// Sensor corruption mix (fractions of dead/lossy/duplicating/flipped/
     /// skewed sensors).
     pub fn sensor_mix(mut self, mix: SensorFaultMix) -> Self {
@@ -145,7 +138,6 @@ impl ChaosBuilder {
         )
         .with_poison(self.poison_p);
         message.crashes = self.crashes;
-        message.poison_windows = self.poison_windows;
         Ok(ChaosConfig {
             seed,
             message,
@@ -266,11 +258,9 @@ mod tests {
         let c = ChaosConfig::builder()
             .seed(5)
             .crash_window(CrashWindow { node: 2, after_messages: 1, lasts_messages: 3 })
-            .poison_window(CrashWindow { node: 1, after_messages: 0, lasts_messages: 2 })
             .build()
             .unwrap();
         assert!(c.message.is_crashed(2, 2));
-        assert!(c.message.scheduled_poison(1, 1));
         assert!(!c.is_noop());
     }
 }

@@ -35,15 +35,6 @@ impl Chain {
         Chain::default()
     }
 
-    /// Builds a chain from signed edges.
-    pub fn from_signed_edges(edges: impl IntoIterator<Item = SignedEdge>) -> Self {
-        let mut c = Chain::new();
-        for se in edges {
-            c.add(se);
-        }
-        c
-    }
-
     /// Adds a signed edge.
     pub fn add(&mut self, se: SignedEdge) {
         let delta = if se.forward { se.coeff } else { -se.coeff };
@@ -70,11 +61,6 @@ impl Chain {
         self.coeffs.get(&edge).copied().unwrap_or(0)
     }
 
-    /// Number of edges with non-zero coefficient.
-    pub fn support_len(&self) -> usize {
-        self.coeffs.len()
-    }
-
     /// True when every coefficient is zero.
     pub fn is_zero(&self) -> bool {
         self.coeffs.is_empty()
@@ -83,11 +69,6 @@ impl Chain {
     /// Iterates `(edge, coefficient)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (EdgeId, i64)> + '_ {
         self.coeffs.iter().map(|(&e, &c)| (e, c))
-    }
-
-    /// The chain with all orientations flipped.
-    pub fn negated(&self) -> Chain {
-        Chain { coeffs: self.coeffs.iter().map(|(&e, &c)| (e, -c)).collect() }
     }
 
     /// Boundary chain `∂σ` of a single face: the face walk as a 1-chain,
@@ -165,7 +146,7 @@ mod tests {
         let region = Chain::region_boundary(&emb, &faces, &interior);
         // The diagonal (edge 4) must cancel; the 4 square sides remain.
         assert_eq!(region.coeff(4), 0);
-        assert_eq!(region.support_len(), 4);
+        assert_eq!(region.iter().count(), 4);
         for e in 0..4 {
             assert_eq!(region.coeff(e).abs(), 1);
         }
@@ -190,7 +171,8 @@ mod tests {
         assert!(c.is_zero());
         c.add(SignedEdge { edge: 1, forward: false, coeff: 1 });
         assert_eq!(c.coeff(1), -1);
-        let n = c.negated();
+        let mut n = Chain::new();
+        n.add(SignedEdge { edge: 1, forward: true, coeff: 1 });
         assert_eq!(n.coeff(1), 1);
         let mut sum = c.clone();
         sum.add_chain(&n);

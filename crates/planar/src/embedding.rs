@@ -338,11 +338,6 @@ impl Embedding {
         Some(s * 0.5)
     }
 
-    /// Vertex loop of a face walk (origin of each half-edge, in order).
-    pub fn face_vertices(&self, walk: &[HalfEdgeId]) -> Vec<VertexId> {
-        walk.iter().map(|&h| self.origin(h)).collect()
-    }
-
     /// Euler characteristic `V − E + F` of the embedding, counting each
     /// connected component's sphere: for a connected planar embedding this
     /// is 2. Isolated vertices are ignored.

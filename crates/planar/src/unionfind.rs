@@ -9,13 +9,12 @@
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
-    components: usize,
 }
 
 impl UnionFind {
     /// Creates `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        UnionFind { parent: (0..n).collect(), rank: vec![0; n], components: n }
+        UnionFind { parent: (0..n).collect(), rank: vec![0; n] }
     }
 
     /// Number of elements.
@@ -26,11 +25,6 @@ impl UnionFind {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn num_components(&self) -> usize {
-        self.components
     }
 
     /// Representative of the set containing `x`.
@@ -57,7 +51,6 @@ impl UnionFind {
         if ra == rb {
             return false;
         }
-        self.components -= 1;
         match self.rank[ra].cmp(&self.rank[rb]) {
             std::cmp::Ordering::Less => self.parent[ra] = rb,
             std::cmp::Ordering::Greater => self.parent[rb] = ra,
@@ -100,16 +93,16 @@ mod tests {
     #[test]
     fn basic_union_find() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.num_components(), 5);
+        assert_eq!(uf.groups().1, 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(2, 3));
         assert!(!uf.union(1, 0));
-        assert_eq!(uf.num_components(), 3);
+        assert_eq!(uf.groups().1, 3);
         assert!(uf.connected(0, 1));
         assert!(!uf.connected(0, 2));
         assert!(uf.union(1, 3));
         assert!(uf.connected(0, 2));
-        assert_eq!(uf.num_components(), 2);
+        assert_eq!(uf.groups().1, 2);
     }
 
     #[test]
@@ -135,7 +128,7 @@ mod tests {
         assert_eq!(uf.groups().1, 0);
         let mut uf1 = UnionFind::new(1);
         assert_eq!(uf1.find(0), 0);
-        assert_eq!(uf1.num_components(), 1);
+        assert_eq!(uf1.groups().1, 1);
     }
 
     #[test]
@@ -145,7 +138,7 @@ mod tests {
         for i in 1..n {
             uf.union(i - 1, i);
         }
-        assert_eq!(uf.num_components(), 1);
+        assert_eq!(uf.groups().1, 1);
         assert_eq!(uf.find(0), uf.find(n - 1));
     }
 }

@@ -82,39 +82,6 @@ pub fn sample(method: SamplingMethod, candidates: &[Candidate], m: usize, seed: 
     }
 }
 
-/// Failover re-selection: re-picks `m` sensors after some died.
-///
-/// Surviving members of `previous` are kept — a replacement deployment
-/// should move as few sensors as possible — and the shortfall is topped up
-/// from a fresh `method` sample over the surviving candidates only (`dead`
-/// ids are excluded entirely). Deterministic per seed; returns at most
-/// `min(m, survivors)` distinct ids, never a dead one.
-pub fn resample_surviving(
-    method: SamplingMethod,
-    candidates: &[Candidate],
-    previous: &[u32],
-    dead: &[u32],
-    m: usize,
-    seed: u64,
-) -> Vec<u32> {
-    let dead: std::collections::HashSet<u32> = dead.iter().copied().collect();
-    let survivors: Vec<Candidate> =
-        candidates.iter().copied().filter(|(_, id)| !dead.contains(id)).collect();
-    let mut keep: Vec<u32> = previous.iter().copied().filter(|id| !dead.contains(id)).collect();
-    keep.sort_unstable();
-    keep.dedup();
-    keep.truncate(m);
-    if keep.len() == m || keep.len() == survivors.len() {
-        return keep;
-    }
-    // Top up from a spatially sound sample of the survivors; over-asking by
-    // the kept count guarantees enough fresh ids even on full overlap.
-    let kept: std::collections::HashSet<u32> = keep.iter().copied().collect();
-    let fresh = sample(method, &survivors, (m + keep.len()).min(survivors.len()), seed);
-    keep.extend(fresh.into_iter().filter(|id| !kept.contains(id)).take(m - keep.len()));
-    keep
-}
-
 /// Uniform sampling without replacement (partial Fisher–Yates).
 pub fn uniform(candidates: &[Candidate], m: usize, rng: &mut StdRng) -> Vec<u32> {
     let mut idx: Vec<usize> = (0..candidates.len()).collect();
@@ -397,42 +364,6 @@ mod tests {
         let left_n = s.iter().filter(|&&id| cands[id as usize].0.x < 50.0).count();
         // 3:1 allocation → roughly 30 from the left (tolerate reconcile noise).
         assert!(left_n >= 24, "left got {left_n}");
-    }
-
-    #[test]
-    fn resample_keeps_survivors_and_excludes_dead() {
-        let cands = cloud(300, 21);
-        for method in SamplingMethod::ALL {
-            let previous = sample(method, &cands, 60, 9);
-            // Kill every fifth previously chosen sensor plus some bystanders.
-            let dead: Vec<u32> =
-                previous.iter().copied().step_by(5).chain([200, 201, 202]).collect();
-            let next = resample_surviving(method, &cands, &previous, &dead, 60, 9);
-            assert_eq!(next.len(), 60, "{method:?}");
-            let mut d = next.clone();
-            d.sort_unstable();
-            d.dedup();
-            assert_eq!(d.len(), 60, "{method:?} returned duplicates");
-            assert!(next.iter().all(|id| !dead.contains(id)), "{method:?} kept a dead sensor");
-            for id in &previous {
-                if !dead.contains(id) {
-                    assert!(next.contains(id), "{method:?} dropped surviving sensor {id}");
-                }
-            }
-            // Deterministic per seed.
-            assert_eq!(next, resample_surviving(method, &cands, &previous, &dead, 60, 9));
-        }
-    }
-
-    #[test]
-    fn resample_with_few_survivors_returns_them_all() {
-        let cands = cloud(10, 4);
-        let previous: Vec<u32> = vec![0, 1, 2];
-        let dead: Vec<u32> = (0..8).collect();
-        let next = resample_surviving(SamplingMethod::Uniform, &cands, &previous, &dead, 5, 1);
-        let mut sorted = next.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![8, 9], "only the two survivors remain");
     }
 
     #[test]

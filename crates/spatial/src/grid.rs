@@ -36,21 +36,6 @@ impl GridIndex {
         g
     }
 
-    /// Builds a grid over an explicit region.
-    pub fn with_region(entries: &[(Point, u32)], region: Rect, nx: usize, ny: usize) -> Self {
-        let nx = nx.max(1);
-        let ny = ny.max(1);
-        let mut g = GridIndex { region, nx, ny, cells: vec![Vec::new(); nx * ny], len: 0 };
-        for &(p, id) in entries {
-            if region.contains(p) {
-                let c = g.cell_of(p);
-                g.cells[c].push(Entry { point: p, id });
-                g.len += 1;
-            }
-        }
-        g
-    }
-
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
         self.len
@@ -59,11 +44,6 @@ impl GridIndex {
     /// True when no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Grid dimensions `(nx, ny)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
     }
 
     /// The region covered.
@@ -82,11 +62,6 @@ impl GridIndex {
     fn cell_of(&self, p: Point) -> usize {
         let (ix, iy) = self.cell_coords(p);
         iy * self.nx + ix
-    }
-
-    /// The entries in the cell containing `p`.
-    pub fn cell_entries(&self, p: Point) -> &[Entry] {
-        &self.cells[self.cell_of(p)]
     }
 
     /// Iterates over all cells as `(cell_rect, entries)`.
@@ -240,23 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn with_region_filters_outside() {
-        let pts =
-            vec![(Point::new(0.5, 0.5), 0), (Point::new(5.0, 5.0), 1), (Point::new(0.2, 0.9), 2)];
-        let g = GridIndex::with_region(
-            &pts,
-            Rect::from_corners(Point::ORIGIN, Point::new(1.0, 1.0)),
-            2,
-            2,
-        );
-        assert_eq!(g.len(), 2);
-    }
-
-    #[test]
     fn single_cell_grid() {
         let pts = cloud(50, 61);
         let g = GridIndex::build(&pts, 1, 1);
-        assert_eq!(g.cell_entries(Point::new(50.0, 50.0)).len(), 50);
+        assert_eq!(g.cells().next().map(|(_, es)| es.len()), Some(50));
         assert!(g.nearest(Point::new(-100.0, -100.0)).is_some());
     }
 }

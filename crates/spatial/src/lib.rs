@@ -8,19 +8,17 @@
 //! - [`QuadTree`] — a region quadtree with the same query and leaf-sampling
 //!   surface,
 //! - [`GridIndex`] — a uniform bucket grid used for fast point location and
-//!   map matching,
-//! - [`RTree`] — a static STR-packed R-tree over rectangles (face bounding
-//!   boxes, historical query regions).
+//!   map matching.
 //!
 //! All indexes store `(Point, u32)` pairs: the payload is an opaque id the
-//! callers map back to graph vertices.
+//! callers map back to graph vertices. There is no index over rectangles:
+//! standing query regions are routed by an edge-indexed table in
+//! `stq-subscribe`.
 
 pub mod grid;
 pub mod kdtree;
 pub mod quadtree;
-pub mod rtree;
 
 pub use grid::GridIndex;
 pub use kdtree::KdTree;
 pub use quadtree::QuadTree;
-pub use rtree::RTree;

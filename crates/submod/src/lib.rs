@@ -12,6 +12,10 @@
 //! membership, Fig. 5), with utility `f(σ) = Σ_{Q ⊇ σ} ω(σ)/ω(Q)` (Eq. 6)
 //! and cost `c(σ) = |∂σ|` (Eq. 5) — marginal cost drops as selected atoms
 //! share boundary edges, which is precisely where submodularity pays off.
+//!
+//! Selection runs once, at deployment. When sensors die, nothing here
+//! re-selects: the served failover is `SampledGraph::reroute_around` in
+//! `stq-core`, which patches detour faces around the dead edges.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -90,51 +94,6 @@ fn run_greedy<O: Objective>(obj: &O, budget: f64, ratio: bool) -> Vec<usize> {
 /// [`cost_benefit_greedy`] for valid submodular objectives, typically with
 /// far fewer gain evaluations. Returns `(selection, gain_evaluations)`.
 pub fn lazy_greedy<O: Objective>(obj: &O, budget: f64, ratio: bool) -> (Vec<usize>, usize) {
-    celf(obj, budget, ratio, None)
-}
-
-/// Warm-started CELF for failover re-selection: instead of paying the
-/// initial `n`-evaluation sweep, the heap is seeded from `prior` — cached
-/// scores from an earlier run on a related objective (e.g. the same atoms
-/// before sensors died). Each `prior[item]` must *upper-bound* the item's
-/// current empty-set score (gain, or gain/cost when `ratio`); this holds
-/// whenever the objective only shrank, which banning dead sensors
-/// guarantees. Seeded entries are marked stale, so every item is
-/// re-evaluated before it can be taken — the selection is identical to
-/// [`lazy_greedy`], only cheaper. Items with a non-positive prior are
-/// pruned without any evaluation.
-pub fn lazy_greedy_seeded<O: Objective>(
-    obj: &O,
-    budget: f64,
-    ratio: bool,
-    prior: &[f64],
-) -> (Vec<usize>, usize) {
-    assert_eq!(prior.len(), obj.len(), "one prior score per ground-set item");
-    celf(obj, budget, ratio, Some(prior))
-}
-
-/// Empty-set scores of every item — what [`lazy_greedy`] computes in its
-/// initial sweep. Cache this from the first selection run and hand it to
-/// [`lazy_greedy_seeded`] when re-selecting after faults.
-pub fn initial_scores<O: Objective>(obj: &O, ratio: bool) -> Vec<f64> {
-    (0..obj.len())
-        .map(|item| {
-            let g = obj.gain(&[], item);
-            if ratio {
-                g / obj.cost(&[], item).max(1e-12)
-            } else {
-                g
-            }
-        })
-        .collect()
-}
-
-fn celf<O: Objective>(
-    obj: &O,
-    budget: f64,
-    ratio: bool,
-    prior: Option<&[f64]>,
-) -> (Vec<usize>, usize) {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
@@ -161,27 +120,13 @@ fn celf<O: Objective>(
     let mut spent = 0.0;
     let mut evals = 0usize;
     let mut heap = BinaryHeap::with_capacity(n);
-    match prior {
-        Some(scores) => {
-            // Warm start: cached upper bounds, marked permanently stale
-            // (a round no selection loop can reach) so each entry is
-            // re-evaluated at most once, when it first surfaces.
-            for (item, &score) in scores.iter().enumerate() {
-                if score > 0.0 {
-                    heap.push(Cand { score, item, round: usize::MAX });
-                }
-            }
-        }
-        None => {
-            for item in 0..n {
-                let c = obj.cost(&selected, item);
-                let g = obj.gain(&selected, item);
-                evals += 1;
-                let score = if ratio { g / c.max(1e-12) } else { g };
-                if g > 0.0 {
-                    heap.push(Cand { score, item, round: 0 });
-                }
-            }
+    for item in 0..n {
+        let c = obj.cost(&selected, item);
+        let g = obj.gain(&selected, item);
+        evals += 1;
+        let score = if ratio { g / c.max(1e-12) } else { g };
+        if g > 0.0 {
+            heap.push(Cand { score, item, round: 0 });
         }
     }
     let mut round = 0usize;
@@ -381,35 +326,17 @@ pub struct AtomObjective {
     atoms: Vec<Atom>,
     /// `ω(Q)` per historical query (its junction count).
     query_sizes: Vec<usize>,
-    /// Edges that can no longer be monitored (dead sensors). Any atom whose
-    /// boundary needs one is infeasible: its utility requires monitoring the
-    /// full boundary, so its gain drops to zero.
-    banned: HashSet<usize>,
 }
 
 impl AtomObjective {
     /// Builds the objective; `query_sizes[q] = ω(Q_q)`.
     pub fn new(atoms: Vec<Atom>, query_sizes: Vec<usize>) -> Self {
-        AtomObjective { atoms, query_sizes, banned: HashSet::new() }
-    }
-
-    /// Bans edges whose sensors died: atoms needing them on their boundary
-    /// get zero gain and are never selected. Used for failover re-selection
-    /// — gains only shrink, so a previous run's [`initial_scores`] remain
-    /// valid upper bounds for [`lazy_greedy_seeded`].
-    pub fn with_banned_edges(mut self, edges: &[usize]) -> Self {
-        self.banned.extend(edges.iter().copied());
-        self
+        AtomObjective { atoms, query_sizes }
     }
 
     /// The atoms (indexable by selection results).
     pub fn atoms(&self) -> &[Atom] {
         &self.atoms
-    }
-
-    /// True when the atom's boundary contains a banned (dead) edge.
-    pub fn is_banned(&self, atom: usize) -> bool {
-        self.atoms[atom].boundary.iter().any(|e| self.banned.contains(e))
     }
 
     /// All boundary edges of a selection (deduplicated) — the monitored edge
@@ -429,9 +356,6 @@ impl Objective for AtomObjective {
     }
 
     fn gain(&self, _selected: &[usize], item: usize) -> f64 {
-        if self.is_banned(item) {
-            return 0.0;
-        }
         // Eq. 6: atoms are disjoint, so utility is modular across atoms.
         let a = &self.atoms[item];
         a.queries
@@ -498,48 +422,6 @@ mod tests {
         assert_eq!(evals, 40 + 9);
         // Picks the 10 heaviest.
         assert!(sel.iter().all(|&i| i >= 30));
-    }
-
-    #[test]
-    fn seeded_matches_cold_with_fewer_evaluations() {
-        // Same disjoint-cover instance as above: a cold run pays the 40-item
-        // sweep; the warm-started run only re-evaluates what surfaces.
-        let covers: Vec<Vec<usize>> = (0..40).map(|i| vec![i]).collect();
-        let obj = CoverageObjective::new(
-            covers,
-            (0..40).map(|i| i as f64 + 1.0).collect(),
-            vec![1.0; 40],
-        );
-        let prior = initial_scores(&obj, false);
-        let (cold, cold_evals) = lazy_greedy(&obj, 10.0, false);
-        let (warm, warm_evals) = lazy_greedy_seeded(&obj, 10.0, false, &prior);
-        assert_eq!(cold, warm);
-        assert!(warm_evals < cold_evals, "warm {warm_evals} vs cold {cold_evals}");
-        // One re-evaluation per selection, no sweep.
-        assert_eq!(warm_evals, 10);
-    }
-
-    #[test]
-    fn seeded_survives_shrunken_objective() {
-        // Priors computed before item 3 lost its value: still upper bounds,
-        // so the seeded run matches a fresh plain greedy on the new objective.
-        let before = toy_coverage();
-        let prior = initial_scores(&before, false);
-        let after = CoverageObjective::new(
-            vec![vec![0, 1, 2], vec![2, 3], vec![3, 4, 5], vec![]],
-            vec![1.0; 6],
-            vec![1.0; 4],
-        );
-        let (warm, _) = lazy_greedy_seeded(&after, 3.0, false, &prior);
-        assert_eq!(warm, greedy(&after, 3.0));
-        assert!(!warm.contains(&3));
-    }
-
-    #[test]
-    #[should_panic(expected = "one prior score per ground-set item")]
-    fn seeded_rejects_wrong_prior_length() {
-        let obj = toy_coverage();
-        let _ = lazy_greedy_seeded(&obj, 2.0, false, &[1.0, 2.0]);
     }
 
     #[test]
@@ -611,29 +493,6 @@ mod tests {
         assert_eq!(spent as usize, union_edges.len());
         // Full coverage utility = 1.0 per query.
         assert!((total_gain(&obj, &all) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn banned_edges_exclude_dependent_atoms() {
-        let edges: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
-        let q1: Vec<usize> = (0..6).collect();
-        let q2: Vec<usize> = (4..10).collect();
-        let atoms = partition_atoms(&[q1.clone(), q2.clone()], &edges, 10);
-        let obj = AtomObjective::new(atoms.clone(), vec![q1.len(), q2.len()]);
-        // The intersection atom {4,5} is bounded by edges (3,4)=3 and (5,6)=5.
-        let inter = atoms.iter().position(|a| a.junctions == vec![4, 5]).unwrap();
-        let dead = atoms[inter].boundary[0];
-        let banned = AtomObjective::new(atoms, vec![q1.len(), q2.len()]).with_banned_edges(&[dead]);
-        assert!(banned.is_banned(inter));
-        assert_eq!(banned.gain(&[], inter), 0.0);
-        assert!(obj.gain(&[], inter) > 0.0, "unbanned objective unaffected");
-        // Failover re-selection with warm-started priors from the healthy
-        // objective: the dead edge never appears in the monitored set.
-        let prior = initial_scores(&obj, false);
-        let (sel, _) = lazy_greedy_seeded(&banned, 10.0, false, &prior);
-        assert!(!sel.contains(&inter));
-        assert!(!banned.selected_edges(&sel).contains(&dead));
-        assert!(!sel.is_empty(), "unaffected atoms still selected");
     }
 
     #[test]

@@ -156,6 +156,17 @@ fn one_single_target_search() {
 }
 
 #[test]
+fn one_failover_path() {
+    assert_absent(&Guard {
+        rule: "the served failover is `SampledGraph::reroute_around`: a warm-started \
+               re-selection of sensors beside it is a second path nothing serves",
+        patterns: &["resample_surviving", "lazy_greedy_seeded", "with_banned_edges"],
+        roots: &["crates"],
+        except: &[],
+    });
+}
+
+#[test]
 fn word_end_patterns_leave_longer_identifiers_alone() {
     assert!(matches("ShardMsg::Ingest { seq, event }", "ShardMsg::Ingest\\b"));
     assert!(matches("ShardMsg::Ingest", "ShardMsg::Ingest\\b"));
