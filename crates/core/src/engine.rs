@@ -29,14 +29,18 @@
 //! on sorted slices and per-call bitsets, never on a hash container (the
 //! plan cache's own map aside), and the engine sorts nothing:
 //!
-//! 1. [`QueryEngine::plan`] fingerprints [`QueryRegion::junctions`] in place
-//!    and compares the cached key against that slice: a hit allocates
-//!    nothing. A miss hands slice and fingerprint to the compile and copies
-//!    the slice once, into the cache entry.
-//! 2. [`SampledGraph::resolve`] maps the slice to component ids, sorts them
-//!    and counts runs: a run as long as its component is a face of `R₂`,
-//!    any run is a face of `R₁`. The selected faces are concatenated and
-//!    sorted into the plan's `interior`.
+//! 1. [`QueryEngine::plan`] fingerprints [`QueryRegion::junctions`] in place,
+//!    one multiply-rotate step per junction id, and compares the cached key
+//!    against that slice: a hit allocates nothing. A miss hands slice and
+//!    fingerprint to the compile and copies the slice once, into the cache
+//!    entry.
+//! 2. [`SampledGraph::resolve`] sorts nothing. For `R₂` one pass counts
+//!    the slice's junctions per component: a component whose count equals
+//!    its size is contained, and the slice filtered to those components is
+//!    the interior, already ascending. For `R₁` it marks every touched
+//!    component's members in a bitset over vertices and reads them back in
+//!    ascending order. Either way the plan's `interior` is allocated once,
+//!    at its exact size.
 //! 3. [`SensingGraph::boundary_walk`] marks `interior` in a bitset over
 //!    vertices, then visits each interior vertex's half-edges in rotation
 //!    order; a half-edge whose target is unmarked is a boundary edge. Its
@@ -50,8 +54,8 @@
 //! path and in every process, therefore adds the same terms in the same
 //! order — what the bit-identity suites and the [`PlanId`] contract rest on.
 //!
-//! **No cached scratch.** The bitsets (one bit per junction, one per face)
-//! and the component-id buffer are allocated per compile. When this path
+//! **No cached scratch.** The per-component counts and the bitsets (one bit
+//! per junction, one per face) are allocated per compile. When this path
 //! was sized, an epoch-stamped thread-local scratch measured the same
 //! compile time on the benchmark's 2 500-junction town, so the stateless
 //! form stays: nothing to size, invalidate on a graph swap, or share
@@ -105,20 +109,15 @@ pub struct QueryPlan {
     pub miss: bool,
 }
 
-/// FNV-1a over the sorted junction ids plus a resolution tag.
+/// The resolution tag, then each sorted junction id, one multiply-rotate
+/// step apiece. The final fold brings the high half down so that the low
+/// bits a `PlanId` is bucketed by (`id % slots`) see every step.
 fn fingerprint(junctions: &[VertexId], tag: u8) -> PlanId {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(tag);
-    for &j in junctions {
-        for b in (j as u64).to_le_bytes() {
-            eat(b);
-        }
-    }
-    PlanId(h)
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+    let h = junctions
+        .iter()
+        .fold(step(0xcbf2_9ce4_8422_2325, u64::from(tag)), |h, &j| step(h, j as u64));
+    PlanId(h ^ (h >> 32))
 }
 
 /// The cache identity of `region` resolved to its `approx` side.
@@ -435,6 +434,17 @@ mod tests {
                 ground_truth(&s.sensing, &s.tracked.store, &q, kind).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn fingerprints_spread_over_the_low_bits() {
+        // Ids that differ only above bit 8: a bare xor-multiply leaves the
+        // product's low byte, and so `id % 256`, the same for all of them.
+        let mut buckets: Vec<u64> =
+            (0..64).map(|k| fingerprint(&[k * 256 + 7], 0).0 % 256).collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert!(buckets.len() >= 48, "{} distinct buckets of 64 keys", buckets.len());
     }
 
     #[test]

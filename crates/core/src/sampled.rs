@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 
 use crate::query::Approximation;
-use crate::sensing::SensingGraph;
+use crate::sensing::{BitSet, SensingGraph};
 use stq_geom::triangulate;
 use stq_planar::dual::subgraph_faces;
 use stq_planar::embedding::{FaceId, VertexId};
@@ -208,26 +208,56 @@ impl SampledGraph {
     ///   exists on this sampled graph and the empty interior (a query miss)
     ///   is returned.
     ///
-    /// The junctions' component ids are sorted and run-length counted, so
-    /// nothing is hashed: a run as long as its component is a contained
-    /// face, any run at all is an intersected one.
+    /// Nothing is sorted or hashed. `Lower` counts the slice's junctions per
+    /// component: a component whose count equals its size is contained, so
+    /// all its members are in the slice, and filtering the slice in order
+    /// yields the interior already ascending. `Upper` marks each touched
+    /// component's members once in a bitset over vertices and reads it back
+    /// in ascending order. Either way the interior is allocated once, at its
+    /// exact size: a cached plan keeps it for its lifetime.
     pub fn resolve(&self, junctions: &[VertexId], approx: Approximation) -> Vec<VertexId> {
         debug_assert!(junctions.windows(2).all(|w| w[0] < w[1]), "junctions strictly increasing");
-        let mut comps: Vec<usize> = junctions.iter().map(|&j| self.component_of[j]).collect();
-        comps.sort_unstable();
-        let mut interior = Vec::new();
-        let mut rest = comps.as_slice();
-        while let Some(&comp) = rest.first() {
-            let run = rest.iter().take_while(|&&c| c == comp).count();
-            rest = &rest[run..];
-            match approx {
-                Approximation::Lower if run != self.components[comp].len() => continue,
-                Approximation::Upper if comp == self.ext_component => return Vec::new(),
-                _ => interior.extend_from_slice(&self.components[comp]),
+        match approx {
+            Approximation::Lower => {
+                let mut seen = vec![0u32; self.components.len()];
+                let mut len = 0;
+                for &j in junctions {
+                    let comp = self.component_of[j];
+                    seen[comp] += 1;
+                    if seen[comp] as usize == self.components[comp].len() {
+                        len += self.components[comp].len();
+                    }
+                }
+                let contained = |j: VertexId| {
+                    let comp = self.component_of[j];
+                    seen[comp] as usize == self.components[comp].len()
+                };
+                let mut interior = Vec::with_capacity(len);
+                interior.extend(junctions.iter().copied().filter(|&j| contained(j)));
+                interior
+            }
+            Approximation::Upper => {
+                let mut marked = BitSet::new(self.component_of.len());
+                let mut len = 0;
+                for &j in junctions {
+                    // A marked junction's whole component is marked already.
+                    if marked.contains(j) {
+                        continue;
+                    }
+                    let comp = self.component_of[j];
+                    if comp == self.ext_component {
+                        return Vec::new();
+                    }
+                    for &v in &self.components[comp] {
+                        marked.insert(v);
+                    }
+                    len += self.components[comp].len();
+                }
+                let mut interior = Vec::with_capacity(len);
+                interior.extend(marked.ones());
+                interior
             }
         }
-        interior.sort_unstable();
-        interior
     }
 
     /// The component merged with the outside world.
@@ -436,6 +466,47 @@ mod tests {
             assert!(query.iter().all(|j| upper.contains(j)));
             assert!(lower.iter().all(|j| upper.contains(j)));
         }
+    }
+
+    #[test]
+    fn resolve_takes_whole_components_of_a_coarse_graph() {
+        let s = sensing();
+        let fine = sampled(&s, 0.4, Connectivity::Triangulation);
+        let some: Vec<usize> =
+            (0..s.num_edges()).filter(|&e| fine.monitored()[e]).step_by(5).collect();
+        let g = fine.demote_edges(&s, &some);
+        assert!(g.components().len() < fine.components().len(), "demotion merges faces");
+        let ext = g.ext_component();
+        let mut inner: Vec<&Vec<VertexId>> =
+            (0..g.components().len()).filter(|&c| c != ext).map(|c| &g.components()[c]).collect();
+        inner.sort_by_key(|c| std::cmp::Reverse(c.len()));
+        let (big, small) = (inner[0], inner[1]);
+        assert!(big.len() >= 3, "components span several junctions");
+        let strictly_increasing = |v: &[VertexId]| v.windows(2).all(|w| w[0] < w[1]);
+        let union = |a: &[VertexId], b: &[VertexId]| {
+            let mut u = [a, b].concat();
+            u.sort_unstable();
+            u
+        };
+
+        // `big` less one member, plus all of `small`.
+        let query = union(&big[1..], small);
+        let lower = g.resolve(&query, Approximation::Lower);
+        let upper = g.resolve(&query, Approximation::Upper);
+        assert_eq!(lower, *small, "a component missing a member is not contained");
+        assert_eq!(upper, union(big, small), "an intersected component is taken whole");
+
+        // One junction of the outside-world component empties `Upper` only.
+        let outside = g.components()[ext].iter().copied().find(|&v| v != s.road().v_ext());
+        let outside = outside.expect("the outside-world component holds a junction");
+        let query = union(&query, &[outside]);
+        assert!(g.resolve(&query, Approximation::Upper).is_empty());
+        assert_eq!(g.resolve(&query, Approximation::Lower), *small);
+
+        for approx in [Approximation::Lower, Approximation::Upper] {
+            assert!(g.resolve(&[], approx).is_empty());
+        }
+        assert!([lower, upper].iter().all(|v| strictly_increasing(v)));
     }
 
     #[test]

@@ -9,24 +9,38 @@ use stq_spatial::GridIndex;
 
 use stq_forms::BoundaryEdge;
 
-/// A fixed-size bitset, allocated per walk: membership without hashing.
-struct BitSet(Vec<u64>);
+/// A fixed-size bitset, allocated per call: membership without hashing.
+pub(crate) struct BitSet(Vec<u64>);
 
 impl BitSet {
-    fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         BitSet(vec![0; len.div_ceil(64)])
     }
 
-    fn insert(&mut self, i: usize) {
+    pub(crate) fn insert(&mut self, i: usize) {
         self.0[i / 64] |= 1 << (i % 64);
     }
 
-    fn contains(&self, i: usize) -> bool {
+    pub(crate) fn contains(&self, i: usize) -> bool {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
 
     fn count(&self) -> usize {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The set members, ascending.
+    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 

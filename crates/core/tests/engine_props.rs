@@ -96,20 +96,14 @@ mod reference {
         (out, sensors.len())
     }
 
-    /// FNV-1a over the sorted junction ids plus a resolution tag.
+    /// The resolution tag, then each sorted junction id, one
+    /// multiply-rotate step apiece; the high half folded into the low.
     fn fingerprint(junctions: &[usize], tag: u8) -> PlanId {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        eat(tag);
-        for &j in junctions {
-            for b in (j as u64).to_le_bytes() {
-                eat(b);
-            }
+        for x in std::iter::once(u64::from(tag)).chain(junctions.iter().map(|&j| j as u64)) {
+            h = (h ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
         }
-        PlanId(h)
+        PlanId(h ^ (h >> 32))
     }
 
     fn sorted(set: &HashSet<usize>) -> Vec<usize> {

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use stq_core::bracket::Bracket;
 use stq_core::degraded::{DegradedAnswer, DegradedStrategy};
-use stq_core::engine::QueryPlan;
+use stq_core::engine::{PlanId, QueryPlan};
 use stq_core::query::QueryKind;
 
 use crate::dispatch::{fan_out, live_counts, Collected, Dispatcher};
@@ -88,6 +88,27 @@ struct Planned {
     plan: Arc<QueryPlan>,
     plan_cache_hit: bool,
     plan_latency: Duration,
+}
+
+impl Planned {
+    /// The miss plan of a region refused before planning: nothing was
+    /// looked up or compiled.
+    fn refused(id: u64, start: Instant) -> Self {
+        let plan = QueryPlan {
+            id: PlanId(0),
+            interior: Vec::new(),
+            boundary: Vec::new(),
+            nodes_accessed: 0,
+            miss: true,
+        };
+        Planned {
+            id,
+            start,
+            plan: Arc::new(plan),
+            plan_cache_hit: false,
+            plan_latency: Duration::ZERO,
+        }
+    }
 }
 
 /// Resolves the region and derives the boundary chain — or reuses a cached
@@ -238,11 +259,13 @@ pub(crate) fn answer(
     let start = Instant::now();
     let live = dispatcher.filter(|_| !spec.deadline.is_some_and(|dl| start >= dl));
     let expired = live.is_none();
-    let p = plan_for(st, id, spec, start);
+    // A region built on another graph is a plain miss: no plan, no consult.
+    let foreign = st.foreign(&spec.region);
+    let p = if foreign { Planned::refused(id, start) } else { plan_for(st, id, spec, start) };
     let answer = if p.plan.miss {
         // The degraded answerer's detour / imputation machinery may still
         // certify a bracket on its repaired graphs.
-        let certified = if expired { None } else { consult_degraded(st, spec) };
+        let certified = if expired || foreign { None } else { consult_degraded(st, spec) };
         ServedAnswer::degraded(ServedAnswer::miss(&p, expired), certified)
     } else if let Some(d) = live {
         execute(st, d, spec, &p)

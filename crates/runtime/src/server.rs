@@ -365,13 +365,17 @@ impl Runtime {
     /// here on every ingested crossing on those edges moves the
     /// subscription's `[lower, upper]` bracket by a count delta — no
     /// re-execution. Returns [`SubscribeError::Unresolvable`] when the
-    /// sampled graph cannot cover the region (the miss case of `query`).
+    /// sampled graph cannot cover the region (the miss case of `query`),
+    /// or when the region was built on another city's graph.
     pub fn subscribe(
         &self,
         region: QueryRegion,
         approx: Approximation,
     ) -> Result<SubscriptionHandle, SubscribeError> {
         let st = self.st();
+        if st.foreign(&region) {
+            return Err(SubscribeError::Unresolvable);
+        }
         let (subs, metrics) = (&st.shared.subs, &st.shared.metrics);
         let (tx, rx) = channel::unbounded::<BracketUpdate>();
         let reg = subs.subscribe(&st.sensing, &st.sampled, &region, approx, Some(tx))?;

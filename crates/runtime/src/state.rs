@@ -9,6 +9,7 @@ use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use stq_core::degraded::DegradedAnswerer;
 use stq_core::engine::QueryEngine;
+use stq_core::query::QueryRegion;
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
 use stq_forms::FormStore;
@@ -207,5 +208,12 @@ impl ServerState {
             degraded,
             overload,
         }
+    }
+
+    /// `region` names a junction this city does not have: it was built on
+    /// another graph and must be refused before any plan is made. Its
+    /// junctions are strictly increasing, so the last one decides.
+    pub(crate) fn foreign(&self, region: &QueryRegion) -> bool {
+        region.junctions().last().is_some_and(|&j| j >= self.sensing.road().num_junctions())
     }
 }

@@ -9,6 +9,7 @@ use stq_core::query::evaluate;
 use stq_forms::{BoundaryEdge, FormStore};
 use stq_runtime::{
     CrashWindow, FaultPlan, MessageCtx, QuerySpec, Runtime, RuntimeConfig, ServedAnswer,
+    SubscribeError,
 };
 
 struct Fixture {
@@ -109,6 +110,42 @@ fn fault_free_answers_are_bit_identical_to_sync_path() {
         }
         rt.shutdown();
     }
+}
+
+#[test]
+fn a_region_from_another_graph_is_refused_and_the_pool_keeps_serving() {
+    let f = fixture();
+    let other = Scenario::build(ScenarioConfig {
+        junctions: 600,
+        mix: WorkloadMix { random_waypoint: 2, commuter: 0, transit: 0 },
+        seed: 43,
+        ..Default::default()
+    });
+    let region = QueryRegion::from_rect(&other.sensing, other.sensing.road().bbox());
+    let ours = f.scenario.sensing.road().num_junctions();
+    assert!(region.junctions().last().is_some_and(|&j| j > ours), "names junctions we lack");
+    // One dispatcher: a query that killed it would leave none.
+    let rt =
+        runtime(f, RuntimeConfig { num_shards: 2, dispatchers: 1, ..RuntimeConfig::default() });
+    for approx in [Approximation::Lower, Approximation::Upper] {
+        let served = rt.query(QuerySpec::new(region.clone(), QueryKind::Snapshot(500.0), approx));
+        assert!(served.miss && !served.degraded && !served.plan_cache_hit);
+        assert_eq!((served.value, served.lower, served.upper, served.shards), (0.0, 0.0, 0.0, 0));
+        let refused = rt.subscribe(region.clone(), approx).err();
+        assert_eq!(refused, Some(SubscribeError::Unresolvable));
+    }
+    let report = rt.metrics().report();
+    assert_eq!((report.queries, report.misses, report.plan_cache_misses), (2, 2, 0));
+    assert_eq!(rt.engine_stats().misses, 0, "refused before any plan");
+    assert_eq!(rt.subscription_stats().subscriptions, 0);
+    for spec in specs(f, 3, 0.15, 17) {
+        let served = rt.query(spec.clone());
+        match sync_value(f, &spec) {
+            None => assert!(served.miss),
+            Some(exact) => assert_eq!(served.value.to_bits(), exact.to_bits()),
+        }
+    }
+    rt.shutdown();
 }
 
 #[test]
