@@ -60,7 +60,6 @@ pub struct ChaosBuilder {
     delay_p: f64,
     dup_p: f64,
     max_delay_ms: u64,
-    poison_p: f64,
     crashes: Vec<CrashWindow>,
     sensor_mix: SensorFaultMix,
     ingest_crashes: Vec<(usize, u64)>,
@@ -93,12 +92,6 @@ impl ChaosBuilder {
         self.delay_p = delay_p;
         self.dup_p = dup_p;
         self.max_delay_ms = max_delay_ms;
-        self
-    }
-
-    /// Handler-poison probability (see [`FaultPlan::with_poison`]).
-    pub fn poison(mut self, poison_p: f64) -> Self {
-        self.poison_p = poison_p;
         self
     }
 
@@ -135,8 +128,7 @@ impl ChaosBuilder {
             self.delay_p,
             self.dup_p,
             self.max_delay_ms,
-        )
-        .with_poison(self.poison_p);
+        );
         message.crashes = self.crashes;
         Ok(ChaosConfig {
             seed,
@@ -152,7 +144,7 @@ impl ChaosBuilder {
 pub struct ChaosConfig {
     /// The root seed everything was derived from.
     pub seed: u64,
-    /// Message-level faults (drop/delay/dup/poison + scheduled windows).
+    /// Message-level faults (drop/delay/dup + scheduled outage windows).
     pub message: FaultPlan,
     /// Sensor corruption mix; the plan itself is generated late, once the
     /// candidate edge set is known ([`ChaosConfig::sensor_plan`]).
@@ -167,11 +159,6 @@ impl ChaosConfig {
         ChaosBuilder::default()
     }
 
-    /// A fully quiet configuration.
-    pub fn none() -> Self {
-        ChaosBuilder::default().build().expect("empty builder cannot conflict")
-    }
-
     /// Instantiates the sensor fault plan for a concrete candidate edge set
     /// and horizon, using the domain-separated sensor sub-seed.
     pub fn sensor_plan(&self, candidate_edges: &[usize], horizon: (f64, f64)) -> SensorFaultPlan {
@@ -181,11 +168,6 @@ impl ChaosConfig {
             horizon,
             self.sensor_mix,
         )
-    }
-
-    /// True when no constituent plan can perturb anything.
-    pub fn is_noop(&self) -> bool {
-        self.message.is_noop() && self.sensor_mix.total() == 0.0 && self.durability.is_noop()
     }
 }
 
@@ -216,7 +198,6 @@ mod tests {
             ChaosConfig::builder()
                 .seed(7)
                 .message_loss(0.2, 0.1, 0.05, 30)
-                .poison(0.01)
                 .ingest_crash(0, 50)
                 .sensor_mix(SensorFaultMix { lossy: 0.2, ..SensorFaultMix::default() })
                 .build()
@@ -246,14 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn unseeded_and_empty_is_noop() {
-        let c = ChaosConfig::none();
-        assert!(c.is_noop());
-        assert!(c.message.is_noop());
-        assert!(c.durability.is_noop());
-    }
-
-    #[test]
     fn windows_land_in_the_message_plan() {
         let c = ChaosConfig::builder()
             .seed(5)
@@ -261,6 +234,5 @@ mod tests {
             .build()
             .unwrap();
         assert!(c.message.is_crashed(2, 2));
-        assert!(!c.is_noop());
     }
 }

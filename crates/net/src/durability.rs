@@ -49,17 +49,6 @@ impl DurabilityFaultPlan {
         }
     }
 
-    /// Adds a scheduled kill (builder style).
-    pub fn with_crash(mut self, crash: IngestCrash) -> Self {
-        self.crashes.push(crash);
-        self
-    }
-
-    /// True when the plan can never perturb anything.
-    pub fn is_noop(&self) -> bool {
-        self.crashes.is_empty()
-    }
-
     /// Whether the worker for `shard` dies right after appending sequence
     /// number `seq`. Keyed on the monotone sequence, the predicate is true
     /// for exactly one append per scheduled crash.
@@ -96,7 +85,6 @@ mod tests {
     #[test]
     fn crash_fires_exactly_at_the_scheduled_sequence() {
         let plan = DurabilityFaultPlan::killing(9, &[(1, 40), (2, 15)]);
-        assert!(!plan.is_noop());
         for seq in 0..100 {
             assert_eq!(plan.crash_due(1, seq), seq == 40);
             assert_eq!(plan.crash_due(2, seq), seq == 15);

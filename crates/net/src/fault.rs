@@ -74,8 +74,9 @@ pub struct FaultPlan {
     pub crashes: Vec<CrashWindow>,
     /// Scheduled poison windows: every message addressed to the node while
     /// the window is open crashes its handler. Unlike `poison_p` (a fresh
-    /// coin per message), a window models a *persistent* firmware fault —
-    /// the shape that must trip escalation rather than per-query retries.
+    /// coin per message), a window models a *persistent* firmware fault:
+    /// every query that reaches the node while it lasts widens by that
+    /// node's edges, and retries do not help.
     pub poison_windows: Vec<CrashWindow>,
 }
 

@@ -216,11 +216,6 @@ impl SensorFaultPlan {
         SensorFaultPlan { seed, drop_p: 0.5, dup_p: 1.0, max_skew: 50.0, faults }
     }
 
-    /// True when the plan can never corrupt anything.
-    pub fn is_noop(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// The scheduled faults, sorted by edge.
     pub fn faults(&self) -> &[SensorFault] {
         &self.faults
@@ -317,7 +312,6 @@ mod tests {
     #[test]
     fn noop_plan_touches_nothing() {
         let p = SensorFaultPlan::none();
-        assert!(p.is_noop());
         for k in 0..50 {
             assert_eq!(
                 p.corrupt(k, k % 2 == 0, k as f64, 0),

@@ -33,10 +33,9 @@
 //!   `collect` drops any other, and `fan_out` drains the channel before its
 //!   first send (nothing of this dispatcher's is in flight then, so all of
 //!   it is stale). `ServerState::resp_capacity` says what the bound buys.
-//! - **Scratch.** `slots`, `pending`, `awaiting` and `panicked` are indexed
-//!   by boundary position or by shard and cleared per query, not
-//!   reallocated; shards are asked in ascending index order on every
-//!   attempt.
+//! - **Scratch.** `slots`, `pending` and `awaiting` are indexed by boundary
+//!   position or by shard and cleared per query, not reallocated; shards are
+//!   asked in ascending index order on every attempt.
 
 use std::cell::Cell;
 use std::sync::{Arc, Weak};
@@ -88,9 +87,6 @@ pub(crate) struct Dispatcher {
     pending: Vec<Group>,
     /// Shards asked on the current attempt that have not answered yet.
     awaiting: Vec<bool>,
-    /// Shards whose worker panicked on the current attempt: they answered
-    /// (so the channel is live) but produced nothing.
-    panicked: Vec<bool>,
     /// Per boundary position, the owning shard's contribution.
     slots: Vec<Option<EdgeCounts>>,
     /// The shards' end of the reply channel, cloned into every request, and
@@ -112,7 +108,6 @@ impl Dispatcher {
             pending: vec![Arc::clone(&empty); ns],
             empty,
             awaiting: vec![false; ns],
-            panicked: vec![false; ns],
             slots: Vec::new(),
             reply,
             replies,
@@ -274,7 +269,6 @@ impl Fanout<'_, '_> {
         let d = &mut *self.d;
         let metrics = &st.shared.metrics;
         d.awaiting.fill(false);
-        d.panicked.fill(false);
         let mut skipped_unhealthy = 0u64;
         for (shard, edges) in d.pending.iter().enumerate().filter(|(_, e)| !e.is_empty()) {
             if !st.shared.healthy(shard) {
@@ -307,13 +301,6 @@ impl Fanout<'_, '_> {
         d.awaiting.contains(&true)
     }
 
-    /// Every shard still awaited has panicked on this attempt — waiting out
-    /// the timeout is pointless.
-    fn only_panicked_left(&self) -> bool {
-        let d = &*self.d;
-        d.awaiting.iter().zip(&d.panicked).all(|(&awaited, &panicked)| !awaited || panicked)
-    }
-
     /// Waits out this attempt's window for the awaited shards, then charges
     /// the breakers of those that stayed silent.
     fn collect(&mut self, attempt: u32) {
@@ -331,38 +318,24 @@ impl Fanout<'_, '_> {
             match self.d.replies.recv_timeout(slice) {
                 // The channel outlives a query: this answers an earlier one.
                 Ok(resp) if resp.query_id != self.id => {}
-                Ok(resp) if resp.panicked => {
-                    if self.d.awaiting[resp.shard] {
-                        self.d.panicked[resp.shard] = true;
-                        if self.only_panicked_left() {
-                            break; // every awaited shard failed; retry now
-                        }
-                    }
-                }
+                // A panicked shard answered with nothing: it is no longer
+                // awaited, and its edges stay pending for the next attempt.
+                Ok(resp) if resp.panicked => self.d.awaiting[resp.shard] = false,
                 Ok(resp) => self.accept(resp),
                 Err(_) => {
-                    let d = &mut *self.d;
-                    let mut dropped = false;
-                    for shard in 0..d.awaiting.len() {
-                        let dead = !st.shared.healthy(shard) && !d.panicked[shard];
-                        if d.awaiting[shard] && dead {
-                            d.awaiting[shard] = false;
-                            dropped = true;
-                        }
-                    }
-                    if dropped && d.awaiting.contains(&true) && self.only_panicked_left() {
-                        break;
+                    for (shard, awaited) in self.d.awaiting.iter_mut().enumerate() {
+                        *awaited &= st.shared.healthy(shard);
                     }
                 }
             }
         }
         // Breaker bookkeeping: a shard that stayed silent through its
-        // attempt window counts one failure. Panicked workers are excluded
-        // — they answered (the supervisor's escalation path owns them) —
-        // and so are workers the health check removed mid-wait.
+        // attempt window counts one failure. Panicked workers answered and
+        // are no longer awaited, nor are workers the health check removed
+        // mid-wait.
         if let Some(ov) = st.overload.as_ref() {
             for shard in 0..self.d.awaiting.len() {
-                if self.d.awaiting[shard] && !self.d.panicked[shard] {
+                if self.d.awaiting[shard] {
                     record_transition(st, ov.breakers.failure(shard));
                 }
             }
@@ -655,5 +628,57 @@ mod tests {
         let (_, retries, expired) = fan_out_one(&st, queries, Some(Duration::from_millis(1)));
         assert_eq!(retries, 1, "the first attempt's window closed at the deadline");
         assert!(expired, "and the second was not made");
+    }
+
+    #[test]
+    fn a_panicked_reply_ends_the_wait_before_the_good_ones() {
+        // The window is long enough that waiting it out shows.
+        let window = Duration::from_millis(1_500);
+        let (st, rx, queries) = silent_shards(RuntimeConfig {
+            shard_timeout: window,
+            max_retries: 0,
+            ..RuntimeConfig::default()
+        });
+        let mut d = Dispatcher::new(&st);
+        let (spec, plan, asked) = queries
+            .into_iter()
+            .find_map(|(region, t0, _)| {
+                let spec = QuerySpec::new(region, QueryKind::Snapshot(t0), Approximation::Lower);
+                let plan = compile(&st, &spec);
+                d.route(&st, &plan, 1);
+                let asked = d.pending.iter().filter(|edges| !edges.is_empty()).count();
+                (asked >= 2).then_some((spec, plan, asked))
+            })
+            .expect("some query fans out to several shards");
+        let start = Instant::now();
+        let panicked = std::thread::scope(|s| {
+            // The first shard asked panics; every other answers after it.
+            let answerer = s.spawn(|| {
+                let requests: Vec<ShardRequest> = (0..asked)
+                    .map(|_| match rx.recv() {
+                        Ok(ShardMsg::Query(req)) => req,
+                        _ => panic!("a query request"),
+                    })
+                    .collect();
+                let shard_of = |req: &ShardRequest| st.shared.map.shard_of(req.edges[0].1.edge);
+                for (i, req) in requests.iter().enumerate() {
+                    let _ = req.reply.send(ShardResponse {
+                        query_id: req.query_id,
+                        shard: shard_of(req),
+                        counts: Vec::new(),
+                        refused: Vec::new(),
+                        moved: Vec::new(),
+                        panicked: i == 0,
+                    });
+                }
+                shard_of(&requests[0])
+            });
+            fan_out(&st, &mut d, 0, &spec, &plan, 0);
+            answerer.join().unwrap()
+        });
+        let took = start.elapsed();
+        assert!(took < window / 3, "the attempt waited {took:?} on a shard that had answered");
+        let left: Vec<usize> = (0..d.pending.len()).filter(|&s| !d.pending[s].is_empty()).collect();
+        assert_eq!(left, [panicked], "only the panicked shard's edges stay pending");
     }
 }

@@ -25,9 +25,9 @@
 //!   shard write-ahead-logs ingested crossings and periodically installs
 //!   compact snapshots; a supervisor thread re-admits workers that die
 //!   (scheduled kill -9 with torn WAL tails: rebuilt from snapshot + WAL +
-//!   redo buffer to a **byte-identical** state) or escalate after consecutive
-//!   panicked requests (handing their state over). While a shard recovers,
-//!   queries skip it and keep returning sound widened brackets.
+//!   redo buffer to a **byte-identical** state). While a shard recovers,
+//!   queries skip it and keep returning sound widened brackets; a request
+//!   that panics is answered as `panicked` and widens the same way.
 //! - **Standing subscriptions** — [`Runtime::subscribe`] registers a region
 //!   once (compiled through the shared plan engine) and from then on every
 //!   ingested crossing on the region's boundary moves the subscription's

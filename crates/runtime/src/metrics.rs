@@ -249,8 +249,6 @@ metrics! {
         counter rebalance_aborted,
         /// Gauge: the shard map's current epoch (0 until the first migration).
         gauge map_epoch,
-        /// Workers that escalated after consecutive panicked requests.
-        counter escalations,
         /// Shard fan-outs skipped because the shard was unhealthy or recovering
         /// (each skip degrades that query's coverage instead of stalling it).
         counter skipped_unhealthy,
@@ -436,10 +434,9 @@ impl fmt::Display for MetricsReport {
         )?;
         writeln!(
             f,
-            "supervision: respawns {}, escalations {}, wal replayed {}, redo replayed {}, \
-             lost events {}, skipped unhealthy {}, recovering {}",
+            "supervision: respawns {}, wal replayed {}, redo replayed {}, lost events {}, \
+             skipped unhealthy {}, recovering {}",
             self.shard_respawns,
-            self.escalations,
             self.wal_replayed,
             self.redo_replayed,
             self.lost_events,

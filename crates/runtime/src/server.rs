@@ -18,8 +18,8 @@
 //! ingest() ─▶ per-shard lane (seq + redo buffer) ─▶ shard worker
 //!                                                    ├─ apply to forms
 //!                                                    └─ WAL append/snapshot
-//! supervisor ◀─ worker exits: an escalation hands its state over, a kill is
-//!               rebuilt from snapshot + WAL + redo buffer; respawns, re-admits
+//! supervisor ◀─ killed workers: rebuilt from snapshot + WAL + redo buffer,
+//!               respawned, re-admitted
 //! ```
 
 use std::path::PathBuf;
@@ -101,9 +101,6 @@ pub struct RuntimeConfig {
     pub max_retries: u32,
     /// Fault injection applied to shard traffic.
     pub fault: FaultPlan,
-    /// Consecutive panicked requests before a worker escalates to the
-    /// supervisor instead of serving on (0 disables escalation).
-    pub panic_threshold: u32,
     /// WAL + snapshot persistence; `None` keeps state memory-only (no
     /// worker can then be killed, so the ingest lanes retain nothing).
     pub durability: Option<DurabilityConfig>,
@@ -148,7 +145,6 @@ impl Default for RuntimeConfig {
             shard_timeout: Duration::from_millis(20),
             max_retries: 2,
             fault: FaultPlan::none(),
-            panic_threshold: 3,
             durability: None,
             plan_cache: 256,
             degraded: None,
@@ -284,8 +280,8 @@ impl Runtime {
             (0..ns).map(|_| channel::unbounded::<ShardMsg>()).unzip();
 
         // Bounded supervisor inbox: each shard has at most one unprocessed
-        // exit event at a time (the supervisor respawns a worker before
-        // draining the next event, so a shard cannot enqueue a second exit
+        // kill report at a time (the supervisor respawns a worker before
+        // draining the next event, so a shard cannot enqueue a second one
         // until its first was handled), plus one shutdown message and a
         // couple of in-flight migration requests — 2×ns+4 leaves slack for
         // all of them without ever blocking a dying worker.

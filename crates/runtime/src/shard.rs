@@ -10,14 +10,14 @@
 //!
 //! ## Exits and supervision
 //!
-//! [`ShardWorker::run`] no longer only ends at shutdown: a scheduled
-//! durability fault kills the worker mid-ingest (simulated kill -9, WAL tail
-//! cut included), and `panic_threshold` consecutive poisoned requests make
-//! the worker *escalate* — mark itself unhealthy and exit — instead of
-//! letting every future query burn its retry budget against a sensor that
-//! panics deterministically. Both exits are reported to the supervisor
-//! (`crate::supervisor`), which respawns the shard: over the state an
-//! escalating worker hands it, or over one rebuilt after a kill.
+//! [`ShardWorker::run`] ends for three reasons: shutdown, a `Retire` (the
+//! state goes to the supervisor's migration), or a scheduled durability
+//! fault that kills the worker mid-ingest (simulated kill -9, WAL tail cut
+//! included). Only the kill is reported to the supervisor
+//! (`crate::supervisor`), which rebuilds the shard's state and respawns it.
+//! A request that panics is not an exit: the panic is caught, the reply says
+//! `panicked`, and the aggregator widens that shard's edges by their worst
+//! case, as it does for any shard that did not report.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -47,8 +47,8 @@ pub(crate) const RECOVERING: u8 = 2;
 pub enum ShardHealth {
     /// Serving normally.
     Healthy,
-    /// The worker escalated or died; the supervisor has not yet picked the
-    /// shard up. Queries skip it (degraded answers, sound bounds).
+    /// A scheduled kill took the worker down; the supervisor has not yet
+    /// picked the shard up. Queries skip it (degraded answers, sound bounds).
     Unhealthy,
     /// The supervisor is re-admitting the shard (after a kill: replaying
     /// snapshot + WAL); queries skip it until then.
@@ -91,8 +91,8 @@ pub(crate) enum ShardMsg {
 }
 
 /// Everything a worker owns: what the supervisor seeds it with at startup
-/// and on every respawn, and what a worker that chooses to exit hands back —
-/// retiring (its edge forms may move to other shards) or escalating.
+/// and on every respawn, and what a retiring worker hands back (its edge
+/// forms may move to other shards).
 #[derive(Default)]
 pub(crate) struct RetiredState {
     pub forms: ShardForms,
@@ -158,52 +158,29 @@ pub(crate) struct EdgeCounts {
 /// `[instant][forward, backward]`.
 pub(crate) type InstantCounts = [[f64; 2]; 2];
 
-/// Why [`ShardWorker::run`] returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum WorkerExit {
-    /// Every sender is gone: runtime shutdown. Not reported upward.
-    Shutdown,
-    /// `panic_threshold` consecutive requests panicked: the worker marked
-    /// the shard unhealthy and handed its whole state to the supervisor.
-    Escalated,
-    /// A scheduled durability fault killed the process mid-ingest (the WAL
-    /// tail was cut per the fault plan) and its memory is gone with it.
-    Killed,
-    /// The worker handed its state to the supervisor for a shard-map
-    /// migration. Not reported upward — the supervisor already holds the
-    /// retired state and respawns the shard itself.
-    Retired,
-}
-
 /// The worker-side state of one shard.
 pub(crate) struct ShardWorker {
     pub id: usize,
     pub state: RetiredState,
-    pub consecutive_panics: u32,
     pub shared: Arc<Shared>,
 }
 
 impl ShardWorker {
-    /// Serves messages until shutdown, escalation, or a scheduled kill.
-    /// Returns the exit reason and the state the worker still holds.
+    /// Serves messages until shutdown, a `Retire`, or a scheduled kill.
+    /// Returns the fault-plan clock after a kill, the one exit the
+    /// supervisor is told about, and `None` otherwise.
     ///
     /// How an idle worker waits is the channel's rule, not this loop's:
     /// `recv` backs off once before it parks (`shims/crossbeam`), after a
     /// reply as after an ingest, so nothing here yields.
-    pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) -> (WorkerExit, RetiredState) {
+    pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) -> Option<u64> {
         while let Ok(msg) = rx.recv() {
             match msg {
-                ShardMsg::Query(req) => {
-                    if self.handle(req) {
-                        self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        Metrics::bump(&self.shared.metrics.escalations);
-                        return (WorkerExit::Escalated, self.state);
-                    }
-                }
+                ShardMsg::Query(req) => self.handle(req),
                 ShardMsg::IngestBatch { first_seq, lane } => {
                     if self.ingest_batch(first_seq, &lane) {
                         self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        return (WorkerExit::Killed, self.state);
+                        return Some(self.state.delivered);
                     }
                 }
                 ShardMsg::Flush(reply) => {
@@ -217,7 +194,7 @@ impl ShardWorker {
                 }
                 ShardMsg::Retire(reply) => {
                     match reply.send(std::mem::take(&mut self.state)) {
-                        Ok(()) => return (WorkerExit::Retired, self.state),
+                        Ok(()) => return None,
                         // The supervisor gave up on the migration (its
                         // receiver is gone): put the state back and keep
                         // serving as if the Retire never arrived.
@@ -226,7 +203,7 @@ impl ShardWorker {
                 }
             }
         }
-        (WorkerExit::Shutdown, self.state)
+        None
     }
 
     /// Folds event `seq`, the next one, into the forms.
@@ -311,20 +288,20 @@ impl ShardWorker {
         self.state.last_seq
     }
 
-    /// Serves one query request. Returns true when the worker escalates.
-    fn handle(&mut self, req: ShardRequest) -> bool {
+    /// Serves one query request.
+    fn handle(&mut self, req: ShardRequest) {
         // Deadline short-circuit before anything else (including the fault
         // delay): expired work is pure waste, and the aggregator's wait is
         // clamped to the same deadline, so it has already moved on.
         if req.deadline.is_some_and(|dl| Instant::now() >= dl) {
             Metrics::bump(&self.shared.metrics.shard_deadline_skips);
-            return false;
+            return;
         }
         let seen = self.state.delivered;
         self.state.delivered += 1;
         if self.shared.fault.is_crashed(self.id, seen) {
             Metrics::bump(&self.shared.metrics.crash_dropped);
-            return false; // a crashed sensor neither computes nor replies
+            return; // a crashed sensor neither computes nor replies
         }
         let fate = self.shared.fault.decide(MessageCtx {
             query_id: req.query_id,
@@ -333,7 +310,7 @@ impl ShardWorker {
         });
         if fate.drop {
             Metrics::bump(&self.shared.metrics.dropped);
-            return false;
+            return;
         }
         if fate.delay_ms > 0 {
             Metrics::bump(&self.shared.metrics.delayed);
@@ -386,23 +363,14 @@ impl ShardWorker {
             }
             resp
         }));
-        let mut escalate = false;
         let (response, refusals) = match computed {
             Ok(resp) => {
                 Metrics::bump(&self.shared.metrics.shard_served);
-                self.consecutive_panics = 0;
                 let refusals = resp.refused.len();
                 (resp, refusals)
             }
             Err(_) => {
                 Metrics::bump(&self.shared.metrics.shard_panics);
-                self.consecutive_panics += 1;
-                // A run of back-to-back panics is not per-query bad luck but
-                // a sick shard: reply (so the aggregator aborts fast), then
-                // escalate to the supervisor instead of letting every later
-                // query burn retries against it.
-                escalate = self.shared.panic_threshold > 0
-                    && self.consecutive_panics >= self.shared.panic_threshold;
                 // The panic cut the pass short, and the refusal counter is
                 // owed the whole request.
                 (blank(true), req.edges.iter().filter(|(_, be)| refuses(be.edge)).count())
@@ -420,7 +388,6 @@ impl ShardWorker {
         // failed or refused send is a late answer nobody is waiting for, and
         // must never block the worker behind it.
         let _ = req.reply.try_send(response);
-        escalate
     }
 
     fn contribution(&self, idx: usize, be: BoundaryEdge, kind: QueryKind) -> EdgeCounts {
@@ -475,7 +442,7 @@ mod tests {
             let durability = durable
                 .then(|| ShardDurability::initialize(&dir, 0, &forms, 0, 1_000, 1_000).unwrap());
             let state = RetiredState { forms, durability, ..Default::default() };
-            let mut worker = ShardWorker { id: 0, state, consecutive_panics: 0, shared };
+            let mut worker = ShardWorker { id: 0, state, shared };
             let logged = |w: &ShardWorker| {
                 let report = w.shared.metrics.report();
                 (report.ingested, report.wal_appends, report.wal_group_commits)

@@ -38,8 +38,6 @@ pub(crate) struct Shared {
     pub fault: FaultPlan,
     /// Seeded ingest-time crash injection (none without durability).
     pub dfaults: DurabilityFaultPlan,
-    /// Consecutive panicked requests before a worker escalates.
-    pub panic_threshold: u32,
     pub metrics: Arc<Metrics>,
     /// Shared plan cache: dispatchers compile and reuse region plans here;
     /// the supervisor invalidates it on every recovery.
@@ -89,7 +87,6 @@ impl Shared {
                 .durability
                 .as_ref()
                 .map_or_else(DurabilityFaultPlan::none, |d| d.faults.clone()),
-            panic_threshold: cfg.panic_threshold,
             metrics,
             engine,
             subs,

@@ -1,18 +1,17 @@
-//! The shard supervisor: spawns workers, watches for abnormal exits
-//! (scheduled kills, escalations), and respawns them — over the state they
-//! handed back or, after a kill, over a rebuilt one.
+//! The shard supervisor: spawns workers, rebuilds and respawns the ones a
+//! scheduled kill takes down, and runs shard-map migrations.
 //!
 //! ## Recovery contract
 //!
-//! An **escalating** worker chose to exit, so nothing it held is lost: it
-//! hands its whole state over with the exit report (its `ShardForms`, the
-//! open WAL handle with its unsynced tail, dedup floor, fault clock) and the
-//! shard respawns over exactly that, durable or not — a migration's `Retire`
-//! hand-over, initiated by the worker. Nothing is replayed or re-logged.
+//! A kill is the one exit a worker reports. A worker whose requests panic
+//! keeps serving on its thread (its replies say `panicked` and the
+//! aggregator widens), and a retiring worker hands its state to the
+//! migration that asked for it, so neither reaches `Supervisor::recover`.
 //!
 //! A **killed** worker's in-memory forms die with it (a simulated kill -9;
-//! only a durable shard can be killed). The supervisor rebuilds them from
-//! two sources that together always cover the full ingest stream:
+//! only a durable shard can be killed), and its exit report carries the
+//! fault-plan clock alone. The supervisor rebuilds the forms from two
+//! sources that together always cover the full ingest stream:
 //!
 //! 1. **Durable state** — snapshot + WAL replay via
 //!    [`stq_durability::recover_shard`]. This restores every event up to
@@ -53,7 +52,7 @@ use stq_forms::ShardForms;
 
 use crate::metrics::Metrics;
 use crate::server::{DurabilityConfig, RuntimeConfig};
-use crate::shard::{RetiredState, ShardMsg, ShardWorker, WorkerExit, HEALTHY, RECOVERING};
+use crate::shard::{RetiredState, ShardMsg, ShardWorker, HEALTHY, RECOVERING};
 use crate::shardmap::Migration;
 use crate::state::Shared;
 
@@ -73,20 +72,17 @@ pub(crate) struct IngestLane {
     pub buf: VecDeque<(u64, Lane)>,
 }
 
-/// What an exiting worker reports upward.
+/// A killed worker's exit report.
 pub(crate) struct WorkerEvent {
     pub shard: usize,
-    pub exit: WorkerExit,
-    /// What [`ShardWorker::run`] returned with: everything after an
-    /// escalation, only the fault-plan clock (`delivered`) after a kill.
-    pub state: RetiredState,
+    /// The fault-plan clock the worker died at, carried into the next
+    /// incarnation.
+    pub delivered: u64,
 }
 
 /// Messages the supervisor thread consumes.
 pub(crate) enum SupervisorMsg {
-    /// Boxed: an exit report carries a whole `RetiredState`, WAL handle and
-    /// its frame buffer included, and is the rare message here.
-    Worker(Box<WorkerEvent>),
+    Worker(WorkerEvent),
     /// Execute a shard-map migration: retire the involved workers, move the
     /// listed edge forms between their states, commit the new assignment,
     /// and respawn. Replies on `done` when the protocol finishes.
@@ -161,13 +157,13 @@ impl Supervisor {
         sup
     }
 
-    /// The supervision loop: recover-and-respawn on every abnormal worker
-    /// exit until the runtime signals shutdown, then join every shard's
+    /// The supervision loop: rebuild-and-respawn on every killed worker
+    /// until the runtime signals shutdown, then join every shard's
     /// last incarnation (`respawn` joined the earlier ones).
     pub(crate) fn run(mut self, events_rx: Receiver<SupervisorMsg>) {
         while let Ok(msg) = events_rx.recv() {
             match msg {
-                SupervisorMsg::Worker(ev) => self.recover(*ev),
+                SupervisorMsg::Worker(ev) => self.recover(ev),
                 SupervisorMsg::Migrate { moves, done } => {
                     let outcome = self.migrate(moves);
                     let _ = done.send(outcome);
@@ -186,8 +182,7 @@ impl Supervisor {
     }
 
     fn recover(&mut self, ev: WorkerEvent) {
-        let WorkerEvent { shard, exit, state } = ev;
-        debug_assert_ne!(exit, WorkerExit::Shutdown, "shutdown exits are not reported");
+        let WorkerEvent { shard, delivered } = ev;
         let t0 = Instant::now();
         self.shared.health[shard].store(RECOVERING, Ordering::Release);
         self.shared.metrics.recovering.fetch_add(1, Ordering::Relaxed);
@@ -198,13 +193,7 @@ impl Supervisor {
         // respawned worker's dedup floor.
         let shared = Arc::clone(&self.shared);
         let lane = shared.lanes[shard].lock();
-        let (state, extra_quarantine) = match exit {
-            // The worker chose to exit and handed over everything it held;
-            // ingests queued past that state's own `last_seq` are the next
-            // incarnation's to apply, in order. Only a kill loses memory.
-            WorkerExit::Escalated => (state, Vec::new()),
-            _ => self.rebuild(shard, &lane, state.delivered),
-        };
+        let (state, extra_quarantine) = self.rebuild(shard, &lane, delivered);
 
         // Recovery is the one runtime event that can change the serving
         // topology (a shard's edges quarantined on lost history), so cached
@@ -391,21 +380,14 @@ impl Supervisor {
     /// Spawns shard `shard`'s next incarnation over `state` and joins the one
     /// it replaces (its exit report or `Retire` reply is out: it is returning).
     fn respawn(&mut self, shard: usize, state: RetiredState) {
-        let worker = ShardWorker {
-            id: shard,
-            state,
-            consecutive_panics: 0,
-            shared: Arc::clone(&self.shared),
-        };
+        let worker = ShardWorker { id: shard, state, shared: Arc::clone(&self.shared) };
         let rx = self.receivers[shard].clone();
         let events = self.events_tx.clone();
         let handle = std::thread::Builder::new()
             .name(format!("stq-shard-{shard}"))
             .spawn(move || {
-                let (exit, state) = worker.run(rx);
-                if exit != WorkerExit::Shutdown && exit != WorkerExit::Retired {
-                    let report = Box::new(WorkerEvent { shard, exit, state });
-                    let _ = events.send(SupervisorMsg::Worker(report));
+                if let Some(delivered) = worker.run(rx) {
+                    let _ = events.send(SupervisorMsg::Worker(WorkerEvent { shard, delivered }));
                 }
             })
             .expect("spawn shard worker");

@@ -167,6 +167,18 @@ fn one_failover_path() {
 }
 
 #[test]
+fn a_panicking_shard_is_answered_not_respawned() {
+    assert_absent(&Guard {
+        rule: "a request that panics is answered as `panicked` and widens its shard's edges; \
+               the worker serves on, and a scheduled kill is the one exit the supervisor \
+               rebuilds, so no panic count may make a worker exit",
+        patterns: &["panic_threshold", "consecutive_panics", "Escalated\\b"],
+        roots: &["crates/*/src"],
+        except: &[],
+    });
+}
+
+#[test]
 fn word_end_patterns_leave_longer_identifiers_alone() {
     assert!(matches("ShardMsg::Ingest { seq, event }", "ShardMsg::Ingest\\b"));
     assert!(matches("ShardMsg::Ingest", "ShardMsg::Ingest\\b"));
