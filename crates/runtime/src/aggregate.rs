@@ -1,5 +1,5 @@
-//! From slots to an answer: plan the region, fold what the shards reported
-//! into a [`Bracket`], and build the [`ServedAnswer`].
+//! From slots to an answer: plan each query of a batch, fold what the shards
+//! reported for it into a [`Bracket`], and build the [`ServedAnswer`].
 //!
 //! Shards return per-edge contributions tagged with their position in the
 //! boundary chain; [`fold`] visits them **in boundary order**, so with full
@@ -21,7 +21,7 @@ use stq_core::query::QueryKind;
 use crate::dispatch::{fan_out, live_counts, Collected, Dispatcher};
 use crate::metrics::{Metrics, QueryTrace};
 use crate::overload::stride_for;
-use crate::server::QuerySpec;
+use crate::server::{Job, QuerySpec};
 use crate::shard::EdgeCounts;
 use crate::state::ServerState;
 
@@ -242,54 +242,117 @@ fn fold(
     (Bracket::finish(a, b, kind), if n == 0 { 1.0 } else { answered as f64 / n as f64 })
 }
 
-/// Answers one query and records it. Every hop short-circuits a query whose
-/// deadline already passed: here that means no fan-out — the (cached) plan
-/// still yields a sound worst-case bracket from the lifetime totals, so even
-/// a budget-starved client gets honest bounds.
-///
-/// `dispatcher` is the calling dispatcher thread's own state. A submitter
-/// answering a job whose deadline ran out before it got a queue slot has
-/// none and needs none: that answer is the expired one by construction.
-pub(crate) fn answer(
-    st: &ServerState,
-    dispatcher: Option<&mut Dispatcher>,
-    id: u64,
-    spec: &QuerySpec,
-) -> ServedAnswer {
+/// What a dispatcher thread keeps from batch to batch on the answering
+/// side: the batch's jobs, and per query that fans out — in the order it was
+/// enlisted, which is how `fan_out` names it — its job, plan, brownout level
+/// and the start of its execution. Cleared per batch, never shrunk.
+#[derive(Default)]
+pub(crate) struct Batch {
+    pub jobs: Vec<Job>,
+    flying: Vec<Flying>,
+}
+
+struct Flying {
+    job: usize,
+    p: Planned,
+    level: u8,
+    exec_t0: Instant,
+}
+
+/// Answers every job of `batch` and empties it. Each job is planned in queue
+/// order, and one that reaches no shard is answered there and then; the
+/// rest fan out together, and each is answered as soon as its own fan-out
+/// is over.
+pub(crate) fn answer_batch(st: &ServerState, d: &mut Dispatcher, batch: &mut Batch) {
+    let Batch { jobs, flying } = batch;
+    // The queue-depth gauge reads the jobs of the batch still waiting behind
+    // the one served next — what it read of the queue behind each job when
+    // jobs were served one at a time, and what the brownout controller
+    // reads — and 0 before the batch's last answer goes out.
+    let depth = &st.shared.metrics.queue_depth;
+    let mut left = jobs.len();
+    depth.store(left.saturating_sub(1) as u64, Ordering::Relaxed);
+    let mut answered = |job: &Job, answer: ServedAnswer| {
+        left -= 1;
+        depth.store(left.saturating_sub(1) as u64, Ordering::Relaxed);
+        settle(st, job, answer);
+    };
+    for (j, job) in jobs.iter().enumerate() {
+        match start(st, job, true) {
+            Err(answer) => answered(job, answer),
+            Ok(p) => {
+                let exec_t0 = Instant::now();
+                let level = st.overload.as_ref().map_or(0, |ov| ov.brownout.level());
+                d.enlist(st, job.id, &job.spec, &p.plan, level);
+                flying.push(Flying { job: j, p, level, exec_t0 });
+            }
+        }
+    }
+    fan_out(st, d, |i, got| {
+        let f = &flying[i];
+        let job = &jobs[f.job];
+        answered(job, execute(st, &job.spec, f, &got));
+    });
+    flying.clear();
+    jobs.clear();
+}
+
+/// Answers, on the thread that submitted it, a job whose deadline ran out
+/// before it got a queue slot: the expired answer, which reaches no shard.
+pub(crate) fn answer_expired(st: &ServerState, job: Job) {
+    // Not live: `start` answers it whatever the plan.
+    if let Err(answer) = start(st, &job, false) {
+        settle(st, &job, answer);
+    }
+}
+
+/// Plans one job: the plan it fans out with, or the answer of a job that
+/// reaches no shard. Every hop short-circuits a query whose deadline already
+/// passed (or that is not `live`): here that means no fan-out — the (cached)
+/// plan still yields a sound worst-case bracket from the lifetime totals,
+/// so even a budget-starved client gets honest bounds.
+fn start(st: &ServerState, job: &Job, live: bool) -> Result<Planned, ServedAnswer> {
+    let (id, spec) = (job.id, &job.spec);
     let start = Instant::now();
-    let live = dispatcher.filter(|_| !spec.deadline.is_some_and(|dl| start >= dl));
-    let expired = live.is_none();
+    let expired = !live || spec.deadline.is_some_and(|dl| start >= dl);
     // A region built on another graph is a plain miss: no plan, no consult.
     let foreign = st.foreign(&spec.region);
     let p = if foreign { Planned::refused(id, start) } else { plan_for(st, id, spec, start) };
-    let answer = if p.plan.miss {
+    if p.plan.miss {
         // The degraded answerer's detour / imputation machinery may still
         // certify a bracket on its repaired graphs.
         let certified = if expired || foreign { None } else { consult_degraded(st, spec) };
-        ServedAnswer::degraded(ServedAnswer::miss(&p, expired), certified)
-    } else if let Some(d) = live {
-        execute(st, d, spec, &p)
-    } else {
+        Err(ServedAnswer::degraded(ServedAnswer::miss(&p, expired), certified))
+    } else if expired {
         let (bracket, coverage) = fold(st, &p.plan, &[], spec.kind);
-        ServedAnswer::expired(&p, bracket, coverage)
-    };
-    record_served(st, &answer);
-    answer
+        Err(ServedAnswer::expired(&p, bracket, coverage))
+    } else {
+        Ok(p)
+    }
 }
 
-/// Fan-out, fold, and the degraded-mode escalation for one planned query.
-fn execute(st: &ServerState, d: &mut Dispatcher, spec: &QuerySpec, p: &Planned) -> ServedAnswer {
-    let exec_t0 = Instant::now();
-    let level = st.overload.as_ref().map_or(0, |ov| ov.brownout.level());
-    let got = fan_out(st, d, p.id, spec, &p.plan, level);
-    let (bracket, coverage) = fold(st, &p.plan, got.slots, spec.kind);
+/// Records a job's answer, releases its admission reservation and replies.
+fn settle(st: &ServerState, job: &Job, answer: ServedAnswer) {
+    record_served(st, &answer);
+    if let Some(ov) = st.overload.as_ref() {
+        ov.release(job.cost_milli);
+    }
+    // The client may have given up on the PendingAnswer; that's fine.
+    let _ = job.reply.send(answer);
+}
+
+/// Fold and the degraded-mode escalation for one query whose fan-out is
+/// over.
+fn execute(st: &ServerState, spec: &QuerySpec, f: &Flying, got: &Collected) -> ServedAnswer {
+    let (bracket, coverage) = fold(st, &f.p.plan, got.slots, spec.kind);
     // Quarantine-degraded answers escalate through the repair strategies.
     let certified =
         if got.refused > 0 && coverage < 1.0 { consult_degraded(st, spec) } else { None };
-    let exec_us = exec_t0.elapsed().as_micros() as u64;
+    let exec_us = f.exec_t0.elapsed().as_micros() as u64;
     st.shared.metrics.execute_latency.record(exec_us);
     feed_brownout(st, exec_us);
-    ServedAnswer::degraded(ServedAnswer::served(p, bracket, coverage, &got, level), certified)
+    let served = ServedAnswer::served(&f.p, bracket, coverage, got, f.level);
+    ServedAnswer::degraded(served, certified)
 }
 
 /// Feeds the brownout controller; on a level shift, crossing level 2 also

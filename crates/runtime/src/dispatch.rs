@@ -1,14 +1,17 @@
-//! The fan-out / retry / breaker loop: one query's boundary edges out to
-//! their owning shards and the per-edge contributions back, attempt by
-//! attempt, until everything reported or the budget ran out. Also the
-//! degraded ladder's one request to every shard ([`live_counts`]).
+//! The fan-out / retry / breaker loop: a batch of queries' boundary edges
+//! out to their owning shards and the per-edge contributions back, attempt
+//! by attempt, until each query's edges all reported or its budget ran out.
+//! Also the degraded ladder's one request to every shard ([`live_counts`]).
 //!
-//! ## What a dispatcher owns between queries
+//! ## What a dispatcher owns between batches
 //!
 //! Each dispatcher thread keeps one [`Dispatcher`] for its lifetime and
-//! hands it down `serve` → `answer` → [`fan_out`] by `&mut`; nothing in it
-//! is shared, so nothing in it is locked. A warm query — its plan a cache
-//! hit, its groups a table hit — allocates nothing on this thread.
+//! hands it down `answer_batch` → [`fan_out`] by `&mut`; nothing in it is
+//! shared, so nothing in it is locked. A batch is the job the thread woke
+//! for plus every job already queued behind it (at most `queue_capacity`);
+//! a batch of one is one query served as it always was. A warm batch — its
+//! plans cache hits, its groups table hits — allocates nothing on this
+//! thread.
 //!
 //! - **The groups table.** Which shard owns which boundary edge is a pure
 //!   function of (plan, shard-map epoch), so the per-shard grouping of a
@@ -29,13 +32,26 @@
 //!   request carries its group by `Arc`: no copy per shard, none per retry.
 //! - **One reply channel.** Every request of every query this dispatcher
 //!   sends is answered on the same bounded channel, so a response can
-//!   outlive its query. [`ShardResponse::query_id`] names the query;
-//!   `collect` drops any other, and `fan_out` drains the channel before its
-//!   first send (nothing of this dispatcher's is in flight then, so all of
-//!   it is stale). `ServerState::resp_capacity` says what the bound buys.
-//! - **Scratch.** `slots`, `pending` and `awaiting` are indexed by boundary
-//!   position or by shard and cleared per query, not reallocated; shards are
-//!   asked in ascending index order on every attempt.
+//!   outlive its query. [`ShardResponse::query_id`] names the query and
+//!   `attempt` the request it answers; `fan_out` hands each response to the
+//!   query of the batch it names, drops any other, and drains the channel
+//!   before the batch's first send (nothing of this dispatcher's is in
+//!   flight then, so all of it is stale). `ServerState::resp_capacity` says
+//!   what the bound buys.
+//! - **The flight pool.** One [`Flight`] per query of the batch: `pending`
+//!   and `awaiting` by shard, `owner` and `slots` by boundary position —
+//!   cleared per query, reused from batch to batch. The pool grows only for
+//!   a batch larger than any before it, and every flight keeps room for the
+//!   widest boundary the dispatcher has routed, so which flight a query
+//!   lands on never decides whether it allocates.
+//!
+//! ## One round per attempt
+//!
+//! Every query of the batch sends its attempt-k requests (queries in batch
+//! order, shards ascending within one), then the dispatcher collects; each
+//! query is answered as soon as nothing more can come for it, and those
+//! with edges still pending go into attempt k+1 together. Requests, windows,
+//! deadlines, brownout levels, health skips and breakers stay per query.
 
 use std::cell::Cell;
 use std::sync::{Arc, Weak};
@@ -60,6 +76,10 @@ const HEALTH_RECHECK: Duration = Duration::from_millis(5);
 /// a "never evict" `usize::MAX` must not reserve memory.
 const GROUP_SLOTS_MAX: usize = 1 << 16;
 
+/// The owner of a boundary position that is pending at no shard: it
+/// reported, was refused, or was never asked (shed by a brownout stride).
+const SETTLED: usize = usize::MAX;
+
 /// One shard's share of a boundary: the edges it owns, each tagged with its
 /// position in the chain so the aggregate fold preserves term order,
 /// ascending by position.
@@ -75,20 +95,50 @@ struct Groups {
     by_shard: Vec<Group>,
 }
 
-/// What one dispatcher thread keeps from query to query (module docs).
-pub(crate) struct Dispatcher {
+/// The groups table and what routing a plan needs beside it.
+struct Routes {
     groups: Vec<Groups>,
     /// The group of every shard that owns none of a boundary.
     empty: Group,
     /// Per shard, where a plan's edges are gathered before each group is
     /// allocated at its exact size.
     gather: Vec<Vec<(usize, BoundaryEdge)>>,
+}
+
+/// One query's fan-out, from its routing to its fold: a flight-pool entry.
+struct Flight {
+    id: u64,
+    kind: QueryKind,
+    deadline: Option<Instant>,
+    /// Not answered yet.
+    live: bool,
     /// Boundary edges still unanswered, by owning shard.
     pending: Vec<Group>,
-    /// Shards asked on the current attempt that have not answered yet.
-    awaiting: Vec<bool>,
+    /// Per shard asked on the current attempt that has not answered yet,
+    /// the group its request carried.
+    awaiting: Vec<Option<Group>>,
+    /// Per boundary position, the shard it is pending at, or [`SETTLED`].
+    owner: Vec<usize>,
     /// Per boundary position, the owning shard's contribution.
     slots: Vec<Option<EdgeCounts>>,
+    /// When the current attempt's window closes (`None`: never).
+    end: Option<Instant>,
+    /// Whether any shard was asked on the current attempt.
+    waited: bool,
+    fanout: usize,
+    refused: usize,
+    retries: u32,
+    expired: bool,
+}
+
+/// What one dispatcher thread keeps from batch to batch (module docs).
+pub(crate) struct Dispatcher {
+    routes: Routes,
+    /// The pool; the batch being formed or fanned out is `flights[..batch]`.
+    flights: Vec<Flight>,
+    batch: usize,
+    /// The longest boundary enlisted so far: what every flight has room for.
+    widest: usize,
     /// The shards' end of the reply channel, cloned into every request, and
     /// this end.
     reply: Sender<ShardResponse>,
@@ -99,24 +149,66 @@ impl Dispatcher {
     pub(crate) fn new(st: &ServerState) -> Self {
         let ns = st.to_shards.len();
         let (reply, replies) = channel::bounded(st.resp_capacity.max(1));
-        let empty: Group = Arc::new([]);
         Dispatcher {
-            groups: (0..st.cfg.plan_cache.min(GROUP_SLOTS_MAX))
-                .map(|_| Groups { plan: Weak::new(), epoch: 0, by_shard: Vec::new() })
-                .collect(),
-            gather: vec![Vec::new(); ns],
-            pending: vec![Arc::clone(&empty); ns],
-            empty,
-            awaiting: vec![false; ns],
-            slots: Vec::new(),
+            routes: Routes {
+                groups: (0..st.cfg.plan_cache.min(GROUP_SLOTS_MAX))
+                    .map(|_| Groups { plan: Weak::new(), epoch: 0, by_shard: Vec::new() })
+                    .collect(),
+                empty: Arc::new([]),
+                gather: vec![Vec::new(); ns],
+            },
+            flights: Vec::new(),
+            batch: 0,
+            widest: 0,
             reply,
             replies,
         }
     }
 
-    /// Resets `pending` to `plan`'s boundary, grouped by owning shard, at
+    /// Adds a query to the next batch, `plan`'s boundary routed at brownout
+    /// precision `level`. [`fan_out`] reports the batch's queries by the
+    /// order they were enlisted in.
+    ///
+    /// Level 0 serves every edge; higher levels serve every 2nd / 4th / no
+    /// edge — the skipped ones fall to the same worst-case-totals
+    /// degradation as silent shards, so the answer is cheaper and wider but
+    /// still sound.
+    pub(crate) fn enlist(
+        &mut self,
+        st: &ServerState,
+        id: u64,
+        spec: &QuerySpec,
+        plan: &Arc<QueryPlan>,
+        level: u8,
+    ) {
+        let n = plan.boundary.len();
+        if n > self.widest {
+            self.widest = n;
+            for f in &mut self.flights {
+                f.make_room(n);
+            }
+        }
+        if self.batch == self.flights.len() {
+            let ns = st.to_shards.len();
+            self.flights.push(Flight::new(spec, ns, &self.routes.empty, self.widest));
+        }
+        let f = &mut self.flights[self.batch];
+        self.batch += 1;
+        self.routes.route(st, plan, stride_for(level), &mut f.pending);
+        f.reset(id, spec, n);
+    }
+}
+
+impl Routes {
+    /// Sets `pending` to `plan`'s boundary, grouped by owning shard, at
     /// brownout `stride` (every `stride`-th position; 0 = none).
-    fn route(&mut self, st: &ServerState, plan: &Arc<QueryPlan>, stride: usize) {
+    fn route(
+        &mut self,
+        st: &ServerState,
+        plan: &Arc<QueryPlan>,
+        stride: usize,
+        pending: &mut [Group],
+    ) {
         let map = &st.shared.map;
         let epoch = map.epoch(); // before any `shard_of`: see the module docs
         let slot = match self.groups.len() {
@@ -127,29 +219,30 @@ impl Dispatcher {
             .map(|s| &self.groups[s])
             .filter(|g| g.epoch == epoch && std::ptr::eq(g.plan.as_ptr(), Arc::as_ptr(plan)));
         if let Some(g) = cached {
-            self.pending.clone_from(&g.by_shard);
+            pending.clone_from_slice(&g.by_shard);
         } else {
             self.gather.iter_mut().for_each(Vec::clear);
             for (idx, &be) in plan.boundary.iter().enumerate() {
                 self.gather[map.shard_of(be.edge)].push((idx, be));
             }
-            for (group, edges) in self.pending.iter_mut().zip(&self.gather) {
+            for (group, edges) in pending.iter_mut().zip(&self.gather) {
                 *group = if edges.is_empty() { Arc::clone(&self.empty) } else { edges[..].into() };
             }
             if let Some(s) = slot {
                 // A collision overwrites, reusing the slot's vector.
                 let g = &mut self.groups[s];
                 (g.plan, g.epoch) = (Arc::downgrade(plan), epoch);
-                g.by_shard.clone_from(&self.pending);
+                g.by_shard.clear();
+                g.by_shard.extend_from_slice(pending);
             }
         }
         // Only the full-precision groups are kept; a brownout stride keeps
         // of each the positions `QueryPlan::shed_boundary` keeps.
         match stride {
             1 => {}
-            0 => self.pending.fill(Arc::clone(&self.empty)),
+            0 => pending.fill(Arc::clone(&self.empty)),
             _ => {
-                for group in self.pending.iter_mut().filter(|g| !g.is_empty()) {
+                for group in pending.iter_mut().filter(|g| !g.is_empty()) {
                     *group = group.iter().filter(|(idx, _)| idx % stride == 0).copied().collect();
                 }
             }
@@ -198,65 +291,202 @@ fn window_end(st: &ServerState, deadline: Option<Instant>, attempt: u32) -> Opti
     }
 }
 
-/// One query's fan-out in flight.
-struct Fanout<'a, 'd> {
-    st: &'a ServerState,
-    id: u64,
-    spec: &'a QuerySpec,
-    d: &'d mut Dispatcher,
-    refused: usize,
-    retries: u32,
-    expired: bool,
-}
-
-/// Fans `plan`'s boundary out at brownout precision `level` and collects
-/// what the shards return within the retry budget and the query deadline.
-///
-/// Level 0 serves every edge; higher levels serve every 2nd / 4th / no edge
-/// — the skipped ones fall to the same worst-case-totals degradation as
-/// silent shards, so the answer is cheaper and wider but still sound.
-pub(crate) fn fan_out<'d>(
+/// Fans out every query enlisted since the last batch and collects what
+/// the shards return, each query within the retry budget and its own
+/// deadline. Hands each query's collection to `done`, with its index in
+/// the batch, as soon as nothing more can come for it; returns once every
+/// query of the batch was handed over.
+pub(crate) fn fan_out(
     st: &ServerState,
-    d: &'d mut Dispatcher,
-    id: u64,
-    spec: &QuerySpec,
-    plan: &Arc<QueryPlan>,
-    level: u8,
-) -> Collected<'d> {
-    d.route(st, plan, stride_for(level));
-    d.slots.clear();
-    d.slots.resize(plan.boundary.len(), None);
+    d: &mut Dispatcher,
+    mut done: impl FnMut(usize, Collected<'_>),
+) {
+    let n = std::mem::take(&mut d.batch);
+    if n == 0 {
+        return;
+    }
     // Nothing of this dispatcher's is in flight, so whatever is queued
     // answers a query it has already given up on.
     while d.replies.try_recv().is_ok() {}
-    let fanout = d.pending.iter().filter(|edges| !edges.is_empty()).count();
-    let mut q = Fanout { st, id, spec, d, refused: 0, retries: 0, expired: false };
+    let flights = &mut d.flights[..n];
+    let metrics = &st.shared.metrics;
     for attempt in 0..=st.cfg.max_retries {
-        // Deadline short-circuit at the fan-out hop: no further attempts
-        // once the budget is gone — whatever already reported is folded,
-        // the rest degrades.
-        if spec.deadline.is_some_and(|dl| Instant::now() >= dl) {
-            q.expired = true;
+        if !flights.iter().any(|f| f.live) {
             break;
         }
-        let waited = q.send(attempt);
-        q.collect(attempt);
-        if q.d.pending.iter().all(|edges| edges.is_empty()) {
-            break;
+        let last = attempt == st.cfg.max_retries;
+        for (i, f) in flights.iter_mut().enumerate().filter(|(_, f)| f.live) {
+            // Deadline short-circuit at the fan-out hop: no further attempts
+            // once the budget is gone — whatever already reported is folded,
+            // the rest degrades.
+            if f.deadline.is_some_and(|dl| Instant::now() >= dl) {
+                f.expired = true;
+                f.live = false;
+                done(i, f.collected());
+                continue;
+            }
+            f.waited = f.send(st, attempt, &d.reply);
         }
-        if waited {
-            Metrics::bump(&st.shared.metrics.timeouts);
+        for f in flights.iter_mut().filter(|f| f.live) {
+            f.end = window_end(st, f.deadline, attempt);
         }
-        if attempt < st.cfg.max_retries {
-            q.retries += 1;
-            Metrics::bump(&st.shared.metrics.retries);
+        collect(st, flights, &d.replies, &d.routes.empty, attempt, last, &mut done);
+        // What is still in flight has edges pending and attempts left.
+        for f in flights.iter_mut().filter(|f| f.live) {
+            f.close_attempt(st);
+            f.retries += 1;
+            Metrics::bump(&metrics.retries);
         }
     }
-    let Fanout { d, refused, retries, expired, .. } = q;
-    Collected { slots: &d.slots, refused, fanout, retries, expired }
 }
 
-impl Fanout<'_, '_> {
+/// Waits out one attempt of the batch: hands every response to the query it
+/// answers, and every query nothing more can come for on this attempt —
+/// all of its edges reported, or, on the `last` attempt, nobody awaited or
+/// its window closed — to `done`. Returns when every query still in flight
+/// awaits nobody or has had its window close.
+fn collect(
+    st: &ServerState,
+    flights: &mut [Flight],
+    replies: &Receiver<ShardResponse>,
+    empty: &Group,
+    attempt: u32,
+    last: bool,
+    done: &mut impl FnMut(usize, Collected<'_>),
+) {
+    loop {
+        let now = Instant::now();
+        // A window that closed while answers sat in the channel (the thread
+        // was off the CPU, or folding a batch-mate) closes on them first.
+        let closed = |f: &Flight| f.live && f.awaits() && f.end.is_some_and(|end| now >= end);
+        if flights.iter().any(closed) {
+            while let Ok(resp) = replies.try_recv() {
+                take(st, flights, resp, attempt, empty);
+            }
+        }
+        // The shortest wait any query still waiting allows.
+        let mut slice: Option<Duration> = None;
+        for (i, f) in flights.iter_mut().enumerate().filter(|(_, f)| f.live) {
+            let open = f.awaits() && !f.end.is_some_and(|end| now >= end);
+            if open {
+                // Wait in short slices so a worker dying mid-attempt (health
+                // flips away from Healthy) releases the query after one slice
+                // instead of the full backoff window.
+                let wait = f.end.map_or(HEALTH_RECHECK, |end| (end - now).min(HEALTH_RECHECK));
+                slice = Some(slice.map_or(wait, |s| s.min(wait)));
+            } else if last || f.answered() {
+                f.close_attempt(st);
+                f.live = false;
+                done(i, f.collected());
+            }
+        }
+        let Some(slice) = slice else { return };
+        match replies.recv_timeout(slice) {
+            Ok(resp) => take(st, flights, resp, attempt, empty),
+            Err(_) => {
+                for f in flights.iter_mut().filter(|f| f.live) {
+                    for (shard, awaited) in f.awaiting.iter_mut().enumerate() {
+                        if !st.shared.healthy(shard) {
+                            *awaited = None;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Hands one response to the query in flight it names.
+fn take(
+    st: &ServerState,
+    flights: &mut [Flight],
+    resp: ShardResponse,
+    attempt: u32,
+    empty: &Group,
+) {
+    // The channel outlives a batch: a response naming no query in flight
+    // answers one already answered.
+    let Some(f) = flights.iter_mut().find(|f| f.live && f.id == resp.query_id) else { return };
+    if !resp.panicked {
+        f.accept(st, resp, attempt, empty);
+    } else if resp.attempt == attempt {
+        // A panicked shard answered with nothing: it is no longer awaited,
+        // and its edges stay pending for the next attempt. One that panicked
+        // on an earlier attempt says nothing about the request this attempt
+        // sent it.
+        f.awaiting[resp.shard] = None;
+    }
+}
+
+impl Flight {
+    /// A pool entry for `ns` shards with room for `widest` positions; `reset`
+    /// starts a query on it.
+    fn new(spec: &QuerySpec, ns: usize, empty: &Group, widest: usize) -> Self {
+        let mut f = Flight {
+            id: 0,
+            kind: spec.kind,
+            deadline: None,
+            live: false,
+            pending: vec![Arc::clone(empty); ns],
+            awaiting: vec![None; ns],
+            owner: Vec::new(),
+            slots: Vec::new(),
+            end: None,
+            waited: false,
+            fanout: 0,
+            refused: 0,
+            retries: 0,
+            expired: false,
+        };
+        f.make_room(widest);
+        f
+    }
+
+    /// Room for a boundary of `n` positions, so a reset allocates nothing.
+    fn make_room(&mut self, n: usize) {
+        self.owner.reserve(n.saturating_sub(self.owner.len()));
+        self.slots.reserve(n.saturating_sub(self.slots.len()));
+    }
+
+    /// Starts query `id` of `n` boundary positions on this flight, its
+    /// groups already routed into `pending`.
+    fn reset(&mut self, id: u64, spec: &QuerySpec, n: usize) {
+        (self.id, self.kind, self.deadline, self.live) = (id, spec.kind, spec.deadline, true);
+        self.awaiting.fill(None);
+        self.owner.clear();
+        self.owner.resize(n, SETTLED);
+        for (shard, group) in self.pending.iter().enumerate() {
+            for &(idx, _) in group.iter() {
+                self.owner[idx] = shard;
+            }
+        }
+        self.slots.clear();
+        self.slots.resize(n, None);
+        self.fanout = self.pending.iter().filter(|edges| !edges.is_empty()).count();
+        (self.end, self.waited, self.refused, self.retries, self.expired) =
+            (None, false, 0, 0, false);
+    }
+
+    /// Every edge asked for has reported (or was refused).
+    fn answered(&self) -> bool {
+        self.pending.iter().all(|edges| edges.is_empty())
+    }
+
+    /// Some shard asked on the current attempt has not answered yet.
+    fn awaits(&self) -> bool {
+        self.awaiting.iter().any(Option::is_some)
+    }
+
+    fn collected(&self) -> Collected<'_> {
+        Collected {
+            slots: &self.slots,
+            refused: self.refused,
+            fanout: self.fanout,
+            retries: self.retries,
+            expired: self.expired,
+        }
+    }
+
     /// Sends this attempt's requests, in ascending shard order. Unhealthy /
     /// recovering shards are skipped outright: their edges degrade to
     /// worst-case bounds instead of stalling the query, and a shard that
@@ -264,13 +494,11 @@ impl Fanout<'_, '_> {
     /// breakers skip the same way (no retry storm against a
     /// repeatedly-silent shard), except for the one half-open probe.
     /// Returns whether any shard was asked.
-    fn send(&mut self, attempt: u32) -> bool {
-        let st = self.st;
-        let d = &mut *self.d;
+    fn send(&mut self, st: &ServerState, attempt: u32, reply: &Sender<ShardResponse>) -> bool {
         let metrics = &st.shared.metrics;
-        d.awaiting.fill(false);
+        self.awaiting.fill(None);
         let mut skipped_unhealthy = 0u64;
-        for (shard, edges) in d.pending.iter().enumerate().filter(|(_, e)| !e.is_empty()) {
+        for (shard, edges) in self.pending.iter().enumerate().filter(|(_, e)| !e.is_empty()) {
             if !st.shared.healthy(shard) {
                 skipped_unhealthy += 1;
                 continue;
@@ -284,87 +512,99 @@ impl Fanout<'_, '_> {
                 Metrics::bump(&metrics.breaker_skipped);
                 continue;
             }
-            d.awaiting[shard] = true;
+            self.awaiting[shard] = Some(Arc::clone(edges));
             Metrics::bump(&metrics.shard_requests);
             let _ = st.to_shards[shard].send(ShardMsg::Query(ShardRequest {
                 query_id: self.id,
                 attempt,
-                kind: self.spec.kind,
+                kind: self.kind,
                 edges: Arc::clone(edges),
-                deadline: self.spec.deadline,
-                reply: d.reply.clone(),
+                deadline: self.deadline,
+                reply: reply.clone(),
             }));
         }
         if skipped_unhealthy > 0 {
             Metrics::add(&metrics.skipped_unhealthy, skipped_unhealthy);
         }
-        d.awaiting.contains(&true)
+        self.awaits()
     }
 
-    /// Waits out this attempt's window for the awaited shards, then charges
-    /// the breakers of those that stayed silent.
-    fn collect(&mut self, attempt: u32) {
-        let st = self.st;
-        let end = window_end(st, self.spec.deadline, attempt);
-        while self.d.awaiting.contains(&true) {
-            let now = Instant::now();
-            if end.is_some_and(|end| now >= end) {
-                break;
-            }
-            // Wait in short slices so a worker dying mid-attempt (health
-            // flips away from Healthy) releases the query after one slice
-            // instead of the full backoff window.
-            let slice = end.map_or(HEALTH_RECHECK, |end| (end - now).min(HEALTH_RECHECK));
-            match self.d.replies.recv_timeout(slice) {
-                // The channel outlives a query: this answers an earlier one.
-                Ok(resp) if resp.query_id != self.id => {}
-                // A panicked shard answered with nothing: it is no longer
-                // awaited, and its edges stay pending for the next attempt.
-                Ok(resp) if resp.panicked => self.d.awaiting[resp.shard] = false,
-                Ok(resp) => self.accept(resp),
-                Err(_) => {
-                    for (shard, awaited) in self.d.awaiting.iter_mut().enumerate() {
-                        *awaited &= st.shared.healthy(shard);
-                    }
-                }
-            }
-        }
-        // Breaker bookkeeping: a shard that stayed silent through its
-        // attempt window counts one failure. Panicked workers answered and
-        // are no longer awaited, nor are workers the health check removed
-        // mid-wait.
+    /// Ends this query's current attempt: a shard that stayed silent through
+    /// its window counts one breaker failure (panicked workers answered and
+    /// are no longer awaited, nor are workers the health check removed
+    /// mid-wait), and an attempt that asked someone yet left edges pending
+    /// counts one timeout.
+    fn close_attempt(&self, st: &ServerState) {
         if let Some(ov) = st.overload.as_ref() {
-            for shard in 0..self.d.awaiting.len() {
-                if self.d.awaiting[shard] {
-                    record_transition(st, ov.breakers.failure(shard));
-                }
+            for shard in (0..self.awaiting.len()).filter(|&s| self.awaiting[s].is_some()) {
+                record_transition(st, ov.breakers.failure(shard));
             }
+        }
+        if self.waited && !self.answered() {
+            Metrics::bump(&st.shared.metrics.timeouts);
         }
     }
 
-    /// Takes one shard's answer. First response per shard wins; duplicates
-    /// and answers from superseded attempts are ignored.
-    fn accept(&mut self, resp: ShardResponse) {
-        let d = &mut *self.d;
-        if d.pending[resp.shard].is_empty() {
+    /// Takes one shard's answer: each position it settles that is still
+    /// pending at that shard. An answer to this attempt's request settles
+    /// what the request carried — a position it leaves out was answered
+    /// without data — and one to an earlier attempt only what it lists. A
+    /// position settled already (by a duplicate, or by the answer to another
+    /// attempt) is skipped, and a response that settles nothing is ignored
+    /// whole. Edges that moved in to the shard meanwhile stay pending for
+    /// the next attempt.
+    fn accept(&mut self, st: &ServerState, resp: ShardResponse, attempt: u32, empty: &Group) {
+        let shard = resp.shard;
+        let asked = if resp.attempt == attempt { self.awaiting[shard].take() } else { None };
+        let ours = |owner: &[usize], idx: usize| owner.get(idx) == Some(&shard);
+        let mut settles = (resp.counts.iter().map(|c| c.idx))
+            .chain(resp.refused.iter().copied())
+            .chain(resp.moved.iter().map(|&(idx, _)| idx))
+            .chain(asked.iter().flat_map(|group| group.iter().map(|&(idx, _)| idx)));
+        if !settles.any(|idx| ours(&self.owner, idx)) {
             return;
         }
-        d.pending[resp.shard] = Arc::clone(&d.empty);
-        d.awaiting[resp.shard] = false;
-        self.refused += resp.refused.len();
         for c in resp.counts {
-            d.slots[c.idx] = Some(c);
+            if ours(&self.owner, c.idx) {
+                self.owner[c.idx] = SETTLED;
+                self.slots[c.idx] = Some(c);
+            }
+        }
+        for idx in resp.refused {
+            if ours(&self.owner, idx) {
+                self.owner[idx] = SETTLED;
+                self.refused += 1;
+            }
+        }
+        for &(idx, _) in asked.iter().flat_map(|group| group.iter()) {
+            if ours(&self.owner, idx) && !resp.moved.iter().any(|m| m.0 == idx) {
+                self.owner[idx] = SETTLED;
+            }
         }
         // Edges a migration moved away from the responding shard mid-query
         // re-enter the fan-out keyed by their current owner; a later
         // attempt serves them there (or they degrade soundly at
         // exhaustion). Rare enough to pay for a fresh slice each.
-        for moved in resp.moved {
-            let owner = &mut d.pending[self.st.shared.map.shard_of(moved.1.edge)];
-            *owner = owner.iter().copied().chain([moved]).collect();
+        for (idx, be) in resp.moved {
+            let to = st.shared.map.shard_of(be.edge);
+            if ours(&self.owner, idx) && to != shard {
+                self.owner[idx] = to;
+                let group = &mut self.pending[to];
+                *group = group.iter().copied().chain([(idx, be)]).collect();
+            }
         }
-        if let Some(ov) = self.st.overload.as_ref() {
-            record_transition(self.st, ov.breakers.success(resp.shard));
+        let (owner, group) = (&self.owner, &mut self.pending[shard]);
+        let left = group.iter().filter(|&&(idx, _)| owner[idx] == shard).count();
+        if left == 0 {
+            *group = Arc::clone(empty);
+            // A late answer that settled everything the current request
+            // carries answered it too.
+            self.awaiting[shard] = None;
+        } else if left < group.len() {
+            *group = group.iter().filter(|&&(idx, _)| owner[idx] == shard).copied().collect();
+        }
+        if let Some(ov) = st.overload.as_ref() {
+            record_transition(st, ov.breakers.success(shard));
         }
     }
 }
@@ -502,6 +742,70 @@ mod tests {
         Arc::new(QueryPlan::compile(&st.sensing, &st.sampled, &spec.region, spec.approx))
     }
 
+    /// `plan`'s groups at `stride`, routed as `enlist` routes them.
+    fn route(
+        st: &ServerState,
+        d: &mut Dispatcher,
+        plan: &Arc<QueryPlan>,
+        stride: usize,
+    ) -> Vec<Group> {
+        let mut pending = vec![Arc::clone(&d.routes.empty); st.to_shards.len()];
+        d.routes.route(st, plan, stride, &mut pending);
+        pending
+    }
+
+    /// The shards a query of `groups` asks, in the order it asks them.
+    fn shards_asked(groups: &[Group]) -> Vec<usize> {
+        (0..groups.len()).filter(|&s| !groups[s].is_empty()).collect()
+    }
+
+    /// What `fan_out` handed over for one query, kept.
+    struct Outcome {
+        slots: Vec<Option<EdgeCounts>>,
+        fanout: usize,
+        retries: u32,
+        expired: bool,
+    }
+
+    /// Fans `plan` out as a batch of its own.
+    fn fan_out_alone(
+        st: &ServerState,
+        d: &mut Dispatcher,
+        spec: &QuerySpec,
+        plan: &Arc<QueryPlan>,
+    ) -> Outcome {
+        d.enlist(st, 0, spec, plan, 0);
+        let mut out = None;
+        fan_out(st, d, |i, got| {
+            assert_eq!(i, 0);
+            let (fanout, retries, expired) = (got.fanout, got.retries, got.expired);
+            out = Some(Outcome { slots: got.slots.to_vec(), fanout, retries, expired });
+        });
+        out.expect("the query was handed over")
+    }
+
+    /// A shard's answer to `req` with a count for every edge it carries.
+    fn counted(req: &ShardRequest, shard: usize) -> ShardResponse {
+        ShardResponse {
+            query_id: req.query_id,
+            attempt: req.attempt,
+            shard,
+            counts: req.edges.iter().map(|&(idx, _)| EdgeCounts { idx, a: 1.0, b: 0.0 }).collect(),
+            refused: Vec::new(),
+            moved: Vec::new(),
+            panicked: false,
+        }
+    }
+
+    /// The next request the stand-in shards were sent, within `wait`.
+    fn next_request(rx: &Receiver<ShardMsg>, wait: Duration) -> Option<ShardRequest> {
+        match rx.recv_timeout(wait) {
+            Ok(ShardMsg::Query(req)) => Some(req),
+            Ok(_) => panic!("a query request"),
+            Err(_) => None,
+        }
+    }
+
     #[test]
     fn healthy_shards_are_asked_in_ascending_order() {
         let (st, rx, queries) = silent_shards(RuntimeConfig {
@@ -513,7 +817,7 @@ mod tests {
         let mut widest = 0;
         for (region, t0, _) in queries {
             let spec = QuerySpec::new(region, QueryKind::Snapshot(t0), Approximation::Lower);
-            let fanout = fan_out(&st, &mut d, 0, &spec, &compile(&st, &spec), 0).fanout;
+            let fanout = fan_out_alone(&st, &mut d, &spec, &compile(&st, &spec)).fanout;
             let mut asked = Vec::new();
             while let Ok(ShardMsg::Query(req)) = rx.try_recv() {
                 let owners: Vec<usize> =
@@ -528,14 +832,14 @@ mod tests {
         assert!(widest >= 3, "some query must fan out to several shards");
     }
 
-    /// What `route` left pending, back in boundary order, having checked that
+    /// What `route` returned, back in boundary order, having checked that
     /// each group is ascending and holds only its own shard's edges.
-    fn routed(st: &ServerState, d: &Dispatcher) -> Vec<(usize, BoundaryEdge)> {
-        for (shard, group) in d.pending.iter().enumerate() {
+    fn routed(st: &ServerState, pending: &[Group]) -> Vec<(usize, BoundaryEdge)> {
+        for (shard, group) in pending.iter().enumerate() {
             assert!(group.windows(2).all(|w| w[0].0 < w[1].0), "group not ascending");
             assert!(group.iter().all(|(_, be)| st.shared.map.shard_of(be.edge) == shard));
         }
-        let mut all: Vec<_> = d.pending.iter().flat_map(|group| group.iter().copied()).collect();
+        let mut all: Vec<_> = pending.iter().flat_map(|group| group.iter().copied()).collect();
         all.sort_unstable_by_key(|&(idx, _)| idx);
         all
     }
@@ -556,30 +860,29 @@ mod tests {
             }
             // Built once, then the very same slices at every precision: a
             // stride keeps of them what `shed_boundary` keeps of the chain.
-            d.route(&st, &plan, 1);
-            let built = d.pending.clone();
+            let built = route(&st, &mut d, &plan, 1);
             for level in 0..=crate::overload::MAX_BROWNOUT_LEVEL {
                 let stride = stride_for(level);
-                d.route(&st, &plan, stride);
-                assert_eq!(routed(&st, &d), plan.shed_boundary(stride), "stride {stride}");
-                assert_eq!(same_allocations(&built, &d.pending), stride == 1);
+                let pending = route(&st, &mut d, &plan, stride);
+                assert_eq!(routed(&st, &pending), plan.shed_boundary(stride), "stride {stride}");
+                assert_eq!(same_allocations(&built, &pending), stride == 1);
             }
             // The same region compiled again — what `QueryEngine::invalidate`
             // leads to — has the same `PlanId` and misses all the same.
             let again = compile(&st, &spec);
             assert_eq!(again.id, plan.id);
-            d.route(&st, &again, 1);
-            assert_eq!(routed(&st, &d), plan.shed_boundary(1));
-            assert!(!d.pending.iter().zip(&built).any(|(a, b)| !a.is_empty() && Arc::ptr_eq(a, b)));
+            let pending = route(&st, &mut d, &again, 1);
+            assert_eq!(routed(&st, &pending), plan.shed_boundary(1));
+            assert!(!pending.iter().zip(&built).any(|(a, b)| !a.is_empty() && Arc::ptr_eq(a, b)));
             // A committed migration bumps the epoch: the groups follow the map.
             let moved = again.boundary[0].edge;
             let from = st.shared.map.shard_of(moved);
             let to = (from + 1) % st.to_shards.len();
-            let before = d.pending[to].len();
+            let before = pending[to].len();
             st.shared.map.commit(&[crate::shardmap::Migration { edge: moved, from, to }]);
-            d.route(&st, &again, 1);
-            assert_eq!(routed(&st, &d), plan.shed_boundary(1));
-            assert_eq!(d.pending[to].len(), before + 1);
+            let pending = route(&st, &mut d, &again, 1);
+            assert_eq!(routed(&st, &pending), plan.shed_boundary(1));
+            assert_eq!(pending[to].len(), before + 1);
         }
     }
 
@@ -599,7 +902,7 @@ mod tests {
             if let Some(budget) = budget {
                 spec = spec.with_budget(budget);
             }
-            let got = fan_out(st, &mut d, 0, &spec, &plan, 0);
+            let got = fan_out_alone(st, &mut d, &spec, &plan);
             assert!(got.slots.iter().all(Option::is_none), "nobody answers");
             return (got.fanout, got.retries, got.expired);
         }
@@ -645,8 +948,7 @@ mod tests {
             .find_map(|(region, t0, _)| {
                 let spec = QuerySpec::new(region, QueryKind::Snapshot(t0), Approximation::Lower);
                 let plan = compile(&st, &spec);
-                d.route(&st, &plan, 1);
-                let asked = d.pending.iter().filter(|edges| !edges.is_empty()).count();
+                let asked = shards_asked(&route(&st, &mut d, &plan, 1)).len();
                 (asked >= 2).then_some((spec, plan, asked))
             })
             .expect("some query fans out to several shards");
@@ -664,6 +966,7 @@ mod tests {
                 for (i, req) in requests.iter().enumerate() {
                     let _ = req.reply.send(ShardResponse {
                         query_id: req.query_id,
+                        attempt: req.attempt,
                         shard: shard_of(req),
                         counts: Vec::new(),
                         refused: Vec::new(),
@@ -673,12 +976,109 @@ mod tests {
                 }
                 shard_of(&requests[0])
             });
-            fan_out(&st, &mut d, 0, &spec, &plan, 0);
+            fan_out_alone(&st, &mut d, &spec, &plan);
             answerer.join().unwrap()
         });
         let took = start.elapsed();
         assert!(took < window / 3, "the attempt waited {took:?} on a shard that had answered");
-        let left: Vec<usize> = (0..d.pending.len()).filter(|&s| !d.pending[s].is_empty()).collect();
+        let left = shards_asked(&d.flights[0].pending);
         assert_eq!(left, [panicked], "only the panicked shard's edges stay pending");
+    }
+
+    /// The first query of `queries` that asks two shards or more: its spec,
+    /// plan and the shards it asks. Leaves the plan's groups in `d`'s table.
+    fn spread_query(
+        st: &ServerState,
+        d: &mut Dispatcher,
+        queries: Vec<(QueryRegion, f64, f64)>,
+    ) -> (QuerySpec, Arc<QueryPlan>, Vec<usize>) {
+        queries
+            .into_iter()
+            .find_map(|(region, t0, _)| {
+                let spec = QuerySpec::new(region, QueryKind::Snapshot(t0), Approximation::Lower);
+                let plan = compile(st, &spec);
+                let shards = shards_asked(&route(st, d, &plan, 1));
+                (shards.len() >= 2).then_some((spec, plan, shards))
+            })
+            .expect("some query fans out to several shards")
+    }
+
+    #[test]
+    fn an_edge_moved_in_mid_attempt_is_asked_for_on_the_next() {
+        let (st, rx, queries) = silent_shards(RuntimeConfig {
+            shard_timeout: Duration::from_secs(2),
+            max_retries: 1,
+            ..RuntimeConfig::default()
+        });
+        let mut d = Dispatcher::new(&st);
+        let (spec, plan, shards) = spread_query(&st, &mut d, queries);
+        // Shard B's first edge is committed to shard A after the query was
+        // routed: B reports it moved before A answers its own group.
+        let (a, b) = (shards[0], shards[1]);
+        let moved = route(&st, &mut d, &plan, 1)[b][0];
+        d.enlist(&st, 0, &spec, &plan, 0);
+        st.shared.map.commit(&[crate::shardmap::Migration { edge: moved.1.edge, from: b, to: a }]);
+        let mut got = None;
+        let again = std::thread::scope(|s| {
+            let answerer = s.spawn(|| {
+                let wait = Duration::from_secs(1);
+                let requests: Vec<ShardRequest> =
+                    shards.iter().map(|_| next_request(&rx, wait).expect("asked")).collect();
+                let mut from_b = counted(&requests[1], b);
+                from_b.counts.retain(|c| c.idx != moved.0);
+                from_b.moved.push(moved);
+                let _ = requests[1].reply.send(from_b);
+                for (req, &shard) in requests.iter().zip(&shards).filter(|(_, &s)| s != b) {
+                    let _ = req.reply.send(counted(req, shard));
+                }
+                let again = next_request(&rx, wait).expect("the moved edge is asked for again");
+                let _ = again.reply.send(counted(&again, a));
+                (again.attempt, again.edges.to_vec())
+            });
+            fan_out(&st, &mut d, |_, c| got = Some((c.slots.to_vec(), c.retries)));
+            answerer.join().unwrap()
+        });
+        assert_eq!(again, (1, vec![moved]), "attempt 1 asks the new owner for the moved edge");
+        let (slots, retries) = got.expect("handed over");
+        assert!(slots.iter().all(Option::is_some), "every edge reported");
+        assert_eq!(retries, 1);
+    }
+
+    #[test]
+    fn a_panicked_reply_to_an_earlier_attempt_leaves_the_current_one_waiting() {
+        let window = Duration::from_millis(100);
+        let (st, rx, queries) = silent_shards(RuntimeConfig {
+            shard_timeout: window,
+            max_retries: 1,
+            ..RuntimeConfig::default()
+        });
+        let mut d = Dispatcher::new(&st);
+        let (spec, plan, shards) = spread_query(&st, &mut d, queries);
+        let got = std::thread::scope(|s| {
+            // Silent through attempt 0's window; on attempt 1 every other
+            // shard answers, then shard X's attempt-0 request panics late,
+            // then X answers attempt 1.
+            s.spawn(|| {
+                let ask = |attempt| -> Vec<ShardRequest> {
+                    let reqs: Vec<ShardRequest> = (shards.iter())
+                        .map(|_| next_request(&rx, 20 * window).expect("asked"))
+                        .collect();
+                    assert!(reqs.iter().all(|req| req.attempt == attempt));
+                    reqs
+                };
+                let (first, second) = (ask(0), ask(1));
+                let x = shards[0];
+                for (req, &shard) in second.iter().zip(&shards).skip(1) {
+                    let _ = req.reply.send(counted(req, shard));
+                }
+                let late =
+                    ShardResponse { panicked: true, counts: Vec::new(), ..counted(&first[0], x) };
+                let _ = second[0].reply.send(late);
+                let _ = second[0].reply.send(counted(&second[0], x));
+            });
+            fan_out_alone(&st, &mut d, &spec, &plan)
+        });
+        assert_eq!(got.retries, 1);
+        assert!(got.slots.iter().all(Option::is_some), "shard X's attempt-1 answer was taken");
     }
 }

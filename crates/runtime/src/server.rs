@@ -7,12 +7,14 @@
 //! ## Dataflow
 //!
 //! ```text
-//! submit() ─▶ bounded job queue ─▶ dispatcher threads
-//!                                     │ engine.plan (cached region plan)
-//!                                     ├─▶ shard 0 ─┐ per-edge counts
-//!                                     ├─▶ shard 1 ─┤ (crossbeam channels)
-//!                                     └─▶ shard k ─┘
-//!                                     ▼ re-fold in boundary order
+//! submit() ─▶ bounded job queue ─▶ dispatcher threads: a batch = the job
+//!                                  woken for + every job queued behind it
+//!                                     │ engine.plan each (cached region plan)
+//!                                     ├─▶ shard 0 ─┐ every query's requests
+//!                                     ├─▶ shard 1 ─┤ in one round; per-edge
+//!                                     └─▶ shard k ─┘ counts on one reply channel
+//!                                     ▼ per query, once its edges reported:
+//!                                       re-fold in boundary order
 //!                                 ServedAnswer
 //!
 //! ingest() ─▶ per-shard lane (seq + redo buffer) ─▶ shard worker
@@ -40,6 +42,7 @@ use stq_subscribe::{
 };
 
 pub use crate::aggregate::ServedAnswer;
+use crate::aggregate::{answer_batch, answer_expired, Batch};
 use crate::dispatch::Dispatcher;
 pub use crate::ingest::{IngestError, IngestReport};
 use crate::metrics::Metrics;
@@ -319,9 +322,14 @@ impl Runtime {
                     .name(format!("stq-dispatch-{d}"))
                     .spawn(move || {
                         let mut own = Dispatcher::new(&st);
+                        let mut batch = Batch::default();
                         while let Ok(job) = rx.recv() {
-                            st.shared.metrics.queue_depth.store(rx.len() as u64, Ordering::Relaxed);
-                            serve(&st, Some(&mut own), job);
+                            // Whatever is queued behind the job joins it: at
+                            // most `queue_capacity` jobs.
+                            let backlog = rx.len();
+                            batch.jobs.push(job);
+                            batch.jobs.extend((0..backlog).map_while(|_| rx.try_recv().ok()));
+                            answer_batch(&st, &mut own, &mut batch);
                         }
                     })
                     .expect("spawn dispatcher")
@@ -516,19 +524,19 @@ impl Runtime {
         match job.spec.deadline {
             None => assert!(jobs.send(job).is_ok(), "dispatcher pool alive"),
             // Already past the deadline, or the queue stays full until it:
-            // `serve` short-circuits to the expired answer — a sound
-            // worst-case bracket from the (cached) plan and the lifetime
-            // totals, without any shard traffic.
+            // the expired answer — a sound worst-case bracket from the
+            // (cached) plan and the lifetime totals, without any shard
+            // traffic.
             Some(dl) => {
                 let now = Instant::now();
                 if dl <= now {
-                    serve(st, None, job);
+                    answer_expired(st, job);
                     return pending;
                 }
                 match jobs.send_timeout(job, dl - now) {
                     Ok(()) => {}
                     Err(channel::SendTimeoutError::Timeout(job)) => {
-                        serve(st, None, job);
+                        answer_expired(st, job);
                         return pending;
                     }
                     Err(channel::SendTimeoutError::Disconnected(_)) => {
@@ -562,7 +570,7 @@ impl Runtime {
         let (job, pending) = self.job(spec, cost_milli);
         if job.spec.deadline.is_some_and(|dl| dl <= Instant::now()) {
             // Expired on arrival: answer straight away, no queue slot.
-            serve(st, None, job);
+            answer_expired(st, job);
             return Ok(pending);
         }
         match jobs.try_send(job) {
@@ -621,17 +629,4 @@ impl Drop for Runtime {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// Answers one job on the calling thread — a dispatcher with its own state,
-/// or (`None`) the submitter itself for a job whose deadline ran out before
-/// it got a queue slot, which is the expired answer and reaches no shard —
-/// and releases its admission reservation.
-fn serve(st: &ServerState, dispatcher: Option<&mut Dispatcher>, job: Job) {
-    let answer = crate::aggregate::answer(st, dispatcher, job.id, &job.spec);
-    if let Some(ov) = st.overload.as_ref() {
-        ov.release(job.cost_milli);
-    }
-    // The client may have given up on the PendingAnswer; that's fine.
-    let _ = job.reply.send(answer);
 }

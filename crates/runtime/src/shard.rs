@@ -128,6 +128,9 @@ pub(crate) struct ShardResponse {
     /// The query answered: a dispatcher's reply channel outlives its
     /// queries, so a late answer must say whose it is.
     pub query_id: u64,
+    /// The attempt of the request answered: a panicked answer to an earlier
+    /// attempt must not end the wait for the current one.
+    pub attempt: u32,
     pub shard: usize,
     pub counts: Vec<EdgeCounts>,
     /// Boundary positions this shard refused to serve because the edge is
@@ -333,9 +336,10 @@ impl ShardWorker {
         let refuses =
             |edge: usize| quarantined.get(edge).is_some_and(|q| q.load(Ordering::Acquire));
         let poison = fate.poison || self.shared.fault.scheduled_poison(self.id, seen);
-        let (query_id, shard) = (req.query_id, self.id);
+        let (query_id, attempt, shard) = (req.query_id, req.attempt, self.id);
         let blank = |panicked| ShardResponse {
             query_id,
+            attempt,
             shard,
             counts: Vec::new(),
             refused: Vec::new(),

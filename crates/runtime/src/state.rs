@@ -160,20 +160,22 @@ pub(crate) struct ServerState {
     /// `None` when [`RuntimeConfig::overload`] is unset.
     pub overload: Option<OverloadState>,
     /// Capacity of each dispatcher's reply channel, which lives as long as
-    /// its thread: `2 × num_shards × (max_retries + 2)`. The query in hand
+    /// its thread: `queue_capacity × 2 × num_shards × (max_retries + 2)`,
+    /// saturating. A batch is at most `queue_capacity` queries, and each
     /// accounts for `2 × num_shards × (max_retries + 1)` — every awaited
-    /// shard answers once per attempt plus one injected duplicate — and
-    /// `fan_out` empties the channel before its first send. The other
-    /// `2 × num_shards` are for what a per-query channel never saw: the
-    /// answers, one per shard and its duplicate, that were still being
-    /// computed for the query before when the dispatcher gave up on it;
-    /// `collect` discards them by `query_id`. Answers to requests abandoned
-    /// longer ago, coming out back to back from a shard that had stalled
-    /// while the dispatcher is off the CPU, can still fill the channel;
-    /// shards `try_send`, so whatever does not fit is dropped — a late answer
-    /// like one to a receiver that is gone, or a current one that then
-    /// counts as a silent shard for one attempt (retried, or degraded
-    /// soundly) — never a blocked worker.
+    /// shard answers once per attempt plus one injected duplicate — while
+    /// `fan_out` empties the channel before the batch's first send. The
+    /// other `2 × num_shards` a query are for what a per-query channel never
+    /// saw: the answers, one per shard and its duplicate, that were still
+    /// being computed for the batch before when the dispatcher gave up on
+    /// it; `fan_out` discards them by `query_id`. Answers to requests
+    /// abandoned longer ago, coming out back to back from a shard that had
+    /// stalled while the dispatcher is off the CPU, can still fill the
+    /// channel; shards `try_send`, so whatever does not fit is dropped — a
+    /// late answer like one to a receiver that is gone, or a current one that
+    /// then counts as a silent shard for one attempt (retried, or degraded
+    /// soundly) — never a blocked worker. The channel shim allocates at most
+    /// 64 slots up front, whatever the bound.
     pub resp_capacity: usize,
 }
 
@@ -199,7 +201,9 @@ impl ServerState {
             shared,
             sensing,
             sampled,
-            resp_capacity: 2 * ns * (cfg.max_retries as usize + 2),
+            resp_capacity: [2, ns, (cfg.max_retries as usize).saturating_add(2)]
+                .into_iter()
+                .fold(cfg.queue_capacity.max(1), usize::saturating_mul),
             cfg,
             to_shards,
             degraded,

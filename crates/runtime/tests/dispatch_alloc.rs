@@ -1,8 +1,9 @@
 //! A warm query allocates nothing on its dispatcher thread: ROADMAP item 2's
 //! "zero allocations per warm query", held at the dispatch hop as
-//! `crates/core/tests/plan_alloc.rs` holds it at the engine hop. It is also
-//! what keeps a per-query reply channel from coming back: creating one
-//! allocates.
+//! `crates/core/tests/plan_alloc.rs` holds it at the engine hop — one query at
+//! a time, and sixteen outstanding, which the dispatcher serves in batches
+//! out of a pool it reuses. It is also what keeps a per-query reply channel
+//! from coming back: creating one allocates.
 //!
 //! A binary of its own because it replaces the global allocator with one
 //! that counts. Counts are kept per runtime thread, found by thread name.
@@ -18,12 +19,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use stq_core::prelude::*;
 use stq_core::tracker::Crossing;
-use stq_runtime::{QuerySpec, Runtime, RuntimeConfig};
+use stq_runtime::{
+    CrashWindow, FaultPlan, PendingAnswer, QuerySpec, Runtime, RuntimeConfig, ServedAnswer,
+};
 
 /// Whose allocation it was: index into [`COUNTS`].
 const UNRESOLVED: usize = 0;
@@ -117,9 +122,9 @@ fn allocations_during(f: impl FnOnce()) -> (u64, [u64; 2], u64) {
     (after.0 - before.0, [after.1[0] - before.1[0], after.1[1] - before.1[1]], after.2 - before.2)
 }
 
-#[test]
-fn warm_query_allocates_nothing_on_the_dispatcher() {
-    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+/// The query side's deployment, and nine regions its serving graph resolves,
+/// three specs each (one per kind).
+fn query_fixture() -> (Scenario, SampledGraph, Vec<Vec<QuerySpec>>) {
     let s = Scenario::build(ScenarioConfig {
         junctions: 180,
         mix: WorkloadMix { random_waypoint: 20, commuter: 12, transit: 6 },
@@ -131,8 +136,6 @@ fn warm_query_allocates_nothing_on_the_dispatcher() {
         stq_sampling::sample(stq_sampling::SamplingMethod::QuadTree, &cands, cands.len() / 4, 7);
     let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
     let sampled = SampledGraph::from_sensors(&s.sensing, &faces, Connectivity::Triangulation);
-
-    // Nine regions the serving graph resolves: eight to warm, one held back.
     let mut specs: Vec<Vec<QuerySpec>> = s
         .make_queries(24, 0.15, 1_500.0, 17)
         .into_iter()
@@ -147,6 +150,19 @@ fn warm_query_allocates_nothing_on_the_dispatcher() {
         .collect();
     assert!(specs.len() >= 9, "only {} resolvable regions", specs.len());
     specs.truncate(9);
+    (s, sampled, specs)
+}
+
+/// A served answer a fault-free runtime owes every warm spec.
+fn full_coverage(a: &ServedAnswer) -> bool {
+    !a.miss && a.coverage == 1.0 && a.retries == 0
+}
+
+#[test]
+fn warm_query_allocates_nothing_on_the_dispatcher() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // Nine regions the serving graph resolves: eight to warm, one held back.
+    let (s, sampled, mut specs) = query_fixture();
     let held_back = specs.pop().expect("nine regions");
     let warm: Vec<QuerySpec> = specs.into_iter().flatten().collect();
 
@@ -154,7 +170,7 @@ fn warm_query_allocates_nothing_on_the_dispatcher() {
     let rt = Runtime::new(s.sensing.clone(), sampled, &s.tracked.store, cfg);
     let ask = |spec: &QuerySpec| {
         let a = rt.query(spec.clone());
-        assert!(!a.miss && a.coverage == 1.0 && a.retries == 0, "a full-coverage query");
+        assert!(full_coverage(&a), "a full-coverage query");
         a.shards as u64
     };
     for spec in &warm {
@@ -182,6 +198,72 @@ fn warm_query_allocates_nothing_on_the_dispatcher() {
         ask(&held_back[0]);
     });
     assert!(dispatcher > 0, "the counter sees a first-time plan allocate");
+    rt.shutdown();
+}
+
+const OUTSTANDING: usize = 16;
+
+/// `n` queries cycling through `specs`, `OUTSTANDING` of them submitted and
+/// not yet waited for at any time.
+fn closed_loop(rt: &Runtime, specs: &[QuerySpec], n: usize) {
+    let mut inflight = VecDeque::with_capacity(OUTSTANDING);
+    for spec in specs.iter().cycle().take(n) {
+        if inflight.len() == OUTSTANDING {
+            let a: ServedAnswer = inflight.pop_front().map(PendingAnswer::wait).expect("one");
+            assert!(full_coverage(&a), "a full-coverage query");
+        }
+        inflight.push_back(rt.submit(spec.clone()));
+    }
+    for pending in inflight {
+        assert!(full_coverage(&pending.wait()), "a full-coverage query");
+    }
+}
+
+#[test]
+fn warm_batches_allocate_nothing_on_the_dispatcher() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (s, sampled, specs) = query_fixture();
+    let warm: Vec<QuerySpec> = specs.into_iter().flatten().collect();
+    let touches_shard_0 = |spec: &QuerySpec| {
+        let plan = QueryPlan::compile(&s.sensing, &sampled, &spec.region, spec.approx);
+        plan.boundary.iter().any(|be| be.edge % 2 == 0)
+    };
+    let blocker = warm.iter().find(|spec| touches_shard_0(spec)).expect("a spec on shard 0");
+    // The first request shard 0 is sent is lost, so the query that sent it
+    // holds the one dispatcher for a window while `OUTSTANDING` more queue
+    // behind it: the pool holds a batch that size before anything is
+    // counted, whichever batch sizes the closed loop makes.
+    let cfg = RuntimeConfig {
+        num_shards: 2,
+        dispatchers: 1,
+        shard_timeout: Duration::from_millis(200),
+        fault: FaultPlan::none().with_crash(CrashWindow {
+            node: 0,
+            after_messages: 0,
+            lasts_messages: 1,
+        }),
+        ..RuntimeConfig::default()
+    };
+    let rt = Runtime::new(s.sensing.clone(), sampled.clone(), &s.tracked.store, cfg);
+    let first = rt.submit(blocker.clone());
+    while rt.metrics().report().crash_dropped == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let burst: Vec<PendingAnswer> =
+        warm.iter().take(OUTSTANDING).map(|spec| rt.submit(spec.clone())).collect();
+    assert_eq!(first.wait().retries, 1, "the lost request was asked again");
+    assert!(burst.into_iter().map(PendingAnswer::wait).all(|a| full_coverage(&a)));
+    closed_loop(&rt, &warm, 1_000);
+
+    let queries = 2_000;
+    let (dispatcher, ..) = allocations_during(|| closed_loop(&rt, &warm, queries));
+    println!(
+        "{queries} warm queries, {OUTSTANDING} outstanding: {dispatcher} allocations on the \
+         dispatcher"
+    );
+    assert_eq!(dispatcher, 0, "a warm batch must not touch the heap on its dispatcher");
+    let report = rt.metrics().report();
+    assert_eq!((report.crash_dropped, report.retries), (1, 1));
     rt.shutdown();
 }
 

@@ -2,14 +2,14 @@
 //! synchronous query path, fault recovery, degradation, and metrics.
 
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_forms::{BoundaryEdge, FormStore};
 use stq_runtime::{
-    CrashWindow, FaultPlan, MessageCtx, QuerySpec, Runtime, RuntimeConfig, ServedAnswer,
-    SubscribeError,
+    CrashWindow, FaultPlan, MessageCtx, PendingAnswer, QuerySpec, Runtime, RuntimeConfig,
+    ServedAnswer, SubscribeError,
 };
 
 struct Fixture {
@@ -109,6 +109,116 @@ fn fault_free_answers_are_bit_identical_to_sync_path() {
             }
         }
         rt.shutdown();
+    }
+}
+
+/// A dispatcher serves every job it finds queued as one batch: each
+/// answer of a batch is the answer the same spec gets alone, bit for bit,
+/// and the engine's over the oracle store.
+#[test]
+fn a_batch_answers_each_query_as_it_is_answered_alone() {
+    let f = fixture();
+    let rt =
+        runtime(f, RuntimeConfig { num_shards: 3, dispatchers: 2, ..RuntimeConfig::default() });
+    let specs: Vec<QuerySpec> = specs(f, 22, 0.15, 29).into_iter().take(64).collect();
+    assert_eq!(specs.len(), 64);
+    let pending: Vec<PendingAnswer> = specs.iter().map(|spec| rt.submit(spec.clone())).collect();
+    let batched: Vec<ServedAnswer> = pending.into_iter().map(PendingAnswer::wait).collect();
+    let bits = |a: &ServedAnswer| [a.value, a.lower, a.upper, a.coverage].map(f64::to_bits);
+    let mut served = 0;
+    for (spec, got) in specs.iter().zip(&batched) {
+        assert_eq!(bits(got), bits(&rt.query(spec.clone())), "{:?}", spec.kind);
+        let plan = QueryPlan::compile(&f.scenario.sensing, &f.sampled, &spec.region, spec.approx);
+        let oracle = plan.execute(store(f), spec.kind);
+        assert_eq!(got.miss, oracle.miss);
+        assert_eq!(got.value.to_bits(), oracle.value.to_bits());
+        if !got.miss {
+            assert_eq!((got.coverage, got.retries), (1.0, 0));
+            served += 1;
+        }
+    }
+    assert!(served >= 32, "only {served} of 64 specs resolve");
+    rt.shutdown();
+}
+
+/// Every request of one query is lost: the queries batched with it are
+/// answered as soon as their own shards reply, not when its window closes.
+#[test]
+fn a_query_whose_requests_are_lost_does_not_hold_up_its_batch() {
+    const OTHERS: u64 = 6;
+    let f = fixture();
+    let window = Duration::from_millis(400);
+    // A seed under which queries 0 and 1 lose every request, to either of
+    // two shards, and queries 2..8 none.
+    let lost = |fault: &FaultPlan, query_id: u64| {
+        (0..2).filter(|&node| fault.decide(MessageCtx { query_id, node, attempt: 0 }).drop).count()
+    };
+    let fault = (0..)
+        .map(|seed| FaultPlan::lossy(seed, 0.5, 0.0, 0.0, 0))
+        .find(|fault| {
+            lost(fault, 0) == 2
+                && lost(fault, 1) == 2
+                && (2..2 + OTHERS).all(|q| lost(fault, q) == 0)
+        })
+        .expect("a seed");
+    let cases: Vec<(QuerySpec, f64)> = specs(f, 8, 0.15, 17)
+        .into_iter()
+        .filter_map(|spec| Some((spec.clone(), sync_value(f, &spec)?)))
+        .take(2 + OTHERS as usize)
+        .collect();
+    assert_eq!(cases.len(), 2 + OTHERS as usize);
+    let cfg = RuntimeConfig {
+        num_shards: 2,
+        dispatchers: 1,
+        shard_timeout: window,
+        max_retries: 0,
+        fault,
+        ..RuntimeConfig::default()
+    };
+    let rt = runtime(f, cfg);
+    // Query 0 holds the one dispatcher for a window: everything submitted
+    // once it has sent is queued behind it, and is the next batch.
+    let blocker = rt.submit(cases[0].0.clone());
+    while rt.metrics().report().shard_requests == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let submitted: Vec<PendingAnswer> =
+        cases.iter().skip(1).map(|c| rt.submit(c.0.clone())).collect();
+    let mut submitted = submitted.into_iter();
+    let dropped = submitted.next().expect("query 1");
+    assert!(blocker.wait().degraded);
+    let batch_start = Instant::now();
+    for (pending, (_, exact)) in submitted.zip(&cases[2..]) {
+        let a = pending.wait();
+        let took = batch_start.elapsed();
+        assert!(took < window, "query {} waited {took:?} on a lost one", a.query_id);
+        assert_eq!((a.coverage, a.value.to_bits()), (1.0, exact.to_bits()));
+    }
+    let a = dropped.wait();
+    let exact = cases[1].1;
+    assert!(a.degraded && a.coverage < 1.0, "{a:?}");
+    assert!(a.lower <= exact && exact <= a.upper, "unsound: {a:?} vs {exact}");
+    rt.shutdown();
+}
+
+/// Shutting down while jobs sit in a batch (or in the queue behind it)
+/// answers every one of them.
+#[test]
+fn shutdown_answers_every_job_of_a_batch() {
+    let f = fixture();
+    let rt =
+        runtime(f, RuntimeConfig { num_shards: 2, dispatchers: 2, ..RuntimeConfig::default() });
+    let specs = specs(f, 16, 0.15, 31);
+    let pending: Vec<PendingAnswer> = specs.iter().map(|spec| rt.submit(spec.clone())).collect();
+    rt.shutdown();
+    for (pending, spec) in pending.into_iter().zip(&specs) {
+        let a = pending.wait();
+        match sync_value(f, spec) {
+            None => assert!(a.miss),
+            Some(exact) => {
+                assert_eq!((a.coverage, a.value.to_bits()), (1.0, exact.to_bits()));
+            }
+        }
     }
 }
 

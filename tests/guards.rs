@@ -178,6 +178,46 @@ fn a_panicking_shard_is_answered_not_respawned() {
     });
 }
 
+/// The lines of `text` before its test module (`#[cfg(test)]` followed by
+/// `mod`), numbered from 1.
+fn outside_tests(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let lines: Vec<&str> = text.lines().collect();
+    let tests = lines
+        .windows(2)
+        .position(|w| w[0].trim() == "#[cfg(test)]" && w[1].trim_start().starts_with("mod "));
+    lines.into_iter().take(tests.unwrap_or(usize::MAX)).enumerate().map(|(n, l)| (n + 1, l))
+}
+
+#[test]
+fn one_fan_out_path() {
+    // A line that builds a request message: the variant called, not matched
+    // (a pattern sits in a `match` arm, or before the `=` of a `let`).
+    let builds = |line: &str| match line.split_once("ShardMsg::Query(") {
+        Some((_, after)) => !line.contains("=>") && !after.contains(" = "),
+        None => false,
+    };
+    let repo = repo_root();
+    let mut files = Vec::new();
+    files_under(&repo.join("crates/runtime/src"), &mut files);
+    files.sort();
+    let mut sites = Vec::new();
+    for path in &files {
+        let Ok(text) = std::fs::read_to_string(path) else { continue };
+        for (n, line) in outside_tests(&text).filter(|(_, line)| builds(line)) {
+            let shown = path.strip_prefix(&repo).unwrap_or(path).display();
+            sites.push(format!("{shown}:{n}: {}", line.trim()));
+        }
+    }
+    assert!(
+        sites.len() == 1,
+        "a query reaches its shards through the dispatcher's batch alone: one site builds a \
+         `ShardMsg::Query`, and a per-query path beside it would be a second fan-out, but \
+         found {}:\n{}",
+        sites.len(),
+        sites.join("\n")
+    );
+}
+
 #[test]
 fn word_end_patterns_leave_longer_identifiers_alone() {
     assert!(matches("ShardMsg::Ingest { seq, event }", "ShardMsg::Ingest\\b"));
