@@ -9,7 +9,7 @@
 //! lifetime worst case instead — the one widening rule every answer path
 //! shares, argued in [`stq_core::bracket`].
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,7 +18,8 @@ use stq_core::degraded::{DegradedAnswer, DegradedStrategy};
 use stq_core::engine::{PlanId, QueryPlan};
 use stq_core::query::QueryKind;
 
-use crate::dispatch::{fan_out, live_counts, Collected, Dispatcher};
+use crate::dispatch::{fan_out, live_counts, Dispatcher};
+use crate::flight::Flight;
 use crate::metrics::{Metrics, QueryTrace};
 use crate::overload::stride_for;
 use crate::server::{Job, QuerySpec};
@@ -189,7 +190,7 @@ impl ServedAnswer {
 
     /// The ordinary path: the fold of what the fan-out collected at
     /// brownout `level`.
-    fn served(p: &Planned, bracket: Bracket, coverage: f64, got: &Collected, level: u8) -> Self {
+    fn served(p: &Planned, bracket: Bracket, coverage: f64, got: &Flight, level: u8) -> Self {
         ServedAnswer {
             value: bracket.est,
             lower: bracket.lo,
@@ -211,15 +212,14 @@ impl ServedAnswer {
 /// Folds `slots` along `plan`'s boundary, in boundary order. A reported
 /// edge contributes its exact terms; a missing edge (a `None` slot, or any
 /// position past the end of `slots`) contributes 0 to the estimate and its
-/// lifetime worst case to the bounds. Returns the finished bracket and the
-/// fraction of boundary edges that reported.
-fn fold(
-    st: &ServerState,
+/// lifetime worst case, from the per-edge `totals`, to the bounds. Returns
+/// the finished bracket and the fraction of boundary edges that reported.
+pub(crate) fn fold(
+    totals: &[[AtomicU64; 2]],
     plan: &QueryPlan,
     slots: &[Option<EdgeCounts>],
     kind: QueryKind,
 ) -> (Bracket, f64) {
-    let totals = st.shared.subs.totals();
     let mut answered = 0usize;
     let (mut a, mut b) = (Bracket::default(), Bracket::default());
     for (idx, be) in plan.boundary.iter().enumerate() {
@@ -291,7 +291,7 @@ pub(crate) fn answer_batch(st: &ServerState, d: &mut Dispatcher, batch: &mut Bat
     fan_out(st, d, |i, got| {
         let f = &flying[i];
         let job = &jobs[f.job];
-        answered(job, execute(st, &job.spec, f, &got));
+        answered(job, execute(st, &job.spec, f, got));
     });
     flying.clear();
     jobs.clear();
@@ -324,7 +324,7 @@ fn start(st: &ServerState, job: &Job, live: bool) -> Result<Planned, ServedAnswe
         let certified = if expired || foreign { None } else { consult_degraded(st, spec) };
         Err(ServedAnswer::degraded(ServedAnswer::miss(&p, expired), certified))
     } else if expired {
-        let (bracket, coverage) = fold(st, &p.plan, &[], spec.kind);
+        let (bracket, coverage) = fold(st.shared.subs.totals(), &p.plan, &[], spec.kind);
         Err(ServedAnswer::expired(&p, bracket, coverage))
     } else {
         Ok(p)
@@ -343,8 +343,8 @@ fn settle(st: &ServerState, job: &Job, answer: ServedAnswer) {
 
 /// Fold and the degraded-mode escalation for one query whose fan-out is
 /// over.
-fn execute(st: &ServerState, spec: &QuerySpec, f: &Flying, got: &Collected) -> ServedAnswer {
-    let (bracket, coverage) = fold(st, &f.p.plan, got.slots, spec.kind);
+fn execute(st: &ServerState, spec: &QuerySpec, f: &Flying, got: &Flight) -> ServedAnswer {
+    let (bracket, coverage) = fold(st.shared.subs.totals(), &f.p.plan, &got.slots, spec.kind);
     // Quarantine-degraded answers escalate through the repair strategies.
     let certified =
         if got.refused > 0 && coverage < 1.0 { consult_degraded(st, spec) } else { None };
@@ -381,7 +381,7 @@ fn consult_degraded(st: &ServerState, spec: &QuerySpec) -> Option<DegradedAnswer
     let deg = st.degraded.as_ref()?;
     let counts = live_counts(st, spec.kind, spec.deadline)?;
     let a = deg.answer(&st.sensing, &counts, &spec.region, spec.kind);
-    (!a.bracket.miss && !counts.missed()).then_some(a)
+    (!a.bracket.miss && !counts.missed.get()).then_some(a)
 }
 
 /// Folds one served answer into the metric registry and trace ring.

@@ -3,55 +3,48 @@
 //! by attempt, until each query's edges all reported or its budget ran out.
 //! Also the degraded ladder's one request to every shard ([`live_counts`]).
 //!
+//! ## The core and the loop
+//!
+//! What a query's fan-out has asked, awaits and settled is
+//! [`crate::flight`]'s state machine: no clock, no channel, no
+//! [`ServerState`]. [`fan_out`] is the one loop around it. It feeds the
+//! batch's flights the time, each reply (with the current owner of any edge
+//! reported moved) and, when a wait times out, the health verdicts, and it
+//! carries out what they emit: sends, breaker calls, metric bumps, answers.
+//! The core being pure, its tests walk every order replies can arrive in.
+//!
 //! ## What a dispatcher owns between batches
 //!
 //! Each dispatcher thread keeps one [`Dispatcher`] for its lifetime and
 //! hands it down `answer_batch` → [`fan_out`] by `&mut`; nothing in it is
 //! shared, so nothing in it is locked. A batch is the job the thread woke
-//! for plus every job already queued behind it (at most `queue_capacity`);
-//! a batch of one is one query served as it always was. A warm batch — its
-//! plans cache hits, its groups table hits — allocates nothing on this
-//! thread.
+//! for plus every job already queued behind it (at most `queue_capacity`):
+//! one round per attempt, queries in batch order, each answered as soon as
+//! nothing more can come for it. A warm batch — its plans cache hits, its
+//! groups table hits — allocates nothing on this thread.
 //!
 //! - **The groups table.** Which shard owns which boundary edge is a pure
 //!   function of (plan, shard-map epoch), so the per-shard grouping of a
 //!   plan's full boundary is built once, as one `Arc<[(position, edge)]>`
 //!   per shard, and kept in a direct-mapped table of `plan_cache` slots
 //!   indexed by [`PlanId`](stq_core::engine::PlanId) (a collision
-//!   overwrites; `plan_cache == 0` builds per query). The dispatcher
-//!   validates a slot itself, on every use: it must have been built from
-//!   this very plan allocation (`Weak` pointer identity — a recompile after
-//!   `QueryEngine::invalidate` is a new allocation and misses, and a `Weak`
-//!   keeps the address from being reused without keeping the plan alive)
-//!   and under the current `ShardMap::epoch()`. The epoch is read *before*
-//!   the edges are routed and `ShardMap::commit` bumps it *after* storing
-//!   the new owners, so groups that straddle a migration carry the older
-//!   epoch and miss next time. Stale groups would still be sound — a worker
-//!   that no longer owns an edge reports it `moved` and the edge re-enters
-//!   keyed by its current owner — they are just never the normal case. A
-//!   request carries its group by `Arc`: no copy per shard, none per retry.
-//! - **One reply channel.** Every request of every query this dispatcher
-//!   sends is answered on the same bounded channel, so a response can
-//!   outlive its query. [`ShardResponse::query_id`] names the query and
-//!   `attempt` the request it answers; `fan_out` hands each response to the
-//!   query of the batch it names, drops any other, and drains the channel
-//!   before the batch's first send (nothing of this dispatcher's is in
-//!   flight then, so all of it is stale). `ServerState::resp_capacity` says
-//!   what the bound buys.
-//! - **The flight pool.** One [`Flight`] per query of the batch: `pending`
-//!   and `awaiting` by shard, `owner` and `slots` by boundary position —
-//!   cleared per query, reused from batch to batch. The pool grows only for
-//!   a batch larger than any before it, and every flight keeps room for the
-//!   widest boundary the dispatcher has routed, so which flight a query
-//!   lands on never decides whether it allocates.
-//!
-//! ## One round per attempt
-//!
-//! Every query of the batch sends its attempt-k requests (queries in batch
-//! order, shards ascending within one), then the dispatcher collects; each
-//! query is answered as soon as nothing more can come for it, and those
-//! with edges still pending go into attempt k+1 together. Requests, windows,
-//! deadlines, brownout levels, health skips and breakers stay per query.
+//!   overwrites; `plan_cache == 0` builds per query). A slot is valid for
+//!   the very plan allocation it was built from (`Weak` pointer identity: a
+//!   recompile after `QueryEngine::invalidate` misses, and no plan is kept
+//!   alive) under the current `ShardMap::epoch()`, read *before* the edges
+//!   are routed — `ShardMap::commit` bumps it *after* storing the owners, so
+//!   groups that straddle a migration miss next time. Stale groups would
+//!   still be sound: a worker reports an edge it no longer owns `moved`.
+//! - **One reply channel.** Every request this dispatcher sends is answered
+//!   on the same bounded channel, so a response can outlive its query:
+//!   [`ShardResponse::query_id`] and `attempt` name the query and request it
+//!   answers, a response naming no query of the batch is dropped, and the
+//!   channel is drained before a batch's first send.
+//!   `ServerState::resp_capacity` says what the bound buys.
+//! - **The flight pool.** One [`Flight`] per query of the batch, reused from
+//!   batch to batch: the pool grows only for a batch larger than any before
+//!   it, and every flight keeps room for the widest boundary routed, so
+//!   which flight a query lands on never decides whether it allocates.
 
 use std::cell::Cell;
 use std::sync::{Arc, Weak};
@@ -62,23 +55,16 @@ use stq_core::engine::QueryPlan;
 use stq_core::query::QueryKind;
 use stq_forms::{BoundaryEdge, CountSource, Time};
 
+use crate::flight::{self, Flight, Next, Out};
 use crate::metrics::Metrics;
 use crate::overload::{stride_for, Gate, Transition};
 use crate::server::QuerySpec;
-use crate::shard::{EdgeCounts, InstantCounts, ShardMsg, ShardRequest, ShardResponse};
+use crate::shard::{InstantCounts, ShardMsg, ShardRequest, ShardResponse};
 use crate::state::ServerState;
-
-/// How often a waiting aggregator re-checks shard health, so a worker dying
-/// mid-attempt shortens the wait to one slice instead of the full timeout.
-const HEALTH_RECHECK: Duration = Duration::from_millis(5);
 
 /// Most slots a groups table gets: `plan_cache` is the caller's number, and
 /// a "never evict" `usize::MAX` must not reserve memory.
 const GROUP_SLOTS_MAX: usize = 1 << 16;
-
-/// The owner of a boundary position that is pending at no shard: it
-/// reported, was refused, or was never asked (shed by a brownout stride).
-const SETTLED: usize = usize::MAX;
 
 /// One shard's share of a boundary: the edges it owns, each tagged with its
 /// position in the chain so the aggregate fold preserves term order,
@@ -105,32 +91,6 @@ struct Routes {
     gather: Vec<Vec<(usize, BoundaryEdge)>>,
 }
 
-/// One query's fan-out, from its routing to its fold: a flight-pool entry.
-struct Flight {
-    id: u64,
-    kind: QueryKind,
-    deadline: Option<Instant>,
-    /// Not answered yet.
-    live: bool,
-    /// Boundary edges still unanswered, by owning shard.
-    pending: Vec<Group>,
-    /// Per shard asked on the current attempt that has not answered yet,
-    /// the group its request carried.
-    awaiting: Vec<Option<Group>>,
-    /// Per boundary position, the shard it is pending at, or [`SETTLED`].
-    owner: Vec<usize>,
-    /// Per boundary position, the owning shard's contribution.
-    slots: Vec<Option<EdgeCounts>>,
-    /// When the current attempt's window closes (`None`: never).
-    end: Option<Instant>,
-    /// Whether any shard was asked on the current attempt.
-    waited: bool,
-    fanout: usize,
-    refused: usize,
-    retries: u32,
-    expired: bool,
-}
-
 /// What one dispatcher thread keeps from batch to batch (module docs).
 pub(crate) struct Dispatcher {
     routes: Routes,
@@ -147,7 +107,6 @@ pub(crate) struct Dispatcher {
 
 impl Dispatcher {
     pub(crate) fn new(st: &ServerState) -> Self {
-        let ns = st.to_shards.len();
         let (reply, replies) = channel::bounded(st.resp_capacity.max(1));
         Dispatcher {
             routes: Routes {
@@ -155,7 +114,7 @@ impl Dispatcher {
                     .map(|_| Groups { plan: Weak::new(), epoch: 0, by_shard: Vec::new() })
                     .collect(),
                 empty: Arc::new([]),
-                gather: vec![Vec::new(); ns],
+                gather: vec![Vec::new(); st.to_shards.len()],
             },
             flights: Vec::new(),
             batch: 0,
@@ -189,13 +148,13 @@ impl Dispatcher {
             }
         }
         if self.batch == self.flights.len() {
-            let ns = st.to_shards.len();
-            self.flights.push(Flight::new(spec, ns, &self.routes.empty, self.widest));
+            let (ns, empty) = (st.to_shards.len(), &self.routes.empty);
+            self.flights.push(Flight::new(spec.kind, ns, empty, self.widest));
         }
         let f = &mut self.flights[self.batch];
         self.batch += 1;
         self.routes.route(st, plan, stride_for(level), &mut f.pending);
-        f.reset(id, spec, n);
+        f.start(id, spec.kind, spec.deadline, n);
     }
 }
 
@@ -211,10 +170,7 @@ impl Routes {
     ) {
         let map = &st.shared.map;
         let epoch = map.epoch(); // before any `shard_of`: see the module docs
-        let slot = match self.groups.len() {
-            0 => None,
-            n => Some(plan.id.0 as usize % n),
-        };
+        let slot = (!self.groups.is_empty()).then(|| plan.id.0 as usize % self.groups.len());
         let cached = slot
             .map(|s| &self.groups[s])
             .filter(|g| g.epoch == epoch && std::ptr::eq(g.plan.as_ptr(), Arc::as_ptr(plan)));
@@ -250,21 +206,6 @@ impl Routes {
     }
 }
 
-/// What the fan-out brought back for the aggregator to fold.
-pub(crate) struct Collected<'d> {
-    /// Per boundary position, the owning shard's contribution — `None` for
-    /// every edge that never reported (silent, skipped, refused or shed).
-    pub slots: &'d [Option<EdgeCounts>],
-    /// Boundary edges a shard refused because they are quarantined.
-    pub refused: usize,
-    /// Shards the query fanned out to.
-    pub fanout: usize,
-    /// Retry rounds that were needed.
-    pub retries: u32,
-    /// The query's deadline elapsed between attempts.
-    pub expired: bool,
-}
-
 /// Maps a breaker transition onto its metric counter.
 fn record_transition(st: &ServerState, tr: Option<Transition>) {
     let m = &st.shared.metrics;
@@ -276,337 +217,87 @@ fn record_transition(st: &ServerState, tr: Option<Transition>) {
     }
 }
 
-/// When attempt `attempt`'s window closes: attempt k waits 2^k × the base
-/// window (exponential backoff), clamped to the query deadline, which no
-/// attempt may overshoot. `None` waits for the shards alone. Both factors
-/// are the caller's numbers (`RuntimeConfig::shard_timeout`, `max_retries`),
-/// so every step saturates: a window too long to express is the deadline's,
-/// or nobody's.
-fn window_end(st: &ServerState, deadline: Option<Instant>, attempt: u32) -> Option<Instant> {
-    let window = st.cfg.shard_timeout.checked_mul(1 << attempt.min(31));
-    let end = window.and_then(|w| Instant::now().checked_add(w));
-    match (end, deadline) {
-        (Some(end), Some(dl)) => Some(end.min(dl)),
-        (end, dl) => end.or(dl),
-    }
+/// How long to block for a reply at `now` when the wait ends at `end`
+/// (`None`: never): in 5 ms slices, so a worker that leaves `Healthy`
+/// mid-wait releases its waiter after one slice instead of the full window.
+fn slice(now: Instant, end: Option<Instant>) -> Duration {
+    let slice = Duration::from_millis(5);
+    end.map_or(slice, |end| end.saturating_duration_since(now).min(slice))
 }
 
-/// Fans out every query enlisted since the last batch and collects what
-/// the shards return, each query within the retry budget and its own
-/// deadline. Hands each query's collection to `done`, with its index in
-/// the batch, as soon as nothing more can come for it; returns once every
-/// query of the batch was handed over.
-pub(crate) fn fan_out(
-    st: &ServerState,
-    d: &mut Dispatcher,
-    mut done: impl FnMut(usize, Collected<'_>),
-) {
+/// Fans out every query enlisted since the last batch, each within the
+/// retry budget and its own deadline (module docs), and hands each query's
+/// flight to `done`, with its index in the batch, as soon as nothing more
+/// can come for it.
+pub(crate) fn fan_out(st: &ServerState, d: &mut Dispatcher, mut done: impl FnMut(usize, &Flight)) {
     let n = std::mem::take(&mut d.batch);
-    if n == 0 {
-        return;
-    }
     // Nothing of this dispatcher's is in flight, so whatever is queued
     // answers a query it has already given up on.
     while d.replies.try_recv().is_ok() {}
-    let flights = &mut d.flights[..n];
-    let metrics = &st.shared.metrics;
-    for attempt in 0..=st.cfg.max_retries {
-        if !flights.iter().any(|f| f.live) {
-            break;
-        }
-        let last = attempt == st.cfg.max_retries;
-        for (i, f) in flights.iter_mut().enumerate().filter(|(_, f)| f.live) {
-            // Deadline short-circuit at the fan-out hop: no further attempts
-            // once the budget is gone — whatever already reported is folded,
-            // the rest degrades.
-            if f.deadline.is_some_and(|dl| Instant::now() >= dl) {
-                f.expired = true;
-                f.live = false;
-                done(i, f.collected());
-                continue;
-            }
-            f.waited = f.send(st, attempt, &d.reply);
-        }
-        for f in flights.iter_mut().filter(|f| f.live) {
-            f.end = window_end(st, f.deadline, attempt);
-        }
-        collect(st, flights, &d.replies, &d.routes.empty, attempt, last, &mut done);
-        // What is still in flight has edges pending and attempts left.
-        for f in flights.iter_mut().filter(|f| f.live) {
-            f.close_attempt(st);
-            f.retries += 1;
-            Metrics::bump(&metrics.retries);
-        }
-    }
-}
-
-/// Waits out one attempt of the batch: hands every response to the query it
-/// answers, and every query nothing more can come for on this attempt —
-/// all of its edges reported, or, on the `last` attempt, nobody awaited or
-/// its window closed — to `done`. Returns when every query still in flight
-/// awaits nobody or has had its window close.
-fn collect(
-    st: &ServerState,
-    flights: &mut [Flight],
-    replies: &Receiver<ShardResponse>,
-    empty: &Group,
-    attempt: u32,
-    last: bool,
-    done: &mut impl FnMut(usize, Collected<'_>),
-) {
+    let (batch, replies) = (&mut d.flights[..n], &d.replies);
+    let mut out = |out: Out<'_>| carry(st, &d.reply, out, &mut done);
+    let owner_of = |edge| st.shared.map.shard_of(edge);
     loop {
         let now = Instant::now();
-        // A window that closed while answers sat in the channel (the thread
-        // was off the CPU, or folding a batch-mate) closes on them first.
-        let closed = |f: &Flight| f.live && f.awaits() && f.end.is_some_and(|end| now >= end);
-        if flights.iter().any(closed) {
-            while let Ok(resp) = replies.try_recv() {
-                take(st, flights, resp, attempt, empty);
-            }
-        }
-        // The shortest wait any query still waiting allows.
-        let mut slice: Option<Duration> = None;
-        for (i, f) in flights.iter_mut().enumerate().filter(|(_, f)| f.live) {
-            let open = f.awaits() && !f.end.is_some_and(|end| now >= end);
-            if open {
-                // Wait in short slices so a worker dying mid-attempt (health
-                // flips away from Healthy) releases the query after one slice
-                // instead of the full backoff window.
-                let wait = f.end.map_or(HEALTH_RECHECK, |end| (end - now).min(HEALTH_RECHECK));
-                slice = Some(slice.map_or(wait, |s| s.min(wait)));
-            } else if last || f.answered() {
-                f.close_attempt(st);
-                f.live = false;
-                done(i, f.collected());
-            }
-        }
-        let Some(slice) = slice else { return };
-        match replies.recv_timeout(slice) {
-            Ok(resp) => take(st, flights, resp, attempt, empty),
-            Err(_) => {
-                for f in flights.iter_mut().filter(|f| f.live) {
-                    for (shard, awaited) in f.awaiting.iter_mut().enumerate() {
-                        if !st.shared.healthy(shard) {
-                            *awaited = None;
-                        }
-                    }
-                }
-            }
+        match flight::tick(batch, now, &st.cfg, &mut out) {
+            Next::Wait(end) => match replies.recv_timeout(slice(now, end)) {
+                Ok(resp) => flight::reply(batch, resp, owner_of, &mut out),
+                Err(_) => flight::timeout(batch, Instant::now(), |s| !st.shared.healthy(s)),
+            },
+            Next::Done => return,
         }
     }
 }
 
-/// Hands one response to the query in flight it names.
-fn take(
+/// Carries one of the flights' outputs out; for an ask, says whether the
+/// shard was asked. Unhealthy / recovering shards are skipped outright —
+/// their edges degrade to worst-case bounds, and a recovered shard rejoins
+/// on a later attempt — and so are shards behind an open circuit breaker
+/// (no retry storm), except for the one half-open probe.
+fn carry(
     st: &ServerState,
-    flights: &mut [Flight],
-    resp: ShardResponse,
-    attempt: u32,
-    empty: &Group,
-) {
-    // The channel outlives a batch: a response naming no query in flight
-    // answers one already answered.
-    let Some(f) = flights.iter_mut().find(|f| f.live && f.id == resp.query_id) else { return };
-    if !resp.panicked {
-        f.accept(st, resp, attempt, empty);
-    } else if resp.attempt == attempt {
-        // A panicked shard answered with nothing: it is no longer awaited,
-        // and its edges stay pending for the next attempt. One that panicked
-        // on an earlier attempt says nothing about the request this attempt
-        // sent it.
-        f.awaiting[resp.shard] = None;
-    }
-}
-
-impl Flight {
-    /// A pool entry for `ns` shards with room for `widest` positions; `reset`
-    /// starts a query on it.
-    fn new(spec: &QuerySpec, ns: usize, empty: &Group, widest: usize) -> Self {
-        let mut f = Flight {
-            id: 0,
-            kind: spec.kind,
-            deadline: None,
-            live: false,
-            pending: vec![Arc::clone(empty); ns],
-            awaiting: vec![None; ns],
-            owner: Vec::new(),
-            slots: Vec::new(),
-            end: None,
-            waited: false,
-            fanout: 0,
-            refused: 0,
-            retries: 0,
-            expired: false,
-        };
-        f.make_room(widest);
-        f
-    }
-
-    /// Room for a boundary of `n` positions, so a reset allocates nothing.
-    fn make_room(&mut self, n: usize) {
-        self.owner.reserve(n.saturating_sub(self.owner.len()));
-        self.slots.reserve(n.saturating_sub(self.slots.len()));
-    }
-
-    /// Starts query `id` of `n` boundary positions on this flight, its
-    /// groups already routed into `pending`.
-    fn reset(&mut self, id: u64, spec: &QuerySpec, n: usize) {
-        (self.id, self.kind, self.deadline, self.live) = (id, spec.kind, spec.deadline, true);
-        self.awaiting.fill(None);
-        self.owner.clear();
-        self.owner.resize(n, SETTLED);
-        for (shard, group) in self.pending.iter().enumerate() {
-            for &(idx, _) in group.iter() {
-                self.owner[idx] = shard;
-            }
-        }
-        self.slots.clear();
-        self.slots.resize(n, None);
-        self.fanout = self.pending.iter().filter(|edges| !edges.is_empty()).count();
-        (self.end, self.waited, self.refused, self.retries, self.expired) =
-            (None, false, 0, 0, false);
-    }
-
-    /// Every edge asked for has reported (or was refused).
-    fn answered(&self) -> bool {
-        self.pending.iter().all(|edges| edges.is_empty())
-    }
-
-    /// Some shard asked on the current attempt has not answered yet.
-    fn awaits(&self) -> bool {
-        self.awaiting.iter().any(Option::is_some)
-    }
-
-    fn collected(&self) -> Collected<'_> {
-        Collected {
-            slots: &self.slots,
-            refused: self.refused,
-            fanout: self.fanout,
-            retries: self.retries,
-            expired: self.expired,
-        }
-    }
-
-    /// Sends this attempt's requests, in ascending shard order. Unhealthy /
-    /// recovering shards are skipped outright: their edges degrade to
-    /// worst-case bounds instead of stalling the query, and a shard that
-    /// finishes recovery before a later attempt rejoins then. Open circuit
-    /// breakers skip the same way (no retry storm against a
-    /// repeatedly-silent shard), except for the one half-open probe.
-    /// Returns whether any shard was asked.
-    fn send(&mut self, st: &ServerState, attempt: u32, reply: &Sender<ShardResponse>) -> bool {
-        let metrics = &st.shared.metrics;
-        self.awaiting.fill(None);
-        let mut skipped_unhealthy = 0u64;
-        for (shard, edges) in self.pending.iter().enumerate().filter(|(_, e)| !e.is_empty()) {
+    reply: &Sender<ShardResponse>,
+    out: Out<'_>,
+    done: &mut impl FnMut(usize, &Flight),
+) -> bool {
+    let m = &st.shared.metrics;
+    let breakers = st.overload.as_ref().map(|ov| &ov.breakers);
+    match out {
+        Out::Ask(shard, f) => {
             if !st.shared.healthy(shard) {
-                skipped_unhealthy += 1;
-                continue;
+                Metrics::bump(&m.skipped_unhealthy);
+                return false;
             }
-            let (gate, tr) = match st.overload.as_ref() {
-                Some(ov) => ov.breakers.admit(shard),
-                None => (Gate::Allow, None),
-            };
+            let (gate, tr) = breakers.map_or((Gate::Allow, None), |b| b.admit(shard));
             record_transition(st, tr);
-            if matches!(gate, Gate::Skip) {
-                Metrics::bump(&metrics.breaker_skipped);
-                continue;
+            if gate == Gate::Skip {
+                Metrics::bump(&m.breaker_skipped);
+                return false;
             }
-            self.awaiting[shard] = Some(Arc::clone(edges));
-            Metrics::bump(&metrics.shard_requests);
+            Metrics::bump(&m.shard_requests);
             let _ = st.to_shards[shard].send(ShardMsg::Query(ShardRequest {
-                query_id: self.id,
-                attempt,
-                kind: self.kind,
-                edges: Arc::clone(edges),
-                deadline: self.deadline,
+                query_id: f.id,
+                attempt: f.retries,
+                kind: f.kind,
+                edges: Arc::clone(&f.pending[shard]),
+                deadline: f.deadline,
                 reply: reply.clone(),
             }));
+            return true;
         }
-        if skipped_unhealthy > 0 {
-            Metrics::add(&metrics.skipped_unhealthy, skipped_unhealthy);
-        }
-        self.awaits()
-    }
-
-    /// Ends this query's current attempt: a shard that stayed silent through
-    /// its window counts one breaker failure (panicked workers answered and
-    /// are no longer awaited, nor are workers the health check removed
-    /// mid-wait), and an attempt that asked someone yet left edges pending
-    /// counts one timeout.
-    fn close_attempt(&self, st: &ServerState) {
-        if let Some(ov) = st.overload.as_ref() {
-            for shard in (0..self.awaiting.len()).filter(|&s| self.awaiting[s].is_some()) {
-                record_transition(st, ov.breakers.failure(shard));
+        Out::Answered(shard) => record_transition(st, breakers.and_then(|b| b.success(shard))),
+        Out::Closed(f) => {
+            f.awaited().for_each(|s| record_transition(st, breakers.and_then(|b| b.failure(s))));
+            if f.timed_out() {
+                Metrics::bump(&m.timeouts);
             }
         }
-        if self.waited && !self.answered() {
-            Metrics::bump(&st.shared.metrics.timeouts);
+        Out::Answer(i, f) => {
+            Metrics::add(&m.retries, u64::from(f.retries));
+            done(i, f);
         }
     }
-
-    /// Takes one shard's answer: each position it settles that is still
-    /// pending at that shard. An answer to this attempt's request settles
-    /// what the request carried — a position it leaves out was answered
-    /// without data — and one to an earlier attempt only what it lists. A
-    /// position settled already (by a duplicate, or by the answer to another
-    /// attempt) is skipped, and a response that settles nothing is ignored
-    /// whole. Edges that moved in to the shard meanwhile stay pending for
-    /// the next attempt.
-    fn accept(&mut self, st: &ServerState, resp: ShardResponse, attempt: u32, empty: &Group) {
-        let shard = resp.shard;
-        let asked = if resp.attempt == attempt { self.awaiting[shard].take() } else { None };
-        let ours = |owner: &[usize], idx: usize| owner.get(idx) == Some(&shard);
-        let mut settles = (resp.counts.iter().map(|c| c.idx))
-            .chain(resp.refused.iter().copied())
-            .chain(resp.moved.iter().map(|&(idx, _)| idx))
-            .chain(asked.iter().flat_map(|group| group.iter().map(|&(idx, _)| idx)));
-        if !settles.any(|idx| ours(&self.owner, idx)) {
-            return;
-        }
-        for c in resp.counts {
-            if ours(&self.owner, c.idx) {
-                self.owner[c.idx] = SETTLED;
-                self.slots[c.idx] = Some(c);
-            }
-        }
-        for idx in resp.refused {
-            if ours(&self.owner, idx) {
-                self.owner[idx] = SETTLED;
-                self.refused += 1;
-            }
-        }
-        for &(idx, _) in asked.iter().flat_map(|group| group.iter()) {
-            if ours(&self.owner, idx) && !resp.moved.iter().any(|m| m.0 == idx) {
-                self.owner[idx] = SETTLED;
-            }
-        }
-        // Edges a migration moved away from the responding shard mid-query
-        // re-enter the fan-out keyed by their current owner; a later
-        // attempt serves them there (or they degrade soundly at
-        // exhaustion). Rare enough to pay for a fresh slice each.
-        for (idx, be) in resp.moved {
-            let to = st.shared.map.shard_of(be.edge);
-            if ours(&self.owner, idx) && to != shard {
-                self.owner[idx] = to;
-                let group = &mut self.pending[to];
-                *group = group.iter().copied().chain([(idx, be)]).collect();
-            }
-        }
-        let (owner, group) = (&self.owner, &mut self.pending[shard]);
-        let left = group.iter().filter(|&&(idx, _)| owner[idx] == shard).count();
-        if left == 0 {
-            *group = Arc::clone(empty);
-            // A late answer that settled everything the current request
-            // carries answered it too.
-            self.awaiting[shard] = None;
-        } else if left < group.len() {
-            *group = group.iter().filter(|&&(idx, _)| owner[idx] == shard).copied().collect();
-        }
-        if let Some(ov) = st.overload.as_ref() {
-            record_transition(st, ov.breakers.success(shard));
-        }
-    }
+    false
 }
 
 /// The counts the degraded ladder answers over: every edge a shard serves,
@@ -617,14 +308,8 @@ pub(crate) struct LiveCounts {
     at: [Time; 2],
     /// Per edge, `None` when no shard reported it.
     table: Vec<Option<InstantCounts>>,
-    missed: Cell<bool>,
-}
-
-impl LiveCounts {
     /// Whether anything read a count the table does not hold.
-    pub(crate) fn missed(&self) -> bool {
-        self.missed.get()
-    }
+    pub missed: Cell<bool>,
 }
 
 impl CountSource for LiveCounts {
@@ -670,18 +355,17 @@ pub(crate) fn live_counts(
             let _ = to.send(ShardMsg::Counts { at, reply: reply.clone() });
         }
     }
-    let end = window_end(st, deadline, 0);
+    let end = flight::window_end(Instant::now(), st.cfg.shard_timeout, 0, deadline);
     let mut table = vec![None; st.shared.subs.totals().len()];
     for _ in shards.clone() {
-        // In slices, like `Fanout::collect`: a shard that leaves `Healthy`
-        // ends the wait.
+        // In slices, like `fan_out`: a shard that leaves `Healthy` ends the
+        // wait.
         let rows = loop {
             let now = Instant::now();
             if end.is_some_and(|end| now >= end) {
                 return None;
             }
-            let slice = end.map_or(HEALTH_RECHECK, |end| (end - now).min(HEALTH_RECHECK));
-            match replies.recv_timeout(slice) {
+            match replies.recv_timeout(slice(now, end)) {
                 Ok(rows) => break rows,
                 Err(_) if !all_healthy() => return None,
                 Err(_) => {}
@@ -704,6 +388,7 @@ mod tests {
 
     use super::*;
     use crate::server::RuntimeConfig;
+    use crate::shard::EdgeCounts;
     use crate::state::Shared;
 
     /// A five-shard server state over a small deployment in which one

@@ -51,6 +51,7 @@
 
 mod aggregate;
 mod dispatch;
+mod flight;
 mod ingest;
 pub mod metrics;
 pub mod overload;

@@ -166,7 +166,14 @@ fn warm_query_allocates_nothing_on_the_dispatcher() {
     let held_back = specs.pop().expect("nine regions");
     let warm: Vec<QuerySpec> = specs.into_iter().flatten().collect();
 
-    let cfg = RuntimeConfig { num_shards: 2, dispatchers: 1, ..RuntimeConfig::default() };
+    // A window wide enough that a loaded machine does not overrun it: the
+    // count asserted below does not depend on it.
+    let cfg = RuntimeConfig {
+        num_shards: 2,
+        dispatchers: 1,
+        shard_timeout: Duration::from_millis(200),
+        ..RuntimeConfig::default()
+    };
     let rt = Runtime::new(s.sensing.clone(), sampled, &s.tracked.store, cfg);
     let ask = |spec: &QuerySpec| {
         let a = rt.query(spec.clone());

@@ -219,6 +219,24 @@ fn one_fan_out_path() {
 }
 
 #[test]
+fn the_fan_out_core_reads_no_clock_and_no_state() {
+    let core = "crates/runtime/src/flight.rs";
+    let text = std::fs::read_to_string(repo_root().join(core)).expect("the fan-out core exists");
+    let patterns = ["Instant::now", "recv_timeout", "ServerState", "Sender", "Metrics", "st.shared"];
+    let hits: Vec<String> = outside_tests(&text)
+        .filter(|(_, line)| patterns.iter().any(|p| matches(line, p)))
+        .map(|(n, line)| format!("{core}:{n}: {}", line.trim()))
+        .collect();
+    assert!(
+        hits.is_empty(),
+        "the fan-out core is a state machine the dispatcher's loop feeds the time, replies and \
+         health verdicts: it reads no clock, waits on no channel, sends nothing and sees no \
+         server state or metrics, so its tests can walk every reply order, but:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
 fn word_end_patterns_leave_longer_identifiers_alone() {
     assert!(matches("ShardMsg::Ingest { seq, event }", "ShardMsg::Ingest\\b"));
     assert!(matches("ShardMsg::Ingest", "ShardMsg::Ingest\\b"));
