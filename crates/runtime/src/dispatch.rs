@@ -250,7 +250,7 @@ pub(crate) fn fan_out(st: &ServerState, d: &mut Dispatcher, mut done: impl FnMut
 }
 
 /// Carries one of the flights' outputs out; for an ask, says whether the
-/// shard was asked. Unhealthy / recovering shards are skipped outright —
+/// shard was asked. Shards whose worker is down are skipped outright —
 /// their edges degrade to worst-case bounds, and a recovered shard rejoins
 /// on a later attempt — and so are shards behind an open circuit breaker
 /// (no retry storm), except for the one half-open probe.

@@ -21,7 +21,7 @@ use stq_core::tracker::Crossing;
 use crate::metrics::Metrics;
 use crate::server::Runtime;
 use crate::shard::ShardMsg;
-use crate::state::ServerState;
+use crate::state::{ServerState, NO_LOG};
 use crate::supervisor::{IngestLane, Lane, SupervisorMsg};
 
 /// Why [`Runtime::ingest`] refused an event. Rejections are counted in
@@ -167,10 +167,7 @@ impl Runtime {
         if self.running().supervisor.send(request).is_err() {
             return 0;
         }
-        match done_rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(outcome) if outcome.committed => outcome.edges_moved,
-            _ => 0,
-        }
+        done_rx.recv_timeout(Duration::from_secs(30)).unwrap_or(0)
     }
 
     /// Barrier: waits until every shard has applied all previously ingested
@@ -245,17 +242,17 @@ fn dispatch(st: &ServerState, grouping: Grouping) -> Option<usize> {
 }
 
 /// Hands out `lane`'s sequences on `shard`'s ingest lane and returns the
-/// first; a durable one drops what the WAL has synced and retains `lane`. The
-/// caller holds the lane lock, has checked under it that the map still routes
-/// the events here, and sends them under it too, so they reach the worker in
-/// order.
+/// first; the lane drops what the WAL has synced (everything, at `NO_LOG`)
+/// and retains `lane` while the shard keeps a log. The caller holds the lane
+/// lock, has checked under it that the map still routes the events here, and
+/// sends them under it too, so they reach the worker in order.
 fn stamp(st: &ServerState, shard: usize, ingest: &mut IngestLane, lane: &Lane) -> u64 {
     let first_seq = ingest.next_seq + 1;
-    if st.cfg.durability.is_some() {
-        let floor = st.shared.durable_seq[shard].load(Ordering::Acquire);
-        while ingest.buf.front().is_some_and(|(first, old)| first + old.len() as u64 <= floor + 1) {
-            ingest.buf.pop_front();
-        }
+    let floor = st.shared.durable_seq[shard].load(Ordering::Acquire);
+    while ingest.buf.front().is_some_and(|(first, old)| first + old.len() as u64 - 1 <= floor) {
+        ingest.buf.pop_front();
+    }
+    if floor != NO_LOG {
         ingest.buf.push_back((first_seq, Arc::clone(lane)));
     }
     ingest.next_seq += lane.len() as u64;

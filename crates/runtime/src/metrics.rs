@@ -249,11 +249,11 @@ metrics! {
         counter rebalance_aborted,
         /// Gauge: the shard map's current epoch (0 until the first migration).
         gauge map_epoch,
-        /// Shard fan-outs skipped because the shard was unhealthy or recovering
+        /// Shard fan-outs skipped because the shard's worker was down
         /// (each skip degrades that query's coverage instead of stalling it).
         counter skipped_unhealthy,
-        /// Gauge: shards currently being recovered by the supervisor.
-        gauge recovering,
+        /// Shard logs dropped at a failed write (the shard serves on from memory).
+        counter logs_lost,
         /// Query plans served from the engine's cache.
         counter plan_cache_hits,
         /// Query plans compiled because no cached plan existed.
@@ -435,13 +435,13 @@ impl fmt::Display for MetricsReport {
         writeln!(
             f,
             "supervision: respawns {}, wal replayed {}, redo replayed {}, lost events {}, \
-             skipped unhealthy {}, recovering {}",
+             skipped unhealthy {}, logs lost {}",
             self.shard_respawns,
             self.wal_replayed,
             self.redo_replayed,
             self.lost_events,
             self.skipped_unhealthy,
-            self.recovering
+            self.logs_lost
         )?;
         writeln!(
             f,

@@ -20,7 +20,7 @@
 //! ingest() ─▶ per-shard lane (seq + redo buffer) ─▶ shard worker
 //!                                                    ├─ apply to forms
 //!                                                    └─ WAL append/snapshot
-//! supervisor ◀─ killed workers: rebuilt from snapshot + WAL + redo buffer,
+//! supervisor ◀─ dead workers: rebuilt from snapshot + WAL + redo buffer,
 //!               respawned, re-admitted
 //! ```
 
@@ -283,7 +283,7 @@ impl Runtime {
             (0..ns).map(|_| channel::unbounded::<ShardMsg>()).unzip();
 
         // Bounded supervisor inbox: each shard has at most one unprocessed
-        // kill report at a time (the supervisor respawns a worker before
+        // death report at a time (the supervisor respawns a worker before
         // draining the next event, so a shard cannot enqueue a second one
         // until its first was handled), plus one shutdown message and a
         // couple of in-flight migration requests — 2×ns+4 leaves slack for
@@ -497,7 +497,8 @@ impl Runtime {
     /// Current health of every shard.
     pub fn shard_health(&self) -> Vec<ShardHealth> {
         let health = &self.st().shared.health;
-        health.iter().map(|h| ShardHealth::from_u8(h.load(Ordering::Acquire))).collect()
+        let of = |up| if up { ShardHealth::Healthy } else { ShardHealth::Recovering };
+        health.iter().map(|h| of(h.load(Ordering::Acquire))).collect()
     }
 
     /// Wraps a spec into a job with a fresh id and its reply channel,

@@ -10,14 +10,16 @@
 //!
 //! ## Exits and supervision
 //!
-//! [`ShardWorker::run`] ends for three reasons: shutdown, a `Retire` (the
-//! state goes to the supervisor's migration), or a scheduled durability
-//! fault that kills the worker mid-ingest (simulated kill -9, WAL tail cut
-//! included). Only the kill is reported to the supervisor
+//! Shutdown and a `Retire` (the state goes to a migration) disarm a worker.
+//! Any other end is a death with one path: a scheduled kill (simulated kill
+//! -9, WAL tail cut included) returns from [`ShardWorker::run`] and a panic
+//! outside the request guard unwinds out of it, and either way the armed
+//! worker's `Drop` marks the shard down and reports to the supervisor
 //! (`crate::supervisor`), which rebuilds the shard's state and respawns it.
 //! A request that panics is not an exit: the panic is caught, the reply says
 //! `panicked`, and the aggregator widens that shard's edges by their worst
-//! case, as it does for any shard that did not report.
+//! case, as it does for any shard that did not report. Nor is a failed log
+//! write: `Shared::log_io` drops the log, and the whole forms serve on.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -35,34 +37,16 @@ use stq_net::MessageCtx;
 use crate::dispatch::Group;
 use crate::metrics::Metrics;
 use crate::state::Shared;
-use crate::supervisor::Lane;
-
-/// Shard health states, stored as one `AtomicU8` per shard.
-pub(crate) const HEALTHY: u8 = 0;
-pub(crate) const UNHEALTHY: u8 = 1;
-pub(crate) const RECOVERING: u8 = 2;
+use crate::supervisor::{Lane, SupervisorMsg};
 
 /// Externally visible health of one shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardHealth {
     /// Serving normally.
     Healthy,
-    /// A scheduled kill took the worker down; the supervisor has not yet
-    /// picked the shard up. Queries skip it (degraded answers, sound bounds).
-    Unhealthy,
-    /// The supervisor is re-admitting the shard (after a kill: replaying
-    /// snapshot + WAL); queries skip it until then.
+    /// The worker died (a kill, or a panic outside the request guard) and is not
+    /// yet respawned. Queries skip the shard (degraded answers, sound bounds).
     Recovering,
-}
-
-impl ShardHealth {
-    pub(crate) fn from_u8(v: u8) -> Self {
-        match v {
-            UNHEALTHY => ShardHealth::Unhealthy,
-            RECOVERING => ShardHealth::Recovering,
-            _ => ShardHealth::Healthy,
-        }
-    }
 }
 
 /// Everything a shard worker can be asked to do.
@@ -166,24 +150,35 @@ pub(crate) struct ShardWorker {
     pub id: usize,
     pub state: RetiredState,
     pub shared: Arc<Shared>,
+    /// Where a death is reported; `run` disarms the worker when it leaves alive.
+    pub death: Option<Sender<SupervisorMsg>>,
+}
+
+impl Drop for ShardWorker {
+    /// Reports a kill or an unwind alike: the shard reads `Recovering`, and the
+    /// supervisor gets the fault-plan clock, all a dead worker can still give.
+    fn drop(&mut self) {
+        if let Some(death) = self.death.take() {
+            self.shared.health[self.id].store(false, Ordering::Release);
+            let _ = death.send(SupervisorMsg::Died(self.id, self.state.delivered));
+        }
+    }
 }
 
 impl ShardWorker {
-    /// Serves messages until shutdown, a `Retire`, or a scheduled kill.
-    /// Returns the fault-plan clock after a kill, the one exit the
-    /// supervisor is told about, and `None` otherwise.
+    /// Serves messages until shutdown, a `Retire`, or a scheduled kill. The
+    /// first two disarm the worker; a kill returns with it armed.
     ///
     /// How an idle worker waits is the channel's rule, not this loop's:
     /// `recv` backs off once before it parks (`shims/crossbeam`), after a
     /// reply as after an ingest, so nothing here yields.
-    pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) -> Option<u64> {
+    pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) {
         while let Ok(msg) = rx.recv() {
             match msg {
                 ShardMsg::Query(req) => self.handle(req),
                 ShardMsg::IngestBatch { first_seq, lane } => {
                     if self.ingest_batch(first_seq, &lane) {
-                        self.shared.health[self.id].store(UNHEALTHY, Ordering::Release);
-                        return Some(self.state.delivered);
+                        return;
                     }
                 }
                 ShardMsg::Flush(reply) => {
@@ -197,7 +192,7 @@ impl ShardWorker {
                 }
                 ShardMsg::Retire(reply) => {
                     match reply.send(std::mem::take(&mut self.state)) {
-                        Ok(()) => return None,
+                        Ok(()) => break,
                         // The supervisor gave up on the migration (its
                         // receiver is gone): put the state back and keep
                         // serving as if the Retire never arrived.
@@ -206,7 +201,7 @@ impl ShardWorker {
                 }
             }
         }
-        None
+        self.death = None;
     }
 
     /// Folds event `seq`, the next one, into the forms.
@@ -260,20 +255,20 @@ impl ShardWorker {
             for (seq, c) in (first..).zip(frame) {
                 self.apply(seq, c);
             }
-            let Some(d) = self.state.durability.as_mut() else { continue };
-            let mark = d.append(first, frame, &self.state.forms).expect("WAL append");
+            let (forms, log) = (&self.state.forms, &mut self.state.durability);
+            let logged = self.shared.log_io(self.id, log, |d| d.append(first, frame, forms));
+            let Some(mark) = logged else { continue };
             self.appended(frame.len(), mark);
             if !crash_inside {
                 Metrics::bump(&self.shared.metrics.wal_group_commits);
             } else if self.shared.dfaults.crash_due(self.id, first) {
-                // kill -9: the unsynced tail is cut as the fault plan says and
-                // memory is gone; only the fault plan's clock is reported.
+                // kill -9: the unsynced tail is cut as the fault plan says;
+                // memory goes with the worker, whose drop reports the death.
                 if let Some(d) = self.state.durability.take() {
                     let dfaults = &self.shared.dfaults;
                     let tail = dfaults.surviving_tail_bytes(self.id, first, d.unsynced_bytes());
                     let _ = d.kill_cut(tail);
                 }
-                self.state = RetiredState { delivered: self.state.delivered, ..Default::default() };
                 return true;
             }
         }
@@ -281,11 +276,11 @@ impl ShardWorker {
     }
 
     /// Syncs the WAL (publishing the durable floor) and reports the highest
-    /// applied sequence. Without durability there is no floor to publish and
-    /// no redo buffer waiting on one: a memory-only lane retains nothing.
+    /// applied sequence. Without a log (`NO_LOG`) there is no floor to publish
+    /// and no redo buffer waiting on one.
     fn flush(&mut self) -> u64 {
-        if let Some(d) = self.state.durability.as_mut() {
-            let durable = d.sync().expect("WAL sync");
+        let log = &mut self.state.durability;
+        if let Some(durable) = self.shared.log_io(self.id, log, ShardDurability::sync) {
             self.shared.durable_seq[self.id].store(durable, Ordering::Release);
         }
         self.state.last_seq
@@ -423,11 +418,47 @@ impl ShardWorker {
 
 #[cfg(test)]
 mod tests {
+    use crossbeam::channel::{bounded, unbounded};
     use stq_durability::replay_wal;
     use stq_forms::FormStore;
 
     use super::*;
     use crate::server::RuntimeConfig;
+
+    #[test]
+    fn an_armed_worker_reports_its_death_once_and_a_disarmed_one_never() {
+        let cfg = RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() };
+        let shared = Arc::new(Shared::new(&FormStore::new(4), &cfg, &[]));
+        let (deaths, reports) = unbounded();
+        let worker = |id| {
+            let state = RetiredState { delivered: 7, ..Default::default() };
+            ShardWorker { id, state, shared: Arc::clone(&shared), death: Some(deaths.clone()) }
+        };
+
+        // Unwinding drops the armed worker: one report, and the shard is down.
+        let armed = worker(1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _worker = armed;
+            panic!("escaped the request guard");
+        }));
+        assert!(unwound.is_err());
+        let report = reports.try_recv().ok();
+        assert!(matches!(report, Some(SupervisorMsg::Died(1, 7))));
+        assert!(reports.try_recv().is_err(), "one report per death");
+        assert!(!shared.healthy(1) && shared.healthy(0));
+
+        // A closed channel and a `Retire` disarm it: no report, still up.
+        let (tx, rx) = unbounded();
+        drop(tx);
+        worker(0).run(rx);
+        let (tx, rx) = unbounded();
+        let (reply, retired) = bounded(1);
+        assert!(tx.send(ShardMsg::Retire(reply)).is_ok());
+        worker(0).run(rx);
+        assert_eq!(retired.try_recv().map(|state| state.delivered).ok(), Some(7));
+        assert!(reports.try_recv().is_err(), "a worker that left alive reported a death");
+        assert!(shared.healthy(0));
+    }
 
     #[test]
     fn a_lane_whose_head_is_already_held_is_applied_and_logged_from_there() {
@@ -446,7 +477,7 @@ mod tests {
             let durability = durable
                 .then(|| ShardDurability::initialize(&dir, 0, &forms, 0, 1_000, 1_000).unwrap());
             let state = RetiredState { forms, durability, ..Default::default() };
-            let mut worker = ShardWorker { id: 0, state, shared };
+            let mut worker = ShardWorker { id: 0, state, shared, death: None };
             let logged = |w: &ShardWorker| {
                 let report = w.shared.metrics.report();
                 (report.ingested, report.wal_appends, report.wal_group_commits)

@@ -2,7 +2,7 @@
 //! the supervisor and every shard worker; [`ServerState`] between the
 //! submitting threads and the dispatchers.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Sender;
@@ -12,6 +12,7 @@ use stq_core::engine::QueryEngine;
 use stq_core::query::QueryRegion;
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
+use stq_durability::ShardDurability;
 use stq_forms::FormStore;
 use stq_net::{DurabilityFaultPlan, FaultPlan};
 use stq_subscribe::{StandingBracket, SubscriptionId, SubscriptionRegistry};
@@ -19,9 +20,12 @@ use stq_subscribe::{StandingBracket, SubscriptionId, SubscriptionRegistry};
 use crate::metrics::{Metrics, SubscriptionTrace};
 use crate::overload::OverloadState;
 use crate::server::RuntimeConfig;
-use crate::shard::{ShardMsg, HEALTHY};
+use crate::shard::ShardMsg;
 use crate::shardmap::ShardMap;
 use crate::supervisor::IngestLane;
+
+/// The durable floor of a shard without a log: its lane retains nothing, its disk is never read.
+pub(crate) const NO_LOG: u64 = u64::MAX;
 
 /// What the server, the supervisor and every shard worker share. It holds
 /// no shard `Sender` on purpose: workers keep an `Arc<Shared>`, and shutdown
@@ -30,9 +34,9 @@ use crate::supervisor::IngestLane;
 pub(crate) struct Shared {
     /// Per-shard ingest sequence counter and redo buffer (of lanes).
     pub lanes: Vec<Mutex<IngestLane>>,
-    /// Per-shard health slot (`HEALTHY` / `UNHEALTHY` / `RECOVERING`).
-    pub health: Vec<AtomicU8>,
-    /// Per-shard durable floor: the highest sequence the WAL has synced.
+    /// Per-shard health: down from a worker's death until its respawn.
+    pub health: Vec<AtomicBool>,
+    /// Per-shard durable floor: the highest sequence the WAL has synced, or [`NO_LOG`].
     pub durable_seq: Vec<AtomicU64>,
     /// Fault injection applied to shard traffic.
     pub fault: FaultPlan,
@@ -78,10 +82,11 @@ impl Shared {
         // fresh runtime is bit-identical with and without rebalancing, which
         // reuses the registry's lifetime totals as its crossing-rate feed.
         let map = ShardMap::new(ns, subs.totals(), cfg.rebalance.clone());
+        let floor = if cfg.durability.is_some() { 0 } else { NO_LOG };
         let shared = Shared {
             lanes: (0..ns).map(|_| Mutex::default()).collect(),
-            health: (0..ns).map(|_| AtomicU8::new(HEALTHY)).collect(),
-            durable_seq: (0..ns).map(|_| AtomicU64::new(0)).collect(),
+            health: (0..ns).map(|_| AtomicBool::new(true)).collect(),
+            durable_seq: (0..ns).map(|_| AtomicU64::new(floor)).collect(),
             fault: cfg.fault.clone(),
             dfaults: cfg
                 .durability
@@ -104,7 +109,24 @@ impl Shared {
     }
 
     pub(crate) fn healthy(&self, shard: usize) -> bool {
-        self.health[shard].load(Ordering::Acquire) == HEALTHY
+        self.health[shard].load(Ordering::Acquire)
+    }
+
+    /// Runs one write on `shard`'s log, if it keeps one. A failed write, anywhere, drops the
+    /// log and publishes [`NO_LOG`]; the forms are whole (a write follows what it logs).
+    pub(crate) fn log_io<T>(
+        &self,
+        shard: usize,
+        log: &mut Option<ShardDurability>,
+        write: impl FnOnce(&mut ShardDurability) -> std::io::Result<T>,
+    ) -> Option<T> {
+        let written = write(log.as_mut()?);
+        if written.is_err() {
+            *log = None;
+            self.durable_seq[shard].store(NO_LOG, Ordering::Release);
+            Metrics::bump(&self.metrics.logs_lost);
+        }
+        written.ok()
     }
 
     /// Records a subscription lifecycle event in the trace ring.

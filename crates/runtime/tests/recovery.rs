@@ -204,7 +204,6 @@ fn killed_run_matches(
     let report = rt.metrics().report();
     assert!(report.shard_respawns >= 2, "both scheduled kills must fire: {report}");
     assert!(report.wal_replayed + report.redo_replayed > 0, "recovery must replay something");
-    assert_eq!(report.recovering, 0);
     // Live ingests plus redo replays cover the stream (they overlap on the
     // events the dead worker applied past the durable floor) and dedup
     // keeps live ingests from exceeding it.
@@ -643,7 +642,6 @@ fn a_poison_window_is_answered_around_then_served_exactly() {
     assert!(report.shard_panics >= 1, "the poison window must fire: {report}");
     assert_eq!(report.shard_respawns, 0, "a panicking shard is answered, not respawned");
     assert_eq!(report.plan_invalidations, 0, "panics must not drop cached plans");
-    assert_eq!(report.recovering, 0);
     assert!(rt.shard_health().iter().all(|h| *h == ShardHealth::Healthy));
     rt.shutdown();
 }

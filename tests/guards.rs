@@ -170,8 +170,9 @@ fn one_failover_path() {
 fn a_panicking_shard_is_answered_not_respawned() {
     assert_absent(&Guard {
         rule: "a request that panics is answered as `panicked` and widens its shard's edges; \
-               the worker serves on, and a scheduled kill is the one exit the supervisor \
-               rebuilds, so no panic count may make a worker exit",
+               the worker serves on, and a death (a scheduled kill, or a panic that escapes the \
+               request guard) is the one exit the supervisor rebuilds, so no panic count may \
+               make a worker exit",
         patterns: &["panic_threshold", "consecutive_panics", "Escalated\\b"],
         roots: &["crates/*/src"],
         except: &[],
@@ -222,7 +223,8 @@ fn one_fan_out_path() {
 fn the_fan_out_core_reads_no_clock_and_no_state() {
     let core = "crates/runtime/src/flight.rs";
     let text = std::fs::read_to_string(repo_root().join(core)).expect("the fan-out core exists");
-    let patterns = ["Instant::now", "recv_timeout", "ServerState", "Sender", "Metrics", "st.shared"];
+    let patterns =
+        ["Instant::now", "recv_timeout", "ServerState", "Sender", "Metrics", "st.shared"];
     let hits: Vec<String> = outside_tests(&text)
         .filter(|(_, line)| patterns.iter().any(|p| matches(line, p)))
         .map(|(n, line)| format!("{core}:{n}: {}", line.trim()))
@@ -232,6 +234,30 @@ fn the_fan_out_core_reads_no_clock_and_no_state() {
         "the fan-out core is a state machine the dispatcher's loop feeds the time, replies and \
          health verdicts: it reads no clock, waits on no channel, sends nothing and sees no \
          server state or metrics, so its tests can walk every reply order, but:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn a_worker_dies_one_way_and_a_failed_write_drops_the_log() {
+    let allowed =
+        ["expect(\"spawn ", "expect(\"retired\")", "expect(\"initialize shard durability\")"];
+    let repo = repo_root();
+    let mut hits = Vec::new();
+    for file in ["crates/runtime/src/shard.rs", "crates/runtime/src/supervisor.rs"] {
+        let text = std::fs::read_to_string(repo.join(file)).expect("the runtime source exists");
+        let panics =
+            |line: &str| line.contains("expect(") && !allowed.iter().any(|a| line.contains(a));
+        for (n, line) in outside_tests(&text).filter(|(_, line)| panics(line)) {
+            hits.push(format!("{file}:{n}: {}", line.trim()));
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a worker's death is reported by its drop, and a failed write on a shard's log drops the \
+         log (`Shared::log_io`), so the shard and its supervisor panic on no `Result`: an \
+         `expect` is kept only for a thread spawn, a migration's retired-state lookup and the \
+         start-up durability `Runtime::new`'s signature cannot return, but:\n{}",
         hits.join("\n")
     );
 }
