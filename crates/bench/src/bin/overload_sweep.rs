@@ -95,7 +95,6 @@ fn controlled_config(fault_seed: u64) -> RuntimeConfig {
                 dwell: 4,
                 window: 32,
             },
-            ..OverloadConfig::default()
         }),
         ..base_config(fault_seed)
     }

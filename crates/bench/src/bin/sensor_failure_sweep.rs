@@ -408,7 +408,7 @@ fn cocktail_cell(
     let demoted = g.demote_edges(&s.sensing, &untrusted);
     let (b_sound, b_misses, b_infinite, b_cov, b_width, b_finite) =
         answer_all(s, &demoted, &tracked, queries, "cocktail-demoted");
-    let policy = DegradedPolicy { impute, ..DegradedPolicy::default() };
+    let policy = DegradedPolicy { impute };
     let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted, &tracked.store, policy);
     let label = if impute { "cocktail-degraded" } else { "cocktail-no-impute" };
     let degraded = answer_degraded(s, &deg, &tracked, queries, label);

@@ -25,8 +25,8 @@ use stq_forms::{EdgeHealth, Evidence, FormStore};
 use stq_mobility::stats::{population_curve, WorkloadStats};
 use stq_net::{ChaosConfig, CrashWindow, SensorFaultKind, SensorFaultMix, SensorFaultPlan};
 use stq_runtime::{
-    DurabilityConfig, OverloadConfig, QuerySpec, RebalanceConfig, Runtime, RuntimeConfig,
-    SubscribeError, SubscriptionHandle,
+    DurabilityConfig, OverloadConfig, QuerySpec, Runtime, RuntimeConfig, SubscribeError,
+    SubscriptionHandle,
 };
 use stq_sampling::SamplingMethod;
 
@@ -87,8 +87,15 @@ impl Args {
         Ok(Args { command, flags })
     }
 
+    /// The value of `--key`, which [`reads`] must list for the command: a
+    /// flag it reads but does not list would be refused before the run.
+    fn value(&self, key: &str) -> Option<&String> {
+        debug_assert_ne!(reads(&self.command, key), Some(false), "{} reads --{key}", self.command);
+        self.flags.get(key)
+    }
+
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.flags.get(key) {
+        match self.value(key) {
             None => Ok(default),
             Some(v) => {
                 v.parse().map_err(|_| CliError::Usage(format!("invalid value for --{key}: {v}")))
@@ -97,7 +104,7 @@ impl Args {
     }
 
     fn get_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
-        match self.flags.get(key) {
+        match self.value(key) {
             None => Ok(None),
             Some(v) => v
                 .parse()
@@ -107,8 +114,39 @@ impl Args {
     }
 
     fn get_str(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(|s| s.as_str())
+        self.value(key).map(|s| s.as_str())
     }
+}
+
+/// The flags of the city every command but `help` builds.
+const CITY: &str = "junctions objects seed";
+/// The flags of the sensor deployment.
+const DEPLOYMENT: &str = "size method knn";
+/// The flags of the chaos configuration: message faults, scheduled outages
+/// and kills, sensor faults, and the one root seed.
+const CHAOS: &str =
+    "drop delay dup delay-ms crash kill dead lossy dup-sensors flip skew chaos-seed";
+/// The flags of the write-ahead log.
+const WAL: &str = "wal-dir snapshot-every sync-every";
+/// The flags only `serve` reads.
+const SERVE: &str = "kind area queries shards dispatchers timeout-ms retries ingest batch \
+                     subscribe subscribe-area impute overload deadline-ms rebalance";
+
+/// Whether `command` reads `--flag` on some path; `None` for a command
+/// [`run`] does not know. A flag it does not read is refused before it runs.
+fn reads(command: &str, flag: &str) -> Option<bool> {
+    let groups: &[&str] = match command {
+        "generate" => &[CITY, "svg"],
+        "simulate" => &[CITY],
+        "deploy" => &[CITY, DEPLOYMENT, "svg"],
+        "query" => &[CITY, DEPLOYMENT, "kind area queries learned"],
+        "serve" => &[CITY, DEPLOYMENT, CHAOS, WAL, SERVE],
+        "audit" => &[CITY, DEPLOYMENT, CHAOS],
+        "recover" => &[CITY, DEPLOYMENT, WAL],
+        "help" | "--help" | "-h" => &[],
+        _ => return None,
+    };
+    Some(groups.iter().any(|g| g.split(' ').any(|f| f == flag)))
 }
 
 /// Top-level usage text.
@@ -138,9 +176,9 @@ COMMANDS:
   audit      corrupt sensors, audit + repair   [--dead F --lossy F --dup-sensors F
                                                 --flip F --skew F --chaos-seed S]
 common flags: --junctions N (600) --objects K (120) --seed S (2024)
-chaos: one root seed drives message, sensor, and durability faults;
-  --chaos-seed S is canonical, --fault-seed S is the legacy alias, and
-  conflicting or repeated seed flags are rejected
+chaos: one root seed, --chaos-seed S, drives message, sensor, and
+  durability faults
+a flag the command does not read, or a repeated flag, is refused
 sensor-fault flags (fractions of monitored links): --dead F --lossy F
   --dup-sensors F --flip F --skew F; serve quarantines what the audit flags
   --impute 1 answers through quarantine via detours, conservation-residual
@@ -223,9 +261,7 @@ fn sensor_mix_from(args: &Args) -> Result<SensorFaultMix, CliError> {
 }
 
 /// Builds the unified chaos configuration from the fault flags. One root
-/// seed drives every plan: `--chaos-seed` is the canonical flag, the legacy
-/// `--fault-seed` still works, and giving both (or either twice) with
-/// different values is rejected instead of letting one silently win.
+/// seed, `--chaos-seed` (`default_seed` when absent), drives every plan.
 fn chaos_from(args: &Args, default_seed: u64) -> Result<ChaosConfig, CliError> {
     let drop_p = fraction(args, "drop", 0.0)?;
     let delay_p = fraction(args, "delay", 0.0)?;
@@ -249,17 +285,7 @@ fn chaos_from(args: &Args, default_seed: u64) -> Result<ChaosConfig, CliError> {
             })?;
         b = b.ingest_crash(shard, seq);
     }
-    let mut seeded = false;
-    for key in ["chaos-seed", "fault-seed"] {
-        if let Some(v) = args.get_opt::<u64>(key)? {
-            b = b.seed(v);
-            seeded = true;
-        }
-    }
-    if !seeded {
-        b = b.seed(default_seed);
-    }
-    b.build().map_err(|e| CliError::Usage(e.to_string()))
+    Ok(b.seed(args.get("chaos-seed", default_seed)?).build())
 }
 
 /// Corrupts ingestion per the chaos config's sensor mix, then audits and
@@ -330,8 +356,14 @@ fn switch_from(args: &Args, flag: &str) -> Result<bool, CliError> {
     }
 }
 
-/// Runs one command, writing human-readable output into `out`.
+/// Runs one command, writing human-readable output into `out`. A flag the
+/// command does not read is refused first, by name: a typo, or a flag the
+/// CLI no longer has, must not run at the default it meant to change.
 pub fn run(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let unread = args.flags.keys().filter(|f| reads(&args.command, f) == Some(false));
+    if let Some(flag) = unread.min() {
+        return Err(CliError::Usage(format!("{} does not take --{flag}", args.command)));
+    }
     match args.command.as_str() {
         "generate" => generate(args, out),
         "simulate" => simulate(args, out),
@@ -502,6 +534,7 @@ impl ServeOpts {
             ("subscribe-area", subscribe.is_some(), "--subscribe"),
             ("deadline-ms", overload, "--overload 1"),
             ("batch", ingest > 0, "--ingest"),
+            ("rebalance", ingest > 0, "--ingest"),
         ] {
             if !anchored && args.get_str(flag).is_some() {
                 return Err(CliError::Usage(format!("--{flag} needs {anchor}")));
@@ -528,7 +561,8 @@ impl ServeOpts {
         }
         // Load-aware shard rebalancing is opt-in: with `--rebalance 1` the
         // edge→shard map migrates hot edges between shards as crossing
-        // rates skew instead of keeping the static modulo assignment.
+        // rates skew instead of keeping the static modulo assignment. Its
+        // check runs after an ingest call, hence its `--ingest` anchor.
         // `--batch N` streams ingestion in calls of N events (one WAL frame
         // per shard lane) instead of one event a call.
         let rebalance = switch_from(args, "rebalance")?;
@@ -549,12 +583,12 @@ impl ServeOpts {
             max_retries: args.get("retries", 2)?,
             fault: chaos.message.clone(),
             durability,
-            degraded: impute.then(DegradedPolicy::default),
+            degraded: impute,
             overload: overload.then(|| OverloadConfig {
                 default_deadline: deadline_ms.map(std::time::Duration::from_millis),
                 ..OverloadConfig::default()
             }),
-            rebalance: rebalance.then(RebalanceConfig::default),
+            rebalance,
             ..RuntimeConfig::default()
         };
         Ok(ServeOpts {
@@ -649,7 +683,7 @@ fn subscribe_standing(
     // Imputation can certify flow intervals on quarantined links before
     // any live event arrives, tightening every standing bracket at once
     // (still containing the truth).
-    if opts.cfg.degraded.is_some() && !handles.is_empty() {
+    if opts.cfg.degraded && !handles.is_empty() {
         let certified = rt.certify_standing_brackets(1.0e12);
         if certified > 0 {
             writeln!(out, "standing: imputation certified {certified} quarantined links")?;
@@ -689,7 +723,7 @@ fn stream_ingest(
     }
     let applied = rt.flush_ingest();
     writeln!(out, "ingested {ingest_n} crossings (per-shard applied: {applied:?})")?;
-    if opts.cfg.rebalance.is_some() {
+    if opts.cfg.rebalance {
         writeln!(
             out,
             "rebalance: map epoch {}, shard loads {:?}",
@@ -946,7 +980,7 @@ mod tests {
         assert_eq!(a.command, "query");
         assert_eq!(a.get::<f64>("area", 0.0).unwrap(), 0.1);
         assert_eq!(a.get_str("kind"), Some("static"));
-        assert_eq!(a.get::<usize>("missing", 9).unwrap(), 9);
+        assert_eq!(a.get::<usize>("queries", 9).unwrap(), 9, "an absent flag reads its default");
     }
 
     #[test]
@@ -1089,7 +1123,7 @@ mod tests {
             "0.15",
             "--flip",
             "0.1",
-            "--fault-seed",
+            "--chaos-seed",
             "9",
         ]);
         assert!(out.contains("injected:"), "{out}");
@@ -1120,7 +1154,7 @@ mod tests {
             "2",
             "--dead",
             "0.2",
-            "--fault-seed",
+            "--chaos-seed",
             "5",
         ]);
         assert!(out.contains("sensor faults:"), "{out}");
@@ -1145,7 +1179,7 @@ mod tests {
             "2",
             "--dead",
             "0.25",
-            "--fault-seed",
+            "--chaos-seed",
             "5",
             "--impute",
             "1",
@@ -1233,8 +1267,10 @@ mod tests {
 
     #[test]
     fn serve_rebalance_and_batch_flag_validation() {
-        let args = Args::parse(["serve", "--rebalance", "2"].map(String::from)).unwrap();
-        assert!(run(&args, &mut Vec::new()).is_err(), "--rebalance takes 0|1");
+        assert_refused(&["serve", "--ingest", "10", "--rebalance", "2"], "must be 0 or 1");
+        // Rebalancing checks after an ingest call: without one it would do
+        // nothing, and say nothing.
+        assert_refused(&["serve", "--rebalance", "1"], "--rebalance needs --ingest");
         let args =
             Args::parse(["serve", "--ingest", "10", "--batch", "0"].map(String::from)).unwrap();
         assert!(run(&args, &mut Vec::new()).is_err(), "a zero batch is a refusal");
@@ -1325,36 +1361,6 @@ mod tests {
         // Even repeating the same value is a refusal — the command line is
         // ambiguous either way.
         assert!(Args::parse(["serve", "--drop", "0.1", "--drop", "0.1"].map(String::from)).is_err());
-    }
-
-    #[test]
-    fn conflicting_seed_flags_are_rejected() {
-        let args =
-            Args::parse(["serve", "--chaos-seed", "1", "--fault-seed", "2"].map(String::from))
-                .unwrap();
-        let err = run(&args, &mut Vec::new()).expect_err("conflicting seeds must be rejected");
-        assert!(err.to_string().contains("conflicting"), "{err}");
-        // The same value through both flags is merely redundant, not wrong.
-        let ok = Args::parse(
-            [
-                "serve",
-                "--junctions",
-                "100",
-                "--objects",
-                "10",
-                "--size",
-                "0.3",
-                "--queries",
-                "1",
-                "--chaos-seed",
-                "7",
-                "--fault-seed",
-                "7",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        assert!(run(&ok, &mut Vec::new()).is_ok());
     }
 
     #[test]

@@ -73,27 +73,27 @@ impl DegradedStrategy {
     }
 }
 
-/// Tuning for the degraded-mode escalation.
+/// Widest dual ring the detour search may use (1 = classic single-ring).
+const MAX_RING: usize = 3;
+
+/// Regressor family of the learned fallback.
+const LEARNED: RegressorKind = RegressorKind::PiecewiseLinear(8);
+
+/// Per-graph plan-cache capacity of the answerer's engines.
+const PLAN_CACHE: usize = 128;
+
+/// The one rung of the degraded-mode escalation a caller can turn off; the
+/// rest run at this module's constants (detours up to three dual rings,
+/// piecewise-linear fallback models, 128 cached plans per graph).
 #[derive(Clone, Copy, Debug)]
 pub struct DegradedPolicy {
-    /// Widest dual ring the detour search may use (1 = classic single-ring).
-    pub max_ring: usize,
     /// Whether conservation-interval imputation is attempted.
     pub impute: bool,
-    /// Regressor family for the learned fallback (`None` disables it).
-    pub learned: Option<RegressorKind>,
-    /// Per-graph plan-cache capacity of the answerer's engines.
-    pub plan_cache: usize,
 }
 
 impl Default for DegradedPolicy {
     fn default() -> Self {
-        DegradedPolicy {
-            max_ring: 3,
-            impute: true,
-            learned: Some(RegressorKind::PiecewiseLinear(8)),
-            plan_cache: 128,
-        }
+        DegradedPolicy { impute: true }
     }
 }
 
@@ -141,7 +141,6 @@ impl<S: CountSource + ?Sized> CountSource for HybridSource<'_, S> {
 /// graphs, the imputation constraint system, the learned fallback models,
 /// and one plan-caching [`QueryEngine`] per graph.
 pub struct DegradedAnswerer {
-    policy: DegradedPolicy,
     quarantined: HashSet<usize>,
     fine: SampledGraph,
     demoted: SampledGraph,
@@ -157,7 +156,6 @@ impl std::fmt::Debug for DegradedAnswerer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DegradedAnswerer")
             .field("quarantined", &self.quarantined.len())
-            .field("policy", &self.policy)
             .field("imputer", &self.imputer.as_ref().map(|i| i.num_constraints()))
             .field("learned", &self.learned.is_some())
             .finish()
@@ -178,7 +176,7 @@ impl DegradedAnswerer {
         policy: DegradedPolicy,
     ) -> Self {
         let demoted = fine.demote_edges(sensing, quarantined);
-        let rerouted = fine.reroute_around_multi(sensing, quarantined, policy.max_ring.max(1));
+        let rerouted = fine.reroute_around_multi(sensing, quarantined, MAX_RING);
         // Caps come from both surviving resolutions: the demoted graph is a
         // coarsening of the fine faces (always contains, always sound) and
         // the rerouted graph is finer (caps tighter wherever one of its
@@ -189,22 +187,21 @@ impl DegradedAnswerer {
         } else {
             None
         };
-        let learned = policy.learned.filter(|_| !quarantined.is_empty()).map(|kind| {
+        let learned = (!quarantined.is_empty()).then(|| {
             let mask: Vec<bool> =
                 (0..store.num_edges()).map(|e| quarantined.contains(&e)).collect();
-            LearnedStore::fit(store, Some(&mask), kind)
+            LearnedStore::fit(store, Some(&mask), LEARNED)
         });
         DegradedAnswerer {
-            policy,
             quarantined: quarantined.iter().copied().collect(),
             fine: fine.clone(),
             demoted,
             rerouted,
             imputer,
             learned,
-            fine_engine: QueryEngine::new(policy.plan_cache),
-            demoted_engine: QueryEngine::new(policy.plan_cache),
-            rerouted_engine: QueryEngine::new(policy.plan_cache),
+            fine_engine: QueryEngine::new(PLAN_CACHE),
+            demoted_engine: QueryEngine::new(PLAN_CACHE),
+            rerouted_engine: QueryEngine::new(PLAN_CACHE),
         }
     }
 
@@ -216,11 +213,6 @@ impl DegradedAnswerer {
     /// The demoted graph.
     pub fn demoted(&self) -> &SampledGraph {
         &self.demoted
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &DegradedPolicy {
-        &self.policy
     }
 
     /// The conservation-residual imputer, when the policy enabled it and
@@ -729,7 +721,7 @@ mod tests {
     fn disabled_imputation_falls_back_to_learned_or_structural() {
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
-        let policy = DegradedPolicy { impute: false, ..DegradedPolicy::default() };
+        let policy = DegradedPolicy { impute: false };
         let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, &tracked.store, policy);
         for (q, kind) in queries(&f) {
             let a = ans.answer(&f.sensing, &tracked.store, &q, kind);

@@ -8,12 +8,9 @@
 //! caller from setting them inconsistently.
 //!
 //! [`ChaosConfig`] unifies them: **one root seed**, domain-separated into
-//! per-plan sub-seeds (so the message coin stream never correlates with the
-//! sensor or durability streams), and a builder that *rejects* conflicting
-//! seed settings instead of silently letting the last write win. The CLI
-//! maps `--chaos-seed` onto [`ChaosBuilder::seed`]; a second seed source
-//! (duplicate flag, or a legacy `--fault-seed` alongside `--chaos-seed`)
-//! surfaces as [`ChaosError::ConflictingSeed`].
+//! per-plan sub-seeds, so the message coin stream never correlates with the
+//! sensor or durability streams. The CLI maps `--chaos-seed` onto
+//! [`ChaosBuilder::seed`].
 
 use crate::durability::DurabilityFaultPlan;
 use crate::fault::{CrashWindow, FaultPlan};
@@ -25,37 +22,11 @@ const SALT_MESSAGE: u64 = 0xA24B_AED4_963E_E407;
 const SALT_SENSOR: u64 = 0x9FB2_1C65_1E98_DF25;
 const SALT_DURABILITY: u64 = 0xD6E8_FEB8_6659_FD93;
 
-/// Why a [`ChaosBuilder`] refused to build.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChaosError {
-    /// The seed was set twice with different values — two flags (or one
-    /// flag repeated) disagree about which universe to replay.
-    ConflictingSeed {
-        /// The seed already recorded.
-        first: u64,
-        /// The seed that tried to replace it.
-        second: u64,
-    },
-}
-
-impl std::fmt::Display for ChaosError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChaosError::ConflictingSeed { first, second } => {
-                write!(f, "conflicting chaos seeds: {first} vs {second} — set one seed, once")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ChaosError {}
-
-/// Builder for [`ChaosConfig`]. Fault *shapes* (probabilities, windows,
-/// kill schedules) accumulate freely; the *seed* may be set at most once.
+/// Builder for [`ChaosConfig`]: fault shapes (probabilities, windows, kill
+/// schedules) accumulate, and the root seed is 0 unless set.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosBuilder {
-    seed: Option<u64>,
-    error: Option<ChaosError>,
+    seed: u64,
     drop_p: f64,
     delay_p: f64,
     dup_p: f64,
@@ -66,17 +37,9 @@ pub struct ChaosBuilder {
 }
 
 impl ChaosBuilder {
-    /// Sets the root seed. A second call with a *different* value poisons
-    /// the builder ([`ChaosError::ConflictingSeed`] at [`Self::build`]);
-    /// repeating the same value is idempotent.
+    /// Sets the root seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        match self.seed {
-            None => self.seed = Some(seed),
-            Some(first) if first == seed => {}
-            Some(first) => {
-                self.error.get_or_insert(ChaosError::ConflictingSeed { first, second: seed });
-            }
-        }
+        self.seed = seed;
         self
     }
 
@@ -115,13 +78,9 @@ impl ChaosBuilder {
         self
     }
 
-    /// Finalizes the configuration. `Err` when the seed was set
-    /// inconsistently.
-    pub fn build(self) -> Result<ChaosConfig, ChaosError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        let seed = self.seed.unwrap_or(0);
+    /// Finalizes the configuration.
+    pub fn build(self) -> ChaosConfig {
+        let seed = self.seed;
         let mut message = FaultPlan::lossy(
             seed ^ SALT_MESSAGE,
             self.drop_p,
@@ -130,12 +89,12 @@ impl ChaosBuilder {
             self.max_delay_ms,
         );
         message.crashes = self.crashes;
-        Ok(ChaosConfig {
+        ChaosConfig {
             seed,
             message,
             sensor_mix: self.sensor_mix,
             durability: DurabilityFaultPlan::killing(seed ^ SALT_DURABILITY, &self.ingest_crashes),
-        })
+        }
     }
 }
 
@@ -181,8 +140,7 @@ mod tests {
             .seed(42)
             .message_loss(0.1, 0.0, 0.0, 0)
             .ingest_crash(1, 100)
-            .build()
-            .unwrap();
+            .build();
         assert_eq!(c.seed, 42);
         assert_ne!(c.message.seed, 42, "message plan gets a domain-separated sub-seed");
         assert_ne!(c.durability.seed, 42);
@@ -201,7 +159,6 @@ mod tests {
                 .ingest_crash(0, 50)
                 .sensor_mix(SensorFaultMix { lossy: 0.2, ..SensorFaultMix::default() })
                 .build()
-                .unwrap()
         };
         assert_eq!(make(), make());
         assert_eq!(
@@ -211,28 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_seeds_are_rejected() {
-        let err = ChaosConfig::builder().seed(1).seed(2).build().unwrap_err();
-        assert_eq!(err, ChaosError::ConflictingSeed { first: 1, second: 2 });
-        assert!(err.to_string().contains("conflicting"));
-        // The first conflict is reported even if more settings follow.
-        let err = ChaosConfig::builder().seed(1).seed(2).seed(3).build().unwrap_err();
-        assert_eq!(err, ChaosError::ConflictingSeed { first: 1, second: 2 });
-    }
-
-    #[test]
-    fn repeating_the_same_seed_is_idempotent() {
-        let c = ChaosConfig::builder().seed(9).seed(9).build().unwrap();
-        assert_eq!(c.seed, 9);
-    }
-
-    #[test]
     fn windows_land_in_the_message_plan() {
         let c = ChaosConfig::builder()
             .seed(5)
             .crash_window(CrashWindow { node: 2, after_messages: 1, lasts_messages: 3 })
-            .build()
-            .unwrap();
+            .build();
         assert!(c.message.is_crashed(2, 2));
     }
 }

@@ -56,7 +56,7 @@ pub struct ServedAnswer {
     /// Which degraded-mode repair strategy produced the final bracket
     /// ([`DegradedStrategy::None`] whenever the ordinary shard fold
     /// answered — including classic worst-case degradation with
-    /// [`RuntimeConfig::degraded`](crate::RuntimeConfig::degraded) unset).
+    /// [`RuntimeConfig::degraded`](crate::RuntimeConfig::degraded) off).
     pub strategy: DegradedStrategy,
     /// Confidence in `[0, 1]`: the boundary-report fraction for ordinary
     /// answers, the certifying strategy's structural coverage for

@@ -235,10 +235,10 @@ pub(crate) fn fan_out(st: &ServerState, d: &mut Dispatcher, mut done: impl FnMut
     // answers a query it has already given up on.
     while d.replies.try_recv().is_ok() {}
     let (batch, replies) = (&mut d.flights[..n], &d.replies);
-    let mut out = |out: Out<'_>| carry(st, &d.reply, out, &mut done);
     let owner_of = |edge| st.shared.map.shard_of(edge);
     loop {
         let now = Instant::now();
+        let mut out = |out: Out<'_>| carry(st, &d.reply, now, out, &mut done);
         match flight::tick(batch, now, &st.cfg, &mut out) {
             Next::Wait(end) => match replies.recv_timeout(slice(now, end)) {
                 Ok(resp) => flight::reply(batch, resp, owner_of, &mut out),
@@ -249,14 +249,15 @@ pub(crate) fn fan_out(st: &ServerState, d: &mut Dispatcher, mut done: impl FnMut
     }
 }
 
-/// Carries one of the flights' outputs out; for an ask, says whether the
-/// shard was asked. Shards whose worker is down are skipped outright —
-/// their edges degrade to worst-case bounds, and a recovered shard rejoins
-/// on a later attempt — and so are shards behind an open circuit breaker
-/// (no retry storm), except for the one half-open probe.
+/// Carries one of the flights' outputs out at the tick's `now`; for an ask,
+/// says whether the shard was asked. Shards whose worker is down are
+/// skipped outright — their edges degrade to worst-case bounds, and a
+/// recovered shard rejoins on a later attempt — and so are shards behind an
+/// open circuit breaker (no retry storm), except for the one half-open probe.
 fn carry(
     st: &ServerState,
     reply: &Sender<ShardResponse>,
+    now: Instant,
     out: Out<'_>,
     done: &mut impl FnMut(usize, &Flight),
 ) -> bool {
@@ -268,7 +269,7 @@ fn carry(
                 Metrics::bump(&m.skipped_unhealthy);
                 return false;
             }
-            let (gate, tr) = breakers.map_or((Gate::Allow, None), |b| b.admit(shard));
+            let (gate, tr) = breakers.map_or((Gate::Allow, None), |b| b.admit(shard, now));
             record_transition(st, tr);
             if gate == Gate::Skip {
                 Metrics::bump(&m.breaker_skipped);
@@ -287,7 +288,8 @@ fn carry(
         }
         Out::Answered(shard) => record_transition(st, breakers.and_then(|b| b.success(shard))),
         Out::Closed(f) => {
-            f.awaited().for_each(|s| record_transition(st, breakers.and_then(|b| b.failure(s))));
+            f.awaited()
+                .for_each(|s| record_transition(st, breakers.and_then(|b| b.failure(s, now))));
             if f.timed_out() {
                 Metrics::bump(&m.timeouts);
             }

@@ -296,7 +296,7 @@ metrics! {
         counter brownout_shifts,
         /// Circuit breakers tripped open (consecutive silent attempt windows).
         counter breaker_opened,
-        /// Breakers that let a half-open probe through after `open_for`.
+        /// Breakers that let a half-open probe through after `OPEN_FOR`.
         counter breaker_half_open,
         /// Breakers closed again by a successful probe or response.
         counter breaker_closed,

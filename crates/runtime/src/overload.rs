@@ -21,10 +21,12 @@
 //!   silent shards — worst-case totals, reduced coverage — so shed answers
 //!   are wider but provably sound. Levels relax as load drains, with dwell
 //!   counts on both edges so the controller cannot flap.
-//! - **Breakers** (`Breakers`): a shard that times out repeatedly trips
-//!   open and is skipped outright (its edges degrade immediately — no retry
-//!   storm against a dead radio). After `open_for` one probe query is let
-//!   through half-open; success closes the breaker, silence re-opens it.
+//! - **Breakers** (`Breakers`): a shard silent through
+//!   `FAILURE_THRESHOLD` attempt windows in a row trips open and is skipped
+//!   outright (its edges degrade immediately — no retry storm against a dead
+//!   radio). After `OPEN_FOR` one probe query is let through half-open;
+//!   success closes the breaker, silence re-opens it. The fan-out loop hands
+//!   the breakers its clock reading: they read none of their own.
 //!
 //! Everything here is advisory state *around* the fan-out path; with
 //! [`crate::RuntimeConfig::overload`] unset none of it is consulted and the
@@ -53,9 +55,11 @@ pub(crate) fn stride_for(level: u8) -> usize {
     }
 }
 
-/// Knobs of the admission gate, brownout controller, and circuit breakers.
-/// Installing this on [`crate::RuntimeConfig::overload`] turns the whole
-/// subsystem on; `None` (the default) keeps the classic blocking behavior.
+/// Knobs of the admission gate and brownout controller. Installing this on
+/// [`crate::RuntimeConfig::overload`] turns the whole subsystem on, circuit
+/// breakers included (their trip count and open time are the constants
+/// `FAILURE_THRESHOLD` and `OPEN_FOR`); `None` (the default) keeps the
+/// classic blocking behavior.
 #[derive(Clone, Debug)]
 pub struct OverloadConfig {
     /// Capacity of the admission gate in cost-model units (see
@@ -69,8 +73,6 @@ pub struct OverloadConfig {
     pub default_deadline: Option<Duration>,
     /// Brownout hysteresis knobs.
     pub brownout: BrownoutConfig,
-    /// Per-shard circuit-breaker knobs.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for OverloadConfig {
@@ -79,7 +81,6 @@ impl Default for OverloadConfig {
             max_inflight_cost: 512.0,
             default_deadline: None,
             brownout: BrownoutConfig::default(),
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -118,22 +119,12 @@ impl Default for BrownoutConfig {
     }
 }
 
-/// Knobs of the per-shard circuit breakers.
-#[derive(Clone, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive silent attempt windows before the breaker trips open
-    /// (0 disables breakers).
-    pub failure_threshold: u32,
-    /// How long an open breaker rejects fan-out before letting one probe
-    /// through half-open.
-    pub open_for: Duration,
-}
+/// Consecutive silent attempt windows before a shard's breaker trips open.
+const FAILURE_THRESHOLD: u32 = 4;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig { failure_threshold: 4, open_for: Duration::from_millis(250) }
-    }
-}
+/// How long an open breaker skips its shard before letting one probe
+/// through half-open.
+const OPEN_FOR: Duration = Duration::from_millis(250);
 
 /// Why `try_submit` refused a query. The query consumed no capacity; the
 /// client should back off for roughly `retry_after` before resubmitting.
@@ -173,92 +164,65 @@ pub(crate) enum Gate {
     Skip,
 }
 
-const CLOSED: u8 = 0;
-const OPEN: u8 = 1;
-const HALF_OPEN: u8 = 2;
-
-struct Breaker {
-    state: u8,
-    consecutive_failures: u32,
-    opened_at: Instant,
+/// One shard's breaker.
+enum Breaker {
+    /// Sending, after this many silent windows in a row.
+    Closed(u32),
+    /// Skipping the shard since the instant.
+    Open(Instant),
+    /// The one probe is out.
+    HalfOpen,
 }
 
 /// One circuit breaker per shard, each under its own small mutex (the
 /// per-query fan-out touches each at most twice).
 pub(crate) struct Breakers {
-    cfg: BreakerConfig,
     slots: Vec<Mutex<Breaker>>,
 }
 
 impl Breakers {
-    fn new(cfg: BreakerConfig, num_shards: usize) -> Self {
-        let now = Instant::now();
-        Breakers {
-            cfg,
-            slots: (0..num_shards)
-                .map(|_| {
-                    Mutex::new(Breaker { state: CLOSED, consecutive_failures: 0, opened_at: now })
-                })
-                .collect(),
-        }
+    fn new(num_shards: usize) -> Self {
+        Breakers { slots: (0..num_shards).map(|_| Mutex::new(Breaker::Closed(0))).collect() }
     }
 
-    /// Gate one fan-out to `shard`.
-    pub(crate) fn admit(&self, shard: usize) -> (Gate, Option<Transition>) {
-        if self.cfg.failure_threshold == 0 {
-            return (Gate::Allow, None);
-        }
+    /// Gate one fan-out to `shard` at `now`.
+    pub(crate) fn admit(&self, shard: usize, now: Instant) -> (Gate, Option<Transition>) {
         let mut b = self.slots[shard].lock();
-        match b.state {
-            OPEN if b.opened_at.elapsed() >= self.cfg.open_for => {
-                b.state = HALF_OPEN;
+        match *b {
+            Breaker::Open(since) if now.saturating_duration_since(since) >= OPEN_FOR => {
+                *b = Breaker::HalfOpen;
                 (Gate::Probe, Some(Transition::HalfOpened))
             }
-            OPEN => (Gate::Skip, None),
             // While half-open exactly one probe is outstanding; everyone
             // else keeps degrading until the probe resolves the state.
-            HALF_OPEN => (Gate::Skip, None),
-            _ => (Gate::Allow, None),
+            Breaker::Open(_) | Breaker::HalfOpen => (Gate::Skip, None),
+            Breaker::Closed(_) => (Gate::Allow, None),
         }
     }
 
     /// The shard answered an attempt in time.
     pub(crate) fn success(&self, shard: usize) -> Option<Transition> {
-        if self.cfg.failure_threshold == 0 {
-            return None;
-        }
         let mut b = self.slots[shard].lock();
-        let was_open = b.state != CLOSED;
-        b.state = CLOSED;
-        b.consecutive_failures = 0;
+        let was_open = !matches!(*b, Breaker::Closed(_));
+        *b = Breaker::Closed(0);
         was_open.then_some(Transition::Closed)
     }
 
-    /// The shard stayed silent through an attempt window.
-    pub(crate) fn failure(&self, shard: usize) -> Option<Transition> {
-        if self.cfg.failure_threshold == 0 {
-            return None;
-        }
+    /// The shard stayed silent through an attempt window that closed at
+    /// `now`.
+    pub(crate) fn failure(&self, shard: usize, now: Instant) -> Option<Transition> {
         let mut b = self.slots[shard].lock();
-        match b.state {
+        match *b {
             // A failed half-open probe re-opens immediately.
-            HALF_OPEN => {
-                b.state = OPEN;
-                b.opened_at = Instant::now();
-                Some(Transition::Opened)
+            Breaker::HalfOpen => *b = Breaker::Open(now),
+            Breaker::Closed(n) if n + 1 >= FAILURE_THRESHOLD => *b = Breaker::Open(now),
+            Breaker::Closed(n) => {
+                *b = Breaker::Closed(n + 1);
+                return None;
             }
-            CLOSED => {
-                b.consecutive_failures += 1;
-                if b.consecutive_failures >= self.cfg.failure_threshold {
-                    b.state = OPEN;
-                    b.opened_at = Instant::now();
-                    Some(Transition::Opened)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+            Breaker::Open(_) => return None,
         }
+        Some(Transition::Opened)
     }
 }
 
@@ -383,7 +347,7 @@ impl OverloadState {
         let total_junctions = sensing.road().num_junctions().max(1) as f64;
         OverloadState {
             brownout: BrownoutController::new(cfg.brownout.clone()),
-            breakers: Breakers::new(cfg.breaker.clone(), num_shards),
+            breakers: Breakers::new(num_shards),
             cfg,
             pricer: Pricer { model, total_junctions, num_shards },
             inflight_milli: AtomicU64::new(0),
@@ -454,56 +418,66 @@ impl OverloadState {
 mod tests {
     use super::*;
 
-    fn breakers(threshold: u32, open_for: Duration) -> Breakers {
-        Breakers::new(BreakerConfig { failure_threshold: threshold, open_for }, 2)
-    }
-
     /// One breaker's state, by name.
     fn state(b: &Breakers, shard: usize) -> &'static str {
-        match b.slots[shard].lock().state {
-            OPEN => "open",
-            HALF_OPEN => "half-open",
-            _ => "closed",
+        match *b.slots[shard].lock() {
+            Breaker::Open(_) => "open",
+            Breaker::HalfOpen => "half-open",
+            Breaker::Closed(_) => "closed",
         }
+    }
+
+    /// Trips shard 0's breaker with silent windows closing at `t`, checking
+    /// that only the last one trips it.
+    fn trip(b: &Breakers, t: Instant) {
+        for _ in 1..FAILURE_THRESHOLD {
+            assert_eq!(b.failure(0, t), None);
+            assert_eq!(b.admit(0, t).0, Gate::Allow, "below the threshold the shard is asked");
+        }
+        assert_eq!(b.failure(0, t), Some(Transition::Opened));
+        assert_eq!(state(b, 0), "open");
     }
 
     #[test]
     fn breaker_trips_probes_and_recovers() {
-        let b = breakers(2, Duration::from_millis(5));
-        assert_eq!(b.admit(0).0, Gate::Allow);
-        assert_eq!(b.failure(0), None);
-        assert_eq!(b.failure(0), Some(Transition::Opened));
+        let (b, t0) = (Breakers::new(2), Instant::now());
+        trip(&b, t0);
+        assert_eq!(b.admit(0, t0).0, Gate::Skip, "freshly open breaker rejects");
+        let almost = t0 + OPEN_FOR - Duration::from_nanos(1);
+        assert_eq!(b.admit(0, almost), (Gate::Skip, None));
+        // A dispatcher whose tick read the clock before the trip skips too.
+        assert_eq!(b.admit(0, t0 - Duration::from_millis(1)).0, Gate::Skip);
         assert_eq!(state(&b, 0), "open");
-        assert_eq!(b.admit(0).0, Gate::Skip, "freshly open breaker rejects");
-        std::thread::sleep(Duration::from_millis(6));
-        let (gate, tr) = b.admit(0);
-        assert_eq!(gate, Gate::Probe);
-        assert_eq!(tr, Some(Transition::HalfOpened));
-        assert_eq!(b.admit(0).0, Gate::Skip, "only one probe at a time");
-        assert_eq!(b.success(0), Some(Transition::Closed));
-        assert_eq!(b.admit(0).0, Gate::Allow);
-        assert!((0..2).all(|shard| state(&b, shard) == "closed"));
         // The other shard's breaker never moved.
+        assert_eq!(b.admit(1, t0), (Gate::Allow, None));
         assert_eq!(state(&b, 1), "closed");
+
+        let t1 = t0 + OPEN_FOR;
+        assert_eq!(b.admit(0, t1), (Gate::Probe, Some(Transition::HalfOpened)));
+        assert_eq!(state(&b, 0), "half-open");
+        assert_eq!(b.admit(0, t1).0, Gate::Skip, "only one probe at a time");
+        assert_eq!(b.success(0), Some(Transition::Closed), "a successful probe closes");
+        assert_eq!(b.admit(0, t1), (Gate::Allow, None));
+        // Closed again, the count starts over: it takes a full run of
+        // silent windows to trip once more.
+        trip(&b, t1);
+        assert_eq!(b.success(0), Some(Transition::Closed));
+        assert_eq!(b.success(0), None, "a closed breaker has nothing to close");
+        assert!((0..2).all(|shard| state(&b, shard) == "closed"));
     }
 
     #[test]
     fn failed_probe_reopens() {
-        let b = breakers(1, Duration::from_millis(1));
-        assert_eq!(b.failure(0), Some(Transition::Opened));
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(b.admit(0).0, Gate::Probe);
-        assert_eq!(b.failure(0), Some(Transition::Opened), "silent probe re-opens");
+        let (b, t0) = (Breakers::new(2), Instant::now());
+        trip(&b, t0);
+        let t1 = t0 + OPEN_FOR;
+        assert_eq!(b.admit(0, t1).0, Gate::Probe);
+        assert_eq!(b.failure(0, t1), Some(Transition::Opened), "silent probe re-opens");
         assert_eq!(state(&b, 0), "open");
-    }
-
-    #[test]
-    fn zero_threshold_disables_breakers() {
-        let b = breakers(0, Duration::from_millis(1));
-        for _ in 0..10 {
-            assert_eq!(b.failure(0), None);
-        }
-        assert_eq!(b.admit(0).0, Gate::Allow);
+        // Open from the probe's window, not from the first trip.
+        assert_eq!(b.admit(0, t1 + OPEN_FOR - Duration::from_nanos(1)).0, Gate::Skip);
+        assert_eq!(b.failure(0, t1), None, "an open breaker counts nothing");
+        assert_eq!(b.admit(0, t1 + OPEN_FOR).0, Gate::Probe);
     }
 
     #[test]

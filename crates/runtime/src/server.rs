@@ -31,7 +31,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender};
-use stq_core::degraded::DegradedPolicy;
 use stq_core::query::{Approximation, QueryKind, QueryRegion};
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
@@ -48,7 +47,6 @@ pub use crate::ingest::{IngestError, IngestReport};
 use crate::metrics::Metrics;
 use crate::overload::{OverloadConfig, Rejected};
 use crate::shard::{ShardHealth, ShardMsg};
-use crate::shardmap::RebalanceConfig;
 use crate::state::{ServerState, Shared};
 use crate::supervisor::{Supervisor, SupervisorMsg};
 
@@ -112,31 +110,34 @@ pub struct RuntimeConfig {
     /// boundary). Invalidated wholesale on supervisor-driven recovery.
     pub plan_cache: usize,
     /// Degraded-mode answering over the quarantined deployment (multi-face
-    /// detours → conservation-interval imputation → learned fallback; see
-    /// `stq_core::degraded`). `None` (the default) keeps the classic
-    /// worst-case-totals degradation, which stays **bitwise identical** to
-    /// the standing-subscription fold — turning this on trades that
-    /// equivalence for far tighter brackets on quarantine-degraded answers.
-    /// The ladder reads live counts, before and after ingest alike: each
-    /// consult asks every shard for its counts at the query's instants (one
-    /// cut of the ingest stream) and stands down — the ordinary bracket
-    /// answers — when a shard is unhealthy or silent, or when the ladder
-    /// reads an edge no shard serves (quarantined, at start-up or on a lost
-    /// history). The learned fallback's models stay fitted to the start-up
-    /// logs: a point value inside a certified bracket, never a bound.
-    pub degraded: Option<DegradedPolicy>,
+    /// detours → conservation-interval imputation → learned fallback, each
+    /// rung on at `stq_core::degraded`'s defaults). `false` (the default)
+    /// keeps the classic worst-case-totals degradation, which stays
+    /// **bitwise identical** to the standing-subscription fold — turning
+    /// this on trades that equivalence for far tighter brackets on
+    /// quarantine-degraded answers. The ladder reads live counts, before and
+    /// after ingest alike: each consult asks every shard for its counts at
+    /// the query's instants (one cut of the ingest stream) and stands down —
+    /// the ordinary bracket answers — when a shard is unhealthy or silent,
+    /// or when the ladder reads an edge no shard serves (quarantined, at
+    /// start-up or on a lost history). The learned fallback's models stay
+    /// fitted to the start-up logs: a point value inside a certified
+    /// bracket, never a bound.
+    pub degraded: bool,
     /// Overload control: deadline budgets, cost-based admission, brownout
-    /// precision shedding, and per-shard circuit breakers (see
+    /// precision shedding, and per-shard circuit breakers, which trip after
+    /// 4 silent attempt windows and skip their shard for 250 ms (see
     /// [`crate::overload`]). `None` (the default) keeps the classic
     /// behavior: `submit` blocks on a full queue and serves at full
     /// precision regardless of load.
     pub overload: Option<OverloadConfig>,
-    /// Load-aware shard rebalancing (see [`crate::shardmap`]). `None` (the
-    /// default) keeps the static modulo edge→shard assignment; with
-    /// `Some` the [`crate::ShardMap`] tracks per-edge crossing rates and
-    /// migrates hot edge ranges between shards when the imbalance trigger
-    /// fires.
-    pub rebalance: Option<RebalanceConfig>,
+    /// Load-aware shard rebalancing (see [`crate::shardmap`]). `false` (the
+    /// default) keeps the static modulo edge→shard assignment; with `true`
+    /// the [`crate::ShardMap`] tracks per-edge crossing rates and, every
+    /// 4 096 routed events, migrates up to 32 of the hottest edges off a
+    /// shard whose load exceeds 1.25 × the mean. The check runs after an
+    /// ingest call, so a runtime that ingests nothing never rebalances.
+    pub rebalance: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -150,9 +151,9 @@ impl Default for RuntimeConfig {
             fault: FaultPlan::none(),
             durability: None,
             plan_cache: 256,
-            degraded: None,
+            degraded: false,
             overload: None,
-            rebalance: None,
+            rebalance: false,
         }
     }
 }

@@ -8,17 +8,16 @@
 //! agree on one assignment at every instant, so the mapping lives in one
 //! [`ShardMap`] they all share.
 //!
-//! The map starts from the static `e % N` assignment. Without a
-//! [`RebalanceConfig`] it stays there: the epoch is always 0 and no
-//! rebalance is ever due or planned. With one
-//! (`RuntimeConfig::rebalance`), it tracks per-edge crossing rates in a
-//! decayed histogram fed from the subscription registry's lifetime-totals
-//! table (no second counter array on the hot path) and, when one shard's
-//! load runs past the configured imbalance ratio, plans a migration of its
-//! hottest edges to the least-loaded shard. Committing a migration bumps the
-//! **map epoch**; the supervisor performs the actual state hand-off and
-//! re-snapshots standing subscriptions atomically with the bump (see
-//! `crate::supervisor`).
+//! The map starts from the static `e % N` assignment. Without rebalancing
+//! it stays there: the epoch is always 0 and no rebalance is ever due or
+//! planned. With it (`RuntimeConfig::rebalance`), it tracks per-edge
+//! crossing rates in a decayed histogram fed from the subscription
+//! registry's lifetime-totals table (no second counter array on the hot
+//! path) and, when one shard's load runs past `MIN_IMBALANCE` × the mean,
+//! plans a migration of its hottest edges to the least-loaded shard.
+//! Committing a migration bumps the **map epoch**; the supervisor performs
+//! the actual state hand-off and re-snapshots standing subscriptions
+//! atomically with the bump (see `crate::supervisor`).
 //!
 //! The map itself is lock-free on the routing path: `shard_of` is one
 //! atomic load, and `record_route` one relaxed add (two when rebalancing).
@@ -39,31 +38,24 @@ pub struct Migration {
     pub to: usize,
 }
 
-/// Tuning knobs of a rebalancing [`ShardMap`].
-#[derive(Clone, Debug)]
-pub struct RebalanceConfig {
-    /// Routed events between rebalance checks. The check itself is an
-    /// O(num_edges) pass over the totals table, so it should amortize over
-    /// thousands of events.
-    pub check_every: u64,
-    /// Edge moves per committed migration batch. Each batch quiesces the
-    /// involved shards once, so a larger cap amortizes the hand-off.
-    pub max_moves: usize,
-    /// Per-check exponential decay of the per-edge rate histogram in
-    /// `[0, 1)`: 0 forgets everything each window, values near 1 average
-    /// over many windows. Decay is keyed on routed-event *counts*, not wall
-    /// clock, so planning stays deterministic for a deterministic stream.
-    pub decay: f64,
-    /// Minimum `max_shard_load / mean_shard_load` ratio before a migration
-    /// is planned (1.25 = tolerate 25% imbalance).
-    pub min_imbalance: f64,
-}
+/// Routed events between rebalance checks. The check itself is an
+/// O(num_edges) pass over the totals table, so it amortizes over thousands
+/// of events.
+const CHECK_EVERY: u64 = 4096;
 
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig { check_every: 4096, max_moves: 32, decay: 0.5, min_imbalance: 1.25 }
-    }
-}
+/// Edge moves per committed migration batch. Each batch quiesces the
+/// involved shards once, so a larger cap amortizes the hand-off.
+const MAX_MOVES: usize = 32;
+
+/// Per-check exponential decay of the per-edge rate histogram: half of the
+/// last window's rate carries into the next. Decay is keyed on routed-event
+/// *counts*, not wall clock, so planning stays deterministic for a
+/// deterministic stream.
+const DECAY: f64 = 0.5;
+
+/// Minimum `max_shard_load / mean_shard_load` ratio before a migration is
+/// planned: 25 % imbalance is tolerated.
+const MIN_IMBALANCE: f64 = 1.25;
 
 /// Decayed per-edge rate histogram, updated on each plan pass.
 struct LoadWindow {
@@ -74,11 +66,9 @@ struct LoadWindow {
     last_totals: Vec<u64>,
 }
 
-/// What only a rebalancing map carries: its knobs, its clock, the
-/// registry's totals it reads load from, and the decayed rate window
-/// between plan passes.
+/// What only a rebalancing map carries: its clock, the registry's totals
+/// it reads load from, and the decayed rate window between plan passes.
 struct Rebalancer {
-    cfg: RebalanceConfig,
     /// Routed events since the last plan pass (the `rebalance_due` clock).
     routed: AtomicU64,
     /// The registry's per-edge lifetime `[forward, backward]` totals.
@@ -95,9 +85,8 @@ struct Rebalancer {
 /// already maintains — the map keeps no per-event counter of its own. Each
 /// `plan_rebalance` pass folds the window's traffic into a decayed per-edge
 /// histogram, aggregates it per shard, and when the hottest shard exceeds
-/// [`RebalanceConfig::min_imbalance`] × the mean, greedily reassigns its
-/// hottest edges to the least-loaded shard until the excess is gone (capped
-/// at [`RebalanceConfig::max_moves`]).
+/// `MIN_IMBALANCE` × the mean, greedily reassigns its hottest edges to the
+/// least-loaded shard until the excess is gone (capped at `MAX_MOVES`).
 pub struct ShardMap {
     num_shards: usize,
     /// Current owner per edge (u32 is plenty: shards are thread counts).
@@ -114,18 +103,11 @@ impl ShardMap {
     /// A map over `num_shards` shards starting from the modulo assignment
     /// of the `totals.len()` edges; with `rebalance` it accounts load
     /// against the registry's `totals` table and plans migrations.
-    pub fn new(
-        num_shards: usize,
-        totals: &Arc<Vec<[AtomicU64; 2]>>,
-        rebalance: Option<RebalanceConfig>,
-    ) -> Self {
+    pub fn new(num_shards: usize, totals: &Arc<Vec<[AtomicU64; 2]>>, rebalance: bool) -> Self {
         assert!(num_shards >= 1, "need at least one shard");
         let num_edges = totals.len();
-        let rebalancer = rebalance.map(|cfg| {
-            assert!((0.0..1.0).contains(&cfg.decay), "decay must be in [0, 1)");
-            assert!(cfg.min_imbalance >= 1.0, "min_imbalance below 1 would always trigger");
+        let rebalancer = rebalance.then(|| {
             Box::new(Rebalancer {
-                cfg,
                 routed: AtomicU64::new(0),
                 totals: Arc::clone(totals),
                 window: Mutex::new(LoadWindow {
@@ -174,17 +156,16 @@ impl ShardMap {
     }
 
     /// Whether enough traffic has accrued since the last plan to make a
-    /// rebalance check worthwhile. Never true without a [`RebalanceConfig`].
+    /// rebalance check worthwhile: `CHECK_EVERY` routed events. Never
+    /// true without rebalancing.
     pub fn rebalance_due(&self) -> bool {
-        self.rebalancer
-            .as_ref()
-            .is_some_and(|r| r.routed.load(Ordering::Relaxed) >= r.cfg.check_every)
+        self.rebalancer.as_ref().is_some_and(|r| r.routed.load(Ordering::Relaxed) >= CHECK_EVERY)
     }
 
     /// Plans (but does not apply) a migration batch. Empty when balanced,
-    /// and always without a [`RebalanceConfig`].
+    /// and always without rebalancing.
     pub fn plan_rebalance(&self) -> Vec<Migration> {
-        let Some(Rebalancer { cfg, routed, totals, window }) = self.rebalancer.as_deref() else {
+        let Some(Rebalancer { routed, totals, window }) = self.rebalancer.as_deref() else {
             return Vec::new();
         };
         let mut w = window.lock();
@@ -195,7 +176,7 @@ impl ShardMap {
             let t = totals[e][0].load(Ordering::Relaxed) + totals[e][1].load(Ordering::Relaxed);
             let delta = t.saturating_sub(w.last_totals[e]) as f64;
             w.last_totals[e] = t;
-            w.decayed[e] = cfg.decay * w.decayed[e] + delta;
+            w.decayed[e] = DECAY * w.decayed[e] + delta;
         }
         // Aggregate per shard under the *current* assignment.
         let mut shard_load = vec![0.0f64; self.num_shards];
@@ -213,7 +194,7 @@ impl ShardMap {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(s, _)| s)
             .expect("at least one shard");
-        if shard_load[hot] <= cfg.min_imbalance * mean {
+        if shard_load[hot] <= MIN_IMBALANCE * mean {
             return Vec::new();
         }
         // Hottest edges first; ties break on the edge id so planning is
@@ -226,7 +207,7 @@ impl ShardMap {
         hot_edges.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut moves = Vec::new();
         for (edge, rate) in hot_edges {
-            if moves.len() >= cfg.max_moves || shard_load[hot] <= mean {
+            if moves.len() >= MAX_MOVES || shard_load[hot] <= mean {
                 break;
             }
             let to = shard_load
@@ -276,7 +257,7 @@ mod tests {
     #[test]
     fn modulo_map_matches_the_static_rule() {
         // 32 known edges; ids past them fall back to the same static rule.
-        let m = ShardMap::new(4, &totals(32), None);
+        let m = ShardMap::new(4, &totals(32), false);
         for e in 0..64 {
             assert_eq!(m.shard_of(e), e % 4);
         }
@@ -290,7 +271,7 @@ mod tests {
     #[test]
     fn load_aware_starts_modulo_and_needs_traffic_to_plan() {
         let t = totals(32);
-        let m = ShardMap::new(4, &t, Some(RebalanceConfig::default()));
+        let m = ShardMap::new(4, &t, true);
         for e in 0..32 {
             assert_eq!(m.shard_of(e), e % 4);
         }
@@ -305,7 +286,7 @@ mod tests {
         t[0][0].store(1000, Ordering::Relaxed);
         t[4][0].store(900, Ordering::Relaxed);
         t[8][1].store(800, Ordering::Relaxed);
-        let m = ShardMap::new(4, &t, Some(RebalanceConfig::default()));
+        let m = ShardMap::new(4, &t, true);
         let moves = m.plan_rebalance();
         assert!(!moves.is_empty(), "hotspot must trigger a plan");
         assert!(moves.iter().all(|mv| mv.from == 0), "only the hot shard sheds edges");
@@ -326,7 +307,7 @@ mod tests {
             for e in 0..64 {
                 t[e][0].store(((e as u64) * 37) % 211, Ordering::Relaxed);
             }
-            ShardMap::new(4, &t, Some(RebalanceConfig::default())).plan_rebalance()
+            ShardMap::new(4, &t, true).plan_rebalance()
         };
         assert_eq!(mk(), mk());
     }
@@ -334,10 +315,9 @@ mod tests {
     #[test]
     fn rebalance_due_tracks_routed_events() {
         let t = totals(8);
-        let cfg = RebalanceConfig { check_every: 10, ..RebalanceConfig::default() };
-        let m = ShardMap::new(2, &t, Some(cfg));
+        let m = ShardMap::new(2, &t, true);
         assert!(!m.rebalance_due());
-        m.record_route(0, 9);
+        m.record_route(0, CHECK_EVERY - 1);
         assert!(!m.rebalance_due());
         m.record_route(1, 1);
         assert!(m.rebalance_due());

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
-use stq_core::degraded::DegradedAnswerer;
+use stq_core::degraded::{DegradedAnswerer, DegradedPolicy};
 use stq_core::engine::QueryEngine;
 use stq_core::query::QueryRegion;
 use stq_core::sampled::SampledGraph;
@@ -81,7 +81,7 @@ impl Shared {
         // The shard map starts with the modulo assignment either way, so a
         // fresh runtime is bit-identical with and without rebalancing, which
         // reuses the registry's lifetime totals as its crossing-rate feed.
-        let map = ShardMap::new(ns, subs.totals(), cfg.rebalance.clone());
+        let map = ShardMap::new(ns, subs.totals(), cfg.rebalance);
         let floor = if cfg.durability.is_some() { 0 } else { NO_LOG };
         let shared = Shared {
             lanes: (0..ns).map(|_| Mutex::default()).collect(),
@@ -213,10 +213,9 @@ impl ServerState {
     ) -> Self {
         let ns = cfg.num_shards;
         // The learned fallback fits its models to the start-up logs once.
-        let degraded = cfg
-            .degraded
-            .filter(|_| !quarantined.is_empty())
-            .map(|policy| DegradedAnswerer::new(&sensing, &sampled, quarantined, store, policy));
+        let degraded = (cfg.degraded && !quarantined.is_empty()).then(|| {
+            DegradedAnswerer::new(&sensing, &sampled, quarantined, store, DegradedPolicy::default())
+        });
         let overload =
             cfg.overload.as_ref().map(|oc| OverloadState::new(oc.clone(), &sensing, &sampled, ns));
         ServerState {

@@ -409,7 +409,6 @@ mod tests {
     use super::*;
     use crate::server::{QuerySpec, Runtime};
     use crate::shard::ShardHealth;
-    use crate::shardmap::RebalanceConfig;
 
     /// An ingest lane holding `retained` lanes `(first seq, length)`, its
     /// head at `next_seq`.
@@ -562,19 +561,20 @@ mod tests {
         let sampled = SampledGraph::unsampled(sensing);
         let ne = sensing.num_edges();
         let dir = tmpdir("gone");
-        // Rebalanced only when asked, and then at any skew.
-        let rebalance =
-            RebalanceConfig { check_every: u64::MAX, min_imbalance: 1.0, ..Default::default() };
         let cfg = RuntimeConfig {
             num_shards: 2,
             durability: Some(durable(&dir, 64, DurabilityFaultPlan::none())),
-            rebalance: Some(rebalance),
+            rebalance: true,
             ..RuntimeConfig::default()
         };
         let rt = runtime(&scenario, cfg);
-        let events: Vec<Crossing> = (0..2_000)
+        // Shorter than one rebalance check window (4 096 routed events), so
+        // rebalanced only when asked; seven events in eight land on seven of
+        // shard 0's edges, which puts its load, history included, at ≈ 1.3 ×
+        // the mean, past the 1.25 trigger.
+        let events: Vec<Crossing> = (0..3_000)
             .map(|i| Crossing {
-                edge: if i % 4 == 0 { i % ne } else { 2 * (i % 8) },
+                edge: if i % 8 == 0 { i % ne } else { 2 * (i % 8) },
                 ..event(ne, i)
             })
             .collect();

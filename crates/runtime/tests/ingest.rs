@@ -14,8 +14,8 @@ use stq_core::tracker::Crossing;
 use stq_durability::state_digest;
 use stq_forms::{FormStore, ShardForms};
 use stq_runtime::{
-    DurabilityConfig, DurabilityFaultPlan, IngestError, QuerySpec, RebalanceConfig, Runtime,
-    RuntimeConfig, ShardHealth,
+    DurabilityConfig, DurabilityFaultPlan, IngestError, QuerySpec, Runtime, RuntimeConfig,
+    ShardHealth,
 };
 
 struct Fixture {
@@ -340,26 +340,21 @@ fn flush_is_a_true_barrier_under_concurrent_ingest() {
     Arc::try_unwrap(rt).ok().expect("all clones joined").shutdown();
 }
 
-fn rebalance_cfg() -> RebalanceConfig {
-    RebalanceConfig { check_every: 512, max_moves: 4, decay: 0.5, min_imbalance: 1.1 }
-}
+/// Events in a skewed stream a rebalancing runtime ingests: four of its
+/// check windows (4 096 routed events each), the first served by the modulo
+/// map before any migration.
+const SKEWED: usize = 16_384;
 
 #[test]
 fn loadaware_map_migrates_and_answers_match_modulo() {
     let f = fixture();
     let ne = f.scenario.sensing.num_edges();
     let ns = 3;
-    let events = skewed_stream(ne, ns, 12, 4_000);
+    let events = skewed_stream(ne, ns, 12, SKEWED);
 
     let rt_mod = runtime(f, RuntimeConfig { num_shards: ns, ..RuntimeConfig::default() });
-    let rt_bal = runtime(
-        f,
-        RuntimeConfig {
-            num_shards: ns,
-            rebalance: Some(rebalance_cfg()),
-            ..RuntimeConfig::default()
-        },
-    );
+    let rt_bal =
+        runtime(f, RuntimeConfig { num_shards: ns, rebalance: true, ..RuntimeConfig::default() });
     for chunk in events.chunks(64) {
         rt_mod.ingest_batch(chunk);
         rt_bal.ingest_batch(chunk);
@@ -416,7 +411,7 @@ fn migration_then_crash_then_recover_keeps_digests() {
     let f = fixture();
     let ne = f.scenario.sensing.num_edges();
     let ns = 3;
-    let events = skewed_stream(ne, ns, 12, 4_000);
+    let events = skewed_stream(ne, ns, 12, SKEWED);
     let chunks: Vec<&[Crossing]> = events.chunks(64).collect();
 
     // Reference: same config and stream, no kill. Migrations are
@@ -427,7 +422,7 @@ fn migration_then_crash_then_recover_keeps_digests() {
             f,
             RuntimeConfig {
                 num_shards: ns,
-                rebalance: Some(rebalance_cfg()),
+                rebalance: true,
                 durability: Some(DurabilityConfig {
                     wal_dir: dir.to_path_buf(),
                     snapshot_every: 256,
@@ -455,18 +450,20 @@ fn migration_then_crash_then_recover_keeps_digests() {
     }
     let queries = specs(f, 5, 31);
 
-    // Killed runs: shard 0 (the initial hotspot) dies mid-stream, after the
-    // first migration has already moved edges away from it, and shard 1
-    // dies at its 500th append — its modulo share of the stream is under
-    // 300 events, so that kill only fires on a shard the migrations moved
-    // hot edges *onto*. The flush after every batch keeps recovery strictly
+    // Killed runs: shard 0 (the initial hotspot) dies mid-stream, at its
+    // 5 000th append, after the first migration (≈ 3 550 of its appends in)
+    // has already moved edges away from it, and shard 1 dies at its 2 000th
+    // append — its modulo share of the stream is under 1 100 events, so
+    // that kill only fires on a shard the migrations moved hot edges
+    // *onto*. The flush after every batch keeps recovery strictly
     // ordered before the next ingest, so the migration schedule stays
     // identical to the reference. Each seed re-keys the torn-tail draws of
     // both kills.
     for seed in [11u64, 23, 37] {
         eprintln!("fault seed {seed}");
         let dir = tmpdir("mig-kill");
-        let rt = mk(&dir, DurabilityFaultPlan::killing(0xbeef_cafe ^ seed, &[(0, 900), (1, 500)]));
+        let rt =
+            mk(&dir, DurabilityFaultPlan::killing(0xbeef_cafe ^ seed, &[(0, 5_000), (1, 2_000)]));
         for chunk in &chunks {
             rt.ingest_batch(chunk);
             rt.flush_ingest();

@@ -10,8 +10,7 @@ use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_forms::FormStore;
 use stq_runtime::{
-    BreakerConfig, BrownoutConfig, CrashWindow, FaultPlan, OverloadConfig, QuerySpec, Runtime,
-    RuntimeConfig,
+    BrownoutConfig, CrashWindow, FaultPlan, OverloadConfig, QuerySpec, Runtime, RuntimeConfig,
 };
 
 struct Fixture {
@@ -88,8 +87,9 @@ fn assert_sound(f: &Fixture, spec: &QuerySpec, lower: f64, upper: f64, what: &st
     );
 }
 
-/// Overload config with only the admission gate active (brownout and
-/// breakers parked far out of reach).
+/// Overload config with the brownout controller parked far out of reach:
+/// the admission gate and the breakers, which no shard here stays silent
+/// long enough to trip.
 fn gate_only(max_inflight_cost: f64) -> OverloadConfig {
     OverloadConfig {
         max_inflight_cost,
@@ -102,7 +102,6 @@ fn gate_only(max_inflight_cost: f64) -> OverloadConfig {
             dwell: u32::MAX,
             window: 8,
         },
-        breaker: BreakerConfig { failure_threshold: 0, ..BreakerConfig::default() },
     }
 }
 
@@ -318,9 +317,10 @@ fn expired_answers_are_counted_in_the_plan_metrics() {
 #[test]
 fn breaker_trips_skips_probes_and_recovers() {
     let f = fixture();
-    // Shard 0 silently swallows its first two deliveries (a crash window the
-    // health checks cannot see), then recovers. With a failure threshold of
-    // 1 the first timeout trips the breaker.
+    // Shard 0 silently swallows its first five deliveries (a crash window
+    // the health checks cannot see), then recovers. The breaker trips after
+    // four silent windows, stays open for 250 ms, then lets one probe
+    // through.
     let cfg = RuntimeConfig {
         num_shards: 2,
         dispatchers: 1,
@@ -329,24 +329,25 @@ fn breaker_trips_skips_probes_and_recovers() {
         fault: FaultPlan::none().with_crash(CrashWindow {
             node: 0,
             after_messages: 0,
-            lasts_messages: 2,
+            lasts_messages: 5,
         }),
-        overload: Some(OverloadConfig {
-            breaker: BreakerConfig { failure_threshold: 1, open_for: Duration::from_millis(40) },
-            ..gate_only(f64::INFINITY)
-        }),
+        overload: Some(gate_only(f64::INFINITY)),
         ..RuntimeConfig::default()
     };
     let rt = runtime(f, cfg);
     let spec = covered_spec(f, 8, 61);
     let exact = sync_value(f, &spec).unwrap();
 
-    // 1. First query times out on shard 0 → breaker trips open.
-    let first = rt.query(spec.clone());
-    assert!(first.degraded, "the crashed shard's edges must degrade");
-    assert_sound(f, &spec, first.lower, first.upper, "tripping query");
+    // 1. Four queries time out on shard 0 → the fourth trips the breaker.
+    for i in 0..4 {
+        let tripping = rt.query(spec.clone());
+        assert!(tripping.degraded, "the crashed shard's edges must degrade");
+        assert_sound(f, &spec, tripping.lower, tripping.upper, &format!("silent window {i}"));
+        let opened = rt.metrics().report().breaker_opened;
+        assert_eq!(opened, u64::from(i == 3), "only the fourth silent window trips");
+    }
 
-    // 2. While open (before open_for elapses) shard 0 is skipped outright:
+    // 2. While open (before 250 ms elapse) shard 0 is skipped outright:
     //    the answer degrades instantly instead of waiting out a timeout.
     let start = Instant::now();
     let skipped = rt.query(spec.clone());
@@ -357,16 +358,16 @@ fn breaker_trips_skips_probes_and_recovers() {
     );
     assert_sound(f, &spec, skipped.lower, skipped.upper, "breaker-skipped query");
 
-    // 3. After open_for, one probe is let through half-open. The shard is
-    //    still inside its crash window (second delivery) → re-opens.
-    std::thread::sleep(Duration::from_millis(60));
+    // 3. After 250 ms, one probe is let through half-open. The shard is
+    //    still inside its crash window (fifth delivery) → re-opens.
+    std::thread::sleep(Duration::from_millis(300));
     let probe_fail = rt.query(spec.clone());
     assert!(probe_fail.degraded);
     assert_sound(f, &spec, probe_fail.lower, probe_fail.upper, "failed probe");
 
     // 4. Next probe finds the shard recovered → breaker closes, answers are
     //    exact again.
-    std::thread::sleep(Duration::from_millis(60));
+    std::thread::sleep(Duration::from_millis(300));
     let recovered = rt.query(spec.clone());
     assert!(!recovered.degraded, "the closed breaker must serve shard 0 again");
     assert_eq!(recovered.coverage, 1.0);
@@ -400,7 +401,6 @@ fn brownout_escalates_to_full_shed_with_sound_brackets() {
                 dwell: 1,
                 window: 4,
             },
-            breaker: BreakerConfig { failure_threshold: 0, ..BreakerConfig::default() },
         }),
         ..RuntimeConfig::default()
     };

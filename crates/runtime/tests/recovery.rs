@@ -550,7 +550,7 @@ fn degraded_ladder_stands_down_on_edges_a_lost_history_quarantined() {
             RuntimeConfig {
                 num_shards: 2,
                 durability: durable_cfg(&dir, 1024, faults),
-                degraded: Some(DegradedPolicy::default()),
+                degraded: true,
                 ..RuntimeConfig::default()
             },
             &quarantined,

@@ -567,12 +567,7 @@ fn degraded_mode_escalation_upgrades_quarantined_answers() {
         f.scenario.sensing.clone(),
         f.sampled.clone(),
         store(f),
-        RuntimeConfig {
-            num_shards: 3,
-            dispatchers: 2,
-            degraded: Some(DegradedPolicy::default()),
-            ..RuntimeConfig::default()
-        },
+        RuntimeConfig { num_shards: 3, dispatchers: 2, degraded: true, ..RuntimeConfig::default() },
         &quarantined,
     );
     let all = specs(f, 8, 0.15, 43);
@@ -649,7 +644,6 @@ fn degraded_ladder_after_ingest_matches_the_synchronous_answerer() {
     // it certified before the stream) and after the stream.
     let f = fixture();
     let quarantined = every_seventh_monitored(f);
-    let policy = DegradedPolicy::default();
     let rt = Runtime::with_quarantine(
         f.scenario.sensing.clone(),
         f.sampled.clone(),
@@ -659,11 +653,12 @@ fn degraded_ladder_after_ingest_matches_the_synchronous_answerer() {
             // A consult that times out stands down; the comparison below
             // needs every one answered.
             shard_timeout: Duration::from_secs(5),
-            degraded: Some(policy),
+            degraded: true,
             ..RuntimeConfig::default()
         },
         &quarantined,
     );
+    let policy = DegradedPolicy::default();
     let reference =
         DegradedAnswerer::new(&f.scenario.sensing, &f.sampled, &quarantined, store(f), policy);
     let inside = specs(f, 8, 0.15, 43);
@@ -728,7 +723,7 @@ fn certifying_behind_a_watermark_installs_nothing() {
         f.scenario.sensing.clone(),
         f.sampled.clone(),
         store(f),
-        RuntimeConfig { degraded: Some(DegradedPolicy::default()), ..RuntimeConfig::default() },
+        RuntimeConfig { degraded: true, ..RuntimeConfig::default() },
         &every_seventh_monitored(f),
     );
     let region = f.scenario.make_queries(1, 0.3, 1_500.0, 7).remove(0).0;

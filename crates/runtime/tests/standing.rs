@@ -271,11 +271,7 @@ fn recovery_bumps_epoch_and_brackets_stay_identical() {
 fn certified_intervals_tighten_standing_brackets() {
     let f = fixture();
     let quarantined = quarantine_list(f, 5);
-    let cfg = RuntimeConfig {
-        num_shards: 3,
-        degraded: Some(DegradedPolicy::default()),
-        ..RuntimeConfig::default()
-    };
+    let cfg = RuntimeConfig { num_shards: 3, degraded: true, ..RuntimeConfig::default() };
     let rt = Runtime::with_quarantine(
         f.scenario.sensing.clone(),
         f.sampled.clone(),

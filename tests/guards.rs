@@ -179,6 +179,25 @@ fn a_panicking_shard_is_answered_not_respawned() {
     });
 }
 
+#[test]
+fn a_knob_needs_a_second_caller() {
+    assert_absent(&Guard {
+        rule: "a setting only tests turn is a constant at its one point of use: the rebalance \
+               check window, imbalance trigger, move cap and decay, the breakers' trip count \
+               and open time, and the chaos seed's legacy alias (refused as an unread flag, \
+               which one CLI test pins) have no second caller",
+        patterns: &[
+            "RebalanceConfig",
+            "BreakerConfig",
+            "ChaosError",
+            "failure_threshold",
+            "fault-seed",
+        ],
+        roots: &["crates", "examples"],
+        except: &["crates/cli/tests/unread_flags.rs"],
+    });
+}
+
 /// The lines of `text` before its test module (`#[cfg(test)]` followed by
 /// `mod`), numbered from 1.
 fn outside_tests(text: &str) -> impl Iterator<Item = (usize, &str)> {
