@@ -8,7 +8,7 @@
 //! answer whose bracket is still **certified**:
 //!
 //! 1. [`DegradedStrategy::MultiFaceDetour`] — answer on the rerouted graph
-//!    ([`SampledGraph::reroute_around_multi`]): live detour cycles, up to
+//!    ([`SampledGraph::reroute_around`]): live detour cycles, up to
 //!    several dual rings wide, buy back face granularity structurally.
 //! 2. [`DegradedStrategy::Imputation`] — answer on the *original* fine
 //!    graph, replacing each quarantined boundary edge's net flow with its
@@ -72,9 +72,6 @@ impl DegradedStrategy {
         }
     }
 }
-
-/// Widest dual ring the detour search may use (1 = classic single-ring).
-const MAX_RING: usize = 3;
 
 /// Regressor family of the learned fallback.
 const LEARNED: RegressorKind = RegressorKind::PiecewiseLinear(8);
@@ -176,7 +173,7 @@ impl DegradedAnswerer {
         policy: DegradedPolicy,
     ) -> Self {
         let demoted = fine.demote_edges(sensing, quarantined);
-        let rerouted = fine.reroute_around_multi(sensing, quarantined, MAX_RING);
+        let rerouted = fine.reroute_around(sensing, quarantined);
         // Caps come from both surviving resolutions: the demoted graph is a
         // coarsening of the fine faces (always contains, always sound) and
         // the rerouted graph is finer (caps tighter wherever one of its

@@ -58,23 +58,24 @@
 //! per junction, one per face) are allocated per compile. When this path
 //! was sized, an epoch-stamped thread-local scratch measured the same
 //! compile time on the benchmark's 2 500-junction town, so the stateless
-//! form stays: nothing to size, invalidate on a graph swap, or share
+//! form stays: nothing to size, reset between graphs, or share
 //! between threads.
 //!
-//! ## Cache invalidation
+//! ## One graph pair for life
 //!
 //! A plan bakes in the sampled graph's region resolution, so it is valid
-//! exactly as long as that graph is. [`SampledGraph`] is immutable —
-//! quarantine ([`demote_edges`](SampledGraph::demote_edges)), failover
-//! rerouting ([`reroute_around`](SampledGraph::reroute_around)) and repair
-//! all produce *new* graphs — therefore any holder that swaps graphs must
-//! call [`QueryEngine::invalidate`] at the swap. The serving runtime does
-//! this on supervisor-driven recovery (which may extend quarantine); the
-//! offline paths compile against a single graph per call and need no
-//! invalidation. Demotion only ever shrinks the monitored edge set, so a
-//! *stale* plan is still sound in the bracketing sense (its boundary is a
-//! superset chain of a coarser resolution) — invalidation is about serving
-//! the freshest resolution, not about correctness of bounds.
+//! exactly as long as that graph is. An engine serves one `sensing` +
+//! `sampled` pair for its whole life and never drops a plan but by LRU
+//! eviction. [`SampledGraph`] is immutable — quarantine
+//! ([`demote_edges`](SampledGraph::demote_edges)), failover rerouting
+//! ([`reroute_around`](SampledGraph::reroute_around)) and repair all
+//! produce *new* graphs — so a holder that swaps graphs builds a new engine
+//! for the new pair, as [`DegradedAnswerer`](crate::degraded::DegradedAnswerer)
+//! does for its demoted and rerouted graphs. The serving runtime swaps
+//! neither graph: a recovery that loses a shard's history flags edges in
+//! the subscription registry's quarantine column, and a migration moves
+//! edges between shards, and neither changes what a region resolves to.
+//! The offline paths compile against a single graph per call.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,10 +218,8 @@ impl QueryPlan {
 pub struct EngineStats {
     /// Plans served from the cache.
     pub hits: u64,
-    /// Plans compiled because no (valid) cached entry existed.
+    /// Plans compiled because no cached entry existed.
     pub misses: u64,
-    /// Wholesale cache clears (graph swaps).
-    pub invalidations: u64,
     /// Entries currently cached.
     pub cached: usize,
 }
@@ -241,16 +240,14 @@ struct PlanCache {
 
 /// A bounded plan cache plus a batched parallel executor.
 ///
-/// One engine serves one logical deployment (a `sensing` + `sampled` pair);
-/// callers that swap the sampled graph — quarantine, reroute, recovery —
-/// must [`invalidate`](Self::invalidate) at the swap (see the module docs
-/// for why stale plans are still *sound*, just stale).
+/// One engine serves one logical deployment (a `sensing` + `sampled` pair)
+/// for its life; a caller that swaps graphs builds a new engine (see the
+/// module docs).
 pub struct QueryEngine {
     capacity: usize,
     cache: Mutex<PlanCache>,
     hits: AtomicU64,
     misses: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl std::fmt::Debug for QueryEngine {
@@ -269,7 +266,6 @@ impl QueryEngine {
             cache: Mutex::new(PlanCache::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -326,31 +322,11 @@ impl QueryEngine {
         (plan, false)
     }
 
-    /// The cached plan for `id`, if it is still resident.
-    pub fn cached(&self, id: PlanId) -> Option<Arc<QueryPlan>> {
-        let mut cache = self.lock();
-        cache.tick += 1;
-        let tick = cache.tick;
-        cache.map.get_mut(&id.0).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.plan)
-        })
-    }
-
-    /// Drops every cached plan. Call when the sampled graph this engine
-    /// compiles against is replaced (quarantine demotion, failover reroute,
-    /// crash recovery, shard-map migration).
-    pub fn invalidate(&self) {
-        self.lock().map.clear();
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Cache accounting so far.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
             cached: self.lock().map.len(),
         }
     }
@@ -474,10 +450,11 @@ mod tests {
             .iter()
             .map(|(q, _, _)| engine.plan(&s.sensing, &g, q, Approximation::Lower).0.id)
             .collect();
-        // First plan was evicted by the third insert.
-        assert!(engine.cached(ids[0]).is_none());
-        assert!(engine.cached(ids[2]).is_some());
         assert_eq!(engine.stats().cached, 2);
+        // The third insert evicted the first plan and kept the third.
+        assert!(engine.plan(&s.sensing, &g, &qs[2].0, Approximation::Lower).1);
+        let (again, hit) = engine.plan(&s.sensing, &g, &qs[0].0, Approximation::Lower);
+        assert!(!hit && again.id == ids[0]);
 
         let off = QueryEngine::new(0);
         let (q, _, _) = &qs[0];
@@ -505,11 +482,6 @@ mod tests {
         // Every entry point still works, and the cache kept its entry.
         let (p2, hit) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
         assert!(hit && Arc::ptr_eq(&p1, &p2));
-        assert!(engine.cached(p1.id).is_some());
         assert_eq!(engine.stats().cached, 1);
-        engine.invalidate();
-        assert_eq!(engine.stats().cached, 0);
-        let (_, hit) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
-        assert!(!hit);
     }
 }

@@ -22,6 +22,9 @@ use stq_planar::paths::{bfs_hops, dijkstra};
 use stq_spatial::KdTree;
 use stq_submod::{cost_benefit_greedy, partition_atoms, AtomObjective};
 
+/// Widest dual ring a failover detour may use (1 = classic single-ring).
+const MAX_RING: usize = 3;
+
 /// How abstract edges between sampled sensors are generated (§4.5, Fig. 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Connectivity {
@@ -299,20 +302,11 @@ impl SampledGraph {
         Self::finish(sensing, monitored, self.sensors.clone())
     }
 
-    /// Failover patch: for each dead monitored edge, re-route the monitoring
-    /// duty along the cheapest live detour between the edge's two dual
-    /// faces, escalating to multi-face detours (up to 3 dual rings) when no
-    /// single-ring cycle survives. See [`Self::reroute_around_multi`].
-    pub fn reroute_around(&self, sensing: &SensingGraph, dead: &[usize]) -> SampledGraph {
-        self.reroute_around_multi(sensing, dead, 3)
-    }
-
-    /// Multi-face failover patch. For each dead monitored edge with dual
-    /// faces `(f, g)`:
+    /// Failover patch. For each dead monitored edge with dual faces `(f, g)`:
     ///
     /// 1. **Ring 1** — the cheapest live dual path `f → g` (the classic
     ///    detour cycle around the dead edge).
-    /// 2. **Rings 2..=`max_ring`** — when no single-ring detour survives
+    /// 2. **Rings 2..=3** — when no single-ring detour survives
     ///    (the neighbourhood itself is riddled with failures), search for the
     ///    cheapest live path between *any* pair of faces within `r` dual
     ///    hops of `f` and of `g`. Monitoring that path still cuts the merged
@@ -324,7 +318,12 @@ impl SampledGraph {
     /// (≥ 1e9 penalty weights) would monitor ramps; such cuts stay open —
     /// demotion keeps the answers sound, just coarser. Edges in `dead` are
     /// never selected again.
-    pub fn reroute_around_multi(
+    pub fn reroute_around(&self, sensing: &SensingGraph, dead: &[usize]) -> SampledGraph {
+        self.reroute_within(sensing, dead, MAX_RING)
+    }
+
+    /// [`Self::reroute_around`] with detours at most `max_ring` dual rings wide.
+    fn reroute_within(
         &self,
         sensing: &SensingGraph,
         dead: &[usize],
@@ -558,8 +557,8 @@ mod tests {
         dead.push(e);
         dead.sort_unstable();
         dead.dedup();
-        let single = g.reroute_around_multi(&s, &dead, 1);
-        let multi = g.reroute_around_multi(&s, &dead, 3);
+        let single = g.reroute_within(&s, &dead, 1);
+        let multi = g.reroute_around(&s, &dead);
         for &de in &dead {
             assert!(!multi.monitored()[de], "dead edges stay unmonitored");
         }

@@ -247,39 +247,6 @@ proptest! {
             }
         }
     }
-
-    /// A plan-cache hit returns byte-identical outcomes, before AND after a
-    /// quarantine-driven invalidation forces a recompile.
-    #[test]
-    fn cache_hit_outcomes_survive_invalidation(s in small_scenario(),
-                                               frac in 0.1f64..0.5,
-                                               seed in 0u64..100) {
-        let g = deployment(&s, frac, seed);
-        let (q, t0, t1) = s.make_queries(1, 0.15, 300.0, seed ^ 0x31).remove(0);
-        for kind in three_kinds(t0, t1) {
-            // Fresh engine per kind: plans are kind-independent, so a shared
-            // cache would make every later first lookup a hit.
-            let engine = QueryEngine::new(32);
-            let (p1, h1) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
-            prop_assert!(!h1, "first plan must compile");
-            let cold = p1.execute(&s.tracked.store, kind);
-            let (p2, h2) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
-            prop_assert!(h2, "second plan must hit the cache");
-            assert_outcomes_identical(&p2.execute(&s.tracked.store, kind), &cold, "cache hit");
-
-            // Quarantine invalidates; the recompiled plan answers the same.
-            engine.invalidate();
-            let (p3, h3) = engine.plan(&s.sensing, &g, &q, Approximation::Lower);
-            prop_assert!(!h3, "invalidation must force a recompile");
-            assert_outcomes_identical(
-                &p3.execute(&s.tracked.store, kind),
-                &cold,
-                "post-invalidation",
-            );
-            let st = engine.stats();
-            prop_assert_eq!((st.invalidations, st.hits, st.misses), (1, 1, 2));
-        }
-    }
 }
 
 fn suite_seed() -> u64 {

@@ -63,8 +63,8 @@ pub struct ServedAnswer {
     /// degraded-mode answers (halved for learned fallbacks).
     pub confidence: f64,
     /// Whether the query's plan was served from the engine's cache (false
-    /// for misses compiled on demand — and always false right after a
-    /// recovery-driven invalidation).
+    /// for a region compiled on demand: its first query, or its first after
+    /// an LRU eviction).
     pub plan_cache_hit: bool,
     /// Time spent obtaining the plan (cache lookup + compile on a miss).
     pub plan_latency: Duration,

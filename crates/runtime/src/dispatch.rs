@@ -30,7 +30,7 @@
 //!   indexed by [`PlanId`](stq_core::engine::PlanId) (a collision
 //!   overwrites; `plan_cache == 0` builds per query). A slot is valid for
 //!   the very plan allocation it was built from (`Weak` pointer identity: a
-//!   recompile after `QueryEngine::invalidate` misses, and no plan is kept
+//!   recompile after the plan's LRU eviction misses, and no plan is kept
 //!   alive) under the current `ShardMap::epoch()`, read *before* the edges
 //!   are routed — `ShardMap::commit` bumps it *after* storing the owners, so
 //!   groups that straddle a migration miss next time. Stale groups would
@@ -554,8 +554,8 @@ mod tests {
                 assert_eq!(routed(&st, &pending), plan.shed_boundary(stride), "stride {stride}");
                 assert_eq!(same_allocations(&built, &pending), stride == 1);
             }
-            // The same region compiled again — what `QueryEngine::invalidate`
-            // leads to — has the same `PlanId` and misses all the same.
+            // The same region compiled again — what an LRU eviction leads
+            // to — has the same `PlanId` and misses all the same.
             let again = compile(&st, &spec);
             assert_eq!(again.id, plan.id);
             let pending = route(&st, &mut d, &again, 1);

@@ -61,7 +61,7 @@ pub mod shardmap;
 mod state;
 mod supervisor;
 
-pub use metrics::{Histogram, Metrics, MetricsReport, QueryTrace, SubscriptionTrace};
+pub use metrics::{Histogram, Metrics, MetricsReport, QueryTrace};
 pub use overload::{BrownoutConfig, OverloadConfig, Rejected, MAX_BROWNOUT_LEVEL};
 pub use server::{
     DurabilityConfig, IngestError, IngestReport, PendingAnswer, QuerySpec, Runtime, RuntimeConfig,

@@ -48,26 +48,6 @@ pub struct QueryTrace {
     pub expired: bool,
 }
 
-/// One standing-subscription lifecycle event, as remembered by the
-/// subscription trace ring (per-delta pushes are accounted in the
-/// `delta_push_latency` histogram instead of traced individually — a
-/// standing query sees thousands of deltas per re-snapshot).
-#[derive(Clone, Debug)]
-pub struct SubscriptionTrace {
-    /// Registry-assigned subscription id.
-    pub subscription: u64,
-    /// Registry epoch at the event.
-    pub epoch: u64,
-    /// Bracket estimate after the event (0 for unsubscribes).
-    pub value: f64,
-    /// Bracket lower bound after the event.
-    pub lower: f64,
-    /// Bracket upper bound after the event.
-    pub upper: f64,
-    /// `"registered"`, `"resnapshot"` or `"unsubscribed"`.
-    pub cause: &'static str,
-}
-
 /// Log₂-bucketed latency histogram (microseconds).
 #[derive(Debug)]
 pub struct Histogram {
@@ -143,7 +123,6 @@ macro_rules! metrics {
             $( $(#[$cdoc])* pub $c: AtomicU64, )*
             $( $(#[$hdoc])* pub $h: Histogram, )*
             traces: Mutex<VecDeque<QueryTrace>>,
-            sub_traces: Mutex<VecDeque<SubscriptionTrace>>,
         }
 
         /// A frozen snapshot of [`Metrics`], cheap to copy around and print.
@@ -258,8 +237,6 @@ metrics! {
         counter plan_cache_hits,
         /// Query plans compiled because no cached plan existed.
         counter plan_cache_misses,
-        /// Wholesale plan-cache clears (recovery re-admissions).
-        counter plan_invalidations,
         /// Gauge: live standing subscriptions in the registry.
         gauge subscriptions,
         /// Bracket deltas applied to standing subscriptions by ingested events
@@ -375,21 +352,6 @@ impl Metrics {
     pub fn recent_traces(&self) -> Vec<QueryTrace> {
         self.traces.lock().iter().cloned().collect()
     }
-
-    /// Records a subscription lifecycle event (evicting the oldest past
-    /// capacity).
-    pub fn trace_subscription(&self, t: SubscriptionTrace) {
-        let mut ring = self.sub_traces.lock();
-        if ring.len() == TRACE_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(t);
-    }
-
-    /// A copy of the most recent subscription traces, oldest first.
-    pub fn recent_subscription_traces(&self) -> Vec<SubscriptionTrace> {
-        self.sub_traces.lock().iter().cloned().collect()
-    }
 }
 
 impl fmt::Display for MetricsReport {
@@ -483,12 +445,8 @@ impl fmt::Display for MetricsReport {
         )?;
         writeln!(
             f,
-            "engine: plan hits {} misses {} invalidations {}, plan p95 {}us, execute p95 {}us",
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.plan_invalidations,
-            self.plan_p95_us,
-            self.execute_p95_us
+            "engine: plan hits {} misses {}, plan p95 {}us, execute p95 {}us",
+            self.plan_cache_hits, self.plan_cache_misses, self.plan_p95_us, self.execute_p95_us
         )?;
         write!(f, "latency p50 {}us p95 {}us p99 {}us", self.p50_us, self.p95_us, self.p99_us)
     }

@@ -107,7 +107,8 @@ pub struct RuntimeConfig {
     pub durability: Option<DurabilityConfig>,
     /// Capacity of the dispatchers' shared query-plan cache (0 disables
     /// caching: every query re-resolves its region and re-walks the
-    /// boundary). Invalidated wholesale on supervisor-driven recovery.
+    /// boundary). A plan leaves it only by LRU eviction: recovery and
+    /// migration change neither graph a plan is compiled on.
     pub plan_cache: usize,
     /// Degraded-mode answering over the quarantined deployment (multi-face
     /// detours → conservation-interval imputation → learned fallback, each
@@ -385,7 +386,6 @@ impl Runtime {
         let (tx, rx) = channel::unbounded::<BracketUpdate>();
         let reg = subs.subscribe(&st.sensing, &st.sampled, &region, approx, Some(tx))?;
         metrics.subscriptions.store(subs.len() as u64, Ordering::Relaxed);
-        st.shared.trace_subscription(reg.id, &reg.bracket, "registered");
         Ok(SubscriptionHandle {
             id: reg.id,
             baseline: reg.bracket,
@@ -400,16 +400,6 @@ impl Runtime {
         let (subs, metrics) = (&self.st().shared.subs, &self.st().shared.metrics);
         let existed = subs.unsubscribe(id);
         metrics.subscriptions.store(subs.len() as u64, Ordering::Relaxed);
-        if existed {
-            let gone = StandingBracket {
-                value: 0.0,
-                lower: 0.0,
-                upper: 0.0,
-                epoch: subs.epoch(),
-                deltas: 0,
-            };
-            self.st().shared.trace_subscription(id, &gone, "unsubscribed");
-        }
         existed
     }
 
@@ -435,7 +425,7 @@ impl Runtime {
     /// repair-driven topology changes and for differential testing of the
     /// epoch protocol. Returns the new epoch.
     pub fn resnapshot_subscriptions(&self) -> u64 {
-        self.st().shared.resnapshot_and_trace([])
+        self.st().shared.resnapshot([])
     }
 
     /// Certifies quarantined-edge flow intervals into the subscription

@@ -16,8 +16,9 @@
 //! path) and, when one shard's load runs past `MIN_IMBALANCE` × the mean,
 //! plans a migration of its hottest edges to the least-loaded shard.
 //! Committing a migration bumps the **map epoch**; the supervisor performs
-//! the actual state hand-off and re-snapshots standing subscriptions
-//! atomically with the bump (see `crate::supervisor`).
+//! the actual state hand-off before the bump (see `crate::supervisor`).
+//! Nothing else follows a migration: query plans and standing brackets
+//! never read which shard holds an edge.
 //!
 //! The map itself is lock-free on the routing path: `shard_of` is one
 //! atomic load, and `record_route` one relaxed add (two when rebalancing).

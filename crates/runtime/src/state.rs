@@ -15,9 +15,9 @@ use stq_core::sensing::SensingGraph;
 use stq_durability::ShardDurability;
 use stq_forms::FormStore;
 use stq_net::{DurabilityFaultPlan, FaultPlan};
-use stq_subscribe::{StandingBracket, SubscriptionId, SubscriptionRegistry};
+use stq_subscribe::SubscriptionRegistry;
 
-use crate::metrics::{Metrics, SubscriptionTrace};
+use crate::metrics::Metrics;
 use crate::overload::OverloadState;
 use crate::server::RuntimeConfig;
 use crate::shard::ShardMsg;
@@ -43,8 +43,10 @@ pub(crate) struct Shared {
     /// Seeded ingest-time crash injection (none without durability).
     pub dfaults: DurabilityFaultPlan,
     pub metrics: Arc<Metrics>,
-    /// Shared plan cache: dispatchers compile and reuse region plans here;
-    /// the supervisor invalidates it on every recovery.
+    /// Shared plan cache: dispatchers and `subscribe` compile and reuse
+    /// region plans here. It serves [`ServerState`]'s one graph pair for the
+    /// runtime's life: recovery and migration change neither graph, so no
+    /// plan is dropped but by LRU eviction.
     pub engine: Arc<QueryEngine>,
     /// Standing-query registry: every ingested event routes through it
     /// (delta-push), and the supervisor re-snapshots it on every recovery
@@ -61,7 +63,8 @@ pub(crate) struct Shared {
     pub subs: Box<SubscriptionRegistry>,
     /// The edge→shard routing map every layer shares: dispatchers and
     /// ingest read it, the supervisor commits migrations into it. Its epoch
-    /// is the witness all layers agree on after a migration.
+    /// is what a routed ingest and a dispatcher's groups table re-check
+    /// after a migration.
     pub map: ShardMap,
 }
 
@@ -129,38 +132,15 @@ impl Shared {
         written.ok()
     }
 
-    /// Records a subscription lifecycle event in the trace ring.
-    pub(crate) fn trace_subscription(
-        &self,
-        id: SubscriptionId,
-        b: &StandingBracket,
-        cause: &'static str,
-    ) {
-        self.metrics.trace_subscription(SubscriptionTrace {
-            subscription: id.0,
-            epoch: b.epoch,
-            value: b.value,
-            lower: b.lower,
-            upper: b.upper,
-            cause,
-        });
-    }
-
-    /// Starts a new subscription epoch (absorbing `extra_quarantine` into
-    /// the registry's column — the one place the runtime extends quarantine),
-    /// counts the re-snapshots and traces each one. Returns the new epoch.
-    pub(crate) fn resnapshot_and_trace(
-        &self,
-        extra_quarantine: impl IntoIterator<Item = usize>,
-    ) -> u64 {
+    /// Starts a new subscription epoch, absorbing `extra_quarantine` into
+    /// the registry's column (the one place the runtime extends quarantine),
+    /// and counts the re-snapshots. Returns the new epoch.
+    pub(crate) fn resnapshot(&self, extra_quarantine: impl IntoIterator<Item = usize>) -> u64 {
         let updates = self.subs.advance_epoch(extra_quarantine);
         self.refresh_quarantine_gauge();
         Metrics::add(&self.metrics.sub_resnapshots, updates.len() as u64);
         let epoch = self.subs.epoch();
         self.metrics.sub_epoch.store(epoch, Ordering::Relaxed);
-        for u in &updates {
-            self.trace_subscription(u.subscription, &u.bracket, "resnapshot");
-        }
         epoch
     }
 }

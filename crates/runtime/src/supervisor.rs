@@ -114,11 +114,10 @@ impl<D> Rebuild<D> {
 }
 
 pub(crate) struct Supervisor {
-    /// Lanes, health slots, durable floors, metrics, the plan cache
-    /// (cleared on every recovery), the standing-query registry (re-snapshot
-    /// on every recovery *before* the health flip) and the edge→shard map
-    /// (committed here, and only here, after a migration's forms have
-    /// physically moved).
+    /// Lanes, health slots, durable floors, metrics, the standing-query
+    /// registry (re-snapshot on every recovery *before* the health flip) and
+    /// the edge→shard map (committed here, and only here, after a
+    /// migration's forms have physically moved).
     shared: Arc<Shared>,
     durability: Option<DurabilityConfig>,
     receivers: Vec<Receiver<ShardMsg>>,
@@ -202,19 +201,16 @@ impl Supervisor {
         let lane = shared.lanes[shard].lock();
         let (state, extra_quarantine) = self.rebuild(shard, &lane, delivered);
 
-        // Recovery is the one runtime event that can change the serving
-        // topology (a shard's edges quarantined on lost history), so cached
-        // plans are dropped wholesale and recompiled on demand.
-        self.shared.engine.invalidate();
-        Metrics::bump(&self.shared.metrics.plan_invalidations);
         // Advance the subscription epoch while the lane is still frozen and
-        // the shard still reads Recovering: every standing bracket is
-        // re-snapshot from the registry's mirror (which the lane lock keeps
-        // in lock-step with a kill's redo replay), so a delta that raced
-        // the crash is overwritten before any post-recovery delta can land
-        // on top of it — the bump is atomic with the health flip below as
-        // far as ingest can observe.
-        shared.resnapshot_and_trace(extra_quarantine);
+        // the shard still reads Recovering: a lost history's edges join the
+        // quarantine column, and every standing bracket is re-snapshot from
+        // the registry's mirror (which the lane lock keeps in lock-step with
+        // a kill's redo replay), so a delta that raced the crash is
+        // overwritten before any post-recovery delta can land on top of it —
+        // the bump is atomic with the health flip below as far as ingest can
+        // observe. Cached plans stay: quarantine widens a fold, not a
+        // region's resolution.
+        shared.resnapshot(extra_quarantine);
         // Health and the respawn counters flip BEFORE the worker spawns
         // (still under the lane lock): everything the new worker
         // acknowledges — flush barriers, digests, query replies — then
@@ -347,13 +343,12 @@ impl Supervisor {
                 Metrics::bump(&self.shared.metrics.snapshots_taken);
             }
         }
-        // Commit: the new assignment, the plan-cache drop, and the standing
-        // bracket re-snapshot all become visible while ingest is still
-        // frozen, so every layer observes the same map epoch.
+        // Commit: the new assignment becomes visible while ingest is still
+        // frozen, so an ingest re-checks its owners against the new epoch.
+        // Nothing else moves: a plan is the region's resolution and a
+        // standing bracket folds the registry's mirror, and neither reads
+        // which shard holds an edge.
         self.shared.map.commit(&committed_moves);
-        self.shared.engine.invalidate();
-        Metrics::bump(&self.shared.metrics.plan_invalidations);
-        shared.resnapshot_and_trace([]);
         Metrics::bump(&self.shared.metrics.rebalances);
         Metrics::add(&self.shared.metrics.edges_migrated, committed_moves.len() as u64);
         self.shared.metrics.map_epoch.store(self.shared.map.epoch(), Ordering::Relaxed);

@@ -2,8 +2,9 @@
 //! subscription's delta-maintained `[lower, upper]` bracket must stay
 //! **bit-identical** to re-executing the same region as a snapshot query
 //! through the sharded path — after every ingest batch, across forced
-//! re-snapshot epochs, through quarantined boundaries, and across a shard
-//! killed and recovered mid-stream.
+//! re-snapshot epochs, through quarantined boundaries, across a shard
+//! killed and recovered mid-stream, and across a shard-map migration, which
+//! leaves the brackets, their epoch and the plan cache alone.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,6 +263,76 @@ fn recovery_bumps_epoch_and_brackets_stay_identical() {
     assert!(causes.contains(&UpdateCause::Resnapshot), "recovery must push re-snapshots");
     rt.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Events the migration test streams: four of five on a dozen edges the
+/// modulo map gives shard 0, fewer than one rebalance check window (4 096
+/// routed events), so the one migration is the test's own `rebalance_now`.
+fn hot_stream(num_edges: usize, num_shards: usize, n: usize) -> Vec<Crossing> {
+    let hot: Vec<usize> = (0..num_edges).step_by(num_shards).take(12).collect();
+    (0..n)
+        .map(|i| Crossing {
+            time: 10_000.0 + i as f64 * 0.25,
+            edge: if i % 5 < 4 { hot[i % hot.len()] } else { i % num_edges },
+            forward: i % 3 != 0,
+        })
+        .collect()
+}
+
+/// A migration moves edge forms between shards and nothing else: a standing
+/// bracket folds the registry's mirror and a plan is a region resolved on
+/// graphs no migration touches, so neither reads which shard holds an edge.
+/// The subscription epoch, the re-snapshot counts and the plan cache stay
+/// as they were, no update is pushed, and every bracket still equals
+/// re-execution, before and after more events.
+#[test]
+fn a_migration_moves_forms_and_nothing_else() {
+    let f = fixture();
+    let (ne, ns) = (f.scenario.sensing.num_edges(), 3);
+    let rt =
+        runtime(f, RuntimeConfig { num_shards: ns, rebalance: true, ..RuntimeConfig::default() });
+    let subs = register(&rt, f, 6, 37);
+    assert!(subs.len() >= 2);
+    // Fold the start-up history into the load window: what the next plan
+    // weighs is then mostly the hot stream.
+    assert_eq!(rt.rebalance_now(), 0, "the start-up history is balanced");
+    let events = hot_stream(ne, ns, 3_000);
+    let (first, rest) = events.split_at(2_000);
+    for chunk in first.chunks(64) {
+        rt.ingest_batch(chunk);
+    }
+    rt.flush_ingest();
+    assert_eq!(rt.map_epoch(), 0, "no check window has passed yet");
+    assert_matches_reexecution(&rt, &subs, "before the migration");
+    for (h, _) in &subs {
+        while h.updates.try_recv().is_ok() {}
+    }
+    let (stats, report, plans) =
+        (rt.subscription_stats(), rt.metrics().report(), rt.engine_stats());
+
+    assert!(rt.rebalance_now() > 0, "the hot shard must shed edges: {}", rt.metrics().report());
+    assert_eq!(rt.map_epoch(), 1);
+    let after = rt.subscription_stats();
+    assert_eq!(after.epoch, stats.epoch, "a migration starts no subscription epoch");
+    assert_eq!(after.resnapshots, stats.resnapshots);
+    assert_eq!(rt.metrics().report().sub_resnapshots, report.sub_resnapshots);
+    assert_eq!(rt.engine_stats(), plans, "a migration leaves the plan cache alone");
+    for (h, _) in &subs {
+        let causes: Vec<UpdateCause> =
+            std::iter::from_fn(|| h.updates.try_recv().ok()).map(|u| u.cause).collect();
+        assert!(!causes.contains(&UpdateCause::Resnapshot), "{}: {causes:?}", h.id);
+        assert!(causes.is_empty(), "{}: a migration pushes nothing: {causes:?}", h.id);
+    }
+    assert_matches_reexecution(&rt, &subs, "after the migration");
+    assert_eq!(rt.engine_stats().misses, plans.misses, "every re-execution is a cache hit");
+
+    for chunk in rest.chunks(64) {
+        rt.ingest_batch(chunk);
+    }
+    rt.flush_ingest();
+    assert_eq!(rt.map_epoch(), 1);
+    assert_matches_reexecution(&rt, &subs, "events after the migration");
+    rt.shutdown();
 }
 
 /// Degraded-mode certification tightens quarantined standing brackets

@@ -24,11 +24,11 @@
 //! Brackets move event by event; subscribers hear about it once per
 //! processing round: **one push per touched subscription per
 //! [`SubscriptionRegistry::on_ingest_batch`] call** — so one per
-//! `Runtime::ingest_batch` call, and one per event for
-//! [`SubscriptionRegistry::on_ingest`] / `Runtime::ingest`, which are the
-//! batch of one. The update carries the bracket as of the end of the batch
-//! (`deltas` says how many events it folded in), so a subscriber's last
-//! received update always equals the live bracket.
+//! `Runtime::ingest_batch` call, and one per event for `Runtime::ingest`,
+//! which is the batch of one (`on_ingest_batch(std::slice::from_ref(&c))`
+//! routes a single crossing `c`). The update carries the bracket as of the
+//! end of the batch (`deltas` says how many events it folded in), so a
+//! subscriber's last received update always equals the live bracket.
 //!
 //! ## Exactness contract
 //!
@@ -420,7 +420,8 @@ impl SubscriptionRegistry {
     }
 
     /// The shared lifetime totals (the runtime reads these for its
-    /// worst-case degradation bounds). Bumped only by [`Self::on_ingest`].
+    /// worst-case degradation bounds). Bumped only by
+    /// [`Self::on_ingest_batch`].
     pub fn totals(&self) -> &Arc<Vec<[AtomicU64; 2]>> {
         &self.totals
     }
@@ -490,27 +491,20 @@ impl SubscriptionRegistry {
         self.inner.lock().remove(id.0)
     }
 
-    /// Routes one ingested crossing: grows the lifetime totals, applies the
-    /// shard accept rule to the mirror, moves every affected bracket by its
-    /// delta and pushes each moved subscription its new bracket — the batch
-    /// of one of [`on_ingest_batch`](Self::on_ingest_batch).
+    /// Routes a whole ingest batch under **one** lock acquisition: grows the
+    /// lifetime totals, applies the shard accept rule to the mirror and moves
+    /// every affected bracket by its delta. Totals, watermarks and brackets
+    /// move event by event in input order, so every bracket (its `deltas`
+    /// count included) ends where one call per event would leave it, and the
+    /// batch lands atomically with respect to epoch advances. Pushes are per
+    /// batch, not per event: each subscription the batch touched receives
+    /// **one** `Delta` update carrying its bracket as of the end of the
+    /// batch. Returns the aggregate observation (summed deltas; `late` set
+    /// when any event was late).
     ///
     /// The serving runtime calls this for every event *before* handing it
     /// to the owning shard's ingest lane, so totals (and therefore
     /// degradation bounds) stay ahead of shard state at every instant.
-    pub fn on_ingest(&self, c: &Crossing) -> IngestObservation {
-        self.on_ingest_batch(std::slice::from_ref(c))
-    }
-
-    /// Routes a whole ingest batch under **one** lock acquisition. Totals,
-    /// watermarks and brackets move event by event in input order, so every
-    /// bracket (its `deltas` count included) ends where one
-    /// [`on_ingest`](Self::on_ingest) call per event would leave it, and
-    /// the batch lands atomically with respect to epoch advances. Pushes are
-    /// per batch, not per event: each subscription the batch touched
-    /// receives **one** `Delta` update carrying its bracket as of the end of
-    /// the batch. Returns the aggregate observation (summed deltas; `late`
-    /// set when any event was late).
     pub fn on_ingest_batch(&self, batch: &[Crossing]) -> IngestObservation {
         if batch.is_empty() {
             return IngestObservation::default();
@@ -648,7 +642,7 @@ impl SubscriptionRegistry {
     /// (or re-asserting the current state) returns nothing.
     pub fn set_shed_pushes(&self, on: bool) -> Vec<BracketUpdate> {
         // Under the inner lock so the flag flip is atomic with respect to
-        // in-flight `on_ingest` calls: no delta can race between the flag
+        // in-flight `on_ingest_batch` calls: no delta can race between the flag
         // going false and the coalesced catch-up pushes below.
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
@@ -671,11 +665,6 @@ impl SubscriptionRegistry {
             inner.remove(id);
         }
         out
-    }
-
-    /// Whether delta pushes are currently shed.
-    pub fn shedding_pushes(&self) -> bool {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// Installs a certificate for every quarantined edge to which `imp`, the
@@ -827,7 +816,7 @@ mod tests {
         assert_eq!(flagged(&registry), [1, 3], "in-range extension is absorbed");
         // Ingest on every edge still indexes inside the bitmap.
         for edge in 0..4 {
-            registry.on_ingest(&Crossing { time: 1.0, edge, forward: true });
+            registry.on_ingest_batch(&[Crossing { time: 1.0, edge, forward: true }]);
         }
         assert_eq!(registry.epoch(), 1);
     }

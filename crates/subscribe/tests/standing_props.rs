@@ -152,7 +152,6 @@ struct Sub {
 fn subscribe_both(
     s: &Scenario,
     g: &SampledGraph,
-    engine: &QueryEngine,
     [single, batched]: [&SubscriptionRegistry; 2],
     (region, approx): (&QueryRegion, Approximation),
 ) -> Option<Sub> {
@@ -163,7 +162,8 @@ fn subscribe_both(
     };
     let twin = single.subscribe(&s.sensing, g, region, approx, None).expect("resolved above");
     assert_eq!(twin.id, reg.id, "both registries hand out ids in step");
-    let plan = engine.cached(reg.plan_id).expect("plan of a live subscription must stay cached");
+    let plan = Arc::new(QueryPlan::compile(&s.sensing, g, region, approx));
+    assert_eq!(plan.id, reg.plan_id, "the registry holds the region's plan");
     let last = rx.try_recv().expect("baseline push");
     assert_eq!((last.cause, last.subscription), (UpdateCause::Registered, reg.id));
     Some(Sub { id: reg.id, plan, rx, last })
@@ -216,15 +216,14 @@ fn run_differential(s: &Scenario, g: &SampledGraph, quarantined: &[usize], seed:
         .iter()
         .flat_map(|(q, _, _)| [(q, Approximation::Lower), (q, Approximation::Upper)])
         .collect();
-    let mut subs: Vec<Sub> =
-        wanted.iter().filter_map(|&w| subscribe_both(s, g, &engine, both, w)).collect();
+    let mut subs: Vec<Sub> = wanted.iter().filter_map(|&w| subscribe_both(s, g, both, w)).collect();
     if subs.is_empty() {
         return; // tiny deployments can miss every region; nothing to check
     }
     // A twin of the first subscription whose receiver goes away mid-stream:
     // whenever a batch moves the first one it moves the twin too, which is
     // when the dead channel must be noticed.
-    let first = wanted.iter().find_map(|&w| subscribe_both(s, g, &engine, both, w));
+    let first = wanted.iter().find_map(|&w| subscribe_both(s, g, both, w));
     let Sub { id: doomed, rx: doomed_rx, .. } = first.expect("resolved a moment ago");
     let mut doomed_rx = Some(doomed_rx);
 
@@ -241,7 +240,7 @@ fn run_differential(s: &Scenario, g: &SampledGraph, quarantined: &[usize], seed:
             let (chunk, tail) = rest.split_at(rest.len().min(1 + (chunk_rng >> 59) as usize));
             rest = tail;
             for c in chunk {
-                registry.on_ingest(c);
+                registry.on_ingest_batch(std::slice::from_ref(c));
                 totals[c.edge][usize::from(!c.forward)] += 1;
                 reference_apply(&mut store, c);
             }
@@ -254,8 +253,7 @@ fn run_differential(s: &Scenario, g: &SampledGraph, quarantined: &[usize], seed:
                     // hand the freed slot to a different region: from here
                     // on its bracket must follow its own boundary only.
                     assert!(registry.unsubscribe(doomed));
-                    let heir =
-                        wanted.iter().rev().find_map(|&w| subscribe_both(s, g, &engine, both, w));
+                    let heir = wanted.iter().rev().find_map(|&w| subscribe_both(s, g, both, w));
                     subs.push(heir.expect("resolved a moment ago"));
                 } else {
                     assert!(batched.bracket(doomed).is_some(), "untouched, so not yet noticed");
@@ -358,7 +356,7 @@ fn late_events_do_not_move_trusted_brackets() {
     let reg = registry
         .subscribe(&s.sensing, &g, &q, Approximation::Upper, None)
         .expect("region resolves");
-    let plan = engine.cached(reg.plan_id).expect("plan cached");
+    let plan = QueryPlan::compile(&s.sensing, &g, &q, Approximation::Upper);
     let Some(be) = plan.boundary.first().copied() else {
         return; // empty boundary: nothing to ingest on
     };
@@ -369,7 +367,7 @@ fn late_events_do_not_move_trusted_brackets() {
         return;
     }
     let before = registry.bracket(reg.id).unwrap();
-    let obs = registry.on_ingest(&Crossing { time: -1.0e12, edge: be.edge, forward: true });
+    let obs = registry.on_ingest_batch(&[Crossing { time: -1.0e12, edge: be.edge, forward: true }]);
     assert!(obs.late, "event behind the watermark must be flagged late");
     let after = registry.bracket(reg.id).unwrap();
     assert_eq!(before, after, "late event on a trusted edge must not move the bracket");
@@ -390,7 +388,8 @@ fn shed_pushes_coalesce_on_relax() {
             let reg = registry
                 .subscribe(&s.sensing, &g, &q, Approximation::Upper, Some(tx.clone()))
                 .ok()?;
-            match engine.cached(reg.plan_id).expect("plan cached").boundary.first().copied() {
+            let plan = QueryPlan::compile(&s.sensing, &g, &q, Approximation::Upper);
+            match plan.boundary.first().copied() {
                 Some(be) => Some((reg, be)),
                 None => {
                     registry.unsubscribe(reg.id);
@@ -405,10 +404,10 @@ fn shed_pushes_coalesce_on_relax() {
     }
 
     assert!(registry.set_shed_pushes(true).is_empty(), "turning shedding on pushes nothing");
-    assert!(registry.shedding_pushes());
     // Events while shedding move the bracket but push nothing.
     for i in 0..3 {
-        registry.on_ingest(&Crossing { time: 1.0e9 + i as f64, edge: be.edge, forward: true });
+        let c = Crossing { time: 1.0e9 + i as f64, edge: be.edge, forward: true };
+        registry.on_ingest_batch(&[c]);
     }
     assert!(rx.try_recv().is_err(), "no pushes while shedding");
     assert_eq!(registry.stats().pushes_shed, 3);
@@ -423,11 +422,10 @@ fn shed_pushes_coalesce_on_relax() {
     assert_eq!(u.cause, UpdateCause::Coalesced);
     assert_eq!(u.bracket, live);
     assert!(rx.try_recv().is_err(), "exactly one catch-up push");
-    assert!(!registry.shedding_pushes());
     assert!(registry.set_shed_pushes(false).is_empty(), "re-asserting off is a no-op");
 
     // Delta pushes resume after the relax.
-    registry.on_ingest(&Crossing { time: 2.0e9, edge: be.edge, forward: true });
+    registry.on_ingest_batch(&[Crossing { time: 2.0e9, edge: be.edge, forward: true }]);
     assert_eq!(rx.try_recv().expect("pushes resumed").cause, UpdateCause::Delta);
 }
 
@@ -457,9 +455,9 @@ fn unsubscribe_and_dead_channels_clean_routes() {
 
     // Dropping the receiver auto-unsubscribes on the next push attempt.
     drop(rx);
-    let plan = engine.cached(a.plan_id).expect("plan cached");
+    let plan = QueryPlan::compile(&s.sensing, &g, &q, Approximation::Upper);
     if let Some(be) = plan.boundary.first().copied() {
-        registry.on_ingest(&Crossing { time: 1.0e9, edge: be.edge, forward: true });
+        registry.on_ingest_batch(&[Crossing { time: 1.0e9, edge: be.edge, forward: true }]);
         assert_eq!(registry.len(), 0, "dead push channel implies unsubscribe");
     }
 }

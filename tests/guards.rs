@@ -198,6 +198,26 @@ fn a_knob_needs_a_second_caller() {
     });
 }
 
+#[test]
+fn recovery_and_migration_rebuild_nothing_they_cannot_change() {
+    assert_absent(&Guard {
+        rule: "a plan is a region resolved on the one graph pair a runtime serves for its life, \
+               and a standing bracket folds the registry's mirror, so neither a recovery nor a \
+               migration can change one: no plan-cache clear or its counter, no subscription \
+               trace ring that only its own test read, and no ring-count knob on the failover \
+               beside `reroute_around`",
+        patterns: &[
+            "invalidate(",
+            "plan_invalidations",
+            "SubscriptionTrace",
+            "trace_subscription",
+            "reroute_around_multi",
+        ],
+        roots: &["crates", "examples"],
+        except: &[],
+    });
+}
+
 /// The lines of `text` before its test module (`#[cfg(test)]` followed by
 /// `mod`), numbered from 1.
 fn outside_tests(text: &str) -> impl Iterator<Item = (usize, &str)> {
