@@ -1080,7 +1080,7 @@ mod tests {
         ]);
         assert!(out.contains("cover"));
         assert!(out.contains("queries 4"));
-        assert!(out.contains("latency p50"));
+        assert!(out.contains("p50_us"));
         assert!(!out.contains("DEGRADED"), "fault-free serving must not degrade:\n{out}");
     }
 
@@ -1106,7 +1106,7 @@ mod tests {
             "1",
         ]);
         assert!(out.contains("DEGRADED") || out.contains("MISS"), "shard 0 is down:\n{out}");
-        assert!(out.contains("crashed"));
+        assert!(out.contains("crash_dropped"));
     }
 
     #[test]
@@ -1187,8 +1187,8 @@ mod tests {
             "4",
         ]);
         assert!(out.contains("sensor faults:"), "{out}");
-        assert!(out.contains("degraded-mode:"), "metrics must report strategies:\n{out}");
-        assert!(out.contains("quarantined edges"), "{out}");
+        assert!(out.contains("degraded_mode:"), "metrics must report strategies:\n{out}");
+        assert!(out.contains("quarantined_edges"), "{out}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! 3. intersection of sound intervals is sound.
 //!
 //! A single quarantined edge on an otherwise healthy face pins in one round
-//! (this generalizes [`crate::repair::net_flow_interval`]); chains of
+//! (the conservation interval of [`crate::repair`]'s step 3); chains of
 //! quarantined edges narrow each other over successive rounds. Faces inside
 //! the exterior merged component have no finite population cap, so their
 //! edges may keep a one-sided or vacuous interval — the degraded-answer

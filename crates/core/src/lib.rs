@@ -69,8 +69,8 @@ pub use query::{
     answer, ground_truth, relative_error, Approximation, QueryKind, QueryOutcome, QueryRegion,
 };
 pub use repair::{
-    answer_with_bounds, bounds_from_plans, net_flow_interval, quarantine_and_repair, BoundedAnswer,
-    RepairConfig, RepairKind, RepairOutcome, RepairedEdge,
+    answer_with_bounds, bounds_from_plans, quarantine_and_repair, BoundedAnswer, RepairConfig,
+    RepairKind, RepairOutcome, RepairedEdge,
 };
 pub use sampled::{Connectivity, SampledGraph};
 pub use sensing::SensingGraph;

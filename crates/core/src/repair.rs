@@ -22,9 +22,10 @@
 //! 3. **Interval re-solve.** For an isolated quarantined edge whose two
 //!    adjacent components have otherwise healthy boundaries, conservation
 //!    of those components pins the edge's net flow to
-//!    `[−S₁(t), S₂(t)]` ([`net_flow_interval`]); when the merged population
-//!    is zero, the interval collapses to a point and the edge's net count is
-//!    determined exactly despite the corruption.
+//!    `[−S₁(t), S₂(t)]` ([`crate::impute`] computes it, and narrows chains
+//!    of quarantined edges too); when the merged population is zero, the
+//!    interval collapses to a point and the edge's net count is determined
+//!    exactly despite the corruption.
 //!
 //! [`answer_with_bounds`] then brackets every query kind between the
 //! demoted graph's lower and upper resolutions, which is how faulty serving
@@ -159,31 +160,6 @@ fn try_unflip(store: &mut FormStore, comps: &[ComponentSpec], edge: usize) -> bo
         store.set_form(edge, original);
         false
     }
-}
-
-/// Conservation interval for the net flow into `c1` through `edge` at time
-/// `t`, assuming every *other* boundary edge of `c1` and `c2` is healthy:
-/// `x(t) ∈ [−S₁(t), S₂(t)]`, where `Sᵢ` is the net inflow of component `i`
-/// through its healthy boundary. The width `S₁ + S₂` is the population of
-/// the merged component, so the edge's net count is **determined exactly**
-/// whenever that merged population is zero.
-pub fn net_flow_interval(
-    store: &dyn CountSource,
-    c1: &ComponentSpec,
-    c2: &ComponentSpec,
-    edge: usize,
-    t: Time,
-) -> (f64, f64) {
-    let healthy_net = |c: &ComponentSpec| {
-        c.boundary
-            .iter()
-            .filter(|&&(e, _)| e != edge)
-            .map(|&(e, inward_forward)| {
-                store.count_until(e, inward_forward, t) - store.count_until(e, !inward_forward, t)
-            })
-            .sum::<f64>()
-    };
-    (-healthy_net(c1), healthy_net(c2))
 }
 
 /// A sound bracket for one query on a (possibly quarantine-demoted) graph.
@@ -522,34 +498,5 @@ mod tests {
             patched.components().len(),
             demoted.components().len()
         );
-    }
-
-    #[test]
-    fn net_flow_interval_brackets_true_flow() {
-        let f = fixture();
-        let tracked = ingest(&f.sensing, &f.trajs);
-        let comps = f.graph.audit_components(&f.sensing);
-        // Any edge shared by two audited components.
-        for c1 in &comps {
-            for &(edge, inward_forward) in &c1.boundary {
-                let Some(c2) = comps
-                    .iter()
-                    .find(|c| c.id != c1.id && c.boundary.iter().any(|&(e, _)| e == edge))
-                else {
-                    continue;
-                };
-                for &t in &[500.0, 1_500.0, 2_500.0] {
-                    let (lo, hi) = net_flow_interval(&tracked.store, c1, c2, edge, t);
-                    let x = tracked.store.count_until(edge, inward_forward, t)
-                        - tracked.store.count_until(edge, !inward_forward, t);
-                    assert!(
-                        lo - 1e-9 <= x && x <= hi + 1e-9,
-                        "edge {edge} t {t}: {x} outside [{lo}, {hi}]"
-                    );
-                }
-                return; // one shared edge suffices
-            }
-        }
-        panic!("no edge shared between two audited components");
     }
 }

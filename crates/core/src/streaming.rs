@@ -28,8 +28,9 @@ pub struct StreamTracker {
     stats: StreamStats,
 }
 
-/// Ingestion accounting of one [`StreamTracker`] — surfaced through the
-/// runtime's `Metrics` so silently rejected traffic is visible.
+/// Ingestion accounting of one [`StreamTracker`]: the tracker's own counts,
+/// read through [`StreamTracker::stats`] (the serving runtime keeps none of
+/// them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Events accepted into the watermark buffer.

@@ -20,16 +20,17 @@ use stq_core::query::QueryKind;
 
 use crate::dispatch::{fan_out, live_counts, Dispatcher};
 use crate::flight::Flight;
-use crate::metrics::{Metrics, QueryTrace};
+use crate::metrics::Metrics;
 use crate::overload::stride_for;
 use crate::server::{Job, QuerySpec};
 use crate::shard::EdgeCounts;
 use crate::state::ServerState;
 
-/// The runtime's answer to one query.
-#[derive(Clone, Debug)]
+/// The runtime's answer to one query, and its trace: the metrics ring
+/// remembers the most recent answers as they were served.
+#[derive(Clone, Copy, Debug)]
 pub struct ServedAnswer {
-    /// Runtime-assigned query id (matches the metrics trace).
+    /// Runtime-assigned query id.
     pub query_id: u64,
     /// The count estimate. With `coverage == 1.0` this equals the
     /// synchronous `evaluate` fold exactly; degraded answers fill missing
@@ -370,6 +371,7 @@ fn feed_brownout(st: &ServerState, exec_us: u64) {
         } else if from >= 2 && to < 2 {
             let coalesced = st.shared.subs.set_shed_pushes(false);
             Metrics::add(&metrics.sub_coalesced, coalesced.len() as u64);
+            st.shared.refresh_subscription_gauge();
         }
     }
 }
@@ -416,18 +418,5 @@ fn record_served(st: &ServerState, answer: &ServedAnswer) {
             m.degraded_width.record(width.round().max(0.0) as u64);
         }
     }
-    m.trace(QueryTrace {
-        query_id: answer.query_id,
-        shards: answer.shards,
-        retries: answer.retries,
-        coverage: answer.coverage,
-        latency_us: answer.latency.as_micros() as u64,
-        plan_us: answer.plan_latency.as_micros() as u64,
-        plan_cache_hit: answer.plan_cache_hit,
-        degraded: answer.degraded,
-        miss: answer.miss,
-        strategy: answer.strategy.label(),
-        brownout: answer.brownout,
-        expired: answer.expired,
-    });
+    m.trace(*answer);
 }

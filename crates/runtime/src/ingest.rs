@@ -195,7 +195,8 @@ fn check_event(st: &ServerState, c: &Crossing) -> Result<(), IngestError> {
 
 /// Routes validated events through the subscription registry: bumps the
 /// lifetime totals (inside the registry lock) and delta-pushes affected
-/// brackets.
+/// brackets, then counts what the registry did — the live-subscription gauge
+/// included, read under that same lock after any dead subscriber was dropped.
 fn through_registry(st: &ServerState, events: &[Crossing]) {
     let metrics = &st.shared.metrics;
     let push_t0 = Instant::now();
@@ -204,6 +205,9 @@ fn through_registry(st: &ServerState, events: &[Crossing]) {
         metrics.delta_push_latency.record(push_t0.elapsed().as_micros() as u64);
         Metrics::add(&metrics.deltas_pushed, obs.deltas as u64);
     }
+    Metrics::add(&metrics.late_ignored, obs.late as u64);
+    Metrics::add(&metrics.pushes_shed, obs.shed as u64);
+    metrics.subscriptions.store(obs.subscriptions as u64, Ordering::Relaxed);
 }
 
 /// A validated batch grouped by owning shard under one map epoch, so that

@@ -36,7 +36,7 @@
 //!   recovery and quarantine changes triggering a sound re-snapshot (see
 //!   [`stq_subscribe`]).
 //! - **Observability** — a lock-cheap [`Metrics`] registry (atomic counters,
-//!   log₂ latency histogram with p50/p95/p99, bounded per-query traces).
+//!   log₂ latency histogram with p50/p95/p99, a bounded ring of recent answers).
 //!
 //! ```no_run
 //! use stq_runtime::{Runtime, RuntimeConfig, QuerySpec};
@@ -61,7 +61,7 @@ pub mod shardmap;
 mod state;
 mod supervisor;
 
-pub use metrics::{Histogram, Metrics, MetricsReport, QueryTrace};
+pub use metrics::{Histogram, Metrics, MetricsReport};
 pub use overload::{BrownoutConfig, OverloadConfig, Rejected, MAX_BROWNOUT_LEVEL};
 pub use server::{
     DurabilityConfig, IngestError, IngestReport, PendingAnswer, QuerySpec, Runtime, RuntimeConfig,
@@ -74,6 +74,6 @@ pub use stq_net::{
     IngestCrash, MessageCtx, SensorFault, SensorFaultKind, SensorFaultMix, SensorFaultPlan,
 };
 pub use stq_subscribe::{
-    BracketUpdate, Registered, RegistryStats, StandingBracket, SubscribeError, SubscriptionId,
+    BracketUpdate, Registered, StandingBracket, SubscribeError, SubscriptionId,
     SubscriptionRegistry, UpdateCause,
 };

@@ -4,7 +4,7 @@
 //! record progress); latencies go into a log₂-bucketed histogram of
 //! microseconds, which answers p50/p95/p99 with bounded error (< 2× per
 //! bucket) at the cost of one atomic increment per sample. A small ring of
-//! per-query traces supports spot debugging without unbounded growth.
+//! the most recent answers supports spot debugging without unbounded growth.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -12,41 +12,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::aggregate::ServedAnswer;
+
 const TRACE_CAP: usize = 256;
 const BUCKETS: usize = 64;
-
-/// One completed query, as remembered by the trace ring.
-#[derive(Clone, Debug)]
-pub struct QueryTrace {
-    /// Runtime-assigned query id.
-    pub query_id: u64,
-    /// Shards the query fanned out to.
-    pub shards: usize,
-    /// Retry rounds that were needed (0 = first attempt answered).
-    pub retries: u32,
-    /// Fraction of boundary edges that reported (1.0 = complete).
-    pub coverage: f64,
-    /// End-to-end latency in microseconds.
-    pub latency_us: u64,
-    /// Microseconds spent obtaining the query plan (cache lookup plus
-    /// compile on a miss).
-    pub plan_us: u64,
-    /// Whether the plan came from the engine's cache.
-    pub plan_cache_hit: bool,
-    /// Whether the answer was served from partial data.
-    pub degraded: bool,
-    /// Whether the sampled graph could not cover the region at all.
-    pub miss: bool,
-    /// Degraded-mode strategy label (`"none"` when the ordinary path
-    /// answered; see `stq_core::DegradedStrategy::label`).
-    pub strategy: &'static str,
-    /// Brownout precision level the answer was served at (0 = full
-    /// precision, 3 = fully shed; see `crate::overload`).
-    pub brownout: u8,
-    /// Whether the query's deadline elapsed before it finished (the answer
-    /// was short-circuited or clamped; its bracket is still sound).
-    pub expired: bool,
-}
 
 /// Log₂-bucketed latency histogram (microseconds).
 #[derive(Debug)]
@@ -98,51 +67,99 @@ impl Histogram {
     }
 }
 
-/// Declares every metric once. A `counters` row generates the atomic
-/// [`Metrics`] field, the `u64` [`MetricsReport`] field and the line of
-/// [`Metrics::report`] that loads it (`gauge` rows differ only in the
-/// report field's doc); a `histograms` row generates the [`Histogram`]
-/// field and one report field per listed quantile. The `Display` prose
-/// below is the only other place a metric is named.
+/// Declares every metric once, in the section of the report that prints it.
+/// A `counters` row generates the atomic [`Metrics`] field, the `u64`
+/// [`MetricsReport`] field and the line of [`Metrics::report`] that loads it
+/// (`gauge` rows differ only in the report field's doc); a `histograms` row
+/// generates the [`Histogram`] field and one report field per listed
+/// quantile (at least one). `Display` prints one line per section: its
+/// `field value` pairs in row order. Adding a metric is adding its row.
 macro_rules! metrics {
     (@note counter) => { "" };
     (@note gauge) => { " (gauge at snapshot time)" };
-    (
-        counters { $( $(#[$cdoc:meta])* $kind:ident $c:ident, )* }
-        histograms {
+    ($(
+        $section:ident {
+            counters { $( $(#[$cdoc:meta])* $kind:ident $c:ident, )* }
             $(
-                $(#[$hdoc:meta])*
-                $h:ident { $( $(#[$qdoc:meta])* $q:ident = $quantile:literal, )* }
-            )*
+                histograms {
+                    $(
+                        $(#[$hdoc:meta])*
+                        $h:ident { $( $(#[$qdoc:meta])* $q:ident = $quantile:literal, )+ }
+                    )*
+                }
+            )?
         }
-    ) => {
+    )*) => {
         /// The runtime's metric registry. All methods are callable from any
         /// thread without blocking queries behind each other.
         #[derive(Debug, Default)]
         pub struct Metrics {
-            $( $(#[$cdoc])* pub $c: AtomicU64, )*
-            $( $(#[$hdoc])* pub $h: Histogram, )*
-            traces: Mutex<VecDeque<QueryTrace>>,
+            $(
+                $( $(#[$cdoc])* pub $c: AtomicU64, )*
+                $( $( $(#[$hdoc])* pub $h: Histogram, )* )?
+            )*
+            traces: Mutex<VecDeque<ServedAnswer>>,
         }
 
         /// A frozen snapshot of [`Metrics`], cheap to copy around and print.
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct MetricsReport {
             $(
-                #[doc = concat!(
-                    "See [`Metrics::", stringify!($c), "`]", metrics!(@note $kind), "."
-                )]
-                pub $c: u64,
+                $(
+                    #[doc = concat!(
+                        "See [`Metrics::", stringify!($c), "`]", metrics!(@note $kind), "."
+                    )]
+                    pub $c: u64,
+                )*
+                $( $( $( $(#[$qdoc])* pub $q: u64, )+ )* )?
             )*
-            $( $( $(#[$qdoc])* pub $q: u64, )* )*
         }
 
         impl Metrics {
             /// A point-in-time snapshot for reporting.
             pub fn report(&self) -> MetricsReport {
                 MetricsReport {
-                    $( $c: self.$c.load(Ordering::Relaxed), )*
-                    $( $( $q: self.$h.quantile_us($quantile), )* )*
+                    $(
+                        $( $c: self.$c.load(Ordering::Relaxed), )*
+                        $( $( $( $q: self.$h.quantile_us($quantile), )+ )* )?
+                    )*
+                }
+            }
+        }
+
+        impl fmt::Display for MetricsReport {
+            /// One line per section: its `field value` pairs, in row order.
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let sections: &[(&str, &[(&str, u64)])] = &[$(
+                    (stringify!($section), &[
+                        $( (stringify!($c), self.$c), )*
+                        $( $( $( (stringify!($q), self.$q), )+ )* )?
+                    ]),
+                )*];
+                for (n, (section, pairs)) in sections.iter().enumerate() {
+                    write!(f, "{}{section}:", if n == 0 { "" } else { "\n" })?;
+                    for (i, (field, value)) in pairs.iter().enumerate() {
+                        write!(f, "{} {field} {value}", if i == 0 { "" } else { "," })?;
+                    }
+                }
+                Ok(())
+            }
+        }
+
+        #[cfg(test)]
+        impl MetricsReport {
+            /// A report whose fields hold 1, 2, 3, … in table order.
+            fn numbered() -> Self {
+                let mut next = 0;
+                let mut n = || {
+                    next += 1;
+                    next
+                };
+                MetricsReport {
+                    $(
+                        $( $c: n(), )*
+                        $( $( $( $q: n(), )+ )* )?
+                    )*
                 }
             }
         }
@@ -150,174 +167,239 @@ macro_rules! metrics {
 }
 
 metrics! {
-    counters {
-        /// Queries completed (including misses and degraded answers).
-        counter queries,
-        /// Queries the sampled graph could not cover.
-        counter misses,
-        /// Queries answered from partial shard data.
-        counter degraded,
-        /// Gauge: edges flagged in the registry's quarantine column — by the
-        /// integrity auditor at startup, or by a recovery that lost a shard's
-        /// history; refreshed at every write of the column.
-        gauge quarantined_edges,
-        /// Degraded answers where plain demotion already resolved best.
-        counter degraded_demoted,
-        /// Degraded answers won by the multi-face detour graph.
-        counter degraded_detour,
-        /// Degraded answers certified by conservation-interval imputation.
-        counter degraded_imputed,
-        /// Degraded answers that fell back to a learned point estimate.
-        counter degraded_learned,
-        /// Shard requests sent (fan-out messages, including retries).
-        counter shard_requests,
-        /// Requests a shard handled successfully.
-        counter shard_served,
-        /// Requests lost to injected message drops.
-        counter dropped,
-        /// Requests that were delivered late.
-        counter delayed,
-        /// Responses that were duplicated in flight.
-        counter duplicated,
-        /// Requests swallowed by a crashed shard.
-        counter crash_dropped,
-        /// Retry rounds issued after a timeout.
-        counter retries,
-        /// Attempt windows that expired with shards still silent.
-        counter timeouts,
-        /// Worker panics caught by the shard guard (poisoned payloads).
-        counter shard_panics,
-        /// Boundary edges a shard refused to serve because the integrity
-        /// auditor quarantined them.
-        counter quarantine_refusals,
-        /// Ingestion events dropped for arriving behind the stream watermark.
-        counter late_dropped,
-        /// Crossings ingested by shard workers (deduplicated redo deliveries
-        /// excluded).
-        counter ingested,
-        /// Events `ingest`/`ingest_batch` refused (unknown edge or non-finite
-        /// timestamp) — counted instead of panicking the caller.
-        counter ingest_rejected,
-        /// `ingest` / `ingest_batch` calls that sent at least one lane to a
-        /// shard (an `ingest` call sends one lane of one event).
-        counter ingest_batches,
-        /// Records appended to shard write-ahead logs.
-        counter wal_appends,
-        /// WAL frames a worker appended from a lane, one per lane (a lane of
-        /// one is a frame of one). Not counted: the one-event frames a lane
-        /// with a scheduled kill in it is logged as, and the supervisor's redo
-        /// appends.
-        counter wal_group_commits,
-        /// Snapshot rollovers (snapshot installed, WAL truncated).
-        counter snapshots_taken,
-        /// WAL records replayed during crash recovery.
-        counter wal_replayed,
-        /// Redo-buffer events re-applied during crash recovery.
-        counter redo_replayed,
-        /// Ingested events recovery could not reconstruct (the affected shard's
-        /// edges were quarantined instead of served silently wrong).
-        counter lost_events,
-        /// Worker threads respawned by the supervisor.
-        counter shard_respawns,
-        /// Committed shard-map migration batches (load-aware rebalances).
-        counter rebalances,
-        /// Edges moved between shards across all committed migrations.
-        counter edges_migrated,
-        /// Migration batches aborted before commit (an involved shard was
-        /// unhealthy or failed to quiesce; routing stayed unchanged).
-        counter rebalance_aborted,
-        /// Gauge: the shard map's current epoch (0 until the first migration).
-        gauge map_epoch,
-        /// Shard fan-outs skipped because the shard's worker was down
-        /// (each skip degrades that query's coverage instead of stalling it).
-        counter skipped_unhealthy,
-        /// Shard logs dropped at a failed write (the shard serves on from memory).
-        counter logs_lost,
-        /// Query plans served from the engine's cache.
-        counter plan_cache_hits,
-        /// Query plans compiled because no cached plan existed.
-        counter plan_cache_misses,
-        /// Gauge: live standing subscriptions in the registry.
-        gauge subscriptions,
-        /// Bracket deltas applied to standing subscriptions by ingested events
-        /// (one per event per subscription it moved). Not the number of channel
-        /// sends: those are one per touched subscription per `ingest_batch`
-        /// call (per event for `ingest`).
-        counter deltas_pushed,
-        /// Per-subscription re-snapshots at epoch advances (recovery, repair,
-        /// forced).
-        counter sub_resnapshots,
-        /// Gauge: current subscription-registry epoch.
-        gauge sub_epoch,
-        /// Gauge: jobs sitting in the submission queue (sampled at submit and
-        /// dispatch; the brownout controller's first watermark input).
-        gauge queue_depth,
-        /// Queries the admission gate refused (cost capacity exceeded or the
-        /// queue full on `try_submit`) — each carried a `retry_after` hint.
-        counter admission_rejected,
-        /// Queries whose deadline elapsed before completion (short-circuited at
-        /// submit, at dispatch, or clamped mid-fan-out).
-        counter deadline_expired,
-        /// Fan-out requests a shard worker dropped unserved because the query's
-        /// deadline had already passed on arrival.
-        counter shard_deadline_skips,
-        /// Answers served at a reduced (but non-zero) brownout precision level
-        /// (a strided boundary: wider sound brackets, cheaper execution).
-        counter downgraded,
-        /// Answers fully shed by brownout level 3 (no fan-out at all; the
-        /// bracket comes from worst-case totals alone).
-        counter shed,
-        /// Gauge: the brownout controller's current precision level (0–3).
-        gauge brownout_level,
-        /// Brownout level changes (escalations plus relaxations).
-        counter brownout_shifts,
-        /// Circuit breakers tripped open (consecutive silent attempt windows).
-        counter breaker_opened,
-        /// Breakers that let a half-open probe through after `OPEN_FOR`.
-        counter breaker_half_open,
-        /// Breakers closed again by a successful probe or response.
-        counter breaker_closed,
-        /// Shard fan-outs skipped because the shard's breaker was open (each
-        /// degrades that query's coverage immediately instead of retrying).
-        counter breaker_skipped,
-        /// Standing-subscription pushes coalesced after brownout shedding
-        /// lifted (one catch-up push per subscription).
-        counter sub_coalesced,
+    answers {
+        counters {
+            /// Queries completed (including misses and degraded answers).
+            counter queries,
+            /// Queries the sampled graph could not cover.
+            counter misses,
+            /// Queries answered from partial shard data.
+            counter degraded,
+        }
+        histograms {
+            /// End-to-end query latency.
+            latency {
+                /// Median latency bucket edge (µs).
+                p50_us = 0.50,
+                /// 95th-percentile latency bucket edge (µs).
+                p95_us = 0.95,
+                /// 99th-percentile latency bucket edge (µs).
+                p99_us = 0.99,
+            }
+        }
     }
-    histograms {
-        /// Bracket widths of degraded-mode answers (absolute counts, log₂
-        /// buckets) — the "how honest was the widening" histogram.
-        degraded_width {
-            /// 95th-percentile degraded-answer bracket width bucket edge (counts).
-            degraded_width_p95 = 0.95,
+    fan_out {
+        counters {
+            /// Shard requests sent (fan-out messages, including retries).
+            counter shard_requests,
+            /// Requests a shard handled successfully.
+            counter shard_served,
+            /// Requests lost to injected message drops.
+            counter dropped,
+            /// Requests that were delivered late.
+            counter delayed,
+            /// Responses that were duplicated in flight.
+            counter duplicated,
+            /// Requests swallowed by a crashed shard.
+            counter crash_dropped,
+            /// Retry rounds issued after a timeout.
+            counter retries,
+            /// Attempt windows that expired with shards still silent.
+            counter timeouts,
         }
-        /// Time to obtain a plan (cache lookup + compile on miss).
-        plan_latency {
-            /// 95th-percentile plan-acquisition latency bucket edge (µs).
-            plan_p95_us = 0.95,
+    }
+    health {
+        counters {
+            /// Worker panics caught by the shard guard (poisoned payloads).
+            counter shard_panics,
+            /// Boundary edges a shard refused to serve because the integrity
+            /// auditor quarantined them.
+            counter quarantine_refusals,
+            /// Ingestion events dropped for arriving behind the stream watermark.
+            counter late_dropped,
         }
-        /// Time to execute an obtained plan (fan-out through aggregation).
-        execute_latency {
-            /// 95th-percentile plan-execution latency bucket edge (µs).
-            execute_p95_us = 0.95,
+    }
+    degraded_mode {
+        counters {
+            /// Gauge: edges flagged in the registry's quarantine column — by the
+            /// integrity auditor at startup, or by a recovery that lost a shard's
+            /// history; refreshed at every write of the column.
+            gauge quarantined_edges,
+            /// Degraded answers where plain demotion already resolved best.
+            counter degraded_demoted,
+            /// Degraded answers won by the multi-face detour graph.
+            counter degraded_detour,
+            /// Degraded answers certified by conservation-interval imputation.
+            counter degraded_imputed,
+            /// Degraded answers that fell back to a learned point estimate.
+            counter degraded_learned,
         }
-        /// End-to-end query latency.
-        latency {
-            /// Median latency bucket edge (µs).
-            p50_us = 0.50,
-            /// 95th-percentile latency bucket edge (µs).
-            p95_us = 0.95,
-            /// 99th-percentile latency bucket edge (µs).
-            p99_us = 0.99,
+        histograms {
+            /// Bracket widths of degraded-mode answers (absolute counts, log₂
+            /// buckets) — the "how honest was the widening" histogram.
+            degraded_width {
+                /// 95th-percentile degraded-answer bracket width bucket edge (counts).
+                degraded_width_p95 = 0.95,
+            }
         }
-        /// Supervisor recovery duration (abnormal exit → re-admitted).
-        recovery_us {}
-        /// Time one `ingest` / `ingest_batch` call spends in the registry,
-        /// moving the affected standing brackets and pushing them — the
-        /// staleness of the push path.
-        delta_push_latency {
-            /// 95th-percentile delta-push latency bucket edge (µs).
-            delta_push_p95_us = 0.95,
+    }
+    durability {
+        counters {
+            /// Crossings ingested by shard workers (deduplicated redo deliveries
+            /// excluded).
+            counter ingested,
+            /// Records appended to shard write-ahead logs.
+            counter wal_appends,
+            /// Snapshot rollovers (snapshot installed, WAL truncated).
+            counter snapshots_taken,
+        }
+    }
+    ingest {
+        counters {
+            /// Events `ingest`/`ingest_batch` refused (unknown edge or non-finite
+            /// timestamp) — counted instead of panicking the caller.
+            counter ingest_rejected,
+            /// `ingest` / `ingest_batch` calls that sent at least one lane to a
+            /// shard (an `ingest` call sends one lane of one event).
+            counter ingest_batches,
+            /// WAL frames a worker appended from a lane, one per lane (a lane of
+            /// one is a frame of one). Not counted: the one-event frames a lane
+            /// with a scheduled kill in it is logged as, and the supervisor's redo
+            /// appends.
+            counter wal_group_commits,
+        }
+    }
+    supervision {
+        counters {
+            /// Worker threads respawned by the supervisor.
+            counter shard_respawns,
+            /// WAL records replayed during crash recovery.
+            counter wal_replayed,
+            /// Redo-buffer events re-applied during crash recovery.
+            counter redo_replayed,
+            /// Ingested events recovery could not reconstruct (the affected shard's
+            /// edges were quarantined instead of served silently wrong).
+            counter lost_events,
+            /// Shard fan-outs skipped because the shard's worker was down
+            /// (each skip degrades that query's coverage instead of stalling it).
+            counter skipped_unhealthy,
+            /// Shard logs dropped at a failed write (the shard serves on from memory).
+            counter logs_lost,
+        }
+        histograms {
+            /// Supervisor recovery duration (abnormal exit → re-admitted).
+            recovery_us {
+                /// 95th-percentile recovery duration bucket edge (µs).
+                recovery_p95_us = 0.95,
+            }
+        }
+    }
+    rebalance {
+        counters {
+            /// Committed shard-map migration batches (load-aware rebalances).
+            counter rebalances,
+            /// Edges moved between shards across all committed migrations.
+            counter edges_migrated,
+            /// Migration batches aborted before commit (an involved shard was
+            /// unhealthy or failed to quiesce; routing stayed unchanged).
+            counter rebalance_aborted,
+            /// Gauge: the shard map's current epoch (0 until the first migration).
+            gauge map_epoch,
+        }
+    }
+    standing {
+        counters {
+            /// Gauge: live standing subscriptions in the registry, refreshed on every
+            /// path that adds or drops one (a failed push drops its subscriber).
+            gauge subscriptions,
+            /// Bracket deltas applied to standing subscriptions by ingested events
+            /// (one per event per subscription it moved). Not the number of channel
+            /// sends: those are one per touched subscription per `ingest_batch`
+            /// call (per event for `ingest`).
+            counter deltas_pushed,
+            /// Per-subscription re-snapshots at epoch advances (recovery, repair,
+            /// forced).
+            counter sub_resnapshots,
+            /// Gauge: current subscription-registry epoch.
+            gauge sub_epoch,
+            /// Ingested events the subscription registry found behind their edge
+            /// direction's watermark (they grow the lifetime totals, and move only
+            /// brackets that widen over a quarantined edge).
+            counter late_ignored,
+            /// Standing-subscription delta pushes suppressed while brownout shed them
+            /// (the brackets still moved; a coalesced push caught the subscriber up).
+            counter pushes_shed,
+            /// Standing-subscription pushes coalesced after brownout shedding
+            /// lifted (one catch-up push per subscription).
+            counter sub_coalesced,
+        }
+        histograms {
+            /// Time one `ingest` / `ingest_batch` call spends in the registry,
+            /// moving the affected standing brackets and pushing them — the
+            /// staleness of the push path.
+            delta_push_latency {
+                /// 95th-percentile delta-push latency bucket edge (µs).
+                delta_push_p95_us = 0.95,
+            }
+        }
+    }
+    overload {
+        counters {
+            /// Gauge: jobs sitting in the submission queue (sampled at submit and
+            /// dispatch; the brownout controller's first watermark input).
+            gauge queue_depth,
+            /// Queries the admission gate refused (cost capacity exceeded or the
+            /// queue full on `try_submit`) — each carried a `retry_after` hint.
+            counter admission_rejected,
+            /// Queries whose deadline elapsed before completion (short-circuited at
+            /// submit, at dispatch, or clamped mid-fan-out).
+            counter deadline_expired,
+            /// Fan-out requests a shard worker dropped unserved because the query's
+            /// deadline had already passed on arrival.
+            counter shard_deadline_skips,
+            /// Answers served at a reduced (but non-zero) brownout precision level
+            /// (a strided boundary: wider sound brackets, cheaper execution).
+            counter downgraded,
+            /// Answers fully shed by brownout level 3 (no fan-out at all; the
+            /// bracket comes from worst-case totals alone).
+            counter shed,
+            /// Gauge: the brownout controller's current precision level (0–3).
+            gauge brownout_level,
+            /// Brownout level changes (escalations plus relaxations).
+            counter brownout_shifts,
+        }
+    }
+    breakers {
+        counters {
+            /// Circuit breakers tripped open (consecutive silent attempt windows).
+            counter breaker_opened,
+            /// Breakers that let a half-open probe through after `OPEN_FOR`.
+            counter breaker_half_open,
+            /// Breakers closed again by a successful probe or response.
+            counter breaker_closed,
+            /// Shard fan-outs skipped because the shard's breaker was open (each
+            /// degrades that query's coverage immediately instead of retrying).
+            counter breaker_skipped,
+        }
+    }
+    engine {
+        counters {
+            /// Query plans served from the engine's cache.
+            counter plan_cache_hits,
+            /// Query plans compiled because no cached plan existed.
+            counter plan_cache_misses,
+        }
+        histograms {
+            /// Time to obtain a plan (cache lookup + compile on miss).
+            plan_latency {
+                /// 95th-percentile plan-acquisition latency bucket edge (µs).
+                plan_p95_us = 0.95,
+            }
+            /// Time to execute an obtained plan (fan-out through aggregation).
+            execute_latency {
+                /// 95th-percentile plan-execution latency bucket edge (µs).
+                execute_p95_us = 0.95,
+            }
         }
     }
 }
@@ -339,8 +421,8 @@ impl Metrics {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records a completed query's trace (evicting the oldest past capacity).
-    pub fn trace(&self, t: QueryTrace) {
+    /// Remembers a served answer (evicting the oldest past capacity).
+    pub fn trace(&self, t: ServedAnswer) {
         let mut ring = self.traces.lock();
         if ring.len() == TRACE_CAP {
             ring.pop_front();
@@ -348,107 +430,9 @@ impl Metrics {
         ring.push_back(t);
     }
 
-    /// A copy of the most recent traces, oldest first.
-    pub fn recent_traces(&self) -> Vec<QueryTrace> {
-        self.traces.lock().iter().cloned().collect()
-    }
-}
-
-impl fmt::Display for MetricsReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "queries {} (miss {}, degraded {})", self.queries, self.misses, self.degraded)?;
-        writeln!(
-            f,
-            "shard requests {} (served {}, dropped {}, delayed {}, duplicated {}, crashed {})",
-            self.shard_requests,
-            self.shard_served,
-            self.dropped,
-            self.delayed,
-            self.duplicated,
-            self.crash_dropped
-        )?;
-        writeln!(f, "retry rounds {}, timeout windows {}", self.retries, self.timeouts)?;
-        writeln!(
-            f,
-            "health: worker panics {}, quarantine refusals {}, late events {}",
-            self.shard_panics, self.quarantine_refusals, self.late_dropped
-        )?;
-        writeln!(
-            f,
-            "degraded-mode: quarantined edges {}, demoted {}, detour {}, imputed {}, learned {}, \
-             width p95 {}",
-            self.quarantined_edges,
-            self.degraded_demoted,
-            self.degraded_detour,
-            self.degraded_imputed,
-            self.degraded_learned,
-            self.degraded_width_p95
-        )?;
-        writeln!(
-            f,
-            "durability: ingested {}, wal appends {}, snapshots {}",
-            self.ingested, self.wal_appends, self.snapshots_taken
-        )?;
-        writeln!(
-            f,
-            "ingest: rejected {}, batches {}, group commits {}",
-            self.ingest_rejected, self.ingest_batches, self.wal_group_commits
-        )?;
-        writeln!(
-            f,
-            "supervision: respawns {}, wal replayed {}, redo replayed {}, lost events {}, \
-             skipped unhealthy {}, logs lost {}",
-            self.shard_respawns,
-            self.wal_replayed,
-            self.redo_replayed,
-            self.lost_events,
-            self.skipped_unhealthy,
-            self.logs_lost
-        )?;
-        writeln!(
-            f,
-            "rebalance: migrations {}, edges moved {}, aborted {}, map epoch {}",
-            self.rebalances, self.edges_migrated, self.rebalance_aborted, self.map_epoch
-        )?;
-        writeln!(
-            f,
-            "standing: subscriptions {}, deltas pushed {}, resnapshots {}, epoch {}, \
-             delta push p95 {}us",
-            self.subscriptions,
-            self.deltas_pushed,
-            self.sub_resnapshots,
-            self.sub_epoch,
-            self.delta_push_p95_us
-        )?;
-        writeln!(
-            f,
-            "overload: queue depth {}, rejected {}, expired {}, downgraded {}, shed {}, \
-             brownout level {} (shifts {})",
-            self.queue_depth,
-            self.admission_rejected,
-            self.deadline_expired,
-            self.downgraded,
-            self.shed,
-            self.brownout_level,
-            self.brownout_shifts
-        )?;
-        writeln!(
-            f,
-            "breakers: opened {}, half-open {}, closed {}, skipped {}, shard deadline skips {}, \
-             pushes coalesced {}",
-            self.breaker_opened,
-            self.breaker_half_open,
-            self.breaker_closed,
-            self.breaker_skipped,
-            self.shard_deadline_skips,
-            self.sub_coalesced
-        )?;
-        writeln!(
-            f,
-            "engine: plan hits {} misses {}, plan p95 {}us, execute p95 {}us",
-            self.plan_cache_hits, self.plan_cache_misses, self.plan_p95_us, self.execute_p95_us
-        )?;
-        write!(f, "latency p50 {}us p95 {}us p99 {}us", self.p50_us, self.p95_us, self.p99_us)
+    /// A copy of the most recent answers, oldest first.
+    pub fn recent_traces(&self) -> Vec<ServedAnswer> {
+        self.traces.lock().iter().copied().collect()
     }
 }
 

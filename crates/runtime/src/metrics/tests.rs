@@ -1,4 +1,29 @@
+use stq_core::degraded::DegradedStrategy;
+
 use super::*;
+
+/// A full-coverage answer with id `query_id`, as the ring remembers it.
+fn answer(query_id: u64) -> ServedAnswer {
+    ServedAnswer {
+        query_id,
+        value: 0.0,
+        lower: 0.0,
+        upper: 0.0,
+        coverage: 1.0,
+        miss: false,
+        degraded: false,
+        quarantined: 0,
+        shards: 1,
+        retries: 0,
+        strategy: DegradedStrategy::None,
+        confidence: 1.0,
+        plan_cache_hit: false,
+        plan_latency: std::time::Duration::from_micros(2),
+        latency: std::time::Duration::from_micros(10),
+        expired: false,
+        brownout: 0,
+    }
+}
 
 #[test]
 fn histogram_quantiles_bound_samples() {
@@ -25,20 +50,7 @@ fn empty_histogram_is_zero() {
 fn trace_ring_is_bounded() {
     let m = Metrics::new();
     for i in 0..(TRACE_CAP as u64 + 50) {
-        m.trace(QueryTrace {
-            query_id: i,
-            shards: 1,
-            retries: 0,
-            coverage: 1.0,
-            latency_us: 10,
-            plan_us: 2,
-            plan_cache_hit: false,
-            degraded: false,
-            miss: false,
-            strategy: "none",
-            brownout: 0,
-            expired: false,
-        });
+        m.trace(answer(i));
     }
     let traces = m.recent_traces();
     assert_eq!(traces.len(), TRACE_CAP);
@@ -75,20 +87,7 @@ fn histogram_zero_sample_and_monotone_quantiles() {
 
 #[test]
 fn trace_ring_wraps_exactly_at_capacity() {
-    let mk = |id: u64| QueryTrace {
-        query_id: id,
-        shards: 1,
-        retries: 0,
-        coverage: 1.0,
-        latency_us: 10,
-        plan_us: 2,
-        plan_cache_hit: id % 2 == 0,
-        degraded: false,
-        miss: false,
-        strategy: "none",
-        brownout: 0,
-        expired: false,
-    };
+    let mk = |id: u64| ServedAnswer { plan_cache_hit: id % 2 == 0, ..answer(id) };
     let m = Metrics::new();
     for i in 0..TRACE_CAP as u64 {
         m.trace(mk(i));
@@ -120,12 +119,12 @@ fn durability_counters_round_trip_report() {
     assert_eq!(r.ingested, 100);
     assert_eq!(r.snapshots_taken, 1);
     assert_eq!(r.shard_respawns, 1);
+    assert_eq!(r.recovery_p95_us, 1024);
     let text = r.to_string();
-    assert!(text.contains("wal appends 100"));
-    assert!(text.contains("respawns 1"));
-    assert!(text.contains("late events 4\n"));
-    // Pre-existing lines keep their shape (additive change only).
-    assert!(text.contains("latency p50"));
+    assert!(text.contains("wal_appends 100"));
+    assert!(text.contains("shard_respawns 1"));
+    assert!(text.contains("late_dropped 4\n"));
+    assert!(text.contains("recovery_p95_us 1024"));
 }
 
 #[test]
@@ -141,10 +140,7 @@ fn engine_counters_round_trip_report() {
     assert!(r.plan_p95_us >= 12);
     assert!(r.execute_p95_us >= 700);
     let text = r.to_string();
-    assert!(text.contains("plan hits 7 misses 3, plan p95"));
-    // Pre-existing lines keep their shape (additive change only).
-    assert!(text.contains("latency p50"));
-    assert!(text.contains("queries 0"));
+    assert!(text.contains("engine: plan_cache_hits 7, plan_cache_misses 3, plan_p95_us"));
 }
 
 #[test]
@@ -162,12 +158,7 @@ fn subscription_counters_round_trip_report() {
     assert_eq!(r.sub_epoch, 2);
     assert!(r.delta_push_p95_us >= 9);
     let text = r.to_string();
-    assert!(text.contains("subscriptions 3"));
-    assert!(text.contains("deltas pushed 41"));
-    assert!(text.contains("resnapshots 6"));
-    // Pre-existing lines keep their shape (additive change only).
-    assert!(text.contains("latency p50"));
-    assert!(text.contains("plan hits"));
+    assert!(text.contains("standing: subscriptions 3, deltas_pushed 41, sub_resnapshots 6"));
 }
 
 #[test]
@@ -187,12 +178,9 @@ fn degraded_mode_counters_round_trip_report() {
     assert_eq!(r.degraded_learned, 1);
     assert!(r.degraded_width_p95 >= 6);
     let text = r.to_string();
-    assert!(text.contains("quarantined edges 14"));
-    assert!(text.contains("imputed 5"));
-    assert!(text.contains(&format!(", width p95 {}\n", r.degraded_width_p95)));
-    // Pre-existing lines keep their shape (additive change only).
-    assert!(text.contains("latency p50"));
-    assert!(text.contains("queries 0"));
+    assert!(text.contains("quarantined_edges 14"));
+    assert!(text.contains("degraded_imputed 5"));
+    assert!(text.contains(&format!(", degraded_width_p95 {}\n", r.degraded_width_p95)));
 }
 
 #[test]
@@ -229,35 +217,28 @@ fn overload_counters_round_trip_report_at_saturation() {
     assert_eq!(r.breaker_skipped, 11);
     assert_eq!(r.sub_coalesced, 6);
     let text = r.to_string();
-    assert!(text.contains("queue depth 61"));
-    assert!(text.contains("rejected 40"));
+    assert!(text.contains("queue_depth 61"));
+    assert!(text.contains("admission_rejected 40"));
     assert!(text.contains("downgraded 17"));
     assert!(text.contains("shed 4"));
-    assert!(text.contains("brownout level 2 (shifts 3)"));
-    assert!(text.contains("breakers: opened 2, half-open 1, closed 1, skipped 11"));
-    assert!(text.contains("pushes coalesced 6"));
-    // Pre-existing lines keep their shape (additive change only).
-    assert!(text.contains("latency p50"));
-    assert!(text.contains("queries 0"));
-    assert!(text.contains("plan hits"));
+    assert!(text.contains("brownout_level 2, brownout_shifts 3"));
+    assert!(text.contains(
+        "breakers: breaker_opened 2, breaker_half_open 1, breaker_closed 1, breaker_skipped 11"
+    ));
+    assert!(text.contains("sub_coalesced 6"));
 }
 
 #[test]
 fn query_trace_records_brownout_and_expiry() {
     let m = Metrics::new();
-    m.trace(QueryTrace {
-        query_id: 7,
+    m.trace(ServedAnswer {
         shards: 0,
-        retries: 0,
         coverage: 0.0,
-        latency_us: 40,
-        plan_us: 2,
         plan_cache_hit: true,
         degraded: true,
-        miss: false,
-        strategy: "none",
         brownout: 3,
         expired: true,
+        ..answer(7)
     });
     let t = m.recent_traces();
     assert_eq!(t.len(), 1);
@@ -277,5 +258,33 @@ fn report_snapshot_and_display() {
     assert_eq!(r.p50_us, 1024);
     let text = r.to_string();
     assert!(text.contains("queries 1"));
-    assert!(text.contains("p50 1024us"));
+    assert!(text.contains("p50_us 1024"));
+}
+
+/// `Display` is generated from the table: every field of the report — as
+/// the derived `Debug` names it — is printed exactly once, as `field value`
+/// beside its own value, and nothing else is.
+#[test]
+fn the_report_prints_every_field_once_with_its_value() {
+    let r = MetricsReport::numbered();
+    let debug = format!("{r:?}");
+    let body = debug.trim_start_matches("MetricsReport {").trim_end_matches('}');
+    let fields: Vec<(&str, &str)> = body
+        .split(',')
+        .map(|kv| kv.trim().split_once(": ").expect("`field: value` in the derived Debug"))
+        .collect();
+    let values: std::collections::HashSet<&str> = fields.iter().map(|&(_, v)| v).collect();
+    assert_eq!(values.len(), fields.len(), "the values are distinct: {debug}");
+    assert!(!values.contains("0"), "and non-zero: {debug}");
+    let text = r.to_string();
+    let printed: Vec<&str> = text
+        .lines()
+        .flat_map(|line| line.split_once(": ").map_or(line, |(_, pairs)| pairs).split(", "))
+        .collect();
+    for (field, value) in &fields {
+        let named: Vec<&&str> =
+            printed.iter().filter(|p| p.split(' ').next() == Some(field)).collect();
+        assert_eq!(named, [&format!("{field} {value}")], "{field} in:\n{text}");
+    }
+    assert_eq!(printed.len(), fields.len(), "nothing but the report's fields:\n{text}");
 }

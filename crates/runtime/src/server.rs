@@ -36,9 +36,7 @@ use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
 use stq_forms::{FormStore, ShardForms};
 use stq_net::{DurabilityFaultPlan, FaultPlan};
-use stq_subscribe::{
-    BracketUpdate, RegistryStats, StandingBracket, SubscribeError, SubscriptionId,
-};
+use stq_subscribe::{BracketUpdate, StandingBracket, SubscribeError, SubscriptionId};
 
 pub use crate::aggregate::ServedAnswer;
 use crate::aggregate::{answer_batch, answer_expired, Batch};
@@ -382,10 +380,9 @@ impl Runtime {
         if st.foreign(&region) {
             return Err(SubscribeError::Unresolvable);
         }
-        let (subs, metrics) = (&st.shared.subs, &st.shared.metrics);
         let (tx, rx) = channel::unbounded::<BracketUpdate>();
-        let reg = subs.subscribe(&st.sensing, &st.sampled, &region, approx, Some(tx))?;
-        metrics.subscriptions.store(subs.len() as u64, Ordering::Relaxed);
+        let reg = st.shared.subs.subscribe(&st.sensing, &st.sampled, &region, approx, Some(tx))?;
+        st.shared.refresh_subscription_gauge();
         Ok(SubscriptionHandle {
             id: reg.id,
             baseline: reg.bracket,
@@ -397,9 +394,9 @@ impl Runtime {
 
     /// Deregisters a standing subscription. Returns whether it existed.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        let (subs, metrics) = (&self.st().shared.subs, &self.st().shared.metrics);
-        let existed = subs.unsubscribe(id);
-        metrics.subscriptions.store(subs.len() as u64, Ordering::Relaxed);
+        let shared = &self.st().shared;
+        let existed = shared.subs.unsubscribe(id);
+        shared.refresh_subscription_gauge();
         existed
     }
 
@@ -411,11 +408,6 @@ impl Runtime {
     /// All live `(id, bracket)` pairs, sorted by id.
     pub fn standing_brackets(&self) -> Vec<(SubscriptionId, StandingBracket)> {
         self.st().shared.subs.brackets()
-    }
-
-    /// Registry accounting (subscriptions, epoch, deltas, re-snapshots).
-    pub fn subscription_stats(&self) -> RegistryStats {
-        self.st().shared.subs.stats()
     }
 
     /// Forces a new subscription epoch: every standing bracket is

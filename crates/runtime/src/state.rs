@@ -134,14 +134,23 @@ impl Shared {
 
     /// Starts a new subscription epoch, absorbing `extra_quarantine` into
     /// the registry's column (the one place the runtime extends quarantine),
-    /// and counts the re-snapshots. Returns the new epoch.
+    /// and counts the re-snapshots and the subscribers left (the epoch drops
+    /// one whose receiver is gone). Returns the new epoch.
     pub(crate) fn resnapshot(&self, extra_quarantine: impl IntoIterator<Item = usize>) -> u64 {
         let updates = self.subs.advance_epoch(extra_quarantine);
         self.refresh_quarantine_gauge();
         Metrics::add(&self.metrics.sub_resnapshots, updates.len() as u64);
+        self.refresh_subscription_gauge();
         let epoch = self.subs.epoch();
         self.metrics.sub_epoch.store(epoch, Ordering::Relaxed);
         epoch
+    }
+
+    /// Stores the registry's live-subscription count in its gauge. Every
+    /// path that can add or drop a subscriber calls this, or (an ingest
+    /// batch) stores the count the registry read under its own lock.
+    pub(crate) fn refresh_subscription_gauge(&self) {
+        self.metrics.subscriptions.store(self.subs.len() as u64, Ordering::Relaxed);
     }
 }
 

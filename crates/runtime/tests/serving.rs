@@ -247,7 +247,7 @@ fn a_region_from_another_graph_is_refused_and_the_pool_keeps_serving() {
     let report = rt.metrics().report();
     assert_eq!((report.queries, report.misses, report.plan_cache_misses), (2, 2, 0));
     assert_eq!(rt.engine_stats().misses, 0, "refused before any plan");
-    assert_eq!(rt.subscription_stats().subscriptions, 0);
+    assert_eq!(report.subscriptions, 0);
     for spec in specs(f, 3, 0.15, 17) {
         let served = rt.query(spec.clone());
         match sync_value(f, &spec) {
@@ -551,7 +551,7 @@ fn trace_ring_records_recent_queries() {
     }
     let traces = rt.metrics().recent_traces();
     assert_eq!(traces.len(), n);
-    assert!(traces.iter().all(|t| t.latency_us > 0 || t.miss || t.coverage == 1.0));
+    assert!(traces.iter().all(|t| t.latency.as_micros() > 0 || t.miss || t.coverage == 1.0));
 }
 
 #[test]
@@ -615,7 +615,7 @@ fn degraded_mode_escalation_upgrades_quarantined_answers() {
         upgraded,
         "per-strategy counters must add up to the upgraded answers"
     );
-    assert!(rt.metrics().recent_traces().iter().any(|t| t.strategy != "none"));
+    assert!(rt.metrics().recent_traces().iter().any(|t| t.strategy != DegradedStrategy::None));
     rt.shutdown();
 }
 

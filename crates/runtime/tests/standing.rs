@@ -186,8 +186,8 @@ fn standing_equivalence_suite() {
             rt.flush_ingest();
             assert_matches_reexecution(&rt, &subs, &format!("{ctx} tick {tick}"));
         }
-        let stats = rt.subscription_stats();
-        assert!(stats.deltas_applied > 0, "{ctx}: the stream must move some brackets");
+        let moved = rt.metrics().report().deltas_pushed;
+        assert!(moved > 0, "{ctx}: the stream must move some brackets");
 
         // Forced epoch: the re-snapshot recomputes every bracket from the
         // mirror and must land on the same bits the deltas accumulated.
@@ -229,7 +229,7 @@ fn recovery_bumps_epoch_and_brackets_stay_identical() {
     );
     let subs = register(&rt, f, 6, 31);
     assert!(subs.len() >= 2);
-    let epoch0 = rt.subscription_stats().epoch;
+    let epoch0 = rt.metrics().report().sub_epoch;
 
     for &c in &stream(f.scenario.sensing.num_edges(), 500) {
         rt.ingest(c).expect("ingest");
@@ -242,15 +242,17 @@ fn recovery_bumps_epoch_and_brackets_stay_identical() {
         rt.shard_health().iter().all(|h| *h == ShardHealth::Healthy),
         "shard re-admitted after recovery"
     );
-    let stats = rt.subscription_stats();
     assert!(
-        stats.epoch > epoch0,
+        report.sub_epoch > epoch0,
         "recovery must advance the subscription epoch ({} -> {})",
         epoch0,
-        stats.epoch
+        report.sub_epoch
     );
-    assert!(stats.resnapshots >= subs.len() as u64, "every bracket re-snapshots on recovery");
-    assert!(report.sub_resnapshots >= subs.len() as u64, "metrics mirror the registry: {report}");
+    assert!(
+        report.sub_resnapshots >= subs.len() as u64,
+        "every bracket re-snapshots on recovery: {report}"
+    );
+    assert_eq!(report.subscriptions, subs.len() as u64, "recovery keeps every subscriber");
     assert_matches_reexecution(&rt, &subs, "post-recovery");
 
     // The push channels saw the whole story: a baseline, live deltas, and
@@ -307,15 +309,13 @@ fn a_migration_moves_forms_and_nothing_else() {
     for (h, _) in &subs {
         while h.updates.try_recv().is_ok() {}
     }
-    let (stats, report, plans) =
-        (rt.subscription_stats(), rt.metrics().report(), rt.engine_stats());
+    let (report, plans) = (rt.metrics().report(), rt.engine_stats());
 
     assert!(rt.rebalance_now() > 0, "the hot shard must shed edges: {}", rt.metrics().report());
     assert_eq!(rt.map_epoch(), 1);
-    let after = rt.subscription_stats();
-    assert_eq!(after.epoch, stats.epoch, "a migration starts no subscription epoch");
-    assert_eq!(after.resnapshots, stats.resnapshots);
-    assert_eq!(rt.metrics().report().sub_resnapshots, report.sub_resnapshots);
+    let after = rt.metrics().report();
+    assert_eq!(after.sub_epoch, report.sub_epoch, "a migration starts no subscription epoch");
+    assert_eq!(after.sub_resnapshots, report.sub_resnapshots);
     assert_eq!(rt.engine_stats(), plans, "a migration leaves the plan cache alone");
     for (h, _) in &subs {
         let causes: Vec<UpdateCause> =
@@ -428,7 +428,7 @@ fn subscribe_rejects_unresolvable() {
     let served =
         rt.query(QuerySpec::new(region, QueryKind::Snapshot(T_LATE), Approximation::Lower));
     assert!(served.miss, "the query path refuses the same region");
-    assert_eq!(rt.subscription_stats().subscriptions, 0);
+    assert_eq!(rt.metrics().report().subscriptions, 0);
     rt.shutdown();
 }
 
@@ -445,7 +445,7 @@ fn unsubscribe_stops_updates() {
     assert!(rt.unsubscribe(h.id));
     assert!(!rt.unsubscribe(h.id), "second unsubscribe is a no-op");
     assert!(rt.standing_bracket(h.id).is_none());
-    assert_eq!(rt.subscription_stats().subscriptions, subs.len() - 1);
+    assert_eq!(rt.metrics().report().subscriptions, subs.len() as u64 - 1);
 
     // Drain the baseline, then stream: the dead subscription stays silent.
     while h.updates.try_recv().is_ok() {}
@@ -454,5 +454,27 @@ fn unsubscribe_stops_updates() {
     }
     rt.flush_ingest();
     assert!(h.updates.try_recv().is_err(), "no pushes after unsubscribe");
+    rt.shutdown();
+}
+
+/// A subscriber that drops its receiver is removed by the registry at the
+/// first push that fails — here, the next ingest on its boundary — and the
+/// live-subscription gauge falls with it: no `subscribe` or `unsubscribe`
+/// call is needed to refresh it.
+#[test]
+fn a_dropped_subscriber_leaves_the_gauge() {
+    let f = fixture();
+    let rt = runtime(f, RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() });
+    let mut subs = register(&rt, f, 4, 17);
+    let live = subs.len() as u64;
+    assert_eq!(rt.metrics().report().subscriptions, live);
+    let at = subs.iter().position(|(h, _)| h.boundary_edges > 0).expect("a region with a boundary");
+    let (gone, spec) = subs.swap_remove(at);
+    let plan = QueryPlan::compile(&f.scenario.sensing, &f.sampled, &spec.region, spec.approx);
+    drop(gone.updates);
+    let c = Crossing { time: T_LATE, edge: plan.boundary[0].edge, forward: true };
+    rt.ingest(c).expect("ingest");
+    assert_eq!(rt.standing_bracket(gone.id), None, "the failed push dropped the subscriber");
+    assert_eq!(rt.metrics().report().subscriptions, live - 1, "{}", rt.metrics().report());
     rt.shutdown();
 }

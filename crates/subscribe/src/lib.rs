@@ -160,9 +160,7 @@ pub enum UpdateCause {
 pub struct BracketUpdate {
     /// Which subscription moved.
     pub subscription: SubscriptionId,
-    /// The registry epoch the new bracket belongs to.
-    pub epoch: u64,
-    /// The bracket after the change.
+    /// The bracket after the change (its `epoch` is the registry's).
     pub bracket: StandingBracket,
     /// What triggered the push.
     pub cause: UpdateCause,
@@ -204,34 +202,22 @@ pub struct Registered {
     pub boundary_edges: usize,
 }
 
-/// What one ingested crossing did to the registry (the runtime folds this
-/// into its metrics).
+/// What one ingest batch did to the registry. The registry keeps no
+/// counters of its own: the serving runtime folds this into its metrics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IngestObservation {
-    /// Subscriptions whose bracket moved on this event.
+    /// Bracket deltas applied: one per event per subscription it moved.
     pub deltas: usize,
-    /// The event arrived behind the watermark and left trusted counts
-    /// untouched (quarantined widenings still apply — totals grow anyway).
-    pub late: bool,
-}
-
-/// Point-in-time registry accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Live subscriptions.
+    /// Events that arrived behind their edge direction's watermark and left
+    /// trusted counts untouched (quarantined widenings still apply — totals
+    /// grow anyway), exactly like the shard's accept rule.
+    pub late: usize,
+    /// Delta pushes suppressed because push shedding was on (the brackets
+    /// still moved; a `Coalesced` push catches the subscribers up).
+    pub shed: usize,
+    /// Live subscriptions once the batch's pushes are out: a subscriber
+    /// whose receiver was gone has been removed.
     pub subscriptions: usize,
-    /// Current epoch (bumped by every [`SubscriptionRegistry::advance_epoch`]).
-    pub epoch: u64,
-    /// Bracket deltas applied since construction.
-    pub deltas_applied: u64,
-    /// Per-subscription re-snapshots performed at epoch advances.
-    pub resnapshots: u64,
-    /// Events that arrived behind an edge watermark (counted toward totals
-    /// but not toward trusted brackets — exactly like the shard dedup).
-    pub late_ignored: u64,
-    /// Delta pushes suppressed while push shedding was on (the brackets
-    /// still moved; subscribers caught up via a `Coalesced` push).
-    pub pushes_shed: u64,
 }
 
 struct Subscription {
@@ -257,8 +243,7 @@ impl Subscription {
     /// The current bracket as an update (a subscription's epoch is always
     /// the registry's: epoch advances re-stamp every subscription).
     fn update(&self, cause: UpdateCause) -> BracketUpdate {
-        let subscription = SubscriptionId(self.id);
-        BracketUpdate { subscription, epoch: self.epoch, bracket: self.standing(), cause }
+        BracketUpdate { subscription: SubscriptionId(self.id), bracket: self.standing(), cause }
     }
 }
 
@@ -362,14 +347,10 @@ pub struct SubscriptionRegistry {
     /// serving runtime, whose shard workers read it lock-free.
     quarantined: Arc<Vec<AtomicBool>>,
     inner: Mutex<Inner>,
-    deltas_applied: AtomicU64,
-    resnapshots: AtomicU64,
-    late_ignored: AtomicU64,
     /// While set, delta pushes are suppressed (brackets still move under
     /// the lock, so correctness is untouched — only the push fan-out cost is
     /// shed). Flipped by the runtime's brownout controller.
     shed: AtomicBool,
-    pushes_shed: AtomicU64,
 }
 
 impl SubscriptionRegistry {
@@ -411,11 +392,7 @@ impl SubscriptionRegistry {
                 by_id: BTreeMap::new(),
                 touched: Vec::new(),
             }),
-            deltas_applied: AtomicU64::new(0),
-            resnapshots: AtomicU64::new(0),
-            late_ignored: AtomicU64::new(0),
             shed: AtomicBool::new(false),
-            pushes_shed: AtomicU64::new(0),
         }
     }
 
@@ -499,32 +476,28 @@ impl SubscriptionRegistry {
     /// batch lands atomically with respect to epoch advances. Pushes are per
     /// batch, not per event: each subscription the batch touched receives
     /// **one** `Delta` update carrying its bracket as of the end of the
-    /// batch. Returns the aggregate observation (summed deltas; `late` set
-    /// when any event was late).
+    /// batch. Returns what the batch did: the deltas applied, the late
+    /// events, the pushes shed and the live subscriptions after it.
     ///
     /// The serving runtime calls this for every event *before* handing it
     /// to the owning shard's ingest lane, so totals (and therefore
     /// degradation bounds) stay ahead of shard state at every instant.
     pub fn on_ingest_batch(&self, batch: &[Crossing]) -> IngestObservation {
-        if batch.is_empty() {
-            return IngestObservation::default();
-        }
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let mut agg = IngestObservation::default();
+        let mut obs = IngestObservation::default();
         for c in batch {
-            let obs = self.apply_locked(inner, c);
-            agg.deltas += obs.deltas;
-            agg.late |= obs.late;
+            self.apply_locked(inner, c, &mut obs);
         }
-        self.deltas_applied.fetch_add(agg.deltas as u64, Ordering::Relaxed);
-        self.flush_pushes_locked(inner);
-        agg
+        obs.shed = self.flush_pushes_locked(inner);
+        obs.subscriptions = inner.by_id.len();
+        obs
     }
 
     /// Applies one event to the totals, the mirror and the brackets it
-    /// routes to, listing each moved subscription in `touched` once.
-    fn apply_locked(&self, inner: &mut Inner, c: &Crossing) -> IngestObservation {
+    /// routes to, listing each moved subscription in `touched` once and
+    /// counting its deltas and lateness into `obs`.
+    fn apply_locked(&self, inner: &mut Inner, c: &Crossing, obs: &mut IngestObservation) {
         let dir = usize::from(!c.forward);
         self.totals[c.edge][dir].fetch_add(1, Ordering::Relaxed);
         // Same predicate as `apply_crossing`: reject iff strictly behind the
@@ -534,16 +507,15 @@ impl SubscriptionRegistry {
             inner.mirror.watermark[c.edge][dir] = c.time;
             inner.mirror.counts[c.edge][dir] += 1;
         } else {
-            self.late_ignored.fetch_add(1, Ordering::Relaxed);
+            obs.late += 1;
         }
         let quarantined = self.quarantined[c.edge].load(Ordering::Acquire);
         // A late event on a trusted edge changes nothing a re-execution
         // would see; on a quarantined edge the totals still grew, so the
         // widening below must happen regardless.
         if !accepted && !quarantined {
-            return IngestObservation { deltas: 0, late: true };
+            return;
         }
-        let mut deltas = 0usize;
         // `routes`, `slab` and `touched` are disjoint fields, so the hot
         // path walks the route list in place — no per-event allocation.
         for &(slot, inward_forward) in &inner.routes[c.edge] {
@@ -556,22 +528,22 @@ impl SubscriptionRegistry {
                 sub.bracket.shift(entered);
             }
             sub.deltas += 1;
-            deltas += 1;
+            obs.deltas += 1;
             if !sub.dirty {
                 sub.dirty = true;
                 inner.touched.push(slot);
             }
         }
-        IngestObservation { deltas, late: !accepted }
     }
 
     /// Ends an ingest batch: one `Delta` push per touched subscription, or
     /// one shed push each under brownout (the brackets moved, so correctness
     /// holds; a `Coalesced` push catches subscribers up when shedding
     /// lifts). Subscribers whose receiver is gone are removed afterwards.
-    fn flush_pushes_locked(&self, inner: &mut Inner) {
+    /// Returns the pushes shed.
+    fn flush_pushes_locked(&self, inner: &mut Inner) -> usize {
         let shedding = self.shed.load(Ordering::Relaxed);
-        let mut shed_now = 0u64;
+        let mut shed_now = 0;
         let mut dead: Vec<u64> = Vec::new();
         for slot in inner.touched.drain(..) {
             let Some(sub) = inner.slab[slot].as_mut() else { continue };
@@ -585,18 +557,17 @@ impl SubscriptionRegistry {
                 dead.push(sub.id);
             }
         }
-        if shed_now > 0 {
-            self.pushes_shed.fetch_add(shed_now, Ordering::Relaxed);
-        }
         for id in dead {
             inner.remove(id);
         }
+        shed_now
     }
 
     /// Starts a new epoch: absorbs `extra_quarantine` into the mirror, then
     /// re-snapshots **every** subscription's bracket from the mirror through
-    /// its compiled plan, stamping it with the new epoch. Returns the pushed
-    /// re-snapshot updates (also delivered on each push channel).
+    /// its compiled plan, stamping it with the new epoch. Returns the
+    /// re-snapshot updates, one per subscription (each also delivered on its
+    /// push channel; a subscriber whose receiver is gone is removed).
     ///
     /// This is the sound hand-off around any event that invalidates running
     /// brackets — quarantine extension, repair, supervisor crash-recovery.
@@ -629,7 +600,6 @@ impl SubscriptionRegistry {
         for id in dead {
             inner.remove(id);
         }
-        self.resnapshots.fetch_add(out.len() as u64, Ordering::Relaxed);
         out
     }
 
@@ -638,8 +608,9 @@ impl SubscriptionRegistry {
     /// moving under the lock but nothing is pushed. Turning shedding *off*
     /// pushes every push-attached subscription's current bracket once
     /// (`cause == Coalesced`) so subscribers catch up on everything they
-    /// missed in one update; those updates are also returned. Turning it on
-    /// (or re-asserting the current state) returns nothing.
+    /// missed in one update; those updates are also returned, and a
+    /// subscriber whose receiver is gone is removed. Turning it on (or
+    /// re-asserting the current state) returns nothing.
     pub fn set_shed_pushes(&self, on: bool) -> Vec<BracketUpdate> {
         // Under the inner lock so the flag flip is atomic with respect to
         // in-flight `on_ingest_batch` calls: no delta can race between the flag
@@ -726,18 +697,6 @@ impl SubscriptionRegistry {
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Point-in-time accounting.
-    pub fn stats(&self) -> RegistryStats {
-        RegistryStats {
-            subscriptions: self.len(),
-            epoch: self.epoch(),
-            deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
-            resnapshots: self.resnapshots.load(Ordering::Relaxed),
-            late_ignored: self.late_ignored.load(Ordering::Relaxed),
-            pushes_shed: self.pushes_shed.load(Ordering::Relaxed),
-        }
     }
 }
 

@@ -368,10 +368,10 @@ fn late_events_do_not_move_trusted_brackets() {
     }
     let before = registry.bracket(reg.id).unwrap();
     let obs = registry.on_ingest_batch(&[Crossing { time: -1.0e12, edge: be.edge, forward: true }]);
-    assert!(obs.late, "event behind the watermark must be flagged late");
+    assert_eq!(obs.late, 1, "event behind the watermark must be counted late");
+    assert_eq!(obs.deltas, 0, "a late event on a trusted edge moves no bracket");
     let after = registry.bracket(reg.id).unwrap();
     assert_eq!(before, after, "late event on a trusted edge must not move the bracket");
-    assert_eq!(registry.stats().late_ignored, 1);
 }
 
 #[test]
@@ -405,12 +405,13 @@ fn shed_pushes_coalesce_on_relax() {
 
     assert!(registry.set_shed_pushes(true).is_empty(), "turning shedding on pushes nothing");
     // Events while shedding move the bracket but push nothing.
+    let mut shed = 0;
     for i in 0..3 {
         let c = Crossing { time: 1.0e9 + i as f64, edge: be.edge, forward: true };
-        registry.on_ingest_batch(&[c]);
+        shed += registry.on_ingest_batch(&[c]).shed;
     }
     assert!(rx.try_recv().is_err(), "no pushes while shedding");
-    assert_eq!(registry.stats().pushes_shed, 3);
+    assert_eq!(shed, 3, "each batch reports the push it shed");
     let live = registry.bracket(reg.id).expect("subscription is live");
     assert_eq!(live.deltas, 3, "brackets keep moving while pushes are shed");
 
@@ -457,7 +458,9 @@ fn unsubscribe_and_dead_channels_clean_routes() {
     drop(rx);
     let plan = QueryPlan::compile(&s.sensing, &g, &q, Approximation::Upper);
     if let Some(be) = plan.boundary.first().copied() {
-        registry.on_ingest_batch(&[Crossing { time: 1.0e9, edge: be.edge, forward: true }]);
+        let obs =
+            registry.on_ingest_batch(&[Crossing { time: 1.0e9, edge: be.edge, forward: true }]);
         assert_eq!(registry.len(), 0, "dead push channel implies unsubscribe");
+        assert_eq!(obs.subscriptions, 0, "the batch reports the subscriber gone");
     }
 }

@@ -218,6 +218,25 @@ fn recovery_and_migration_rebuild_nothing_they_cannot_change() {
     });
 }
 
+#[test]
+fn metrics_are_one_table() {
+    assert_absent(&Guard {
+        rule: "a count is kept and named once, as a row of the runtime's `metrics!` table: the \
+               subscription registry returns what a call did and keeps no counters beside it, \
+               the report prints the table, and a query's trace is its `ServedAnswer`, so no \
+               copy of either comes back, nor the conservation interval `Imputer` generalizes",
+        patterns: &[
+            "QueryTrace",
+            "RegistryStats",
+            "subscription_stats",
+            "deltas_applied",
+            "net_flow_interval",
+        ],
+        roots: &["crates", "examples"],
+        except: &[],
+    });
+}
+
 /// The lines of `text` before its test module (`#[cfg(test)]` followed by
 /// `mod`), numbered from 1.
 fn outside_tests(text: &str) -> impl Iterator<Item = (usize, &str)> {
