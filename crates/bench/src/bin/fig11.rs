@@ -28,6 +28,7 @@ fn main() {
         &scenarios,
         &methods,
         &GRAPH_SIZES,
+        FIXED_QUERY_AREA,
         |s, si| s.make_queries(30, FIXED_QUERY_AREA, 2_000.0, SEEDS[si] ^ 0x3),
         QueryKind::Transient,
     );

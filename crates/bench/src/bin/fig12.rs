@@ -21,6 +21,7 @@ fn main() {
         &scenarios,
         &methods,
         &GRAPH_SIZES,
+        FIXED_QUERY_AREA,
         |s, si| s.make_queries(30, FIXED_QUERY_AREA, STATIC_WINDOW, SEEDS[si] ^ 0x9),
         QueryKind::Static,
     );

@@ -46,18 +46,18 @@ fn main() {
     println!("(median [P25,P75] over {} seeds)", SEEDS.len());
 
     let scenarios: Vec<Scenario> = parallel_map(SEEDS.len(), |i| paper_scenario(SEEDS[i]));
-    let methods = Method::all();
+    let series = Series::of(&Method::all());
     // Upper-bound panels use the sampled-graph methods only (the baseline
     // has no upper-bound semantics).
-    let graph_methods: Vec<Method> =
-        methods.iter().copied().filter(|m| !matches!(m, Method::Baseline)).collect();
+    let graph_series: Vec<Series> =
+        series.iter().copied().filter(|sr| sr.method != Method::Baseline).collect();
 
     // ------------------------------------------------------------ (a) & (c)
     let queries_a =
         |s: &Scenario, si: usize| s.make_queries(30, FIXED_QUERY_AREA, 2_000.0, SEEDS[si] ^ 0x5);
 
-    let series_a: Vec<(String, Vec<Stats>)> = parallel_map(methods.len(), |mi| {
-        let method = methods[mi];
+    let series_a: Vec<(String, Vec<Stats>)> = parallel_map(series.len(), |i| {
+        let sr = series[i];
         let col: Vec<Stats> = GRAPH_SIZES
             .iter()
             .map(|&size| {
@@ -66,15 +66,14 @@ fn main() {
                     .enumerate()
                     .map(|(si, s)| {
                         let qs = queries_a(s, si);
-                        let hist = regions_of(&qs);
-                        let ev = build_evaluator(s, method, size, SEEDS[si] ^ 0x51, &hist);
+                        let ev = sr.evaluator(s, size, SEEDS[si], &[FIXED_QUERY_AREA], &qs);
                         miss_rate(s, &ev, &qs)
                     })
                     .collect();
                 stats(&rates)
             })
             .collect();
-        (method.label(), col)
+        (sr.label(), col)
     });
     print_table(
         "Fig 13a: missed queries (fraction) vs graph size (query area 1.08%)",
@@ -83,22 +82,21 @@ fn main() {
         &series_a,
     );
 
-    let series_c: Vec<(String, Vec<Stats>)> = parallel_map(graph_methods.len(), |mi| {
-        let method = graph_methods[mi];
+    let series_c: Vec<(String, Vec<Stats>)> = parallel_map(graph_series.len(), |i| {
+        let sr = graph_series[i];
         let col: Vec<Stats> = GRAPH_SIZES
             .iter()
             .map(|&size| {
                 let mut ratios = Vec::new();
                 for (si, s) in scenarios.iter().enumerate() {
                     let qs = queries_a(s, si);
-                    let hist = regions_of(&qs);
-                    let ev = build_evaluator(s, method, size, SEEDS[si] ^ 0x51, &hist);
+                    let ev = sr.evaluator(s, size, SEEDS[si], &[FIXED_QUERY_AREA], &qs);
                     ratios.extend(upper_ratios(s, &ev, &qs));
                 }
                 stats(&ratios)
             })
             .collect();
-        (method.label(), col)
+        (sr.label(), col)
     });
     print_table(
         "Fig 13c: upper-bound ratio η̂/η vs graph size (query area 1.08%)",
@@ -110,25 +108,22 @@ fn main() {
     // ------------------------------------------------------------ (b) & (d)
     let queries_b =
         |s: &Scenario, si: usize, area: f64| s.make_queries(30, area, 2_000.0, SEEDS[si] ^ 0x25);
-    // One evaluator per (method, scenario) at the fixed 6% size, knowing the
+    // One evaluator per (series, scenario) at the fixed 6% size, for the
     // whole multi-area workload.
-    let build_evs = |method: Method| -> Vec<Evaluator> {
+    let build_evs = |sr: Series| -> Vec<Evaluator> {
         scenarios
             .iter()
             .enumerate()
             .map(|(si, s)| {
-                let mut hist = Vec::new();
-                for &a in &QUERY_AREAS {
-                    hist.extend(regions_of(&queries_b(s, si, a)));
-                }
-                build_evaluator(s, method, FIXED_GRAPH_SIZE, SEEDS[si] ^ 0x51, &hist)
+                let qs: Vec<_> = QUERY_AREAS.iter().flat_map(|&a| queries_b(s, si, a)).collect();
+                sr.evaluator(s, FIXED_GRAPH_SIZE, SEEDS[si], &QUERY_AREAS, &qs)
             })
             .collect()
     };
 
-    let series_b: Vec<(String, Vec<Stats>)> = parallel_map(methods.len(), |mi| {
-        let method = methods[mi];
-        let evs = build_evs(method);
+    let series_b: Vec<(String, Vec<Stats>)> = parallel_map(series.len(), |i| {
+        let sr = series[i];
+        let evs = build_evs(sr);
         let col: Vec<Stats> = QUERY_AREAS
             .iter()
             .map(|&area| {
@@ -140,7 +135,7 @@ fn main() {
                 stats(&rates)
             })
             .collect();
-        (method.label(), col)
+        (sr.label(), col)
     });
     print_table(
         "Fig 13b: missed queries (fraction) vs query area (graph size 6%)",
@@ -149,9 +144,9 @@ fn main() {
         &series_b,
     );
 
-    let series_d: Vec<(String, Vec<Stats>)> = parallel_map(graph_methods.len(), |mi| {
-        let method = graph_methods[mi];
-        let evs = build_evs(method);
+    let series_d: Vec<(String, Vec<Stats>)> = parallel_map(graph_series.len(), |i| {
+        let sr = graph_series[i];
+        let evs = build_evs(sr);
         let col: Vec<Stats> = QUERY_AREAS
             .iter()
             .map(|&area| {
@@ -162,7 +157,7 @@ fn main() {
                 stats(&ratios)
             })
             .collect();
-        (method.label(), col)
+        (sr.label(), col)
     });
     print_table(
         "Fig 13d: upper-bound ratio η̂/η vs query area (graph size 6%)",

@@ -35,9 +35,9 @@
 //!    imputation under compound faults is a measured cell, not a claim.
 //!
 //! Each dead-sweep cell also answers every query through the
-//! [`DegradedAnswerer`] escalation (multi-face detours → imputation →
-//! learned fallback); those brackets are asserted sound exactly like the
-//! demoted and rerouted ones, and the per-strategy tallies are reported.
+//! [`DegradedAnswerer`] escalation (multi-face detours → imputation); those
+//! brackets are asserted sound exactly like the demoted and rerouted ones,
+//! and the per-strategy tallies are reported.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -78,8 +78,8 @@ struct DegradedOut {
     mean_confidence: f64,
     mean_width: f64,
     finite: usize,
-    /// Winning-strategy tally: [demoted, detour, imputed, learned].
-    strategies: [usize; 4],
+    /// Winning-strategy tally: [demoted, detour, imputed].
+    strategies: [usize; 3],
 }
 
 impl DegradedOut {
@@ -87,8 +87,7 @@ impl DegradedOut {
         format!(
             "{{\"sound\": {}, \"misses\": {}, \"infinite_brackets\": {}, \
              \"mean_coverage\": {:.4}, \"mean_confidence\": {:.4}, \"mean_width\": {}, \
-             \"strategies\": {{\"demoted\": {}, \"detour\": {}, \"imputed\": {}, \
-             \"learned\": {}}}}}",
+             \"strategies\": {{\"demoted\": {}, \"detour\": {}, \"imputed\": {}}}}}",
             self.sound,
             self.misses,
             self.infinite,
@@ -97,8 +96,7 @@ impl DegradedOut {
             width_json(self.finite, self.mean_width),
             self.strategies[0],
             self.strategies[1],
-            self.strategies[2],
-            self.strategies[3]
+            self.strategies[2]
         )
     }
 }
@@ -167,10 +165,12 @@ fn answer_all(
     (sound, misses, infinite, cov_sum, width_sum, finite)
 }
 
-/// Answers every query through the degraded-mode escalation, asserting the
-/// certified bracket is sound and the point estimate honest (inside it).
+/// Answers every query through the degraded-mode escalation over the fine
+/// graph `g`, asserting the certified bracket is sound and the point
+/// estimate honest (inside it).
 fn answer_degraded(
     s: &Scenario,
+    g: &SampledGraph,
     deg: &DegradedAnswerer,
     tracked: &Tracked,
     queries: &[(QueryRegion, f64, f64)],
@@ -184,15 +184,16 @@ fn answer_degraded(
         mean_confidence: 0.0,
         mean_width: 0.0,
         finite: 0,
-        strategies: [0; 4],
+        strategies: [0; 3],
     };
     let (mut cov_sum, mut conf_sum, mut width_sum) = (0.0f64, 0.0f64, 0.0f64);
+    let engine = QueryEngine::new(128);
     for (q, t0, t1) in queries {
         let inside = |j: usize| q.contains(j);
         for kind in
             [QueryKind::Snapshot(*t0), QueryKind::Transient(*t0, *t1), QueryKind::Static(*t0, *t1)]
         {
-            let a = deg.answer(&s.sensing, &tracked.store, q, kind);
+            let a = deg.answer(&s.sensing, g, &engine, &tracked.store, q, kind);
             if a.bracket.miss {
                 o.misses += 1;
                 continue;
@@ -223,7 +224,6 @@ fn answer_degraded(
                 DegradedStrategy::Demoted => o.strategies[0] += 1,
                 DegradedStrategy::MultiFaceDetour => o.strategies[1] += 1,
                 DegradedStrategy::Imputation => o.strategies[2] += 1,
-                DegradedStrategy::LearnedFallback => o.strategies[3] += 1,
                 DegradedStrategy::None => {}
             }
             if a.bracket.width().is_finite() {
@@ -318,11 +318,10 @@ fn sweep_cell(
         answer_all(s, &rerouted, &tracked, queries, "rerouted");
     // Degraded-mode escalation over the same untrusted set: the answerer
     // owns its own demoted/rerouted graphs plus the imputation constraint
-    // system and learned fallback, so every query gets the best certified
-    // bracket the quarantine leaves reachable.
-    let deg =
-        DegradedAnswerer::new(&s.sensing, g, &untrusted, &tracked.store, DegradedPolicy::default());
-    let degraded = answer_degraded(s, &deg, &tracked, queries, "degraded");
+    // system, so every query gets the best certified bracket the quarantine
+    // leaves reachable.
+    let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted, DegradedPolicy::default());
+    let degraded = answer_degraded(s, g, &deg, &tracked, queries, "degraded");
     SweepOut {
         dead: dead.len(),
         flagged: blind.report.flagged().len(),
@@ -409,9 +408,9 @@ fn cocktail_cell(
     let (b_sound, b_misses, b_infinite, b_cov, b_width, b_finite) =
         answer_all(s, &demoted, &tracked, queries, "cocktail-demoted");
     let policy = DegradedPolicy { impute };
-    let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted, &tracked.store, policy);
+    let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted, policy);
     let label = if impute { "cocktail-degraded" } else { "cocktail-no-impute" };
-    let degraded = answer_degraded(s, &deg, &tracked, queries, label);
+    let degraded = answer_degraded(s, g, &deg, &tracked, queries, label);
     CocktailOut {
         dead: dead.len(),
         skewed: plan.edges_of(stq_net::SensorFaultKind::Skewed).len(),
@@ -593,15 +592,14 @@ fn main() {
             );
             println!(
                 "{:>6} | degraded: {}/{} sound, cover {:.3}, \
-                 strategies demoted/detour/imputed/learned {}/{}/{}/{}",
+                 strategies demoted/detour/imputed {}/{}/{}",
                 seed,
                 o.degraded.sound,
                 o.queries,
                 o.degraded.mean_coverage,
                 o.degraded.strategies[0],
                 o.degraded.strategies[1],
-                o.degraded.strategies[2],
-                o.degraded.strategies[3]
+                o.degraded.strategies[2]
             );
             let _ = write!(
                 json_sweep,
@@ -645,7 +643,7 @@ fn main() {
             println!(
                 "{seed:>6} | cocktail (impute {}): {} dead + {} skewed + {} flipped \
                  ({} untrusted); base {}/{} cover {:.3}; degraded {}/{} cover {:.3} \
-                 strategies {}/{}/{}/{}",
+                 strategies {}/{}/{}",
                 if impute { "on" } else { "off" },
                 c.dead,
                 c.skewed,
@@ -659,8 +657,7 @@ fn main() {
                 c.degraded.mean_coverage,
                 c.degraded.strategies[0],
                 c.degraded.strategies[1],
-                c.degraded.strategies[2],
-                c.degraded.strategies[3]
+                c.degraded.strategies[2]
             );
             let _ = write!(
                 json_cocktail,

@@ -54,7 +54,9 @@ pub fn stats(values: &[f64]) -> Stats {
     Stats { median: q(0.5), p25: q(0.25), p75: q(0.75), n: v.len() }
 }
 
-/// Prints one experiment table: rows = x-axis values, columns = series.
+/// Prints one experiment table: rows = x-axis values, columns = series. A
+/// table with the submodular method's in-sample column says what it is
+/// below.
 pub fn print_table(title: &str, xlabel: &str, xs: &[f64], series: &[(String, Vec<Stats>)]) {
     println!("\n## {title}");
     print!("{xlabel:>12}");
@@ -78,6 +80,12 @@ pub fn print_table(title: &str, xlabel: &str, xs: &[f64], series: &[(String, Vec
             }
         }
         println!();
+    }
+    if series.iter().any(|(label, _)| label == IN_SAMPLE_LABEL) {
+        println!(
+            "`submodular` is selected from {PRIOR_REGIONS} held-out regions; `{IN_SAMPLE_LABEL}` \
+             from the very regions it is scored on, an upper bound and not its figure"
+        );
     }
 }
 
@@ -209,13 +217,106 @@ pub enum Evaluator {
     Baseline(BaselineIndex),
 }
 
+/// How many regions a held-out [`Prior`] holds: §5.1.5's "100 query regions
+/// chosen uniformly as the historical data".
+pub const PRIOR_REGIONS: usize = 100;
+
+/// Keys a held-out prior's draws apart from every workload's.
+const HELD_OUT: u64 = 0x7e57;
+
+/// The expected query regions the query-adaptive (submodular) method is
+/// selected from: the paper's premise is that they "are known a priori"
+/// (§4.4).
+pub struct Prior(Vec<Vec<usize>>);
+
+impl Prior {
+    /// [`PRIOR_REGIONS`] regions drawn from the evaluation workload's
+    /// distribution — squares of each of `areas` in turn, as evenly as the
+    /// count divides — by [`Scenario::historical_regions`] with a seed of
+    /// their own: a figure never scores the method on a region it was
+    /// selected from.
+    pub fn held_out(s: &Scenario, areas: &[f64], seed: u64) -> Self {
+        let n = areas.len();
+        let draws = areas.iter().enumerate().flat_map(|(i, &area)| {
+            let count = PRIOR_REGIONS / n + usize::from(i < PRIOR_REGIONS % n);
+            s.historical_regions(count, area, seed ^ HELD_OUT ^ i as u64)
+        });
+        Prior(draws.collect())
+    }
+
+    /// The evaluated regions themselves. Scored on them, the method reads an
+    /// upper bound on what selection can do, printed beside its held-out
+    /// figure and never as it.
+    pub fn in_sample(queries: &[(QueryRegion, f64, f64)]) -> Self {
+        Prior(queries.iter().map(|(q, _, _)| q.junctions().to_vec()).collect())
+    }
+
+    /// The regions, each a strictly increasing junction set.
+    pub fn regions(&self) -> &[Vec<usize>] {
+        &self.0
+    }
+}
+
+/// The legend label of the submodular method scored on its own prior.
+pub const IN_SAMPLE_LABEL: &str = "submodular in-sample UB";
+
+/// One column of a figure: a method and, for the submodular method, which
+/// prior it was selected from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Series {
+    /// The method.
+    pub method: Method,
+    /// Selected from the evaluated regions themselves (submodular only).
+    pub in_sample: bool,
+}
+
+impl Series {
+    /// The columns of `methods`, in order: one per method, and the
+    /// submodular method's in-sample upper bound right after its held-out
+    /// figure.
+    pub fn of(methods: &[Method]) -> Vec<Series> {
+        let mut out = Vec::with_capacity(methods.len() + 1);
+        for &method in methods {
+            out.push(Series { method, in_sample: false });
+            if method == Method::Submodular {
+                out.push(Series { method, in_sample: true });
+            }
+        }
+        out
+    }
+
+    /// Legend label.
+    pub fn label(&self) -> String {
+        if self.in_sample {
+            IN_SAMPLE_LABEL.into()
+        } else {
+            self.method.label()
+        }
+    }
+
+    /// The series' evaluator at sensor fraction `size` for scenario seed
+    /// `seed`, scored on `queries`, a workload of squares of `areas`.
+    pub fn evaluator(
+        &self,
+        s: &Scenario,
+        size: f64,
+        seed: u64,
+        areas: &[f64],
+        queries: &[(QueryRegion, f64, f64)],
+    ) -> Evaluator {
+        let prior = match self.method {
+            Method::Submodular if self.in_sample => Prior::in_sample(queries),
+            Method::Submodular => Prior::held_out(s, areas, seed),
+            _ => Prior(Vec::new()),
+        };
+        build_evaluator(s, self.method, size, seed ^ 0x51, prior.regions())
+    }
+}
+
 /// Builds the evaluator for `method` at sensor fraction `size` (seeded).
 ///
-/// `historical` feeds the submodular method: the paper's premise for
-/// query-adaptive selection is that "the expected query regions are known a
-/// priori" (§4.4) — the evaluation workload's regions (or regions from the
-/// same distribution) *are* that prior, exactly like §5.1.5's "100 query
-/// regions chosen uniformly as the historical data". Other methods ignore it.
+/// `historical` is the submodular method's [`Prior`], which it needs; other
+/// methods ignore it.
 pub fn build_evaluator(
     s: &Scenario,
     method: Method,
@@ -236,15 +337,9 @@ pub fn build_evaluator(
             ))
         }
         Method::Submodular => {
-            let own: Vec<Vec<usize>>;
-            let hist = if historical.is_empty() {
-                own = s.historical_regions(100, FIXED_QUERY_AREA, seed ^ 0xabc);
-                &own
-            } else {
-                historical
-            };
+            assert!(!historical.is_empty(), "the submodular method is selected from a prior");
             let budget = (s.sensing.num_edges() as f64 * size).max(4.0);
-            Evaluator::Graph(SampledGraph::from_submodular(&s.sensing, hist, budget))
+            Evaluator::Graph(SampledGraph::from_submodular(&s.sensing, historical, budget))
         }
         Method::Baseline => {
             let cells: Vec<usize> = s.sensing.road().junctions().collect();
@@ -252,12 +347,6 @@ pub fn build_evaluator(
             Evaluator::Baseline(BaselineIndex::build(&cells, &s.trajectories, size, bucket, seed))
         }
     }
-}
-
-/// Extracts historical junction sets from a query workload (for the
-/// submodular prior).
-pub fn regions_of(queries: &[(QueryRegion, f64, f64)]) -> Vec<Vec<usize>> {
-    queries.iter().map(|(q, _, _)| q.junctions().to_vec()).collect()
 }
 
 /// One query's evaluation through an [`Evaluator`].
@@ -344,32 +433,32 @@ pub fn parallel_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T>
 /// for runtime and report the band).
 pub const SEEDS: [u64; 5] = [11, 23, 37, 51, 77];
 
-/// Error sweep over graph sizes at a fixed query workload: one column of
-/// stats per method. `queries(s, si)` supplies the per-scenario workload;
-/// the submodular method receives those regions as its a-priori knowledge.
+/// Error sweep over graph sizes at a fixed query workload of squares of
+/// `area`: one column of stats per [`Series`] of `methods`. `queries(s, si)`
+/// supplies the per-scenario workload.
 pub fn sweep_graph_sizes(
     scenarios: &[Scenario],
     methods: &[Method],
     sizes: &[f64],
+    area: f64,
     queries: impl Fn(&Scenario, usize) -> Vec<(QueryRegion, f64, f64)> + Sync,
     kind_of: impl Fn(f64, f64) -> QueryKind + Sync + Copy,
 ) -> Vec<(String, Vec<Stats>)> {
-    parallel_map(methods.len(), |mi| {
-        let method = methods[mi];
+    let series = Series::of(methods);
+    parallel_map(series.len(), |i| {
         let col: Vec<Stats> = sizes
             .iter()
             .map(|&size| {
                 let mut errs = Vec::new();
                 for (si, s) in scenarios.iter().enumerate() {
                     let qs = queries(s, si);
-                    let hist = regions_of(&qs);
-                    let ev = build_evaluator(s, method, size, SEEDS[si] ^ 0x51, &hist);
+                    let ev = series[i].evaluator(s, size, SEEDS[si], &[area], &qs);
                     errs.extend(relative_errors(s, &ev, &qs, kind_of));
                 }
                 stats(&errs)
             })
             .collect();
-        (method.label(), col)
+        (series[i].label(), col)
     })
 }
 
@@ -382,26 +471,28 @@ pub fn sweep_query_areas(
     queries: impl Fn(&Scenario, usize, f64) -> Vec<(QueryRegion, f64, f64)> + Sync,
     kind_of: impl Fn(f64, f64) -> QueryKind + Sync + Copy,
 ) -> Vec<(String, Vec<Stats>)> {
-    parallel_map(methods.len(), |mi| {
-        let method = methods[mi];
+    let series = Series::of(methods);
+    parallel_map(series.len(), |i| {
+        let sr = series[i];
         // One evaluator per scenario for the oblivious methods (they cannot
         // adapt to the workload anyway). The query-adaptive submodular
         // method instead rebuilds per area: its premise is knowing the
         // expected query regions, which differ per sweep point.
-        let shared_evs: Vec<Evaluator> = scenarios
-            .iter()
-            .enumerate()
-            .map(|(si, s)| build_evaluator(s, method, graph_size, SEEDS[si] ^ 0x51, &[]))
-            .collect();
+        let adaptive = sr.method == Method::Submodular;
+        let shared_evs: Vec<Evaluator> = if adaptive {
+            Vec::new()
+        } else {
+            let evs = scenarios.iter().enumerate();
+            evs.map(|(si, s)| sr.evaluator(s, graph_size, SEEDS[si], &[], &[])).collect()
+        };
         let col: Vec<Stats> = areas
             .iter()
             .map(|&area| {
                 let mut errs = Vec::new();
                 for (si, s) in scenarios.iter().enumerate() {
                     let qs = queries(s, si, area);
-                    if method == Method::Submodular {
-                        let hist = regions_of(&qs);
-                        let ev = build_evaluator(s, method, graph_size, SEEDS[si] ^ 0x51, &hist);
+                    if adaptive {
+                        let ev = sr.evaluator(s, graph_size, SEEDS[si], &[area], &qs);
                         errs.extend(relative_errors(s, &ev, &qs, kind_of));
                     } else {
                         errs.extend(relative_errors(s, &shared_evs[si], &qs, kind_of));
@@ -410,7 +501,7 @@ pub fn sweep_query_areas(
                 stats(&errs)
             })
             .collect();
-        (method.label(), col)
+        (sr.label(), col)
     })
 }
 
@@ -448,16 +539,46 @@ mod tests {
             ..Default::default()
         });
         let queries = s.make_queries(5, 0.1, 1_000.0, 3);
-        for method in Method::all() {
-            let ev = build_evaluator(&s, method, 0.2, 7, &[]);
+        for sr in Series::of(&Method::all()) {
+            let ev = sr.evaluator(&s, 0.2, 7, &[0.1], &queries);
             for (q, t0, _) in &queries {
                 let r = evaluate(&s, &ev, q, QueryKind::Snapshot(*t0));
-                assert!(r.value.is_finite(), "{method:?}");
+                assert!(r.value.is_finite(), "{sr:?}");
             }
             let errs = relative_errors(&s, &ev, &queries, |t0, _| QueryKind::Snapshot(t0));
             for e in errs {
                 assert!(e >= 0.0);
             }
         }
+    }
+
+    #[test]
+    fn a_held_out_prior_is_drawn_apart_from_the_evaluated_regions() {
+        // The figures' workload shape: paper-area squares, one seed for the
+        // evaluated queries, the prior keyed by the scenario seed. Tiny
+        // regions can coincide by chance, so the test asks that the two
+        // draws be distinct, not disjoint: the in-sample prior holds every
+        // evaluated region, the held-out one few of them.
+        let s = Scenario::build(ScenarioConfig {
+            junctions: 400,
+            mix: WorkloadMix { random_waypoint: 10, commuter: 5, transit: 5 },
+            ..Default::default()
+        });
+        let evaluated = s.make_queries(40, FIXED_QUERY_AREA, 2_000.0, SEEDS[0] ^ 0x90);
+        let held_out = Prior::held_out(&s, &[FIXED_QUERY_AREA], SEEDS[0]);
+        let in_sample = Prior::in_sample(&evaluated);
+        assert_eq!(held_out.regions().len(), PRIOR_REGIONS);
+        let seen = |prior: &Prior| {
+            let hits = evaluated
+                .iter()
+                .filter(|(q, _, _)| prior.regions().iter().any(|r| r.as_slice() == q.junctions()));
+            hits.count()
+        };
+        assert_eq!(seen(&in_sample), evaluated.len());
+        let overlap = seen(&held_out);
+        assert!(4 * overlap < evaluated.len(), "{overlap} of {} evaluated", evaluated.len());
+        // Several areas split the count; each area is drawn with its own key.
+        let mixed = Prior::held_out(&s, &QUERY_AREAS, SEEDS[0]);
+        assert_eq!(mixed.regions().len(), PRIOR_REGIONS);
     }
 }

@@ -181,8 +181,9 @@ chaos: one root seed, --chaos-seed S, drives message, sensor, and
 a flag the command does not read, or a repeated flag, is refused
 sensor-fault flags (fractions of monitored links): --dead F --lossy F
   --dup-sensors F --flip F --skew F; serve quarantines what the audit flags
-  --impute 1 answers through quarantine via detours, conservation-residual
-  imputation and learned fallback instead of worst-case widening
+  --impute 1 answers through quarantine via detours and conservation-residual
+  imputation instead of worst-case widening, and follows the quarantine
+  a lost shard history grows
 methods: uniform|systematic|stratified|kdtree|quadtree";
 
 /// Parses `--<flag>` as a fraction in `[0, 1]` (`default` when absent).

@@ -3,8 +3,8 @@
 //!
 //! Quarantine keeps answers *sound* by demoting corrupted edges, but plain
 //! demotion collapses utility: merged faces widen the `R₂`/`R₁` resolution
-//! until coverage hits zero. This module escalates through three repair
-//! strategies behind one [`DegradedPolicy`], always preferring the strongest
+//! until coverage hits zero. This module escalates through two repair
+//! rungs behind one [`DegradedPolicy`], always preferring the strongest
 //! answer whose bracket is still **certified**:
 //!
 //! 1. [`DegradedStrategy::MultiFaceDetour`] — answer on the rerouted graph
@@ -16,33 +16,41 @@
 //!    every needed interval is finite this restores the fine graph's full
 //!    structural coverage, and the bracket is intersected with the rerouted
 //!    one (both certified, so the intersection is too).
-//! 3. [`DegradedStrategy::LearnedFallback`] — when imputation leaves a
-//!    vacuous bound, per-edge `stq-learned` regressors fitted to the
-//!    quarantined edges' own (suspect) logs supply a *point estimate only*,
-//!    clamped into the certified bracket of the best structural strategy.
+//!
+//! When neither rung beats plain demotion, the answer is the best
+//! structural bracket ([`DegradedStrategy::Demoted`] or the detour), its
+//! midpoint and its coverage.
 //!
 //! ## The honest-widening guarantee
 //!
-//! Bracket endpoints only ever come from certified machinery — structural
-//! demotion/detour resolution or conservation-interval arithmetic. Learned
-//! predictions never touch a bound: they refine the point `value` and lower
-//! the reported `confidence`, nothing else. Consequently every non-miss
+//! Bracket endpoints, point values and confidences only ever come from
+//! certified machinery — structural demotion/detour resolution or
+//! conservation-interval arithmetic. Consequently every non-miss
 //! [`DegradedAnswer`] bracket is finite and contains the truth whenever the
 //! surviving monitored edges carry intact data — the same contract as
 //! [`crate::repair::answer_with_bounds`], just tighter.
-
-use std::collections::HashSet;
+//!
+//! ## One generation of the quarantine
+//!
+//! An answerer is a pure function of the graph pair and one quarantine
+//! list: it owns what that list changes — the demoted and rerouted graphs,
+//! their plan caches and the imputer — and nothing else. The fine graph and
+//! the engine that caches its plans are the caller's, passed to
+//! [`DegradedAnswerer::answer`]. Which edges are quarantined is read off
+//! the demoted graph: every boundary edge of a fine-graph plan is monitored
+//! in the fine graph, and `demoted` is the fine graph with exactly the
+//! quarantined edges demoted, so such an edge is quarantined iff `demoted`
+//! does not monitor it. A holder whose quarantine grows builds a new
+//! answerer.
 
 use crate::engine::{QueryEngine, QueryPlan};
 use crate::impute::Imputer;
-use crate::learned_store::LearnedStore;
 use crate::query::evaluate;
 use crate::query::{Approximation, QueryKind, QueryRegion};
 use crate::repair::{bounds_from_plans, BoundedAnswer};
 use crate::sampled::SampledGraph;
 use crate::sensing::SensingGraph;
-use stq_forms::{static_interval_lower_bound, BoundaryEdge, CountSource, FormStore, Time};
-use stq_learned::RegressorKind;
+use stq_forms::{static_interval_lower_bound, BoundaryEdge, CountSource, Time};
 
 /// Which repair strategy produced a degraded answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -55,9 +63,6 @@ pub enum DegradedStrategy {
     MultiFaceDetour,
     /// Fine-graph resolution with certified conservation intervals.
     Imputation,
-    /// Certified bracket from the best structural strategy, point value
-    /// from learned regressors over the quarantined edges.
-    LearnedFallback,
 }
 
 impl DegradedStrategy {
@@ -68,20 +73,17 @@ impl DegradedStrategy {
             DegradedStrategy::Demoted => "demoted",
             DegradedStrategy::MultiFaceDetour => "detour",
             DegradedStrategy::Imputation => "imputed",
-            DegradedStrategy::LearnedFallback => "learned",
         }
     }
 }
 
-/// Regressor family of the learned fallback.
-const LEARNED: RegressorKind = RegressorKind::PiecewiseLinear(8);
-
-/// Per-graph plan-cache capacity of the answerer's engines.
+/// Per-graph plan-cache capacity of the answerer's demoted and rerouted
+/// engines.
 const PLAN_CACHE: usize = 128;
 
 /// The one rung of the degraded-mode escalation a caller can turn off; the
 /// rest run at this module's constants (detours up to three dual rings,
-/// piecewise-linear fallback models, 128 cached plans per graph).
+/// 128 cached plans per graph of the generation).
 #[derive(Clone, Copy, Debug)]
 pub struct DegradedPolicy {
     /// Whether conservation-interval imputation is attempted.
@@ -101,50 +103,22 @@ pub struct DegradedAnswer {
     /// The certified `[lower, upper]` bracket (see module docs for the
     /// honest-widening guarantee).
     pub bracket: BoundedAnswer,
-    /// Point estimate, always inside the bracket. Midpoint for certified
-    /// strategies, learned prediction (clamped) for the fallback.
+    /// Point estimate, always inside the bracket: its midpoint.
     pub value: f64,
     /// The strategy that produced the bracket.
     pub strategy: DegradedStrategy,
     /// Confidence in `[0, 1]`: the structural coverage of the certifying
-    /// resolution, halved for [`DegradedStrategy::LearnedFallback`]
-    /// (its point value is model-based, not certified).
+    /// resolution.
     pub confidence: f64,
 }
 
-/// A [`CountSource`] that serves quarantined edges from learned models and
-/// everything else from the base store.
-struct HybridSource<'a, S: CountSource + ?Sized> {
-    base: &'a S,
-    learned: &'a LearnedStore,
-    quarantined: &'a HashSet<usize>,
-}
-
-impl<S: CountSource + ?Sized> CountSource for HybridSource<'_, S> {
-    fn count_until(&self, edge: usize, forward: bool, t: Time) -> f64 {
-        if self.quarantined.contains(&edge) {
-            self.learned.count_until(edge, forward, t)
-        } else {
-            self.base.count_until(edge, forward, t)
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.base.storage_bytes() + self.learned.storage_bytes()
-    }
-}
-
-/// The degraded-mode answering subsystem: owns the demoted and rerouted
-/// graphs, the imputation constraint system, the learned fallback models,
-/// and one plan-caching [`QueryEngine`] per graph.
+/// The degraded-mode answering subsystem of one quarantine generation: owns
+/// the demoted and rerouted graphs, the imputation constraint system, and
+/// one plan-caching [`QueryEngine`] for each of the two graphs.
 pub struct DegradedAnswerer {
-    quarantined: HashSet<usize>,
-    fine: SampledGraph,
     demoted: SampledGraph,
     rerouted: SampledGraph,
     imputer: Option<Imputer>,
-    learned: Option<LearnedStore>,
-    fine_engine: QueryEngine,
     demoted_engine: QueryEngine,
     rerouted_engine: QueryEngine,
 }
@@ -152,24 +126,20 @@ pub struct DegradedAnswerer {
 impl std::fmt::Debug for DegradedAnswerer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DegradedAnswerer")
-            .field("quarantined", &self.quarantined.len())
+            .field("demoted_monitored", &self.demoted.num_monitored_edges())
             .field("imputer", &self.imputer.as_ref().map(|i| i.num_constraints()))
-            .field("learned", &self.learned.is_some())
             .finish()
     }
 }
 
 impl DegradedAnswerer {
     /// Builds the subsystem for one quarantine outcome. `fine` is the
-    /// pre-quarantine sampled graph; `store` holds the as-ingested forms
-    /// (healthy edges trusted, quarantined edges suspect — the learned
-    /// fallback fits on the suspect logs, the certified paths never read
-    /// them).
+    /// pre-quarantine sampled graph, the one [`answer`](Self::answer) is then
+    /// handed; the certified paths never read a quarantined edge's counts.
     pub fn new(
         sensing: &SensingGraph,
         fine: &SampledGraph,
         quarantined: &[usize],
-        store: &FormStore,
         policy: DegradedPolicy,
     ) -> Self {
         let demoted = fine.demote_edges(sensing, quarantined);
@@ -184,22 +154,20 @@ impl DegradedAnswerer {
         } else {
             None
         };
-        let learned = (!quarantined.is_empty()).then(|| {
-            let mask: Vec<bool> =
-                (0..store.num_edges()).map(|e| quarantined.contains(&e)).collect();
-            LearnedStore::fit(store, Some(&mask), LEARNED)
-        });
         DegradedAnswerer {
-            quarantined: quarantined.iter().copied().collect(),
-            fine: fine.clone(),
             demoted,
             rerouted,
             imputer,
-            learned,
-            fine_engine: QueryEngine::new(PLAN_CACHE),
             demoted_engine: QueryEngine::new(PLAN_CACHE),
             rerouted_engine: QueryEngine::new(PLAN_CACHE),
         }
+    }
+
+    /// Whether `edge`, a boundary edge of a plan on the fine graph, is
+    /// quarantined (see the module docs: it is monitored there, and the
+    /// demoted graph drops exactly the quarantined edges).
+    fn quarantined(&self, edge: usize) -> bool {
+        !self.demoted.monitored()[edge]
     }
 
     /// The rerouted graph (for inspection and reuse by callers).
@@ -221,13 +189,17 @@ impl DegradedAnswerer {
     }
 
     /// Answers one query with the escalation described in the module docs.
-    /// `store`'s healthy-edge counts must be exact; its quarantined edges
-    /// are never read by a certified path. `store` is read only at `kind`'s
-    /// own one or two instants: the serving runtime answers over a table
-    /// that holds nothing else.
+    /// `fine` is the graph the answerer was built from and `fine_engine`
+    /// the engine that caches its plans (the serving runtime passes its
+    /// own). `store`'s healthy-edge counts must be exact; its quarantined
+    /// edges are never read by a certified path. `store` is read only at
+    /// `kind`'s own one or two instants: the serving runtime answers over a
+    /// table that holds nothing else.
     pub fn answer<S: CountSource + ?Sized>(
         &self,
         sensing: &SensingGraph,
+        fine: &SampledGraph,
+        fine_engine: &QueryEngine,
         store: &S,
         query: &QueryRegion,
         kind: QueryKind,
@@ -242,7 +214,8 @@ impl DegradedAnswerer {
         } else {
             (demoted_b, DegradedStrategy::Demoted)
         };
-        if self.quarantined.is_empty() {
+        // Nothing the fine graph monitors is quarantined.
+        if self.demoted.num_monitored_edges() == fine.num_monitored_edges() {
             strategy = DegradedStrategy::None;
         }
         // Every certificate here rests on counts that obey conservation: no
@@ -256,8 +229,8 @@ impl DegradedAnswerer {
         }
 
         // Fine-graph resolution: the structural ceiling imputation can reach.
-        let (fine_lo, _) = self.fine_engine.plan(sensing, &self.fine, query, Approximation::Lower);
-        let (fine_hi, _) = self.fine_engine.plan(sensing, &self.fine, query, Approximation::Upper);
+        let (fine_lo, _) = fine_engine.plan(sensing, fine, query, Approximation::Lower);
+        let (fine_hi, _) = fine_engine.plan(sensing, fine, query, Approximation::Upper);
         let fine_cov = if fine_hi.miss {
             0.0
         } else {
@@ -307,23 +280,6 @@ impl DegradedAnswerer {
                         }
                     }
                 }
-            }
-            // Strategy 3: learned point estimate inside the certified
-            // structural bracket.
-            if let Some(models) = &self.learned {
-                let hybrid =
-                    HybridSource { base: store, learned: models, quarantined: &self.quarantined };
-                let lo_v =
-                    if fine_lo.miss { 0.0 } else { evaluate(&hybrid, &fine_lo.boundary, kind) };
-                let hi_v =
-                    if fine_hi.miss { lo_v } else { evaluate(&hybrid, &fine_hi.boundary, kind) };
-                let value = clamp_into(0.5 * (lo_v + hi_v), &base);
-                return DegradedAnswer {
-                    bracket: base,
-                    value,
-                    strategy: DegradedStrategy::LearnedFallback,
-                    confidence: 0.5 * base.coverage,
-                };
             }
         }
 
@@ -390,7 +346,7 @@ impl DegradedAnswerer {
             let fold = |boundary: &[BoundaryEdge]| {
                 let (mut lo, mut hi) = (0.0f64, 0.0f64);
                 for be in boundary {
-                    if self.quarantined.contains(&be.edge) {
+                    if self.quarantined(be.edge) {
                         let (a, b) = match ev.interval(be.edge) {
                             Some(iv) if be.inward_forward => (iv.lo, iv.hi),
                             Some(iv) => (-iv.hi, -iv.lo),
@@ -468,8 +424,7 @@ impl DegradedAnswerer {
                 // The static lower estimator folds raw counts, which a
                 // quarantined lower boundary would poison — fall back to 0
                 // there; otherwise it is the ordinary certified bound.
-                let genuine =
-                    !lo_miss && !lo_boundary.iter().any(|be| self.quarantined.contains(&be.edge));
+                let genuine = !lo_miss && !lo_boundary.iter().any(|be| self.quarantined(be.edge));
                 let lower = if genuine {
                     static_interval_lower_bound(store, lo_boundary, t0, t1).max(0.0)
                 } else {
@@ -521,14 +476,6 @@ fn midpoint(b: &BoundedAnswer) -> f64 {
     }
 }
 
-fn clamp_into(v: f64, b: &BoundedAnswer) -> f64 {
-    let v = if v.is_finite() { v } else { 0.0 };
-    v.clamp(
-        if b.lower.is_finite() { b.lower } else { f64::MIN },
-        if b.upper.is_finite() { b.upper } else { f64::MAX },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,6 +491,9 @@ mod tests {
         graph: SampledGraph,
         trajs: Vec<stq_mobility::Trajectory>,
         horizon: (f64, f64),
+        /// Caches the plans of `graph`, the fine graph every answer is
+        /// handed.
+        engine: QueryEngine,
     }
 
     fn fixture() -> Fixture {
@@ -558,7 +508,7 @@ mod tests {
         let ids = stq_sampling::sample(stq_sampling::SamplingMethod::QuadTree, &cands, m, 5);
         let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
         let graph = SampledGraph::from_sensors(&sensing, &faces, Connectivity::Triangulation);
-        Fixture { sensing, graph, trajs, horizon: (0.0, 3_000.0) }
+        Fixture { sensing, graph, trajs, horizon: (0.0, 3_000.0), engine: QueryEngine::new(64) }
     }
 
     /// Ingest with ~20% of busy monitored sensors dead, then mirror the
@@ -658,15 +608,10 @@ mod tests {
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
         assert!(!quarantined.is_empty(), "the fault plan must force quarantine");
-        let ans = DegradedAnswerer::new(
-            &f.sensing,
-            &f.graph,
-            &quarantined,
-            &tracked.store,
-            DegradedPolicy::default(),
-        );
+        let ans =
+            DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, DegradedPolicy::default());
         for (q, kind) in queries(&f) {
-            let a = ans.answer(&f.sensing, &tracked.store, &q, kind);
+            let a = ans.answer(&f.sensing, &f.graph, &f.engine, &tracked.store, &q, kind);
             let truth = oracle_truth(&tracked, &q, kind);
             assert!(
                 a.bracket.contains(truth),
@@ -688,17 +633,12 @@ mod tests {
     fn escalation_never_loses_to_plain_demotion() {
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
-        let ans = DegradedAnswerer::new(
-            &f.sensing,
-            &f.graph,
-            &quarantined,
-            &tracked.store,
-            DegradedPolicy::default(),
-        );
+        let ans =
+            DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, DegradedPolicy::default());
         let demoted = f.graph.demote_edges(&f.sensing, &quarantined);
         let (mut gained, mut total) = (0usize, 0usize);
         for (q, kind) in queries(&f) {
-            let a = ans.answer(&f.sensing, &tracked.store, &q, kind);
+            let a = ans.answer(&f.sensing, &f.graph, &f.engine, &tracked.store, &q, kind);
             let plain = answer_with_bounds(&f.sensing, &demoted, &tracked.store, &q, kind);
             assert!(
                 a.bracket.coverage >= plain.coverage - 1e-12,
@@ -715,32 +655,69 @@ mod tests {
     }
 
     #[test]
-    fn disabled_imputation_falls_back_to_learned_or_structural() {
+    fn disabled_imputation_falls_back_to_the_structural_bracket() {
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
         let policy = DegradedPolicy { impute: false };
-        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, &tracked.store, policy);
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, policy);
         for (q, kind) in queries(&f) {
-            let a = ans.answer(&f.sensing, &tracked.store, &q, kind);
-            assert_ne!(a.strategy, DegradedStrategy::Imputation);
+            let a = ans.answer(&f.sensing, &f.graph, &f.engine, &tracked.store, &q, kind);
+            // The better of the two structural brackets, its midpoint and
+            // its coverage: nothing but certified resolution answers.
+            let demoted = answer_with_bounds(&f.sensing, ans.demoted(), &tracked.store, &q, kind);
+            let rerouted = answer_with_bounds(&f.sensing, ans.rerouted(), &tracked.store, &q, kind);
+            let (want, strategy) = if better(&rerouted, &demoted) {
+                (rerouted, DegradedStrategy::MultiFaceDetour)
+            } else {
+                (demoted, DegradedStrategy::Demoted)
+            };
+            assert_eq!(a.strategy, strategy, "{kind:?}");
+            let got = [a.bracket.lower, a.bracket.upper, a.value, a.confidence];
+            let want = [want.lower, want.upper, midpoint(&want), want.coverage];
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{kind:?}");
             let truth = oracle_truth(&tracked, &q, kind);
             assert!(a.bracket.contains(truth));
         }
     }
 
     #[test]
+    fn a_fine_boundary_edge_is_quarantined_iff_the_demoted_graph_drops_it() {
+        // The answerer keeps no list of quarantined edges: it reads them off
+        // the demoted graph. That is the quarantine exactly on every edge a
+        // fine-graph plan's boundary can hold, and an empty quarantine is
+        // the demoted graph monitoring as many edges as the fine one.
+        let f = fixture();
+        let (_, quarantined) = faulted(&f);
+        assert!(quarantined.windows(2).all(|w| w[0] < w[1]), "sorted, for the search below");
+        let policy = DegradedPolicy { impute: false };
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, policy);
+        let (mut checked, mut flagged) = (0usize, 0usize);
+        for (q, _) in queries(&f) {
+            for approx in [Approximation::Lower, Approximation::Upper] {
+                let (plan, _) = f.engine.plan(&f.sensing, &f.graph, &q, approx);
+                for be in &plan.boundary {
+                    assert!(f.graph.monitored()[be.edge], "edge {} is monitored", be.edge);
+                    let listed = quarantined.binary_search(&be.edge).is_ok();
+                    assert_eq!(ans.quarantined(be.edge), listed, "edge {}", be.edge);
+                    checked += 1;
+                    flagged += usize::from(listed);
+                }
+            }
+        }
+        assert!(checked > 0 && flagged > 0, "{flagged} of {checked} boundary edges flagged");
+        let whole = f.graph.num_monitored_edges();
+        assert!(ans.demoted().num_monitored_edges() < whole);
+        let none = DegradedAnswerer::new(&f.sensing, &f.graph, &[], policy);
+        assert_eq!(none.demoted().num_monitored_edges(), whole);
+    }
+
+    #[test]
     fn empty_quarantine_reports_strategy_none() {
         let f = fixture();
         let tracked = ingest(&f.sensing, &f.trajs);
-        let ans = DegradedAnswerer::new(
-            &f.sensing,
-            &f.graph,
-            &[],
-            &tracked.store,
-            DegradedPolicy::default(),
-        );
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &[], DegradedPolicy::default());
         let (q, kind) = queries(&f).remove(0);
-        let a = ans.answer(&f.sensing, &tracked.store, &q, kind);
+        let a = ans.answer(&f.sensing, &f.graph, &f.engine, &tracked.store, &q, kind);
         assert_eq!(a.strategy, DegradedStrategy::None);
         let plain = answer_with_bounds(&f.sensing, &f.graph, &tracked.store, &q, kind);
         assert_eq!(a.bracket.coverage, plain.coverage);
@@ -752,11 +729,11 @@ mod tests {
         // have made these crossings, and the counts they leave can put more
         // objects in a sub-region than in a region containing it. The
         // structural bracket then inverts; the answerer must say "miss", not
-        // panic clamping a learned point into it.
+        // certify an inverted bracket.
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
         let policy = DegradedPolicy::default();
-        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, &tracked.store, policy);
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, policy);
         let mut store = tracked.store.clone();
         let ne = store.num_edges();
         for i in 0..4 * ne {
@@ -772,7 +749,7 @@ mod tests {
             ] {
                 let demoted = answer_with_bounds(&f.sensing, ans.demoted(), &store, &q, kind);
                 inverted += usize::from(demoted.lower > demoted.upper);
-                let a = ans.answer(&f.sensing, &store, &q, kind);
+                let a = ans.answer(&f.sensing, &f.graph, &f.engine, &store, &q, kind);
                 if !a.bracket.miss {
                     answered += 1;
                     assert!(a.bracket.lower <= a.bracket.upper, "{kind:?}: inverted bracket");

@@ -71,10 +71,12 @@
 //! ([`reroute_around`](SampledGraph::reroute_around)) and repair all
 //! produce *new* graphs — so a holder that swaps graphs builds a new engine
 //! for the new pair, as [`DegradedAnswerer`](crate::degraded::DegradedAnswerer)
-//! does for its demoted and rerouted graphs. The serving runtime swaps
-//! neither graph: a recovery that loses a shard's history flags edges in
-//! the subscription registry's quarantine column, and a migration moves
-//! edges between shards, and neither changes what a region resolves to.
+//! does for the demoted and rerouted graphs of each quarantine generation.
+//! The serving runtime swaps neither graph it serves: a recovery that loses
+//! a shard's history flags edges in the subscription registry's quarantine
+//! column, and a migration moves edges between shards, and neither changes
+//! what a region resolves to. A grown column builds the next generation's
+//! answerer, whose fine-graph plans come from the runtime's own engine.
 //! The offline paths compile against a single graph per call.
 
 use std::collections::HashMap;

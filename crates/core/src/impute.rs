@@ -26,7 +26,7 @@
 //! quarantined edges narrow each other over successive rounds. Faces inside
 //! the exterior merged component have no finite population cap, so their
 //! edges may keep a one-sided or vacuous interval — the degraded-answer
-//! escalation falls back to a learned point estimate there
+//! escalation then answers with the best structural bracket
 //! ([`crate::degraded`]).
 
 use std::collections::{HashMap, HashSet};

@@ -61,7 +61,7 @@ pub struct ServedAnswer {
     pub strategy: DegradedStrategy,
     /// Confidence in `[0, 1]`: the boundary-report fraction for ordinary
     /// answers, the certifying strategy's structural coverage for
-    /// degraded-mode answers (halved for learned fallbacks).
+    /// degraded-mode answers.
     pub confidence: f64,
     /// Whether the query's plan was served from the engine's cache (false
     /// for a region compiled on demand: its first query, or its first after
@@ -119,8 +119,9 @@ impl Planned {
 fn plan_for(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Planned {
     let metrics = &st.shared.metrics;
     let plan_t0 = Instant::now();
+    let shared = &st.shared;
     let (plan, plan_cache_hit) =
-        st.shared.engine.plan(&st.sensing, &st.sampled, &spec.region, spec.approx);
+        shared.engine.plan(&shared.sensing, &shared.sampled, &spec.region, spec.approx);
     let plan_latency = plan_t0.elapsed();
     metrics.plan_latency.record(plan_latency.as_micros() as u64);
     Metrics::bump(if plan_cache_hit {
@@ -376,13 +377,16 @@ fn feed_brownout(st: &ServerState, exec_us: u64) {
     }
 }
 
-/// The degraded-mode consult: an answerer must be configured, every shard
-/// must report its live counts at the query's instants, and the escalation
-/// must land on a non-miss bracket having read only counts they reported.
+/// The degraded-mode consult: degraded mode must be on, every shard must
+/// report its live counts at the query's instants, and the escalation of
+/// the quarantine's current generation must land on a non-miss bracket
+/// having read only counts they reported.
 fn consult_degraded(st: &ServerState, spec: &QuerySpec) -> Option<DegradedAnswer> {
-    let deg = st.degraded.as_ref()?;
+    let shared = &st.shared;
+    let deg = Arc::clone(&shared.ladder.as_ref()?.lock().answerer);
     let counts = live_counts(st, spec.kind, spec.deadline)?;
-    let a = deg.answer(&st.sensing, &counts, &spec.region, spec.kind);
+    let (sensing, sampled) = (&shared.sensing, &shared.sampled);
+    let a = deg.answer(sensing, sampled, &shared.engine, &counts, &spec.region, spec.kind);
     (!a.bracket.miss && !counts.missed.get()).then_some(a)
 }
 
@@ -410,7 +414,6 @@ fn record_served(st: &ServerState, answer: &ServedAnswer) {
         DegradedStrategy::Demoted => Metrics::bump(&m.degraded_demoted),
         DegradedStrategy::MultiFaceDetour => Metrics::bump(&m.degraded_detour),
         DegradedStrategy::Imputation => Metrics::bump(&m.degraded_imputed),
-        DegradedStrategy::LearnedFallback => Metrics::bump(&m.degraded_learned),
     }
     if answer.strategy != DegradedStrategy::None {
         let width = answer.upper - answer.lower;

@@ -417,16 +417,17 @@ mod tests {
             SampledGraph::from_sensors(&scenario.sensing, &faces, Connectivity::Triangulation);
         let cfg = RuntimeConfig { num_shards: 5, ..cfg };
         let store = &scenario.tracked.store;
-        let shared = Arc::new(Shared::new(store, &cfg, &[]));
+        let sensing = scenario.sensing.clone();
+        let shared = Arc::new(Shared::new(sensing, sampled, store, &cfg, &[]));
         let (tx, rx) = channel::unbounded();
         let to_shards = vec![tx; cfg.num_shards];
-        let sensing = scenario.sensing.clone();
-        let st = ServerState::new(shared, sensing, sampled, store, cfg, &[], to_shards);
+        let st = ServerState::new(shared, cfg, to_shards);
         (st, rx, scenario.make_queries(12, 0.25, 1_500.0, 3))
     }
 
     fn compile(st: &ServerState, spec: &QuerySpec) -> Arc<QueryPlan> {
-        Arc::new(QueryPlan::compile(&st.sensing, &st.sampled, &spec.region, spec.approx))
+        let shared = &st.shared;
+        Arc::new(QueryPlan::compile(&shared.sensing, &shared.sampled, &spec.region, spec.approx))
     }
 
     /// `plan`'s groups at `stride`, routed as `enlist` routes them.

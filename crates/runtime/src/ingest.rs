@@ -361,11 +361,11 @@ mod tests {
     fn unserved(scenario: &Scenario) -> (ServerState, Vec<Receiver<ShardMsg>>) {
         let cfg = RuntimeConfig { num_shards: 3, ..RuntimeConfig::default() };
         let store = &scenario.tracked.store;
-        let shared = Arc::new(Shared::new(store, &cfg, &[]));
-        let (to_shards, rxs) = (0..cfg.num_shards).map(|_| channel::unbounded()).unzip();
         let sensing = scenario.sensing.clone();
         let sampled = SampledGraph::unsampled(&sensing);
-        (ServerState::new(shared, sensing, sampled, store, cfg, &[], to_shards), rxs)
+        let shared = Arc::new(Shared::new(sensing, sampled, store, &cfg, &[]));
+        let (to_shards, rxs) = (0..cfg.num_shards).map(|_| channel::unbounded()).unzip();
+        (ServerState::new(shared, cfg, to_shards), rxs)
     }
 
     /// `events`, as `shard` receives them, and the digest of that shard's cut

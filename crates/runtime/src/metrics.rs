@@ -231,8 +231,6 @@ metrics! {
             counter degraded_detour,
             /// Degraded answers certified by conservation-interval imputation.
             counter degraded_imputed,
-            /// Degraded answers that fell back to a learned point estimate.
-            counter degraded_learned,
         }
         histograms {
             /// Bracket widths of degraded-mode answers (absolute counts, log₂

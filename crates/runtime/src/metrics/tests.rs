@@ -168,14 +168,12 @@ fn degraded_mode_counters_round_trip_report() {
     Metrics::bump(&m.degraded_demoted);
     Metrics::add(&m.degraded_detour, 2);
     Metrics::add(&m.degraded_imputed, 5);
-    Metrics::bump(&m.degraded_learned);
     m.degraded_width.record(6);
     let r = m.report();
     assert_eq!(r.quarantined_edges, 14);
     assert_eq!(r.degraded_demoted, 1);
     assert_eq!(r.degraded_detour, 2);
     assert_eq!(r.degraded_imputed, 5);
-    assert_eq!(r.degraded_learned, 1);
     assert!(r.degraded_width_p95 >= 6);
     let text = r.to_string();
     assert!(text.contains("quarantined_edges 14"));

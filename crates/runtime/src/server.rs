@@ -109,19 +109,19 @@ pub struct RuntimeConfig {
     /// migration change neither graph a plan is compiled on.
     pub plan_cache: usize,
     /// Degraded-mode answering over the quarantined deployment (multi-face
-    /// detours → conservation-interval imputation → learned fallback, each
-    /// rung on at `stq_core::degraded`'s defaults). `false` (the default)
-    /// keeps the classic worst-case-totals degradation, which stays
-    /// **bitwise identical** to the standing-subscription fold — turning
-    /// this on trades that equivalence for far tighter brackets on
-    /// quarantine-degraded answers. The ladder reads live counts, before and
-    /// after ingest alike: each consult asks every shard for its counts at
-    /// the query's instants (one cut of the ingest stream) and stands down —
-    /// the ordinary bracket answers — when a shard is unhealthy or silent,
-    /// or when the ladder reads an edge no shard serves (quarantined, at
-    /// start-up or on a lost history). The learned fallback's models stay
-    /// fitted to the start-up logs: a point value inside a certified
-    /// bracket, never a bound.
+    /// detours → conservation-interval imputation, each rung on at
+    /// `stq_core::degraded`'s defaults). `false` (the default) keeps the
+    /// classic worst-case-totals degradation, which stays **bitwise
+    /// identical** to the standing-subscription fold — turning this on
+    /// trades that equivalence for far tighter brackets on
+    /// quarantine-degraded answers. The ladder follows the live quarantine:
+    /// it is built from the start-up quarantine, and the supervisor builds
+    /// the next one whenever a lost history flags more edges, before the
+    /// shard serves again. It reads live counts, before and after ingest
+    /// alike: each consult asks every shard for its counts at the query's
+    /// instants (one cut of the ingest stream) and stands down — the
+    /// ordinary bracket answers — when a shard is unhealthy or silent, or
+    /// when the ladder reads an edge or instant no shard reported.
     pub degraded: bool,
     /// Overload control: deadline budgets, cost-based admission, brownout
     /// precision shedding, and per-shard circuit breakers, which trip after
@@ -276,7 +276,7 @@ impl Runtime {
         assert!(cfg.num_shards >= 1, "need at least one shard");
         assert!(cfg.dispatchers >= 1, "need at least one dispatcher");
         let ns = cfg.num_shards;
-        let shared = Arc::new(Shared::new(store, &cfg, quarantined));
+        let shared = Arc::new(Shared::new(sensing, sampled, store, &cfg, quarantined));
         let parts: Vec<ShardForms> =
             (0..ns).map(|s| ShardForms::cut_from(store, |e| shared.map.shard_of(e) == s)).collect();
         let (to_shards, receivers): (Vec<_>, Vec<_>) =
@@ -305,15 +305,7 @@ impl Runtime {
         let metrics = Arc::clone(&shared.metrics);
         let (jobs_tx, jobs_rx) = channel::bounded::<Job>(cfg.queue_capacity.max(1));
         let dispatchers = cfg.dispatchers;
-        let st = Arc::new(ServerState::new(
-            shared,
-            sensing,
-            sampled,
-            store,
-            cfg,
-            quarantined,
-            to_shards,
-        ));
+        let st = Arc::new(ServerState::new(shared, cfg, to_shards));
         let dispatcher_threads = (0..dispatchers)
             .map(|d| {
                 let st = Arc::clone(&st);
@@ -381,7 +373,9 @@ impl Runtime {
             return Err(SubscribeError::Unresolvable);
         }
         let (tx, rx) = channel::unbounded::<BracketUpdate>();
-        let reg = st.shared.subs.subscribe(&st.sensing, &st.sampled, &region, approx, Some(tx))?;
+        let shared = &st.shared;
+        let reg =
+            shared.subs.subscribe(&shared.sensing, &shared.sampled, &region, approx, Some(tx))?;
         st.shared.refresh_subscription_gauge();
         Ok(SubscriptionHandle {
             id: reg.id,
@@ -432,9 +426,11 @@ impl Runtime {
     /// off, `t` is behind a watermark, or the imputer found no finite
     /// interval.
     pub fn certify_standing_brackets(&self, t: f64) -> usize {
-        let st = self.st();
-        let Some(imp) = st.degraded.as_ref().and_then(|deg| deg.imputer()) else { return 0 };
-        let installed = st.shared.subs.certify_imputed(imp, t);
+        let shared = &self.st().shared;
+        let Some(slot) = shared.ladder.as_ref() else { return 0 };
+        let deg = Arc::clone(&slot.lock().answerer);
+        let Some(imp) = deg.imputer() else { return 0 };
+        let installed = shared.subs.certify_imputed(imp, t);
         if installed > 0 {
             self.resnapshot_subscriptions();
         }

@@ -419,16 +419,27 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use crossbeam::channel::{bounded, unbounded};
+    use stq_core::prelude::{SampledGraph, Scenario, ScenarioConfig, WorkloadMix};
     use stq_durability::replay_wal;
     use stq_forms::FormStore;
 
     use super::*;
     use crate::server::RuntimeConfig;
 
+    /// Shared state over a small city whose start-up store is empty.
+    fn shared(cfg: &RuntimeConfig) -> Arc<Shared> {
+        let mix = WorkloadMix { random_waypoint: 1, commuter: 0, transit: 0 };
+        let sensing =
+            Scenario::build(ScenarioConfig { junctions: 40, mix, ..Default::default() }).sensing;
+        let store = FormStore::new(sensing.num_edges());
+        let sampled = SampledGraph::unsampled(&sensing);
+        Arc::new(Shared::new(sensing, sampled, &store, cfg, &[]))
+    }
+
     #[test]
     fn an_armed_worker_reports_its_death_once_and_a_disarmed_one_never() {
         let cfg = RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() };
-        let shared = Arc::new(Shared::new(&FormStore::new(4), &cfg, &[]));
+        let shared = shared(&cfg);
         let (deaths, reports) = unbounded();
         let worker = |id| {
             let state = RetiredState { delivered: 7, ..Default::default() };
@@ -472,7 +483,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         for durable in [false, true] {
             let cfg = RuntimeConfig { num_shards: 1, ..RuntimeConfig::default() };
-            let shared = Arc::new(Shared::new(&FormStore::new(4), &cfg, &[]));
+            let shared = shared(&cfg);
             let forms = ShardForms::default();
             let durability = durable
                 .then(|| ShardDurability::initialize(&dir, 0, &forms, 0, 1_000, 1_000).unwrap());

@@ -66,10 +66,50 @@ pub(crate) struct Shared {
     /// is what a routed ingest and a dispatcher's groups table re-check
     /// after a migration.
     pub map: ShardMap,
+    /// The road network's dual: what every region is resolved on.
+    pub sensing: SensingGraph,
+    /// The one sampled graph the runtime serves for its life: `engine`'s
+    /// plans, the subscriptions' and the degraded ladder's fine-graph plans
+    /// are all compiled on it.
+    pub sampled: SampledGraph,
+    /// With [`RuntimeConfig::degraded`] set, the degraded answerer of the
+    /// quarantine column's current generation; `None` without it. Only the
+    /// supervisor writes it ([`Shared::follow_quarantine`]); a consult clones
+    /// the `Arc` out and answers without the lock.
+    pub ladder: Option<Mutex<Ladder>>,
+}
+
+/// The degraded answerer built from the quarantine column's flagged edges,
+/// and how many there were. Flags are never cleared, so that count names
+/// the column's generation.
+pub(crate) struct Ladder {
+    flagged: usize,
+    pub answerer: Arc<DegradedAnswerer>,
+}
+
+impl Ladder {
+    /// The answerer over the column's `flagged` edges: one build path for the
+    /// start-up quarantine and every later generation.
+    fn build(sensing: &SensingGraph, sampled: &SampledGraph, flagged: &[usize]) -> Self {
+        let answerer = DegradedAnswerer::new(sensing, sampled, flagged, DegradedPolicy::default());
+        Ladder { flagged: flagged.len(), answerer: Arc::new(answerer) }
+    }
+}
+
+/// The edges `subs`' quarantine column flags, ascending.
+fn flagged_edges(subs: &SubscriptionRegistry) -> Vec<usize> {
+    let column = subs.quarantined();
+    (0..column.len()).filter(|&e| column[e].load(Ordering::Acquire)).collect()
 }
 
 impl Shared {
-    pub(crate) fn new(store: &FormStore, cfg: &RuntimeConfig, quarantined: &[usize]) -> Self {
+    pub(crate) fn new(
+        sensing: SensingGraph,
+        sampled: SampledGraph,
+        store: &FormStore,
+        cfg: &RuntimeConfig,
+        quarantined: &[usize],
+    ) -> Self {
         let ns = cfg.num_shards;
         let metrics = Arc::new(Metrics::new());
         // The registry derives the lifetime totals, the applied-count mirror
@@ -86,6 +126,10 @@ impl Shared {
         // reuses the registry's lifetime totals as its crossing-rate feed.
         let map = ShardMap::new(ns, subs.totals(), cfg.rebalance);
         let floor = if cfg.durability.is_some() { 0 } else { NO_LOG };
+        // Generation 0: the start-up quarantine, empty or not.
+        let ladder = cfg
+            .degraded
+            .then(|| Mutex::new(Ladder::build(&sensing, &sampled, &flagged_edges(&subs))));
         let shared = Shared {
             lanes: (0..ns).map(|_| Mutex::default()).collect(),
             health: (0..ns).map(|_| AtomicBool::new(true)).collect(),
@@ -99,9 +143,27 @@ impl Shared {
             engine,
             subs,
             map,
+            sensing,
+            sampled,
+            ladder,
         };
         shared.refresh_quarantine_gauge();
         shared
+    }
+
+    /// Builds the degraded answerer of the column's current generation if
+    /// the column grew past the one in the slot, and swaps it in. Runs on
+    /// the supervisor after a recovery extended the column (and nowhere
+    /// else), so the build happens outside the slot's lock: consults keep
+    /// answering over the previous generation meanwhile.
+    pub(crate) fn follow_quarantine(&self) {
+        let Some(slot) = self.ladder.as_ref() else { return };
+        let flagged = flagged_edges(&self.subs);
+        if slot.lock().flagged == flagged.len() {
+            return;
+        }
+        let next = Ladder::build(&self.sensing, &self.sampled, &flagged);
+        *slot.lock() = next;
     }
 
     /// Sets the `quarantined_edges` gauge to what the registry's column
@@ -158,15 +220,8 @@ impl Shared {
 /// those live in the shards' forms and the registry's mirror.
 pub(crate) struct ServerState {
     pub shared: Arc<Shared>,
-    pub sensing: SensingGraph,
-    pub sampled: SampledGraph,
     pub cfg: RuntimeConfig,
     pub to_shards: Vec<Sender<ShardMsg>>,
-    /// Degraded-mode answering over the start-up quarantine (built only
-    /// when [`RuntimeConfig::degraded`] is set and something is quarantined):
-    /// a consult reads the shards' live forms (`dispatch::live_counts`),
-    /// certification the registry's mirror.
-    pub degraded: Option<DegradedAnswerer>,
     /// Overload control (admission gate, brownout controller, breakers);
     /// `None` when [`RuntimeConfig::overload`] is unset.
     pub overload: Option<OverloadState>,
@@ -193,30 +248,21 @@ pub(crate) struct ServerState {
 impl ServerState {
     pub(crate) fn new(
         shared: Arc<Shared>,
-        sensing: SensingGraph,
-        sampled: SampledGraph,
-        store: &FormStore,
         cfg: RuntimeConfig,
-        quarantined: &[usize],
         to_shards: Vec<Sender<ShardMsg>>,
     ) -> Self {
         let ns = cfg.num_shards;
-        // The learned fallback fits its models to the start-up logs once.
-        let degraded = (cfg.degraded && !quarantined.is_empty()).then(|| {
-            DegradedAnswerer::new(&sensing, &sampled, quarantined, store, DegradedPolicy::default())
-        });
-        let overload =
-            cfg.overload.as_ref().map(|oc| OverloadState::new(oc.clone(), &sensing, &sampled, ns));
+        let overload = cfg
+            .overload
+            .as_ref()
+            .map(|oc| OverloadState::new(oc.clone(), &shared.sensing, &shared.sampled, ns));
         ServerState {
             shared,
-            sensing,
-            sampled,
             resp_capacity: [2, ns, (cfg.max_retries as usize).saturating_add(2)]
                 .into_iter()
                 .fold(cfg.queue_capacity.max(1), usize::saturating_mul),
             cfg,
             to_shards,
-            degraded,
             overload,
         }
     }
@@ -225,6 +271,6 @@ impl ServerState {
     /// another graph and must be refused before any plan is made. Its
     /// junctions are strictly increasing, so the last one decides.
     pub(crate) fn foreign(&self, region: &QueryRegion) -> bool {
-        region.junctions().last().is_some_and(|&j| j >= self.sensing.road().num_junctions())
+        region.junctions().last().is_some_and(|&j| j >= self.shared.sensing.road().num_junctions())
     }
 }

@@ -35,7 +35,8 @@
 //! shard's history is ever *lost* — it keeps no log (`NO_LOG`), the disk is
 //! unreadable, or the composition has a gap (mid-log damage plus a trimmed
 //! buffer) — the supervisor flags every edge the shard map routes to the
-//! shard in the registry's quarantine column and respawns the worker empty:
+//! shard in the registry's quarantine column (in degraded mode the ladder is
+//! rebuilt over the grown column) and respawns the worker empty:
 //! refusals widen bounds soundly, where a partial history would serve
 //! silently wrong counts. The flags belong to the edges and are never
 //! cleared; the full audit → repair pipeline can then be run offline
@@ -209,8 +210,11 @@ impl Supervisor {
         // overwritten before any post-recovery delta can land on top of it —
         // the bump is atomic with the health flip below as far as ingest can
         // observe. Cached plans stay: quarantine widens a fold, not a
-        // region's resolution.
+        // region's resolution. A column that grew gets its degraded answerer
+        // here too: a consult needs every shard healthy, so none runs on the
+        // previous generation once this shard serves again.
         shared.resnapshot(extra_quarantine);
+        shared.follow_quarantine();
         // Health and the respawn counters flip BEFORE the worker spawns
         // (still under the lane lock): everything the new worker
         // acknowledges — flush barriers, digests, query replies — then

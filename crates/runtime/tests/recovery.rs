@@ -13,11 +13,11 @@ use std::time::Duration;
 
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
-use stq_core::tracker::Crossing;
+use stq_core::tracker::{crossings_of, Crossing};
 use stq_forms::{BoundaryEdge, FormStore};
 use stq_runtime::{
     CrashWindow, DurabilityConfig, DurabilityFaultPlan, FaultPlan, QuerySpec, Runtime,
-    RuntimeConfig, ShardHealth,
+    RuntimeConfig, ServedAnswer, ShardHealth,
 };
 
 struct Fixture {
@@ -568,70 +568,205 @@ fn flip_byte(path: &std::path::Path, offset: u64) {
 fn unreadable_snapshot_quarantines_the_whole_shard() {
     // The base snapshot is damaged right after startup, so `recover_shard`
     // returns `InvalidData`: the disk gives nothing.
-    lost_history_run("unreadable", 20, 0, |dir| {
-        let snapshot = dir.join("shard-0").join("snapshot.bin");
-        flip_byte(&snapshot, std::fs::metadata(&snapshot).unwrap().len() / 2);
-    });
+    lost_history_run("unreadable", 20, 0, ruin_shard_zero_snapshot);
+}
+
+/// Flips a byte in the middle of shard 0's base snapshot under `dir`, so
+/// the shard's next recovery finds its history unreadable.
+fn ruin_shard_zero_snapshot(dir: &std::path::Path) {
+    let snapshot = dir.join("shard-0").join("snapshot.bin");
+    flip_byte(&snapshot, std::fs::metadata(&snapshot).unwrap().len() / 2);
+}
+
+/// The scenario's own crossings split at `at`: a start-up store of those
+/// before it, and the rest, in time order, as the stream. Objects made every
+/// one of them, so the populations the stream leaves obey conservation — the
+/// premise of every certificate the degraded ladder issues, which
+/// [`stream`]'s synthetic crossings break — and together they are the
+/// scenario's store, the oracle.
+fn history_and_stream(f: &Fixture, at: f64) -> (FormStore, Vec<Crossing>) {
+    let sensing = &f.scenario.sensing;
+    let mut events: Vec<Crossing> =
+        f.scenario.trajectories.iter().flat_map(|t| crossings_of(sensing, t)).collect();
+    events.sort_by(|a, b| a.time.total_cmp(&b.time));
+    let stream = events.split_off(events.partition_point(|c| c.time < at));
+    let mut history = FormStore::new(sensing.num_edges());
+    for c in &events {
+        history.record(c.edge, c.forward, c.time);
+    }
+    (history, stream)
+}
+
+/// Shard count of the degraded-ladder tests: a whole shard of two or four
+/// leaves no rung anything to win.
+const LADDER_SHARDS: usize = 8;
+
+/// A degraded-mode runtime over `history` that waits out every consult (one
+/// that times out stands down, and the comparisons need each answered).
+fn ladder_runtime(
+    f: &Fixture,
+    history: &FormStore,
+    durability: Option<DurabilityConfig>,
+    quarantined: &[usize],
+) -> Runtime {
+    let cfg = RuntimeConfig {
+        num_shards: LADDER_SHARDS,
+        shard_timeout: Duration::from_secs(5),
+        durability,
+        degraded: true,
+        ..RuntimeConfig::default()
+    };
+    Runtime::with_quarantine(
+        f.scenario.sensing.clone(),
+        f.sampled.clone(),
+        history,
+        cfg,
+        quarantined,
+    )
+}
+
+/// `served` brackets what it bounds: the population of the query region,
+/// counted by the identifier-based oracle, when the ladder certified it;
+/// the serving graph's fold of the oracle store otherwise.
+fn assert_brackets_the_truth(f: &Fixture, spec: &QuerySpec, served: &ServedAnswer) {
+    let truth = if served.strategy != DegradedStrategy::None {
+        let inside = |j: usize| spec.region.contains(j);
+        let oracle = &f.scenario.tracked.oracle;
+        match spec.kind {
+            QueryKind::Snapshot(t) => oracle.snapshot_count(&inside, t) as f64,
+            QueryKind::Transient(t0, t1) => oracle.transient_count(&inside, t0, t1) as f64,
+            QueryKind::Static(t0, t1) => oracle.static_interval_count(&inside, t0, t1) as f64,
+        }
+    } else {
+        let Some(chain) = boundary(f, spec) else { return };
+        evaluate(&f.scenario.tracked.store, &chain, spec.kind)
+    };
+    assert!(
+        served.lower <= truth + 1e-9 && truth <= served.upper + 1e-9,
+        "{:?} [{}]: [{}, {}] must bracket the truth {truth}",
+        spec.kind,
+        served.strategy.label(),
+        served.lower,
+        served.upper
+    );
 }
 
 #[test]
-fn degraded_ladder_stands_down_on_edges_a_lost_history_quarantined() {
-    // Degraded mode over a start-up quarantine of shard 1's edges, and then
-    // shard 0 loses its history as in `unreadable_snapshot_…`. Its edges are
-    // flagged, so no `Counts` reply carries them — the respawned worker's
-    // forms would hold only what arrived since — and a ladder that reads one
-    // stands down: every answer, certified or not, brackets the oracle.
+fn the_ladder_answers_over_the_start_up_quarantine_and_the_lost_edges() {
+    // Degraded mode over a start-up quarantine of some of shard 1's edges,
+    // and then shard 0 loses its history as in `unreadable_snapshot_…`. Its
+    // edges join the column, and the supervisor builds the ladder of that
+    // grown column before the shard serves again: every answer the ladder
+    // certifies is the one an answerer over both quarantines certifies, and
+    // every answer, certified or not, brackets the truth.
     let f = fixture();
     let ne = f.scenario.sensing.num_edges();
-    let events = stream(ne, 4 * ne);
-    let mut oracle = f.scenario.tracked.store.clone();
-    for c in &events {
-        oracle.record(c.edge, c.forward, c.time);
-    }
-    // Odd edges are shard 1's under the modulo map, which is never rebalanced.
+    let (history, events) = history_and_stream(f, 5_000.0);
+    // The modulo map, never rebalanced, routes edge `e` to shard `e % 8`.
+    let shard_of = |e: usize| e % LADDER_SHARDS;
     let quarantined: Vec<usize> =
-        (0..ne).filter(|&e| e % 2 == 1 && f.sampled.monitored()[e]).step_by(4).collect();
+        (0..ne).filter(|&e| shard_of(e) == 1 && f.sampled.monitored()[e]).step_by(4).collect();
+    let both: Vec<usize> =
+        (0..ne).filter(|&e| shard_of(e) == 0 || quarantined.contains(&e)).collect();
+    let policy = DegradedPolicy::default();
+    let reference = DegradedAnswerer::new(&f.scenario.sensing, &f.sampled, &both, policy);
+    let engine = QueryEngine::new(64);
     for seed in FAULT_SEEDS {
         eprintln!("fault seed {seed}");
         let dir = tmpdir("ladder");
         let faults = DurabilityFaultPlan::killing(0xdead_d15c ^ seed, &[(0, 20)]);
-        let rt = Runtime::with_quarantine(
-            f.scenario.sensing.clone(),
-            f.sampled.clone(),
-            &f.scenario.tracked.store,
-            RuntimeConfig {
-                num_shards: 2,
-                durability: durable_cfg(&dir, 1024, faults),
-                degraded: true,
-                ..RuntimeConfig::default()
-            },
-            &quarantined,
-        );
-        let snapshot = dir.join("shard-0").join("snapshot.bin");
-        flip_byte(&snapshot, std::fs::metadata(&snapshot).unwrap().len() / 2);
+        let rt = ladder_runtime(f, &history, durable_cfg(&dir, 1024, faults), &quarantined);
+        ruin_shard_zero_snapshot(&dir);
         for &c in &events {
             rt.ingest(c).expect("ingest");
         }
         rt.flush_ingest();
-        assert!(rt.metrics().report().lost_events > 0, "shard 0's history must be lost");
+        let report = rt.metrics().report();
+        assert!(report.lost_events > 0, "shard 0's history must be lost: {report}");
+        assert_eq!(report.quarantined_edges, both.len() as u64);
 
         let mut certified = 0usize;
         for spec in specs(f, 20, seed) {
             let served = rt.query(spec.clone());
-            certified += usize::from(served.strategy != DegradedStrategy::None);
-            let Some(chain) = boundary(f, &spec) else { continue };
-            let exact = evaluate(&oracle, &chain, spec.kind);
-            assert!(
-                served.lower <= exact + 1e-9 && exact <= served.upper + 1e-9,
-                "{:?} [{}]: [{}, {}] must bracket oracle {exact}",
-                spec.kind,
-                served.strategy.label(),
-                served.lower,
-                served.upper
-            );
+            if served.strategy != DegradedStrategy::None {
+                certified += 1;
+                let (sensing, store) = (&f.scenario.sensing, &f.scenario.tracked.store);
+                let want =
+                    reference.answer(sensing, &f.sampled, &engine, store, &spec.region, spec.kind);
+                assert_eq!(
+                    ([served.value, served.lower, served.upper].map(f64::to_bits), served.strategy),
+                    (
+                        [want.value, want.bracket.lower, want.bracket.upper].map(f64::to_bits),
+                        want.strategy
+                    ),
+                    "{:?}: the ladder of the grown column and the reference differ",
+                    spec.kind
+                );
+            }
+            assert_brackets_the_truth(f, &spec, &served);
         }
         eprintln!("{certified} answers certified by the ladder");
+        assert!(certified > 0, "the ladder of the grown column must answer something");
         rt.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_lost_history_is_answered_like_a_start_up_quarantine() {
+    // Runtime A starts with nothing quarantined and loses shard 0's history
+    // (as in `unreadable_snapshot_…`); runtime B is memory-only and starts
+    // with shard 0's edges quarantined. After the same stream both ladders
+    // answer over the same column, so they serve the same brackets.
+    let f = fixture();
+    let ne = f.scenario.sensing.num_edges();
+    let (history, events) = history_and_stream(f, 5_000.0);
+    // Shard 0's edges under the modulo map, which is never rebalanced.
+    let shard_zero: Vec<usize> = (0..ne).filter(|e| e % LADDER_SHARDS == 0).collect();
+    for seed in FAULT_SEEDS {
+        eprintln!("fault seed {seed}");
+        let dir = tmpdir("like-start-up");
+        let faults = DurabilityFaultPlan::killing(0xdead_d15c ^ seed, &[(0, 20)]);
+        let a = ladder_runtime(f, &history, durable_cfg(&dir, 1024, faults), &[]);
+        ruin_shard_zero_snapshot(&dir);
+        let b = ladder_runtime(f, &history, None, &shard_zero);
+        for rt in [&a, &b] {
+            for &c in &events {
+                rt.ingest(c).expect("ingest");
+            }
+            rt.flush_ingest();
+        }
+        let (ra, rb) = (a.metrics().report(), b.metrics().report());
+        assert!(ra.lost_events > 0, "shard 0's history must be lost: {ra}");
+        assert_eq!(ra.quarantined_edges, rb.quarantined_edges);
+
+        let mut rungs = 0usize;
+        for spec in specs(f, 20, seed) {
+            let (got, want) = (a.query(spec.clone()), b.query(spec.clone()));
+            let seen =
+                |s: &ServedAnswer| ([s.lower, s.upper, s.coverage].map(f64::to_bits), s.strategy);
+            assert_eq!(
+                seen(&got),
+                seen(&want),
+                "{:?}: a lost history [{}, {}] ({}) against a start-up quarantine [{}, {}] ({})",
+                spec.kind,
+                got.lower,
+                got.upper,
+                got.strategy.label(),
+                want.lower,
+                want.upper,
+                want.strategy.label()
+            );
+            rungs += usize::from(matches!(
+                want.strategy,
+                DegradedStrategy::MultiFaceDetour | DegradedStrategy::Imputation
+            ));
+            assert_brackets_the_truth(f, &spec, &want);
+        }
+        eprintln!("{rungs} answers from the detour or imputation rungs");
+        assert!(rungs > 0, "some answer must come from a rung the start-up quarantine needs");
+        a.shutdown();
+        b.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

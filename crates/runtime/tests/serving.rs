@@ -611,7 +611,7 @@ fn degraded_mode_escalation_upgrades_quarantined_answers() {
     let r = rt.metrics().report();
     assert_eq!(r.quarantined_edges, quarantined.len() as u64);
     assert_eq!(
-        r.degraded_demoted + r.degraded_detour + r.degraded_imputed + r.degraded_learned,
+        r.degraded_demoted + r.degraded_detour + r.degraded_imputed,
         upgraded,
         "per-strategy counters must add up to the upgraded answers"
     );
@@ -659,8 +659,8 @@ fn degraded_ladder_after_ingest_matches_the_synchronous_answerer() {
         &quarantined,
     );
     let policy = DegradedPolicy::default();
-    let reference =
-        DegradedAnswerer::new(&f.scenario.sensing, &f.sampled, &quarantined, store(f), policy);
+    let reference = DegradedAnswerer::new(&f.scenario.sensing, &f.sampled, &quarantined, policy);
+    let engine = QueryEngine::new(64);
     let inside = specs(f, 8, 0.15, 43);
     let before: Vec<ServedAnswer> = inside.iter().map(|spec| rt.query(spec.clone())).collect();
 
@@ -702,7 +702,8 @@ fn degraded_ladder_after_ingest_matches_the_synchronous_answerer() {
             continue;
         }
         escalated[usize::from(i >= inside.len())] += 1;
-        let a = reference.answer(&f.scenario.sensing, &live, &spec.region, spec.kind);
+        let (sensing, region) = (&f.scenario.sensing, &spec.region);
+        let a = reference.answer(sensing, &f.sampled, &engine, &live, region, spec.kind);
         let want = ladder_bits(a.value, a.bracket.lower, a.bracket.upper, a.strategy);
         assert_eq!(got, want, "{:?}: the runtime's ladder and the reference differ", spec.kind);
     }

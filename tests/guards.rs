@@ -10,7 +10,8 @@
 use std::path::{Path, PathBuf};
 
 /// No line of a file under `roots`, outside `except`, may contain one of
-/// `patterns`. A root may name one `*` directory level (`crates/*/src`).
+/// `patterns`. A root may name one `*` directory level (`crates/*/src`), or
+/// a single file.
 struct Guard {
     rule: &'static str,
     patterns: &'static [&'static str],
@@ -62,7 +63,11 @@ fn assert_absent(guard: &Guard) {
     let repo = repo_root();
     let mut files = Vec::new();
     for dir in guard.roots.iter().flat_map(|root| expand(&repo, root)) {
-        files_under(&dir, &mut files);
+        if dir.is_file() {
+            files.push(dir);
+        } else {
+            files_under(&dir, &mut files);
+        }
     }
     let excepted = |path: &Path| guard.except.iter().any(|e| path.starts_with(repo.join(e)));
     files.retain(|path| !excepted(path));
@@ -98,6 +103,26 @@ fn degraded_mode_keeps_no_start_up_copy_and_no_off_switch() {
                switch that turns it off at the first ingested event",
         patterns: &["deg_dirty", "degraded_consult"],
         roots: &["crates"],
+        except: &[],
+    });
+}
+
+#[test]
+fn the_degraded_ladder_follows_the_live_quarantine() {
+    assert_absent(&Guard {
+        rule: "the degraded answerer is one quarantine generation, rebuilt by the supervisor \
+               when the column grows: it reads which edges are quarantined off its demoted \
+               graph, so it keeps no set of them",
+        patterns: &["HashSet"],
+        roots: &["crates/core/src/degraded.rs"],
+        except: &[],
+    });
+    assert_absent(&Guard {
+        rule: "every degraded-mode bracket, value and confidence comes from certified \
+               machinery: no learned rung whose point estimate moves only the value and the \
+               confidence, and no row that counts it",
+        patterns: &["LearnedFallback", "HybridSource", "degraded_learned"],
+        roots: &["crates", "examples"],
         except: &[],
     });
 }
