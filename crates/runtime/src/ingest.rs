@@ -3,13 +3,19 @@
 //! `ingest_batch` of one event, which reaches its shard as a lane of one.
 //!
 //! ```text
-//! ingest / ingest_batch ─▶ check_event ─▶ registry (totals + standing deltas)
-//!                          ─▶ group ─▶ lane locks: epoch check → stamp
+//! ingest / ingest_batch ─▶ check_event ─▶ registry (one lock: totals + mirror
+//!                                                   + standing deltas)
+//!                          ─▶ group: epoch → owner of each event, once → lane sizes
+//!                                    → each lane allocated at its length and filled
+//!                          ─▶ dispatch, lane locks: epoch check → stamp
 //!                                      (durable: trim → retain) → record_route → send
 //! ```
 //!
-//! Owners are read without a lock, so a grouping is sent only under the map
-//! epoch it was made under (`dispatch`).
+//! The calling thread pays one pass over the batch per stage and a fixed
+//! number of allocations per call, whatever the batch's length: the owners,
+//! the lane sizes and the table of lanes, a buffer and an `Arc` per lane, and
+//! the vector of held locks. Owners are read without a lock, so a grouping
+//! is sent only under the map epoch it was made under (`dispatch`).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -197,50 +203,84 @@ fn check_event(st: &ServerState, c: &Crossing) -> Result<(), IngestError> {
 /// lifetime totals (inside the registry lock) and delta-pushes affected
 /// brackets, then counts what the registry did — the live-subscription gauge
 /// included, read under that same lock after any dead subscriber was dropped.
+/// A call with nothing to record records nothing: the push is timed only
+/// while the gauge says a subscription is live (without one there is no
+/// delta; a subscriber registered while the call is under way can go
+/// untimed in it), and a zero is never added.
 fn through_registry(st: &ServerState, events: &[Crossing]) {
     let metrics = &st.shared.metrics;
-    let push_t0 = Instant::now();
+    let push_t0 = (metrics.subscriptions.load(Ordering::Relaxed) > 0).then(Instant::now);
     let obs = st.shared.subs.on_ingest_batch(events);
     if obs.deltas > 0 {
-        metrics.delta_push_latency.record(push_t0.elapsed().as_micros() as u64);
+        if let Some(t0) = push_t0 {
+            metrics.delta_push_latency.record(t0.elapsed().as_micros() as u64);
+        }
         Metrics::add(&metrics.deltas_pushed, obs.deltas as u64);
     }
-    Metrics::add(&metrics.late_ignored, obs.late as u64);
-    Metrics::add(&metrics.pushes_shed, obs.shed as u64);
+    if obs.late > 0 {
+        Metrics::add(&metrics.late_ignored, obs.late as u64);
+    }
+    if obs.shed > 0 {
+        Metrics::add(&metrics.pushes_shed, obs.shed as u64);
+    }
     metrics.subscriptions.store(obs.subscriptions as u64, Ordering::Relaxed);
 }
 
 /// A validated batch grouped by owning shard under one map epoch, so that
-/// an edge's events are all in one lane: `(shard, lane)`, ascending, none empty.
+/// an edge's events are all in one lane: `lanes[shard]` holds that shard's
+/// events in input order, empty where the batch does not reach it.
 struct Grouping {
     epoch: u64,
-    lanes: Vec<(usize, Lane)>,
+    lanes: Vec<Vec<Crossing>>,
 }
 
+impl Grouping {
+    /// The shards the batch reaches, ascending.
+    fn used(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lanes.iter().enumerate().filter(|(_, lane)| !lane.is_empty()).map(|(shard, _)| shard)
+    }
+}
+
+/// Groups `events` by owning shard. Every owner is read once, under the
+/// epoch read first, and counted; each lane is then allocated at its final
+/// length and filled from those reads alone, so it never grows, and a
+/// migration that commits meanwhile cannot make a lane lose or repeat an
+/// event — only make [`dispatch`] refuse the grouping. A batch for one shard
+/// is one lane, equal to the batch.
 fn group(st: &ServerState, events: &[Crossing]) -> Grouping {
     let map = &st.shared.map;
     let epoch = map.epoch(); // before any `shard_of`, as in `dispatch.rs::route`
-    let mut by_shard = vec![Vec::new(); st.shared.lanes.len()];
-    for &c in events {
-        by_shard[map.shard_of(c.edge)].push(c);
+    let mut sizes = vec![0; st.shared.lanes.len()];
+    let owners: Vec<usize> = events
+        .iter()
+        .map(|c| {
+            let shard = map.shard_of(c.edge);
+            sizes[shard] += 1;
+            shard
+        })
+        .collect();
+    let mut lanes: Vec<Vec<Crossing>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (&c, &shard) in events.iter().zip(&owners) {
+        lanes[shard].push(c);
     }
-    let used = by_shard.into_iter().enumerate().filter(|(_, lane)| !lane.is_empty());
-    Grouping { epoch, lanes: used.map(|(shard, lane)| (shard, lane.into())).collect() }
+    Grouping { epoch, lanes }
 }
 
-/// Sends every lane of `grouping` and says how many — or none (`None`) when
-/// the map has moved on since. The lanes' locks are taken together, ascending
+/// Sends every lane of `grouping`, in the `Arc` the worker and the redo
+/// buffer share, and says how many — or none (`None`) when the map has moved
+/// on since. The lanes' locks are taken together, ascending
 /// (the supervisor's order); a migration stores its owners, then bumps the
 /// epoch, under every involved shard's, so no owner read here has changed or can.
-fn dispatch(st: &ServerState, grouping: Grouping) -> Option<usize> {
+fn dispatch(st: &ServerState, mut grouping: Grouping) -> Option<usize> {
     let mut held: Vec<_> =
-        grouping.lanes.iter().map(|&(shard, _)| st.shared.lanes[shard].lock()).collect();
+        grouping.used().map(|shard| (shard, st.shared.lanes[shard].lock())).collect();
     if st.shared.map.epoch() != grouping.epoch {
         return None;
     }
-    for ((shard, lane), guard) in grouping.lanes.into_iter().zip(&mut held) {
-        let first_seq = stamp(st, shard, guard, &lane);
-        let _ = st.to_shards[shard].send(ShardMsg::IngestBatch { first_seq, lane });
+    for (shard, guard) in &mut held {
+        let lane = Lane::new(std::mem::take(&mut grouping.lanes[*shard]));
+        let first_seq = stamp(st, *shard, guard, &lane);
+        let _ = st.to_shards[*shard].send(ShardMsg::IngestBatch { first_seq, lane });
     }
     Some(held.len())
 }
@@ -266,6 +306,8 @@ fn stamp(st: &ServerState, shard: usize, ingest: &mut IngestLane, lane: &Lane) -
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+
     use crossbeam::channel::Receiver;
     use stq_core::prelude::*;
     use stq_durability::{apply_crossing, state_digest};
@@ -435,16 +477,14 @@ mod tests {
         for grouped_before_commit in [events.len(), events.len() / 2] {
             let (st, rxs) = unserved(&scenario);
             let (before, after) = events.split_at(grouped_before_commit);
-            let stale = group(&st, before);
+            let Grouping { epoch, mut lanes } = group(&st, before);
             st.shared.map.commit(&[hot]);
-            let mut lanes = vec![Vec::new(); rxs.len()];
-            for (shard, lane) in stale.lanes.into_iter().chain(group(&st, after).lanes) {
-                lanes[shard].extend(lane.iter().copied());
+            for (lane, later) in lanes.iter_mut().zip(group(&st, after).lanes) {
+                lane.extend(later);
             }
             assert_eq!(on_hot(&lanes[hot.from]), on_hot(before));
             assert_eq!(on_hot(&lanes[hot.to]), on_hot(after));
-            let lanes = lanes.into_iter().enumerate().map(|(shard, lane)| (shard, lane.into()));
-            let stale = Grouping { epoch: stale.epoch, lanes: lanes.collect() };
+            let stale = Grouping { epoch, lanes };
 
             assert_eq!(dispatch(&st, stale), None, "sent under a newer map");
             assert!(rxs.iter().all(|rx| rx.is_empty()), "part of a stale grouping was sent");
@@ -452,5 +492,114 @@ mod tests {
             assert_eq!(dispatch(&st, group(&st, &events)), Some(3), "nothing committed since");
             assert_eq!(delivered(&st, &scenario, &rxs), want);
         }
+    }
+
+    #[test]
+    fn a_grouping_keeps_every_event_once_in_its_owners_lane_in_input_order() {
+        let scenario = scenario();
+        let ne = scenario.sensing.num_edges();
+        let (st, _rxs) = unserved(&scenario);
+        // Every event's time is its own, so each one can be told apart.
+        let events: Vec<Crossing> =
+            (0..1000).map(|i| Crossing { edge: i * 7919 % ne, ..event(ne, i) }).collect();
+        let times = |events: &mut dyn Iterator<Item = &Crossing>| -> Vec<u64> {
+            let mut times: Vec<u64> = events.map(|c| c.time.to_bits()).collect();
+            times.sort_unstable();
+            times
+        };
+        // Under the modulo map, then with edge 2 moved from shard 2 to 0.
+        for moved in [false, true] {
+            if moved {
+                st.shared.map.commit(&[Migration { edge: 2, from: 2, to: 0 }]);
+            }
+            for len in [0, 1, 2, 255, 256, 1000] {
+                let batch = &events[..len];
+                let Grouping { epoch, lanes } = group(&st, batch);
+                assert_eq!(epoch, st.shared.map.epoch());
+                assert_eq!(lanes.len(), 3, "one lane a shard");
+                for (shard, lane) in lanes.iter().enumerate() {
+                    let owned = batch.iter().filter(|c| st.shared.map.shard_of(c.edge) == shard);
+                    assert_eq!(*lane, owned.copied().collect::<Vec<_>>(), "shard {shard}, {len}");
+                    assert_eq!(lane.capacity(), lane.len(), "allocated at its final length");
+                }
+                assert_eq!(times(&mut lanes.iter().flatten()), times(&mut batch.iter()));
+            }
+        }
+        // A batch for one shard is one lane, the batch itself.
+        for shard in 0..3 {
+            let own = |c: &&Crossing| st.shared.map.shard_of(c.edge) == shard;
+            let batch: Vec<Crossing> = events.iter().filter(own).copied().collect();
+            let grouping = group(&st, &batch);
+            assert_eq!(grouping.used().collect::<Vec<_>>(), [shard]);
+            assert_eq!(grouping.lanes[shard], batch);
+        }
+    }
+
+    /// Two writers stream `ingest_batch` calls while a third thread keeps
+    /// asking for a rebalance, so migrations commit between batches being
+    /// grouped and dispatched. Each writer owns its edges (every edge's events
+    /// keep their order) and puts four events of five on a dozen edges of
+    /// shard 0 that changes every 500 events, so the load stays skewed and
+    /// the map keeps moving (a few groupings a run are refused and made
+    /// again). The shards must end holding exactly the sequential oracle's
+    /// forms, cut by the map they ended under.
+    #[test]
+    fn batches_racing_migrations_land_exactly_once_on_their_owners() {
+        let scenario = scenario();
+        let ne = scenario.sensing.num_edges();
+        let cfg = RuntimeConfig { num_shards: 3, rebalance: true, ..RuntimeConfig::default() };
+        let sampled = SampledGraph::unsampled(&scenario.sensing);
+        let rt = Runtime::new(scenario.sensing.clone(), sampled, &scenario.tracked.store, cfg);
+        let writers = 2;
+        // Writer `w` crosses edges `≡ w (mod 2)`; its hot edges are `≡ 0 (mod 3)` too.
+        let stream = |w: usize| -> Vec<Crossing> {
+            (0..8_000)
+                .map(|i| {
+                    let hot = 6 * ((i / 500 * 12 + i % 12) % (ne / 6)) + 3 * w;
+                    let edge = if i % 5 < 4 { hot } else { writers * (i % (ne / writers)) + w };
+                    Crossing { edge, ..event(ne, i) }
+                })
+                .collect()
+        };
+        let streams: Vec<Vec<Crossing>> = (0..writers).map(stream).collect();
+        assert!(streams.iter().flatten().all(|c| c.edge < ne), "fixture too small");
+        let writing = AtomicBool::new(true);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while writing.load(Ordering::Relaxed) {
+                    rt.rebalance_now();
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            });
+            let ingest = |events: &Vec<Crossing>| {
+                for batch in events.chunks(64) {
+                    assert_eq!(rt.ingest_batch(batch).accepted, batch.len());
+                }
+            };
+            let handles: Vec<_> =
+                streams.iter().map(|events| s.spawn(move || ingest(events))).collect();
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            // Stop the rebalancer before a writer's panic is raised, or the
+            // scope would wait for it forever.
+            writing.store(false, Ordering::Relaxed);
+            for writer in joined {
+                writer.expect("writer");
+            }
+        });
+        let heads = rt.flush_ingest();
+        assert_eq!(heads.iter().sum::<u64>(), (writers * 8_000) as u64, "every event, once");
+        assert!(rt.map_epoch() >= 2, "the map moved while batches were in flight");
+
+        let mut oracle = scenario.tracked.store.clone();
+        for c in streams.iter().flatten() {
+            oracle.record(c.edge, c.forward, c.time);
+        }
+        let st = rt.st();
+        let cut = |shard| {
+            let owned = |e| st.shared.map.shard_of(e) == shard;
+            state_digest(&ShardForms::cut_from(&oracle, owned))
+        };
+        assert_eq!(rt.shard_digests(), (0..3).map(cut).collect::<Vec<_>>());
+        rt.shutdown();
     }
 }

@@ -60,8 +60,10 @@ use crate::shardmap::Migration;
 use crate::state::{Shared, NO_LOG};
 
 /// The events one `ingest` / `ingest_batch` call sent one shard, in order:
-/// one allocation for the channel, the redo buffer, the worker and the WAL.
-pub(crate) type Lane = Arc<[Crossing]>;
+/// one buffer, allocated at its final length, for the channel, the redo
+/// buffer, the worker and the WAL. The `Arc` shares the `Vec` as built
+/// rather than a copy of it in a slice of its own.
+pub(crate) type Lane = Arc<Vec<Crossing>>;
 
 /// Per-shard ingest bookkeeping, shared between the server (sequence
 /// assignment, redo retention) and the supervisor (recovery replay).

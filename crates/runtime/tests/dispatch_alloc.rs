@@ -13,9 +13,9 @@
 //! the `OTHER` slot and is outside the assertion.
 //!
 //! The write path's cases count the *calling* thread — what one clean
-//! `ingest_batch` allocates there is per lane, not per event — and the shard
-//! threads: a memory-only worker applies the lane it was handed and copies
-//! nothing.
+//! `ingest_batch` allocates there is a fixed number per lane, not per event,
+//! and does not grow with the batch — and the shard threads: a memory-only
+//! worker applies the lane it was handed and copies nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -311,14 +311,17 @@ fn clean_batch_allocates_per_lane_on_the_caller() {
     per_batch(256); // warm-up: the queues reach their size
     let (short, long) = (per_batch(256), per_batch(1024));
     println!("allocations per clean ingest_batch: {short:?} at 256 events, {long:?} at 1024");
-    // 16: the table of lanes, six steps of growth to 128 events and the
-    // shared slice for either lane, the lane locks. Nothing for validation,
-    // the redo buffer or the send. (PR 22 read 42: the validated copy, three
-    // growing columns a lane and three more for its re-filtered twin.)
-    assert!(short.iter().all(|&n| n <= 16), "256 events: {short:?}");
-    // Four times the events is two more doublings a lane, nothing else
-    // (PR 22: 54).
-    assert!(long.iter().all(|&n| n <= 16 + 2 * 2), "1024 events: {long:?}");
+    // 8, whatever the batch's length: the owners read once and the lane
+    // sizes counted from them (two tables), the table of lanes, each lane at
+    // its final length and the `Arc` that shares it (two a lane), and the
+    // lane locks. Nothing for validation, growth, a copy of a lane, the redo
+    // buffer or the send. (A lane grown by doubling read 16 at 256 events
+    // and 20 at 1024: six doublings to 128 events, two more to 512, then a
+    // copy into a shared slice of its own. The columnar grouping before it
+    // read 42 and 54.)
+    const PER_BATCH: u64 = 8;
+    assert!(short.iter().all(|&n| n <= PER_BATCH), "256 events: {short:?}");
+    assert!(long.iter().all(|&n| n <= PER_BATCH), "1024 events: {long:?}");
     rt.shutdown();
 }
 

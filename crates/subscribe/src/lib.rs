@@ -85,6 +85,17 @@
 //! and **never cleared**. The runtime's shard workers read the same column
 //! lock-free to refuse an edge, so the aggregator's fold and the
 //! standing-bracket fold widen by one definition of "refused".
+//!
+//! ## One writer of the shared columns
+//!
+//! The registry lock is the only writer of both shared columns. The totals
+//! are bumped per event inside [`SubscriptionRegistry::on_ingest_batch`]'s
+//! one lock acquisition, by a relaxed load and a relaxed store rather than a
+//! locked read-modify-write: no second writer can interleave, and a
+//! lock-free reader (the aggregator's worst-case widening, the shard map's
+//! load histogram) sees either the count before an event or the one after.
+//! An event on an edge no subscription listens on touches only its totals
+//! and its mirror watermark and count.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -337,8 +348,9 @@ impl Inner {
 pub struct SubscriptionRegistry {
     engine: Arc<QueryEngine>,
     /// Per-edge lifetime crossing totals `[forward, backward]` — grown on
-    /// every ingested event (late or not) *inside* the registry lock, and
-    /// shared with the serving runtime, whose degradation bounds read them.
+    /// every ingested event (late or not) *inside* the registry lock, the
+    /// only writer, by a plain load and store; shared with the serving
+    /// runtime, whose degradation bounds and shard map read them lock-free.
     totals: Arc<Vec<[AtomicU64; 2]>>,
     /// Per-edge quarantine flag, the only copy there is: the integrity
     /// auditor (or a recovery that lost a shard's history) quarantined the
@@ -397,8 +409,11 @@ impl SubscriptionRegistry {
     }
 
     /// The shared lifetime totals (the runtime reads these for its
-    /// worst-case degradation bounds). Bumped only by
-    /// [`Self::on_ingest_batch`].
+    /// worst-case degradation bounds). Written only by
+    /// [`Self::on_ingest_batch`] under the registry lock, which makes it the
+    /// only writer: the per-event add is a relaxed load and store, and a
+    /// reader's relaxed load sees a count the stream really passed through.
+    /// Nothing outside the registry may store to them.
     pub fn totals(&self) -> &Arc<Vec<[AtomicU64; 2]>> {
         &self.totals
     }
@@ -499,7 +514,10 @@ impl SubscriptionRegistry {
     /// counting its deltas and lateness into `obs`.
     fn apply_locked(&self, inner: &mut Inner, c: &Crossing, obs: &mut IngestObservation) {
         let dir = usize::from(!c.forward);
-        self.totals[c.edge][dir].fetch_add(1, Ordering::Relaxed);
+        // The registry lock is the only writer of `totals`, so the add needs
+        // no locked read-modify-write: a reader sees the old or the new count.
+        let total = &self.totals[c.edge][dir];
+        total.store(total.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         // Same predicate as `apply_crossing`: reject iff strictly behind the
         // last accepted timestamp in this direction.
         let accepted = c.time >= inner.mirror.watermark[c.edge][dir];
@@ -508,6 +526,12 @@ impl SubscriptionRegistry {
             inner.mirror.counts[c.edge][dir] += 1;
         } else {
             obs.late += 1;
+        }
+        // No subscription listens on the edge: there is no bracket to move,
+        // whatever its quarantine flag says.
+        let routes = &inner.routes[c.edge];
+        if routes.is_empty() {
+            return;
         }
         let quarantined = self.quarantined[c.edge].load(Ordering::Acquire);
         // A late event on a trusted edge changes nothing a re-execution
@@ -518,7 +542,7 @@ impl SubscriptionRegistry {
         }
         // `routes`, `slab` and `touched` are disjoint fields, so the hot
         // path walks the route list in place — no per-event allocation.
-        for &(slot, inward_forward) in &inner.routes[c.edge] {
+        for &(slot, inward_forward) in routes {
             let Some(sub) = inner.slab[slot].as_mut() else { continue };
             let entered = c.forward == inward_forward;
             if quarantined {
@@ -759,6 +783,8 @@ fn fold_bracket(
 
 #[cfg(test)]
 mod tests {
+    use stq_core::prelude::{Scenario, ScenarioConfig, WorkloadMix};
+
     use super::*;
 
     #[test]
@@ -778,5 +804,96 @@ mod tests {
             registry.on_ingest_batch(&[Crossing { time: 1.0, edge, forward: true }]);
         }
         assert_eq!(registry.epoch(), 1);
+    }
+
+    /// Four writers race `on_ingest_batch` over the same sixteen edges: six
+    /// that subscriptions listen on, four more that they listen on and that
+    /// are quarantined, and six that no subscription listens on. Every edge direction is first primed to a
+    /// watermark of its own, so whether an event is late does not depend on
+    /// the interleaving: one at the watermark is accepted, one behind it is
+    /// late. A writer's totals add is a plain load and store, exact only
+    /// because the registry lock is held around it.
+    #[test]
+    fn concurrent_writers_keep_totals_mirror_and_brackets_exact() {
+        let seed: u64 =
+            std::env::var("STQ_STANDING_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(11);
+        let s = Scenario::build(ScenarioConfig {
+            junctions: 140,
+            mix: WorkloadMix { random_waypoint: 8, commuter: 6, transit: 3 },
+            seed,
+            ..Default::default()
+        });
+        let sampled = SampledGraph::unsampled(&s.sensing);
+        let store = &s.tracked.store;
+        let registry = SubscriptionRegistry::new(Arc::new(QueryEngine::new(64)), store, []);
+        for (region, _, _) in s.make_queries(6, 0.15, 1_500.0, seed) {
+            let _ = registry.subscribe(&s.sensing, &sampled, &region, Approximation::Lower, None);
+        }
+        let (routed, unrouted): (Vec<usize>, Vec<usize>) = {
+            let inner = registry.inner.lock();
+            (0..store.num_edges()).partition(|&e| !inner.routes[e].is_empty())
+        };
+        assert!(routed.len() >= 10 && unrouted.len() >= 6, "fixture too small");
+        let edges: Vec<usize> = routed[..10].iter().chain(&unrouted[..6]).copied().collect();
+        registry.advance_epoch(edges[6..10].iter().copied());
+
+        let watermark = |e: usize| 1.0e9 + e as f64;
+        let prime: Vec<Crossing> = edges
+            .iter()
+            .flat_map(|&edge| [true, false].map(|forward| (edge, forward)))
+            .map(|(edge, forward)| Crossing { time: watermark(edge), edge, forward })
+            .collect();
+        assert_eq!(registry.on_ingest_batch(&prime).late, 0);
+        let totals = |r: &SubscriptionRegistry| -> Vec<[u64; 2]> {
+            r.totals().iter().map(|[f, b]| [f, b].map(|d| d.load(Ordering::Relaxed))).collect()
+        };
+        let (totals_before, counts_before) =
+            (totals(&registry), registry.inner.lock().mirror.counts.clone());
+
+        // Writer `w`'s `b`-th batch, 1 to 64 events long; every seventh event
+        // is late. Short batches keep the writers taking the lock in turns.
+        let batch = |w: usize, b: usize| -> Vec<Crossing> {
+            (0..1 + (7 * b + w) % 64)
+                .map(|j| {
+                    let edge = edges[(w + 3 * j + b) % edges.len()];
+                    let late = (j + b) % 7 == 3;
+                    let time = watermark(edge) - if late { 1.0 } else { 0.0 };
+                    Crossing { time, edge, forward: (j + w + b) % 2 == 0 }
+                })
+                .collect()
+        };
+        let (writers, batches) = (4, 20_000);
+        let start = std::sync::Barrier::new(writers);
+        std::thread::scope(|s| {
+            for w in 0..writers {
+                let (registry, batch, start) = (&registry, &batch, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for b in 0..batches {
+                        registry.on_ingest_batch(&batch(w, b));
+                    }
+                });
+            }
+        });
+
+        let (mut sent, mut accepted) = (totals_before, counts_before);
+        for c in (0..writers).flat_map(|w| (0..batches).flat_map(move |b| batch(w, b))) {
+            let dir = usize::from(!c.forward);
+            sent[c.edge][dir] += 1;
+            if c.time == watermark(c.edge) {
+                accepted[c.edge][dir] += 1;
+            }
+        }
+        assert_eq!(totals(&registry), sent, "a total lost or gained an event");
+        assert_eq!(registry.inner.lock().mirror.counts, accepted, "a mirror count is off");
+        let live = registry.brackets();
+        assert!(live.iter().any(|(_, b)| b.deltas > 0) && live.iter().any(|(_, b)| !b.is_exact()));
+        let again = registry.advance_epoch([]);
+        assert_eq!(live.len(), again.len());
+        for ((id, b), update) in live.iter().zip(&again) {
+            assert_eq!(*id, update.subscription);
+            let bits = |b: &StandingBracket| [b.value, b.lower, b.upper].map(f64::to_bits);
+            assert_eq!(bits(b), bits(&update.bracket), "{id}: {b:?} vs {:?}", update.bracket);
+        }
     }
 }
