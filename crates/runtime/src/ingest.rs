@@ -11,10 +11,11 @@
 //!                                      (durable: trim → retain) → record_route → send
 //! ```
 //!
-//! The calling thread pays one pass over the batch per stage and a fixed
-//! number of allocations per call, whatever the batch's length: the owners,
-//! the lane sizes and the table of lanes, a buffer and an `Arc` per lane, and
-//! the vector of held locks. Owners are read without a lock, so a grouping
+//! The calling thread passes over the batch once to validate it, once in the
+//! registry and twice to group it (owners, then lanes), and allocates a fixed
+//! number of times per call, whatever the batch's length: the owners, the
+//! lane sizes and the table of lanes, a buffer and an `Arc` per lane, and the
+//! vector of held locks. Owners are read without a lock, so a grouping
 //! is sent only under the map epoch it was made under (`dispatch`).
 
 use std::sync::atomic::Ordering;
