@@ -11,7 +11,9 @@
 //! The submodular row is scored held out: the method is selected from
 //! [`PRIOR_REGIONS`] regions drawn apart from the ones it is scored on.
 //! Selected from the scored regions themselves it reads an upper bound,
-//! printed on the row below it.
+//! printed on the row below it. A second table scores it held out against
+//! the size of its prior ([`PRIOR_SIZES`] regions at the same 1.08 % area),
+//! with quadtree sampling beside it.
 
 use std::time::Instant;
 
@@ -19,6 +21,43 @@ use stq_bench::*;
 use stq_core::prelude::*;
 use stq_forms::CountSource;
 use stq_learned::RegressorKind;
+
+/// The held-out prior sizes of the second table: §5.1.5's 100, fewer, and
+/// more.
+const PRIOR_SIZES: [usize; 4] = [40, 100, 400, 1_600];
+
+/// Relative errors (queries with a nonzero truth) and misses (all queries)
+/// of one deployment over the error workload.
+#[derive(Default)]
+struct Scored {
+    errors: Vec<f64>,
+    misses: usize,
+    queries: usize,
+}
+
+impl Scored {
+    fn add(&mut self, truth: f64, out: &QueryOutcome) {
+        self.queries += 1;
+        self.misses += usize::from(out.miss);
+        if truth > 0.0 {
+            self.errors.push((truth - out.value).abs() / truth);
+        }
+    }
+
+    /// `P75 | median [P25, P75] | miss rate`, in percent.
+    fn row(&self) -> String {
+        let e = stats(&self.errors);
+        let miss = 100.0 * self.misses as f64 / self.queries.max(1) as f64;
+        format!(
+            "{:>6.1}% | {:>5.1} [{:>5.1}, {:>5.1}]% | {:>5.1}%",
+            100.0 * e.p75,
+            100.0 * e.median,
+            100.0 * e.p25,
+            100.0 * e.p75,
+            miss
+        )
+    }
+}
 
 fn main() {
     println!("# Headline numbers (paper abstract) — measured on this reproduction");
@@ -33,6 +72,8 @@ fn main() {
     let mut comm_speedups = Vec::new();
     let mut cpu_speedups = Vec::new();
     let mut storage_reduction = Vec::new();
+    let mut by_prior: Vec<Scored> = PRIOR_SIZES.iter().map(|_| Scored::default()).collect();
+    let mut quadtree_scored = Scored::default();
 
     for (si, s) in scenarios.iter().enumerate() {
         // Error metrics use the paper's fixed ~1.08% query regions; the
@@ -59,6 +100,16 @@ fn main() {
         };
         let (gs, gi) = (submodular(false), submodular(true));
         let Evaluator::Graph(gq) = &quadtree else { unreachable!() };
+        let sized: Vec<SampledGraph> = PRIOR_SIZES
+            .iter()
+            .map(|&regions| {
+                let prior = Prior::held_out_of(s, &[FIXED_QUERY_AREA], SEEDS[si], regions);
+                let built =
+                    build_evaluator(s, Method::Submodular, size, SEEDS[si] ^ 0x51, prior.regions());
+                let Evaluator::Graph(g) = built else { unreachable!("a sampled graph") };
+                g
+            })
+            .collect();
         let unsampled = SampledGraph::unsampled(&s.sensing);
 
         // Communication topology of the quadtree deployment.
@@ -87,6 +138,13 @@ fn main() {
                 err_quadtree.push((truth - oq.value).abs() / truth);
                 err_submod.push((truth - os.value).abs() / truth);
                 err_in_sample.push((truth - oi.value).abs() / truth);
+            }
+            quadtree_scored.add(truth, &oq);
+            for (g, scored) in sized.iter().zip(&mut by_prior) {
+                scored.add(
+                    truth,
+                    &answer(&s.sensing, g, &s.tracked.store, q, kind, Approximation::Lower),
+                );
             }
         }
         for (q, t0, _) in &queries {
@@ -206,6 +264,32 @@ fn main() {
         100.0 * ei.p25,
         100.0 * ei.p75,
         ei.n
+    );
+    println!(
+        "\n## Held out, against the prior's size (1.08% regions, 25.6% sensors)\n\n\
+         {:>13} | {:>40} | {:>40}\n\
+         {:>13} | {:>7} | {:>21} | {:>6} | {:>7} | {:>21} | {:>6}\n{:-<13}-+-{:-<40}-+-{:-<40}",
+        "",
+        "submodular, held out",
+        "quadtree sampling",
+        "prior regions",
+        "P75",
+        "median [P25, P75]",
+        "miss",
+        "P75",
+        "median [P25, P75]",
+        "miss",
+        "",
+        "",
+        ""
+    );
+    for (regions, scored) in PRIOR_SIZES.iter().zip(&by_prior) {
+        println!("{regions:>13} | {} | {}", scored.row(), quadtree_scored.row());
+    }
+    println!(
+        "\nerrors over the {} evaluations with a nonzero truth, misses over all {} queries.",
+        by_prior[0].errors.len(),
+        by_prior[0].queries
     );
     println!(
         "storage reduction is scale-dependent — the paper's multi-year fleet stores ~10⁴ \

@@ -236,9 +236,15 @@ impl Prior {
     /// their own: a figure never scores the method on a region it was
     /// selected from.
     pub fn held_out(s: &Scenario, areas: &[f64], seed: u64) -> Self {
+        Self::held_out_of(s, areas, seed, PRIOR_REGIONS)
+    }
+
+    /// `regions` held-out regions, drawn as [`Prior::held_out`] draws its
+    /// [`PRIOR_REGIONS`]: the prior-size axis of the headline's second table.
+    pub fn held_out_of(s: &Scenario, areas: &[f64], seed: u64, regions: usize) -> Self {
         let n = areas.len();
         let draws = areas.iter().enumerate().flat_map(|(i, &area)| {
-            let count = PRIOR_REGIONS / n + usize::from(i < PRIOR_REGIONS % n);
+            let count = regions / n + usize::from(i < regions % n);
             s.historical_regions(count, area, seed ^ HELD_OUT ^ i as u64)
         });
         Prior(draws.collect())

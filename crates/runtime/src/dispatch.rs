@@ -50,7 +50,7 @@ use std::cell::Cell;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use stq_core::engine::QueryPlan;
 use stq_core::query::QueryKind;
 use stq_forms::{BoundaryEdge, CountSource, Time};
@@ -225,6 +225,26 @@ fn slice(now: Instant, end: Option<Instant>) -> Duration {
     end.map_or(slice, |end| end.saturating_duration_since(now).min(slice))
 }
 
+/// The next reply on `rx`, waited for in slices until `end` (`None`: no end),
+/// or `None` once `end` passes or a slice that times out finds `up` false.
+pub(crate) fn recv_while_up<T>(
+    rx: &Receiver<T>,
+    end: Option<Instant>,
+    up: impl Fn() -> bool,
+) -> Option<T> {
+    loop {
+        let now = Instant::now();
+        if end.is_some_and(|end| now >= end) {
+            return None;
+        }
+        match rx.recv_timeout(slice(now, end)) {
+            Ok(reply) => return Some(reply),
+            Err(RecvTimeoutError::Timeout) if up() => {}
+            Err(_) => return None,
+        }
+    }
+}
+
 /// Fans out every query enlisted since the last batch, each within the
 /// retry budget and its own deadline (module docs), and hands each query's
 /// flight to `done`, with its index in the batch, as soon as nothing more
@@ -360,19 +380,7 @@ pub(crate) fn live_counts(
     let end = flight::window_end(Instant::now(), st.cfg.shard_timeout, 0, deadline);
     let mut table = vec![None; st.shared.subs.totals().len()];
     for _ in shards.clone() {
-        // In slices, like `fan_out`: a shard that leaves `Healthy` ends the
-        // wait.
-        let rows = loop {
-            let now = Instant::now();
-            if end.is_some_and(|end| now >= end) {
-                return None;
-            }
-            match replies.recv_timeout(slice(now, end)) {
-                Ok(rows) => break rows,
-                Err(_) if !all_healthy() => return None,
-                Err(_) => {}
-            }
-        };
+        let rows = recv_while_up(&replies, end, all_healthy)?;
         // An id past the edge space (read from a damaged disk) names no
         // sensor a plan could reference.
         for (edge, counts) in rows {

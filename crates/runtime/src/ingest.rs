@@ -7,8 +7,8 @@
 //!                                                   + standing deltas)
 //!                          ─▶ group: epoch → owner of each event, once → lane sizes
 //!                                    → each lane allocated at its length and filled
-//!                          ─▶ dispatch, lane locks: epoch check → stamp
-//!                                      (durable: trim → retain) → record_route → send
+//!                          ─▶ dispatch, lane locks: epoch check → `IngestLane::stamp`
+//!                                      (trim → retain) → record_route → send
 //! ```
 //!
 //! The calling thread passes over the batch once to validate it, once in the
@@ -19,17 +19,17 @@
 //! is sent only under the map epoch it was made under (`dispatch`).
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use stq_core::tracker::Crossing;
 
+use crate::lifecycle::Lane;
 use crate::metrics::Metrics;
 use crate::server::Runtime;
 use crate::shard::ShardMsg;
-use crate::state::{ServerState, NO_LOG};
-use crate::supervisor::{IngestLane, Lane, SupervisorMsg};
+use crate::state::ServerState;
+use crate::supervisor::SupervisorMsg;
 
 /// Why [`Runtime::ingest`] refused an event. Rejections are counted in
 /// [`crate::metrics::Metrics::ingest_rejected`] and never reach a shard,
@@ -280,34 +280,17 @@ fn dispatch(st: &ServerState, mut grouping: Grouping) -> Option<usize> {
     }
     for (shard, guard) in &mut held {
         let lane = Lane::new(std::mem::take(&mut grouping.lanes[*shard]));
-        let first_seq = stamp(st, *shard, guard, &lane);
+        let first_seq = guard.stamp(st.shared.durable_seq[*shard].load(Ordering::Acquire), &lane);
+        st.shared.map.record_route(*shard, lane.len() as u64);
         let _ = st.to_shards[*shard].send(ShardMsg::IngestBatch { first_seq, lane });
     }
     Some(held.len())
 }
 
-/// Hands out `lane`'s sequences on `shard`'s ingest lane and returns the
-/// first; the lane drops what the WAL has synced (everything, at `NO_LOG`)
-/// and retains `lane` while the shard keeps a log. The caller holds the lane
-/// lock, has checked under it that the map still routes the events here, and
-/// sends them under it too, so they reach the worker in order.
-fn stamp(st: &ServerState, shard: usize, ingest: &mut IngestLane, lane: &Lane) -> u64 {
-    let first_seq = ingest.next_seq + 1;
-    let floor = st.shared.durable_seq[shard].load(Ordering::Acquire);
-    while ingest.buf.front().is_some_and(|(first, old)| first + old.len() as u64 - 1 <= floor) {
-        ingest.buf.pop_front();
-    }
-    if floor != NO_LOG {
-        ingest.buf.push_back((first_seq, Arc::clone(lane)));
-    }
-    ingest.next_seq += lane.len() as u64;
-    st.shared.map.record_route(shard, lane.len() as u64);
-    first_seq
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     use crossbeam::channel::Receiver;
     use stq_core::prelude::*;

@@ -53,6 +53,7 @@ mod aggregate;
 mod dispatch;
 mod flight;
 mod ingest;
+mod lifecycle;
 pub mod metrics;
 pub mod overload;
 pub mod server;

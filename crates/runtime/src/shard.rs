@@ -8,18 +8,15 @@
 //! contributions in boundary order reproduces the synchronous path bit for
 //! bit — see `crate::aggregate`.
 //!
-//! ## Exits and supervision
+//! ## Exits
 //!
-//! Shutdown and a `Retire` (the state goes to a migration) disarm a worker.
-//! Any other end is a death with one path: a scheduled kill (simulated kill
-//! -9, WAL tail cut included) returns from [`ShardWorker::run`] and a panic
-//! outside the request guard unwinds out of it, and either way the armed
-//! worker's `Drop` marks the shard down and reports to the supervisor
-//! (`crate::supervisor`), which rebuilds the shard's state and respawns it.
-//! A request that panics is not an exit: the panic is caught, the reply says
-//! `panicked`, and the aggregator widens that shard's edges by their worst
-//! case, as it does for any shard that did not report. Nor is a failed log
-//! write: `Shared::log_io` drops the log, and the whole forms serve on.
+//! Shutdown and an answered `Retire` disarm a worker. Any other end, a
+//! scheduled kill (kill -9, WAL tail cut included) returning from
+//! [`ShardWorker::run`] or a panic outside the request guard unwinding out of
+//! it, is a death, which the armed worker's drop carries out ([`DEATH`]). A
+//! request that panics is answered `panicked`, and the aggregator widens that
+//! shard's edges; a failed log write drops the log (`Shared::log_io`), and
+//! the whole forms serve on.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -29,15 +26,15 @@ use crossbeam::channel::{Receiver, Sender};
 use stq_core::query::QueryKind;
 use stq_core::tracker::Crossing;
 use stq_durability::recovery::apply_crossing;
-use stq_durability::wal::DurableMark;
 use stq_durability::{state_digest, ShardDurability};
 use stq_forms::{snapshot_count, transient_count, BoundaryEdge, ShardForms, Time, TrackingForm};
 use stq_net::MessageCtx;
 
 use crate::dispatch::Group;
+use crate::lifecycle::{Lane, Step, DEATH};
 use crate::metrics::Metrics;
 use crate::state::Shared;
-use crate::supervisor::{Lane, SupervisorMsg};
+use crate::supervisor::SupervisorMsg;
 
 /// Externally visible health of one shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,12 +152,18 @@ pub(crate) struct ShardWorker {
 }
 
 impl Drop for ShardWorker {
-    /// Reports a kill or an unwind alike: the shard reads `Recovering`, and the
+    /// Carries out a kill or an unwind alike, as [`DEATH`] orders it: the
     /// supervisor gets the fault-plan clock, all a dead worker can still give.
     fn drop(&mut self) {
-        if let Some(death) = self.death.take() {
-            self.shared.health[self.id].store(false, Ordering::Release);
-            let _ = death.send(SupervisorMsg::Died(self.id, self.state.delivered));
+        let Some(death) = self.death.take() else { return };
+        for step in DEATH {
+            match step {
+                Step::Health(up) => self.shared.health[self.id].store(up, Ordering::Release),
+                Step::Report => {
+                    let _ = death.send(SupervisorMsg::Died(self.id, self.state.delivered));
+                }
+                Step::Publish | Step::Resnapshot | Step::Respawn => {}
+            }
         }
     }
 }
@@ -218,18 +221,6 @@ impl ShardWorker {
         }
     }
 
-    /// Accounts for `records` WAL appends and publishes what they made
-    /// durable.
-    fn appended(&self, records: usize, mark: DurableMark) {
-        Metrics::add(&self.shared.metrics.wal_appends, records as u64);
-        if mark.snapshotted {
-            Metrics::bump(&self.shared.metrics.snapshots_taken);
-        }
-        if let Some(durable) = mark.durable_seq {
-            self.shared.durable_seq[self.id].store(durable, Ordering::Release);
-        }
-    }
-
     /// Applies one lane of crossings — the only way events reach a worker —
     /// and logs it as one WAL frame (one `wal_group_commits`). Returns true
     /// when a scheduled durability fault kills the worker.
@@ -258,7 +249,13 @@ impl ShardWorker {
             let (forms, log) = (&self.state.forms, &mut self.state.durability);
             let logged = self.shared.log_io(self.id, log, |d| d.append(first, frame, forms));
             let Some(mark) = logged else { continue };
-            self.appended(frame.len(), mark);
+            Metrics::add(&self.shared.metrics.wal_appends, frame.len() as u64);
+            if mark.snapshotted {
+                Metrics::bump(&self.shared.metrics.snapshots_taken);
+            }
+            if let Some(durable) = mark.durable_seq {
+                self.shared.publish_floor(self.id, durable);
+            }
             if !crash_inside {
                 Metrics::bump(&self.shared.metrics.wal_group_commits);
             } else if self.shared.dfaults.crash_due(self.id, first) {
@@ -275,14 +272,9 @@ impl ShardWorker {
         false
     }
 
-    /// Syncs the WAL (publishing the durable floor) and reports the highest
-    /// applied sequence. Without a log (`NO_LOG`) there is no floor to publish
-    /// and no redo buffer waiting on one.
+    /// Syncs the WAL, publishing the floor, and reports the highest applied sequence.
     fn flush(&mut self) -> u64 {
-        let log = &mut self.state.durability;
-        if let Some(durable) = self.shared.log_io(self.id, log, ShardDurability::sync) {
-            self.shared.durable_seq[self.id].store(durable, Ordering::Release);
-        }
+        self.shared.sync(self.id, &mut self.state.durability);
         self.state.last_seq
     }
 

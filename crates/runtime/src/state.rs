@@ -17,15 +17,12 @@ use stq_forms::FormStore;
 use stq_net::{DurabilityFaultPlan, FaultPlan};
 use stq_subscribe::SubscriptionRegistry;
 
+use crate::lifecycle::{IngestLane, NO_LOG};
 use crate::metrics::Metrics;
 use crate::overload::OverloadState;
 use crate::server::RuntimeConfig;
 use crate::shard::ShardMsg;
 use crate::shardmap::ShardMap;
-use crate::supervisor::IngestLane;
-
-/// The durable floor of a shard without a log: its lane retains nothing, its disk is never read.
-pub(crate) const NO_LOG: u64 = u64::MAX;
 
 /// What the server, the supervisor and every shard worker share. It holds
 /// no shard `Sender` on purpose: workers keep an `Arc<Shared>`, and shutdown
@@ -188,10 +185,22 @@ impl Shared {
         let written = write(log.as_mut()?);
         if written.is_err() {
             *log = None;
-            self.durable_seq[shard].store(NO_LOG, Ordering::Release);
+            self.publish_floor(shard, NO_LOG);
             Metrics::bump(&self.metrics.logs_lost);
         }
         written.ok()
+    }
+
+    /// Syncs `shard`'s log and publishes its floor: [`NO_LOG`] without one.
+    pub(crate) fn sync(&self, shard: usize, log: &mut Option<ShardDurability>) {
+        let floor = self.log_io(shard, log, ShardDurability::sync).unwrap_or(NO_LOG);
+        self.publish_floor(shard, floor);
+    }
+
+    /// Publishes `shard`'s durable floor, what its log has synced or [`NO_LOG`]:
+    /// the one writer of `durable_seq`, for worker, recovery, cut and log loss.
+    pub(crate) fn publish_floor(&self, shard: usize, floor: u64) {
+        self.durable_seq[shard].store(floor, Ordering::Release);
     }
 
     /// Starts a new subscription epoch, absorbing `extra_quarantine` into

@@ -1,81 +1,23 @@
-//! The shard supervisor: spawns workers, rebuilds and respawns the ones
-//! that die, and runs shard-map migrations.
-//!
-//! ## Recovery contract
-//!
-//! A death is the one exit a worker reports, by being dropped armed: a
-//! kill and a panic outside the request guard end alike. A worker whose
-//! requests panic keeps serving (its replies say `panicked` and the
-//! aggregator widens), and a retiring worker hands its state to the
-//! migration that asked for it, so neither reaches `Supervisor::recover`.
-//!
-//! A **dead** worker's in-memory forms die with it, and its report carries
-//! the fault-plan clock alone. [`Rebuild::choose`] decides what comes back;
-//! a shard that keeps a log is rebuilt from two sources that together
-//! always cover the full ingest stream:
-//!
-//! 1. **Durable state** — snapshot + WAL replay via
-//!    [`stq_durability::recover_shard`]. This restores every event up to
-//!    some prefix of the stream; a torn WAL tail only shortens the prefix.
-//! 2. **The redo buffer** — a durable lane retains, whole, every lane it
-//!    sent whose last event the shard has not yet acknowledged as durable
-//!    (`durable_seq`). Events past the recovered prefix are re-appended to
-//!    the WAL and re-applied here, in sequence order, through the same
-//!    [`apply_crossing`](stq_durability::apply_crossing) rule the live path
-//!    uses.
-//!
-//! The recovered prefix never ends before `durable_seq` (synced bytes
-//! survive any crash) and the redo buffer starts no later than
-//! `durable_seq + 1`, so the composition is gapless: the respawned worker's
-//! state is **byte-identical** to an uninterrupted run.
-//!
-//! From the death to the respawn the shard reads `Recovering`; the
-//! aggregator skips it and answers with sound widened `[lower, upper]`
-//! brackets (a skipped edge contributes its lifetime worst case). If the
-//! shard's history is ever *lost* — it keeps no log (`NO_LOG`), the disk is
-//! unreadable, or the composition has a gap (mid-log damage plus a trimmed
-//! buffer) — the supervisor flags every edge the shard map routes to the
-//! shard in the registry's quarantine column (in degraded mode the ladder is
-//! rebuilt over the grown column) and respawns the worker empty:
-//! refusals widen bounds soundly, where a partial history would serve
-//! silently wrong counts. The flags belong to the edges and are never
-//! cleared; the full audit → repair pipeline can then be run offline
-//! (`stq recover`).
+//! The shard supervisor: the loop that carries out what `crate::lifecycle`
+//! decides. It spawns and joins workers, rebuilds and respawns dead ones, and
+//! runs migrations: `Retire` sent and awaited, logs cut, the map committed.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use stq_core::tracker::Crossing;
 use stq_durability::{apply_crossing, recover_shard, ShardDurability};
 use stq_forms::ShardForms;
 
+use crate::dispatch::recv_while_up;
+use crate::lifecycle::{involved, lost_edges, moved, IngestLane, Rebuild, Step, RECOVERY};
 use crate::metrics::Metrics;
 use crate::server::{DurabilityConfig, RuntimeConfig};
 use crate::shard::{RetiredState, ShardMsg, ShardWorker};
 use crate::shardmap::Migration;
-use crate::state::{Shared, NO_LOG};
-
-/// The events one `ingest` / `ingest_batch` call sent one shard, in order:
-/// one buffer, allocated at its final length, for the channel, the redo
-/// buffer, the worker and the WAL. The `Arc` shares the `Vec` as built
-/// rather than a copy of it in a slice of its own.
-pub(crate) type Lane = Arc<Vec<Crossing>>;
-
-/// Per-shard ingest bookkeeping, shared between the server (sequence
-/// assignment, redo retention) and the supervisor (recovery replay).
-#[derive(Default)]
-pub(crate) struct IngestLane {
-    /// Highest sequence number handed out.
-    pub next_seq: u64,
-    /// The lanes a death could lose part of, oldest first, each with its first
-    /// event's sequence, dropped once `durable_seq` reaches their last. Always
-    /// empty at `NO_LOG`: the lane is then a sequence counter.
-    pub buf: VecDeque<(u64, Lane)>,
-}
+use crate::state::Shared;
 
 /// Messages the supervisor thread consumes.
 pub(crate) enum SupervisorMsg {
@@ -91,36 +33,8 @@ pub(crate) enum SupervisorMsg {
     Shutdown,
 }
 
-/// How a dead shard comes back: the supervisor's one recovery choice.
-#[derive(Debug, PartialEq)]
-enum Rebuild<D> {
-    /// Take `disk`, which reaches `floor`, and redo the lane past `floor`.
-    Redo { floor: u64, disk: D },
-    /// Respawn empty and quarantined: `events` are gone.
-    Lost { events: u64 },
-}
-
-impl<D> Rebuild<D> {
-    /// `read` replays the disk to the floor it reaches (`None`: unreadable).
-    /// It is not called at a `published` floor of [`NO_LOG`]: that disk
-    /// stopped at a failed write, maybe before a migration.
-    fn choose(published: u64, read: impl FnOnce() -> Option<(u64, D)>, lane: &IngestLane) -> Self {
-        // The redo buffer has to take over no later than where the disk's
-        // prefix ends, or the sequences in between are gone for good.
-        let redo_from = lane.buf.front().map_or(lane.next_seq + 1, |&(first, _)| first);
-        match (published != NO_LOG).then(read).flatten() {
-            Some((floor, disk)) if redo_from <= floor + 1 => Rebuild::Redo { floor, disk },
-            Some((floor, _)) => Rebuild::Lost { events: redo_from - floor - 1 },
-            None => Rebuild::Lost { events: lane.next_seq },
-        }
-    }
-}
-
 pub(crate) struct Supervisor {
-    /// Lanes, health slots, durable floors, metrics, the standing-query
-    /// registry (re-snapshot on every recovery *before* the health flip) and
-    /// the edge→shard map (committed here, and only here, after a
-    /// migration's forms have physically moved).
+    /// The lanes, health slots, floors, registry and map the loop acts on.
     shared: Arc<Shared>,
     durability: Option<DurabilityConfig>,
     receivers: Vec<Receiver<ShardMsg>>,
@@ -194,40 +108,30 @@ impl Supervisor {
         }
     }
 
+    /// Carries out a recovery under the dead shard's lane lock, which freezes
+    /// the redo tail and the sequences until the next incarnation is spawned.
     fn recover(&mut self, shard: usize, delivered: u64) {
         let t0 = Instant::now();
-        // The lane lock freezes the redo buffer and the sequence counter
-        // until the next incarnation is spawned; concurrent `ingest` calls
-        // block, so nothing can slip between a replayed prefix and the
-        // respawned worker's dedup floor.
         let shared = Arc::clone(&self.shared);
         let lane = shared.lanes[shard].lock();
-        let (state, extra_quarantine) = self.rebuild(shard, &lane, delivered);
-
-        // Advance the subscription epoch while the lane is still frozen and
-        // the shard still reads Recovering: a lost history's edges join the
-        // quarantine column, and every standing bracket is re-snapshot from
-        // the registry's mirror (which the lane lock keeps in lock-step with
-        // a kill's redo replay), so a delta that raced the crash is
-        // overwritten before any post-recovery delta can land on top of it —
-        // the bump is atomic with the health flip below as far as ingest can
-        // observe. Cached plans stay: quarantine widens a fold, not a
-        // region's resolution. A column that grew gets its degraded answerer
-        // here too: a consult needs every shard healthy, so none runs on the
-        // previous generation once this shard serves again.
-        shared.resnapshot(extra_quarantine);
-        shared.follow_quarantine();
-        // Health and the respawn counters flip BEFORE the worker spawns
-        // (still under the lane lock): everything the new worker
-        // acknowledges — flush barriers, digests, query replies — then
-        // happens-after the shard is observably healthy, so a caller that
-        // saw its flush complete can never read the shard as recovering.
-        // Queries sent in the spawn gap just queue on the shard channel.
-        self.shared.health[shard].store(true, Ordering::Release);
-        Metrics::bump(&self.shared.metrics.shard_respawns);
-        self.respawn(shard, state);
+        let (mut state, mut quarantine) = self.rebuild(shard, &lane, delivered);
+        for step in RECOVERY {
+            match step {
+                Step::Publish => shared.sync(shard, &mut state.durability),
+                Step::Resnapshot => {
+                    shared.resnapshot(std::mem::take(&mut quarantine));
+                    shared.follow_quarantine();
+                }
+                Step::Health(up) => shared.health[shard].store(up, Ordering::Release),
+                Step::Respawn => {
+                    Metrics::bump(&shared.metrics.shard_respawns);
+                    self.respawn(shard, std::mem::take(&mut state));
+                }
+                Step::Report => {}
+            }
+        }
         drop(lane);
-        self.shared.metrics.recovery_us.record(t0.elapsed().as_micros() as u64);
+        shared.metrics.recovery_us.record(t0.elapsed().as_micros() as u64);
     }
 
     /// A dead shard's state rebuilt up to the head of its frozen lane —
@@ -243,141 +147,73 @@ impl Supervisor {
             Some((rec.report.recovered_seq, (rec.forms, Some(rec.durability))))
         };
         let published = shared.durable_seq[shard].load(Ordering::Acquire);
-        let (forms, durability, lost_edges) = match Rebuild::choose(published, read, lane) {
+        let (forms, durability, quarantine) = match Rebuild::choose(published, read, lane) {
             Rebuild::Redo { floor, disk: (mut forms, mut log) } => {
-                // Redo: everything retained past the recovered prefix (which
-                // may end inside a lane), re-applied and re-appended in order,
-                // one event a frame; a failed write drops only the log.
-                let retained = lane.buf.iter().flat_map(|(first, sent)| (*first..).zip(&sent[..]));
-                let mut last_seq = floor;
-                for (seq, c) in retained.filter(|&(seq, _)| seq > floor) {
-                    // A migration leaves no event of a moved edge to replay
-                    // on its old shard: it snapshots at the cut, so the
-                    // recovered prefix ends at or after it.
+                // One event a frame, to the lane head; a failed write drops
+                // only the log.
+                for (seq, c) in lane.past(floor) {
                     debug_assert_eq!(shared.map.shard_of(c.edge), shard, "redo of a moved edge");
                     apply_crossing(&mut forms, c);
                     let frame = std::slice::from_ref(c);
                     shared.log_io(shard, &mut log, |d| d.append(seq, frame, &forms));
-                    last_seq = seq;
                 }
-                Metrics::add(&shared.metrics.redo_replayed, last_seq - floor);
-                if let Some(durable) = shared.log_io(shard, &mut log, ShardDurability::sync) {
-                    shared.durable_seq[shard].store(durable, Ordering::Release);
-                }
-                debug_assert_eq!(last_seq, lane.next_seq, "redo must reach the lane head");
+                let redone = lane.past(floor).last().map_or(floor, |(seq, _)| seq);
+                debug_assert_eq!(redone, lane.next_seq, "redo must reach the lane head");
+                Metrics::add(&shared.metrics.redo_replayed, lane.next_seq - floor);
                 (forms, log, Vec::new())
             }
-            // History lost: no log or disk (the whole lane is gone), or
-            // mid-log damage left a gap the trimmed buffer cannot bridge.
-            // A partial history is worth nothing, so nothing is replayed and
-            // nothing logged any more: the worker resumes empty at the lane
-            // head and every edge the map routes to this shard is refused —
-            // refusals widen every answer's bounds soundly — until the
-            // offline audit → repair path has dealt with the damage.
             Rebuild::Lost { events } => {
                 Metrics::add(&shared.metrics.lost_events, events);
-                shared.durable_seq[shard].store(NO_LOG, Ordering::Release);
-                let num_edges = shared.subs.totals().len();
-                let owned = (0..num_edges).filter(|&e| shared.map.shard_of(e) == shard).collect();
-                (ShardForms::default(), None, owned)
+                let owner = |e| shared.map.shard_of(e);
+                (ShardForms::default(), None, lost_edges(shard, shared.subs.totals().len(), owner))
             }
         };
-        (RetiredState { forms, durability, last_seq: lane.next_seq, delivered: clock }, lost_edges)
+        (RetiredState { forms, durability, last_seq: lane.next_seq, delivered: clock }, quarantine)
     }
 
-    /// Executes one shard-map migration end to end. Runs on the supervisor
-    /// thread (so migrations are serialized against recoveries); ingest on
-    /// the involved shards is frozen by holding their lane locks in
-    /// ascending order for the whole protocol, which is also what makes an
-    /// ingest's owner or epoch re-check under its lane locks race-free.
+    /// Carries out one shard-map migration, serialized against recoveries, its
+    /// lanes locked from before the first `Retire` to after the last respawn
+    /// (an ingest's epoch re-check relies on it); health stays up throughout.
     fn migrate(&mut self, moves: Vec<Migration>) -> usize {
-        let moves: Vec<Migration> = moves.into_iter().filter(|m| m.from != m.to).collect();
-        let mut involved: Vec<usize> = moves.iter().flat_map(|m| [m.from, m.to]).collect();
-        involved.sort_unstable();
-        involved.dedup();
-        if moves.is_empty() || involved.iter().any(|&s| !self.shared.healthy(s)) {
-            return self.abort_migration(HashMap::new());
-        }
         let shared = Arc::clone(&self.shared);
-        let guards: Vec<_> = involved.iter().map(|&s| shared.lanes[s].lock()).collect();
-        // Retire every involved worker. The shard channel is FIFO, so the
-        // reply proves every ingest sent before the lanes froze has been
-        // applied — Retire doubles as the quiesce barrier, no separate
-        // flush round-trip is needed.
-        let mut retired: HashMap<usize, RetiredState> = HashMap::new();
-        for &s in &involved {
-            let (tx, rx) = bounded(1);
-            let sent = self.to_shards[s].send(ShardMsg::Retire(tx)).is_ok();
-            let state = if sent { rx.recv_timeout(Duration::from_secs(10)).ok() } else { None };
-            match state {
-                Some(state) => {
-                    retired.insert(s, state);
+        let involved = involved(&moves, |shard| shared.healthy(shard));
+        let _frozen: Vec<_> = involved.iter().map(|&s| shared.lanes[s].lock()).collect();
+        let mut retired: Vec<_> = involved.iter().map_while(|&s| self.retire(s)).collect();
+        let mut forms: Vec<&mut ShardForms> = retired.iter_mut().map(|st| &mut st.forms).collect();
+        let moved = moved(&moves, &involved, &mut forms);
+        if moved.is_empty() {
+            Metrics::bump(&shared.metrics.rebalance_aborted);
+        } else {
+            // Cut each log at its forms: no moved edge's record is replayed on its old shard.
+            for (&shard, state) in involved.iter().zip(&mut retired) {
+                let forms = &state.forms;
+                let cut = |d: &mut ShardDurability| d.snapshot_now(forms).and_then(|()| d.sync());
+                if let Some(durable) = shared.log_io(shard, &mut state.durability, cut) {
+                    shared.publish_floor(shard, durable);
+                    Metrics::bump(&shared.metrics.snapshots_taken);
                 }
-                // Could not retire this worker (shutdown race or a stuck
-                // shard). Dropping `rx` makes a late Retire reply fail at
-                // the sender, which restores that worker in place — the
-                // stale message is harmless.
-                None => return self.abort_migration(retired),
             }
+            // Committed while ingest is still frozen, so an ingest re-checks
+            // its owners against the new epoch.
+            shared.map.commit(&moved);
+            Metrics::bump(&shared.metrics.rebalances);
+            Metrics::add(&shared.metrics.edges_migrated, moved.len() as u64);
+            shared.metrics.map_epoch.store(shared.map.epoch(), Ordering::Relaxed);
         }
-        // Move the edge forms between the retired states (a quarantine flag
-        // belongs to the edge, in the registry's column, and follows it
-        // without being carried). A move whose edge the source no longer
-        // holds is dropped — the plan raced an earlier migration of the same
-        // edge.
-        let mut committed_moves: Vec<Migration> = Vec::with_capacity(moves.len());
-        for &m in &moves {
-            let Some(form) = retired.get_mut(&m.from).expect("retired").forms.take(m.edge) else {
-                continue;
-            };
-            retired.get_mut(&m.to).expect("retired").forms.insert(m.edge, form);
-            committed_moves.push(m);
-        }
-        if committed_moves.is_empty() {
-            return self.abort_migration(retired);
-        }
-        // Persist the cut: durable shards re-snapshot, advancing the durable
-        // floor past every pre-migration event, so no migrated-away record
-        // can ever be WAL-replayed on its old shard (nor at `NO_LOG`, after a
-        // failed snapshot: that disk is never read again).
-        for &s in &involved {
-            let st = retired.get_mut(&s).expect("retired");
-            let forms = &st.forms;
-            let cut = |d: &mut ShardDurability| d.snapshot_now(forms).and_then(|()| d.sync());
-            if let Some(durable) = self.shared.log_io(s, &mut st.durability, cut) {
-                self.shared.durable_seq[s].store(durable, Ordering::Release);
-                Metrics::bump(&self.shared.metrics.snapshots_taken);
-            }
-        }
-        // Commit: the new assignment becomes visible while ingest is still
-        // frozen, so an ingest re-checks its owners against the new epoch.
-        // Nothing else moves: a plan is the region's resolution and a
-        // standing bracket folds the registry's mirror, and neither reads
-        // which shard holds an edge.
-        self.shared.map.commit(&committed_moves);
-        Metrics::bump(&self.shared.metrics.rebalances);
-        Metrics::add(&self.shared.metrics.edges_migrated, committed_moves.len() as u64);
-        self.shared.metrics.map_epoch.store(self.shared.map.epoch(), Ordering::Relaxed);
-        // Respawn. Health never went down: queries sent during the
-        // window queued on the shard channels and are served by the new
-        // incarnations against the migrated form set.
-        let edges_moved = committed_moves.len();
-        for &s in &involved {
-            let st = retired.remove(&s).expect("retired");
-            self.respawn(s, st);
-        }
-        drop(guards);
-        edges_moved
-    }
-
-    /// Gives up on a migration before its commit: the workers retired so far
-    /// respawn with their state unchanged and routing stays as it was.
-    fn abort_migration(&mut self, retired: HashMap<usize, RetiredState>) -> usize {
-        for (shard, state) in retired {
+        for (&shard, state) in involved.iter().zip(retired) {
             self.respawn(shard, state);
         }
-        Metrics::bump(&self.shared.metrics.rebalance_aborted);
-        0
+        moved.len()
+    }
+
+    /// Asks `shard`'s worker to retire and waits for its state while the shard
+    /// reads `Healthy`. Until this thread respawns a dead worker nobody can
+    /// answer, so no state is in flight when the receiver goes; a later
+    /// incarnation's answer fails at the worker, which serves on.
+    fn retire(&self, shard: usize) -> Option<RetiredState> {
+        let (tx, rx) = bounded(1);
+        self.to_shards[shard].send(ShardMsg::Retire(tx)).ok()?;
+        recv_while_up(&rx, None, || self.shared.healthy(shard))
     }
 
     /// Spawns shard `shard`'s next incarnation over `state`, armed, and joins
@@ -399,8 +235,8 @@ impl Supervisor {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
     use std::path::{Path, PathBuf};
+    use std::time::Duration;
 
     use stq_core::prelude::*;
     use stq_core::query::evaluate;
@@ -408,59 +244,9 @@ mod tests {
     use stq_net::DurabilityFaultPlan;
 
     use super::*;
+    use crate::lifecycle::{Lane, NO_LOG};
     use crate::server::{QuerySpec, Runtime};
     use crate::shard::ShardHealth;
-
-    /// An ingest lane holding `retained` lanes `(first seq, length)`, its
-    /// head at `next_seq`.
-    fn lane(retained: &[(u64, usize)], next_seq: u64) -> IngestLane {
-        let c = Crossing { time: 0.0, edge: 0, forward: true };
-        let buf = retained.iter().map(|&(first, len)| (first, Lane::from(vec![c; len])));
-        IngestLane { next_seq, buf: buf.collect() }
-    }
-
-    #[test]
-    fn the_recovery_choice_covers_every_row() {
-        let redo = |floor| Rebuild::Redo { floor, disk: () };
-        let lost = |events| Rebuild::Lost { events };
-        // (published floor, the floor the disk replays to or `None` when it
-        // is unreadable, retained lanes, lane head) → the rebuild.
-        type Row = (u64, Option<u64>, &'static [(u64, usize)], u64, Rebuild<()>);
-        let rows: [Row; 11] = [
-            // No log: whatever the disk holds, it is not read.
-            (NO_LOG, Some(120), &[], 120, lost(120)),
-            (NO_LOG, Some(100), &[(101, 20)], 120, lost(120)),
-            (NO_LOG, None, &[], 0, lost(0)),
-            // Unreadable: the whole lane is gone.
-            (40, None, &[(41, 10)], 50, lost(50)),
-            (0, None, &[], 0, lost(0)),
-            // The disk reaches the buffer, or past its start: redo from the
-            // disk's floor, which a torn tail may have put below the
-            // published one or unsynced bytes above it.
-            (40, Some(40), &[(41, 10)], 50, redo(40)),
-            (40, Some(36), &[(33, 8), (41, 10)], 50, redo(36)),
-            (40, Some(45), &[(41, 10)], 50, redo(45)),
-            (50, Some(50), &[], 50, redo(50)),
-            // A gap between the disk's prefix and the buffer: lost.
-            (40, Some(2), &[(41, 10)], 50, lost(38)),
-            (40, Some(40), &[], 50, lost(10)),
-        ];
-        for (published, disk, retained, head, want) in rows {
-            let read = Cell::new(false);
-            let replay = || {
-                read.set(true);
-                disk.map(|floor| (floor, ()))
-            };
-            let got = Rebuild::choose(published, replay, &lane(retained, head));
-            let row = format!("floor {published}, disk {disk:?}, lanes {retained:?}, head {head}");
-            assert_eq!(got, want, "{row}");
-            assert_eq!(
-                read.get(),
-                published != NO_LOG,
-                "{row}: the disk is read iff there is a log"
-            );
-        }
-    }
 
     fn scenario() -> Scenario {
         Scenario::build(ScenarioConfig {
@@ -553,6 +339,46 @@ mod tests {
         drop(sup);
         rt.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A worker that dies with a `Retire` queued behind the lane that killed
+    /// it never answers: the migration gives up as soon as the shard reads
+    /// `Recovering`, and releases the lanes it froze.
+    #[test]
+    fn a_migration_whose_shard_died_before_its_retire_aborts_at_once() {
+        let scenario = scenario();
+        let cfg = RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() };
+        let sampled = SampledGraph::unsampled(&scenario.sensing);
+        let shared =
+            Shared::new(scenario.sensing.clone(), sampled, &scenario.tracked.store, &cfg, &[]);
+        let shared = Arc::new(shared);
+        let (to_shards, receivers): (Vec<_>, Vec<_>) = (0..2).map(|_| bounded(8)).unzip();
+        let (events_tx, _events_rx) = bounded(1);
+        let mut sup = Supervisor {
+            shared: Arc::clone(&shared),
+            durability: None,
+            receivers: receivers.clone(),
+            to_shards,
+            events_tx,
+            handles: vec![None, None],
+        };
+        let t0 = Instant::now();
+        let moved = std::thread::scope(|s| {
+            // Nobody serves shard 0's channel: it dies once the `Retire` is in.
+            s.spawn(|| {
+                while receivers[0].is_empty() {
+                    assert!(t0.elapsed() < Duration::from_secs(5), "no Retire was sent");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                shared.health[0].store(false, Ordering::Release);
+            });
+            sup.migrate(vec![Migration { edge: 0, from: 0, to: 1 }])
+        });
+        assert_eq!(moved, 0, "a migration over a dead shard committed");
+        assert!(t0.elapsed() < Duration::from_millis(500), "aborted after {:?}", t0.elapsed());
+        assert_eq!(shared.metrics.report().rebalance_aborted, 1);
+        assert_eq!(shared.map.epoch(), 0);
+        assert!(shared.lanes.iter().all(|lane| lane.try_lock().is_some()), "a lane stayed frozen");
     }
 
     #[test]

@@ -302,16 +302,23 @@ fn one_fan_out_path() {
     );
 }
 
-#[test]
-fn the_fan_out_core_reads_no_clock_and_no_state() {
-    let core = "crates/runtime/src/flight.rs";
-    let text = std::fs::read_to_string(repo_root().join(core)).expect("the fan-out core exists");
-    let patterns =
-        ["Instant::now", "recv_timeout", "ServerState", "Sender", "Metrics", "st.shared"];
-    let hits: Vec<String> = outside_tests(&text)
+/// What a pure core may not spell outside its tests: a clock, a wait, a
+/// channel's sending end, the server's or the shards' shared state, metrics.
+const IMPURE: [&str; 6] =
+    ["Instant::now", "recv_timeout", "ServerState", "Sender", "Metrics", "st.shared"];
+
+/// The lines of `core` outside its tests that contain one of `patterns`.
+fn impure_lines(core: &str, patterns: &[&str]) -> Vec<String> {
+    let text = std::fs::read_to_string(repo_root().join(core)).expect("the core exists");
+    outside_tests(&text)
         .filter(|(_, line)| patterns.iter().any(|p| matches(line, p)))
         .map(|(n, line)| format!("{core}:{n}: {}", line.trim()))
-        .collect();
+        .collect()
+}
+
+#[test]
+fn the_fan_out_core_reads_no_clock_and_no_state() {
+    let hits = impure_lines("crates/runtime/src/flight.rs", &IMPURE);
     assert!(
         hits.is_empty(),
         "the fan-out core is a state machine the dispatcher's loop feeds the time, replies and \
@@ -322,13 +329,60 @@ fn the_fan_out_core_reads_no_clock_and_no_state() {
 }
 
 #[test]
+fn the_lifecycle_core_reads_no_clock_and_no_state() {
+    let patterns: Vec<&str> = IMPURE.into_iter().chain(["std::fs", "stq_durability::"]).collect();
+    let hits = impure_lines("crates/runtime/src/lifecycle.rs", &patterns);
+    assert!(
+        hits.is_empty(),
+        "the lifecycle core holds a shard's rules as values the ingest path, a worker's drop and \
+         the supervisor feed it and carry out: it reads no clock, waits on no channel, sends \
+         nothing, touches no disk and sees no shared state or metrics, so its tests can walk \
+         every order of deaths and migrations, but:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn one_function_publishes_a_durable_floor() {
+    let repo = repo_root();
+    let mut files = Vec::new();
+    files_under(&repo.join("crates/runtime/src"), &mut files);
+    files.sort();
+    let mut sites = Vec::new();
+    let mut writers = Vec::new();
+    for path in &files {
+        let Ok(text) = std::fs::read_to_string(path) else { continue };
+        let shown = path.strip_prefix(&repo).unwrap_or(path).display().to_string();
+        let mut function = String::new();
+        for (n, line) in outside_tests(&text) {
+            if let Some((_, rest)) = line.split_once("fn ") {
+                function = rest.split(['(', '<']).next().unwrap_or_default().to_string();
+            }
+            if line.contains("durable_seq[") && line.contains(".store(") {
+                sites.push(format!("{shown}:{n} (in `{function}`): {}", line.trim()));
+                writers.push(format!("{shown}::{function}"));
+            }
+        }
+    }
+    writers.dedup();
+    assert!(
+        writers.len() == 1,
+        "a shard's durable floor is published by one function, for the worker's syncs, a \
+         recovery, a migration's cut and a lost log alike, so no writer of it can skip the rule \
+         that `NO_LOG` means no log, but found {} writers:\n{}",
+        writers.len(),
+        sites.join("\n")
+    );
+}
+
+#[test]
 fn a_worker_dies_one_way_and_a_failed_write_drops_the_log() {
-    let allowed =
-        ["expect(\"spawn ", "expect(\"retired\")", "expect(\"initialize shard durability\")"];
+    let allowed = ["expect(\"spawn ", "expect(\"initialize shard durability\")"];
     let repo = repo_root();
     let mut hits = Vec::new();
-    for file in ["crates/runtime/src/shard.rs", "crates/runtime/src/supervisor.rs"] {
-        let text = std::fs::read_to_string(repo.join(file)).expect("the runtime source exists");
+    for name in ["shard.rs", "supervisor.rs", "lifecycle.rs"] {
+        let file = format!("crates/runtime/src/{name}");
+        let text = std::fs::read_to_string(repo.join(&file)).expect("the runtime source exists");
         let panics =
             |line: &str| line.contains("expect(") && !allowed.iter().any(|a| line.contains(a));
         for (n, line) in outside_tests(&text).filter(|(_, line)| panics(line)) {
@@ -338,9 +392,9 @@ fn a_worker_dies_one_way_and_a_failed_write_drops_the_log() {
     assert!(
         hits.is_empty(),
         "a worker's death is reported by its drop, and a failed write on a shard's log drops the \
-         log (`Shared::log_io`), so the shard and its supervisor panic on no `Result`: an \
-         `expect` is kept only for a thread spawn, a migration's retired-state lookup and the \
-         start-up durability `Runtime::new`'s signature cannot return, but:\n{}",
+         log (`Shared::log_io`), so the shard, its lifecycle and its supervisor panic on no \
+         `Result`: an `expect` is kept only for a thread spawn and the start-up durability \
+         `Runtime::new`'s signature cannot return, but:\n{}",
         hits.join("\n")
     );
 }
