@@ -548,8 +548,8 @@ impl ServeOpts {
         }
         let subscribe_area = fraction(args, "subscribe-area", area)?;
         // Degraded-mode answering is opt-in: it trades the default
-        // worst-case widening on quarantined boundaries for detour /
-        // imputation / learned-fallback answers with honest brackets.
+        // worst-case widening on quarantined boundaries for detour and
+        // conservation-residual imputation answers with honest brackets.
         let impute = switch_from(args, "impute")?;
         if impute && chaos.sensor_mix.total() == 0.0 {
             return Err(CliError::Usage(

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crossbeam::clock;
 use stq_core::bracket::Bracket;
 use stq_core::degraded::{DegradedAnswer, DegradedStrategy};
 use stq_core::engine::{PlanId, QueryPlan};
@@ -118,11 +119,11 @@ impl Planned {
 /// so the runtime's plan counters move in step with the engine's.
 fn plan_for(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Planned {
     let metrics = &st.shared.metrics;
-    let plan_t0 = Instant::now();
+    let plan_t0 = clock::now();
     let shared = &st.shared;
     let (plan, plan_cache_hit) =
         shared.engine.plan(&shared.sensing, &shared.sampled, &spec.region, spec.approx);
-    let plan_latency = plan_t0.elapsed();
+    let plan_latency = clock::since(plan_t0);
     metrics.plan_latency.record(plan_latency.as_micros() as u64);
     Metrics::bump(if plan_cache_hit {
         &metrics.plan_cache_hits
@@ -152,7 +153,7 @@ impl ServedAnswer {
             confidence: 0.0,
             plan_cache_hit: p.plan_cache_hit,
             plan_latency: p.plan_latency,
-            latency: p.start.elapsed(),
+            latency: clock::since(p.start),
             expired,
             brownout: 0,
         }
@@ -283,7 +284,7 @@ pub(crate) fn answer_batch(st: &ServerState, d: &mut Dispatcher, batch: &mut Bat
         match start(st, job, true) {
             Err(answer) => answered(job, answer),
             Ok(p) => {
-                let exec_t0 = Instant::now();
+                let exec_t0 = clock::now();
                 let level = st.overload.as_ref().map_or(0, |ov| ov.brownout.level());
                 d.enlist(st, job.id, &job.spec, &p.plan, level);
                 flying.push(Flying { job: j, p, level, exec_t0 });
@@ -315,7 +316,7 @@ pub(crate) fn answer_expired(st: &ServerState, job: Job) {
 /// so even a budget-starved client gets honest bounds.
 fn start(st: &ServerState, job: &Job, live: bool) -> Result<Planned, ServedAnswer> {
     let (id, spec) = (job.id, &job.spec);
-    let start = Instant::now();
+    let start = clock::now();
     let expired = !live || spec.deadline.is_some_and(|dl| start >= dl);
     // A region built on another graph is a plain miss: no plan, no consult.
     let foreign = st.foreign(&spec.region);
@@ -350,7 +351,7 @@ fn execute(st: &ServerState, spec: &QuerySpec, f: &Flying, got: &Flight) -> Serv
     // Quarantine-degraded answers escalate through the repair strategies.
     let certified =
         if got.refused > 0 && coverage < 1.0 { consult_degraded(st, spec) } else { None };
-    let exec_us = f.exec_t0.elapsed().as_micros() as u64;
+    let exec_us = clock::since(f.exec_t0).as_micros() as u64;
     st.shared.metrics.execute_latency.record(exec_us);
     feed_brownout(st, exec_us);
     let served = ServedAnswer::served(&f.p, bracket, coverage, got, f.level);

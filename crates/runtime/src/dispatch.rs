@@ -51,6 +51,7 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::clock;
 use stq_core::engine::QueryPlan;
 use stq_core::query::QueryKind;
 use stq_forms::{BoundaryEdge, CountSource, Time};
@@ -217,12 +218,12 @@ fn record_transition(st: &ServerState, tr: Option<Transition>) {
     }
 }
 
-/// How long to block for a reply at `now` when the wait ends at `end`
+/// Until when to block for a reply at `now` when the wait ends at `end`
 /// (`None`: never): in 5 ms slices, so a worker that leaves `Healthy`
 /// mid-wait releases its waiter after one slice instead of the full window.
-fn slice(now: Instant, end: Option<Instant>) -> Duration {
-    let slice = Duration::from_millis(5);
-    end.map_or(slice, |end| end.saturating_duration_since(now).min(slice))
+fn slice(now: Instant, end: Option<Instant>) -> Instant {
+    let slice = now + Duration::from_millis(5);
+    end.map_or(slice, |end| end.min(slice))
 }
 
 /// The next reply on `rx`, waited for in slices until `end` (`None`: no end),
@@ -233,11 +234,11 @@ pub(crate) fn recv_while_up<T>(
     up: impl Fn() -> bool,
 ) -> Option<T> {
     loop {
-        let now = Instant::now();
+        let now = clock::now();
         if end.is_some_and(|end| now >= end) {
             return None;
         }
-        match rx.recv_timeout(slice(now, end)) {
+        match rx.recv_deadline(slice(now, end)) {
             Ok(reply) => return Some(reply),
             Err(RecvTimeoutError::Timeout) if up() => {}
             Err(_) => return None,
@@ -257,12 +258,12 @@ pub(crate) fn fan_out(st: &ServerState, d: &mut Dispatcher, mut done: impl FnMut
     let (batch, replies) = (&mut d.flights[..n], &d.replies);
     let owner_of = |edge| st.shared.map.shard_of(edge);
     loop {
-        let now = Instant::now();
+        let now = clock::now();
         let mut out = |out: Out<'_>| carry(st, &d.reply, now, out, &mut done);
         match flight::tick(batch, now, &st.cfg, &mut out) {
-            Next::Wait(end) => match replies.recv_timeout(slice(now, end)) {
+            Next::Wait(end) => match replies.recv_deadline(slice(now, end)) {
                 Ok(resp) => flight::reply(batch, resp, owner_of, &mut out),
-                Err(_) => flight::timeout(batch, Instant::now(), |s| !st.shared.healthy(s)),
+                Err(_) => flight::timeout(batch, clock::now(), |s| !st.shared.healthy(s)),
             },
             Next::Done => return,
         }
@@ -377,7 +378,7 @@ pub(crate) fn live_counts(
             let _ = to.send(ShardMsg::Counts { at, reply: reply.clone() });
         }
     }
-    let end = flight::window_end(Instant::now(), st.cfg.shard_timeout, 0, deadline);
+    let end = flight::window_end(clock::now(), st.cfg.shard_timeout, 0, deadline);
     let mut table = vec![None; st.shared.subs.totals().len()];
     for _ in shards.clone() {
         let rows = recv_while_up(&replies, end, all_healthy)?;
@@ -619,14 +620,17 @@ mod tests {
 
     #[test]
     fn an_endless_shard_timeout_still_ends_at_the_query_deadline() {
+        let _virtual = clock::virtual_time();
         let (st, _rx, queries) = silent_shards(RuntimeConfig {
             shard_timeout: Duration::MAX,
             max_retries: 1,
             ..RuntimeConfig::default()
         });
+        let t0 = clock::now();
         let (_, retries, expired) = fan_out_one(&st, queries, Some(Duration::from_millis(1)));
         assert_eq!(retries, 1, "the first attempt's window closed at the deadline");
         assert!(expired, "and the second was not made");
+        assert_eq!(clock::since(t0), Duration::from_millis(1), "the wait ended at the deadline");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! is sent only under the map epoch it was made under (`dispatch`).
 
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel;
+use crossbeam::{channel, clock};
 use stq_core::tracker::Crossing;
 
 use crate::lifecycle::Lane;
@@ -174,7 +174,7 @@ impl Runtime {
         if self.running().supervisor.send(request).is_err() {
             return 0;
         }
-        done_rx.recv_timeout(Duration::from_secs(30)).unwrap_or(0)
+        done_rx.recv_deadline(clock::now() + Duration::from_secs(30)).unwrap_or(0)
     }
 
     /// Barrier: waits until every shard has applied all previously ingested
@@ -210,11 +210,11 @@ fn check_event(st: &ServerState, c: &Crossing) -> Result<(), IngestError> {
 /// untimed in it), and a zero is never added.
 fn through_registry(st: &ServerState, events: &[Crossing]) {
     let metrics = &st.shared.metrics;
-    let push_t0 = (metrics.subscriptions.load(Ordering::Relaxed) > 0).then(Instant::now);
+    let push_t0 = (metrics.subscriptions.load(Ordering::Relaxed) > 0).then(clock::now);
     let obs = st.shared.subs.on_ingest_batch(events);
     if obs.deltas > 0 {
         if let Some(t0) = push_t0 {
-            metrics.delta_push_latency.record(t0.elapsed().as_micros() as u64);
+            metrics.delta_push_latency.record(clock::since(t0).as_micros() as u64);
         }
         Metrics::add(&metrics.deltas_pushed, obs.deltas as u64);
     }

@@ -27,10 +27,10 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::clock::{self, JoinHandle};
 use stq_core::query::{Approximation, QueryKind, QueryRegion};
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
@@ -182,9 +182,9 @@ impl QuerySpec {
         QuerySpec { region, kind, approx, deadline: None }
     }
 
-    /// Returns the spec with a deadline `budget` from now.
+    /// Returns the spec with a deadline `budget` from now (none past the clock's range).
     pub fn with_budget(mut self, budget: Duration) -> Self {
-        self.deadline = Some(Instant::now() + budget);
+        self.deadline = clock::deadline(budget);
         self
     }
 }
@@ -297,10 +297,9 @@ impl Runtime {
             to_shards.clone(),
             events_tx.clone(),
         );
-        let supervisor_thread = std::thread::Builder::new()
-            .name("stq-supervisor".into())
-            .spawn(move || supervisor.run(events_rx))
-            .expect("spawn supervisor");
+        let supervisor_thread =
+            clock::spawn("stq-supervisor".into(), move || supervisor.run(events_rx))
+                .expect("spawn supervisor");
 
         let metrics = Arc::clone(&shared.metrics);
         let (jobs_tx, jobs_rx) = channel::bounded::<Job>(cfg.queue_capacity.max(1));
@@ -310,21 +309,19 @@ impl Runtime {
             .map(|d| {
                 let st = Arc::clone(&st);
                 let rx = jobs_rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("stq-dispatch-{d}"))
-                    .spawn(move || {
-                        let mut own = Dispatcher::new(&st);
-                        let mut batch = Batch::default();
-                        while let Ok(job) = rx.recv() {
-                            // Whatever is queued behind the job joins it: at
-                            // most `queue_capacity` jobs.
-                            let backlog = rx.len();
-                            batch.jobs.push(job);
-                            batch.jobs.extend((0..backlog).map_while(|_| rx.try_recv().ok()));
-                            answer_batch(&st, &mut own, &mut batch);
-                        }
-                    })
-                    .expect("spawn dispatcher")
+                clock::spawn(format!("stq-dispatch-{d}"), move || {
+                    let mut own = Dispatcher::new(&st);
+                    let mut batch = Batch::default();
+                    while let Ok(job) = rx.recv() {
+                        // Whatever is queued behind the job joins it: at most
+                        // `queue_capacity` jobs.
+                        let backlog = rx.len();
+                        batch.jobs.push(job);
+                        batch.jobs.extend((0..backlog).map_while(|_| rx.try_recv().ok()));
+                        answer_batch(&st, &mut own, &mut batch);
+                    }
+                })
+                .expect("spawn dispatcher")
             })
             .collect();
 
@@ -464,7 +461,8 @@ impl Runtime {
                 ack_rx
             })
             .collect();
-        waits.into_iter().map(|rx| rx.recv_timeout(Duration::from_secs(30)).expect(what)).collect()
+        let wait = |rx: Receiver<T>| rx.recv_deadline(clock::now() + Duration::from_secs(30));
+        waits.into_iter().map(|rx| wait(rx).expect(what)).collect()
     }
 
     /// State digest per shard (see `stq_durability::state_digest`) — the
@@ -485,7 +483,7 @@ impl Runtime {
     fn job(&self, mut spec: QuerySpec, cost_milli: u64) -> (Job, PendingAnswer) {
         if spec.deadline.is_none() {
             let default = self.st().overload.as_ref().and_then(|ov| ov.cfg.default_deadline);
-            spec.deadline = default.map(|d| Instant::now() + d);
+            spec.deadline = default.and_then(clock::deadline);
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel::bounded(1);
@@ -508,12 +506,11 @@ impl Runtime {
             // (cached) plan and the lifetime totals, without any shard
             // traffic.
             Some(dl) => {
-                let now = Instant::now();
-                if dl <= now {
+                if dl <= clock::now() {
                     answer_expired(st, job);
                     return pending;
                 }
-                match jobs.send_timeout(job, dl - now) {
+                match jobs.send_deadline(job, dl) {
                     Ok(()) => {}
                     Err(channel::SendTimeoutError::Timeout(job)) => {
                         answer_expired(st, job);
@@ -548,7 +545,7 @@ impl Runtime {
             }
         }
         let (job, pending) = self.job(spec, cost_milli);
-        if job.spec.deadline.is_some_and(|dl| dl <= Instant::now()) {
+        if job.spec.deadline.is_some_and(|dl| dl <= clock::now()) {
             // Expired on arrival: answer straight away, no queue slot.
             answer_expired(st, job);
             return Ok(pending);

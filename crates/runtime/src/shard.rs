@@ -23,6 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
+use crossbeam::clock;
 use stq_core::query::QueryKind;
 use stq_core::tracker::Crossing;
 use stq_durability::recovery::apply_crossing;
@@ -283,7 +284,7 @@ impl ShardWorker {
         // Deadline short-circuit before anything else (including the fault
         // delay): expired work is pure waste, and the aggregator's wait is
         // clamped to the same deadline, so it has already moved on.
-        if req.deadline.is_some_and(|dl| Instant::now() >= dl) {
+        if req.deadline.is_some_and(|dl| clock::now() >= dl) {
             Metrics::bump(&self.shared.metrics.shard_deadline_skips);
             return;
         }
@@ -307,9 +308,7 @@ impl ShardWorker {
             // One radio message per perimeter sensor in the request: the
             // hold-up scales with the payload this shard must collect, and
             // it blocks the whole shard, like a congested radio.
-            std::thread::sleep(
-                Duration::from_millis(fate.delay_ms) * req.edges.len().max(1) as u32,
-            );
+            clock::sleep(Duration::from_millis(fate.delay_ms) * req.edges.len().max(1) as u32);
         }
         // Audit verdicts gate serving: quarantined edges are refused (their
         // positions reported so the aggregator can widen soundly; the shard

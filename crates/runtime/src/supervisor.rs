@@ -4,10 +4,9 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::clock::{self, JoinHandle};
 use stq_durability::{apply_crossing, recover_shard, ShardDurability};
 use stq_forms::ShardForms;
 
@@ -111,7 +110,7 @@ impl Supervisor {
     /// Carries out a recovery under the dead shard's lane lock, which freezes
     /// the redo tail and the sequences until the next incarnation is spawned.
     fn recover(&mut self, shard: usize, delivered: u64) {
-        let t0 = Instant::now();
+        let t0 = clock::now();
         let shared = Arc::clone(&self.shared);
         let lane = shared.lanes[shard].lock();
         let (mut state, mut quarantine) = self.rebuild(shard, &lane, delivered);
@@ -131,7 +130,7 @@ impl Supervisor {
             }
         }
         drop(lane);
-        shared.metrics.recovery_us.record(t0.elapsed().as_micros() as u64);
+        shared.metrics.recovery_us.record(clock::since(t0).as_micros() as u64);
     }
 
     /// A dead shard's state rebuilt up to the head of its frozen lane —
@@ -223,9 +222,7 @@ impl Supervisor {
         let death = Some(self.events_tx.clone());
         let worker = ShardWorker { id: shard, state, shared, death };
         let rx = self.receivers[shard].clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("stq-shard-{shard}"))
-            .spawn(move || worker.run(rx))
+        let handle = clock::spawn(format!("stq-shard-{shard}"), move || worker.run(rx))
             .expect("spawn shard worker");
         if let Some(previous) = self.handles[shard].replace(handle) {
             let _ = previous.join();
@@ -342,10 +339,12 @@ mod tests {
     }
 
     /// A worker that dies with a `Retire` queued behind the lane that killed
-    /// it never answers: the migration gives up as soon as the shard reads
-    /// `Recovering`, and releases the lanes it froze.
+    /// it never answers: the migration gives up at the end of the wait slice
+    /// in which the shard came to read `Recovering`, and releases the lanes
+    /// it froze.
     #[test]
     fn a_migration_whose_shard_died_before_its_retire_aborts_at_once() {
+        let _virtual = clock::virtual_time();
         let scenario = scenario();
         let cfg = RuntimeConfig { num_shards: 2, ..RuntimeConfig::default() };
         let sampled = SampledGraph::unsampled(&scenario.sensing);
@@ -362,20 +361,19 @@ mod tests {
             events_tx,
             handles: vec![None, None],
         };
-        let t0 = Instant::now();
-        let moved = std::thread::scope(|s| {
-            // Nobody serves shard 0's channel: it dies once the `Retire` is in.
-            s.spawn(|| {
-                while receivers[0].is_empty() {
-                    assert!(t0.elapsed() < Duration::from_secs(5), "no Retire was sent");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                shared.health[0].store(false, Ordering::Release);
-            });
-            sup.migrate(vec![Migration { edge: 0, from: 0, to: 1 }])
+        let t0 = clock::now();
+        // Nobody serves shard 0's channel: it dies once the `Retire` is in,
+        // and keeps it, so no disconnect tells the migration.
+        let (health, retires) = (Arc::clone(&shared), receivers[0].clone());
+        let dying = clock::spawn("dying".into(), move || {
+            let retire = retires.recv();
+            health.health[0].store(false, Ordering::Release);
+            retire
         });
+        let moved = sup.migrate(vec![Migration { edge: 0, from: 0, to: 1 }]);
+        assert!(dying.unwrap().join().unwrap().is_ok(), "no Retire was sent");
         assert_eq!(moved, 0, "a migration over a dead shard committed");
-        assert!(t0.elapsed() < Duration::from_millis(500), "aborted after {:?}", t0.elapsed());
+        assert_eq!(clock::since(t0), Duration::from_millis(5), "aborted after one slice");
         assert_eq!(shared.metrics.report().rebalance_aborted, 1);
         assert_eq!(shared.map.epoch(), 0);
         assert!(shared.lanes.iter().all(|lane| lane.try_lock().is_some()), "a lane stayed frozen");
@@ -464,6 +462,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn a_panic_that_escapes_the_request_guard_is_a_death_like_a_kill() {
+        let _virtual = clock::virtual_time();
         let scenario = scenario();
         let ne = scenario.sensing.num_edges();
         let dir = tmpdir("escaped");
@@ -484,15 +483,14 @@ mod tests {
             let bad = Lane::from(vec![event(ne, 300)]);
             let msg = ShardMsg::IngestBatch { first_seq: lane.next_seq + 2, lane: bad };
             assert!(st.to_shards[0].send(msg).is_ok(), "shard 0 is listening");
-            let t0 = Instant::now();
-            while rt.shard_health()[0] == ShardHealth::Healthy {
-                assert!(t0.elapsed() < Duration::from_secs(10), "the shard never left Healthy");
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // Time moves once every thread is parked: the worker is dead by
+            // then, and the supervisor waits for the lane.
+            clock::sleep(Duration::from_millis(1));
+            assert_eq!(rt.shard_health()[0], ShardHealth::Recovering);
             drop(lane);
-            let t0 = Instant::now();
+            let t0 = clock::now();
             rt.flush_ingest();
-            assert!(t0.elapsed() < Duration::from_secs(5), "flush waited {:?}", t0.elapsed());
+            assert_eq!(clock::since(t0), Duration::ZERO, "the flush waited for a timeout");
             let report = rt.metrics().report();
             assert_eq!(report.shard_respawns, 1, "{report}");
             assert!(rt.shard_health().iter().all(|h| *h == ShardHealth::Healthy));

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crossbeam::clock;
 use stq_core::prelude::*;
 use stq_core::tracker::Crossing;
 use stq_runtime::{
@@ -161,19 +162,15 @@ fn full_coverage(a: &ServedAnswer) -> bool {
 #[test]
 fn warm_query_allocates_nothing_on_the_dispatcher() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // On virtual time a window closes only once every thread is parked, so
+    // no load on the machine makes a fault-free shard miss it.
+    let _virtual = clock::virtual_time();
     // Nine regions the serving graph resolves: eight to warm, one held back.
     let (s, sampled, mut specs) = query_fixture();
     let held_back = specs.pop().expect("nine regions");
     let warm: Vec<QuerySpec> = specs.into_iter().flatten().collect();
 
-    // A window wide enough that a loaded machine does not overrun it: the
-    // count asserted below does not depend on it.
-    let cfg = RuntimeConfig {
-        num_shards: 2,
-        dispatchers: 1,
-        shard_timeout: Duration::from_millis(200),
-        ..RuntimeConfig::default()
-    };
+    let cfg = RuntimeConfig { num_shards: 2, dispatchers: 1, ..RuntimeConfig::default() };
     let rt = Runtime::new(s.sensing.clone(), sampled, &s.tracked.store, cfg);
     let ask = |spec: &QuerySpec| {
         let a = rt.query(spec.clone());
@@ -229,6 +226,7 @@ fn closed_loop(rt: &Runtime, specs: &[QuerySpec], n: usize) {
 #[test]
 fn warm_batches_allocate_nothing_on_the_dispatcher() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _virtual = clock::virtual_time();
     let (s, sampled, specs) = query_fixture();
     let warm: Vec<QuerySpec> = specs.into_iter().flatten().collect();
     let touches_shard_0 = |spec: &QuerySpec| {
@@ -243,7 +241,6 @@ fn warm_batches_allocate_nothing_on_the_dispatcher() {
     let cfg = RuntimeConfig {
         num_shards: 2,
         dispatchers: 1,
-        shard_timeout: Duration::from_millis(200),
         fault: FaultPlan::none().with_crash(CrashWindow {
             node: 0,
             after_messages: 0,
@@ -253,9 +250,10 @@ fn warm_batches_allocate_nothing_on_the_dispatcher() {
     };
     let rt = Runtime::new(s.sensing.clone(), sampled.clone(), &s.tracked.store, cfg);
     let first = rt.submit(blocker.clone());
-    while rt.metrics().report().crash_dropped == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // The clock moves only once every thread is parked: the dispatcher is
+    // waiting out the window of the lost request by then.
+    clock::sleep(Duration::from_millis(1));
+    assert_eq!(rt.metrics().report().crash_dropped, 1, "the first request was lost");
     let burst: Vec<PendingAnswer> =
         warm.iter().take(OUTSTANDING).map(|spec| rt.submit(spec.clone())).collect();
     assert_eq!(first.wait().retries, 1, "the lost request was asked again");

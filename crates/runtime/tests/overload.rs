@@ -6,6 +6,7 @@
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use crossbeam::clock;
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_forms::FormStore;
@@ -255,6 +256,25 @@ fn blocking_submit_expires_on_a_full_queue_when_given_a_budget() {
     rt.shutdown();
 }
 
+/// A budget past the clock's range sets no deadline, at `with_budget` and as
+/// the configured default alike (`Instant + Duration::MAX` panics).
+#[test]
+fn a_budget_past_the_clocks_range_sets_no_deadline() {
+    let f = fixture();
+    let spec = covered_spec(f, 1, 61);
+    let endless = spec.clone().with_budget(Duration::MAX);
+    assert_eq!(endless.deadline, None);
+    let overload =
+        OverloadConfig { default_deadline: Some(Duration::MAX), ..gate_only(f64::INFINITY) };
+    let cfg = RuntimeConfig { num_shards: 2, overload: Some(overload), ..RuntimeConfig::default() };
+    let rt = runtime(f, cfg);
+    for spec in [spec, endless] {
+        let served = rt.query(spec);
+        assert!(!served.expired && served.coverage == 1.0, "{served:?}");
+    }
+    rt.shutdown();
+}
+
 #[test]
 fn expired_deadline_job_never_reaches_a_shard() {
     let f = fixture();
@@ -314,13 +334,17 @@ fn expired_answers_are_counted_in_the_plan_metrics() {
     rt.shutdown();
 }
 
+/// On virtual time: the windows close and the breaker's open time runs out
+/// when the clock says so, however loaded the machine is.
 #[test]
 fn breaker_trips_skips_probes_and_recovers() {
+    let _virtual = clock::virtual_time();
     let f = fixture();
     // Shard 0 silently swallows its first five deliveries (a crash window
     // the health checks cannot see), then recovers. The breaker trips after
     // four silent windows, stays open for 250 ms, then lets one probe
     // through.
+    let open_for = Duration::from_millis(250);
     let cfg = RuntimeConfig {
         num_shards: 2,
         dispatchers: 1,
@@ -349,47 +373,49 @@ fn breaker_trips_skips_probes_and_recovers() {
 
     // 2. While open (before 250 ms elapse) shard 0 is skipped outright:
     //    the answer degrades instantly instead of waiting out a timeout.
-    let start = Instant::now();
+    let start = clock::now();
     let skipped = rt.query(spec.clone());
     assert!(skipped.degraded);
-    assert!(
-        start.elapsed() < Duration::from_millis(5),
-        "an open breaker must not wait out the shard timeout"
-    );
+    assert_eq!(clock::since(start), Duration::ZERO, "an open breaker waited out a window");
     assert_sound(f, &spec, skipped.lower, skipped.upper, "breaker-skipped query");
 
     // 3. After 250 ms, one probe is let through half-open. The shard is
     //    still inside its crash window (fifth delivery) → re-opens.
-    std::thread::sleep(Duration::from_millis(300));
+    clock::sleep(open_for);
     let probe_fail = rt.query(spec.clone());
     assert!(probe_fail.degraded);
     assert_sound(f, &spec, probe_fail.lower, probe_fail.upper, "failed probe");
 
     // 4. Next probe finds the shard recovered → breaker closes, answers are
     //    exact again.
-    std::thread::sleep(Duration::from_millis(300));
+    clock::sleep(open_for);
     let recovered = rt.query(spec.clone());
     assert!(!recovered.degraded, "the closed breaker must serve shard 0 again");
     assert_eq!(recovered.coverage, 1.0);
     assert_eq!(recovered.value.to_bits(), exact.to_bits());
 
     let report = rt.metrics().report();
-    assert!(report.breaker_opened >= 2, "trip + failed-probe re-open");
-    assert!(report.breaker_half_open >= 2, "two probes were admitted");
-    assert!(report.breaker_closed >= 1, "the successful probe must close");
-    assert!(report.breaker_skipped >= 1, "step 2 skipped the open shard");
+    assert_eq!(report.breaker_opened, 2, "trip + failed-probe re-open");
+    assert_eq!(report.breaker_half_open, 2, "two probes were admitted");
+    assert_eq!(report.breaker_closed, 1, "the successful probe must close");
+    assert_eq!(report.breaker_skipped, 1, "step 2 skipped the open shard");
     rt.shutdown();
 }
 
 #[test]
 fn brownout_escalates_to_full_shed_with_sound_brackets() {
+    let _virtual = clock::virtual_time();
     let f = fixture();
     // A hair-trigger controller: any observation is hot (p95 ≥ 1 µs), dwell
     // 1, queue watermarks out of the way — each served query escalates one
-    // level until the full shed at level 3.
+    // level until the full shed at level 3. Every request is held up 1 ms an
+    // edge on virtual time, so every query that fans out executes for
+    // milliseconds, well inside its window.
     let cfg = RuntimeConfig {
         num_shards: 2,
         dispatchers: 1,
+        shard_timeout: Duration::from_secs(1),
+        fault: FaultPlan::lossy(5, 0.0, 1.0, 0.0, 1),
         overload: Some(OverloadConfig {
             max_inflight_cost: f64::INFINITY,
             default_deadline: None,
@@ -408,6 +434,11 @@ fn brownout_escalates_to_full_shed_with_sound_brackets() {
     let spec = covered_spec(f, 8, 61);
 
     let answers: Vec<_> = (0..8).map(|_| rt.query(spec.clone())).collect();
+    // On virtual time the ladder is exact: one level up per hot answer, and
+    // one down once four shed answers, which execute in no time, fill the
+    // window.
+    let levels: Vec<u8> = answers.iter().map(|a| a.brownout).collect();
+    assert_eq!(levels, [0, 1, 2, 3, 3, 3, 3, 2]);
     for (i, served) in answers.iter().enumerate() {
         assert_sound(f, &spec, served.lower, served.upper, &format!("brownout answer {i}"));
         assert!(served.value >= served.lower - 1e-12 && served.value <= served.upper + 1e-12);

@@ -2,8 +2,9 @@
 //! synchronous query path, fault recovery, degradation, and metrics.
 
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use crossbeam::clock;
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_forms::{BoundaryEdge, FormStore};
@@ -142,12 +143,13 @@ fn a_batch_answers_each_query_as_it_is_answered_alone() {
 }
 
 /// Every request of one query is lost: the queries batched with it are
-/// answered as soon as their own shards reply, not when its window closes.
+/// answered as soon as their own shards reply, not when its window closes —
+/// on virtual time, before the clock moves at all.
 #[test]
 fn a_query_whose_requests_are_lost_does_not_hold_up_its_batch() {
     const OTHERS: u64 = 6;
+    let _virtual = clock::virtual_time();
     let f = fixture();
-    let window = Duration::from_millis(400);
     // A seed under which queries 0 and 1 lose every request, to either of
     // two shards, and queries 2..8 none.
     let lost = |fault: &FaultPlan, query_id: u64| {
@@ -170,28 +172,28 @@ fn a_query_whose_requests_are_lost_does_not_hold_up_its_batch() {
     let cfg = RuntimeConfig {
         num_shards: 2,
         dispatchers: 1,
-        shard_timeout: window,
         max_retries: 0,
         fault,
         ..RuntimeConfig::default()
     };
     let rt = runtime(f, cfg);
     // Query 0 holds the one dispatcher for a window: everything submitted
-    // once it has sent is queued behind it, and is the next batch.
+    // once it has sent is queued behind it, and is the next batch. The clock
+    // moves only once every thread is parked, so the dispatcher is waiting
+    // on query 0's shards by then.
     let blocker = rt.submit(cases[0].0.clone());
-    while rt.metrics().report().shard_requests == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    clock::sleep(Duration::from_millis(1));
+    assert_eq!(rt.metrics().report().shard_requests, 2, "query 0 asked both shards");
     let submitted: Vec<PendingAnswer> =
         cases.iter().skip(1).map(|c| rt.submit(c.0.clone())).collect();
     let mut submitted = submitted.into_iter();
     let dropped = submitted.next().expect("query 1");
     assert!(blocker.wait().degraded);
-    let batch_start = Instant::now();
+    let batch_start = clock::now();
     for (pending, (_, exact)) in submitted.zip(&cases[2..]) {
         let a = pending.wait();
-        let took = batch_start.elapsed();
-        assert!(took < window, "query {} waited {took:?} on a lost one", a.query_id);
+        let took = clock::since(batch_start);
+        assert_eq!(took, Duration::ZERO, "query {} waited on a lost one", a.query_id);
         assert_eq!((a.coverage, a.value.to_bits()), (1.0, exact.to_bits()));
     }
     let a = dropped.wait();

@@ -9,10 +9,17 @@
 //! yielding is not counted as parked, so the sender skips its wake-up. There
 //! is no spin phase, and a sender that finds a bounded queue full parks at
 //! once: that is backpressure, not a hand-off about to complete.
+//!
+//! Deadlines are read from [`crate::clock`]. A thread counted in virtual
+//! time parks on the clock instead of the condvar, with the same
+//! parked-waiter counts, and whoever changes the queue under a parked waiter
+//! also tells the clock.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+use crate::clock::{self, Wait};
 
 /// Error returned by [`Sender::send`] when every receiver is gone; carries
 /// the unsent message back.
@@ -130,6 +137,7 @@ impl<T> Shared<T> {
         drop(st);
         if wake {
             self.not_empty.notify_one();
+            clock::notify();
         }
     }
 
@@ -141,30 +149,41 @@ impl<T> Shared<T> {
         drop(st);
         if wake {
             self.not_full.notify_one();
+            clock::notify();
         }
         Ok(value)
     }
 
-    /// What a blocking receive does on finding the queue empty: back off on
-    /// its first `YIELDS_BEFORE_PARK` visits (counted in `yields`, one
-    /// counter per call), park after that. The mutex is released across the
-    /// yield and the caller re-checks the queue under it afterwards, exactly
-    /// as after a wake-up, so a message sent meanwhile is seen;
-    /// `parked_receivers` was not raised, so that send skipped its
-    /// `notify_one` rightly.
+    /// What a blocking receive does on finding the queue empty, waiting at
+    /// most `left` (until `deadline`): back off on its first
+    /// `YIELDS_BEFORE_PARK` visits (counted in `yields`, one counter per
+    /// call), park after that. The mutex is released across the yield and
+    /// the caller re-checks the queue under it afterwards, exactly as after
+    /// a wake-up, so a message sent meanwhile is seen; `parked_receivers`
+    /// was not raised, so that send skipped its `notify_one` rightly. A
+    /// counted thread in virtual time parks on the clock (`wait`).
     fn await_message<'a>(
         &'a self,
-        st: MutexGuard<'a, State<T>>,
-        timeout: Option<Duration>,
+        mut st: MutexGuard<'a, State<T>>,
+        (deadline, left): (Option<Instant>, Option<Duration>),
         yields: &mut u32,
+        wait: &mut Option<Wait>,
     ) -> MutexGuard<'a, State<T>> {
+        if let Some(wait) = counted(wait) {
+            st.parked_receivers += 1;
+            drop(st);
+            wait.park(deadline);
+            st = self.state.lock().unwrap();
+            st.parked_receivers -= 1;
+            return st;
+        }
         if *yields < YIELDS_BEFORE_PARK {
             *yields += 1;
             drop(st);
             std::thread::yield_now();
             return self.state.lock().unwrap();
         }
-        self.park_receiver(st, timeout)
+        self.park_receiver(st, left)
     }
 
     /// Parks a receiver until signalled, or until `timeout` when given.
@@ -179,17 +198,48 @@ impl<T> Shared<T> {
         st
     }
 
-    /// Parks a sender until signalled, or until `timeout` when given.
+    /// Parks a sender until signalled, or at most `left` (until
+    /// `deadline`); on the clock for a counted thread in virtual time.
     fn park_sender<'a>(
-        &self,
+        &'a self,
         mut st: MutexGuard<'a, State<T>>,
-        timeout: Option<Duration>,
+        (deadline, left): (Option<Instant>, Option<Duration>),
+        wait: &mut Option<Wait>,
     ) -> MutexGuard<'a, State<T>> {
         st.parked_senders += 1;
-        let mut st = wait(&self.not_full, st, timeout);
+        let mut st = match counted(wait) {
+            Some(wait) => {
+                drop(st);
+                wait.park(deadline);
+                self.state.lock().unwrap()
+            }
+            None => self::wait(&self.not_full, st, left),
+        };
         st.parked_senders -= 1;
         st
     }
+}
+
+/// The clock's wait of the calling thread when it is counted in virtual
+/// time, begun on its first use. Called under the channel mutex, after the
+/// look that found the queue not ready, so a change to the queue after that
+/// look tells the clock after the wait began.
+fn counted(wait: &mut Option<Wait>) -> Option<&mut Wait> {
+    if wait.is_none() {
+        *wait = Wait::begin();
+    }
+    wait.as_mut()
+}
+
+/// What is left of a wait until `deadline` (`None`: no end) — the deadline
+/// and the time to it — or `Err` once it has passed.
+fn remaining(deadline: Option<Instant>) -> Result<(Option<Instant>, Option<Duration>), ()> {
+    let Some(deadline) = deadline else { return Ok((None, None)) };
+    let now = clock::now();
+    if now >= deadline {
+        return Err(());
+    }
+    Ok((Some(deadline), Some(deadline - now)))
 }
 
 fn wait<'a, S>(
@@ -260,6 +310,7 @@ impl<T> Drop for Sender<T> {
         st.senders -= 1;
         if st.senders == 0 {
             self.shared.not_empty.notify_all();
+            clock::notify();
         }
     }
 }
@@ -277,6 +328,7 @@ impl<T> Drop for Receiver<T> {
         st.receivers -= 1;
         if st.receivers == 0 {
             self.shared.not_full.notify_all();
+            clock::notify();
         }
     }
 }
@@ -284,20 +336,9 @@ impl<T> Drop for Receiver<T> {
 impl<T> Sender<T> {
     /// Blocks until the message is enqueued (or every receiver is gone).
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
-            if st.receivers == 0 {
-                return Err(SendError(value));
-            }
-            match self.shared.capacity {
-                Some(cap) if st.queue.len() >= cap => {
-                    st = self.shared.park_sender(st, None);
-                }
-                _ => break,
-            }
-        }
-        self.shared.push(st, value);
-        Ok(())
+        self.send_until(value, None).map_err(|e| match e {
+            SendTimeoutError::Timeout(v) | SendTimeoutError::Disconnected(v) => SendError(v),
+        })
     }
 
     /// Non-blocking send: enqueues immediately or reports why it cannot.
@@ -315,21 +356,30 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// Blocks up to `timeout` for a capacity slot.
+    /// Blocks up to `timeout` for a capacity slot; a timeout past the
+    /// clock's range waits without one.
     pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let deadline = Instant::now() + timeout;
+        self.send_until(value, clock::deadline(timeout))
+    }
+
+    /// Blocks until `deadline` for a capacity slot.
+    pub fn send_deadline(&self, value: T, deadline: Instant) -> Result<(), SendTimeoutError<T>> {
+        self.send_until(value, Some(deadline))
+    }
+
+    fn send_until(&self, value: T, deadline: Option<Instant>) -> Result<(), SendTimeoutError<T>> {
         let mut st = self.shared.state.lock().unwrap();
+        let mut wait = None;
         loop {
             if st.receivers == 0 {
                 return Err(SendTimeoutError::Disconnected(value));
             }
             match self.shared.capacity {
                 Some(cap) if st.queue.len() >= cap => {
-                    let now = Instant::now();
-                    if now >= deadline {
+                    let Ok(left) = remaining(deadline) else {
                         return Err(SendTimeoutError::Timeout(value));
-                    }
-                    st = self.shared.park_sender(st, Some(deadline - now));
+                    };
+                    st = self.shared.park_sender(st, left, &mut wait);
                 }
                 _ => break,
             }
@@ -352,25 +402,23 @@ impl<T> Sender<T> {
 impl<T> Receiver<T> {
     /// Blocks until a message arrives (or every sender is gone).
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut st = self.shared.state.lock().unwrap();
-        let mut yields = 0;
-        loop {
-            st = match self.shared.pop(st) {
-                Ok(v) => return Ok(v),
-                Err(st) => st,
-            };
-            if st.senders == 0 {
-                return Err(RecvError);
-            }
-            st = self.shared.await_message(st, None, &mut yields);
-        }
+        self.recv_until(None).map_err(|_| RecvError)
     }
 
-    /// Blocks up to `timeout` for a message.
+    /// Blocks up to `timeout` for a message; a timeout past the clock's
+    /// range waits without one.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
+        self.recv_until(clock::deadline(timeout))
+    }
+
+    /// Blocks until `deadline` for a message.
+    pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
+        self.recv_until(Some(deadline))
+    }
+
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
         let mut st = self.shared.state.lock().unwrap();
-        let mut yields = 0;
+        let (mut yields, mut wait) = (0, None);
         loop {
             st = match self.shared.pop(st) {
                 Ok(v) => return Ok(v),
@@ -379,11 +427,8 @@ impl<T> Receiver<T> {
             if st.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            st = self.shared.await_message(st, Some(deadline - now), &mut yields);
+            let Ok(left) = remaining(deadline) else { return Err(RecvTimeoutError::Timeout) };
+            st = self.shared.await_message(st, left, &mut yields, &mut wait);
         }
     }
 

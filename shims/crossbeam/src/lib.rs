@@ -9,8 +9,12 @@
 //! "channel disconnects when the other side is fully dropped". A receiver
 //! blocks like crossbeam's: it backs off, then parks (one `yield_now`, no
 //! spin phase — see [`channel`]).
+//!
+//! Not in crossbeam: [`clock`], the one place time is read and waited on —
+//! the wall clock in production, virtual time when a test turns it on.
 
 pub mod channel;
+pub mod clock;
 
 /// Scoped-thread environment handed to the [`scope`] closure.
 ///

@@ -6,6 +6,10 @@
 //! Backed by `std::sync`; lock poisoning is swallowed (a poisoned lock hands
 //! back the inner guard), which matches `parking_lot`'s no-poisoning
 //! semantics for the ways this workspace uses it.
+//!
+//! A `Mutex` that is held elsewhere blocks as `std`'s does, except for a
+//! thread counted in virtual time (`crossbeam::clock`): that one parks on
+//! the clock as a poller, so time can advance while it waits.
 
 use std::sync::{
     Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock,
@@ -34,6 +38,17 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Blocks until the lock is acquired.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        if let Some(guard) = self.try_lock() {
+            return guard;
+        }
+        if let Some(mut wait) = crossbeam::clock::Wait::begin() {
+            loop {
+                wait.poll();
+                if let Some(guard) = self.try_lock() {
+                    return guard;
+                }
+            }
+        }
         MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
@@ -142,6 +157,46 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(l.into_inner(), vec![1, 2, 3]);
+    }
+
+    /// A migration waits for its `Retire` reply with the lane locks held:
+    /// a thread blocked on such a lock must count as parked, or virtual time
+    /// could never reach the wait's deadline.
+    #[test]
+    fn a_lock_waiter_counts_as_parked() {
+        use crossbeam::{channel, clock};
+        use std::time::Duration;
+
+        let _virtual = clock::virtual_time();
+        let t0 = clock::now();
+        let lane = std::sync::Arc::new(Mutex::new(0u32));
+        let (_retire_tx, retire_rx) = channel::bounded::<()>(1);
+        let (held_tx, held_rx) = channel::bounded(1);
+        let migration = {
+            let lane = std::sync::Arc::clone(&lane);
+            clock::spawn("migration".into(), move || {
+                let mut frozen = lane.lock();
+                held_tx.send(()).unwrap();
+                // Nobody answers: the wait ends at its deadline.
+                let answer = retire_rx.recv_timeout(Duration::from_secs(10));
+                *frozen += 1;
+                answer.is_err()
+            })
+            .unwrap()
+        };
+        held_rx.recv().unwrap();
+        let ingest = {
+            let lane = std::sync::Arc::clone(&lane);
+            clock::spawn("ingest".into(), move || {
+                let mut lane = lane.lock();
+                *lane += 1;
+                clock::now()
+            })
+            .unwrap()
+        };
+        assert_eq!(ingest.join().unwrap() - t0, Duration::from_secs(10));
+        assert!(migration.join().unwrap(), "the retire wait timed out");
+        assert_eq!(*lane.lock(), 2);
     }
 
     #[test]

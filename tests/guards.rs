@@ -343,6 +343,35 @@ fn the_lifecycle_core_reads_no_clock_and_no_state() {
 }
 
 #[test]
+fn time_is_read_through_the_clock() {
+    const TIME: [&str; 7] = [
+        "Instant::now",
+        ".elapsed()",
+        "recv_timeout",
+        "send_timeout",
+        "thread::sleep",
+        "thread::Builder",
+        "thread::spawn",
+    ];
+    let repo = repo_root();
+    let mut files = Vec::new();
+    files_under(&repo.join("crates/runtime/src"), &mut files);
+    files.sort();
+    let hits: Vec<String> = files
+        .iter()
+        .map(|path| path.strip_prefix(&repo).expect("under the repo").to_string_lossy())
+        .flat_map(|path| impure_lines(&path, &TIME))
+        .collect();
+    assert!(
+        hits.is_empty(),
+        "the runtime reads the time, sleeps, waits with a deadline and starts threads through \
+         `crossbeam::clock` (`now`, `since`, `deadline`, `sleep`, `recv_deadline`, \
+         `send_deadline`, `spawn`), so a test can run it on virtual time, but:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
 fn one_function_publishes_a_durable_floor() {
     let repo = repo_root();
     let mut files = Vec::new();
