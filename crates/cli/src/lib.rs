@@ -195,6 +195,35 @@ fn fraction(args: &Args, flag: &str, default: f64) -> Result<f64, CliError> {
     Ok(p)
 }
 
+/// A query area: a [`fraction`] of the city, refused at 0, where no square
+/// covers a junction and every draw comes back empty.
+fn area_from(args: &Args, flag: &str, default: f64) -> Result<f64, CliError> {
+    let area = fraction(args, flag, default)?;
+    if area == 0.0 {
+        return Err(CliError::Usage(format!("--{flag} must be greater than 0")));
+    }
+    Ok(area)
+}
+
+/// Says so when fewer than `--queries` regions were drawn: at a tiny
+/// `--area` most squares cover no junction and are drawn again, a bounded
+/// number of times.
+fn note_shortfall(
+    out: &mut impl std::io::Write,
+    drawn: usize,
+    wanted: usize,
+    area: f64,
+) -> std::io::Result<()> {
+    if drawn < wanted {
+        writeln!(
+            out,
+            "drew {drawn} of {wanted} query regions: the rest covered no junction at \
+             --area {area}"
+        )?;
+    }
+    Ok(())
+}
+
 fn scenario_from(args: &Args) -> Result<Scenario, CliError> {
     let junctions: usize = args.get("junctions", 600)?;
     if junctions < 4 {
@@ -268,15 +297,15 @@ fn chaos_from(args: &Args, default_seed: u64) -> Result<ChaosConfig, CliError> {
     let delay_p = fraction(args, "delay", 0.0)?;
     let dup_p = fraction(args, "dup", 0.0)?;
     let delay_ms: u64 = args.get("delay-ms", 2)?;
-    let mut b = ChaosConfig::builder()
-        .message_loss(drop_p, delay_p, dup_p, delay_ms)
-        .sensor_mix(sensor_mix_from(args)?);
+    let sensor_mix = sensor_mix_from(args)?;
+    let mut crashes = Vec::new();
     if let Some(shard) = args.get_str("crash") {
         let node: usize = shard
             .parse()
             .map_err(|_| CliError::Usage(format!("invalid --crash shard: {shard}")))?;
-        b = b.crash_window(CrashWindow { node, after_messages: 0, lasts_messages: u64::MAX });
+        crashes.push(CrashWindow { node, after_messages: 0, lasts_messages: u64::MAX });
     }
+    let mut kills = Vec::new();
     if let Some(kill) = args.get_str("kill") {
         let (shard, seq) = kill
             .split_once(':')
@@ -284,9 +313,10 @@ fn chaos_from(args: &Args, default_seed: u64) -> Result<ChaosConfig, CliError> {
             .ok_or_else(|| {
                 CliError::Usage(format!("invalid --kill (want SHARD:SEQ, got {kill})"))
             })?;
-        b = b.ingest_crash(shard, seq);
+        kills.push((shard, seq));
     }
-    Ok(b.seed(args.get("chaos-seed", default_seed)?).build())
+    let seed = args.get("chaos-seed", default_seed)?;
+    Ok(ChaosConfig::new(seed, drop_p, delay_p, dup_p, delay_ms, crashes, sensor_mix, &kills))
 }
 
 /// Corrupts ingestion per the chaos config's sensor mix, then audits and
@@ -447,7 +477,7 @@ fn deploy(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
 
 fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
     let kind_of = kind_from(args)?;
-    let area = fraction(args, "area", 0.05)?;
+    let area = area_from(args, "area", 0.05)?;
     let s = scenario_from(args)?;
     let g = deployment_from(args, &s)?;
     let n: usize = args.get("queries", 5)?;
@@ -463,12 +493,14 @@ fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
         Some(kind) => Box::new(LearnedStore::fit(&s.tracked.store, Some(g.monitored()), kind)),
         None => Box::new(s.tracked.store.clone()),
     };
+    let regions = s.make_queries(n, area, 2_000.0, seed ^ 0x7);
+    note_shortfall(out, regions.len(), n, area)?;
     writeln!(
         out,
         "{:>3} | {:>10} | {:>10} | {:>8} | {:>6}",
         "#", "exact η", "answer η̂", "rel.err", "nodes"
     )?;
-    for (i, (q, t0, t1)) in s.make_queries(n, area, 2_000.0, seed ^ 0x7).iter().enumerate() {
+    for (i, (q, t0, t1)) in regions.iter().enumerate() {
         let kind = kind_of(*t0, *t1);
         let truth = ground_truth(&s.sensing, &s.tracked.store, q, kind);
         let est = answer(&s.sensing, &g, store.as_ref(), q, kind, Approximation::Lower);
@@ -505,7 +537,7 @@ struct ServeOpts {
 
 impl ServeOpts {
     fn from_args(args: &Args) -> Result<Self, CliError> {
-        let area = fraction(args, "area", 0.05)?;
+        let area = area_from(args, "area", 0.05)?;
         let queries: usize = args.get("queries", 8)?;
         let seed: u64 = args.get("seed", 2024)?;
         let kind_of = kind_from(args)?;
@@ -546,7 +578,7 @@ impl ServeOpts {
                 "--subscribe must register at least one standing query".into(),
             ));
         }
-        let subscribe_area = fraction(args, "subscribe-area", area)?;
+        let subscribe_area = area_from(args, "subscribe-area", area)?;
         // Degraded-mode answering is opt-in: it trades the default
         // worst-case widening on quarantined boundaries for detour and
         // conservation-residual imputation answers with honest brackets.
@@ -776,6 +808,7 @@ fn write_answer_table(
             QuerySpec::new(region, (opts.kind_of)(t0, t1), Approximation::Lower)
         })
         .collect();
+    note_shortfall(out, specs.len(), opts.queries, opts.area)?;
     writeln!(
         out,
         "{:>3} | {:>10} | {:>10} | {:>10} | {:>6} | {:>5} | {:>8}",
@@ -1327,6 +1360,37 @@ mod tests {
         }
         // Serve names `--area`, not the `--subscribe-area` it defaults.
         assert_refused(&["serve", "--area", "5"], "--area must be in [0, 1]");
+    }
+
+    #[test]
+    fn a_zero_area_is_refused_before_any_work() {
+        let zero = "--area must be greater than 0";
+        assert_refused(&["query", "--junctions", "100", "--objects", "20", "--area", "0"], zero);
+        assert_refused(&["serve", "--area", "0"], zero);
+        assert_refused(
+            &["serve", "--subscribe", "2", "--subscribe-area", "0"],
+            "--subscribe-area must be greater than 0",
+        );
+    }
+
+    #[test]
+    fn a_short_draw_says_how_many_regions_it_drew() {
+        let common = ["--junctions", "100", "--objects", "20", "--size", "0.3"];
+        let mut argv = vec!["query", "--area", "1e-9"];
+        argv.extend_from_slice(&common);
+        let printed = run_cmd(&argv);
+        assert_eq!(
+            printed.lines().next(),
+            Some("drew 0 of 5 query regions: the rest covered no junction at --area 0.000000001"),
+            "{printed}"
+        );
+        let mut argv = vec!["serve", "--area", "1e-9", "--queries", "4", "--shards", "2"];
+        argv.extend_from_slice(&common);
+        assert!(run_cmd(&argv).contains("drew 0 of 4 query regions"));
+        // A draw that fills `--queries` says nothing.
+        let mut argv = vec!["query", "--area", "0.05"];
+        argv.extend_from_slice(&common);
+        assert!(!run_cmd(&argv).contains("drew"));
     }
 
     #[test]

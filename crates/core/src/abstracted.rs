@@ -147,17 +147,6 @@ impl AbstractTopology {
         }
         self.total_edges() as f64 / self.chains.len() as f64
     }
-
-    /// Compression ratio: abstract edges per monitored link (≤ 1; smaller is
-    /// more simplification).
-    pub fn compression(&self) -> f64 {
-        let total = self.total_edges();
-        if total == 0 {
-            0.0
-        } else {
-            self.chains.len() as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -228,13 +217,11 @@ mod tests {
         // Sparse sampled graphs have long relay chains: clearly fewer
         // abstract edges than monitored links.
         assert!(
-            topo.compression() < 0.8,
-            "expected compression, got {:.2} ({} chains over {} links)",
-            topo.compression(),
+            topo.mean_chain_hops() > 1.25,
+            "expected compression, got {} chains over {} links",
             topo.chains.len(),
             topo.total_edges()
         );
-        assert!(topo.mean_chain_hops() > 1.2);
         // All communication sensors retained.
         let nodes: std::collections::HashSet<usize> = topo.nodes.iter().copied().collect();
         for &sensor in g.sensors() {
@@ -257,11 +244,14 @@ mod tests {
         let t1 = AbstractTopology::build(&s1.sensing, &g1);
         let (s2, g2) = setup(0.5);
         let t2 = AbstractTopology::build(&s2.sensing, &g2);
+        // Fewer links per chain: the dense graph keeps more abstract edges
+        // per monitored link.
+        assert!(!t2.chains.is_empty());
         assert!(
-            t2.compression() > t1.compression(),
-            "dense {:.2} should exceed sparse {:.2}",
-            t2.compression(),
-            t1.compression()
+            t2.mean_chain_hops() < t1.mean_chain_hops(),
+            "dense {:.2} hops per chain should be under sparse {:.2}",
+            t2.mean_chain_hops(),
+            t1.mean_chain_hops()
         );
     }
 

@@ -8,7 +8,7 @@
 //! forms. Query regions are face sets; boundaries reuse the shared
 //! [`BoundaryEdge`] machinery, so differential-form counting stays exact.
 
-use stq_forms::{BoundaryEdge, FormStore, Time};
+use stq_forms::BoundaryEdge;
 use stq_geom::{segment_intersection, Point, Polygon, Rect, Segment, SegmentIntersection};
 use stq_planar::embedding::{EdgeId, FaceId, Faces};
 use stq_planar::Embedding;
@@ -151,28 +151,6 @@ impl Subdivision {
         out
     }
 
-    /// Tracks a timed free path, recording every edge crossing into `store`.
-    /// Returns the crossings `(time, edge, forward)` for inspection.
-    pub fn track(
-        &self,
-        path: &[(Time, Point)],
-        store: &mut FormStore,
-    ) -> Vec<(Time, EdgeId, bool)> {
-        let mut events = Vec::new();
-        for w in path.windows(2) {
-            let (t0, a) = w[0];
-            let (t1, b) = w[1];
-            for (frac, e, fwd) in self.leg_crossings(a, b) {
-                events.push((t0 + (t1 - t0) * frac, e, fwd));
-            }
-        }
-        events.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
-        for &(t, e, fwd) in &events {
-            store.record(e, fwd, t);
-        }
-        events
-    }
-
     /// Boundary chain of a face set, oriented inward — edges with exactly
     /// one incident face in the region. The outer face may not be part of a
     /// region.
@@ -197,7 +175,23 @@ impl Subdivision {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use stq_forms::snapshot_count;
+    use stq_forms::{snapshot_count, FormStore, Time};
+
+    /// Records every crossing of a timed path into `store` in time order,
+    /// as `examples/free_roaming.rs` does for a fleet.
+    fn track(s: &Subdivision, path: &[(Time, Point)], store: &mut FormStore) {
+        let mut events = Vec::new();
+        for w in path.windows(2) {
+            let ((t0, a), (t1, b)) = (w[0], w[1]);
+            for (frac, e, fwd) in s.leg_crossings(a, b) {
+                events.push((t0 + (t1 - t0) * frac, e, fwd));
+            }
+        }
+        events.sort_by(|x, y| x.0.total_cmp(&y.0));
+        for (t, e, fwd) in events {
+            store.record(e, fwd, t);
+        }
+    }
 
     /// A 3x3 grid subdivision: 4 unit cells... actually 2x2 cells of size 1.
     fn grid_subdivision() -> Subdivision {
@@ -263,7 +257,7 @@ mod tests {
             (5.0, Point::new(0.5, 0.5)),
             (6.0, Point::new(1.5, 0.5)),
         ];
-        s.track(&path, &mut store);
+        track(&s, &path, &mut store);
         // At probe times strictly between crossings, the count in the cell
         // currently occupied must be 1 and 0 elsewhere.
         for (t, expect_cell) in [
@@ -296,7 +290,7 @@ mod tests {
             let x = if i % 2 == 0 { 1.5 } else { 0.5 };
             path.push((i as f64 + 1.0, Point::new(x, 0.5)));
         }
-        s.track(&path, &mut store);
+        track(&s, &path, &mut store);
         let f0 = s.locate(Point::new(0.5, 0.5)).unwrap();
         let f1 = s.locate(Point::new(1.5, 0.5)).unwrap();
         let region: HashSet<usize> = [f0, f1].into_iter().collect();
@@ -322,7 +316,7 @@ mod tests {
             (1.0, Point::new(0.5, 0.5)),  // into cell (0,0)
             (2.0, Point::new(0.5, 1.5)),  // up into cell (0,1)
         ];
-        s.track(&path, &mut store);
+        track(&s, &path, &mut store);
         let f00 = s.locate(Point::new(0.5, 0.5)).unwrap();
         let f01 = s.locate(Point::new(0.5, 1.5)).unwrap();
         let both: HashSet<usize> = [f00, f01].into_iter().collect();

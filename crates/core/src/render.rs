@@ -4,7 +4,7 @@
 //! Beijing network) and Fig. 6 (sampled-graph construction) needs pictures;
 //! this module renders a scene to a standalone SVG string: the road
 //! network, sensors, a sampled deployment's monitored links and
-//! communication sensors, and query rectangles.
+//! communication sensors.
 
 use std::fmt::Write as _;
 
@@ -19,8 +19,6 @@ pub struct Scene<'a> {
     pub sensing: Option<&'a SensingGraph>,
     /// A deployment: monitored links (blue) + communication sensors (red).
     pub sampled: Option<(&'a SensingGraph, &'a SampledGraph)>,
-    /// Query rectangles (green outlines).
-    pub queries: Vec<Rect>,
     /// Canvas width in pixels (height follows the aspect ratio).
     pub width: f64,
 }
@@ -28,18 +26,12 @@ pub struct Scene<'a> {
 impl<'a> Scene<'a> {
     /// A scene over a sensing graph.
     pub fn new(sensing: &'a SensingGraph) -> Self {
-        Scene { sensing: Some(sensing), sampled: None, queries: Vec::new(), width: 800.0 }
+        Scene { sensing: Some(sensing), sampled: None, width: 800.0 }
     }
 
     /// Adds a sampled deployment overlay.
     pub fn with_sampled(mut self, sensing: &'a SensingGraph, g: &'a SampledGraph) -> Self {
         self.sampled = Some((sensing, g));
-        self
-    }
-
-    /// Adds a query rectangle.
-    pub fn with_query(mut self, rect: Rect) -> Self {
-        self.queries.push(rect);
         self
     }
 
@@ -128,22 +120,6 @@ impl<'a> Scene<'a> {
             let _ = writeln!(svg, "</g>");
         }
 
-        // Query rectangles.
-        if !self.queries.is_empty() {
-            let _ = writeln!(svg, r##"<g stroke="#2c9b44" stroke-width="2.5" fill="none">"##);
-            for q in &self.queries {
-                let _ = writeln!(
-                    svg,
-                    r#"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}"/>"#,
-                    tx(q.min.x),
-                    ty(q.max.y),
-                    q.width() * scale,
-                    q.height() * scale
-                );
-            }
-            let _ = writeln!(svg, "</g>");
-        }
-
         svg.push_str("</svg>\n");
         svg
     }
@@ -154,7 +130,6 @@ mod tests {
     use super::*;
     use crate::sampled::Connectivity;
     use crate::scenario::{Scenario, ScenarioConfig};
-    use stq_geom::Point;
     use stq_mobility::trajectory::WorkloadMix;
 
     fn setup() -> (Scenario, SampledGraph) {
@@ -174,17 +149,13 @@ mod tests {
     #[test]
     fn renders_valid_svg_document() {
         let (s, g) = setup();
-        let svg = Scene::new(&s.sensing)
-            .with_sampled(&s.sensing, &g)
-            .with_query(Rect::centered(Point::new(50.0, 50.0), 30.0, 20.0))
-            .to_svg();
+        let svg = Scene::new(&s.sensing).with_sampled(&s.sensing, &g).to_svg();
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         // Contains all layers.
         assert!(svg.contains("#bbbbbb"), "roads layer");
         assert!(svg.contains("#1f6fd0"), "monitored links layer");
         assert!(svg.contains("#d03b2f"), "communication sensors layer");
-        assert!(svg.contains("#2c9b44"), "query layer");
         // One circle per communication sensor with a position.
         let reds = svg.split("#d03b2f").nth(1).unwrap();
         let red_circles = reds.split("</g>").next().unwrap().matches("<circle").count();
@@ -212,7 +183,7 @@ mod tests {
 
     #[test]
     fn empty_scene_is_still_valid() {
-        let scene = Scene { sensing: None, sampled: None, queries: vec![], width: 100.0 };
+        let scene = Scene { sensing: None, sampled: None, width: 100.0 };
         let svg = scene.to_svg();
         assert!(svg.starts_with("<svg"));
         assert!(svg.contains("</svg>"));

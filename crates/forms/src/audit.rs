@@ -186,11 +186,6 @@ impl AuditReport {
         self.verdicts.values().filter(|v| v.health == EdgeHealth::Dead).map(|v| v.edge).collect()
     }
 
-    /// Edges classified `Suspect`.
-    pub fn suspects(&self) -> Vec<EdgeIdx> {
-        self.verdicts.values().filter(|v| v.health == EdgeHealth::Suspect).map(|v| v.edge).collect()
-    }
-
     /// The conservation violations found, one per violated component.
     pub fn violations(&self) -> &[Violation] {
         &self.violations

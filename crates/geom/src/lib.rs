@@ -9,7 +9,6 @@
 //! - [`Segment`] intersection (proper and endpoint-touching),
 //! - [`Rect`] axis-aligned boxes used for query regions,
 //! - [`Polygon`] with signed area, centroid, and point containment,
-//! - convex hulls ([`hull::convex_hull`]),
 //! - a from-scratch Bowyer–Watson Delaunay triangulation
 //!   ([`delaunay::triangulate`]) used to connect sampled sensors (paper §4.5).
 //!
@@ -19,7 +18,6 @@
 //! `stq-mobility` jitter inputs so degenerate configurations are measure-zero.
 
 pub mod delaunay;
-pub mod hull;
 pub mod point;
 pub mod polygon;
 pub mod predicates;
@@ -27,7 +25,6 @@ pub mod rect;
 pub mod segment;
 
 pub use delaunay::{triangulate, Triangle, Triangulation};
-pub use hull::convex_hull;
 pub use point::Point;
 pub use polygon::Polygon;
 pub use predicates::{orient2d, Orientation};

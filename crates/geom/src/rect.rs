@@ -103,14 +103,6 @@ impl Rect {
         }
     }
 
-    /// Intersection; may be empty.
-    pub fn intersection(&self, other: &Rect) -> Rect {
-        Rect {
-            min: Point::new(self.min.x.max(other.min.x), self.min.y.max(other.min.y)),
-            max: Point::new(self.max.x.min(other.max.x), self.max.y.min(other.max.y)),
-        }
-    }
-
     /// Rectangle grown by `margin` on every side.
     pub fn inflated(&self, margin: f64) -> Rect {
         let m = Point::new(margin, margin);
@@ -123,11 +115,6 @@ impl Rect {
             min: Point::new(self.min.x.min(p.x), self.min.y.min(p.y)),
             max: Point::new(self.max.x.max(p.x), self.max.y.max(p.y)),
         }
-    }
-
-    /// The four corners in counter-clockwise order starting at `min`.
-    pub fn corners(&self) -> [Point; 4] {
-        [self.min, Point::new(self.max.x, self.min.y), self.max, Point::new(self.min.x, self.max.y)]
     }
 }
 
@@ -158,9 +145,6 @@ mod tests {
         let a = Rect::from_corners(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
         let b = Rect::from_corners(Point::new(1.0, 1.0), Point::new(3.0, 3.0));
         assert!(a.intersects(&b));
-        let i = a.intersection(&b);
-        assert_eq!(i.min, Point::new(1.0, 1.0));
-        assert_eq!(i.max, Point::new(2.0, 2.0));
         let u = a.union(&b);
         assert_eq!(u.min, Point::new(0.0, 0.0));
         assert_eq!(u.max, Point::new(3.0, 3.0));
@@ -194,19 +178,5 @@ mod tests {
         let g = r.inflated(1.0);
         assert_eq!(g.min, Point::new(-1.0, -2.0));
         assert_eq!(g.max, Point::new(3.0, 4.0));
-    }
-
-    #[test]
-    fn corners_ccw() {
-        let r = Rect::from_corners(Point::ORIGIN, Point::new(1.0, 1.0));
-        let c = r.corners();
-        // Shoelace over the corner loop must be positive (CCW).
-        let mut s = 0.0;
-        for i in 0..4 {
-            let p = c[i];
-            let q = c[(i + 1) % 4];
-            s += p.cross(q);
-        }
-        assert!(s > 0.0);
     }
 }

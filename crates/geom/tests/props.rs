@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use stq_geom::{
-    convex_hull, segment_intersection, triangulate, Point, Polygon, Rect, Segment,
-    SegmentIntersection,
+    segment_intersection, triangulate, Point, Polygon, Rect, Segment, SegmentIntersection,
 };
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -14,35 +13,23 @@ fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point>> {
     proptest::collection::vec(pt(), n)
 }
 
+/// A simple polygon drawn here: one vertex per spoke, at jittered and
+/// strictly increasing angles around the origin, each at its own radius.
+/// Every gap between spokes is under π, so the polygon is star-shaped about
+/// the origin, hence simple and counter-clockwise.
+fn star_polygon() -> impl Strategy<Value = Polygon> {
+    proptest::collection::vec((0.0f64..0.5, 1.0f64..100.0), 3..12).prop_map(|spokes| {
+        let step = std::f64::consts::TAU / spokes.len() as f64;
+        let ring = spokes.iter().enumerate().map(|(i, &(jitter, r))| {
+            let a = (i as f64 + jitter) * step;
+            Point::new(r * a.cos(), r * a.sin())
+        });
+        Polygon::new(ring.collect())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn hull_contains_all_points(pts in points(3..40)) {
-        let h = convex_hull(&pts);
-        if h.len() >= 3 {
-            let poly = Polygon::new(h.clone());
-            prop_assert!(poly.is_ccw());
-            for &p in &pts {
-                prop_assert!(poly.contains(p), "{p} escaped its hull");
-            }
-        }
-    }
-
-    #[test]
-    fn hull_is_convex(pts in points(3..40)) {
-        let h = convex_hull(&pts);
-        if h.len() >= 3 {
-            // Every consecutive triple turns left (or is collinear-free by
-            // construction).
-            for i in 0..h.len() {
-                let a = h[i];
-                let b = h[(i + 1) % h.len()];
-                let c = h[(i + 2) % h.len()];
-                prop_assert!((b - a).cross(c - b) > 0.0);
-            }
-        }
-    }
 
     #[test]
     fn segment_intersection_symmetric(a in pt(), b in pt(), c in pt(), d in pt()) {
@@ -72,42 +59,29 @@ proptest! {
     }
 
     #[test]
-    fn polygon_reverse_flips_area(pts in points(3..12)) {
-        let h = convex_hull(&pts);
-        if h.len() >= 3 {
-            let poly = Polygon::new(h);
-            let rev = poly.reversed();
-            prop_assert!((poly.signed_area() + rev.signed_area()).abs() < 1e-9);
-            prop_assert!((poly.area() - rev.area()).abs() < 1e-9);
-        }
+    fn polygon_reverse_flips_area(poly in star_polygon()) {
+        let rev = poly.reversed();
+        prop_assert!(poly.is_ccw() && !rev.is_ccw());
+        prop_assert!((poly.signed_area() + rev.signed_area()).abs() < 1e-9);
+        prop_assert!((poly.area() - rev.area()).abs() < 1e-9);
     }
 
     #[test]
-    fn polygon_centroid_inside_bbox(pts in points(3..12)) {
-        let h = convex_hull(&pts);
-        if h.len() >= 3 {
-            let poly = Polygon::new(h);
-            prop_assert!(poly.bbox().inflated(1e-9).contains(poly.centroid()));
-        }
+    fn polygon_centroid_inside_bbox(poly in star_polygon()) {
+        prop_assert!(poly.bbox().inflated(1e-9).contains(poly.centroid()));
     }
 
     #[test]
     fn rect_algebra(a in pt(), b in pt(), c in pt(), d in pt(), probe in pt()) {
         let r1 = Rect::from_corners(a, b);
         let r2 = Rect::from_corners(c, d);
-        let inter = r1.intersection(&r2);
         let union = r1.union(&r2);
-        // Containment laws.
-        prop_assert_eq!(
-            inter.contains(probe),
-            r1.contains(probe) && r2.contains(probe)
-        );
+        // Containment law.
         if r1.contains(probe) || r2.contains(probe) {
             prop_assert!(union.contains(probe));
         }
         // Area monotonicity.
         prop_assert!(union.area() + 1e-9 >= r1.area().max(r2.area()));
-        prop_assert!(inter.area() <= r1.area().min(r2.area()) + 1e-9);
     }
 
     #[test]

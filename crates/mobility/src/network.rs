@@ -52,11 +52,13 @@ pub struct RoadNetwork {
 }
 
 impl RoadNetwork {
-    /// Builds a road network from junction coordinates and road segments
-    /// (which must already be non-crossing — run
-    /// `stq_planar::arrangement::planarize` first for raw geometry), then
-    /// attaches the external junction to `num_ramps` junctions spread evenly
-    /// along the outer face.
+    /// Builds a road network from junction coordinates and road segments,
+    /// then attaches the external junction to `num_ramps` junctions spread
+    /// evenly along the outer face. The segments must not cross: geometry
+    /// whose traced faces are not a plane subdivision (a broken Euler count
+    /// or an interior face of non-positive area) is refused as
+    /// [`NetworkError::SelfIntersecting`], a graph in pieces as
+    /// [`NetworkError::Disconnected`].
     pub fn new(
         positions: Vec<Point>,
         edges: Vec<(VertexId, VertexId)>,

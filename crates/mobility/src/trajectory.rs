@@ -41,11 +41,6 @@ impl Trajectory {
         self.visits.first().map(|&(t, _)| t).unwrap_or(0.0)
     }
 
-    /// Time of the last visit.
-    pub fn end_time(&self) -> Time {
-        self.visits.last().map(|&(t, _)| t).unwrap_or(0.0)
-    }
-
     /// Total travelled distance (sum of traversed edge lengths).
     pub fn distance(&self, net: &RoadNetwork) -> f64 {
         self.visits

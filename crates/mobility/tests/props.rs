@@ -113,7 +113,8 @@ proptest! {
             // Timestamps within the spawn window and a grace period for the
             // final exit walk.
             prop_assert!(traj.start_time() >= 0.0);
-            prop_assert!(traj.end_time() <= 300.0 + 400.0 / speed + 1.0);
+            let end = traj.visits.last().map_or(0.0, |&(t, _)| t);
+            prop_assert!(end <= 300.0 + 400.0 / speed + 1.0);
         }
     }
 }

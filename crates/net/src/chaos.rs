@@ -9,8 +9,8 @@
 //!
 //! [`ChaosConfig`] unifies them: **one root seed**, domain-separated into
 //! per-plan sub-seeds, so the message coin stream never correlates with the
-//! sensor or durability streams. The CLI maps `--chaos-seed` onto
-//! [`ChaosBuilder::seed`].
+//! sensor or durability streams. The CLI maps `--chaos-seed` onto the root
+//! seed of [`ChaosConfig::new`].
 
 use crate::durability::DurabilityFaultPlan;
 use crate::fault::{CrashWindow, FaultPlan};
@@ -21,82 +21,6 @@ use crate::sensor::{SensorFaultMix, SensorFaultPlan};
 const SALT_MESSAGE: u64 = 0xA24B_AED4_963E_E407;
 const SALT_SENSOR: u64 = 0x9FB2_1C65_1E98_DF25;
 const SALT_DURABILITY: u64 = 0xD6E8_FEB8_6659_FD93;
-
-/// Builder for [`ChaosConfig`]: fault shapes (probabilities, windows, kill
-/// schedules) accumulate, and the root seed is 0 unless set.
-#[derive(Clone, Debug, Default)]
-pub struct ChaosBuilder {
-    seed: u64,
-    drop_p: f64,
-    delay_p: f64,
-    dup_p: f64,
-    max_delay_ms: u64,
-    crashes: Vec<CrashWindow>,
-    sensor_mix: SensorFaultMix,
-    ingest_crashes: Vec<(usize, u64)>,
-}
-
-impl ChaosBuilder {
-    /// Sets the root seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Uniform lossy-link message faults (see [`FaultPlan::lossy`]).
-    pub fn message_loss(
-        mut self,
-        drop_p: f64,
-        delay_p: f64,
-        dup_p: f64,
-        max_delay_ms: u64,
-    ) -> Self {
-        self.drop_p = drop_p;
-        self.delay_p = delay_p;
-        self.dup_p = dup_p;
-        self.max_delay_ms = max_delay_ms;
-        self
-    }
-
-    /// A scheduled shard outage (see [`FaultPlan::with_crash`]).
-    pub fn crash_window(mut self, window: CrashWindow) -> Self {
-        self.crashes.push(window);
-        self
-    }
-
-    /// Sensor corruption mix (fractions of dead/lossy/duplicating/flipped/
-    /// skewed sensors).
-    pub fn sensor_mix(mut self, mix: SensorFaultMix) -> Self {
-        self.sensor_mix = mix;
-        self
-    }
-
-    /// A scheduled ingest-time process kill for `shard` after its
-    /// `after_appends`-th WAL append.
-    pub fn ingest_crash(mut self, shard: usize, after_appends: u64) -> Self {
-        self.ingest_crashes.push((shard, after_appends));
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> ChaosConfig {
-        let seed = self.seed;
-        let mut message = FaultPlan::lossy(
-            seed ^ SALT_MESSAGE,
-            self.drop_p,
-            self.delay_p,
-            self.dup_p,
-            self.max_delay_ms,
-        );
-        message.crashes = self.crashes;
-        ChaosConfig {
-            seed,
-            message,
-            sensor_mix: self.sensor_mix,
-            durability: DurabilityFaultPlan::killing(seed ^ SALT_DURABILITY, &self.ingest_crashes),
-        }
-    }
-}
 
 /// Every fault plan an experiment needs, derived from one seed.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,9 +37,30 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Starts a builder.
-    pub fn builder() -> ChaosBuilder {
-        ChaosBuilder::default()
+    /// Derives every plan from the root `seed` and the fault shapes: uniform
+    /// lossy-link message faults (see [`FaultPlan::lossy`]) with scheduled
+    /// shard outages (see [`FaultPlan::with_crash`]), the sensor corruption
+    /// mix, and ingest-time process kills, each `(shard, after_appends)`
+    /// (see [`DurabilityFaultPlan::killing`]).
+    pub fn new(
+        seed: u64,
+        drop_p: f64,
+        delay_p: f64,
+        dup_p: f64,
+        max_delay_ms: u64,
+        crashes: Vec<CrashWindow>,
+        sensor_mix: SensorFaultMix,
+        ingest_crashes: &[(usize, u64)],
+    ) -> Self {
+        let mut message =
+            FaultPlan::lossy(seed ^ SALT_MESSAGE, drop_p, delay_p, dup_p, max_delay_ms);
+        message.crashes = crashes;
+        ChaosConfig {
+            seed,
+            message,
+            sensor_mix,
+            durability: DurabilityFaultPlan::killing(seed ^ SALT_DURABILITY, ingest_crashes),
+        }
     }
 
     /// Instantiates the sensor fault plan for a concrete candidate edge set
@@ -136,11 +81,16 @@ mod tests {
 
     #[test]
     fn one_seed_fans_out_to_distinct_subseeds() {
-        let c = ChaosConfig::builder()
-            .seed(42)
-            .message_loss(0.1, 0.0, 0.0, 0)
-            .ingest_crash(1, 100)
-            .build();
+        let c = ChaosConfig::new(
+            42,
+            0.1,
+            0.0,
+            0.0,
+            0,
+            Vec::new(),
+            SensorFaultMix::default(),
+            &[(1, 100)],
+        );
         assert_eq!(c.seed, 42);
         assert_ne!(c.message.seed, 42, "message plan gets a domain-separated sub-seed");
         assert_ne!(c.durability.seed, 42);
@@ -153,12 +103,8 @@ mod tests {
     #[test]
     fn same_seed_reproduces_identical_plans() {
         let make = || {
-            ChaosConfig::builder()
-                .seed(7)
-                .message_loss(0.2, 0.1, 0.05, 30)
-                .ingest_crash(0, 50)
-                .sensor_mix(SensorFaultMix { lossy: 0.2, ..SensorFaultMix::default() })
-                .build()
+            let mix = SensorFaultMix { lossy: 0.2, ..SensorFaultMix::default() };
+            ChaosConfig::new(7, 0.2, 0.1, 0.05, 30, Vec::new(), mix, &[(0, 50)])
         };
         assert_eq!(make(), make());
         assert_eq!(
@@ -169,10 +115,8 @@ mod tests {
 
     #[test]
     fn windows_land_in_the_message_plan() {
-        let c = ChaosConfig::builder()
-            .seed(5)
-            .crash_window(CrashWindow { node: 2, after_messages: 1, lasts_messages: 3 })
-            .build();
+        let window = CrashWindow { node: 2, after_messages: 1, lasts_messages: 3 };
+        let c = ChaosConfig::new(5, 0.0, 0.0, 0.0, 0, vec![window], SensorFaultMix::default(), &[]);
         assert!(c.message.is_crashed(2, 2));
     }
 }

@@ -24,7 +24,7 @@ pub mod durability;
 pub mod fault;
 pub mod sensor;
 
-pub use chaos::{ChaosBuilder, ChaosConfig};
+pub use chaos::ChaosConfig;
 pub use durability::{DurabilityFaultPlan, IngestCrash};
 pub use fault::{CrashWindow, FaultDecision, FaultPlan, MessageCtx};
 pub use sensor::{SensorEventFate, SensorFault, SensorFaultKind, SensorFaultMix, SensorFaultPlan};

@@ -96,9 +96,10 @@ impl Embedding {
     /// sorting each vertex's incident half-edges counter-clockwise by angle.
     ///
     /// The input must be a *plane* graph: edges are straight segments that
-    /// intersect only at shared endpoints (run
-    /// [`crate::arrangement::planarize`] first if unsure). Loops are rejected
-    /// here because a straight loop has no angle; build them via
+    /// intersect only at shared endpoints. Crossings are not detected here:
+    /// a caller checks the traced faces ([`Embedding::is_planar_connected`],
+    /// [`Embedding::face_signed_area`]). Loops are rejected here because a
+    /// straight loop has no angle; build them via
     /// [`Embedding::from_rotations`] if ever needed.
     pub fn from_geometry(
         positions: Vec<Point>,

@@ -19,19 +19,18 @@
 //! - faces of an arbitrary **subgraph** via union-find over the
 //!   complementary primal edges ([`dual::subgraph_faces`]) — how sampled
 //!   sensing graphs `G̃` partition space into coarser cells (§4.5–§4.6),
-//! - oriented 1-chains and the boundary operator `∂` ([`chain`]),
-//! - shortest paths / connectivity utilities ([`paths`]),
-//! - planarization of segment arrangements ([`arrangement`]) used when
-//!   constructing planar mobility graphs from raw map geometry (§4.2).
+//! - shortest paths / connectivity utilities ([`paths`]).
+//!
+//! The boundary operator `∂` of §3.4 is served by
+//! `stq_core::sensing::SensingGraph::boundary_walk` over junction sets; the
+//! inputs are generated plane graphs, so §4.2's planarization of raw map
+//! geometry has no counterpart here.
 
-pub mod arrangement;
-pub mod chain;
 pub mod dual;
 pub mod embedding;
 pub mod paths;
 pub mod unionfind;
 
-pub use chain::{Chain, SignedEdge};
 pub use dual::{subgraph_faces, DualGraph, SubgraphFaces};
 pub use embedding::{Embedding, FaceId, Faces, HalfEdgeId, VertexId};
 pub use unionfind::UnionFind;

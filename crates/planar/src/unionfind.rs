@@ -62,11 +62,6 @@ impl UnionFind {
         true
     }
 
-    /// True when `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Compacts set representatives into dense group ids `0..k`; returns
     /// `(group_of_element, k)`.
     pub fn groups(&mut self) -> (Vec<usize>, usize) {
@@ -98,10 +93,10 @@ mod tests {
         assert!(uf.union(2, 3));
         assert!(!uf.union(1, 0));
         assert_eq!(uf.groups().1, 3);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
         assert!(uf.union(1, 3));
-        assert!(uf.connected(0, 2));
+        assert_eq!(uf.find(0), uf.find(2));
         assert_eq!(uf.groups().1, 2);
     }
 

@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use stq_geom::{triangulate, Point};
-use stq_planar::chain::{vertex_boundary, Chain};
 use stq_planar::dual::{subgraph_faces, DualGraph};
 use stq_planar::Embedding;
 
@@ -74,24 +73,6 @@ proptest! {
         let demb = dual.dual_embedding(&faces);
         prop_assert_eq!(demb.faces().walks.len(), emb.num_vertices());
         prop_assert_eq!(demb.euler_characteristic(), 2);
-    }
-
-    #[test]
-    fn boundary_of_boundary_vanishes(emb in delaunay_embedding()) {
-        let faces = emb.faces();
-        // Any subset of faces: its region boundary is a cycle (∂∂ = 0).
-        let outer = emb.outer_face(&faces).unwrap();
-        let region: Vec<usize> =
-            (0..faces.walks.len()).filter(|&f| f != outer && f % 2 == 0).collect();
-        let chain = Chain::region_boundary(&emb, &faces, &region);
-        prop_assert!(vertex_boundary(&emb, &chain).is_empty());
-    }
-
-    #[test]
-    fn all_faces_boundary_is_zero(emb in delaunay_embedding()) {
-        let faces = emb.faces();
-        let all: Vec<usize> = (0..faces.walks.len()).collect();
-        prop_assert!(Chain::region_boundary(&emb, &faces, &all).is_zero());
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub use server::{
 pub use shard::ShardHealth;
 pub use shardmap::{Migration, ShardMap};
 pub use stq_net::{
-    ChaosBuilder, ChaosConfig, CrashWindow, DurabilityFaultPlan, FaultDecision, FaultPlan,
-    IngestCrash, MessageCtx, SensorFault, SensorFaultKind, SensorFaultMix, SensorFaultPlan,
+    ChaosConfig, CrashWindow, DurabilityFaultPlan, FaultDecision, FaultPlan, IngestCrash,
+    MessageCtx, SensorFault, SensorFaultKind, SensorFaultMix, SensorFaultPlan,
 };
 pub use stq_subscribe::{
     BracketUpdate, Registered, StandingBracket, SubscribeError, SubscriptionId,

@@ -192,6 +192,26 @@ fn one_failover_path() {
 }
 
 #[test]
+fn what_only_its_own_tests_reach_stays_gone() {
+    assert_absent(&Guard {
+        rule: "a `pub` item that only its own package's tests reach does not earn its place: \
+               the inputs are generated plane graphs (no planarization), `∂` is \
+               `SensingGraph::boundary_walk` (no 1-chains), nothing serves a convex hull, and \
+               `ChaosConfig::new` is the one way to derive the fault plans",
+        patterns: &[
+            "planarize",
+            "PlaneGraph",
+            "convex_hull",
+            "SignedEdge",
+            "vertex_boundary",
+            "ChaosBuilder",
+        ],
+        roots: &["crates", "examples", "tests"],
+        except: &["tests/guards.rs"],
+    });
+}
+
+#[test]
 fn a_panicking_shard_is_answered_not_respawned() {
     assert_absent(&Guard {
         rule: "a request that panics is answered as `panicked` and widens its shard's edges; \
