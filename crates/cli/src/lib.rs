@@ -177,7 +177,8 @@ COMMANDS:
                                                 --flip F --skew F --chaos-seed S]
 common flags: --junctions N (600) --objects K (120) --seed S (2024)
 chaos: one root seed, --chaos-seed S, drives message, sensor, and
-  durability faults
+  durability faults; a delayed message waits 1..=MS ms (--delay-ms, 2,
+  at most 100) per boundary edge it carries
 a flag the command does not read, or a repeated flag, is refused
 sensor-fault flags (fractions of monitored links): --dead F --lossy F
   --dup-sensors F --flip F --skew F; serve quarantines what the audit flags
@@ -290,6 +291,10 @@ fn sensor_mix_from(args: &Args) -> Result<SensorFaultMix, CliError> {
     Ok(mix)
 }
 
+/// The longest `--delay-ms`. A delayed message holds its shard for up to
+/// this long per boundary edge it carries, and shutdown waits for it.
+const MAX_DELAY_MS: u64 = 100;
+
 /// Builds the unified chaos configuration from the fault flags. One root
 /// seed, `--chaos-seed` (`default_seed` when absent), drives every plan.
 fn chaos_from(args: &Args, default_seed: u64) -> Result<ChaosConfig, CliError> {
@@ -297,6 +302,9 @@ fn chaos_from(args: &Args, default_seed: u64) -> Result<ChaosConfig, CliError> {
     let delay_p = fraction(args, "delay", 0.0)?;
     let dup_p = fraction(args, "dup", 0.0)?;
     let delay_ms: u64 = args.get("delay-ms", 2)?;
+    if delay_ms > MAX_DELAY_MS {
+        return Err(CliError::Usage(format!("--delay-ms must be at most {MAX_DELAY_MS}")));
+    }
     let sensor_mix = sensor_mix_from(args)?;
     let mut crashes = Vec::new();
     if let Some(shard) = args.get_str("crash") {
@@ -1371,6 +1379,21 @@ mod tests {
             &["serve", "--subscribe", "2", "--subscribe-area", "0"],
             "--subscribe-area must be greater than 0",
         );
+    }
+
+    #[test]
+    fn an_absurd_delay_is_refused_by_the_flag_parser() {
+        let chaos = |ms: &str| {
+            let args = Args::parse(["serve", "--delay", "1", "--delay-ms", ms].map(String::from));
+            chaos_from(&args.unwrap(), 11)
+        };
+        assert!(chaos("100").is_ok(), "the bound itself is served");
+        for ms in ["101", "100000", &u64::MAX.to_string()] {
+            let err = chaos(ms).expect_err("an absurd delay");
+            assert!(matches!(err, CliError::Usage(_)), "{ms}: {err}");
+            assert!(err.to_string().contains("--delay-ms must be at most 100"), "{ms}: {err}");
+        }
+        assert!(USAGE.contains("at most 100)"), "the help states the bound");
     }
 
     #[test]

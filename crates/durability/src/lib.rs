@@ -27,8 +27,10 @@
 //! crossings a shard worker was handed ([`WalWriter::append_lane`]; a single
 //! record is a one-event lane) into a buffer the writer keeps; a snapshot is
 //! streamed from the live forms' own sequences through one 64 KiB chunk
-//! (`snapshot::write_snapshot`), never cloned and never held whole; and the
-//! checksum over both ([`crc`]) runs eight bytes a step.
+//! (`snapshot::write_snapshot`), never cloned and never held whole, each
+//! sequence copied into it a run at a time; and the checksum over both
+//! ([`crc`]) folds 64-byte blocks with carry-less multiplies where the CPU
+//! has them, eight bytes a step where it does not.
 //!
 //! Fault injection (fsync loss, torn mid-record writes) lives in
 //! `stq_net::DurabilityFaultPlan`; this crate only provides the mechanics

@@ -34,6 +34,7 @@
 //! reference and compares files byte for byte.
 
 use std::borrow::Borrow;
+use std::convert::identity;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -150,16 +151,25 @@ struct ChunkedFile {
     file: File,
     crc: Crc32,
     chunk: Vec<u8>,
+    /// Bytes of `chunk` holding words not yet written.
+    filled: usize,
 }
 
 impl ChunkedFile {
-    fn put(&mut self, words: impl IntoIterator<Item = u64>) -> std::io::Result<()> {
-        for word in words {
-            self.chunk.extend_from_slice(&word.to_le_bytes());
-            if self.chunk.len() == CHUNK {
+    /// Copies `words` in as little-endian `bits`, in runs that fill the chunk.
+    fn put<T: Copy>(&mut self, mut words: &[T], bits: impl Fn(T) -> u64) -> std::io::Result<()> {
+        while !words.is_empty() {
+            let room = &mut self.chunk[self.filled..];
+            let (run, later) = words.split_at(words.len().min(room.len() / 8));
+            for (slot, &w) in room.chunks_exact_mut(8).zip(run) {
+                slot.copy_from_slice(&bits(w).to_le_bytes());
+            }
+            self.filled += run.len() * 8;
+            words = later;
+            if self.filled == CHUNK {
                 self.crc.update(&self.chunk);
                 self.file.write_all(&self.chunk)?;
-                self.chunk.clear();
+                self.filled = 0;
             }
         }
         Ok(())
@@ -180,17 +190,22 @@ fn write_snapshot<'a>(
     let mut out = ChunkedFile {
         file: File::create(&tmp)?,
         crc: Crc32::default(),
-        chunk: Vec::with_capacity(CHUNK),
+        chunk: vec![0; CHUNK],
+        filled: 0,
     };
-    out.put([u64::from_le_bytes(*MAGIC), shard as u64, covered_seq, edges.len() as u64])?;
+    let header = [u64::from_le_bytes(*MAGIC), shard as u64, covered_seq, edges.len() as u64];
+    out.put(&header, identity)?;
     for (edge, fwd, bwd) in edges {
-        out.put([edge as u64, fwd.len() as u64, bwd.len() as u64])?;
-        out.put(fwd.iter().chain(bwd).map(|t| t.to_bits()))?;
+        out.put(&[edge as u64, fwd.len() as u64, bwd.len() as u64], identity)?;
+        out.put(fwd, f64::to_bits)?;
+        out.put(bwd, f64::to_bits)?;
     }
-    let ChunkedFile { mut file, mut crc, mut chunk } = out;
-    crc.update(&chunk);
-    chunk.extend_from_slice(&crc.finish().to_le_bytes());
-    file.write_all(&chunk)?;
+    // `filled` is whole words short of `CHUNK` (a full chunk goes out at
+    // once), so the 4-byte trailer fits behind them.
+    let ChunkedFile { mut file, mut crc, mut chunk, filled } = out;
+    crc.update(&chunk[..filled]);
+    chunk[filled..filled + 4].copy_from_slice(&crc.finish().to_le_bytes());
+    file.write_all(&chunk[..filled + 4])?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(&tmp, snapshot_path(dir))
@@ -341,6 +356,12 @@ mod tests {
             assert!(std::fs::read(&file).unwrap() == want, "{case}: from the live forms");
             assert_eq!(load_snapshot(&dir).unwrap().unwrap(), snap, "{case}");
         }
+        // `reference_encode` checksums with the same `crc32` as the encoder;
+        // this trailer was written by the slice-by-8 loop alone.
+        install_forms(&dir, 3, 77, &sample_forms()).unwrap();
+        let bytes = std::fs::read(&file).unwrap();
+        assert_eq!(bytes.len(), 172);
+        assert_eq!(bytes[168..], 0xBC3F_B415u32.to_le_bytes());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -308,7 +308,10 @@ impl ShardWorker {
             // One radio message per perimeter sensor in the request: the
             // hold-up scales with the payload this shard must collect, and
             // it blocks the whole shard, like a congested radio.
-            clock::sleep(Duration::from_millis(fate.delay_ms) * req.edges.len().max(1) as u32);
+            // Saturating: a plan built by `ChaosConfig::new` may carry any
+            // delay, and a product past `Duration`'s range must not panic.
+            let edges = u32::try_from(req.edges.len().max(1)).unwrap_or(u32::MAX);
+            clock::sleep(Duration::from_millis(fate.delay_ms).saturating_mul(edges));
         }
         // Audit verdicts gate serving: quarantined edges are refused (their
         // positions reported so the aggregator can widen soundly; the shard

@@ -237,11 +237,10 @@ mod tests {
 
     use stq_core::prelude::*;
     use stq_core::query::evaluate;
-    use stq_durability::state_digest;
     use stq_net::DurabilityFaultPlan;
 
     use super::*;
-    use crate::lifecycle::{Lane, NO_LOG};
+    use crate::lifecycle::NO_LOG;
     use crate::server::{QuerySpec, Runtime};
     use crate::shard::ShardHealth;
 
@@ -462,6 +461,9 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn a_panic_that_escapes_the_request_guard_is_a_death_like_a_kill() {
+        use crate::lifecycle::Lane;
+        use stq_durability::state_digest;
+
         let _virtual = clock::virtual_time();
         let scenario = scenario();
         let ne = scenario.sensing.num_edges();
