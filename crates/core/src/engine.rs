@@ -7,16 +7,17 @@
 //! count. The engine splits that work the way distributed spatial systems
 //! do:
 //!
-//! - **Plan** ([`QueryPlan::compile`]): resolve the region (§4.6), walk the
-//!   boundary *once* — collecting the inward-oriented chain and the
-//!   distinct incident sensors in the same pass — and freeze the result. A
+//! - **Plan** ([`QueryPlan::compile`]): resolve the region (§4.6), read its
+//!   boundary *once* from the sampled graph's exit lists — collecting the
+//!   inward-oriented chain and the distinct incident sensors in the same
+//!   pass — and freeze the result. A
 //!   plan is independent of the query kind and of the count store: the same
 //!   plan answers snapshot, transient and static queries against exact,
 //!   learned or private stores.
-//! - **Cache** ([`QueryEngine`]): plans are memoized in a bounded LRU keyed
-//!   by a fingerprint of the region's junction set and resolution side.
-//!   Repeated queries over the same region skip resolution and the
-//!   boundary walk entirely.
+//! - **Cache** ([`QueryEngine`]): plans are memoized in a bounded, exact LRU
+//!   keyed by a fingerprint of the region's junction set and resolution
+//!   side; a hit and an eviction each cost O(1). Repeated queries over the
+//!   same region skip resolution and the boundary entirely.
 //! - **Execute** ([`QueryPlan::execute`]): fold the plan's boundary against
 //!   a [`CountSource`]. The fold visits edges in the plan's (deterministic)
 //!   chain order, so results are bit-identical to the scalar `evaluate`
@@ -25,7 +26,7 @@
 //! ## Compilation hashes nothing
 //!
 //! A region's junction set is one strictly increasing slice from
-//! [`QueryRegion::from_rect`] to the end of the walk, so a cache miss works
+//! [`QueryRegion::from_rect`] to the end of the compile, so a cache miss works
 //! on sorted slices and per-call bitsets, never on a hash container (the
 //! plan cache's own map aside), and the engine sorts nothing:
 //!
@@ -41,12 +42,21 @@
 //!    component's members in a bitset over vertices and reads them back in
 //!    ascending order. Either way the plan's `interior` is allocated once,
 //!    at its exact size.
-//! 3. [`SensingGraph::boundary_walk`] marks `interior` in a bitset over
-//!    vertices, then visits each interior vertex's half-edges in rotation
-//!    order; a half-edge whose target is unmarked is a boundary edge. Its
-//!    two dual faces go into a bitset over faces whose popcount is
-//!    `nodes_accessed`. No "edge already emitted" set exists: a crossing
-//!    edge has exactly one half-edge leaving the interior.
+//! 3. The chain is read from the sampled graph's exit table, built once per
+//!    graph: per junction, in rotation order, each half-edge that leaves
+//!    the junction's component, with the component it enters. The interior's
+//!    components go into a bitset over components; each interior junction's
+//!    exits into a component outside that set are the boundary edges, and
+//!    their two dual faces go into a bitset over faces whose popcount is
+//!    `nodes_accessed`. Because `resolve` returns unions of whole
+//!    components, this is [`SensingGraph::boundary_walk`]'s rule restated
+//!    (a half-edge whose target is outside the interior) and gives its chain
+//!    exactly. The walk stays the reference; it still serves
+//!    [`QueryPlan::compile_exact`], the auditor's component boundaries and
+//!    the tracker. A miss reads no rotation, target or monitoring flag, only
+//!    the exits of the interior's junctions, so its cost follows the
+//!    region's perimeter rather than its area. No "edge already emitted" set
+//!    exists: a crossing edge has exactly one half-edge leaving the interior.
 //!
 //! **Determinism.** The chain order is "sorted interior × rotation order":
 //! a function of the region's contents and the embedding alone, not of any
@@ -55,10 +65,10 @@
 //! order — what the bit-identity suites and the [`PlanId`] contract rest on.
 //!
 //! **No cached scratch.** The per-component counts and the bitsets (one bit
-//! per junction, one per face) are allocated per compile. When this path
-//! was sized, an epoch-stamped thread-local scratch measured the same
-//! compile time on the benchmark's 2 500-junction town, so the stateless
-//! form stays: nothing to size, reset between graphs, or share
+//! per junction or component, one per face) are allocated per compile.
+//! When this path was sized, an epoch-stamped thread-local scratch measured
+//! the same compile time on the benchmark's 2 500-junction town, so the
+//! stateless form stays: nothing to size, reset between graphs, or share
 //! between threads.
 //!
 //! ## One graph pair for life
@@ -80,6 +90,7 @@
 //! The offline paths compile against a single graph per call.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -103,7 +114,7 @@ pub struct QueryPlan {
     /// The resolved interior cells, sorted (empty on a miss).
     pub interior: Vec<VertexId>,
     /// Deduplicated boundary chain, oriented inward, in deterministic
-    /// (sorted-vertex walk) order — the fold order of every execution.
+    /// (sorted interior × rotation) order — the fold order of every execution.
     pub boundary: Vec<BoundaryEdge>,
     /// Distinct sensors incident to the boundary — the nodes a
     /// perimeter-based evaluation contacts.
@@ -158,8 +169,7 @@ impl QueryPlan {
         if interior.is_empty() {
             return QueryPlan { id, interior, boundary: Vec::new(), nodes_accessed: 0, miss: true };
         }
-        let (boundary, nodes_accessed) =
-            sensing.boundary_walk(&interior, Some(sampled.monitored()));
+        let (boundary, nodes_accessed) = sampled.boundary_of(sensing, &interior);
         QueryPlan { id, interior, boundary, nodes_accessed, miss: false }
     }
 
@@ -226,18 +236,127 @@ pub struct EngineStats {
     pub cached: usize,
 }
 
-struct CacheEntry {
+/// Hashes a [`PlanId`] as itself: it is already a mixed fingerprint.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The end of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One cached plan and its place in the recency list.
+struct Slot {
+    id: u64,
     plan: Arc<QueryPlan>,
     /// Sorted junction ids — verified on every hit so a fingerprint
     /// collision degrades to a recompile, never to a wrong plan.
     key: Vec<VertexId>,
-    last_used: u64,
+    /// The slot used just more recently (`NIL` at the head).
+    newer: usize,
+    /// The slot used just less recently (`NIL` at the tail).
+    older: usize,
 }
 
-#[derive(Default)]
+/// An exact LRU in O(1) per operation: a map from plan id to slot, and the
+/// slots threaded on a doubly linked recency list, most recent at `head`. A
+/// hit relinks its slot at the head, and a full cache reuses the tail's slot
+/// for the new plan. Slots are pushed one insert at a time, so a capacity
+/// reserves nothing up front, and a hit allocates nothing.
 struct PlanCache {
-    map: HashMap<u64, CacheEntry>,
-    tick: u64,
+    map: HashMap<u64, usize, BuildHasherDefault<IdHasher>>,
+    slots: Vec<Slot>,
+    head: usize,
+    tail: usize,
+}
+
+impl PlanCache {
+    fn new() -> Self {
+        PlanCache { map: HashMap::default(), slots: Vec::new(), head: NIL, tail: NIL }
+    }
+
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let Slot { newer, older, .. } = self.slots[i];
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o].newer = newer,
+        }
+    }
+
+    /// Puts slot `i`, not in the list, at its head.
+    fn push_head(&mut self, i: usize) {
+        self.slots[i].newer = NIL;
+        self.slots[i].older = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].newer = i,
+        }
+        self.head = i;
+    }
+
+    /// The plan cached under `id` for exactly `key`, now the most recent.
+    fn hit(&mut self, id: u64, key: &[VertexId]) -> Option<Arc<QueryPlan>> {
+        let i = *self.map.get(&id)?;
+        if self.slots[i].key != key {
+            return None;
+        }
+        if self.head != i {
+            self.unlink(i);
+            self.push_head(i);
+        }
+        Some(Arc::clone(&self.slots[i].plan))
+    }
+
+    /// Caches `plan` for `key` under `id` as the most recent plan: in the
+    /// slot `id` holds, else in a new one while fewer than `capacity` are
+    /// held, else in the least recent one's. Returns the slot it displaced,
+    /// for the caller to drop outside the lock.
+    fn insert(
+        &mut self,
+        id: u64,
+        plan: Arc<QueryPlan>,
+        key: Vec<VertexId>,
+        capacity: usize,
+    ) -> Option<Slot> {
+        let slot = Slot { id, plan, key, newer: NIL, older: NIL };
+        let i = match self.map.get(&id) {
+            Some(&i) => i,
+            None if self.slots.len() < capacity => {
+                self.slots.push(slot);
+                self.push_head(self.slots.len() - 1);
+                self.map.insert(id, self.slots.len() - 1);
+                return None;
+            }
+            None => self.tail,
+        };
+        self.unlink(i);
+        let old = std::mem::replace(&mut self.slots[i], slot);
+        if old.id != id {
+            self.map.remove(&old.id);
+            self.map.insert(id, i);
+        }
+        self.push_head(i);
+        Some(old)
+    }
 }
 
 /// A bounded plan cache plus a batched parallel executor.
@@ -265,16 +384,16 @@ impl QueryEngine {
     pub fn new(capacity: usize) -> Self {
         QueryEngine {
             capacity,
-            cache: Mutex::new(PlanCache::default()),
+            cache: Mutex::new(PlanCache::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
     /// The plan cache, recovered if a thread panicked while holding it: the
-    /// cache holds only re-derivable plans and every update (a tick bump, one
-    /// insert, one remove) leaves it valid, so one panicking query must not
-    /// turn into a panic on every later one.
+    /// cache holds only re-derivable plans and every update (a relink, one
+    /// insert, one remove) runs to its end once begun, so one panicking query
+    /// must not turn into a panic on every later one.
     fn lock(&self) -> MutexGuard<'_, PlanCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -289,37 +408,20 @@ impl QueryEngine {
         approx: Approximation,
     ) -> (Arc<QueryPlan>, bool) {
         let id = plan_id(region, approx);
+        let key = region.junctions();
         if self.capacity > 0 {
-            let mut cache = self.lock();
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some(entry) = cache.map.get_mut(&id.0) {
-                if entry.key == region.junctions() {
-                    entry.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (Arc::clone(&entry.plan), true);
-                }
+            if let Some(plan) = self.lock().hit(id.0, key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return (plan, true);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let key = region.junctions();
         let plan = Arc::new(QueryPlan::compile_keyed(sensing, sampled, key, id, approx));
         if self.capacity > 0 {
-            let key = key.to_vec(); // copied outside the lock
-            let mut cache = self.lock();
-            cache.tick += 1;
-            let tick = cache.tick;
-            if cache.map.len() >= self.capacity && !cache.map.contains_key(&id.0) {
-                // Evict the least-recently-used entry (linear scan: the
-                // cache is small and bounded, and this path is already a
-                // compile).
-                if let Some(&lru) =
-                    cache.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k)
-                {
-                    cache.map.remove(&lru);
-                }
-            }
-            cache.map.insert(id.0, CacheEntry { plan: Arc::clone(&plan), key, last_used: tick });
+            // Copied, and the displaced plan dropped, outside the lock.
+            let key = key.to_vec();
+            let displaced = self.lock().insert(id.0, Arc::clone(&plan), key, self.capacity);
+            drop(displaced);
         }
         (plan, false)
     }
@@ -464,6 +566,41 @@ mod tests {
         let (_, h2) = off.plan(&s.sensing, &g, q, Approximation::Lower);
         assert!(!h1 && !h2, "capacity 0 never caches");
         assert_eq!(off.stats().cached, 0);
+    }
+
+    /// Exact LRU over a long mixed sequence: every lookup hits exactly when
+    /// a plain most-recent-first list of the last `capacity` regions holds
+    /// it, so hits refresh recency and a miss evicts the least recent.
+    #[test]
+    fn lru_matches_a_recency_list() {
+        let (s, g) = fixture();
+        let mut ids = Vec::new();
+        let mut qs = s.make_queries(10, 0.08, 2_000.0, 13);
+        qs.retain(|(q, _, _)| {
+            let id = QueryPlan::compile(&s.sensing, &g, q, Approximation::Lower).id;
+            let fresh = !ids.contains(&id);
+            ids.push(id);
+            fresh
+        });
+        assert!(qs.len() >= 6, "{} distinct regions", qs.len());
+        for capacity in [1, 3, 5] {
+            let engine = QueryEngine::new(capacity);
+            let mut recent: Vec<usize> = Vec::new();
+            let mut x = 0x2545_f491_u64;
+            for step in 0..300 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let i = (x % qs.len() as u64) as usize;
+                let (_, hit) = engine.plan(&s.sensing, &g, &qs[i].0, Approximation::Lower);
+                let want = recent.contains(&i);
+                assert_eq!(hit, want, "capacity {capacity}, step {step}, region {i}");
+                recent.retain(|&r| r != i);
+                recent.insert(0, i);
+                recent.truncate(capacity);
+                assert_eq!(engine.stats().cached, recent.len());
+            }
+        }
     }
 
     #[test]

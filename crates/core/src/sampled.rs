@@ -10,11 +10,20 @@
 //! Faces of `G̃` are unions of junction cells, computed on the primal side as
 //! connected components of the road graph minus the monitored roads
 //! (`stq_planar::dual::subgraph_faces`).
+//!
+//! A region on `G̃` is a union of whole faces, so its boundary chain is made
+//! of *exits*: half-edges that leave a junction's face. Each graph lists
+//! every junction's exits once, in rotation order and with the face each one
+//! enters, and a query compiles its chain from those lists alone
+//! (`SampledGraph::boundary_of`): its cost follows the region's perimeter,
+//! not the half-edges of its interior. The list is the compiled form of
+//! [`SensingGraph::boundary_walk`], which stays the reference.
 
 use std::collections::HashSet;
 
 use crate::query::Approximation;
 use crate::sensing::{BitSet, SensingGraph};
+use stq_forms::BoundaryEdge;
 use stq_geom::triangulate;
 use stq_planar::dual::subgraph_faces;
 use stq_planar::embedding::{FaceId, VertexId};
@@ -47,6 +56,12 @@ pub struct SampledGraph {
     components: Vec<Vec<VertexId>>,
     /// The component containing `v_ext` — the unobservable outside world.
     ext_component: usize,
+    /// Where each junction's run of `exits` starts; one entry per junction
+    /// plus the end of the last run.
+    exit_start: Vec<u32>,
+    /// Per junction, in rotation order, each monitored half-edge that leaves
+    /// the junction's component, with the component it enters.
+    exits: Vec<(u32, u32)>,
 }
 
 impl SampledGraph {
@@ -155,14 +170,31 @@ impl SampledGraph {
     }
 
     fn finish(sensing: &SensingGraph, monitored: Vec<bool>, sensors: Vec<FaceId>) -> Self {
-        let sf = subgraph_faces(sensing.road().embedding(), &monitored);
+        let emb = sensing.road().embedding();
+        let sf = subgraph_faces(emb, &monitored);
         let ext_component = sf.component_of[sensing.road().v_ext()];
+        let narrow = |i: usize| u32::try_from(i).expect("exit table entries fit in u32");
+        let component_of = sf.component_of;
+        let mut exit_start = Vec::with_capacity(component_of.len() + 1);
+        let mut exits = Vec::new();
+        exit_start.push(0);
+        for (u, &comp) in component_of.iter().enumerate() {
+            for &h in emb.rotation(u) {
+                let far = component_of[emb.target(h)];
+                if far != comp && monitored[emb.edge_of(h)] {
+                    exits.push((narrow(h), narrow(far)));
+                }
+            }
+            exit_start.push(narrow(exits.len()));
+        }
         SampledGraph {
             monitored,
             sensors,
-            component_of: sf.component_of,
+            component_of,
             components: sf.members,
             ext_component,
+            exit_start,
+            exits,
         }
     }
 
@@ -218,6 +250,9 @@ impl SampledGraph {
     /// component's members once in a bitset over vertices and reads it back
     /// in ascending order. Either way the interior is allocated once, at its
     /// exact size: a cached plan keeps it for its lifetime.
+    ///
+    /// Either side is a union of whole components, which is what lets a
+    /// plan read the interior's boundary chain from the exit lists.
     pub fn resolve(&self, junctions: &[VertexId], approx: Approximation) -> Vec<VertexId> {
         debug_assert!(junctions.windows(2).all(|w| w[0] < w[1]), "junctions strictly increasing");
         match approx {
@@ -261,6 +296,52 @@ impl SampledGraph {
                 interior
             }
         }
+    }
+
+    /// The boundary chain of `interior` and the number of distinct sensors
+    /// incident to it: what [`SensingGraph::boundary_walk`] returns for
+    /// `interior` with this graph's monitoring, read from the exit lists.
+    /// `interior` must be strictly increasing and a union of whole
+    /// components, as [`resolve`](Self::resolve) returns it.
+    ///
+    /// The walk's rule restated: a half-edge leaving a union of components
+    /// leaves its origin's component for one outside the union, and every
+    /// such half-edge is an exit. So each interior junction's exits into
+    /// components outside the union are exactly the half-edges the walk
+    /// emits there, in the same rotation order, and the chain comes out in
+    /// the walk's "sorted interior × rotation order". Membership is a bitset
+    /// over components, and no rotation, target or monitoring flag is read:
+    /// only the dual faces of the emitted edges.
+    pub(crate) fn boundary_of(
+        &self,
+        sensing: &SensingGraph,
+        interior: &[VertexId],
+    ) -> (Vec<BoundaryEdge>, usize) {
+        debug_assert!(interior.windows(2).all(|w| w[0] < w[1]), "interior strictly increasing");
+        let mut inside = BitSet::new(self.components.len());
+        for &u in interior {
+            inside.insert(self.component_of[u]);
+        }
+        let (emb, dual) = (sensing.road().embedding(), sensing.dual());
+        let mut sensors = BitSet::new(dual.num_vertices);
+        let mut chain = Vec::new();
+        for &u in interior {
+            let run = self.exit_start[u] as usize..self.exit_start[u + 1] as usize;
+            for &(h, far) in &self.exits[run] {
+                if inside.contains(far as usize) {
+                    continue;
+                }
+                let h = h as usize;
+                let e = emb.edge_of(h);
+                let (f, g) = dual.edge_faces[e];
+                sensors.insert(f);
+                sensors.insert(g);
+                // `h` leaves the region, so the edge's forward direction
+                // points inward exactly when `h` is its backward half.
+                chain.push(BoundaryEdge::new(e, h != 2 * e));
+            }
+        }
+        (chain, sensors.count())
     }
 
     /// The component merged with the outside world.

@@ -25,7 +25,7 @@ impl BitSet {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
 
-    fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
 

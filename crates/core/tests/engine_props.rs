@@ -380,3 +380,66 @@ fn engine_equivalence_suite() {
         }
     }
 }
+
+/// A compiled plan's chain comes from the sampled graph's exit lists, not
+/// from `SensingGraph::boundary_walk`; the walk stays the reference. On every
+/// way a sampled graph is built — sensors joined by triangulation and by
+/// k-NN, the submodular selection, the unsampled graph, a demotion and a
+/// reroute — and for random regions on both resolutions, the plan's
+/// `boundary` (order and orientation) and `nodes_accessed` equal the walk
+/// over the plan's interior with that graph's monitoring.
+#[test]
+fn exit_lists_compile_the_walks_chain() {
+    let seed = suite_seed();
+    let s = suite_scenario(seed);
+    let tri = deployment(&s, 0.25, seed ^ 0xe1);
+    let cands = s.sensing.sensor_candidates();
+    let ids = stq_sampling::sample(stq_sampling::SamplingMethod::Uniform, &cands, 40, seed);
+    let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
+    let knn = SampledGraph::from_sensors(&s.sensing, &faces, Connectivity::Knn(4));
+
+    let bb = s.sensing.road().bbox();
+    let (w, h) = (bb.max.x - bb.min.x, bb.max.y - bb.min.y);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xe417);
+    let regions: Vec<QueryRegion> = (0..48)
+        .map(|_| {
+            let centre = Point::new(
+                bb.min.x + w * rng.gen_range(-0.1..=1.1),
+                bb.min.y + h * rng.gen_range(-0.1..=1.1),
+            );
+            let rect =
+                Rect::centered(centre, w * rng.gen_range(0.0..=0.8), h * rng.gen_range(0.0..=0.8));
+            QueryRegion::from_rect(&s.sensing, rect)
+        })
+        .collect();
+    let historical: Vec<Vec<usize>> =
+        regions.iter().take(8).map(|q| q.junctions().to_vec()).collect();
+    let budget = 0.3 * s.sensing.num_edges() as f64;
+    let graphs = [
+        ("triangulation", tri.clone()),
+        ("knn", knn),
+        ("submodular", SampledGraph::from_submodular(&s.sensing, &historical, budget)),
+        ("unsampled", SampledGraph::unsampled(&s.sensing)),
+        ("demoted", quarantined(&s, &tri, 3)),
+        ("rerouted", tri.reroute_around(&s.sensing, &every_nth_monitored(&tri, 4))),
+    ];
+
+    for (name, graph) in &graphs {
+        let mut answered = 0;
+        for (i, q) in regions.iter().enumerate() {
+            for approx in [Approximation::Lower, Approximation::Upper] {
+                let plan = QueryPlan::compile(&s.sensing, graph, q, approx);
+                if plan.miss {
+                    continue;
+                }
+                answered += 1;
+                let (boundary, nodes) =
+                    s.sensing.boundary_walk(&plan.interior, Some(graph.monitored()));
+                let ctx = format!("region {i}, {name}, {approx:?}");
+                assert_eq!(plan.boundary, boundary, "{ctx}: boundary");
+                assert_eq!(plan.nodes_accessed, nodes, "{ctx}: nodes_accessed");
+            }
+        }
+        assert!(answered >= 8, "{name}: only {answered} regions resolved");
+    }
+}

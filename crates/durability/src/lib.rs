@@ -18,8 +18,9 @@
 //!   the last valid record) and prove it lost nothing in the middle.
 //! - **Snapshot** — magic + shard id + the WAL sequence number it covers +
 //!   every edge's forward/backward sequences, CRC-trailed, written to a
-//!   temp file and atomically `rename`d into place. After a successful
-//!   snapshot the WAL is truncated: recovery cost is bounded by the
+//!   temp file, atomically `rename`d into place and the directory synced,
+//!   so the rename is on disk before anything relies on it. After a
+//!   successful snapshot the WAL is truncated: recovery cost is bounded by the
 //!   snapshot interval, not the shard's lifetime.
 //!
 //! Boring to read, and cheap to write: each format has **one encoder**, fed

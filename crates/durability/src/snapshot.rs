@@ -1,6 +1,7 @@
 //! Compact shard snapshots: the full per-edge timestamp state serialized
 //! bit-exactly, installed with a write-temp-then-rename so a crash never
-//! leaves a half-written snapshot in place.
+//! leaves a half-written snapshot in place, and the directory synced after
+//! the rename so a power cut cannot undo it once the log is truncated.
 //!
 //! ## Format
 //!
@@ -208,7 +209,11 @@ fn write_snapshot<'a>(
     file.write_all(&chunk[..filled + 4])?;
     file.sync_all()?;
     drop(file);
-    std::fs::rename(&tmp, snapshot_path(dir))
+    std::fs::rename(&tmp, snapshot_path(dir))?;
+    // The rename lives in the directory: sync it before the caller truncates
+    // the log the snapshot covers, or a power cut could keep the truncation
+    // and lose the rename, leaving the old snapshot beside an empty log.
+    File::open(dir)?.sync_all()
 }
 
 /// Writes `snap` to `dir/snapshot.bin` (temp file, then atomic rename).

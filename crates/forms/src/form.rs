@@ -78,11 +78,6 @@ impl TrackingForm {
         events_until(if forward { &self.fwd } else { &self.bwd }, t)
     }
 
-    /// Events in the half-open window `(t0, t1]` — `C(γ, t0, t1)` (§4.7.4).
-    pub fn count_between(&self, forward: bool, t0: Time, t1: Time) -> usize {
-        self.count_until(forward, t1).saturating_sub(self.count_until(forward, t0))
-    }
-
     /// Total events in a direction.
     pub fn total(&self, forward: bool) -> usize {
         if forward {
@@ -353,16 +348,20 @@ mod tests {
         assert_eq!(f.count_until(false, 1.5), 1);
     }
 
+    /// `C(γ, t0, t1)` (§4.7.4) has one rule, `CountSource::count_between`:
+    /// the half-open window `(t0, t1]`, and over an inverted window the
+    /// negative difference `C(t1) − C(t0)`, never a count saturated to 0.
     #[test]
     fn window_is_half_open() {
-        let mut f = TrackingForm::new();
+        let mut s = FormStore::new(1);
         for t in [1.0, 2.0, 3.0] {
-            f.record(true, t);
+            s.record(0, true, t);
         }
-        assert_eq!(f.count_between(true, 1.0, 3.0), 2); // excludes t=1, includes t=3
-        assert_eq!(f.count_between(true, 0.0, 1.0), 1);
-        assert_eq!(f.count_between(true, 3.0, 10.0), 0);
-        assert_eq!(f.count_between(true, 5.0, 4.0), 0); // inverted window
+        assert_eq!(s.count_between(0, true, 1.0, 3.0), 2.0); // excludes t=1, includes t=3
+        assert_eq!(s.count_between(0, true, 0.0, 1.0), 1.0);
+        assert_eq!(s.count_between(0, true, 3.0, 10.0), 0.0);
+        assert_eq!(s.count_between(0, true, 5.0, 4.0), 0.0); // inverted, past the last event
+        assert_eq!(s.count_between(0, true, 3.0, 1.0), -2.0); // inverted across two events
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! (write-ahead-logged when durability is on), and answers per-edge boundary
 //! contributions for the aggregator.
 //!
-//! A contribution is `stq_forms::query`'s own term, evaluated over the
-//! one-edge boundary, so an aggregator which re-folds the per-edge
-//! contributions in boundary order reproduces the synchronous path bit for
-//! bit — see `crate::aggregate`.
+//! A contribution is `stq_forms::query`'s own term over the one-edge
+//! boundary, bit for bit, read from the edge's form with one lookup (the
+//! lookup that also tells a moved edge), so an aggregator which re-folds the
+//! per-edge contributions in boundary order reproduces the synchronous path
+//! bit for bit — see `crate::aggregate`.
 //!
 //! ## Exits
 //!
@@ -28,7 +29,7 @@ use stq_core::query::QueryKind;
 use stq_core::tracker::Crossing;
 use stq_durability::recovery::apply_crossing;
 use stq_durability::{state_digest, ShardDurability};
-use stq_forms::{snapshot_count, transient_count, BoundaryEdge, ShardForms, Time, TrackingForm};
+use stq_forms::{BoundaryEdge, CountSource, ShardForms, Time, TrackingForm};
 use stq_net::MessageCtx;
 
 use crate::dispatch::Group;
@@ -338,21 +339,26 @@ impl ShardWorker {
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut resp =
                 ShardResponse { counts: Vec::with_capacity(req.edges.len()), ..blank(false) };
+            let forms = &self.state.forms;
             for &(idx, be) in req.edges.iter() {
                 if refuses(be.edge) {
                     resp.refused.push(idx);
-                } else if !self.state.forms.owns(be.edge) {
-                    // A shard-map migration moved the edge away while this
-                    // request was queued: report it back so the aggregator can
-                    // re-route to the current owner instead of panicking here.
+                    continue;
+                }
+                // One lookup per edge: its form, or `None` when a shard-map
+                // migration moved the edge away while this request was
+                // queued, reported back so the aggregator re-routes it to the
+                // current owner instead of panicking here.
+                let Some(form) = forms.get(be.edge) else {
                     resp.moved.push((idx, be));
-                } else {
+                    continue;
+                };
+                if poison {
                     // Poison corrupts the payload in flight: the edge id now
                     // addresses a sensor nobody owns, and the lookup panics.
-                    let be =
-                        if poison { BoundaryEdge::new(usize::MAX, be.inward_forward) } else { be };
-                    resp.counts.push(self.contribution(idx, be, req.kind));
+                    forms.count_until(usize::MAX, be.inward_forward, 0.0);
                 }
+                resp.counts.push(contribution(idx, form, be.inward_forward, req.kind));
             }
             resp
         }));
@@ -383,18 +389,6 @@ impl ShardWorker {
         let _ = req.reply.try_send(response);
     }
 
-    fn contribution(&self, idx: usize, be: BoundaryEdge, kind: QueryKind) -> EdgeCounts {
-        let forms = &self.state.forms;
-        let net_at = |t: f64| snapshot_count(forms, &[be], t);
-        match kind {
-            QueryKind::Snapshot(t) => EdgeCounts { idx, a: net_at(t), b: 0.0 },
-            QueryKind::Transient(t0, t1) => {
-                EdgeCounts { idx, a: transient_count(forms, &[be], t0, t1), b: 0.0 }
-            }
-            QueryKind::Static(t0, t1) => EdgeCounts { idx, a: net_at(t0), b: net_at(t1) },
-        }
-    }
-
     /// Per owned edge the quarantine column does not flag, its counts at both
     /// of `at`. A flagged edge's form is suspect, or holds only what arrived
     /// since its shard lost its history: it is left out, so a ladder that
@@ -410,24 +404,147 @@ impl ShardWorker {
     }
 }
 
+/// One edge's contribution from its form: bit for bit the term
+/// `snapshot_count` / `transient_count` adds for it, as if the shard's forms
+/// were folded over the one-edge boundary `[be]`. That fold starts at `0.0`,
+/// and a window's count is `CountSource::count_between`'s `C(t1) − C(t0)`,
+/// negative over an inverted window.
+fn contribution(idx: usize, form: &TrackingForm, inward: bool, kind: QueryKind) -> EdgeCounts {
+    let net = |inn: f64, out: f64| 0.0 + (inn - out);
+    let until = |fwd: bool, t: Time| form.count_until(fwd, t) as f64;
+    let net_at = |t: Time| net(until(inward, t), until(!inward, t));
+    match kind {
+        QueryKind::Snapshot(t) => EdgeCounts { idx, a: net_at(t), b: 0.0 },
+        QueryKind::Transient(t0, t1) => {
+            let between = |fwd: bool| until(fwd, t1) - until(fwd, t0);
+            EdgeCounts { idx, a: net(between(inward), between(!inward)), b: 0.0 }
+        }
+        QueryKind::Static(t0, t1) => EdgeCounts { idx, a: net_at(t0), b: net_at(t1) },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crossbeam::channel::{bounded, unbounded};
     use stq_core::prelude::{SampledGraph, Scenario, ScenarioConfig, WorkloadMix};
     use stq_durability::replay_wal;
-    use stq_forms::FormStore;
+    use stq_forms::{snapshot_count, transient_count, FormStore};
+    use stq_net::FaultPlan;
 
     use super::*;
     use crate::server::RuntimeConfig;
 
     /// Shared state over a small city whose start-up store is empty.
     fn shared(cfg: &RuntimeConfig) -> Arc<Shared> {
+        shared_quarantining(cfg, &[])
+    }
+
+    /// [`shared`] with `quarantined` flagged from the start.
+    fn shared_quarantining(cfg: &RuntimeConfig, quarantined: &[usize]) -> Arc<Shared> {
         let mix = WorkloadMix { random_waypoint: 1, commuter: 0, transit: 0 };
         let sensing =
             Scenario::build(ScenarioConfig { junctions: 40, mix, ..Default::default() }).sensing;
         let store = FormStore::new(sensing.num_edges());
         let sampled = SampledGraph::unsampled(&sensing);
-        Arc::new(Shared::new(sensing, sampled, &store, cfg, &[]))
+        Arc::new(Shared::new(sensing, sampled, &store, cfg, quarantined))
+    }
+
+    /// Forms for edges 0..3 and nothing else: edge 0 has ties and both
+    /// directions, edge 1 is owned but empty, edge 2 is busiest backward.
+    fn three_forms() -> ShardForms {
+        let mut store = FormStore::new(4);
+        for (edge, fwd, times) in [
+            (0, true, &[1.0, 2.0, 2.0, 3.0][..]),
+            (0, false, &[1.5, 4.0]),
+            (2, true, &[0.5]),
+            (2, false, &[0.5, 0.5, 7.0]),
+        ] {
+            times.iter().for_each(|&t| store.record(edge, fwd, t));
+        }
+        ShardForms::cut_from(&store, |e| e < 3)
+    }
+
+    /// `edges`, asked of a worker serving `forms` over `shared`, answered.
+    fn ask(
+        shared: &Arc<Shared>,
+        forms: ShardForms,
+        kind: QueryKind,
+        edges: &[(usize, BoundaryEdge)],
+    ) -> ShardResponse {
+        let state = RetiredState { forms, ..Default::default() };
+        let mut worker = ShardWorker { id: 0, state, shared: Arc::clone(shared), death: None };
+        let (reply, answers) = bounded(2);
+        let edges = Group::from(edges);
+        worker.handle(ShardRequest { query_id: 9, attempt: 0, kind, edges, deadline: None, reply });
+        answers.try_recv().expect("the worker answers")
+    }
+
+    /// One form lookup per edge answers what the one-edge folds of
+    /// `stq_forms::query` answer over the shard's forms, bit for bit, for
+    /// every kind: before the first event, on a stored timestamp, past the
+    /// last, over an empty form, and over an inverted window, where the
+    /// window count is the negative difference, not zero.
+    #[test]
+    fn one_lookup_answers_equal_the_one_edge_folds() {
+        let shared = shared(&RuntimeConfig { num_shards: 1, ..RuntimeConfig::default() });
+        let forms = three_forms();
+        let edges: Vec<(usize, BoundaryEdge)> = (0..3)
+            .flat_map(|e| [BoundaryEdge::new(e, true), BoundaryEdge::new(e, false)])
+            .enumerate()
+            .collect();
+        let windows = [(0.0, 2.0), (2.0, 2.0), (1.5, 99.0), (3.0, 1.0), (99.0, 0.0)];
+        let mut negative = false;
+        for (t0, t1) in windows {
+            for kind in
+                [QueryKind::Snapshot(t0), QueryKind::Transient(t0, t1), QueryKind::Static(t0, t1)]
+            {
+                let resp = ask(&shared, forms.clone(), kind, &edges);
+                assert!(!resp.panicked && resp.refused.is_empty() && resp.moved.is_empty());
+                assert_eq!(
+                    resp.counts.iter().map(|c| c.idx).collect::<Vec<_>>(),
+                    [0, 1, 2, 3, 4, 5]
+                );
+                for c in &resp.counts {
+                    let be = [edges[c.idx].1];
+                    let want = match kind {
+                        QueryKind::Snapshot(t) => (snapshot_count(&forms, &be, t), 0.0),
+                        QueryKind::Transient(t0, t1) => (transient_count(&forms, &be, t0, t1), 0.0),
+                        QueryKind::Static(t0, t1) => {
+                            (snapshot_count(&forms, &be, t0), snapshot_count(&forms, &be, t1))
+                        }
+                    };
+                    let ctx = format!("{kind:?}, {:?}", be[0]);
+                    assert_eq!(c.a.to_bits(), want.0.to_bits(), "{ctx}: a {} vs {}", c.a, want.0);
+                    assert_eq!(c.b.to_bits(), want.1.to_bits(), "{ctx}: b {} vs {}", c.b, want.1);
+                    negative |= matches!(kind, QueryKind::Transient(..)) && c.a < 0.0;
+                }
+            }
+        }
+        assert!(negative, "an inverted window nets a negative count somewhere");
+    }
+
+    /// The lookup leaves the other outcomes where they were: an edge the
+    /// shard does not own is handed back as moved, a quarantined one is
+    /// refused before any lookup, and a poisoned payload's lookup panics
+    /// inside the guard and is answered `panicked`.
+    #[test]
+    fn one_lookup_keeps_moved_refused_and_panicked() {
+        let cfg = RuntimeConfig { num_shards: 1, ..RuntimeConfig::default() };
+        let edges: Vec<(usize, BoundaryEdge)> =
+            (0..4).map(|e| BoundaryEdge::new(e, e % 2 == 0)).enumerate().collect();
+        let kind = QueryKind::Snapshot(2.0);
+
+        let resp = ask(&shared_quarantining(&cfg, &[2]), three_forms(), kind, &edges);
+        assert!(!resp.panicked);
+        assert_eq!(resp.counts.iter().map(|c| c.idx).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(resp.refused, [2]);
+        assert_eq!(resp.moved, [(3, edges[3].1)]);
+
+        let poisoned = RuntimeConfig { fault: FaultPlan::none().with_poison(1.0), ..cfg };
+        let shared = shared(&poisoned);
+        let resp = ask(&shared, three_forms(), kind, &edges);
+        assert!(resp.panicked && resp.counts.is_empty() && resp.moved.is_empty());
+        assert_eq!(shared.metrics.report().shard_panics, 1);
     }
 
     #[test]

@@ -196,8 +196,9 @@ fn what_only_its_own_tests_reach_stays_gone() {
     assert_absent(&Guard {
         rule: "a `pub` item that only its own package's tests reach does not earn its place: \
                the inputs are generated plane graphs (no planarization), `∂` is \
-               `SensingGraph::boundary_walk` (no 1-chains), nothing serves a convex hull, and \
-               `ChaosConfig::new` is the one way to derive the fault plans",
+               `SensingGraph::boundary_walk`, whose compiled form is a sampled graph's exit \
+               table (no 1-chains), nothing serves a convex hull, and `ChaosConfig::new` is the \
+               one way to derive the fault plans",
         patterns: &[
             "planarize",
             "PlaneGraph",
