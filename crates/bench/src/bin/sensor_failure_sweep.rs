@@ -30,14 +30,13 @@
 //!    byte-equality with a clean ingestion or quarantined — never silently
 //!    served wrong.
 //! 3. **Mixed cocktail** — dead + skewed + flipped simultaneously, served
-//!    once with degraded-mode answering enabled and once with imputation
-//!    switched off, so the marginal value of conservation-residual
-//!    imputation under compound faults is a measured cell, not a claim.
+//!    through the demote-first pipeline and through degraded-mode
+//!    answering.
 //!
 //! Each dead-sweep cell also answers every query through the
-//! [`DegradedAnswerer`] escalation (multi-face detours → imputation); those
+//! [`DegradedAnswerer`] (the graph rerouted around the untrusted set); those
 //! brackets are asserted sound exactly like the demoted and rerouted ones,
-//! and the per-strategy tallies are reported.
+//! and the answers its detours certified are tallied.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -78,8 +77,8 @@ struct DegradedOut {
     mean_confidence: f64,
     mean_width: f64,
     finite: usize,
-    /// Winning-strategy tally: [demoted, detour, imputed].
-    strategies: [usize; 3],
+    /// Answers labelled [`DegradedStrategy::MultiFaceDetour`].
+    detour: usize,
 }
 
 impl DegradedOut {
@@ -87,16 +86,14 @@ impl DegradedOut {
         format!(
             "{{\"sound\": {}, \"misses\": {}, \"infinite_brackets\": {}, \
              \"mean_coverage\": {:.4}, \"mean_confidence\": {:.4}, \"mean_width\": {}, \
-             \"strategies\": {{\"demoted\": {}, \"detour\": {}, \"imputed\": {}}}}}",
+             \"strategies\": {{\"detour\": {}}}}}",
             self.sound,
             self.misses,
             self.infinite,
             self.mean_coverage,
             self.mean_confidence,
             width_json(self.finite, self.mean_width),
-            self.strategies[0],
-            self.strategies[1],
-            self.strategies[2]
+            self.detour
         )
     }
 }
@@ -165,12 +162,10 @@ fn answer_all(
     (sound, misses, infinite, cov_sum, width_sum, finite)
 }
 
-/// Answers every query through the degraded-mode escalation over the fine
-/// graph `g`, asserting the certified bracket is sound and the point
-/// estimate honest (inside it).
+/// Answers every query through the degraded-mode answerer, asserting the
+/// certified bracket is sound and the point estimate honest (inside it).
 fn answer_degraded(
     s: &Scenario,
-    g: &SampledGraph,
     deg: &DegradedAnswerer,
     tracked: &Tracked,
     queries: &[(QueryRegion, f64, f64)],
@@ -184,16 +179,15 @@ fn answer_degraded(
         mean_confidence: 0.0,
         mean_width: 0.0,
         finite: 0,
-        strategies: [0; 3],
+        detour: 0,
     };
     let (mut cov_sum, mut conf_sum, mut width_sum) = (0.0f64, 0.0f64, 0.0f64);
-    let engine = QueryEngine::new(128);
     for (q, t0, t1) in queries {
         let inside = |j: usize| q.contains(j);
         for kind in
             [QueryKind::Snapshot(*t0), QueryKind::Transient(*t0, *t1), QueryKind::Static(*t0, *t1)]
         {
-            let a = deg.answer(&s.sensing, g, &engine, &tracked.store, q, kind);
+            let a = deg.answer(&s.sensing, &tracked.store, q, kind);
             if a.bracket.miss {
                 o.misses += 1;
                 continue;
@@ -220,12 +214,7 @@ fn answer_degraded(
             o.sound += 1;
             cov_sum += a.bracket.coverage;
             conf_sum += a.confidence;
-            match a.strategy {
-                DegradedStrategy::Demoted => o.strategies[0] += 1,
-                DegradedStrategy::MultiFaceDetour => o.strategies[1] += 1,
-                DegradedStrategy::Imputation => o.strategies[2] += 1,
-                DegradedStrategy::None => {}
-            }
+            o.detour += usize::from(a.strategy == DegradedStrategy::MultiFaceDetour);
             if a.bracket.width().is_finite() {
                 width_sum += a.bracket.width();
                 o.finite += 1;
@@ -316,12 +305,11 @@ fn sweep_cell(
         answer_all(s, &demoted, &tracked, queries, "demoted");
     let (r_sound, r_misses, _, r_cov_sum, _, _) =
         answer_all(s, &rerouted, &tracked, queries, "rerouted");
-    // Degraded-mode escalation over the same untrusted set: the answerer
-    // owns its own demoted/rerouted graphs plus the imputation constraint
-    // system, so every query gets the best certified bracket the quarantine
-    // leaves reachable.
-    let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted, DegradedPolicy::default());
-    let degraded = answer_degraded(s, g, &deg, &tracked, queries, "degraded");
+    // Degraded-mode answering over the same untrusted set: the answerer
+    // reroutes `g` around it and answers on that graph through its own plan
+    // cache.
+    let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted);
+    let degraded = answer_degraded(s, &deg, &tracked, queries, "degraded");
     SweepOut {
         dead: dead.len(),
         flagged: blind.report.flagged().len(),
@@ -360,15 +348,13 @@ struct CocktailOut {
 
 /// Serves a compound fault mix (fail-stop deaths announced by heartbeat,
 /// clock skew and direction flips only catchable by the audit) through the
-/// same demote-first pipeline as the dead sweep, then through the degraded
-/// escalation with `impute` on or off. Every bracket on both paths is
-/// asserted sound.
+/// same demote-first pipeline as the dead sweep, then through degraded-mode
+/// answering. Every bracket on both paths is asserted sound.
 fn cocktail_cell(
     s: &Scenario,
     g: &SampledGraph,
     seed: u64,
     queries: &[(QueryRegion, f64, f64)],
-    impute: bool,
 ) -> CocktailOut {
     let horizon = (0.0, s.config.trajectory.duration);
     // Flips and skews spray conservation blame over whole component
@@ -407,10 +393,8 @@ fn cocktail_cell(
     let demoted = g.demote_edges(&s.sensing, &untrusted);
     let (b_sound, b_misses, b_infinite, b_cov, b_width, b_finite) =
         answer_all(s, &demoted, &tracked, queries, "cocktail-demoted");
-    let policy = DegradedPolicy { impute };
-    let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted, policy);
-    let label = if impute { "cocktail-degraded" } else { "cocktail-no-impute" };
-    let degraded = answer_degraded(s, g, &deg, &tracked, queries, label);
+    let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted);
+    let degraded = answer_degraded(s, &deg, &tracked, queries, "cocktail-degraded");
     CocktailOut {
         dead: dead.len(),
         skewed: plan.edges_of(stq_net::SensorFaultKind::Skewed).len(),
@@ -591,15 +575,8 @@ fn main() {
                 o.rerouted_mean_coverage
             );
             println!(
-                "{:>6} | degraded: {}/{} sound, cover {:.3}, \
-                 strategies demoted/detour/imputed {}/{}/{}",
-                seed,
-                o.degraded.sound,
-                o.queries,
-                o.degraded.mean_coverage,
-                o.degraded.strategies[0],
-                o.degraded.strategies[1],
-                o.degraded.strategies[2]
+                "{:>6} | degraded: {}/{} sound, cover {:.3}, detour {}",
+                seed, o.degraded.sound, o.queries, o.degraded.mean_coverage, o.degraded.detour
             );
             let _ = write!(
                 json_sweep,
@@ -633,53 +610,45 @@ fn main() {
             );
         }
 
-        // Mixed cocktail: the same compound mix served with and without
-        // imputation — the delta between the two cells is the measured
-        // value of conservation-residual imputation under compound faults.
-        for impute in [true, false] {
-            let c = cocktail_cell(&scenario, &sampled, seed, &queries, impute);
-            total_sound += c.base_sound + c.degraded.sound;
-            total_asked += c.base_sound + c.base_misses + c.degraded.sound + c.degraded.misses;
-            println!(
-                "{seed:>6} | cocktail (impute {}): {} dead + {} skewed + {} flipped \
-                 ({} untrusted); base {}/{} cover {:.3}; degraded {}/{} cover {:.3} \
-                 strategies {}/{}/{}",
-                if impute { "on" } else { "off" },
-                c.dead,
-                c.skewed,
-                c.flipped,
-                c.untrusted,
-                c.base_sound,
-                c.base_sound + c.base_misses,
-                c.base_mean_coverage,
-                c.degraded.sound,
-                c.degraded.sound + c.degraded.misses,
-                c.degraded.mean_coverage,
-                c.degraded.strategies[0],
-                c.degraded.strategies[1],
-                c.degraded.strategies[2]
-            );
-            let _ = write!(
-                json_cocktail,
-                "{}    {{\"seed\": {}, \"impute\": {}, \"dead\": {}, \"skewed\": {}, \
-                 \"flipped\": {}, \"untrusted\": {}, \"base\": {{\"sound\": {}, \
-                 \"misses\": {}, \"infinite_brackets\": {}, \"mean_coverage\": {:.4}, \
-                 \"mean_width\": {}}}, \"degraded\": {}}}",
-                if json_cocktail.is_empty() { "" } else { ",\n" },
-                seed,
-                impute,
-                c.dead,
-                c.skewed,
-                c.flipped,
-                c.untrusted,
-                c.base_sound,
-                c.base_misses,
-                c.base_infinite,
-                c.base_mean_coverage,
-                width_json(c.base_finite, c.base_mean_width),
-                c.degraded.json()
-            );
-        }
+        // Mixed cocktail: the compound mix served by the demote-first
+        // pipeline and by degraded-mode answering.
+        let c = cocktail_cell(&scenario, &sampled, seed, &queries);
+        total_sound += c.base_sound + c.degraded.sound;
+        total_asked += c.base_sound + c.base_misses + c.degraded.sound + c.degraded.misses;
+        println!(
+            "{seed:>6} | cocktail: {} dead + {} skewed + {} flipped ({} untrusted); \
+             base {}/{} cover {:.3}; degraded {}/{} cover {:.3} detour {}",
+            c.dead,
+            c.skewed,
+            c.flipped,
+            c.untrusted,
+            c.base_sound,
+            c.base_sound + c.base_misses,
+            c.base_mean_coverage,
+            c.degraded.sound,
+            c.degraded.sound + c.degraded.misses,
+            c.degraded.mean_coverage,
+            c.degraded.detour
+        );
+        let _ = write!(
+            json_cocktail,
+            "{}    {{\"seed\": {}, \"dead\": {}, \"skewed\": {}, \"flipped\": {}, \
+             \"untrusted\": {}, \"base\": {{\"sound\": {}, \"misses\": {}, \
+             \"infinite_brackets\": {}, \"mean_coverage\": {:.4}, \"mean_width\": {}}}, \
+             \"degraded\": {}}}",
+            if json_cocktail.is_empty() { "" } else { ",\n" },
+            seed,
+            c.dead,
+            c.skewed,
+            c.flipped,
+            c.untrusted,
+            c.base_sound,
+            c.base_misses,
+            c.base_infinite,
+            c.base_mean_coverage,
+            width_json(c.base_finite, c.base_mean_width),
+            c.degraded.json()
+        );
 
         let r = repair_cell(&scenario, &sampled, seed);
         total_isolated_exact += r.isolated_exact;

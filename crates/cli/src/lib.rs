@@ -182,9 +182,10 @@ chaos: one root seed, --chaos-seed S, drives message, sensor, and
 a flag the command does not read, or a repeated flag, is refused
 sensor-fault flags (fractions of monitored links): --dead F --lossy F
   --dup-sensors F --flip F --skew F; serve quarantines what the audit flags
-  --impute 1 answers through quarantine via detours and conservation-residual
-  imputation instead of worst-case widening, and follows the quarantine
-  a lost shard history grows
+  --impute 1 answers through quarantine on the graph rerouted around it
+  instead of worst-case widening, certifies standing brackets by
+  conservation-residual imputation, and follows the quarantine a lost
+  shard history grows
 methods: uniform|systematic|stratified|kdtree|quadtree";
 
 /// Parses `--<flag>` as a fraction in `[0, 1]` (`default` when absent).
@@ -588,8 +589,9 @@ impl ServeOpts {
         }
         let subscribe_area = area_from(args, "subscribe-area", area)?;
         // Degraded-mode answering is opt-in: it trades the default
-        // worst-case widening on quarantined boundaries for detour and
-        // conservation-residual imputation answers with honest brackets.
+        // worst-case widening on quarantined boundaries for the rerouted
+        // graph's honest brackets, and certifies standing brackets by
+        // conservation-residual imputation.
         let impute = switch_from(args, "impute")?;
         if impute && chaos.sensor_mix.total() == 0.0 {
             return Err(CliError::Usage(

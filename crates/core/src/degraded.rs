@@ -1,68 +1,58 @@
-//! Degraded-mode answering: useful, honestly-widened brackets under heavy
-//! sensor loss.
+//! Degraded-mode answering: the paper's bracket on the graph rerouted
+//! around the quarantine.
 //!
 //! Quarantine keeps answers *sound* by demoting corrupted edges, but plain
-//! demotion collapses utility: merged faces widen the `R₂`/`R₁` resolution
-//! until coverage hits zero. This module escalates through two repair
-//! rungs behind one [`DegradedPolicy`], always preferring the strongest
-//! answer whose bracket is still **certified**:
-//!
-//! 1. [`DegradedStrategy::MultiFaceDetour`] — answer on the rerouted graph
-//!    ([`SampledGraph::reroute_around`]): live detour cycles, up to
-//!    several dual rings wide, buy back face granularity structurally.
-//! 2. [`DegradedStrategy::Imputation`] — answer on the *original* fine
-//!    graph, replacing each quarantined boundary edge's net flow with its
-//!    certified conservation interval ([`crate::impute::Imputer`]). When
-//!    every needed interval is finite this restores the fine graph's full
-//!    structural coverage, and the bracket is intersected with the rerouted
-//!    one (both certified, so the intersection is too).
-//!
-//! When neither rung beats plain demotion, the answer is the best
-//! structural bracket ([`DegradedStrategy::Demoted`] or the detour), its
-//! midpoint and its coverage.
+//! demotion merges the faces they separated and widens the `R₂`/`R₁`
+//! resolution until coverage hits zero. The answerer instead answers on the
+//! rerouted graph ([`SampledGraph::reroute_around`]): live detour cycles, up
+//! to several dual rings wide, buy face granularity back. Rerouting only
+//! adds live monitored edges to the set demotion keeps, so every rerouted
+//! component lies inside one demoted component: the rerouted `R₂` contains
+//! the demoted one and the rerouted `R₁` lies inside the demoted one. Its
+//! bracket is never wider, and its coverage never lower.
 //!
 //! ## The honest-widening guarantee
 //!
-//! Bracket endpoints, point values and confidences only ever come from
-//! certified machinery — structural demotion/detour resolution or
-//! conservation-interval arithmetic. Consequently every non-miss
-//! [`DegradedAnswer`] bracket is finite and contains the truth whenever the
-//! surviving monitored edges carry intact data — the same contract as
-//! [`crate::repair::answer_with_bounds`], just tighter.
+//! Every [`DegradedAnswer`] bracket is [`bounds_from_plans`] over the
+//! rerouted graph's `Lower` and `Upper` plans, its value the midpoint and its
+//! confidence the coverage. So every non-miss bracket is finite and contains
+//! the truth whenever the surviving monitored edges carry intact data — the
+//! contract of [`crate::repair::answer_with_bounds`] on the rerouted graph.
+//!
+//! ## Certificates
+//!
+//! The answerer also builds the quarantine's [`Imputer`]: certified
+//! net-flow intervals for the quarantined edges, which tighten standing
+//! subscription brackets. It is no answer route: on counts that obey
+//! conservation its intervals narrowed no rerouted bracket in the
+//! `stq-core` property tests or the sensor-failure sweep (EXPERIMENTS.md).
+//! Its caps come from the demoted graph, which always contains a fine face,
+//! and the rerouted graph, which caps tighter where one of its components
+//! contains the face (a detour may split one).
 //!
 //! ## One generation of the quarantine
 //!
-//! An answerer is a pure function of the graph pair and one quarantine
-//! list: it owns what that list changes — the demoted and rerouted graphs,
-//! their plan caches and the imputer — and nothing else. The fine graph and
-//! the engine that caches its plans are the caller's, passed to
-//! [`DegradedAnswerer::answer`]. Which edges are quarantined is read off
-//! the demoted graph: every boundary edge of a fine-graph plan is monitored
-//! in the fine graph, and `demoted` is the fine graph with exactly the
-//! quarantined edges demoted, so such an edge is quarantined iff `demoted`
-//! does not monitor it. A holder whose quarantine grows builds a new
-//! answerer.
+//! An answerer is a pure function of the fine graph and one quarantine list:
+//! it owns what that list changes — the rerouted graph, its plan cache and
+//! the imputer — and nothing else. A holder whose quarantine grows builds a
+//! new answerer.
 
-use crate::engine::{QueryEngine, QueryPlan};
+use crate::engine::QueryEngine;
 use crate::impute::Imputer;
-use crate::query::evaluate;
 use crate::query::{Approximation, QueryKind, QueryRegion};
 use crate::repair::{bounds_from_plans, BoundedAnswer};
 use crate::sampled::SampledGraph;
 use crate::sensing::SensingGraph;
-use stq_forms::{static_interval_lower_bound, BoundaryEdge, CountSource, Time};
+use stq_forms::CountSource;
 
-/// Which repair strategy produced a degraded answer.
+/// Which graph answered a degraded consult.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DegradedStrategy {
-    /// No quarantine in play: the answer is the ordinary bracket.
+    /// No edge the fine graph monitors is quarantined: the answer is the
+    /// ordinary bracket.
     None,
-    /// Plain demotion resolved best (detours bought nothing here).
-    Demoted,
-    /// The multi-ring rerouted graph resolved best.
+    /// The graph rerouted around the quarantine answered.
     MultiFaceDetour,
-    /// Fine-graph resolution with certified conservation intervals.
-    Imputation,
 }
 
 impl DegradedStrategy {
@@ -70,34 +60,16 @@ impl DegradedStrategy {
     pub fn label(&self) -> &'static str {
         match self {
             DegradedStrategy::None => "none",
-            DegradedStrategy::Demoted => "demoted",
             DegradedStrategy::MultiFaceDetour => "detour",
-            DegradedStrategy::Imputation => "imputed",
         }
     }
 }
 
-/// Per-graph plan-cache capacity of the answerer's demoted and rerouted
-/// engines.
+/// Plan-cache capacity of the answerer's rerouted engine.
 const PLAN_CACHE: usize = 128;
 
-/// The one rung of the degraded-mode escalation a caller can turn off; the
-/// rest run at this module's constants (detours up to three dual rings,
-/// 128 cached plans per graph of the generation).
-#[derive(Clone, Copy, Debug)]
-pub struct DegradedPolicy {
-    /// Whether conservation-interval imputation is attempted.
-    pub impute: bool,
-}
-
-impl Default for DegradedPolicy {
-    fn default() -> Self {
-        DegradedPolicy { impute: true }
-    }
-}
-
 /// One degraded-mode answer: a certified bracket, a point estimate inside
-/// it, and which strategy won.
+/// it, and which graph answered.
 #[derive(Clone, Copy, Debug)]
 pub struct DegradedAnswer {
     /// The certified `[lower, upper]` bracket (see module docs for the
@@ -105,69 +77,49 @@ pub struct DegradedAnswer {
     pub bracket: BoundedAnswer,
     /// Point estimate, always inside the bracket: its midpoint.
     pub value: f64,
-    /// The strategy that produced the bracket.
+    /// The graph that produced the bracket.
     pub strategy: DegradedStrategy,
-    /// Confidence in `[0, 1]`: the structural coverage of the certifying
-    /// resolution.
+    /// Confidence in `[0, 1]`: the bracket's structural coverage.
     pub confidence: f64,
 }
 
 /// The degraded-mode answering subsystem of one quarantine generation: owns
-/// the demoted and rerouted graphs, the imputation constraint system, and
-/// one plan-caching [`QueryEngine`] for each of the two graphs.
+/// the rerouted graph, the plan-caching [`QueryEngine`] of its plans and the
+/// imputation constraint system.
 pub struct DegradedAnswerer {
-    demoted: SampledGraph,
     rerouted: SampledGraph,
+    engine: QueryEngine,
     imputer: Option<Imputer>,
-    demoted_engine: QueryEngine,
-    rerouted_engine: QueryEngine,
+    /// What every answer is labelled: [`DegradedStrategy::None`] when the
+    /// quarantine holds no edge the fine graph monitors.
+    strategy: DegradedStrategy,
 }
 
 impl std::fmt::Debug for DegradedAnswerer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DegradedAnswerer")
-            .field("demoted_monitored", &self.demoted.num_monitored_edges())
+            .field("rerouted_monitored", &self.rerouted.num_monitored_edges())
             .field("imputer", &self.imputer.as_ref().map(|i| i.num_constraints()))
             .finish()
     }
 }
 
 impl DegradedAnswerer {
-    /// Builds the subsystem for one quarantine outcome. `fine` is the
-    /// pre-quarantine sampled graph, the one [`answer`](Self::answer) is then
-    /// handed; the certified paths never read a quarantined edge's counts.
-    pub fn new(
-        sensing: &SensingGraph,
-        fine: &SampledGraph,
-        quarantined: &[usize],
-        policy: DegradedPolicy,
-    ) -> Self {
-        let demoted = fine.demote_edges(sensing, quarantined);
+    /// Builds the subsystem for one quarantine outcome of `fine`, the
+    /// pre-quarantine sampled graph. No answer reads a quarantined edge's
+    /// counts: the rerouted graph monitors none of them.
+    pub fn new(sensing: &SensingGraph, fine: &SampledGraph, quarantined: &[usize]) -> Self {
         let rerouted = fine.reroute_around(sensing, quarantined);
-        // Caps come from both surviving resolutions: the demoted graph is a
-        // coarsening of the fine faces (always contains, always sound) and
-        // the rerouted graph is finer (caps tighter wherever one of its
-        // components provably contains a face) — the imputer takes the
-        // tightest containing cap per face.
-        let imputer = if policy.impute && !quarantined.is_empty() {
-            Some(Imputer::new(sensing, fine, &[&demoted, &rerouted], quarantined))
+        let imputer = (!quarantined.is_empty()).then(|| {
+            let demoted = fine.demote_edges(sensing, quarantined);
+            Imputer::new(sensing, fine, &[&demoted, &rerouted], quarantined)
+        });
+        let strategy = if quarantined.iter().any(|&e| fine.monitored()[e]) {
+            DegradedStrategy::MultiFaceDetour
         } else {
-            None
+            DegradedStrategy::None
         };
-        DegradedAnswerer {
-            demoted,
-            rerouted,
-            imputer,
-            demoted_engine: QueryEngine::new(PLAN_CACHE),
-            rerouted_engine: QueryEngine::new(PLAN_CACHE),
-        }
-    }
-
-    /// Whether `edge`, a boundary edge of a plan on the fine graph, is
-    /// quarantined (see the module docs: it is monitored there, and the
-    /// demoted graph drops exactly the quarantined edges).
-    fn quarantined(&self, edge: usize) -> bool {
-        !self.demoted.monitored()[edge]
+        DegradedAnswerer { rerouted, engine: QueryEngine::new(PLAN_CACHE), imputer, strategy }
     }
 
     /// The rerouted graph (for inspection and reuse by callers).
@@ -175,293 +127,45 @@ impl DegradedAnswerer {
         &self.rerouted
     }
 
-    /// The demoted graph.
-    pub fn demoted(&self) -> &SampledGraph {
-        &self.demoted
-    }
-
-    /// The conservation-residual imputer, when the policy enabled it and
-    /// the quarantine set admitted at least one face constraint. Callers
-    /// use it to certify per-edge flow intervals (e.g. to tighten standing
-    /// subscription brackets).
+    /// The conservation-residual imputer, for a non-empty quarantine.
+    /// Callers use it to certify per-edge flow intervals (e.g. to tighten
+    /// standing subscription brackets).
     pub fn imputer(&self) -> Option<&Imputer> {
         self.imputer.as_ref()
     }
 
-    /// Answers one query with the escalation described in the module docs.
-    /// `fine` is the graph the answerer was built from and `fine_engine`
-    /// the engine that caches its plans (the serving runtime passes its
-    /// own). `store`'s healthy-edge counts must be exact; its quarantined
-    /// edges are never read by a certified path. `store` is read only at
-    /// `kind`'s own one or two instants: the serving runtime answers over a
-    /// table that holds nothing else.
+    /// Answers one query with the rerouted graph's bracket. `store`'s
+    /// healthy-edge counts must be exact; it is read only on the rerouted
+    /// plans' boundaries and at `kind`'s own one or two instants: the
+    /// serving runtime answers over a table that holds nothing else.
+    ///
+    /// Every bracket rests on counts that obey conservation: no population
+    /// is negative or exceeds that of a region containing it. Counts that
+    /// invert the bracket break that premise (a stream of crossings no
+    /// object could have made), so they certify nothing: the answer is a
+    /// miss.
     pub fn answer<S: CountSource + ?Sized>(
         &self,
         sensing: &SensingGraph,
-        fine: &SampledGraph,
-        fine_engine: &QueryEngine,
         store: &S,
         query: &QueryRegion,
         kind: QueryKind,
     ) -> DegradedAnswer {
-        // Strategy 0/1: the best purely structural bracket.
-        let demoted_b =
-            self.bracket_on(&self.demoted_engine, &self.demoted, sensing, store, query, kind);
-        let rerouted_b =
-            self.bracket_on(&self.rerouted_engine, &self.rerouted, sensing, store, query, kind);
-        let (base, mut strategy) = if better(&rerouted_b, &demoted_b) {
-            (rerouted_b, DegradedStrategy::MultiFaceDetour)
-        } else {
-            (demoted_b, DegradedStrategy::Demoted)
-        };
-        // Nothing the fine graph monitors is quarantined.
-        if self.demoted.num_monitored_edges() == fine.num_monitored_edges() {
-            strategy = DegradedStrategy::None;
-        }
-        // Every certificate here rests on counts that obey conservation: no
-        // population is negative or exceeds that of a region containing it.
-        // Counts that invert the structural bracket break that premise (a
-        // stream of crossings no object could have made), so they certify
-        // nothing.
-        if base.lower > base.upper {
-            let bracket = BoundedAnswer { miss: true, coverage: 0.0, ..base };
+        let (lo, _) = self.engine.plan(sensing, &self.rerouted, query, Approximation::Lower);
+        let (hi, _) = self.engine.plan(sensing, &self.rerouted, query, Approximation::Upper);
+        let bracket = bounds_from_plans(&lo, &hi, store, kind);
+        let strategy = self.strategy;
+        if bracket.lower > bracket.upper {
+            let bracket = BoundedAnswer { miss: true, coverage: 0.0, ..bracket };
             return DegradedAnswer { bracket, value: 0.0, strategy, confidence: 0.0 };
         }
-
-        // Fine-graph resolution: the structural ceiling imputation can reach.
-        let (fine_lo, _) = fine_engine.plan(sensing, fine, query, Approximation::Lower);
-        let (fine_hi, _) = fine_engine.plan(sensing, fine, query, Approximation::Upper);
-        let fine_cov = if fine_hi.miss {
-            0.0
-        } else {
-            fine_lo.covered_cells() as f64 / fine_hi.covered_cells().max(1) as f64
-        };
-        let structurally_saturated = !base.miss && base.coverage + 1e-12 >= fine_cov;
-
-        // Strategy 2: certified conservation-interval bracket on the fine
-        // graph, intersected with the structural one. The structural upper
-        // plans double as all-healthy enclosures for subtraction bounds.
-        if !structurally_saturated {
-            if let Some(imp) = &self.imputer {
-                let (dem_hi, _) =
-                    self.demoted_engine.plan(sensing, &self.demoted, query, Approximation::Upper);
-                let (rer_hi, _) =
-                    self.rerouted_engine.plan(sensing, &self.rerouted, query, Approximation::Upper);
-                let mut enclosures: Vec<&QueryPlan> = Vec::new();
-                if !dem_hi.miss {
-                    enclosures.push(&dem_hi);
-                }
-                if !rer_hi.miss {
-                    enclosures.push(&rer_hi);
-                }
-                if let Some(sides) =
-                    self.imputed_sides(imp, store, &fine_lo, &fine_hi, query, &enclosures, kind)
-                {
-                    let lower = sides.lower.max(base.lower);
-                    let upper = sides.upper.min(base.upper);
-                    if upper.is_finite() && lower <= upper + 1e-9 {
-                        // Coverage is the certified resolution of the two
-                        // sides actually in use: cells the lower bound
-                        // resolves over cells the upper bound cannot
-                        // distinguish from the region — never below what
-                        // the structural bracket already claims.
-                        let coverage = (sides.lower_cells as f64 / sides.upper_cells.max(1) as f64)
-                            .clamp(0.0, 1.0)
-                            .max(base.coverage);
-                        let bracket =
-                            BoundedAnswer { lower: lower.min(upper), upper, miss: false, coverage };
-                        if better(&bracket, &base) {
-                            return DegradedAnswer {
-                                bracket,
-                                value: midpoint(&bracket),
-                                strategy: DegradedStrategy::Imputation,
-                                confidence: bracket.coverage,
-                            };
-                        }
-                    }
-                }
-            }
-        }
-
         DegradedAnswer {
-            value: midpoint(&base),
-            bracket: base,
+            value: midpoint(&bracket),
+            bracket,
             strategy,
-            confidence: base.coverage,
+            confidence: bracket.coverage,
         }
     }
-
-    fn bracket_on<S: CountSource + ?Sized>(
-        &self,
-        engine: &QueryEngine,
-        graph: &SampledGraph,
-        sensing: &SensingGraph,
-        store: &S,
-        query: &QueryRegion,
-        kind: QueryKind,
-    ) -> BoundedAnswer {
-        let (lo, _) = engine.plan(sensing, graph, query, Approximation::Lower);
-        let (hi, _) = engine.plan(sensing, graph, query, Approximation::Upper);
-        bounds_from_plans(&lo, &hi, store, kind)
-    }
-
-    /// Both sides of the fine-graph bracket with quarantined boundary
-    /// edges replaced by their certified intervals. A side is *genuine*
-    /// when the fine-resolution fold certified a finite value for it;
-    /// non-genuine sides fall back to the trivial population bound
-    /// (`0` from below, vacuous from above). `None` when the fine upper
-    /// plan missed the region entirely.
-    #[allow(clippy::too_many_arguments)]
-    fn imputed_sides<S: CountSource + ?Sized>(
-        &self,
-        imp: &Imputer,
-        store: &S,
-        lo_plan: &QueryPlan,
-        hi_plan: &QueryPlan,
-        query: &QueryRegion,
-        enclosures: &[&QueryPlan],
-        kind: QueryKind,
-    ) -> Option<ImputedSides> {
-        if hi_plan.miss {
-            return None;
-        }
-        let (lo_boundary, lo_miss) = (&lo_plan.boundary, lo_plan.miss);
-        let hi_boundary = &hi_plan.boundary;
-        let query_cells = query.junctions();
-        // Each population bound is the best of several certified routes,
-        // and carries the junction-cell resolution of the route that won:
-        //
-        // * the boundary fold with per-edge intervals in place of
-        //   quarantined terms — tightest when quarantined edges are
-        //   *interior* to the region, since they cancel out of the fold;
-        // * the face sum — finite whenever every vacuous face has a
-        //   containing cap component, no propagation needed;
-        // * (upper only) enclosure subtraction — the structural upper
-        //   plans are all-healthy regions containing the query, so their
-        //   exact population minus certified lowers of disjoint contained
-        //   faces bounds the query's population; finite whenever any
-        //   structural plan resolves the query at all.
-        let pop_at = |t: Time| {
-            let ev = imp.evaluate(store, t);
-            let fold = |boundary: &[BoundaryEdge]| {
-                let (mut lo, mut hi) = (0.0f64, 0.0f64);
-                for be in boundary {
-                    if self.quarantined(be.edge) {
-                        let (a, b) = match ev.interval(be.edge) {
-                            Some(iv) if be.inward_forward => (iv.lo, iv.hi),
-                            Some(iv) => (-iv.hi, -iv.lo),
-                            None => (f64::NEG_INFINITY, f64::INFINITY),
-                        };
-                        lo += a;
-                        hi += b;
-                    } else {
-                        let net = store.count_until(be.edge, be.inward_forward, t)
-                            - store.count_until(be.edge, !be.inward_forward, t);
-                        lo += net;
-                        hi += net;
-                    }
-                }
-                (lo, hi)
-            };
-            let raw_lo = if lo_miss { f64::NEG_INFINITY } else { fold(lo_boundary).0 };
-            let sub_rb = ev.region_bounds(&lo_plan.interior);
-            let query_rb = ev.region_bounds(query_cells);
-            let super_rb = ev.region_bounds(&hi_plan.interior);
-
-            // Lower: best certified value; on ties, the route with the most
-            // informative cells wins — an exact "this face is empty" is real
-            // resolution even when the numeric lower stays 0.
-            let mut lower =
-                (raw_lo.max(0.0), if raw_lo.is_finite() { lo_plan.interior.len() } else { 0 });
-            for rb in [&sub_rb, &query_rb] {
-                if rb.lower > lower.0 || (rb.lower >= lower.0 && rb.informative_cells > lower.1) {
-                    lower = (rb.lower, rb.informative_cells);
-                }
-            }
-
-            // Upper: tightest certified value; on ties, the route whose
-            // certificate confines the unknown mass to fewer cells wins.
-            let fold_hi = fold(hi_boundary).1;
-            let mut upper = (fold_hi, hi_plan.interior.len());
-            for (rb, cells) in [(&super_rb, hi_plan.interior.len()), (&query_rb, query_cells.len())]
-            {
-                if rb.upper < upper.0 || (rb.upper <= upper.0 && cells < upper.1) {
-                    upper = (rb.upper, cells);
-                }
-            }
-            for ep in enclosures {
-                let pop_e = evaluate(store, &ep.boundary, QueryKind::Snapshot(t));
-                let (enc_hi, enc_cells) = ev.enclosure_upper(pop_e, &ep.interior, query_cells);
-                if enc_hi < upper.0 || (enc_hi <= upper.0 && enc_cells < upper.1) {
-                    upper = (enc_hi, enc_cells);
-                }
-            }
-            (lower, upper)
-        };
-        let sides = match kind {
-            QueryKind::Snapshot(t) => {
-                let (lower, upper) = pop_at(t);
-                ImputedSides {
-                    lower: lower.0,
-                    lower_cells: lower.1,
-                    upper: upper.0,
-                    upper_cells: upper.1,
-                }
-            }
-            QueryKind::Transient(t0, t1) => {
-                let (lower0, upper0) = pop_at(t0);
-                let (lower1, upper1) = pop_at(t1);
-                ImputedSides {
-                    lower: lower1.0 - upper0.0,
-                    lower_cells: lower1.1.min(upper0.1),
-                    upper: upper1.0 - lower0.0,
-                    upper_cells: upper1.1.min(lower0.1),
-                }
-            }
-            QueryKind::Static(t0, t1) => {
-                let (_, upper0) = pop_at(t0);
-                let (_, upper1) = pop_at(t1);
-                // The static lower estimator folds raw counts, which a
-                // quarantined lower boundary would poison — fall back to 0
-                // there; otherwise it is the ordinary certified bound.
-                let genuine = !lo_miss && !lo_boundary.iter().any(|be| self.quarantined(be.edge));
-                let lower = if genuine {
-                    static_interval_lower_bound(store, lo_boundary, t0, t1).max(0.0)
-                } else {
-                    0.0
-                };
-                let upper = if upper0.0 <= upper1.0 { upper0 } else { upper1 };
-                ImputedSides {
-                    lower,
-                    lower_cells: if genuine { lo_plan.interior.len() } else { 0 },
-                    upper: upper.0.max(0.0),
-                    upper_cells: upper.1,
-                }
-            }
-        };
-        Some(sides)
-    }
-}
-
-/// Per-side result of bounding the query population through the certified
-/// imputation routes. `*_cells` is the junction-cell resolution of the
-/// route that produced each side (0 when only the trivial bound held).
-struct ImputedSides {
-    lower: f64,
-    lower_cells: usize,
-    upper: f64,
-    upper_cells: usize,
-}
-
-/// Coverage first, then width: is `a` a strictly more useful bracket?
-fn better(a: &BoundedAnswer, b: &BoundedAnswer) -> bool {
-    if a.miss != b.miss {
-        return b.miss;
-    }
-    if (a.coverage - b.coverage).abs() > 1e-12 {
-        return a.coverage > b.coverage;
-    }
-    a.width() < b.width()
 }
 
 fn midpoint(b: &BoundedAnswer) -> f64 {
@@ -491,8 +195,7 @@ mod tests {
         graph: SampledGraph,
         trajs: Vec<stq_mobility::Trajectory>,
         horizon: (f64, f64),
-        /// Caches the plans of `graph`, the fine graph every answer is
-        /// handed.
+        /// Caches the plans of `graph`, the fine graph.
         engine: QueryEngine,
     }
 
@@ -608,10 +311,9 @@ mod tests {
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
         assert!(!quarantined.is_empty(), "the fault plan must force quarantine");
-        let ans =
-            DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, DegradedPolicy::default());
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined);
         for (q, kind) in queries(&f) {
-            let a = ans.answer(&f.sensing, &f.graph, &f.engine, &tracked.store, &q, kind);
+            let a = ans.answer(&f.sensing, &tracked.store, &q, kind);
             let truth = oracle_truth(&tracked, &q, kind);
             assert!(
                 a.bracket.contains(truth),
@@ -633,12 +335,11 @@ mod tests {
     fn escalation_never_loses_to_plain_demotion() {
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
-        let ans =
-            DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, DegradedPolicy::default());
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined);
         let demoted = f.graph.demote_edges(&f.sensing, &quarantined);
         let (mut gained, mut total) = (0usize, 0usize);
         for (q, kind) in queries(&f) {
-            let a = ans.answer(&f.sensing, &f.graph, &f.engine, &tracked.store, &q, kind);
+            let a = ans.answer(&f.sensing, &tracked.store, &q, kind);
             let plain = answer_with_bounds(&f.sensing, &demoted, &tracked.store, &q, kind);
             assert!(
                 a.bracket.coverage >= plain.coverage - 1e-12,
@@ -655,23 +356,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_imputation_falls_back_to_the_structural_bracket() {
+    fn the_answer_is_the_rerouted_graphs_bracket() {
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
-        let policy = DegradedPolicy { impute: false };
-        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, policy);
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined);
         for (q, kind) in queries(&f) {
-            let a = ans.answer(&f.sensing, &f.graph, &f.engine, &tracked.store, &q, kind);
-            // The better of the two structural brackets, its midpoint and
-            // its coverage: nothing but certified resolution answers.
-            let demoted = answer_with_bounds(&f.sensing, ans.demoted(), &tracked.store, &q, kind);
-            let rerouted = answer_with_bounds(&f.sensing, ans.rerouted(), &tracked.store, &q, kind);
-            let (want, strategy) = if better(&rerouted, &demoted) {
-                (rerouted, DegradedStrategy::MultiFaceDetour)
-            } else {
-                (demoted, DegradedStrategy::Demoted)
-            };
-            assert_eq!(a.strategy, strategy, "{kind:?}");
+            let a = ans.answer(&f.sensing, &tracked.store, &q, kind);
+            // The rerouted graph's bracket, its midpoint and its coverage:
+            // nothing but certified resolution answers.
+            let want = answer_with_bounds(&f.sensing, ans.rerouted(), &tracked.store, &q, kind);
+            assert_eq!(a.strategy, DegradedStrategy::MultiFaceDetour, "{kind:?}");
             let got = [a.bracket.lower, a.bracket.upper, a.value, a.confidence];
             let want = [want.lower, want.upper, midpoint(&want), want.coverage];
             assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{kind:?}");
@@ -682,15 +376,15 @@ mod tests {
 
     #[test]
     fn a_fine_boundary_edge_is_quarantined_iff_the_demoted_graph_drops_it() {
-        // The answerer keeps no list of quarantined edges: it reads them off
-        // the demoted graph. That is the quarantine exactly on every edge a
-        // fine-graph plan's boundary can hold, and an empty quarantine is
-        // the demoted graph monitoring as many edges as the fine one.
+        // On every edge a fine-graph plan's boundary can hold, the demoted
+        // graph drops the quarantine exactly, and so does the rerouted one:
+        // a detour adds only live edges, so no answer reads a quarantined
+        // count. An empty quarantine reroutes nothing.
         let f = fixture();
         let (_, quarantined) = faulted(&f);
         assert!(quarantined.windows(2).all(|w| w[0] < w[1]), "sorted, for the search below");
-        let policy = DegradedPolicy { impute: false };
-        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, policy);
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined);
+        let demoted = f.graph.demote_edges(&f.sensing, &quarantined);
         let (mut checked, mut flagged) = (0usize, 0usize);
         for (q, _) in queries(&f) {
             for approx in [Approximation::Lower, Approximation::Upper] {
@@ -698,26 +392,26 @@ mod tests {
                 for be in &plan.boundary {
                     assert!(f.graph.monitored()[be.edge], "edge {} is monitored", be.edge);
                     let listed = quarantined.binary_search(&be.edge).is_ok();
-                    assert_eq!(ans.quarantined(be.edge), listed, "edge {}", be.edge);
+                    assert_eq!(!demoted.monitored()[be.edge], listed, "edge {}", be.edge);
+                    assert_eq!(!ans.rerouted().monitored()[be.edge], listed, "edge {}", be.edge);
                     checked += 1;
                     flagged += usize::from(listed);
                 }
             }
         }
         assert!(checked > 0 && flagged > 0, "{flagged} of {checked} boundary edges flagged");
-        let whole = f.graph.num_monitored_edges();
-        assert!(ans.demoted().num_monitored_edges() < whole);
-        let none = DegradedAnswerer::new(&f.sensing, &f.graph, &[], policy);
-        assert_eq!(none.demoted().num_monitored_edges(), whole);
+        assert!(demoted.num_monitored_edges() < f.graph.num_monitored_edges());
+        let none = DegradedAnswerer::new(&f.sensing, &f.graph, &[]);
+        assert_eq!(none.rerouted().monitored(), f.graph.monitored());
     }
 
     #[test]
     fn empty_quarantine_reports_strategy_none() {
         let f = fixture();
         let tracked = ingest(&f.sensing, &f.trajs);
-        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &[], DegradedPolicy::default());
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &[]);
         let (q, kind) = queries(&f).remove(0);
-        let a = ans.answer(&f.sensing, &f.graph, &f.engine, &tracked.store, &q, kind);
+        let a = ans.answer(&f.sensing, &tracked.store, &q, kind);
         assert_eq!(a.strategy, DegradedStrategy::None);
         let plain = answer_with_bounds(&f.sensing, &f.graph, &tracked.store, &q, kind);
         assert_eq!(a.bracket.coverage, plain.coverage);
@@ -732,8 +426,7 @@ mod tests {
         // certify an inverted bracket.
         let f = fixture();
         let (tracked, quarantined) = faulted(&f);
-        let policy = DegradedPolicy::default();
-        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined, policy);
+        let ans = DegradedAnswerer::new(&f.sensing, &f.graph, &quarantined);
         let mut store = tracked.store.clone();
         let ne = store.num_edges();
         for i in 0..4 * ne {
@@ -747,9 +440,9 @@ mod tests {
                 QueryKind::Transient(400.0, t_end),
                 QueryKind::Static(10_100.0, t_end),
             ] {
-                let demoted = answer_with_bounds(&f.sensing, ans.demoted(), &store, &q, kind);
-                inverted += usize::from(demoted.lower > demoted.upper);
-                let a = ans.answer(&f.sensing, &f.graph, &f.engine, &store, &q, kind);
+                let rerouted = answer_with_bounds(&f.sensing, ans.rerouted(), &store, &q, kind);
+                inverted += usize::from(rerouted.lower > rerouted.upper);
+                let a = ans.answer(&f.sensing, &store, &q, kind);
                 if !a.bracket.miss {
                     answered += 1;
                     assert!(a.bracket.lower <= a.bracket.upper, "{kind:?}: inverted bracket");

@@ -61,7 +61,7 @@ pub mod streaming;
 pub mod tracker;
 
 pub use bracket::Bracket;
-pub use degraded::{DegradedAnswer, DegradedAnswerer, DegradedPolicy, DegradedStrategy};
+pub use degraded::{DegradedAnswer, DegradedAnswerer, DegradedStrategy};
 pub use engine::{EngineStats, PlanId, QueryEngine, QueryPlan};
 pub use impute::{ImputedInterval, Imputer};
 pub use learned_store::LearnedStore;
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::abstracted::AbstractTopology;
     pub use crate::bracket::Bracket;
     pub use crate::cost::{measure_costs, CostModel};
-    pub use crate::degraded::{DegradedAnswer, DegradedAnswerer, DegradedPolicy, DegradedStrategy};
+    pub use crate::degraded::{DegradedAnswer, DegradedAnswerer, DegradedStrategy};
     pub use crate::engine::{EngineStats, PlanId, QueryEngine, QueryPlan};
     pub use crate::geometric::Subdivision;
     pub use crate::impute::{ImputedInterval, Imputer};

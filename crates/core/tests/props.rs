@@ -238,3 +238,108 @@ proptest! {
         }
     }
 }
+
+/// Midpoint of a bracket, or its one finite side: the point value a degraded
+/// answer carries.
+fn midpoint(b: &BoundedAnswer) -> f64 {
+    match (b.lower.is_finite(), b.upper.is_finite()) {
+        (true, true) => 0.5 * (b.lower + b.upper),
+        (true, false) => b.lower,
+        (false, true) => b.upper,
+        (false, false) => 0.0,
+    }
+}
+
+/// The degraded ladder is the paper's bracket on the graph rerouted around
+/// the quarantine. Over several cities, quarantine strides, areas and all
+/// three kinds on clean stores:
+///
+/// (a) rerouting only refines demotion: every component of
+///     `reroute_around(q)` lies inside one component of `demote_edges(q)`,
+///     so `R₂` demoted ⊆ `R₂` rerouted ⊆ `Q` ⊆ `R₁` rerouted ⊆ `R₁` demoted;
+/// (b) `DegradedAnswerer::answer` is `bounds_from_plans` over the rerouted
+///     graph's plans bit for bit (an inverted bracket a miss), and it
+///     brackets the oracle.
+#[test]
+fn the_degraded_ladder_is_the_rerouted_graphs_bracket() {
+    let (mut consults, mut answered) = (0usize, 0usize);
+    for seed in [41u64, 11, 23] {
+        let s = Scenario::build(ScenarioConfig {
+            junctions: 180,
+            mix: WorkloadMix { random_waypoint: 20, commuter: 12, transit: 6 },
+            seed,
+            ..Default::default()
+        });
+        let cands = s.sensing.sensor_candidates();
+        let ids = stq_sampling::sample(
+            stq_sampling::SamplingMethod::QuadTree,
+            &cands,
+            cands.len() / 4,
+            7,
+        );
+        let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
+        let g = SampledGraph::from_sensors(&s.sensing, &faces, Connectivity::Triangulation);
+        let regions: Vec<_> = [0.05, 0.15, 0.3]
+            .iter()
+            .flat_map(|&area| s.make_queries(16, area, 1_500.0, seed ^ 0x1ad))
+            .collect();
+        for stride in [3usize, 5, 7, 13] {
+            let quarantined: Vec<usize> =
+                (0..s.sensing.num_edges()).filter(|&e| g.monitored()[e]).step_by(stride).collect();
+            let demoted = g.demote_edges(&s.sensing, &quarantined);
+            let ans = DegradedAnswerer::new(&s.sensing, &g, &quarantined);
+            let rerouted = ans.rerouted();
+            for comp in rerouted.components() {
+                let Some(&first) = comp.first() else { continue };
+                let outer = demoted.component_of(first);
+                assert!(
+                    comp.iter().all(|&j| demoted.component_of(j) == outer),
+                    "seed {seed} stride {stride}: a rerouted component spans demoted ones"
+                );
+            }
+            for (q, t0, t1) in &regions {
+                for kind in [
+                    QueryKind::Snapshot(*t0),
+                    QueryKind::Transient(*t0, *t1),
+                    QueryKind::Static(*t0, *t1),
+                ] {
+                    let a = ans.answer(&s.sensing, &s.tracked.store, q, kind);
+                    let mut want =
+                        answer_with_bounds(&s.sensing, rerouted, &s.tracked.store, q, kind);
+                    let value = if want.lower > want.upper {
+                        want.miss = true;
+                        0.0
+                    } else {
+                        midpoint(&want)
+                    };
+                    let got = [a.bracket.lower, a.bracket.upper, a.value].map(f64::to_bits);
+                    assert_eq!(
+                        (got, a.bracket.miss),
+                        ([want.lower, want.upper, value].map(f64::to_bits), want.miss),
+                        "seed {seed} stride {stride} {kind:?}: [{}, {}] ({}) against the \
+                         rerouted [{}, {}]",
+                        a.bracket.lower,
+                        a.bracket.upper,
+                        a.strategy.label(),
+                        want.lower,
+                        want.upper
+                    );
+                    let inside = |j: usize| q.contains(j);
+                    let oracle = &s.tracked.oracle;
+                    let truth = match kind {
+                        QueryKind::Snapshot(t) => oracle.snapshot_count(&inside, t) as f64,
+                        QueryKind::Transient(a, z) => oracle.transient_count(&inside, a, z) as f64,
+                        QueryKind::Static(a, z) => {
+                            oracle.static_interval_count(&inside, a, z) as f64
+                        }
+                    };
+                    assert!(a.bracket.contains(truth), "{kind:?}: oracle {truth} outside");
+                    consults += 1;
+                    answered += usize::from(!a.bracket.miss);
+                }
+            }
+        }
+    }
+    eprintln!("{answered} of {consults} consults answered");
+    assert!(answered > 0);
+}

@@ -173,10 +173,11 @@ impl ServedAnswer {
         }
     }
 
-    /// `base`, unless the degraded answerer certified a better bracket than
-    /// it carries — for a region the serving graph missed, or for a
-    /// quarantine-degraded fold (whose refused-edge terms widen by corrupted
-    /// lifetime counts).
+    /// `base`, or the degraded answerer's bracket when it certified one — for
+    /// a region the serving graph missed, or for a quarantine-degraded fold
+    /// (whose refused-edge terms widen by corrupted lifetime counts). The two
+    /// are not compared: the certified bracket is of the region's population,
+    /// the fold's of the serving graph's resolution of it.
     fn degraded(base: ServedAnswer, certified: Option<DegradedAnswer>) -> Self {
         let Some(da) = certified else { return base };
         ServedAnswer {
@@ -322,8 +323,8 @@ fn start(st: &ServerState, job: &Job, live: bool) -> Result<Planned, ServedAnswe
     let foreign = st.foreign(&spec.region);
     let p = if foreign { Planned::refused(id, start) } else { plan_for(st, id, spec, start) };
     if p.plan.miss {
-        // The degraded answerer's detour / imputation machinery may still
-        // certify a bracket on its repaired graphs.
+        // The degraded answerer may still certify a bracket on the graph
+        // rerouted around the quarantine.
         let certified = if expired || foreign { None } else { consult_degraded(st, spec) };
         Err(ServedAnswer::degraded(ServedAnswer::miss(&p, expired), certified))
     } else if expired {
@@ -344,11 +345,10 @@ fn settle(st: &ServerState, job: &Job, answer: ServedAnswer) {
     let _ = job.reply.send(answer);
 }
 
-/// Fold and the degraded-mode escalation for one query whose fan-out is
-/// over.
+/// Fold and the degraded-mode consult for one query whose fan-out is over.
 fn execute(st: &ServerState, spec: &QuerySpec, f: &Flying, got: &Flight) -> ServedAnswer {
     let (bracket, coverage) = fold(st.shared.subs.totals(), &f.p.plan, &got.slots, spec.kind);
-    // Quarantine-degraded answers escalate through the repair strategies.
+    // Quarantine-degraded answers consult the degraded ladder.
     let certified =
         if got.refused > 0 && coverage < 1.0 { consult_degraded(st, spec) } else { None };
     let exec_us = clock::since(f.exec_t0).as_micros() as u64;
@@ -379,15 +379,14 @@ fn feed_brownout(st: &ServerState, exec_us: u64) {
 }
 
 /// The degraded-mode consult: degraded mode must be on, every shard must
-/// report its live counts at the query's instants, and the escalation of
-/// the quarantine's current generation must land on a non-miss bracket
-/// having read only counts they reported.
+/// report its live counts at the query's instants, and the ladder of the
+/// quarantine's current generation must land on a non-miss bracket having
+/// read only counts they reported.
 fn consult_degraded(st: &ServerState, spec: &QuerySpec) -> Option<DegradedAnswer> {
     let shared = &st.shared;
     let deg = Arc::clone(&shared.ladder.as_ref()?.lock().answerer);
     let counts = live_counts(st, spec.kind, spec.deadline)?;
-    let (sensing, sampled) = (&shared.sensing, &shared.sampled);
-    let a = deg.answer(sensing, sampled, &shared.engine, &counts, &spec.region, spec.kind);
+    let a = deg.answer(&shared.sensing, &counts, &spec.region, spec.kind);
     (!a.bracket.miss && !counts.missed.get()).then_some(a)
 }
 
@@ -412,9 +411,7 @@ fn record_served(st: &ServerState, answer: &ServedAnswer) {
     }
     match answer.strategy {
         DegradedStrategy::None => {}
-        DegradedStrategy::Demoted => Metrics::bump(&m.degraded_demoted),
         DegradedStrategy::MultiFaceDetour => Metrics::bump(&m.degraded_detour),
-        DegradedStrategy::Imputation => Metrics::bump(&m.degraded_imputed),
     }
     if answer.strategy != DegradedStrategy::None {
         let width = answer.upper - answer.lower;

@@ -225,12 +225,9 @@ metrics! {
             /// integrity auditor at startup, or by a recovery that lost a shard's
             /// history; refreshed at every write of the column.
             gauge quarantined_edges,
-            /// Degraded answers where plain demotion already resolved best.
-            counter degraded_demoted,
-            /// Degraded answers won by the multi-face detour graph.
+            /// Degraded answers certified by the graph rerouted around the
+            /// quarantine.
             counter degraded_detour,
-            /// Degraded answers certified by conservation-interval imputation.
-            counter degraded_imputed,
         }
         histograms {
             /// Bracket widths of degraded-mode answers (absolute counts, log₂

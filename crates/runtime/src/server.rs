@@ -108,9 +108,11 @@ pub struct RuntimeConfig {
     /// boundary). A plan leaves it only by LRU eviction: recovery and
     /// migration change neither graph a plan is compiled on.
     pub plan_cache: usize,
-    /// Degraded-mode answering over the quarantined deployment (multi-face
-    /// detours → conservation-interval imputation, each rung on at
-    /// `stq_core::degraded`'s defaults). `false` (the default) keeps the
+    /// Degraded-mode answering over the quarantined deployment: the bracket
+    /// of the sampled graph rerouted around the quarantine by multi-face
+    /// detours (`stq_core::degraded`), and conservation-interval certificates
+    /// for standing brackets ([`Runtime::certify_standing_brackets`]).
+    /// `false` (the default) keeps the
     /// classic worst-case-totals degradation, which stays **bitwise
     /// identical** to the standing-subscription fold — turning this on
     /// trades that equivalence for far tighter brackets on

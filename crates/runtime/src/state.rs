@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
-use stq_core::degraded::{DegradedAnswerer, DegradedPolicy};
+use stq_core::degraded::DegradedAnswerer;
 use stq_core::engine::QueryEngine;
 use stq_core::query::QueryRegion;
 use stq_core::sampled::SampledGraph;
@@ -66,8 +66,8 @@ pub(crate) struct Shared {
     /// The road network's dual: what every region is resolved on.
     pub sensing: SensingGraph,
     /// The one sampled graph the runtime serves for its life: `engine`'s
-    /// plans, the subscriptions' and the degraded ladder's fine-graph plans
-    /// are all compiled on it.
+    /// plans and the subscriptions' are compiled on it, and every generation
+    /// of the degraded ladder reroutes it around the quarantine.
     pub sampled: SampledGraph,
     /// With [`RuntimeConfig::degraded`] set, the degraded answerer of the
     /// quarantine column's current generation; `None` without it. Only the
@@ -88,7 +88,7 @@ impl Ladder {
     /// The answerer over the column's `flagged` edges: one build path for the
     /// start-up quarantine and every later generation.
     fn build(sensing: &SensingGraph, sampled: &SampledGraph, flagged: &[usize]) -> Self {
-        let answerer = DegradedAnswerer::new(sensing, sampled, flagged, DegradedPolicy::default());
+        let answerer = DegradedAnswerer::new(sensing, sampled, flagged);
         Ladder { flagged: flagged.len(), answerer: Arc::new(answerer) }
     }
 }

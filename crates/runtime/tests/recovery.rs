@@ -668,9 +668,7 @@ fn the_ladder_answers_over_the_start_up_quarantine_and_the_lost_edges() {
         (0..ne).filter(|&e| shard_of(e) == 1 && f.sampled.monitored()[e]).step_by(4).collect();
     let both: Vec<usize> =
         (0..ne).filter(|&e| shard_of(e) == 0 || quarantined.contains(&e)).collect();
-    let policy = DegradedPolicy::default();
-    let reference = DegradedAnswerer::new(&f.scenario.sensing, &f.sampled, &both, policy);
-    let engine = QueryEngine::new(64);
+    let reference = DegradedAnswerer::new(&f.scenario.sensing, &f.sampled, &both);
     for seed in FAULT_SEEDS {
         eprintln!("fault seed {seed}");
         let dir = tmpdir("ladder");
@@ -691,8 +689,7 @@ fn the_ladder_answers_over_the_start_up_quarantine_and_the_lost_edges() {
             if served.strategy != DegradedStrategy::None {
                 certified += 1;
                 let (sensing, store) = (&f.scenario.sensing, &f.scenario.tracked.store);
-                let want =
-                    reference.answer(sensing, &f.sampled, &engine, store, &spec.region, spec.kind);
+                let want = reference.answer(sensing, store, &spec.region, spec.kind);
                 assert_eq!(
                     ([served.value, served.lower, served.upper].map(f64::to_bits), served.strategy),
                     (
@@ -757,13 +754,10 @@ fn a_lost_history_is_answered_like_a_start_up_quarantine() {
                 want.upper,
                 want.strategy.label()
             );
-            rungs += usize::from(matches!(
-                want.strategy,
-                DegradedStrategy::MultiFaceDetour | DegradedStrategy::Imputation
-            ));
+            rungs += usize::from(want.strategy == DegradedStrategy::MultiFaceDetour);
             assert_brackets_the_truth(f, &spec, &want);
         }
-        eprintln!("{rungs} answers from the detour or imputation rungs");
+        eprintln!("{rungs} answers from the detour rung");
         assert!(rungs > 0, "some answer must come from a rung the start-up quarantine needs");
         a.shutdown();
         b.shutdown();

@@ -17,10 +17,10 @@
 //! `std` lock) counts as running, so time waits for it. Threads outside the
 //! session keep reading the wall clock.
 //!
-//! How a parked thread learns that it may go on: a channel whose state
-//! changed under a parked waiter calls [`notify`], which releases every
-//! parked thread to look again; a thread's exit does the same, for its
-//! joiner. A lock has no such hook, so a lock waiter parks as a *poller*:
+//! How a parked thread learns that it may go on: a counted thread that
+//! changed a channel's state under a parked waiter calls [`notify`], which
+//! releases every parked thread to look again; a thread's exit does the
+//! same, for its joiner. A lock has no such hook, so a lock waiter parks as a *poller*:
 //! when every counted thread is parked and something ran since the pollers
 //! last looked, the pollers are released to try again before any deadline
 //! fires.
@@ -243,8 +243,12 @@ impl Drop for VirtualTime {
 
 /// Tells parked counted threads that something they may wait for changed;
 /// one relaxed load when no session runs. Callers change the state first.
+/// Only a counted thread's call releases anyone: a thread outside the
+/// session (another test's channel, say) changes nothing a counted thread
+/// waits for, and releasing on its call would let a parked thread whose
+/// deadline a tie already passed run before the thread the tie went to.
 pub fn notify() {
-    if SESSION.load(Ordering::Relaxed) != 0 {
+    if member().is_some() {
         release_all(&mut world());
     }
 }
@@ -406,6 +410,43 @@ mod tests {
         let woke = woke.lock().unwrap().clone();
         assert_eq!(woke, [('b', 10 * MS), ('d', 10 * MS), ('c', 20 * MS), ('a', 30 * MS)]);
         assert_eq!(now() - t0, 30 * MS);
+    }
+
+    #[test]
+    fn a_notify_from_outside_the_session_releases_no_one() {
+        // A thread outside the session notifying in a loop, as another
+        // test's channels do: were it to release the parked sleepers, the
+        // second of two tied sleepers could wake and push before the first.
+        let stop = Arc::new(AtomicBool::new(false));
+        let outside = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    notify();
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let _virtual = virtual_time();
+        for _ in 0..100 {
+            let t0 = now();
+            let woke = Arc::new(Mutex::new(Vec::new()));
+            let sleepers: Vec<_> = ['a', 'b']
+                .into_iter()
+                .map(|name| {
+                    let woke = Arc::clone(&woke);
+                    spawn(name.to_string(), move || {
+                        sleep(MS);
+                        woke.lock().unwrap().push((name, now() - t0));
+                    })
+                    .unwrap()
+                })
+                .collect();
+            sleepers.into_iter().for_each(|s| s.join().unwrap());
+            assert_eq!(*woke.lock().unwrap(), [('a', MS), ('b', MS)]);
+        }
+        stop.store(true, Ordering::Relaxed);
+        outside.join().unwrap();
     }
 
     #[test]

@@ -111,8 +111,8 @@ fn degraded_mode_keeps_no_start_up_copy_and_no_off_switch() {
 fn the_degraded_ladder_follows_the_live_quarantine() {
     assert_absent(&Guard {
         rule: "the degraded answerer is one quarantine generation, rebuilt by the supervisor \
-               when the column grows: it reads which edges are quarantined off its demoted \
-               graph, so it keeps no set of them",
+               when the column grows: it answers on the graph rerouted around that quarantine, \
+               which monitors none of its edges, so it keeps no set of them",
         patterns: &["HashSet"],
         roots: &["crates/core/src/degraded.rs"],
         except: &[],
@@ -122,6 +122,23 @@ fn the_degraded_ladder_follows_the_live_quarantine() {
                machinery: no learned rung whose point estimate moves only the value and the \
                confidence, and no row that counts it",
         patterns: &["LearnedFallback", "HybridSource", "degraded_learned"],
+        roots: &["crates", "examples"],
+        except: &[],
+    });
+    assert_absent(&Guard {
+        rule: "the degraded ladder is the rerouted graph's bracket: rerouting only refines \
+               demotion, so no demoted rung can win, and imputation certifies standing \
+               brackets but no served answer, so neither has a rung, a row or a switch",
+        patterns: &[
+            "DegradedPolicy",
+            "imputed_sides",
+            "region_bounds",
+            "enclosure_upper",
+            "degraded_demoted",
+            "degraded_imputed",
+            "DegradedStrategy::Demoted",
+            "DegradedStrategy::Imputation",
+        ],
         roots: &["crates", "examples"],
         except: &[],
     });
