@@ -1,8 +1,18 @@
 //! Overload sweep of the serving runtime: open-loop offered load at 1–4×
-//! the measured saturation rate, comparing the naive blocking baseline
-//! against the overload-controlled configuration (cost-based admission,
-//! deadline budgets, brownout precision shedding). Emits
-//! `results/BENCH_overload.json` plus a human-readable table.
+//! the measured saturation rate, as an ablation of the overload rungs. Three
+//! arms share each cell:
+//!
+//! - `baseline`: the naive blocking runtime, no overload control;
+//! - `gate`: cost-based admission, deadline budgets and circuit breakers,
+//!   with brownout parked through its own knobs (no level is ever reached);
+//! - `controlled`: the gate plus brownout precision shedding.
+//!
+//! Two fault columns: `none`, and `silent`, where shard 0 drops every
+//! message for the whole run (a dead radio the breakers must route around).
+//! The silent column runs the gated arms only: the blocking baseline waits
+//! out two shard timeouts per query there, a few answers a second, so one of
+//! its cells would run for minutes. Arm order alternates from cell to cell.
+//! Emits `results/BENCH_overload.json` plus a human-readable table.
 //!
 //! ```sh
 //! cargo run --release -p stq-bench --bin overload_sweep [-- --quick --seed N]
@@ -16,7 +26,8 @@
 //! are honest but uninformative, so they count against the shed/expired
 //! fractions instead. The headline claim: the controlled runtime keeps
 //! goodput and tail latency bounded at 2–4× saturation while the blocking
-//! baseline's pacing collapses.
+//! baseline's pacing collapses. `saturation_goodput` and
+//! `goodput_at_{2,3,4}x` are the `controlled` arm's with no fault.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -25,7 +36,8 @@ use stq_bench::{runtime_scenario, sweep_args, write_sweep_json, SEEDS};
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_runtime::{
-    BrownoutConfig, FaultPlan, OverloadConfig, QuerySpec, Runtime, RuntimeConfig, ServedAnswer,
+    BrownoutConfig, CrashWindow, FaultPlan, OverloadConfig, QuerySpec, Runtime, RuntimeConfig,
+    ServedAnswer,
 };
 
 /// Client-visible response budget: answers later than this are not goodput
@@ -67,27 +79,57 @@ fn workload(s: &Scenario, g: &SampledGraph, want: usize, seed: u64) -> Workload 
     Workload { specs, exact, mean_boundary }
 }
 
-fn base_config(fault_seed: u64) -> RuntimeConfig {
-    RuntimeConfig {
-        num_shards: 4,
-        dispatchers: 4,
-        queue_capacity: 64,
-        shard_timeout: Duration::from_millis(250),
-        max_retries: 1,
-        // 1 ms of in-network delay per shard message: sensor-hop latency,
-        // not CPU, sets the service time (§4.6), so saturation is a real,
-        // stable rate instead of a scheduler artifact.
-        fault: FaultPlan::lossy(fault_seed, 0.0, 1.0, 0.0, 1),
-        ..RuntimeConfig::default()
+/// 1 ms of in-network delay per shard message: sensor-hop latency, not
+/// CPU, sets the service time (§4.6), so saturation is a real, stable rate
+/// instead of a scheduler artifact. `silent` also silences shard 0 for the
+/// whole run.
+fn network(fault_seed: u64, silent: bool) -> FaultPlan {
+    let plan = FaultPlan::lossy(fault_seed, 0.0, 1.0, 0.0, 1);
+    if !silent {
+        return plan;
     }
+    plan.with_crash(CrashWindow { node: 0, after_messages: 0, lasts_messages: u64::MAX })
 }
 
-fn controlled_config(fault_seed: u64) -> RuntimeConfig {
-    RuntimeConfig {
-        overload: Some(OverloadConfig {
-            max_inflight_cost: 256.0,
-            default_deadline: Some(BUDGET),
-            brownout: BrownoutConfig {
+/// One arm of the ablation.
+#[derive(Clone, Copy, PartialEq)]
+enum Arm {
+    Baseline,
+    Gate,
+    Controlled,
+}
+
+impl Arm {
+    fn name(self) -> &'static str {
+        match self {
+            Arm::Baseline => "baseline",
+            Arm::Gate => "gate",
+            Arm::Controlled => "controlled",
+        }
+    }
+
+    fn config(self, fault: FaultPlan) -> RuntimeConfig {
+        let base = RuntimeConfig {
+            num_shards: 4,
+            dispatchers: 4,
+            queue_capacity: 64,
+            shard_timeout: Duration::from_millis(250),
+            max_retries: 1,
+            fault,
+            ..RuntimeConfig::default()
+        };
+        let brownout = match self {
+            Arm::Baseline => return base,
+            // Parked: no queue depth or latency is ever hot.
+            Arm::Gate => BrownoutConfig {
+                queue_high: usize::MAX,
+                queue_low: 0,
+                p95_high_us: u64::MAX,
+                p95_low_us: 0,
+                dwell: u32::MAX,
+                window: 8,
+            },
+            Arm::Controlled => BrownoutConfig {
                 queue_high: 16,
                 queue_low: 4,
                 p95_high_us: 20_000,
@@ -95,15 +137,18 @@ fn controlled_config(fault_seed: u64) -> RuntimeConfig {
                 dwell: 4,
                 window: 32,
             },
-        }),
-        ..base_config(fault_seed)
+        };
+        let overload =
+            OverloadConfig { max_inflight_cost: 256.0, default_deadline: Some(BUDGET), brownout };
+        RuntimeConfig { overload: Some(overload), ..base }
     }
 }
 
 /// Closed-loop capacity: batch-submit the workload and measure completions
 /// per second. This is the saturation rate the open-loop cells multiply.
 fn measure_saturation(s: &Scenario, g: &SampledGraph, w: &Workload, rounds: usize) -> f64 {
-    let rt = Runtime::new(s.sensing.clone(), g.clone(), &s.tracked.store, base_config(SEEDS[1]));
+    let cfg = Arm::Baseline.config(network(SEEDS[1], false));
+    let rt = Runtime::new(s.sensing.clone(), g.clone(), &s.tracked.store, cfg);
     let specs: Vec<QuerySpec> = (0..rounds).flat_map(|_| w.specs.iter().cloned()).collect();
     let start = Instant::now();
     let pending: Vec<_> = specs.iter().cloned().map(|spec| rt.submit(spec)).collect();
@@ -137,12 +182,12 @@ fn run_cell(
     s: &Scenario,
     g: &SampledGraph,
     w: &Workload,
-    cfg: RuntimeConfig,
-    controlled: bool,
+    arm: Arm,
+    fault: FaultPlan,
     rate: f64,
     count: usize,
 ) -> CellOutcome {
-    let rt = Runtime::new(s.sensing.clone(), g.clone(), &s.tracked.store, cfg);
+    let rt = Runtime::new(s.sensing.clone(), g.clone(), &s.tracked.store, arm.config(fault));
     let period = Duration::from_secs_f64(1.0 / rate);
     let start = Instant::now();
     // (spec index, lateness of the submit call itself, outcome)
@@ -157,7 +202,7 @@ fn run_cell(
         let lag = Instant::now().saturating_duration_since(sched);
         let idx = i % w.specs.len();
         let spec = w.specs[idx].clone();
-        if controlled {
+        if arm != Arm::Baseline {
             match rt.try_submit(spec) {
                 Ok(p) => submissions.push((idx, lag, p)),
                 Err(_) => rejected += 1,
@@ -249,8 +294,9 @@ fn main() {
     println!("closed-loop saturation: {saturation_qps:.0} q/s");
 
     println!(
-        "\n{:<10} | {:>4} | {:>8} | {:>8} | {:>8} | {:>6} | {:>6} | {:>6} | {:>6} | {:>8} | {:>5}",
+        "\n{:<10} | {:<6} | {:>4} | {:>8} | {:>8} | {:>8} | {:>6} | {:>6} | {:>6} | {:>6} | {:>8} | {:>5}",
         "system",
+        "fault",
         "mult",
         "offered",
         "goodput",
@@ -265,62 +311,86 @@ fn main() {
     let multipliers = [1.0f64, 2.0, 3.0, 4.0];
     let mut json_rows = String::new();
     let mut violations_total = 0usize;
-    let mut controlled_goodput = [0.0f64; 4];
-    for (mi, &mult) in multipliers.iter().enumerate() {
-        for &controlled in &[false, true] {
+    // The controlled arm's goodput per multiplier, without and with the fault.
+    let mut controlled_goodput = [[0.0f64; 4]; 2];
+    for silent in [false, true] {
+        let fault = if silent { "silent" } else { "none" };
+        let arms: &[Arm] = if silent {
+            &[Arm::Gate, Arm::Controlled]
+        } else {
+            &[Arm::Baseline, Arm::Gate, Arm::Controlled]
+        };
+        for (mi, &mult) in multipliers.iter().enumerate() {
             let rate = saturation_qps * mult;
             let count = ((rate * cell_secs) as usize).clamp(32, 6_000);
-            let cfg =
-                if controlled { controlled_config(seed ^ 0x2e) } else { base_config(seed ^ 0x2e) };
-            let o = run_cell(&scenario, &sampled, &w, cfg, controlled, rate, count);
-            let system = if controlled { "controlled" } else { "baseline" };
-            let frac = |n: usize| n as f64 / o.submitted.max(1) as f64;
-            println!(
-                "{system:<10} | {mult:>4.1} | {:>8.0} | {:>8.1} | {:>8.1} | {:>6.3} | {:>6.3} \
-                 | {:>6.3} | {:>6.3} | {:>8.3} | {:>5}",
-                o.offered_qps,
-                o.goodput_qps,
-                o.p99_response_ms,
-                frac(o.rejected),
-                frac(o.expired),
-                frac(o.shed),
-                frac(o.downgraded),
-                o.mean_coverage,
-                o.soundness_violations
-            );
-            violations_total += o.soundness_violations;
-            if controlled {
-                controlled_goodput[mi] = o.goodput_qps;
+            // Alternate the arm order so no arm always runs first (or last)
+            // on a machine that warms up or slows down over the sweep.
+            let mut order = arms.to_vec();
+            if mi % 2 == 1 {
+                order.reverse();
             }
-            let _ = write!(
-                json_rows,
-                "{}    {{\"system\": \"{system}\", \"multiplier\": {mult}, \
-                 \"offered_qps\": {:.1}, \"achieved_qps\": {:.1}, \"submitted\": {}, \
-                 \"completed\": {}, \"rejected_frac\": {:.4}, \"expired_frac\": {:.4}, \
-                 \"shed_frac\": {:.4}, \"downgraded_frac\": {:.4}, \"goodput_qps\": {:.1}, \
-                 \"p99_response_ms\": {:.2}, \"mean_coverage\": {:.4}, \
-                 \"soundness_violations\": {}}}",
-                if json_rows.is_empty() { "" } else { ",\n" },
-                o.offered_qps,
-                o.achieved_qps,
-                o.submitted,
-                o.completed,
-                frac(o.rejected),
-                frac(o.expired),
-                frac(o.shed),
-                frac(o.downgraded),
-                o.goodput_qps,
-                o.p99_response_ms,
-                o.mean_coverage,
-                o.soundness_violations
-            );
+            let mut outcomes: Vec<(Arm, CellOutcome)> = order
+                .into_iter()
+                .map(|arm| {
+                    let plan = network(seed ^ 0x2e, silent);
+                    (arm, run_cell(&scenario, &sampled, &w, arm, plan, rate, count))
+                })
+                .collect();
+            outcomes.sort_by_key(|(arm, _)| *arm as u8);
+            for (arm, o) in outcomes {
+                let system = arm.name();
+                let frac = |n: usize| n as f64 / o.submitted.max(1) as f64;
+                println!(
+                    "{system:<10} | {fault:<6} | {mult:>4.1} | {:>8.0} | {:>8.1} | {:>8.1} | {:>6.3} \
+                     | {:>6.3} | {:>6.3} | {:>6.3} | {:>8.3} | {:>5}",
+                    o.offered_qps,
+                    o.goodput_qps,
+                    o.p99_response_ms,
+                    frac(o.rejected),
+                    frac(o.expired),
+                    frac(o.shed),
+                    frac(o.downgraded),
+                    o.mean_coverage,
+                    o.soundness_violations
+                );
+                violations_total += o.soundness_violations;
+                if arm == Arm::Controlled {
+                    controlled_goodput[usize::from(silent)][mi] = o.goodput_qps;
+                }
+                let _ = write!(
+                    json_rows,
+                    "{}    {{\"system\": \"{system}\", \"fault\": \"{fault}\", \
+                     \"multiplier\": {mult}, \
+                     \"offered_qps\": {:.1}, \"achieved_qps\": {:.1}, \"submitted\": {}, \
+                     \"completed\": {}, \"rejected_frac\": {:.4}, \"expired_frac\": {:.4}, \
+                     \"shed_frac\": {:.4}, \"downgraded_frac\": {:.4}, \"goodput_qps\": {:.1}, \
+                     \"p99_response_ms\": {:.2}, \"mean_coverage\": {:.4}, \
+                     \"soundness_violations\": {}}}",
+                    if json_rows.is_empty() { "" } else { ",\n" },
+                    o.offered_qps,
+                    o.achieved_qps,
+                    o.submitted,
+                    o.completed,
+                    frac(o.rejected),
+                    frac(o.expired),
+                    frac(o.shed),
+                    frac(o.downgraded),
+                    o.goodput_qps,
+                    o.p99_response_ms,
+                    o.mean_coverage,
+                    o.soundness_violations
+                );
+            }
         }
     }
 
     println!(
-        "\ncontrolled goodput at 3x saturation: {:.1} q/s vs {:.1} q/s at 1x \
-         ({} soundness violations total)",
-        controlled_goodput[2], controlled_goodput[0], violations_total
+        "\ncontrolled goodput at 3x saturation: {:.1} q/s vs {:.1} q/s at 1x, {:.1} q/s at 3x \
+         with shard 0 silent ({} soundness violations total)",
+        controlled_goodput[0][2],
+        controlled_goodput[0][0],
+        controlled_goodput[1][2],
+        violations_total
     );
     let json = format!(
         "{{\n  \"bench\": \"overload_sweep\",\n  \"quick\": {quick},\n  \"seed\": {seed},\n  \
@@ -333,10 +403,10 @@ fn main() {
         w.specs.len(),
         w.mean_boundary,
         BUDGET.as_millis(),
-        controlled_goodput[0],
-        controlled_goodput[1],
-        controlled_goodput[2],
-        controlled_goodput[3],
+        controlled_goodput[0][0],
+        controlled_goodput[0][1],
+        controlled_goodput[0][2],
+        controlled_goodput[0][3],
     );
     write_sweep_json(quick, "BENCH_overload.json", &json);
 }

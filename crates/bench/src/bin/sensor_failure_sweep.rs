@@ -21,9 +21,10 @@
 //!    logs. Silence-only flags stay monitored: their logs are untouched, so
 //!    keeping them costs nothing in soundness and saves most of the
 //!    coverage. Every query of all three kinds is asserted sound:
-//!    `lower ≤ oracle ≤ upper`. The failover column re-selects detour edges
-//!    around the untrusted set via [`SampledGraph::reroute_around`] and
-//!    measures how much granularity (components) and coverage it buys back.
+//!    `lower ≤ oracle ≤ upper`. The failover column answers every query
+//!    through the [`DegradedAnswerer`], which re-selects detour edges around
+//!    the untrusted set via [`SampledGraph::reroute_around`], and measures
+//!    how much granularity (components) and coverage it buys back.
 //! 2. **Exact repair** — a flipped + duplicating mix (no deaths) for
 //!    aggregate repair stats, plus isolated single-edge flip trials that
 //!    assert the core contract: the corrupted edge is either restored to
@@ -33,10 +34,8 @@
 //!    through the demote-first pipeline and through degraded-mode
 //!    answering.
 //!
-//! Each dead-sweep cell also answers every query through the
-//! [`DegradedAnswerer`] (the graph rerouted around the untrusted set); those
-//! brackets are asserted sound exactly like the demoted and rerouted ones,
-//! and the answers its detours certified are tallied.
+//! The degraded answerer's brackets are asserted sound exactly like the
+//! demoted ones, and the answers its detours certified are tallied.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -61,9 +60,6 @@ struct SweepOut {
     components_before: usize,
     components_demoted: usize,
     components_rerouted: usize,
-    rerouted_sound: usize,
-    rerouted_misses: usize,
-    rerouted_mean_coverage: f64,
     degraded: DegradedOut,
 }
 
@@ -74,7 +70,6 @@ struct DegradedOut {
     misses: usize,
     infinite: usize,
     mean_coverage: f64,
-    mean_confidence: f64,
     mean_width: f64,
     finite: usize,
     /// Answers labelled [`DegradedStrategy::MultiFaceDetour`].
@@ -85,13 +80,12 @@ impl DegradedOut {
     fn json(&self) -> String {
         format!(
             "{{\"sound\": {}, \"misses\": {}, \"infinite_brackets\": {}, \
-             \"mean_coverage\": {:.4}, \"mean_confidence\": {:.4}, \"mean_width\": {}, \
+             \"mean_coverage\": {:.4}, \"mean_width\": {}, \
              \"strategies\": {{\"detour\": {}}}}}",
             self.sound,
             self.misses,
             self.infinite,
             self.mean_coverage,
-            self.mean_confidence,
             width_json(self.finite, self.mean_width),
             self.detour
         )
@@ -176,12 +170,11 @@ fn answer_degraded(
         misses: 0,
         infinite: 0,
         mean_coverage: 0.0,
-        mean_confidence: 0.0,
         mean_width: 0.0,
         finite: 0,
         detour: 0,
     };
-    let (mut cov_sum, mut conf_sum, mut width_sum) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut cov_sum, mut width_sum) = (0.0f64, 0.0f64);
     for (q, t0, t1) in queries {
         let inside = |j: usize| q.contains(j);
         for kind in
@@ -213,7 +206,6 @@ fn answer_degraded(
             );
             o.sound += 1;
             cov_sum += a.bracket.coverage;
-            conf_sum += a.confidence;
             o.detour += usize::from(a.strategy == DegradedStrategy::MultiFaceDetour);
             if a.bracket.width().is_finite() {
                 width_sum += a.bracket.width();
@@ -224,7 +216,6 @@ fn answer_degraded(
         }
     }
     o.mean_coverage = cov_sum / (o.sound as f64).max(1.0);
-    o.mean_confidence = conf_sum / (o.sound as f64).max(1.0);
     o.mean_width = width_sum / (o.finite as f64).max(1.0);
     o
 }
@@ -293,21 +284,16 @@ fn sweep_cell(
     distrusted.dedup();
     let demoted = g_live.demote_edges(&s.sensing, &distrusted);
 
-    // Failover: re-route detours around everything untrusted; detour edges
-    // were never in the fault plan, so their logs are clean.
+    // Failover: the degraded answerer re-routes detours around everything
+    // untrusted and answers on that graph through its own plan cache; detour
+    // edges were never in the fault plan, so their logs are clean.
     let mut untrusted: Vec<usize> =
         dead.iter().copied().chain(distrusted.iter().copied()).collect();
     untrusted.sort_unstable();
     untrusted.dedup();
-    let rerouted = g.reroute_around(&s.sensing, &untrusted);
 
     let (sound, misses, infinite, cov_sum, width_sum, finite) =
         answer_all(s, &demoted, &tracked, queries, "demoted");
-    let (r_sound, r_misses, _, r_cov_sum, _, _) =
-        answer_all(s, &rerouted, &tracked, queries, "rerouted");
-    // Degraded-mode answering over the same untrusted set: the answerer
-    // reroutes `g` around it and answers on that graph through its own plan
-    // cache.
     let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted);
     let degraded = answer_degraded(s, &deg, &tracked, queries, "degraded");
     SweepOut {
@@ -323,10 +309,7 @@ fn sweep_cell(
         mean_width: width_sum / (finite as f64).max(1.0),
         components_before: g.components().len(),
         components_demoted: demoted.components().len(),
-        components_rerouted: rerouted.components().len(),
-        rerouted_sound: r_sound,
-        rerouted_misses: r_misses,
-        rerouted_mean_coverage: r_cov_sum / (r_sound as f64).max(1.0),
+        components_rerouted: deg.rerouted().components().len(),
         degraded,
     }
 }
@@ -522,7 +505,7 @@ fn main() {
 
     println!("# sensor_failure_sweep — {junctions} junctions, {} seeds", seeds.len());
     println!(
-        "\n{:>6} | {:>5} | {:>5} | {:>5} | {:>5} | {:>6} | {:>11} | {:>6} | {:>7} | {:>15} | {:>7} | {:>7}",
+        "\n{:>6} | {:>5} | {:>5} | {:>5} | {:>5} | {:>6} | {:>11} | {:>6} | {:>7} | {:>15} | {:>7} | {:>7} | {:>6}",
         "seed",
         "dead%",
         "dead",
@@ -534,14 +517,14 @@ fn main() {
         "cover",
         "comps b/d/r",
         "r-sound",
-        "r-cover"
+        "r-cover",
+        "detour"
     );
 
     let mut json_sweep = String::new();
     let mut json_repair = String::new();
     let mut json_cocktail = String::new();
-    let mut total_sound = 0usize;
-    let mut total_asked = 0usize;
+    let (mut total_sound, mut total_misses) = (0usize, 0usize);
     let mut total_isolated_exact = 0usize;
 
     for &seed in &seeds {
@@ -549,15 +532,10 @@ fn main() {
         let queries = scenario.make_queries(regions, 0.06, 2_000.0, seed ^ 0x9E);
         for &frac in &fracs {
             let o = sweep_cell(&scenario, &sampled, frac, seed, &queries);
-            total_sound += o.sound + o.rerouted_sound + o.degraded.sound;
-            total_asked += o.sound
-                + o.misses
-                + o.rerouted_sound
-                + o.rerouted_misses
-                + o.degraded.sound
-                + o.degraded.misses;
+            total_sound += o.sound + o.degraded.sound;
+            total_misses += o.misses + o.degraded.misses;
             println!(
-                "{:>6} | {:>5.2} | {:>5} | {:>5} | {:>5} | {:>6.3} | {:>5}/{:<5} | {:>6} | {:>7.3} | {:>4}/{:>4}/{:>4} | {:>7} | {:>7.3}",
+                "{:>6} | {:>5.2} | {:>5} | {:>5} | {:>5} | {:>6.3} | {:>5}/{:<5} | {:>6} | {:>7.3} | {:>4}/{:>4}/{:>4} | {:>7} | {:>7.3} | {:>6}",
                 seed,
                 frac,
                 o.dead,
@@ -571,12 +549,9 @@ fn main() {
                 o.components_before,
                 o.components_demoted,
                 o.components_rerouted,
-                o.rerouted_sound,
-                o.rerouted_mean_coverage
-            );
-            println!(
-                "{:>6} | degraded: {}/{} sound, cover {:.3}, detour {}",
-                seed, o.degraded.sound, o.queries, o.degraded.mean_coverage, o.degraded.detour
+                o.degraded.sound,
+                o.degraded.mean_coverage,
+                o.degraded.detour
             );
             let _ = write!(
                 json_sweep,
@@ -585,8 +560,7 @@ fn main() {
                  \"misses\": {}, \
                  \"infinite_brackets\": {}, \"mean_coverage\": {:.4}, \"mean_width\": {}, \
                  \"components\": {{\"before\": {}, \"demoted\": {}, \"rerouted\": {}}}, \
-                 \"rerouted_sound\": {}, \"rerouted_misses\": {}, \
-                 \"rerouted_mean_coverage\": {:.4}, \"degraded\": {}}}",
+                 \"degraded\": {}}}",
                 if json_sweep.is_empty() { "" } else { ",\n" },
                 seed,
                 frac,
@@ -603,9 +577,6 @@ fn main() {
                 o.components_before,
                 o.components_demoted,
                 o.components_rerouted,
-                o.rerouted_sound,
-                o.rerouted_misses,
-                o.rerouted_mean_coverage,
                 o.degraded.json()
             );
         }
@@ -614,7 +585,7 @@ fn main() {
         // pipeline and by degraded-mode answering.
         let c = cocktail_cell(&scenario, &sampled, seed, &queries);
         total_sound += c.base_sound + c.degraded.sound;
-        total_asked += c.base_sound + c.base_misses + c.degraded.sound + c.degraded.misses;
+        total_misses += c.base_misses + c.degraded.misses;
         println!(
             "{seed:>6} | cocktail: {} dead + {} skewed + {} flipped ({} untrusted); \
              base {}/{} cover {:.3}; degraded {}/{} cover {:.3} detour {}",
@@ -692,9 +663,10 @@ fn main() {
         total_isolated_exact > 0,
         "across all seeds, at least one isolated flip must be exactly repaired"
     );
+    let total_asked = total_sound + total_misses;
     println!(
-        "\nsoundness: {total_sound}/{total_asked} non-miss brackets contained the oracle \
-         (a single violation aborts the sweep)"
+        "\nsoundness: all {total_sound} non-miss brackets contained the oracle; \
+         {total_misses} of {total_asked} answers were misses (a single violation aborts the sweep)"
     );
 
     let json = format!(

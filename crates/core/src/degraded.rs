@@ -14,10 +14,10 @@
 //! ## The honest-widening guarantee
 //!
 //! Every [`DegradedAnswer`] bracket is [`bounds_from_plans`] over the
-//! rerouted graph's `Lower` and `Upper` plans, its value the midpoint and its
-//! confidence the coverage. So every non-miss bracket is finite and contains
-//! the truth whenever the surviving monitored edges carry intact data — the
-//! contract of [`crate::repair::answer_with_bounds`] on the rerouted graph.
+//! rerouted graph's `Lower` and `Upper` plans, its value the midpoint. So
+//! every non-miss bracket is finite and contains the truth whenever the
+//! surviving monitored edges carry intact data — the contract of
+//! [`crate::repair::answer_with_bounds`] on the rerouted graph.
 //!
 //! ## Certificates
 //!
@@ -79,8 +79,6 @@ pub struct DegradedAnswer {
     pub value: f64,
     /// The graph that produced the bracket.
     pub strategy: DegradedStrategy,
-    /// Confidence in `[0, 1]`: the bracket's structural coverage.
-    pub confidence: f64,
 }
 
 /// The degraded-mode answering subsystem of one quarantine generation: owns
@@ -157,14 +155,9 @@ impl DegradedAnswerer {
         let strategy = self.strategy;
         if bracket.lower > bracket.upper {
             let bracket = BoundedAnswer { miss: true, coverage: 0.0, ..bracket };
-            return DegradedAnswer { bracket, value: 0.0, strategy, confidence: 0.0 };
+            return DegradedAnswer { bracket, value: 0.0, strategy };
         }
-        DegradedAnswer {
-            value: midpoint(&bracket),
-            bracket,
-            strategy,
-            confidence: bracket.coverage,
-        }
+        DegradedAnswer { value: midpoint(&bracket), bracket, strategy }
     }
 }
 
@@ -326,7 +319,6 @@ mod tests {
                 assert!(a.bracket.width().is_finite(), "non-miss brackets stay finite");
                 assert!(a.value >= a.bracket.lower - 1e-9 && a.value <= a.bracket.upper + 1e-9);
             }
-            assert!((0.0..=1.0).contains(&a.confidence));
             assert!((0.0..=1.0).contains(&a.bracket.coverage));
         }
     }
@@ -366,7 +358,7 @@ mod tests {
             // nothing but certified resolution answers.
             let want = answer_with_bounds(&f.sensing, ans.rerouted(), &tracked.store, &q, kind);
             assert_eq!(a.strategy, DegradedStrategy::MultiFaceDetour, "{kind:?}");
-            let got = [a.bracket.lower, a.bracket.upper, a.value, a.confidence];
+            let got = [a.bracket.lower, a.bracket.upper, a.value, a.bracket.coverage];
             let want = [want.lower, want.upper, midpoint(&want), want.coverage];
             assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{kind:?}");
             let truth = oracle_truth(&tracked, &q, kind);

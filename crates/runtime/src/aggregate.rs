@@ -187,7 +187,7 @@ impl ServedAnswer {
             miss: false,
             degraded: true,
             strategy: da.strategy,
-            confidence: da.confidence,
+            confidence: da.bracket.coverage,
             ..base
         }
     }
@@ -358,23 +358,14 @@ fn execute(st: &ServerState, spec: &QuerySpec, f: &Flying, got: &Flight) -> Serv
     ServedAnswer::degraded(served, certified)
 }
 
-/// Feeds the brownout controller; on a level shift, crossing level 2 also
-/// toggles subscription delta-push shedding (with a coalesced catch-up push
-/// on the way back down).
+/// Feeds the brownout controller and records a level shift.
 fn feed_brownout(st: &ServerState, exec_us: u64) {
     let Some(ov) = st.overload.as_ref() else { return };
     let metrics = &st.shared.metrics;
     let depth = metrics.queue_depth.load(Ordering::Relaxed) as usize;
-    if let Some((from, to)) = ov.brownout.observe(depth, exec_us) {
-        metrics.brownout_level.store(to as u64, Ordering::Relaxed);
+    if let Some(level) = ov.brownout.observe(depth, exec_us) {
+        metrics.brownout_level.store(level as u64, Ordering::Relaxed);
         Metrics::bump(&metrics.brownout_shifts);
-        if from < 2 && to >= 2 {
-            st.shared.subs.set_shed_pushes(true);
-        } else if from >= 2 && to < 2 {
-            let coalesced = st.shared.subs.set_shed_pushes(false);
-            Metrics::add(&metrics.sub_coalesced, coalesced.len() as u64);
-            st.shared.refresh_subscription_gauge();
-        }
     }
 }
 

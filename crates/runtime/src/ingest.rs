@@ -134,10 +134,6 @@ impl Runtime {
         // brackets advance event by event in input order; each touched
         // subscription is pushed its final bracket once, when the call ends.
         through_registry(st, valid);
-        // Ingest pressure surfaces on the read-side admission gate while
-        // the batch is in flight, so a write flood degrades reads honestly
-        // instead of invisibly starving them.
-        let charged = st.overload.as_ref().map_or(0, |ov| ov.charge_ingest(valid.len()));
         // A grouping that straddled a migration's commit is not sent, in
         // part or in whole, but made again.
         let lanes = loop {
@@ -146,9 +142,6 @@ impl Runtime {
             }
         };
         Metrics::bump(&st.shared.metrics.ingest_batches);
-        if let Some(ov) = st.overload.as_ref() {
-            ov.release(charged);
-        }
         self.maybe_rebalance();
         lanes
     }
@@ -220,9 +213,6 @@ fn through_registry(st: &ServerState, events: &[Crossing]) {
     }
     if obs.late > 0 {
         Metrics::add(&metrics.late_ignored, obs.late as u64);
-    }
-    if obs.shed > 0 {
-        Metrics::add(&metrics.pushes_shed, obs.shed as u64);
     }
     metrics.subscriptions.store(obs.subscriptions as u64, Ordering::Relaxed);
 }

@@ -321,12 +321,6 @@ metrics! {
             /// direction's watermark (they grow the lifetime totals, and move only
             /// brackets that widen over a quarantined edge).
             counter late_ignored,
-            /// Standing-subscription delta pushes suppressed while brownout shed them
-            /// (the brackets still moved; a coalesced push caught the subscriber up).
-            counter pushes_shed,
-            /// Standing-subscription pushes coalesced after brownout shedding
-            /// lifted (one catch-up push per subscription).
-            counter sub_coalesced,
         }
         histograms {
             /// Time one `ingest` / `ingest_batch` call spends in the registry,

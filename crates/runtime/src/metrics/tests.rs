@@ -181,7 +181,7 @@ fn degraded_mode_counters_round_trip_report() {
 fn overload_counters_round_trip_report_at_saturation() {
     // The counter mix a saturated runtime produces: a deep queue,
     // admission rejections, expired deadlines, brownout downgrades and
-    // full sheds, breaker churn, and coalesced subscription pushes.
+    // full sheds and breaker churn.
     let m = Metrics::new();
     m.queue_depth.store(61, Ordering::Relaxed);
     Metrics::add(&m.admission_rejected, 40);
@@ -195,7 +195,6 @@ fn overload_counters_round_trip_report_at_saturation() {
     Metrics::bump(&m.breaker_half_open);
     Metrics::bump(&m.breaker_closed);
     Metrics::add(&m.breaker_skipped, 11);
-    Metrics::add(&m.sub_coalesced, 6);
     let r = m.report();
     assert_eq!(r.queue_depth, 61);
     assert_eq!(r.admission_rejected, 40);
@@ -209,7 +208,6 @@ fn overload_counters_round_trip_report_at_saturation() {
     assert_eq!(r.breaker_half_open, 1);
     assert_eq!(r.breaker_closed, 1);
     assert_eq!(r.breaker_skipped, 11);
-    assert_eq!(r.sub_coalesced, 6);
     let text = r.to_string();
     assert!(text.contains("queue_depth 61"));
     assert!(text.contains("admission_rejected 40"));
@@ -219,7 +217,6 @@ fn overload_counters_round_trip_report_at_saturation() {
     assert!(text.contains(
         "breakers: breaker_opened 2, breaker_half_open 1, breaker_closed 1, breaker_skipped 11"
     ));
-    assert!(text.contains("sub_coalesced 6"));
 }
 
 #[test]

@@ -276,9 +276,9 @@ impl BrownoutController {
         sorted[rank - 1]
     }
 
-    /// Feeds one served query's context in; returns `Some((from, to))` when
-    /// the level changed.
-    pub(crate) fn observe(&self, queue_depth: usize, exec_us: u64) -> Option<(u8, u8)> {
+    /// Feeds one served query's context in; returns the new level when it
+    /// changed.
+    pub(crate) fn observe(&self, queue_depth: usize, exec_us: u64) -> Option<u8> {
         let mut w = self.window.lock();
         let n = w.next;
         w.samples[n] = exec_us;
@@ -295,7 +295,7 @@ impl BrownoutController {
             if w.hot_obs >= dwell && level < MAX_BROWNOUT_LEVEL {
                 w.hot_obs = 0;
                 self.level.store(level + 1, Ordering::Relaxed);
-                return Some((level, level + 1));
+                return Some(level + 1);
             }
         } else if cool {
             w.hot_obs = 0;
@@ -303,7 +303,7 @@ impl BrownoutController {
             if w.cool_obs >= dwell && level > 0 {
                 w.cool_obs = 0;
                 self.level.store(level - 1, Ordering::Relaxed);
-                return Some((level, level - 1));
+                return Some(level - 1);
             }
         } else {
             // Inside the hysteresis band: hold the level, restart both
@@ -375,20 +375,6 @@ impl OverloadState {
             return Err(self.retry_after(prev, cap_milli));
         }
         Ok(milli)
-    }
-
-    /// Reserves gate capacity for a batch of ingested events (one
-    /// milli-unit per event — ingest is orders of magnitude cheaper than a
-    /// query) so a write flood shows up as admission pressure on reads
-    /// instead of invisibly starving them. Never rejects; hand the
-    /// reservation back via [`Self::release`] once the batch is dispatched.
-    pub(crate) fn charge_ingest(&self, events: usize) -> u64 {
-        if !self.cfg.max_inflight_cost.is_finite() || events == 0 {
-            return 0;
-        }
-        let milli = events as u64;
-        self.inflight_milli.fetch_add(milli, Ordering::Relaxed);
-        milli
     }
 
     /// Returns a reservation made by [`Self::try_admit`].
@@ -499,7 +485,7 @@ mod tests {
         assert_eq!(c.observe(5, 10), None);
         assert_eq!(c.observe(20, 10), None);
         assert_eq!(c.observe(20, 10), None);
-        assert_eq!(c.observe(20, 10), Some((0, 1)), "dwell hot observations escalate");
+        assert_eq!(c.observe(20, 10), Some(1), "dwell hot observations escalate");
         // Saturating at the max level.
         for _ in 0..3 {
             c.observe(20, 10);
@@ -515,7 +501,7 @@ mod tests {
         // Cool observations relax one step per dwell run.
         assert_eq!(c.observe(0, 10), None);
         assert_eq!(c.observe(0, 10), None);
-        assert_eq!(c.observe(0, 10), Some((3, 2)));
+        assert_eq!(c.observe(0, 10), Some(2));
         for _ in 0..6 {
             c.observe(0, 10);
         }
@@ -533,12 +519,12 @@ mod tests {
             window: 4,
         };
         let c = BrownoutController::new(cfg);
-        assert_eq!(c.observe(0, 5_000), Some((0, 1)), "slow executes alone escalate");
+        assert_eq!(c.observe(0, 5_000), Some(1), "slow executes alone escalate");
         assert!(c.window_p95_us() >= 5_000);
         // Fast executes wash the slow sample out of the window, then cool.
         let mut relaxed = false;
         for _ in 0..8 {
-            if c.observe(0, 10) == Some((1, 0)) {
+            if c.observe(0, 10) == Some(0) {
                 relaxed = true;
             }
         }

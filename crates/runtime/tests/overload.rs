@@ -12,6 +12,7 @@ use stq_core::query::evaluate;
 use stq_forms::FormStore;
 use stq_runtime::{
     BrownoutConfig, CrashWindow, FaultPlan, OverloadConfig, QuerySpec, Runtime, RuntimeConfig,
+    UpdateCause,
 };
 
 struct Fixture {
@@ -402,16 +403,13 @@ fn breaker_trips_skips_probes_and_recovers() {
     rt.shutdown();
 }
 
-#[test]
-fn brownout_escalates_to_full_shed_with_sound_brackets() {
-    let _virtual = clock::virtual_time();
-    let f = fixture();
-    // A hair-trigger controller: any observation is hot (p95 ≥ 1 µs), dwell
-    // 1, queue watermarks out of the way — each served query escalates one
-    // level until the full shed at level 3. Every request is held up 1 ms an
-    // edge on virtual time, so every query that fans out executes for
-    // milliseconds, well inside its window.
-    let cfg = RuntimeConfig {
+/// A hair-trigger controller: any observation is hot (p95 ≥ 1 µs), dwell
+/// 1, queue watermarks out of the way — each served query escalates one
+/// level until the full shed at level 3. Every request is held up 1 ms an
+/// edge on virtual time, so every query that fans out executes for
+/// milliseconds, well inside its window.
+fn hair_trigger() -> RuntimeConfig {
+    RuntimeConfig {
         num_shards: 2,
         dispatchers: 1,
         shard_timeout: Duration::from_secs(1),
@@ -429,8 +427,14 @@ fn brownout_escalates_to_full_shed_with_sound_brackets() {
             },
         }),
         ..RuntimeConfig::default()
-    };
-    let rt = runtime(f, cfg);
+    }
+}
+
+#[test]
+fn brownout_escalates_to_full_shed_with_sound_brackets() {
+    let _virtual = clock::virtual_time();
+    let f = fixture();
+    let rt = runtime(f, hair_trigger());
     let spec = covered_spec(f, 8, 61);
 
     let answers: Vec<_> = (0..8).map(|_| rt.query(spec.clone())).collect();
@@ -460,5 +464,32 @@ fn brownout_escalates_to_full_shed_with_sound_brackets() {
     assert!(report.shed >= 1, "level-3 answers count as shed");
     assert!(report.brownout_shifts >= 3, "the controller shifted 0→1→2→3");
     assert!(rt.metrics().recent_traces().iter().any(|t| t.brownout > 0));
+    rt.shutdown();
+}
+
+/// Brownout sheds the precision of served answers, not subscriber pushes:
+/// at the full shed an ingest batch on a subscribed edge still pushes one
+/// `Delta` carrying the standing bracket.
+#[test]
+fn a_full_brownout_still_pushes_every_delta() {
+    let _virtual = clock::virtual_time();
+    let f = fixture();
+    let rt = runtime(f, hair_trigger());
+    let spec = covered_spec(f, 8, 61);
+    let sub = rt.subscribe(spec.region.clone(), spec.approx).expect("a covered region");
+    assert_eq!(sub.updates.try_recv().expect("the baseline").cause, UpdateCause::Registered);
+    for _ in 0..3 {
+        rt.query(spec.clone());
+    }
+    assert_eq!(rt.metrics().report().brownout_level, 3, "three hot answers climb to the full shed");
+
+    let plan = QueryPlan::compile(&f.scenario.sensing, &f.sampled, &spec.region, spec.approx);
+    let c = Crossing { time: 1.0e12, edge: plan.boundary[0].edge, forward: true };
+    assert_eq!(rt.ingest_batch(&[c]).accepted, 1);
+    let u = sub.updates.try_recv().expect("a push at brownout level 3");
+    assert_eq!(u.cause, UpdateCause::Delta);
+    assert_eq!(Some(u.bracket), rt.standing_bracket(sub.id));
+    assert_eq!(u.bracket.deltas, 1);
+    assert!(sub.updates.try_recv().is_err(), "one push per batch");
     rt.shutdown();
 }

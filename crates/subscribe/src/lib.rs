@@ -160,10 +160,6 @@ pub enum UpdateCause {
     Delta,
     /// An epoch advance recomputed the bracket from the mirror.
     Resnapshot,
-    /// Delta pushes were shed for a while (runtime brownout); this is the
-    /// catch-up push carrying the current bracket, which absorbed every
-    /// suppressed delta in between.
-    Coalesced,
 }
 
 /// One pushed bracket change, delivered on the subscriber's channel.
@@ -223,9 +219,6 @@ pub struct IngestObservation {
     /// trusted counts untouched (quarantined widenings still apply — totals
     /// grow anyway), exactly like the shard's accept rule.
     pub late: usize,
-    /// Delta pushes suppressed because push shedding was on (the brackets
-    /// still moved; a `Coalesced` push catches the subscribers up).
-    pub shed: usize,
     /// Live subscriptions once the batch's pushes are out: a subscriber
     /// whose receiver was gone has been removed.
     pub subscriptions: usize,
@@ -337,6 +330,24 @@ impl Inner {
         self.free.push(slot);
         true
     }
+
+    /// Ends an ingest batch: one `Delta` push per touched subscription.
+    /// Subscribers whose receiver is gone are removed afterwards.
+    fn flush_pushes(&mut self) {
+        let mut dead: Vec<u64> = Vec::new();
+        for slot in self.touched.drain(..) {
+            let Some(sub) = self.slab[slot].as_mut() else { continue };
+            sub.dirty = false;
+            if let Some(tx) = &sub.push {
+                if tx.send(sub.update(UpdateCause::Delta)).is_err() {
+                    dead.push(sub.id);
+                }
+            }
+        }
+        for id in dead {
+            self.remove(id);
+        }
+    }
 }
 
 /// The standing-query registry: compiled plans, the edge→subscription
@@ -359,10 +370,6 @@ pub struct SubscriptionRegistry {
     /// serving runtime, whose shard workers read it lock-free.
     quarantined: Arc<Vec<AtomicBool>>,
     inner: Mutex<Inner>,
-    /// While set, delta pushes are suppressed (brackets still move under
-    /// the lock, so correctness is untouched — only the push fan-out cost is
-    /// shed). Flipped by the runtime's brownout controller.
-    shed: AtomicBool,
 }
 
 impl SubscriptionRegistry {
@@ -404,7 +411,6 @@ impl SubscriptionRegistry {
                 by_id: BTreeMap::new(),
                 touched: Vec::new(),
             }),
-            shed: AtomicBool::new(false),
         }
     }
 
@@ -492,7 +498,7 @@ impl SubscriptionRegistry {
     /// batch, not per event: each subscription the batch touched receives
     /// **one** `Delta` update carrying its bracket as of the end of the
     /// batch. Returns what the batch did: the deltas applied, the late
-    /// events, the pushes shed and the live subscriptions after it.
+    /// events and the live subscriptions after it.
     ///
     /// The serving runtime calls this for every event *before* handing it
     /// to the owning shard's ingest lane, so totals (and therefore
@@ -504,7 +510,7 @@ impl SubscriptionRegistry {
         for c in batch {
             self.apply_locked(inner, c, &mut obs);
         }
-        obs.shed = self.flush_pushes_locked(inner);
+        inner.flush_pushes();
         obs.subscriptions = inner.by_id.len();
         obs
     }
@@ -560,33 +566,6 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// Ends an ingest batch: one `Delta` push per touched subscription, or
-    /// one shed push each under brownout (the brackets moved, so correctness
-    /// holds; a `Coalesced` push catches subscribers up when shedding
-    /// lifts). Subscribers whose receiver is gone are removed afterwards.
-    /// Returns the pushes shed.
-    fn flush_pushes_locked(&self, inner: &mut Inner) -> usize {
-        let shedding = self.shed.load(Ordering::Relaxed);
-        let mut shed_now = 0;
-        let mut dead: Vec<u64> = Vec::new();
-        for slot in inner.touched.drain(..) {
-            let Some(sub) = inner.slab[slot].as_mut() else { continue };
-            sub.dirty = false;
-            let Some(tx) = &sub.push else { continue };
-            if shedding {
-                shed_now += 1;
-                continue;
-            }
-            if tx.send(sub.update(UpdateCause::Delta)).is_err() {
-                dead.push(sub.id);
-            }
-        }
-        for id in dead {
-            inner.remove(id);
-        }
-        shed_now
-    }
-
     /// Starts a new epoch: absorbs `extra_quarantine` into the mirror, then
     /// re-snapshots **every** subscription's bracket from the mirror through
     /// its compiled plan, stamping it with the new epoch. Returns the
@@ -620,41 +599,6 @@ impl SubscriptionRegistry {
                 }
             }
             out.push(update);
-        }
-        for id in dead {
-            inner.remove(id);
-        }
-        out
-    }
-
-    /// Turns delta-push shedding on or off (the runtime's
-    /// brownout controller drives this). While shedding, brackets keep
-    /// moving under the lock but nothing is pushed. Turning shedding *off*
-    /// pushes every push-attached subscription's current bracket once
-    /// (`cause == Coalesced`) so subscribers catch up on everything they
-    /// missed in one update; those updates are also returned, and a
-    /// subscriber whose receiver is gone is removed. Turning it on (or
-    /// re-asserting the current state) returns nothing.
-    pub fn set_shed_pushes(&self, on: bool) -> Vec<BracketUpdate> {
-        // Under the inner lock so the flag flip is atomic with respect to
-        // in-flight `on_ingest_batch` calls: no delta can race between the flag
-        // going false and the coalesced catch-up pushes below.
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let was = self.shed.swap(on, Ordering::Relaxed);
-        if on || !was {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut dead: Vec<u64> = Vec::new();
-        for sub in inner.subs() {
-            let Some(tx) = &sub.push else { continue };
-            let update = sub.update(UpdateCause::Coalesced);
-            if tx.send(update).is_err() {
-                dead.push(sub.id);
-            } else {
-                out.push(update);
-            }
         }
         for id in dead {
             inner.remove(id);

@@ -375,62 +375,6 @@ fn late_events_do_not_move_trusted_brackets() {
 }
 
 #[test]
-fn shed_pushes_coalesce_on_relax() {
-    let s = Scenario::build(ScenarioConfig::default());
-    let g = deployment(&s, 0.3, 7);
-    let engine = Arc::new(QueryEngine::new(16));
-    let registry = SubscriptionRegistry::new(Arc::clone(&engine), &s.tracked.store, []);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let (reg, be) = s
-        .make_queries(8, 0.2, 300.0, 29)
-        .into_iter()
-        .find_map(|(q, _, _)| {
-            let reg = registry
-                .subscribe(&s.sensing, &g, &q, Approximation::Upper, Some(tx.clone()))
-                .ok()?;
-            let plan = QueryPlan::compile(&s.sensing, &g, &q, Approximation::Upper);
-            match plan.boundary.first().copied() {
-                Some(be) => Some((reg, be)),
-                None => {
-                    registry.unsubscribe(reg.id);
-                    None
-                }
-            }
-        })
-        .expect("some region must resolve with a non-empty boundary");
-    // Drain the Registered baselines (one per subscribe attempt that stuck).
-    while let Ok(u) = rx.try_recv() {
-        assert_eq!(u.cause, UpdateCause::Registered);
-    }
-
-    assert!(registry.set_shed_pushes(true).is_empty(), "turning shedding on pushes nothing");
-    // Events while shedding move the bracket but push nothing.
-    let mut shed = 0;
-    for i in 0..3 {
-        let c = Crossing { time: 1.0e9 + i as f64, edge: be.edge, forward: true };
-        shed += registry.on_ingest_batch(&[c]).shed;
-    }
-    assert!(rx.try_recv().is_err(), "no pushes while shedding");
-    assert_eq!(shed, 3, "each batch reports the push it shed");
-    let live = registry.bracket(reg.id).expect("subscription is live");
-    assert_eq!(live.deltas, 3, "brackets keep moving while pushes are shed");
-
-    // Turning shedding off delivers exactly one Coalesced catch-up carrying
-    // the current bracket — everything the subscriber missed, absorbed.
-    let updates = registry.set_shed_pushes(false);
-    assert_eq!(updates.len(), 1);
-    let u = rx.try_recv().expect("coalesced catch-up push");
-    assert_eq!(u.cause, UpdateCause::Coalesced);
-    assert_eq!(u.bracket, live);
-    assert!(rx.try_recv().is_err(), "exactly one catch-up push");
-    assert!(registry.set_shed_pushes(false).is_empty(), "re-asserting off is a no-op");
-
-    // Delta pushes resume after the relax.
-    registry.on_ingest_batch(&[Crossing { time: 2.0e9, edge: be.edge, forward: true }]);
-    assert_eq!(rx.try_recv().expect("pushes resumed").cause, UpdateCause::Delta);
-}
-
-#[test]
 fn unsubscribe_and_dead_channels_clean_routes() {
     let s = Scenario::build(ScenarioConfig::default());
     let g = deployment(&s, 0.3, 7);

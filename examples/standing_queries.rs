@@ -84,13 +84,12 @@ fn main() {
 
     // Drain one monitor's channel: a baseline, then pure deltas.
     let (h, region) = &monitors[0];
-    let mut counts = [0usize; 4];
+    let mut counts = [0usize; 3];
     while let Ok(u) = h.updates.try_recv() {
         match u.cause {
             UpdateCause::Registered => counts[0] += 1,
             UpdateCause::Delta => counts[1] += 1,
             UpdateCause::Resnapshot => counts[2] += 1,
-            UpdateCause::Coalesced => counts[3] += 1,
         }
     }
     println!(

@@ -262,6 +262,25 @@ fn a_knob_needs_a_second_caller() {
 }
 
 #[test]
+fn overload_keeps_only_the_rungs_a_cell_rewards() {
+    assert_absent(&Guard {
+        rule: "an overload rung stays only while a measured `overload_sweep` cell rewards it: \
+               shedding subscription pushes under brownout moved nothing but the pushes, and \
+               charging ingest batches to the admission gate moved nothing at all, so neither \
+               comes back, nor their rows",
+        patterns: &[
+            "set_shed_pushes",
+            "UpdateCause::Coalesced",
+            "pushes_shed",
+            "sub_coalesced",
+            "charge_ingest",
+        ],
+        roots: &["crates", "examples"],
+        except: &[],
+    });
+}
+
+#[test]
 fn recovery_and_migration_rebuild_nothing_they_cannot_change() {
     assert_absent(&Guard {
         rule: "a plan is a region resolved on the one graph pair a runtime serves for its life, \
