@@ -8,19 +8,19 @@
 //! cargo run --release -p stq-bench --bin sensor_failure_sweep [-- --quick --seed N]
 //! ```
 //!
-//! Two experiments:
+//! Three experiments:
 //!
 //! 1. **Dead-sensor sweep** — for each dead fraction, corrupt ingestion
 //!    with a seeded [`SensorFaultPlan`]. A *blind* audit (no heartbeat)
-//!    scores detection: recall over the dead set and the blame it sprays on
-//!    healthy neighbours. The *serving* pipeline then applies heartbeat
-//!    knowledge first — fail-stop deaths announce themselves, so dead edges
-//!    are demoted before the audit runs on the merged components — and
-//!    additionally distrusts hard-evidence flags (conservation violations,
-//!    non-monotone logs, duplicate timestamps) and repaired-then-rewritten
-//!    logs. Silence-only flags stay monitored: their logs are untouched, so
-//!    keeping them costs nothing in soundness and saves most of the
-//!    coverage. Every query of all three kinds is asserted sound:
+//!    scores detection: recall over the dead set and the false flags it
+//!    sprays on healthy neighbours; its own demoted graph then serves every
+//!    query, as `stq serve --dead` does, and the sound and unsound answers
+//!    are counted (not asserted: a dead link the audit cannot see stays
+//!    monitored). The *serving* pipeline applies heartbeat knowledge first
+//!    — fail-stop deaths announce themselves, so dead edges are demoted
+//!    before the audit runs on the merged components — and additionally
+//!    distrusts whatever the audit quarantines and any log the repair pass
+//!    rewrote. Every query of all three kinds is asserted sound:
 //!    `lower ≤ oracle ≤ upper`. The failover column answers every query
 //!    through the [`DegradedAnswerer`], which re-selects detour edges around
 //!    the untrusted set via [`SampledGraph::reroute_around`], and measures
@@ -29,7 +29,8 @@
 //!    aggregate repair stats, plus isolated single-edge flip trials that
 //!    assert the core contract: the corrupted edge is either restored to
 //!    byte-equality with a clean ingestion or quarantined — never silently
-//!    served wrong.
+//!    served wrong once flagged. A flip the audit cannot see is listed with
+//!    the oracle's verdict on every answer served over it.
 //! 3. **Mixed cocktail** — dead + skewed + flipped simultaneously, served
 //!    through the demote-first pipeline and through degraded-mode
 //!    answering.
@@ -42,21 +43,18 @@ use std::fmt::Write as _;
 
 use stq_bench::{runtime_scenario, sweep_args, write_sweep_json, SEEDS};
 use stq_core::prelude::*;
-use stq_forms::Evidence;
+use stq_forms::{FormStore, OracleTracker};
 use stq_net::{SensorFaultMix, SensorFaultPlan};
 
 /// Per-cell measurements of the dead-sensor sweep.
 struct SweepOut {
     dead: usize,
     flagged: usize,
-    silence_only: usize,
+    false_flags: usize,
     recall: f64,
+    blind: Served,
     queries: usize,
-    sound: usize,
-    misses: usize,
-    infinite: usize,
-    mean_coverage: f64,
-    mean_width: f64,
+    served: Served,
     components_before: usize,
     components_demoted: usize,
     components_rerouted: usize,
@@ -107,53 +105,83 @@ fn monitored_edges(g: &SampledGraph) -> Vec<usize> {
     g.monitored().iter().enumerate().filter(|&(_, &m)| m).map(|(e, _)| e).collect()
 }
 
-/// Answers every query on `graph`, asserting soundness against the oracle.
-/// Returns (sound, misses, infinite, coverage sum, width sum, finite count).
+/// Tallies of one pass that answers every query on one graph.
+#[derive(Default)]
+struct Served {
+    sound: usize,
+    /// Non-miss brackets that do not contain the oracle.
+    unsound: usize,
+    misses: usize,
+    infinite: usize,
+    coverage_sum: f64,
+    width_sum: f64,
+    finite: usize,
+    /// The first unsound bracket, spelled out.
+    violation: Option<String>,
+}
+
+impl Served {
+    fn mean_coverage(&self) -> f64 {
+        self.coverage_sum / (self.sound as f64).max(1.0)
+    }
+
+    fn mean_width(&self) -> f64 {
+        self.width_sum / (self.finite as f64).max(1.0)
+    }
+
+    /// The acceptance criterion of the serving paths: answers stay sound no
+    /// matter how many sensors died. A violation is a bug, not a data point.
+    fn assert_sound(self, label: &str) -> Self {
+        if let Some(v) = &self.violation {
+            panic!("{label} {v}");
+        }
+        self
+    }
+}
+
+/// Answers every query of all three kinds on `graph` from `store` and
+/// scores each non-miss bracket against the oracle.
 fn answer_all(
     s: &Scenario,
     graph: &SampledGraph,
-    tracked: &Tracked,
+    store: &FormStore,
+    oracle: &OracleTracker,
     queries: &[(QueryRegion, f64, f64)],
-    label: &str,
-) -> (usize, usize, usize, f64, f64, usize) {
-    let (mut sound, mut misses, mut infinite) = (0usize, 0usize, 0usize);
-    let (mut cov_sum, mut width_sum, mut finite) = (0.0f64, 0.0f64, 0usize);
+) -> Served {
+    let mut o = Served::default();
     for (q, t0, t1) in queries {
         let inside = |j: usize| q.contains(j);
         for kind in
             [QueryKind::Snapshot(*t0), QueryKind::Transient(*t0, *t1), QueryKind::Static(*t0, *t1)]
         {
-            let b = answer_with_bounds(&s.sensing, graph, &tracked.store, q, kind);
+            let b = answer_with_bounds(&s.sensing, graph, store, q, kind);
             if b.miss {
-                misses += 1;
+                o.misses += 1;
                 continue;
             }
             let truth = match kind {
-                QueryKind::Snapshot(t) => tracked.oracle.snapshot_count(&inside, t) as f64,
-                QueryKind::Transient(a, z) => tracked.oracle.transient_count(&inside, a, z) as f64,
-                QueryKind::Static(a, z) => {
-                    tracked.oracle.static_interval_count(&inside, a, z) as f64
-                }
+                QueryKind::Snapshot(t) => oracle.snapshot_count(&inside, t) as f64,
+                QueryKind::Transient(a, z) => oracle.transient_count(&inside, a, z) as f64,
+                QueryKind::Static(a, z) => oracle.static_interval_count(&inside, a, z) as f64,
             };
-            // The acceptance criterion: served answers stay sound no matter
-            // how many sensors died. A violation is a bug, not a data point.
-            assert!(
-                b.contains(truth),
-                "{label} {kind:?}: oracle {truth} outside [{}, {}]",
-                b.lower,
-                b.upper
-            );
-            sound += 1;
-            cov_sum += b.coverage;
+            if !b.contains(truth) {
+                o.unsound += 1;
+                o.violation.get_or_insert_with(|| {
+                    format!("{kind:?}: oracle {truth} outside [{}, {}]", b.lower, b.upper)
+                });
+                continue;
+            }
+            o.sound += 1;
+            o.coverage_sum += b.coverage;
             if b.width().is_finite() {
-                width_sum += b.width();
-                finite += 1;
+                o.width_sum += b.width();
+                o.finite += 1;
             } else {
-                infinite += 1;
+                o.infinite += 1;
             }
         }
     }
-    (sound, misses, infinite, cov_sum, width_sum, finite)
+    o
 }
 
 /// Answers every query through the degraded-mode answerer, asserting the
@@ -237,49 +265,28 @@ fn sweep_cell(
     let dead = plan.dead_edges();
     let mut tracked = ingest_with_faults(&s.sensing, &s.trajectories, &plan);
 
-    // Blind pass — the no-heartbeat counterfactual, for detection stats
-    // only: how much of the dead set does the audit find on its own, and
-    // how many healthy edges does it drag down (dead sensors spray
-    // conservation blame over every boundary edge of their violated
-    // components, so blind quarantine over-demotes by design)?
+    // Blind pass — the no-heartbeat counterfactual: how much of the dead
+    // set does the audit find on its own, how many healthy edges does it
+    // drag down (dead sensors spray conservation blame over every boundary
+    // edge of their violated components), and what does its own demoted
+    // graph serve?
     let mut blind_store = tracked.store.clone();
-    let blind =
-        quarantine_and_repair(&s.sensing, g, &mut blind_store, horizon, &RepairConfig::default());
-    let silence = |rep: &RepairOutcome, e: usize| {
-        rep.report.verdict(e).is_some_and(|v| {
-            v.evidence
-                .iter()
-                .all(|ev| matches!(ev, Evidence::SilentGap { .. } | Evidence::SilentSibling { .. }))
-        })
-    };
+    let blind = quarantine_and_repair(&s.sensing, g, &mut blind_store);
     let dead_set: HashSet<usize> = dead.iter().copied().collect();
     let caught = blind.quarantined.iter().filter(|e| dead_set.contains(e)).count();
-    let silence_only = blind.quarantined.iter().filter(|&&e| silence(&blind, e)).count();
+    let false_flags = blind.quarantined.len() - caught;
+    let blind_served = answer_all(s, &blind.graph, &blind_store, &tracked.oracle, queries);
 
     // Serving pass — heartbeats announce fail-stop deaths, so demote the
     // dead edges *before* auditing: the merged components then have only
     // healthy boundary logs, conservation holds again, and no blame lands
     // on healthy edges. On top of the heartbeat demotion we drop whatever
-    // the audit still flags with hard evidence and any edge the repair
-    // pass rewrote (under a dead-only mix a "repair" was a mis-repair of a
-    // healthy log). Silence-only flags stay monitored: their logs are
-    // untouched, so they cost nothing in soundness and would cost most of
-    // the remaining coverage.
+    // the audit still quarantines and any edge the repair pass rewrote
+    // (under a dead-only mix a "repair" was a mis-repair of a healthy log).
     let g_live = g.demote_edges(&s.sensing, &dead);
-    let out = quarantine_and_repair(
-        &s.sensing,
-        &g_live,
-        &mut tracked.store,
-        horizon,
-        &RepairConfig::default(),
-    );
-    let mut distrusted: Vec<usize> = out
-        .quarantined
-        .iter()
-        .copied()
-        .filter(|&e| !silence(&out, e))
-        .chain(out.repaired.iter().map(|r| r.edge))
-        .collect();
+    let out = quarantine_and_repair(&s.sensing, &g_live, &mut tracked.store);
+    let mut distrusted: Vec<usize> =
+        out.quarantined.iter().copied().chain(out.repaired.iter().map(|r| r.edge)).collect();
     distrusted.sort_unstable();
     distrusted.dedup();
     let demoted = g_live.demote_edges(&s.sensing, &distrusted);
@@ -292,21 +299,18 @@ fn sweep_cell(
     untrusted.sort_unstable();
     untrusted.dedup();
 
-    let (sound, misses, infinite, cov_sum, width_sum, finite) =
-        answer_all(s, &demoted, &tracked, queries, "demoted");
+    let served =
+        answer_all(s, &demoted, &tracked.store, &tracked.oracle, queries).assert_sound("demoted");
     let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted);
     let degraded = answer_degraded(s, &deg, &tracked, queries, "degraded");
     SweepOut {
         dead: dead.len(),
         flagged: blind.report.flagged().len(),
-        silence_only,
+        false_flags,
         recall: if dead.is_empty() { 1.0 } else { caught as f64 / dead.len() as f64 },
+        blind: blind_served,
         queries: queries.len() * 3,
-        sound,
-        misses,
-        infinite,
-        mean_coverage: cov_sum / (sound as f64).max(1.0),
-        mean_width: width_sum / (finite as f64).max(1.0),
+        served,
         components_before: g.components().len(),
         components_demoted: demoted.components().len(),
         components_rerouted: deg.rerouted().components().len(),
@@ -320,12 +324,7 @@ struct CocktailOut {
     skewed: usize,
     flipped: usize,
     untrusted: usize,
-    base_sound: usize,
-    base_misses: usize,
-    base_infinite: usize,
-    base_mean_coverage: f64,
-    base_mean_width: f64,
-    base_finite: usize,
+    base: Served,
     degraded: DegradedOut,
 }
 
@@ -350,32 +349,19 @@ fn cocktail_cell(
     let mut tracked = ingest_with_faults(&s.sensing, &s.trajectories, &plan);
 
     let g_live = g.demote_edges(&s.sensing, &dead);
-    let out = quarantine_and_repair(
-        &s.sensing,
-        &g_live,
-        &mut tracked.store,
-        horizon,
-        &RepairConfig::default(),
-    );
-    let silence = |e: usize| {
-        out.report.verdict(e).is_some_and(|v| {
-            v.evidence
-                .iter()
-                .all(|ev| matches!(ev, Evidence::SilentGap { .. } | Evidence::SilentSibling { .. }))
-        })
-    };
+    let out = quarantine_and_repair(&s.sensing, &g_live, &mut tracked.store);
     let mut untrusted: Vec<usize> = dead
         .iter()
         .copied()
-        .chain(out.quarantined.iter().copied().filter(|&e| !silence(e)))
+        .chain(out.quarantined.iter().copied())
         .chain(out.repaired.iter().map(|r| r.edge))
         .collect();
     untrusted.sort_unstable();
     untrusted.dedup();
 
     let demoted = g.demote_edges(&s.sensing, &untrusted);
-    let (b_sound, b_misses, b_infinite, b_cov, b_width, b_finite) =
-        answer_all(s, &demoted, &tracked, queries, "cocktail-demoted");
+    let base = answer_all(s, &demoted, &tracked.store, &tracked.oracle, queries)
+        .assert_sound("cocktail-demoted");
     let deg = DegradedAnswerer::new(&s.sensing, g, &untrusted);
     let degraded = answer_degraded(s, &deg, &tracked, queries, "cocktail-degraded");
     CocktailOut {
@@ -383,12 +369,7 @@ fn cocktail_cell(
         skewed: plan.edges_of(stq_net::SensorFaultKind::Skewed).len(),
         flipped: plan.edges_of(stq_net::SensorFaultKind::Flipped).len(),
         untrusted: untrusted.len(),
-        base_sound: b_sound,
-        base_misses: b_misses,
-        base_infinite: b_infinite,
-        base_mean_coverage: b_cov / (b_sound as f64).max(1.0),
-        base_mean_width: b_width / (b_finite as f64).max(1.0),
-        base_finite: b_finite,
+        base,
         degraded,
     }
 }
@@ -404,7 +385,9 @@ struct RepairOut {
     isolated_trials: usize,
     isolated_exact: usize,
     isolated_quarantined: usize,
-    isolated_undetected: usize,
+    /// Isolated flips the audit did not flag, each with the oracle's
+    /// verdict on every answer served over its (still flipped) log.
+    undetected: Vec<(usize, Served)>,
 }
 
 fn forms_equal(a: &stq_forms::TrackingForm, b: &stq_forms::TrackingForm) -> bool {
@@ -415,15 +398,19 @@ fn forms_equal(a: &stq_forms::TrackingForm, b: &stq_forms::TrackingForm) -> bool
 /// single-edge flip trials. In the mixed setting repairs can collide (two
 /// suspects on one violated component), so exactness is reported, not
 /// asserted; the isolated trials assert the actual contract — restored
-/// byte-exactly or quarantined, never silently served wrong.
-fn repair_cell(s: &Scenario, g: &SampledGraph, seed: u64) -> RepairOut {
+/// byte-exactly or quarantined, never silently served wrong once flagged.
+fn repair_cell(
+    s: &Scenario,
+    g: &SampledGraph,
+    seed: u64,
+    queries: &[(QueryRegion, f64, f64)],
+) -> RepairOut {
     let horizon = (0.0, s.config.trajectory.duration);
     let clean = &s.tracked.store;
     let mix = SensorFaultMix { flipped: 0.12, duplicating: 0.12, ..SensorFaultMix::none() };
     let plan = SensorFaultPlan::generate(seed ^ 0xF1B, &monitored_edges(g), horizon, mix);
     let mut tracked = ingest_with_faults(&s.sensing, &s.trajectories, &plan);
-    let out =
-        quarantine_and_repair(&s.sensing, g, &mut tracked.store, horizon, &RepairConfig::default());
+    let out = quarantine_and_repair(&s.sensing, g, &mut tracked.store);
     let mut r = RepairOut {
         corrupted: plan.corrupted_edges().len(),
         unflips: 0,
@@ -434,7 +421,7 @@ fn repair_cell(s: &Scenario, g: &SampledGraph, seed: u64) -> RepairOut {
         isolated_trials: 0,
         isolated_exact: 0,
         isolated_quarantined: 0,
-        isolated_undetected: 0,
+        undetected: Vec::new(),
     };
     for rep in &out.repaired {
         let exact = forms_equal(tracked.store.form(rep.edge), clean.form(rep.edge));
@@ -467,15 +454,15 @@ fn repair_cell(s: &Scenario, g: &SampledGraph, seed: u64) -> RepairOut {
             }],
         );
         let mut t = ingest_with_faults(&s.sensing, &s.trajectories, &plan);
-        let out =
-            quarantine_and_repair(&s.sensing, g, &mut t.store, horizon, &RepairConfig::default());
+        let out = quarantine_and_repair(&s.sensing, g, &mut t.store);
         r.isolated_trials += 1;
         if !out.initial.flagged().contains(&edge) {
             // A flip that leaves every component's running population
             // non-negative breaks no conservation law — the audit is a
-            // necessary-condition check and cannot see it. Reported, so
-            // the detectability limit is measured rather than hidden.
-            r.isolated_undetected += 1;
+            // necessary-condition check and cannot see it. Reported with
+            // the oracle's verdict on what its graph serves, so the
+            // detectability limit is measured rather than hidden.
+            r.undetected.push((edge, answer_all(s, &out.graph, &t.store, &t.oracle, queries)));
         } else if forms_equal(t.store.form(edge), clean.form(edge)) {
             r.isolated_exact += 1;
         } else {
@@ -505,13 +492,14 @@ fn main() {
 
     println!("# sensor_failure_sweep — {junctions} junctions, {} seeds", seeds.len());
     println!(
-        "\n{:>6} | {:>5} | {:>5} | {:>5} | {:>5} | {:>6} | {:>11} | {:>6} | {:>7} | {:>15} | {:>7} | {:>7} | {:>6}",
+        "\n{:>6} | {:>5} | {:>5} | {:>5} | {:>5} | {:>6} | {:>11} | {:>11} | {:>6} | {:>7} | {:>15} | {:>7} | {:>7} | {:>6}",
         "seed",
         "dead%",
         "dead",
         "flag",
         "fp",
         "recall",
+        "blind s/u",
         "sound/asked",
         "miss",
         "cover",
@@ -532,20 +520,22 @@ fn main() {
         let queries = scenario.make_queries(regions, 0.06, 2_000.0, seed ^ 0x9E);
         for &frac in &fracs {
             let o = sweep_cell(&scenario, &sampled, frac, seed, &queries);
-            total_sound += o.sound + o.degraded.sound;
-            total_misses += o.misses + o.degraded.misses;
+            total_sound += o.served.sound + o.degraded.sound;
+            total_misses += o.served.misses + o.degraded.misses;
             println!(
-                "{:>6} | {:>5.2} | {:>5} | {:>5} | {:>5} | {:>6.3} | {:>5}/{:<5} | {:>6} | {:>7.3} | {:>4}/{:>4}/{:>4} | {:>7} | {:>7.3} | {:>6}",
+                "{:>6} | {:>5.2} | {:>5} | {:>5} | {:>5} | {:>6.3} | {:>5}/{:<5} | {:>5}/{:<5} | {:>6} | {:>7.3} | {:>4}/{:>4}/{:>4} | {:>7} | {:>7.3} | {:>6}",
                 seed,
                 frac,
                 o.dead,
                 o.flagged,
-                o.silence_only,
+                o.false_flags,
                 o.recall,
-                o.sound,
+                o.blind.sound,
+                o.blind.unsound,
+                o.served.sound,
                 o.queries,
-                o.misses,
-                o.mean_coverage,
+                o.served.misses,
+                o.served.mean_coverage(),
                 o.components_before,
                 o.components_demoted,
                 o.components_rerouted,
@@ -556,8 +546,9 @@ fn main() {
             let _ = write!(
                 json_sweep,
                 "{}    {{\"seed\": {}, \"dead_frac\": {}, \"dead\": {}, \"flagged\": {}, \
-                 \"silence_only\": {}, \"recall\": {:.4}, \"queries\": {}, \"sound\": {}, \
-                 \"misses\": {}, \
+                 \"false_flags\": {}, \"recall\": {:.4}, \"blind\": {{\"sound\": {}, \
+                 \"unsound\": {}, \"misses\": {}, \"mean_coverage\": {:.4}}}, \
+                 \"queries\": {}, \"sound\": {}, \"misses\": {}, \
                  \"infinite_brackets\": {}, \"mean_coverage\": {:.4}, \"mean_width\": {}, \
                  \"components\": {{\"before\": {}, \"demoted\": {}, \"rerouted\": {}}}, \
                  \"degraded\": {}}}",
@@ -566,14 +557,18 @@ fn main() {
                 frac,
                 o.dead,
                 o.flagged,
-                o.silence_only,
+                o.false_flags,
                 o.recall,
+                o.blind.sound,
+                o.blind.unsound,
+                o.blind.misses,
+                o.blind.mean_coverage(),
                 o.queries,
-                o.sound,
-                o.misses,
-                o.infinite,
-                o.mean_coverage,
-                width_json(o.sound - o.infinite, o.mean_width),
+                o.served.sound,
+                o.served.misses,
+                o.served.infinite,
+                o.served.mean_coverage(),
+                width_json(o.served.finite, o.served.mean_width()),
                 o.components_before,
                 o.components_demoted,
                 o.components_rerouted,
@@ -584,8 +579,8 @@ fn main() {
         // Mixed cocktail: the compound mix served by the demote-first
         // pipeline and by degraded-mode answering.
         let c = cocktail_cell(&scenario, &sampled, seed, &queries);
-        total_sound += c.base_sound + c.degraded.sound;
-        total_misses += c.base_misses + c.degraded.misses;
+        total_sound += c.base.sound + c.degraded.sound;
+        total_misses += c.base.misses + c.degraded.misses;
         println!(
             "{seed:>6} | cocktail: {} dead + {} skewed + {} flipped ({} untrusted); \
              base {}/{} cover {:.3}; degraded {}/{} cover {:.3} detour {}",
@@ -593,9 +588,9 @@ fn main() {
             c.skewed,
             c.flipped,
             c.untrusted,
-            c.base_sound,
-            c.base_sound + c.base_misses,
-            c.base_mean_coverage,
+            c.base.sound,
+            c.base.sound + c.base.misses,
+            c.base.mean_coverage(),
             c.degraded.sound,
             c.degraded.sound + c.degraded.misses,
             c.degraded.mean_coverage,
@@ -613,15 +608,15 @@ fn main() {
             c.skewed,
             c.flipped,
             c.untrusted,
-            c.base_sound,
-            c.base_misses,
-            c.base_infinite,
-            c.base_mean_coverage,
-            width_json(c.base_finite, c.base_mean_width),
+            c.base.sound,
+            c.base.misses,
+            c.base.infinite,
+            c.base.mean_coverage(),
+            width_json(c.base.finite, c.base.mean_width()),
             c.degraded.json()
         );
 
-        let r = repair_cell(&scenario, &sampled, seed);
+        let r = repair_cell(&scenario, &sampled, seed, &queries);
         total_isolated_exact += r.isolated_exact;
         println!(
             "{seed:>6} | repair: {} corrupted, {} unflips ({} byte-exact), \
@@ -636,14 +631,30 @@ fn main() {
             r.isolated_exact,
             r.isolated_trials,
             r.isolated_quarantined,
-            r.isolated_undetected
+            r.undetected.len()
         );
+        for (edge, t) in &r.undetected {
+            println!(
+                "{seed:>6} | undetected flip on edge {edge}: {} sound, {} unsound, {} misses",
+                t.sound, t.unsound, t.misses
+            );
+        }
+        let undetected: Vec<String> = r
+            .undetected
+            .iter()
+            .map(|(edge, t)| {
+                format!(
+                    "{{\"edge\": {edge}, \"sound\": {}, \"unsound\": {}, \"misses\": {}}}",
+                    t.sound, t.unsound, t.misses
+                )
+            })
+            .collect();
         let _ = write!(
             json_repair,
             "{}    {{\"seed\": {}, \"corrupted\": {}, \"unflips\": {}, \"unflips_exact\": {}, \
              \"dedups\": {}, \"dedups_exact\": {}, \"quarantined\": {}, \
              \"isolated_trials\": {}, \"isolated_exact\": {}, \"isolated_quarantined\": {}, \
-             \"isolated_undetected\": {}}}",
+             \"isolated_undetected\": {}, \"undetected\": [{}]}}",
             if json_repair.is_empty() { "" } else { ",\n" },
             seed,
             r.corrupted,
@@ -655,7 +666,8 @@ fn main() {
             r.isolated_trials,
             r.isolated_exact,
             r.isolated_quarantined,
-            r.isolated_undetected
+            r.undetected.len(),
+            undetected.join(", ")
         );
     }
 

@@ -340,8 +340,7 @@ fn faulty_pipeline(
     let monitored: Vec<usize> = (0..s.sensing.num_edges()).filter(|&e| g.monitored()[e]).collect();
     let plan = chaos.sensor_plan(&monitored, horizon);
     let mut tracked = ingest_with_faults(&s.sensing, &s.trajectories, &plan);
-    let outcome =
-        quarantine_and_repair(&s.sensing, g, &mut tracked.store, horizon, &RepairConfig::default());
+    let outcome = quarantine_and_repair(&s.sensing, g, &mut tracked.store);
     (plan, tracked, outcome)
 }
 
@@ -358,8 +357,6 @@ fn evidence_label(e: &Evidence) -> &'static str {
         Evidence::NonMonotone { .. } => "non-monotone",
         Evidence::DuplicateTimestamps { .. } => "dup-timestamps",
         Evidence::Conservation { .. } => "conservation",
-        Evidence::SilentGap { .. } => "silent-gap",
-        Evidence::SilentSibling { .. } => "silent-sibling",
     }
 }
 
@@ -921,13 +918,17 @@ fn audit(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
     }
     let unflips = outcome.repaired.iter().filter(|r| r.kind == RepairKind::Unflip).count();
     let dedups = outcome.repaired.iter().filter(|r| r.kind == RepairKind::Dedup).count();
+    let flagged = outcome.initial.flagged();
     writeln!(
         out,
         "audit: {} flagged, {} repaired ({unflips} unflip, {dedups} dedup), {} quarantined",
-        outcome.initial.flagged().len(),
+        flagged.len(),
         outcome.repaired.len(),
         outcome.quarantined.len()
     )?;
+    let injected = plan.corrupted_edges();
+    let false_positives = flagged.iter().filter(|e| injected.binary_search(e).is_err()).count();
+    writeln!(out, "false positives: {false_positives}")?;
     writeln!(
         out,
         "granularity: {} → {} components after demotion",
@@ -993,9 +994,7 @@ fn recover(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
         shards.len(),
         store.total_events()
     )?;
-    let horizon = (0.0, s.config.trajectory.duration);
-    let outcome =
-        quarantine_and_repair(&s.sensing, &g, &mut store, horizon, &RepairConfig::default());
+    let outcome = quarantine_and_repair(&s.sensing, &g, &mut store);
     writeln!(
         out,
         "audit: {} flagged, {} repaired, {} quarantined",
@@ -1180,6 +1179,8 @@ mod tests {
     fn audit_clean_sensors_flag_little() {
         let out = run_cmd(&["audit", "--junctions", "100", "--objects", "20", "--size", "0.3"]);
         assert!(out.contains("injected: 0 corrupted"), "{out}");
+        assert!(out.contains("audit: 0 flagged"), "{out}");
+        assert!(out.contains("false positives: 0"), "{out}");
     }
 
     #[test]

@@ -176,7 +176,7 @@ fn midpoint(b: &BoundedAnswer) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::{answer_with_bounds, quarantine_and_repair, RepairConfig};
+    use crate::repair::{answer_with_bounds, quarantine_and_repair};
     use crate::sampled::Connectivity;
     use crate::tracker::{ingest, ingest_with_faults, Tracked};
     use stq_mobility::gen::delaunay_city;
@@ -187,7 +187,6 @@ mod tests {
         sensing: SensingGraph,
         graph: SampledGraph,
         trajs: Vec<stq_mobility::Trajectory>,
-        horizon: (f64, f64),
         /// Caches the plans of `graph`, the fine graph.
         engine: QueryEngine,
     }
@@ -204,14 +203,13 @@ mod tests {
         let ids = stq_sampling::sample(stq_sampling::SamplingMethod::QuadTree, &cands, m, 5);
         let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
         let graph = SampledGraph::from_sensors(&sensing, &faces, Connectivity::Triangulation);
-        Fixture { sensing, graph, trajs, horizon: (0.0, 3_000.0), engine: QueryEngine::new(64) }
+        Fixture { sensing, graph, trajs, engine: QueryEngine::new(64) }
     }
 
     /// Ingest with ~20% of busy monitored sensors dead, then mirror the
     /// serving pipeline: heartbeats demote the dead set first, the audit
-    /// runs on the survivors, and only hard-evidence flags and rewritten
-    /// logs are distrusted on top. Silence-only flags stay trusted — their
-    /// logs are untouched — exactly as `sensor_failure_sweep` serves.
+    /// runs on the survivors, and whatever it quarantines and any rewritten
+    /// log are distrusted on top, exactly as `sensor_failure_sweep` serves.
     fn faulted(f: &Fixture) -> (Tracked, Vec<usize>) {
         let clean = ingest(&f.sensing, &f.trajs).store;
         let busy: Vec<usize> = (0..clean.num_edges())
@@ -233,29 +231,11 @@ mod tests {
         let plan = SensorFaultPlan::from_faults(3, dead);
         let mut tracked = ingest_with_faults(&f.sensing, &f.trajs, &plan);
         let g_live = f.graph.demote_edges(&f.sensing, &dead_edges);
-        let out = quarantine_and_repair(
-            &f.sensing,
-            &g_live,
-            &mut tracked.store,
-            f.horizon,
-            &RepairConfig::default(),
-        );
-        let silence_only = |e: usize| {
-            out.report.verdict(e).is_some_and(|v| {
-                v.evidence.iter().all(|ev| {
-                    matches!(
-                        ev,
-                        stq_forms::Evidence::SilentGap { .. }
-                            | stq_forms::Evidence::SilentSibling { .. }
-                    )
-                })
-            })
-        };
+        let out = quarantine_and_repair(&f.sensing, &g_live, &mut tracked.store);
         let mut untrusted: Vec<usize> = out
             .quarantined
             .iter()
             .copied()
-            .filter(|&e| !silence_only(e))
             .chain(out.repaired.iter().map(|r| r.edge))
             .chain(dead_edges.iter().copied())
             .collect();

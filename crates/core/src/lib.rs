@@ -69,8 +69,8 @@ pub use query::{
     answer, ground_truth, relative_error, Approximation, QueryKind, QueryOutcome, QueryRegion,
 };
 pub use repair::{
-    answer_with_bounds, bounds_from_plans, quarantine_and_repair, BoundedAnswer, RepairConfig,
-    RepairKind, RepairOutcome, RepairedEdge,
+    answer_with_bounds, bounds_from_plans, quarantine_and_repair, BoundedAnswer, RepairKind,
+    RepairOutcome, RepairedEdge,
 };
 pub use sampled::{Connectivity, SampledGraph};
 pub use sensing::SensingGraph;
@@ -91,7 +91,7 @@ pub mod prelude {
     };
     pub use crate::render::Scene;
     pub use crate::repair::{
-        answer_with_bounds, quarantine_and_repair, BoundedAnswer, RepairConfig, RepairOutcome,
+        answer_with_bounds, quarantine_and_repair, BoundedAnswer, RepairOutcome,
     };
     pub use crate::sampled::{Connectivity, SampledGraph};
     pub use crate::scenario::{Scenario, ScenarioConfig};

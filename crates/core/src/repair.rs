@@ -36,18 +36,11 @@ use crate::engine::QueryPlan;
 use crate::query::{Approximation, QueryKind, QueryRegion};
 use crate::sampled::SampledGraph;
 use crate::sensing::SensingGraph;
-use stq_forms::audit::{audit, conservation_violation, AuditConfig, AuditReport, ComponentSpec};
+use stq_forms::audit::{audit, conservation_violation, AuditReport, ComponentSpec};
 use stq_forms::{
     snapshot_count, static_interval_lower_bound, CountSource, EdgeHealth, Evidence, FormStore,
     Time, TrackingForm,
 };
-
-/// Tuning for the audit-repair pipeline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RepairConfig {
-    /// Detector thresholds passed through to the auditor.
-    pub audit: AuditConfig,
-}
 
 /// Which exact repair was applied to an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,19 +76,16 @@ pub struct RepairOutcome {
 }
 
 /// Audits `store` on `graph`, applies exact repairs in place, and demotes
-/// whatever stays flagged. `horizon` is the observation window the workload
-/// was ingested over.
+/// whatever stays flagged.
 pub fn quarantine_and_repair(
     sensing: &SensingGraph,
     graph: &SampledGraph,
     store: &mut FormStore,
-    horizon: (Time, Time),
-    cfg: &RepairConfig,
 ) -> RepairOutcome {
     let monitored: Vec<usize> =
         graph.monitored().iter().enumerate().filter(|&(_, &m)| m).map(|(e, _)| e).collect();
     let comps = graph.audit_components(sensing);
-    let initial = audit(store, &monitored, &comps, horizon, &cfg.audit);
+    let initial = audit(store, &monitored, &comps);
 
     let mut repaired = Vec::new();
     for &edge in &initial.flagged() {
@@ -118,7 +108,7 @@ pub fn quarantine_and_repair(
         }
     }
 
-    let report = audit(store, &monitored, &comps, horizon, &cfg.audit);
+    let report = audit(store, &monitored, &comps);
     let quarantined = report.flagged();
     // A "repair" that left the edge flagged did not actually restore it.
     repaired.retain(|r| !quarantined.contains(&r.edge));
@@ -266,7 +256,6 @@ mod tests {
         sensing: SensingGraph,
         graph: SampledGraph,
         trajs: Vec<stq_mobility::Trajectory>,
-        horizon: (f64, f64),
     }
 
     fn fixture() -> Fixture {
@@ -281,7 +270,7 @@ mod tests {
         let ids = stq_sampling::sample(stq_sampling::SamplingMethod::QuadTree, &cands, m, 5);
         let faces: Vec<usize> = ids.into_iter().map(|x| x as usize).collect();
         let graph = SampledGraph::from_sensors(&sensing, &faces, Connectivity::Triangulation);
-        Fixture { sensing, graph, trajs, horizon: (0.0, 3_000.0) }
+        Fixture { sensing, graph, trajs }
     }
 
     fn whole_horizon(edge: usize, kind: SensorFaultKind) -> SensorFaultPlan {
@@ -305,25 +294,10 @@ mod tests {
     fn clean_store_needs_no_quarantine() {
         let f = fixture();
         let mut tracked = ingest(&f.sensing, &f.trajs);
-        let out = quarantine_and_repair(
-            &f.sensing,
-            &f.graph,
-            &mut tracked.store,
-            f.horizon,
-            &RepairConfig::default(),
-        );
+        let out = quarantine_and_repair(&f.sensing, &f.graph, &mut tracked.store);
         assert!(out.initial.violations().is_empty(), "clean 1-forms conserve");
         assert!(out.repaired.is_empty());
-        // Silence heuristics may quarantine genuinely quiet edges; that
-        // costs coverage, never correctness — but no conservation or local
-        // evidence may exist.
-        for &e in &out.quarantined {
-            let v = out.report.verdict(e).unwrap();
-            assert!(v.evidence.iter().all(|ev| matches!(
-                ev,
-                Evidence::SilentGap { .. } | Evidence::SilentSibling { .. }
-            )));
-        }
+        assert!(out.quarantined.is_empty(), "quarantined {:?}", out.quarantined);
     }
 
     #[test]
@@ -339,13 +313,7 @@ mod tests {
                 clean.form(edge).timestamps(true),
                 "flip must corrupt edge {edge}"
             );
-            let out = quarantine_and_repair(
-                &f.sensing,
-                &f.graph,
-                &mut tracked.store,
-                f.horizon,
-                &RepairConfig::default(),
-            );
+            let out = quarantine_and_repair(&f.sensing, &f.graph, &mut tracked.store);
             if out.repaired.iter().any(|r| r.edge == edge && r.kind == RepairKind::Unflip) {
                 assert_eq!(
                     tracked.store.form(edge).timestamps(true),
@@ -376,13 +344,7 @@ mod tests {
             tracked.store.form(edge).total(true) + tracked.store.form(edge).total(false)
                 > clean.form(edge).total(true) + clean.form(edge).total(false)
         );
-        let out = quarantine_and_repair(
-            &f.sensing,
-            &f.graph,
-            &mut tracked.store,
-            f.horizon,
-            &RepairConfig::default(),
-        );
+        let out = quarantine_and_repair(&f.sensing, &f.graph, &mut tracked.store);
         assert!(out.repaired.iter().any(|r| r.edge == edge && r.kind == RepairKind::Dedup));
         assert_eq!(tracked.store.form(edge).timestamps(true), clean.form(edge).timestamps(true));
         assert_eq!(tracked.store.form(edge).timestamps(false), clean.form(edge).timestamps(false));
@@ -400,13 +362,7 @@ mod tests {
             if form.is_monotone(true) && form.is_monotone(false) {
                 continue;
             }
-            let out = quarantine_and_repair(
-                &f.sensing,
-                &f.graph,
-                &mut tracked.store,
-                f.horizon,
-                &RepairConfig::default(),
-            );
+            let out = quarantine_and_repair(&f.sensing, &f.graph, &mut tracked.store);
             assert!(out.quarantined.contains(&edge));
             assert!(!out.repaired.iter().any(|r| r.edge == edge));
             return;
@@ -433,13 +389,7 @@ mod tests {
         assert!(!dead.is_empty());
         let plan = SensorFaultPlan::from_faults(3, dead);
         let mut tracked = ingest_with_faults(&f.sensing, &f.trajs, &plan);
-        let out = quarantine_and_repair(
-            &f.sensing,
-            &f.graph,
-            &mut tracked.store,
-            f.horizon,
-            &RepairConfig::default(),
-        );
+        let out = quarantine_and_repair(&f.sensing, &f.graph, &mut tracked.store);
 
         let bb = f.sensing.road().bbox();
         let rect = stq_geom::Rect::from_corners(bb.min.lerp(bb.max, 0.2), bb.min.lerp(bb.max, 0.8));

@@ -43,8 +43,7 @@ fn row(s: &Scenario, g: &SampledGraph, seed: u64, label: &str, mix: SensorFaultM
     let plan = SensorFaultPlan::generate(seed ^ 0xA0D1, &monitored, horizon, mix);
     let injected = plan.corrupted_edges();
     let mut tracked = ingest_with_faults(&s.sensing, &s.trajectories, &plan);
-    let out =
-        quarantine_and_repair(&s.sensing, g, &mut tracked.store, horizon, &RepairConfig::default());
+    let out = quarantine_and_repair(&s.sensing, g, &mut tracked.store);
     let flagged = out.initial.flagged();
     let fp = flagged.iter().filter(|e| !injected.contains(e)).count();
     let caught = injected.iter().filter(|e| flagged.contains(e)).count();
@@ -68,8 +67,13 @@ fn table() -> String {
     for seed in [11u64, 23, 37] {
         let (s, g) = deployment(seed);
         let n = g.num_monitored_edges() as f64;
-        let cocktail =
-            SensorFaultMix { dead: 0.05, duplicating: 0.02, flipped: 0.02, skewed: 0.02, lossy: 0.0 };
+        let cocktail = SensorFaultMix {
+            dead: 0.05,
+            duplicating: 0.02,
+            flipped: 0.02,
+            skewed: 0.02,
+            lossy: 0.0,
+        };
         for (label, mix) in [
             ("none", SensorFaultMix::none()),
             ("dead 1", SensorFaultMix::dead_only(1.0 / n)),

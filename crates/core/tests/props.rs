@@ -174,8 +174,7 @@ proptest! {
             until: f64::INFINITY,
         }).collect());
         let mut tracked = ingest_with_faults(&s.sensing, &s.trajectories, &plan);
-        let out = quarantine_and_repair(&s.sensing, &g, &mut tracked.store,
-                                        (0.0, 1_500.0), &RepairConfig::default());
+        let out = quarantine_and_repair(&s.sensing, &g, &mut tracked.store);
         let untrusted: Vec<usize> = dead.iter().copied()
             .chain(out.repaired.iter().map(|r| r.edge))
             .collect();
@@ -222,11 +221,9 @@ proptest! {
         let plan = SensorFaultPlan::generate(seed ^ 0x1de, &monitored, (0.0, 1_500.0), mix);
         let mut tracked = ingest_with_faults(&s.sensing, &s.trajectories, &plan);
 
-        let first = quarantine_and_repair(&s.sensing, &g, &mut tracked.store,
-                                          (0.0, 1_500.0), &RepairConfig::default());
+        let first = quarantine_and_repair(&s.sensing, &g, &mut tracked.store);
         let once = tracked.store.clone();
-        let second = quarantine_and_repair(&s.sensing, &first.graph, &mut tracked.store,
-                                           (0.0, 1_500.0), &RepairConfig::default());
+        let second = quarantine_and_repair(&s.sensing, &first.graph, &mut tracked.store);
         prop_assert!(second.repaired.is_empty(),
             "second cycle rewrote {} logs on an already-repaired graph",
             second.repaired.len());

@@ -7,7 +7,7 @@
 //! lossy sensor breaks that invariant in ways that are checkable from the
 //! monitored edges alone — no ground-truth oracle, no object identifiers.
 //!
-//! The auditor combines three detectors:
+//! The auditor combines two detectors, and flags only what they prove:
 //!
 //! 1. **Local hard invariants** — each direction's timestamp log must be
 //!    monotone (a sensor observes time in order), and exact duplicate
@@ -17,11 +17,9 @@
 //!    are signed (+1 inward, −1 outward) and prefix-summed in time order; a
 //!    negative running population is impossible for real traffic and
 //!    implicates every boundary edge of the violated component.
-//! 3. **Silence statistics** — a sensor that is dead for a window leaves a
-//!    gap in its event log far larger than its typical inter-event spacing,
-//!    and a sensor that logs *nothing* while its sibling boundary edges are
-//!    busy is most plausibly dead. These are heuristics: they can only cost
-//!    coverage (a healthy-but-quiet edge gets quarantined), never soundness.
+//!
+//! A quiet log is not evidence: a healthy edge may see no traffic for most
+//! of the horizon, so silence alone flags nothing.
 //!
 //! Each monitored edge is classified [`EdgeHealth::Healthy`],
 //! [`EdgeHealth::Suspect`] (questionable but plausibly repairable), or
@@ -42,8 +40,8 @@ pub enum EdgeHealth {
     /// Implicated by conservation violations or duplicate timestamps;
     /// repair (un-flip, dedup) may restore it exactly.
     Suspect,
-    /// Hard invariant broken or dead-sensor signature; the data cannot be
-    /// trusted at any point in the horizon.
+    /// A local invariant broke (the log runs backwards); the data cannot
+    /// be trusted at any point in the horizon.
     Dead,
 }
 
@@ -67,18 +65,6 @@ pub enum Evidence {
         component: usize,
         /// How far below zero the recorded population dipped.
         deficit: f64,
-    },
-    /// The edge's longest silent gap dwarfs its typical spacing.
-    SilentGap {
-        /// Longest gap between consecutive events (horizon-clamped).
-        max_gap: f64,
-        /// Median inter-event gap.
-        median_gap: f64,
-    },
-    /// The edge logged nothing while sibling boundary edges were busy.
-    SilentSibling {
-        /// Events on the busiest sibling edge.
-        busiest_sibling: usize,
     },
 }
 
@@ -120,33 +106,9 @@ pub struct ComponentSpec {
     pub boundary: Vec<(EdgeIdx, bool)>,
 }
 
-/// Tuning knobs for the detectors. Defaults are deliberately conservative:
-/// false positives cost coverage, false negatives cost soundness, so the
-/// silence detectors lean toward flagging.
-#[derive(Clone, Copy, Debug)]
-pub struct AuditConfig {
-    /// Minimum adjacent duplicate-timestamp pairs before an edge is
-    /// suspected of duplication (a lone tie can be a legitimate collision).
-    pub dup_pairs_threshold: usize,
-    /// Silent-gap trigger: `max_gap > gap_factor × median_gap`.
-    pub gap_factor: f64,
-    /// Minimum events on an edge before the gap-ratio test is meaningful.
-    pub min_events_for_gap: usize,
-    /// Events on the busiest sibling edge required before a completely
-    /// silent edge is presumed dead rather than merely quiet.
-    pub silent_sibling_min: usize,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            dup_pairs_threshold: 2,
-            gap_factor: 8.0,
-            min_events_for_gap: 6,
-            silent_sibling_min: 8,
-        }
-    }
-}
+/// Adjacent duplicate-timestamp pairs before an edge is suspected of
+/// duplication (a lone tie can be a legitimate collision).
+const DUP_PAIRS_THRESHOLD: usize = 2;
 
 /// The full audit result: per-edge verdicts plus the raw violations.
 #[derive(Clone, Debug, Default)]
@@ -196,14 +158,12 @@ impl AuditReport {
 ///
 /// `monitored` lists every edge carrying a sensor (local checks run on all
 /// of them); `components` describes the non-exterior components of the
-/// sampled graph with inward-oriented boundaries (conservation and sibling
-/// checks run per component); `horizon` is the observation window.
+/// sampled graph with inward-oriented boundaries (the conservation scan runs
+/// per component).
 pub fn audit(
     store: &FormStore,
     monitored: &[EdgeIdx],
     components: &[ComponentSpec],
-    horizon: (Time, Time),
-    cfg: &AuditConfig,
 ) -> AuditReport {
     let mut evidence: BTreeMap<EdgeIdx, Vec<Evidence>> = BTreeMap::new();
     for &e in monitored {
@@ -220,7 +180,7 @@ pub fn audit(
         }
         let pairs =
             duplicate_pairs(form.timestamps(true)) + duplicate_pairs(form.timestamps(false));
-        if pairs >= cfg.dup_pairs_threshold {
+        if pairs >= DUP_PAIRS_THRESHOLD {
             evidence.get_mut(&e).unwrap().push(Evidence::DuplicateTimestamps { pairs });
         }
     }
@@ -239,46 +199,8 @@ pub fn audit(
         }
     }
 
-    // 3. Silence statistics: gap ratio on busy edges, sibling contrast on
-    // completely silent ones.
-    let mut busiest: BTreeMap<EdgeIdx, usize> = BTreeMap::new();
-    for comp in components {
-        let max_events = comp
-            .boundary
-            .iter()
-            .map(|&(e, _)| store.form(e).total(true) + store.form(e).total(false))
-            .max()
-            .unwrap_or(0);
-        for &(e, _) in &comp.boundary {
-            let b = busiest.entry(e).or_insert(0);
-            *b = (*b).max(max_events);
-        }
-    }
-    for &e in monitored {
-        let form = store.form(e);
-        let n = form.total(true) + form.total(false);
-        if n == 0 {
-            let sib = busiest.get(&e).copied().unwrap_or(0);
-            if sib >= cfg.silent_sibling_min {
-                evidence
-                    .get_mut(&e)
-                    .unwrap()
-                    .push(Evidence::SilentSibling { busiest_sibling: sib });
-            }
-            continue;
-        }
-        if n >= cfg.min_events_for_gap {
-            if let Some((max_gap, median_gap)) = gap_stats(form, horizon) {
-                if median_gap > 0.0 && max_gap > cfg.gap_factor * median_gap {
-                    evidence.get_mut(&e).unwrap().push(Evidence::SilentGap { max_gap, median_gap });
-                }
-            }
-        }
-    }
-
-    // 4. Classify.
-    let verdicts =
-        evidence.into_iter().map(|(edge, evs)| (edge, classify(edge, evs, cfg))).collect();
+    // 3. Classify.
+    let verdicts = evidence.into_iter().map(|(edge, evs)| (edge, classify(edge, evs))).collect();
     AuditReport { verdicts, violations }
 }
 
@@ -316,33 +238,7 @@ fn duplicate_pairs(seq: &[Time]) -> usize {
     sorted.windows(2).filter(|w| w[0] == w[1]).count()
 }
 
-/// (max gap, median gap) over the merged event stream of both directions,
-/// including the leading/trailing silences against the horizon ends.
-fn gap_stats(form: &crate::TrackingForm, horizon: (Time, Time)) -> Option<(f64, f64)> {
-    let mut ts: Vec<Time> =
-        form.timestamps(true).iter().chain(form.timestamps(false)).copied().collect();
-    if ts.is_empty() {
-        return None;
-    }
-    ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (t0, t1) = horizon;
-    let mut gaps = Vec::with_capacity(ts.len() + 1);
-    gaps.push((ts[0] - t0).max(0.0));
-    gaps.extend(ts.windows(2).map(|w| w[1] - w[0]));
-    gaps.push((t1 - ts[ts.len() - 1]).max(0.0));
-    let max_gap = gaps.iter().cloned().fold(0.0, f64::max);
-    // Median over *positive* gaps: duplicated timestamps create zero gaps
-    // that would drag the median to 0 and make every edge look gappy.
-    let mut positive: Vec<f64> = gaps.into_iter().filter(|&g| g > 0.0).collect();
-    if positive.is_empty() {
-        return None;
-    }
-    positive.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = positive[positive.len() / 2];
-    Some((max_gap, median))
-}
-
-fn classify(edge: EdgeIdx, evidence: Vec<Evidence>, cfg: &AuditConfig) -> EdgeVerdict {
+fn classify(edge: EdgeIdx, evidence: Vec<Evidence>) -> EdgeVerdict {
     let mut health = EdgeHealth::Healthy;
     let mut confidence = 0.0f64;
     let mut kinds = 0u32;
@@ -360,11 +256,6 @@ fn classify(edge: EdgeIdx, evidence: Vec<Evidence>, cfg: &AuditConfig) -> EdgeVe
                 conservation_weight += deficit;
                 (EdgeHealth::Suspect, 1.0 - (-conservation_weight).exp())
             }
-            Evidence::SilentGap { max_gap, median_gap } => {
-                let ratio = max_gap / median_gap.max(1e-12);
-                (EdgeHealth::Dead, (1.0 - cfg.gap_factor / ratio).clamp(0.3, 0.95))
-            }
-            Evidence::SilentSibling { .. } => (EdgeHealth::Dead, 0.6),
         };
         if h > health {
             health = h;
@@ -375,7 +266,6 @@ fn classify(edge: EdgeIdx, evidence: Vec<Evidence>, cfg: &AuditConfig) -> EdgeVe
                 Evidence::NonMonotone { .. } => 0,
                 Evidence::DuplicateTimestamps { .. } => 1,
                 Evidence::Conservation { .. } => 2,
-                Evidence::SilentGap { .. } | Evidence::SilentSibling { .. } => 3,
             };
     }
     // Independent detector families agreeing is stronger than either alone.
@@ -411,7 +301,7 @@ mod tests {
     }
 
     fn run(store: &FormStore) -> AuditReport {
-        audit(store, &[0, 1], &[two_edge_component()], (0.0, 100.0), &AuditConfig::default())
+        audit(store, &[0, 1], &[two_edge_component()])
     }
 
     #[test]
@@ -443,13 +333,17 @@ mod tests {
     }
 
     #[test]
-    fn dead_edge_detected_by_conservation_and_silence() {
+    fn dead_edge_detected_by_conservation() {
         let mut s = clean_store(8);
         s.set_form(0, TrackingForm::new()); // sensor 0 dead: exits unmatched
         let report = run(&s);
         assert!(!report.violations().is_empty());
-        assert_eq!(report.health(0), EdgeHealth::Dead, "silent while sibling busy");
-        assert!(report.confidence(0) >= 0.6);
+        // Conservation implicates the whole boundary, and only conservation.
+        for e in [0, 1] {
+            let v = report.verdict(e).unwrap();
+            assert_eq!(v.health, EdgeHealth::Suspect);
+            assert!(v.evidence.iter().all(|ev| matches!(ev, Evidence::Conservation { .. })));
+        }
     }
 
     #[test]
@@ -487,32 +381,6 @@ mod tests {
             .evidence
             .iter()
             .any(|e| matches!(e, Evidence::DuplicateTimestamps { pairs } if *pairs >= 8)));
-    }
-
-    #[test]
-    fn dead_window_detected_by_gap() {
-        // Sensor alive 0–30 and 470–500 of a 500 s horizon: huge mid gap.
-        let mut s = FormStore::new(2);
-        let e0: Vec<f64> =
-            (0..6).map(|k| k as f64 * 5.0).chain((0..6).map(|k| 470.0 + k as f64 * 5.0)).collect();
-        s.set_form(0, TrackingForm::from_sequences(e0, Vec::new()));
-        // Edge 1 keeps steady traffic the whole horizon so only edge 0 gaps.
-        let exits: Vec<f64> = (0..6)
-            .map(|k| k as f64 * 5.0 + 1.0)
-            .chain((0..40).map(|k| 41.0 + k as f64 * 10.0))
-            .chain((0..6).map(|k| 471.0 + k as f64 * 5.0))
-            .collect();
-        let entries: Vec<f64> = (0..40).map(|k| 40.0 + k as f64 * 10.0).collect();
-        s.set_form(1, TrackingForm::from_sequences(exits, entries));
-        let report =
-            audit(&s, &[0, 1], &[two_edge_component()], (0.0, 500.0), &AuditConfig::default());
-        assert_eq!(report.health(0), EdgeHealth::Dead);
-        assert!(report
-            .verdict(0)
-            .unwrap()
-            .evidence
-            .iter()
-            .any(|e| matches!(e, Evidence::SilentGap { .. })));
     }
 
     #[test]

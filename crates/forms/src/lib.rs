@@ -33,9 +33,7 @@ pub mod oracle;
 pub mod privacy;
 pub mod query;
 
-pub use audit::{
-    audit, AuditConfig, AuditReport, ComponentSpec, EdgeHealth, EdgeVerdict, Evidence, Violation,
-};
+pub use audit::{audit, AuditReport, ComponentSpec, EdgeHealth, EdgeVerdict, Evidence, Violation};
 pub use columnar::ColumnarBatch;
 pub use form::{events_until, CountSource, FormStore, ShardForms, TrackingForm};
 pub use oracle::OracleTracker;

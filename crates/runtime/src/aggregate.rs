@@ -70,7 +70,8 @@ pub struct ServedAnswer {
     pub plan_cache_hit: bool,
     /// Time spent obtaining the plan (cache lookup + compile on a miss).
     pub plan_latency: Duration,
-    /// End-to-end latency.
+    /// End-to-end latency: from submission, queue wait included, to the
+    /// answer going out.
     pub latency: Duration,
     /// The query's deadline elapsed before it finished: the answer was
     /// short-circuited (no fan-out) or clamped mid-fan-out. The bracket is
@@ -87,7 +88,6 @@ pub struct ServedAnswer {
 /// One query with its plan in hand — what every answer is built from.
 struct Planned {
     id: u64,
-    start: Instant,
     plan: Arc<QueryPlan>,
     plan_cache_hit: bool,
     plan_latency: Duration,
@@ -96,7 +96,7 @@ struct Planned {
 impl Planned {
     /// The miss plan of a region refused before planning: nothing was
     /// looked up or compiled.
-    fn refused(id: u64, start: Instant) -> Self {
+    fn refused(id: u64) -> Self {
         let plan = QueryPlan {
             id: PlanId(0),
             interior: Vec::new(),
@@ -104,20 +104,14 @@ impl Planned {
             nodes_accessed: 0,
             miss: true,
         };
-        Planned {
-            id,
-            start,
-            plan: Arc::new(plan),
-            plan_cache_hit: false,
-            plan_latency: Duration::ZERO,
-        }
+        Planned { id, plan: Arc::new(plan), plan_cache_hit: false, plan_latency: Duration::ZERO }
     }
 }
 
 /// Resolves the region and derives the boundary chain — or reuses a cached
 /// plan for a region the runtime has served before — and accounts for it,
 /// so the runtime's plan counters move in step with the engine's.
-fn plan_for(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Planned {
+fn plan_for(st: &ServerState, id: u64, spec: &QuerySpec) -> Planned {
     let metrics = &st.shared.metrics;
     let plan_t0 = clock::now();
     let shared = &st.shared;
@@ -130,13 +124,13 @@ fn plan_for(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Plan
     } else {
         &metrics.plan_cache_misses
     });
-    Planned { id, start, plan, plan_cache_hit, plan_latency }
+    Planned { id, plan, plan_cache_hit, plan_latency }
 }
 
 impl ServedAnswer {
     /// The serving graph cannot cover the region: nothing to count, nothing
     /// to bracket. Also the all-zero answer the other constructors start
-    /// from.
+    /// from; [`settle`] stamps the latency.
     fn miss(p: &Planned, expired: bool) -> Self {
         ServedAnswer {
             query_id: p.id,
@@ -153,7 +147,7 @@ impl ServedAnswer {
             confidence: 0.0,
             plan_cache_hit: p.plan_cache_hit,
             plan_latency: p.plan_latency,
-            latency: clock::since(p.start),
+            latency: Duration::ZERO,
             expired,
             brownout: 0,
         }
@@ -317,11 +311,10 @@ pub(crate) fn answer_expired(st: &ServerState, job: Job) {
 /// so even a budget-starved client gets honest bounds.
 fn start(st: &ServerState, job: &Job, live: bool) -> Result<Planned, ServedAnswer> {
     let (id, spec) = (job.id, &job.spec);
-    let start = clock::now();
-    let expired = !live || spec.deadline.is_some_and(|dl| start >= dl);
+    let expired = !live || spec.deadline.is_some_and(|dl| clock::now() >= dl);
     // A region built on another graph is a plain miss: no plan, no consult.
     let foreign = st.foreign(&spec.region);
-    let p = if foreign { Planned::refused(id, start) } else { plan_for(st, id, spec, start) };
+    let p = if foreign { Planned::refused(id) } else { plan_for(st, id, spec) };
     if p.plan.miss {
         // The degraded answerer may still certify a bracket on the graph
         // rerouted around the quarantine.
@@ -335,8 +328,10 @@ fn start(st: &ServerState, job: &Job, live: bool) -> Result<Planned, ServedAnswe
     }
 }
 
-/// Records a job's answer, releases its admission reservation and replies.
-fn settle(st: &ServerState, job: &Job, answer: ServedAnswer) {
+/// Stamps a job's latency from its submission, records the answer,
+/// releases its admission reservation and replies.
+fn settle(st: &ServerState, job: &Job, mut answer: ServedAnswer) {
+    answer.latency = clock::since(job.submitted);
     record_served(st, &answer);
     if let Some(ov) = st.overload.as_ref() {
         ov.release(job.cost_milli);

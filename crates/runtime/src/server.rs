@@ -224,6 +224,8 @@ impl PendingAnswer {
 pub(crate) struct Job {
     pub id: u64,
     pub spec: QuerySpec,
+    /// When the client submitted it: the answer's latency runs from here.
+    pub submitted: Instant,
     /// Admission-gate reservation (milli cost units) to release once the
     /// answer is out; 0 for jobs that never passed the gate.
     pub cost_milli: u64,
@@ -489,7 +491,8 @@ impl Runtime {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel::bounded(1);
-        (Job { id, spec, cost_milli, reply: tx }, PendingAnswer(rx))
+        let submitted = clock::now();
+        (Job { id, spec, submitted, cost_milli, reply: tx }, PendingAnswer(rx))
     }
 
     /// Enqueues a query; blocks only when the submission queue is full.

@@ -276,6 +276,35 @@ fn a_budget_past_the_clocks_range_sets_no_deadline() {
     rt.shutdown();
 }
 
+/// A query's latency runs from its submission: one that waits in the queue
+/// behind a slow query carries that wait. One dispatcher, one shard held up
+/// 1 ms an edge, on virtual time: the second query is submitted 1 ms into
+/// the first's fan-out and is dequeued only once the first is answered.
+#[test]
+fn a_queued_query_counts_its_wait_in_its_latency() {
+    let _virtual = clock::virtual_time();
+    let f = fixture();
+    let rt = slow_runtime(f, 4);
+    let spec = covered_spec(f, 8, 61);
+
+    let t0 = clock::now();
+    let first = rt.submit(spec.clone());
+    clock::sleep(Duration::from_millis(1));
+    let second = rt.submit(spec.clone());
+    let first = first.wait();
+    // How long the second query had been queued when the first came back.
+    let queued = clock::since(t0) - Duration::from_millis(1);
+    let second = second.wait();
+    assert!(queued >= Duration::from_millis(7), "the first query fans out for ≥ 8 ms");
+    assert!(
+        second.latency >= queued + first.latency,
+        "queued {queued:?} behind a query of {:?}, yet the second's latency reads {:?}",
+        first.latency,
+        second.latency
+    );
+    rt.shutdown();
+}
+
 #[test]
 fn expired_deadline_job_never_reaches_a_shard() {
     let f = fixture();

@@ -281,6 +281,26 @@ fn overload_keeps_only_the_rungs_a_cell_rewards() {
 }
 
 #[test]
+fn the_audit_flags_only_what_it_proves() {
+    assert_absent(&Guard {
+        rule: "the sensor audit flags what conservation and the local invariants prove: a \
+               quiet log is not evidence (the silence detectors flagged over half the links \
+               of a healthy deployment), so neither they nor the knobs and config types that \
+               tuned them come back",
+        patterns: &[
+            "SilentGap",
+            "SilentSibling",
+            "AuditConfig",
+            "RepairConfig",
+            "gap_factor",
+            "silent_sibling_min",
+        ],
+        roots: &["crates", "examples"],
+        except: &[],
+    });
+}
+
+#[test]
 fn recovery_and_migration_rebuild_nothing_they_cannot_change() {
     assert_absent(&Guard {
         rule: "a plan is a region resolved on the one graph pair a runtime serves for its life, \
