@@ -182,10 +182,9 @@ chaos: one root seed, --chaos-seed S, drives message, sensor, and
 a flag the command does not read, or a repeated flag, is refused
 sensor-fault flags (fractions of monitored links): --dead F --lossy F
   --dup-sensors F --flip F --skew F; serve quarantines what the audit flags
-  --impute 1 answers through quarantine on the graph rerouted around it
-  instead of worst-case widening, certifies standing brackets by
-  conservation-residual imputation, and follows the quarantine a lost
-  shard history grows
+  --impute 1 answers queries through quarantine on the graph rerouted
+  around it instead of worst-case widening, and follows the quarantine a
+  lost shard history grows; standing brackets keep the widening
 methods: uniform|systematic|stratified|kdtree|quadtree";
 
 /// Parses `--<flag>` as a fraction in `[0, 1]` (`default` when absent).
@@ -587,8 +586,7 @@ impl ServeOpts {
         let subscribe_area = area_from(args, "subscribe-area", area)?;
         // Degraded-mode answering is opt-in: it trades the default
         // worst-case widening on quarantined boundaries for the rerouted
-        // graph's honest brackets, and certifies standing brackets by
-        // conservation-residual imputation.
+        // graph's honest brackets. Standing brackets keep the widening.
         let impute = switch_from(args, "impute")?;
         if impute && chaos.sensor_mix.total() == 0.0 {
             return Err(CliError::Usage(
@@ -720,15 +718,6 @@ fn subscribe_standing(
         "standing: registered {} subscriptions ({unresolvable} unresolvable)",
         handles.len()
     )?;
-    // Imputation can certify flow intervals on quarantined links before
-    // any live event arrives, tightening every standing bracket at once
-    // (still containing the truth).
-    if opts.cfg.degraded && !handles.is_empty() {
-        let certified = rt.certify_standing_brackets(1.0e12);
-        if certified > 0 {
-            writeln!(out, "standing: imputation certified {certified} quarantined links")?;
-        }
-    }
     Ok(handles)
 }
 
@@ -1234,6 +1223,30 @@ mod tests {
         assert!(out.contains("sensor faults:"), "{out}");
         assert!(out.contains("degraded_mode:"), "metrics must report strategies:\n{out}");
         assert!(out.contains("quarantined_edges"), "{out}");
+    }
+
+    #[test]
+    fn impute_leaves_standing_brackets_alone() {
+        // `--impute` moves served answers only: the standing fold widens a
+        // quarantined link by its recorded totals with the ladder on or off.
+        let standing_rows = |impute: &str| {
+            let out = run_cmd(&[
+                "serve",
+                "--subscribe",
+                "16",
+                "--dead",
+                "0.05",
+                "--seed",
+                "23",
+                "--impute",
+                impute,
+            ]);
+            let rows: Vec<String> =
+                out.lines().filter(|l| l.starts_with("sub-")).map(String::from).collect();
+            assert!(!rows.is_empty(), "{out}");
+            rows
+        };
+        assert_eq!(standing_rows("0"), standing_rows("1"));
     }
 
     #[test]

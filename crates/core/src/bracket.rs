@@ -21,7 +21,9 @@
 use crate::query::QueryKind;
 
 /// A running estimate with sound bounds: `lo ≤ truth ≤ hi`, and
-/// `lo ≤ est ≤ hi` as long as every certified interval contained 0.
+/// `lo ≤ est ≤ hi` after every fold (a reported term moves all three, an
+/// unreported one contributes 0 to `est` and an interval around 0 to the
+/// bounds).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Bracket {
     /// The point estimate: the sum of the reported terms (unreported edges
@@ -49,15 +51,6 @@ impl Bracket {
         self.hi += total_in;
     }
 
-    /// Folds in an unreported edge whose net inward count is additionally
-    /// certified to lie in `[cert_lo, cert_hi]`: the lifetime worst case
-    /// intersected with the certificate, so a certificate only ever
-    /// tightens the widening.
-    pub fn add_certified(&mut self, total_in: f64, total_out: f64, cert_lo: f64, cert_hi: f64) {
-        self.lo += (-total_out).max(cert_lo);
-        self.hi += total_in.min(cert_hi);
-    }
-
     /// One more crossing on a *reported* edge: the exact term, and with it
     /// every component, moves by +1 (`entered`) or −1.
     pub fn shift(&mut self, entered: bool) {
@@ -66,9 +59,7 @@ impl Bracket {
 
     /// One more crossing on an *unreported* edge: the lifetime total in
     /// that direction grew by one, so the matching bound widens by exactly
-    /// 1 and the estimate stays put. Certified edges follow the same rule —
-    /// each event since certification loosens the certificate's endpoint
-    /// in lockstep with the worst case's.
+    /// 1 and the estimate stays put.
     pub fn widen(&mut self, entered: bool) {
         if entered {
             self.hi += 1.0;

@@ -19,26 +19,13 @@
 //! surviving monitored edges carry intact data — the contract of
 //! [`crate::repair::answer_with_bounds`] on the rerouted graph.
 //!
-//! ## Certificates
-//!
-//! The answerer also builds the quarantine's [`Imputer`]: certified
-//! net-flow intervals for the quarantined edges, which tighten standing
-//! subscription brackets. It is no answer route: on counts that obey
-//! conservation its intervals narrowed no rerouted bracket in the
-//! `stq-core` property tests or the sensor-failure sweep (EXPERIMENTS.md).
-//! Its caps come from the demoted graph, which always contains a fine face,
-//! and the rerouted graph, which caps tighter where one of its components
-//! contains the face (a detour may split one).
-//!
 //! ## One generation of the quarantine
 //!
 //! An answerer is a pure function of the fine graph and one quarantine list:
-//! it owns what that list changes — the rerouted graph, its plan cache and
-//! the imputer — and nothing else. A holder whose quarantine grows builds a
-//! new answerer.
+//! it owns what that list changes — the rerouted graph and its plan cache —
+//! and nothing else. A holder whose quarantine grows builds a new answerer.
 
 use crate::engine::QueryEngine;
-use crate::impute::Imputer;
 use crate::query::{Approximation, QueryKind, QueryRegion};
 use crate::repair::{bounds_from_plans, BoundedAnswer};
 use crate::sampled::SampledGraph;
@@ -82,12 +69,10 @@ pub struct DegradedAnswer {
 }
 
 /// The degraded-mode answering subsystem of one quarantine generation: owns
-/// the rerouted graph, the plan-caching [`QueryEngine`] of its plans and the
-/// imputation constraint system.
+/// the rerouted graph and the plan-caching [`QueryEngine`] of its plans.
 pub struct DegradedAnswerer {
     rerouted: SampledGraph,
     engine: QueryEngine,
-    imputer: Option<Imputer>,
     /// What every answer is labelled: [`DegradedStrategy::None`] when the
     /// quarantine holds no edge the fine graph monitors.
     strategy: DegradedStrategy,
@@ -97,7 +82,6 @@ impl std::fmt::Debug for DegradedAnswerer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DegradedAnswerer")
             .field("rerouted_monitored", &self.rerouted.num_monitored_edges())
-            .field("imputer", &self.imputer.as_ref().map(|i| i.num_constraints()))
             .finish()
     }
 }
@@ -108,28 +92,17 @@ impl DegradedAnswerer {
     /// counts: the rerouted graph monitors none of them.
     pub fn new(sensing: &SensingGraph, fine: &SampledGraph, quarantined: &[usize]) -> Self {
         let rerouted = fine.reroute_around(sensing, quarantined);
-        let imputer = (!quarantined.is_empty()).then(|| {
-            let demoted = fine.demote_edges(sensing, quarantined);
-            Imputer::new(sensing, fine, &[&demoted, &rerouted], quarantined)
-        });
         let strategy = if quarantined.iter().any(|&e| fine.monitored()[e]) {
             DegradedStrategy::MultiFaceDetour
         } else {
             DegradedStrategy::None
         };
-        DegradedAnswerer { rerouted, engine: QueryEngine::new(PLAN_CACHE), imputer, strategy }
+        DegradedAnswerer { rerouted, engine: QueryEngine::new(PLAN_CACHE), strategy }
     }
 
     /// The rerouted graph (for inspection and reuse by callers).
     pub fn rerouted(&self) -> &SampledGraph {
         &self.rerouted
-    }
-
-    /// The conservation-residual imputer, for a non-empty quarantine.
-    /// Callers use it to certify per-edge flow intervals (e.g. to tighten
-    /// standing subscription brackets).
-    pub fn imputer(&self) -> Option<&Imputer> {
-        self.imputer.as_ref()
     }
 
     /// Answers one query with the rerouted graph's bracket. `store`'s

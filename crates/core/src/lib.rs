@@ -49,7 +49,6 @@ pub mod cost;
 pub mod degraded;
 pub mod engine;
 pub mod geometric;
-pub mod impute;
 pub mod learned_store;
 pub mod query;
 pub mod render;
@@ -63,7 +62,6 @@ pub mod tracker;
 pub use bracket::Bracket;
 pub use degraded::{DegradedAnswer, DegradedAnswerer, DegradedStrategy};
 pub use engine::{EngineStats, PlanId, QueryEngine, QueryPlan};
-pub use impute::{ImputedInterval, Imputer};
 pub use learned_store::LearnedStore;
 pub use query::{
     answer, ground_truth, relative_error, Approximation, QueryKind, QueryOutcome, QueryRegion,
@@ -84,7 +82,6 @@ pub mod prelude {
     pub use crate::degraded::{DegradedAnswer, DegradedAnswerer, DegradedStrategy};
     pub use crate::engine::{EngineStats, PlanId, QueryEngine, QueryPlan};
     pub use crate::geometric::Subdivision;
-    pub use crate::impute::{ImputedInterval, Imputer};
     pub use crate::learned_store::LearnedStore;
     pub use crate::query::{
         answer, ground_truth, relative_error, Approximation, QueryKind, QueryOutcome, QueryRegion,

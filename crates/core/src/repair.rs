@@ -2,7 +2,7 @@
 //!
 //! The integrity auditor ([`stq_forms::audit()`]) classifies each monitored
 //! edge `Healthy`, `Suspect`, or `Dead`. This layer decides what to *do*
-//! about it, in three escalating steps:
+//! about it, in two escalating steps:
 //!
 //! 1. **Exact repair.** Two corruption modes are information-preserving and
 //!    can be inverted in place: a flipped sensor (swap the two sequences
@@ -19,13 +19,6 @@
 //!    integrated, so no finite per-edge fallback interval is needed (none
 //!    exists: an object cycling through one edge makes its net flow
 //!    unbounded).
-//! 3. **Interval re-solve.** For an isolated quarantined edge whose two
-//!    adjacent components have otherwise healthy boundaries, conservation
-//!    of those components pins the edge's net flow to
-//!    `[−S₁(t), S₂(t)]` ([`crate::impute`] computes it, and narrows chains
-//!    of quarantined edges too); when the merged population is zero, the
-//!    interval collapses to a point and the edge's net count is determined
-//!    exactly despite the corruption.
 //!
 //! [`answer_with_bounds`] then brackets every query kind between the
 //! demoted graph's lower and upper resolutions, which is how faulty serving

@@ -17,7 +17,6 @@ const KINDS: [QueryKind; 3] =
 enum Term {
     Exact { a: f64, b: f64 },
     Unknown { total_in: f64, total_out: f64, truth: (f64, f64) },
-    Certified { total_in: f64, total_out: f64, cert: (f64, f64), truth: (f64, f64) },
 }
 
 /// `lo + frac·(hi − lo)` on integers, so every sum below stays exact.
@@ -26,34 +25,16 @@ fn pick(lo: i64, hi: i64, frac: u32) -> f64 {
 }
 
 fn term() -> impl Strategy<Value = Term> {
-    (
-        (0u8..3, 0i64..30, 0i64..30),
-        (0u32..=100, 0u32..=100, 0u32..=100, 0u32..=100),
-        (0i64..4, 0i64..4),
-    )
-        .prop_map(|((kind, tin, tout), (p, q, ta, tb), (slack_lo, slack_hi))| {
-            let (total_in, total_out) = (tin as f64, tout as f64);
-            match kind {
-                0 => Term::Exact { a: pick(-tout, tin, p), b: pick(-tout, tin, q) },
-                1 => Term::Unknown {
-                    total_in,
-                    total_out,
-                    truth: (pick(-tout, tin, ta), pick(-tout, tin, tb)),
-                },
-                _ => {
-                    // A certificate that meets the worst case somewhere.
-                    let (x, y) = (pick(-tout, tin, p) as i64, pick(-tout, tin, q) as i64);
-                    let (lo, hi) = (x.min(y) - slack_lo, x.max(y) + slack_hi);
-                    let (meet_lo, meet_hi) = (lo.max(-tout), hi.min(tin));
-                    Term::Certified {
-                        total_in,
-                        total_out,
-                        cert: (lo as f64, hi as f64),
-                        truth: (pick(meet_lo, meet_hi, ta), pick(meet_lo, meet_hi, tb)),
-                    }
-                }
+    (any::<bool>(), 0i64..30, 0i64..30, (0u32..=100, 0u32..=100)).prop_map(
+        |(exact, tin, tout, (p, q))| {
+            let (a, b) = (pick(-tout, tin, p), pick(-tout, tin, q));
+            if exact {
+                Term::Exact { a, b }
+            } else {
+                Term::Unknown { total_in: tin as f64, total_out: tout as f64, truth: (a, b) }
             }
-        })
+        },
+    )
 }
 
 fn bits(b: Bracket) -> [u64; 3] {
@@ -65,14 +46,12 @@ proptest! {
 
     /// If every edge's true term lies in the interval its step added, the
     /// true sum lies in `[lo, hi]` after every step and after `finish` for
-    /// all three kinds. The estimate stays inside too for as long as every
-    /// certificate contained 0 — an unreported edge contributes 0 to `est`,
-    /// so a certificate that excludes 0 can move the bounds past it.
+    /// all three kinds, and so does the estimate: an unreported edge
+    /// contributes 0 to it and an interval around 0 to the bounds.
     #[test]
     fn every_step_and_finish_are_sound(terms in proptest::collection::vec(term(), 0..24)) {
         let (mut a, mut b) = (Bracket::default(), Bracket::default());
         let (mut truth_a, mut truth_b) = (0.0f64, 0.0f64);
-        let mut est_inside = true;
         for t in terms {
             match t {
                 Term::Exact { a: ta, b: tb } => {
@@ -87,17 +66,10 @@ proptest! {
                     truth_a += truth.0;
                     truth_b += truth.1;
                 }
-                Term::Certified { total_in, total_out, cert, truth } => {
-                    a.add_certified(total_in, total_out, cert.0, cert.1);
-                    b.add_certified(total_in, total_out, cert.0, cert.1);
-                    truth_a += truth.0;
-                    truth_b += truth.1;
-                    est_inside &= cert.0 <= 0.0 && 0.0 <= cert.1;
-                }
             }
             for (br, truth) in [(a, truth_a), (b, truth_b)] {
                 prop_assert!(br.lo <= truth && truth <= br.hi, "{br:?} excludes {truth}");
-                prop_assert!(!est_inside || (br.lo <= br.est && br.est <= br.hi), "{br:?}");
+                prop_assert!(br.lo <= br.est && br.est <= br.hi, "{br:?}");
             }
         }
         for kind in KINDS {
@@ -107,42 +79,31 @@ proptest! {
                 _ => truth_a,
             };
             prop_assert!(done.lo <= truth && truth <= done.hi, "{kind:?}: {done:?} vs {truth}");
-            prop_assert!(!est_inside || (done.lo <= done.est && done.est <= done.hi), "{done:?}");
+            prop_assert!(done.lo <= done.est && done.est <= done.hi, "{done:?}");
         }
     }
 
     /// A bracket advanced event by event with `shift` / `widen` is
     /// bit-identical to one re-folded from the counts after each event —
-    /// on reported, unknown and certified edges alike.
+    /// on reported and unknown edges alike.
     #[test]
     fn delta_steps_equal_a_refold_bitwise(
-        edges in proptest::collection::vec((0u8..3, 0u32..40, 0u32..40, -5i64..5, 0i64..6), 1..12),
+        edges in proptest::collection::vec((any::<bool>(), 0u32..40, 0u32..40), 1..12),
         events in proptest::collection::vec((0usize..12, 0u8..2), 0..64),
     ) {
-        // Per edge: kind, inward and outward crossing counts, and (for
-        // certified edges) the certificate with the counts it was cut at.
-        struct Edge { kind: u8, inn: f64, out: f64, cert: (f64, f64), base: (f64, f64) }
+        // Per edge: reported or not, and its inward and outward crossings.
+        struct Edge { exact: bool, inn: f64, out: f64 }
         let mut edges: Vec<Edge> = edges
             .into_iter()
-            .map(|(kind, inn, out, lo, width)| {
-                let (inn, out) = (f64::from(inn), f64::from(out));
-                Edge { kind, inn, out, cert: (lo as f64, (lo + width) as f64), base: (inn, out) }
-            })
+            .map(|(exact, inn, out)| Edge { exact, inn: f64::from(inn), out: f64::from(out) })
             .collect();
         let refold = |edges: &[Edge]| {
             let mut b = Bracket::default();
             for e in edges {
-                match e.kind {
-                    0 => b.add_exact(e.inn - e.out),
-                    1 => b.add_unknown(e.inn, e.out),
-                    // Each exit since certification can lower the net by 1,
-                    // each entry raise it by 1.
-                    _ => b.add_certified(
-                        e.inn,
-                        e.out,
-                        e.cert.0 - (e.out - e.base.1),
-                        e.cert.1 + (e.inn - e.base.0),
-                    ),
+                if e.exact {
+                    b.add_exact(e.inn - e.out);
+                } else {
+                    b.add_unknown(e.inn, e.out);
                 }
             }
             b
@@ -155,7 +116,7 @@ proptest! {
             } else {
                 edges[at].out += 1.0;
             }
-            if edges[at].kind == 0 {
+            if edges[at].exact {
                 running.shift(entered);
             } else {
                 running.widen(entered);

@@ -110,13 +110,12 @@ pub struct RuntimeConfig {
     pub plan_cache: usize,
     /// Degraded-mode answering over the quarantined deployment: the bracket
     /// of the sampled graph rerouted around the quarantine by multi-face
-    /// detours (`stq_core::degraded`), and conservation-interval certificates
-    /// for standing brackets ([`Runtime::certify_standing_brackets`]).
-    /// `false` (the default) keeps the
-    /// classic worst-case-totals degradation, which stays **bitwise
-    /// identical** to the standing-subscription fold — turning this on
-    /// trades that equivalence for far tighter brackets on
-    /// quarantine-degraded answers. The ladder follows the live quarantine:
+    /// detours (`stq_core::degraded`). It moves served answers only: the
+    /// standing-subscription fold is the same with the flag on or off.
+    /// `false` (the default) keeps the classic worst-case-totals
+    /// degradation, which stays **bitwise identical** to the standing fold
+    /// — turning this on trades that equivalence for far tighter brackets
+    /// on quarantine-degraded answers. The ladder follows the live quarantine:
     /// it is built from the start-up quarantine, and the supervisor builds
     /// the next one whenever a lost history flags more edges, before the
     /// shard serves again. It reads live counts, before and after ingest
@@ -413,29 +412,6 @@ impl Runtime {
     /// epoch protocol. Returns the new epoch.
     pub fn resnapshot_subscriptions(&self) -> u64 {
         self.st().shared.resnapshot([])
-    }
-
-    /// Certifies quarantined-edge flow intervals into the subscription
-    /// registry from the degraded-mode imputer, then re-snapshots so every
-    /// standing bracket tightens at once. The registry evaluates the imputer
-    /// under its lock over its mirror of the accepted counts
-    /// ([`SubscriptionRegistry::certify_imputed`](stq_subscribe::SubscriptionRegistry::certify_imputed)):
-    /// those are the counts at any `t` at or past every edge-direction
-    /// watermark, where net flow at `t` is the lifetime net flow the registry
-    /// folds — so it refuses any other `t`. Works before and after ingest
-    /// alike. Returns how many edges were certified; 0 when degraded mode is
-    /// off, `t` is behind a watermark, or the imputer found no finite
-    /// interval.
-    pub fn certify_standing_brackets(&self, t: f64) -> usize {
-        let shared = &self.st().shared;
-        let Some(slot) = shared.ladder.as_ref() else { return 0 };
-        let deg = Arc::clone(&slot.lock().answerer);
-        let Some(imp) = deg.imputer() else { return 0 };
-        let installed = shared.subs.certify_imputed(imp, t);
-        if installed > 0 {
-            self.resnapshot_subscriptions();
-        }
-        installed
     }
 
     /// Cumulative events routed to each shard by the shard map — the

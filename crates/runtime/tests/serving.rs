@@ -712,29 +712,3 @@ fn degraded_ladder_after_ingest_matches_the_synchronous_answerer() {
     assert!(escalated[1] > 0, "some query past the stream must escalate: {escalated:?}");
     rt.shutdown();
 }
-
-#[test]
-fn certifying_behind_a_watermark_installs_nothing() {
-    // Certificates bound the lifetime net flow the standing fold widens, and
-    // the registry's mirror holds that flow only from the last event on: an
-    // instant inside the start-up history is refused, not certified.
-    let f = fixture();
-    let rt = Runtime::with_quarantine(
-        f.scenario.sensing.clone(),
-        f.sampled.clone(),
-        store(f),
-        RuntimeConfig { degraded: true, ..RuntimeConfig::default() },
-        &every_seventh_monitored(f),
-    );
-    let region = f.scenario.make_queries(1, 0.3, 1_500.0, 7).remove(0).0;
-    let sub = rt.subscribe(region, Approximation::Lower).expect("the region resolves");
-    assert_eq!(rt.certify_standing_brackets(1_500.0), 0, "inside the history");
-    assert_eq!(rt.certify_standing_brackets(f64::NAN), 0);
-    let untouched = rt.standing_bracket(sub.id).expect("live");
-    assert_eq!((untouched.epoch, untouched.lower, untouched.upper), {
-        let b = sub.baseline;
-        (b.epoch, b.lower, b.upper)
-    });
-    assert!(rt.certify_standing_brackets(1.0e12) > 0, "past every event the imputer certifies");
-    rt.shutdown();
-}

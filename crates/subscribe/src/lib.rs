@@ -47,16 +47,6 @@
 //!   for late-dropped events). The registry applies the same rule as a
 //!   delta: an inward event adds 1 to `upper`, an outward event subtracts 1
 //!   from `lower`, and `value` stays put.
-//! - A quarantined edge that carries a **certified interval** contributes
-//!   the intersection of that interval — widened by the events since
-//!   certification — with the lifetime worst case. Both intersection
-//!   endpoints move in lockstep with the worst case under new events, so
-//!   the same ±1 delta rule keeps delta-maintained and re-snapshot brackets
-//!   bit-identical. Certificates are computed under the registry lock from
-//!   the mirror ([`SubscriptionRegistry::certify_imputed`] runs the
-//!   degraded-mode imputer over the accepted counts), so an interval and
-//!   the totals it is widened from describe one instant of the stream, and
-//!   certifying works as well after ingest as before it.
 //!
 //! All counts are integers, every intermediate is far below 2⁵³, and the
 //! baseline fold visits boundary edges in plan order — so float addition is
@@ -97,7 +87,7 @@
 //! An event on an edge no subscription listens on touches only its totals
 //! and its mirror watermark and count.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,12 +96,11 @@ use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use stq_core::bracket::Bracket;
 use stq_core::engine::{PlanId, QueryEngine, QueryPlan};
-use stq_core::impute::Imputer;
 use stq_core::query::{Approximation, QueryRegion};
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
 use stq_core::tracker::Crossing;
-use stq_forms::{CountSource, FormStore, Time};
+use stq_forms::FormStore;
 
 /// Stable handle of one standing subscription.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -251,18 +240,6 @@ impl Subscription {
     }
 }
 
-/// A certified net-flow interval for one quarantined edge, installed by
-/// [`SubscriptionRegistry::certify_imputed`]: at certify time the edge's net
-/// forward flow provably lay in `[lo, hi]`. `base` snapshots the lifetime
-/// totals at that moment, under the same lock, so later events widen the
-/// certificate soundly (each forward event can raise the net by at most 1,
-/// each backward event lower it by at most 1).
-struct Certificate {
-    lo: f64,
-    hi: f64,
-    base: [u64; 2],
-}
-
 /// The registry's replica of shard count state: what the shards have
 /// *applied*, not merely what was sent to them.
 struct Mirror {
@@ -272,26 +249,6 @@ struct Mirror {
     /// the accept predicate is `time >= watermark`, the same comparison
     /// `apply_crossing` makes against the form's last timestamp.
     watermark: Vec<[f64; 2]>,
-    /// Certified intervals for quarantined edges: the fold intersects each
-    /// with the lifetime worst case, so certificates only ever *tighten*
-    /// the widening. Both intersection endpoints move in lockstep with the
-    /// worst case under new events, which keeps the ±1 delta rule bitwise
-    /// exact.
-    certs: HashMap<usize, Certificate>,
-}
-
-/// The mirror's accepted counts as a [`CountSource`]: each edge direction's
-/// count at any instant at or past its watermark.
-struct Accepted<'a>(&'a [[u64; 2]]);
-
-impl CountSource for Accepted<'_> {
-    fn count_until(&self, edge: usize, forward: bool, _t: Time) -> f64 {
-        self.0[edge][usize::from(!forward)] as f64
-    }
-
-    fn storage_bytes(&self) -> usize {
-        std::mem::size_of_val(self.0)
-    }
 }
 
 struct Inner {
@@ -404,7 +361,7 @@ impl SubscriptionRegistry {
             inner: Mutex::new(Inner {
                 epoch: 0,
                 next_id: 0,
-                mirror: Mirror { counts, watermark, certs: HashMap::new() },
+                mirror: Mirror { counts, watermark },
                 routes: vec![Vec::new(); n],
                 slab: Vec::new(),
                 free: Vec::new(),
@@ -606,40 +563,6 @@ impl SubscriptionRegistry {
         out
     }
 
-    /// Installs a certificate for every quarantined edge to which `imp`, the
-    /// degraded-mode conservation-interval imputer, evaluated over the
-    /// mirror's accepted counts at `t`, gives a finite net-forward-flow
-    /// interval. One lock covers the evaluation and each certificate's base
-    /// (the lifetime totals, so later events widen it soundly): both come
-    /// from one instant of the stream. Folds intersect a certificate with the
-    /// lifetime worst case — running brackets pick it up at the next
-    /// [`Self::advance_epoch`]. Returns how many were installed.
-    ///
-    /// The mirror holds each edge direction's count up to its last accepted
-    /// event, which is its count at any `t` at or past the watermark, and
-    /// the lifetime net flow the fold widens. So a `t` behind any watermark
-    /// (or not a number) installs nothing: the imputer would bound the flow
-    /// up to `t`, not the flow the fold uses.
-    pub fn certify_imputed(&self, imp: &Imputer, t: Time) -> usize {
-        let mut inner = self.inner.lock();
-        let mirror = &mut inner.mirror;
-        if !mirror.watermark.iter().flatten().all(|&w| t >= w) {
-            return 0;
-        }
-        let intervals = imp.intervals_at(&Accepted(&mirror.counts), t);
-        let mut installed = 0;
-        for (edge, iv) in intervals {
-            if iv.is_finite()
-                && self.quarantined.get(edge).is_some_and(|q| q.load(Ordering::Acquire))
-            {
-                let base = [0, 1].map(|dir| self.totals[edge][dir].load(Ordering::Relaxed));
-                mirror.certs.insert(edge, Certificate { lo: iv.lo, hi: iv.hi, base });
-                installed += 1;
-            }
-        }
-        installed
-    }
-
     /// The current bracket of one subscription.
     pub fn bracket(&self, id: SubscriptionId) -> Option<StandingBracket> {
         let inner = self.inner.lock();
@@ -685,8 +608,7 @@ fn flag_quarantined(column: &[AtomicBool], edges: impl IntoIterator<Item = usize
 /// order — term-for-term the [`Bracket`] fold the serving runtime's
 /// aggregator performs for a snapshot query at a time past every ingested
 /// event. Trusted edges report their net inward count; quarantined edges are
-/// unknown up to their lifetime totals, intersected with a certificate when
-/// one is installed.
+/// unknown up to their lifetime totals.
 fn fold_bracket(
     plan: &QueryPlan,
     mirror: &Mirror,
@@ -706,21 +628,7 @@ fn fold_bracket(
         let fwd = totals[be.edge][0].load(Ordering::Relaxed) as f64;
         let bwd = totals[be.edge][1].load(Ordering::Relaxed) as f64;
         let (entries, exits) = orient(fwd, bwd);
-        match mirror.certs.get(&be.edge) {
-            None => bracket.add_unknown(entries, exits),
-            Some(cert) => {
-                // Certified net forward flow at certify time, oriented
-                // inward and widened by the events since (an entry raises
-                // the net by ≤ 1, an exit lowers it by ≤ 1). Both endpoints
-                // then move in lockstep with the worst case, so
-                // `Bracket::widen` stays bitwise exact for certified edges.
-                let (lo, hi) =
-                    if be.inward_forward { (cert.lo, cert.hi) } else { (-cert.hi, -cert.lo) };
-                let (in_since, out_since) =
-                    orient(fwd - cert.base[0] as f64, bwd - cert.base[1] as f64);
-                bracket.add_certified(entries, exits, lo - out_since, hi + in_since);
-            }
-        }
+        bracket.add_unknown(entries, exits);
     }
     bracket
 }

@@ -127,8 +127,9 @@ fn the_degraded_ladder_follows_the_live_quarantine() {
     });
     assert_absent(&Guard {
         rule: "the degraded ladder is the rerouted graph's bracket: rerouting only refines \
-               demotion, so no demoted rung can win, and imputation certifies standing \
-               brackets but no served answer, so neither has a rung, a row or a switch",
+               demotion, so no demoted rung can win; and a standing bracket bounds the fold \
+               over what the sensors recorded, which an interval on a link's true flow does \
+               not, so no imputed rung, row, switch or certificate comes back",
         patterns: &[
             "DegradedPolicy",
             "imputed_sides",
@@ -138,6 +139,12 @@ fn the_degraded_ladder_follows_the_live_quarantine() {
             "degraded_imputed",
             "DegradedStrategy::Demoted",
             "DegradedStrategy::Imputation",
+            "Imputer",
+            "ImputedInterval",
+            "intervals_at",
+            "certify_imputed",
+            "certify_standing_brackets",
+            "add_certified",
         ],
         roots: &["crates", "examples"],
         except: &[],
@@ -326,7 +333,7 @@ fn metrics_are_one_table() {
         rule: "a count is kept and named once, as a row of the runtime's `metrics!` table: the \
                subscription registry returns what a call did and keeps no counters beside it, \
                the report prints the table, and a query's trace is its `ServedAnswer`, so no \
-               copy of either comes back, nor the conservation interval `Imputer` generalizes",
+               copy of either comes back, nor the one-link conservation interval on true flow",
         patterns: &[
             "QueryTrace",
             "RegistryStats",
