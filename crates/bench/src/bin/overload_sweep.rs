@@ -1,17 +1,18 @@
 //! Overload sweep of the serving runtime: open-loop offered load at 1–4×
-//! the measured saturation rate, as an ablation of the overload rungs. Three
+//! the measured saturation rate, as an ablation of overload control. Two
 //! arms share each cell:
 //!
 //! - `baseline`: the naive blocking runtime, no overload control;
-//! - `gate`: cost-based admission, deadline budgets and circuit breakers,
-//!   with brownout parked through its own knobs (no level is ever reached);
-//! - `controlled`: the gate plus brownout precision shedding.
+//! - `controlled`: deadline budgets, admission and brownout precision
+//!   shedding on the one delay signal (the age of the oldest query in
+//!   flight against a tenth of the budget), and circuit breakers.
 //!
 //! Two fault columns: `none`, and `silent`, where shard 0 drops every
 //! message for the whole run (a dead radio the breakers must route around).
-//! The silent column runs the gated arms only: the blocking baseline waits
-//! out two shard timeouts per query there, a few answers a second, so one of
-//! its cells would run for minutes. Arm order alternates from cell to cell.
+//! The silent column runs the controlled arm only: the blocking baseline
+//! waits out two shard timeouts per query there, a few answers a second, so
+//! one of its cells would run for minutes. Arm order alternates from cell to
+//! cell.
 //! Emits `results/BENCH_overload.json` plus a human-readable table.
 //!
 //! ```sh
@@ -36,8 +37,7 @@ use stq_bench::{runtime_scenario, sweep_args, write_sweep_json, SEEDS};
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_runtime::{
-    BrownoutConfig, CrashWindow, FaultPlan, OverloadConfig, QuerySpec, Runtime, RuntimeConfig,
-    ServedAnswer,
+    CrashWindow, FaultPlan, OverloadConfig, QuerySpec, Runtime, RuntimeConfig, ServedAnswer,
 };
 
 /// Client-visible response budget: answers later than this are not goodput
@@ -95,7 +95,6 @@ fn network(fault_seed: u64, silent: bool) -> FaultPlan {
 #[derive(Clone, Copy, PartialEq)]
 enum Arm {
     Baseline,
-    Gate,
     Controlled,
 }
 
@@ -103,7 +102,6 @@ impl Arm {
     fn name(self) -> &'static str {
         match self {
             Arm::Baseline => "baseline",
-            Arm::Gate => "gate",
             Arm::Controlled => "controlled",
         }
     }
@@ -118,29 +116,13 @@ impl Arm {
             fault,
             ..RuntimeConfig::default()
         };
-        let brownout = match self {
-            Arm::Baseline => return base,
-            // Parked: no queue depth or latency is ever hot.
-            Arm::Gate => BrownoutConfig {
-                queue_high: usize::MAX,
-                queue_low: 0,
-                p95_high_us: u64::MAX,
-                p95_low_us: 0,
-                dwell: u32::MAX,
-                window: 8,
-            },
-            Arm::Controlled => BrownoutConfig {
-                queue_high: 16,
-                queue_low: 4,
-                p95_high_us: 20_000,
-                p95_low_us: 5_000,
-                dwell: 4,
-                window: 32,
-            },
-        };
-        let overload =
-            OverloadConfig { max_inflight_cost: 256.0, default_deadline: Some(BUDGET), brownout };
-        RuntimeConfig { overload: Some(overload), ..base }
+        match self {
+            Arm::Baseline => base,
+            Arm::Controlled => {
+                let overload = OverloadConfig { default_deadline: Some(BUDGET) };
+                RuntimeConfig { overload: Some(overload), ..base }
+            }
+        }
     }
 }
 
@@ -315,11 +297,8 @@ fn main() {
     let mut controlled_goodput = [[0.0f64; 4]; 2];
     for silent in [false, true] {
         let fault = if silent { "silent" } else { "none" };
-        let arms: &[Arm] = if silent {
-            &[Arm::Gate, Arm::Controlled]
-        } else {
-            &[Arm::Baseline, Arm::Gate, Arm::Controlled]
-        };
+        let arms: &[Arm] =
+            if silent { &[Arm::Controlled] } else { &[Arm::Baseline, Arm::Controlled] };
         for (mi, &mult) in multipliers.iter().enumerate() {
             let rate = saturation_qps * mult;
             let count = ((rate * cell_secs) as usize).clamp(32, 6_000);

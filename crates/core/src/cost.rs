@@ -61,18 +61,6 @@ impl CostModel {
     pub fn predicted_sampled(&self, area_frac: f64) -> f64 {
         area_frac * self.m as f64 * self.k * self.ell_g
     }
-
-    /// Admission price of one query for an overload gate: the predicted
-    /// sampled perimeter (the per-edge work the shards must do) plus the
-    /// shard fan-out those perimeter sensors can spread across (the message
-    /// overhead), floored at one unit so even a degenerate region consumes
-    /// capacity. Only *relative* pricing matters to the gate; the absolute
-    /// scale is set by the gate's capacity knob.
-    pub fn admission_units(&self, area_frac: f64, num_shards: usize) -> f64 {
-        let perimeter = self.predicted_sampled(area_frac.clamp(0.0, 1.0)).max(1.0);
-        let fanout = (num_shards.max(1) as f64).min(perimeter);
-        perimeter + fanout
-    }
 }
 
 /// Measured communication for one query on one deployment.
@@ -156,19 +144,6 @@ mod tests {
         let p1 = model.predicted_sampled(0.01);
         let p2 = model.predicted_sampled(0.02);
         assert!((p2 / p1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn admission_units_monotone_and_floored() {
-        let (s, g) = setup();
-        let model = CostModel::for_deployment(&s.sensing, &g, 1.0);
-        // Larger regions never price cheaper, more shards never price cheaper.
-        assert!(model.admission_units(0.0, 4) >= 2.0);
-        assert!(model.admission_units(0.1, 4) <= model.admission_units(0.2, 4));
-        assert!(model.admission_units(0.1, 1) <= model.admission_units(0.1, 8));
-        // Out-of-range area fractions are clamped, not amplified.
-        assert!(model.admission_units(7.0, 4) <= model.admission_units(1.0, 4) + 1e-9);
-        assert!(model.admission_units(-1.0, 4) >= 2.0);
     }
 
     #[test]

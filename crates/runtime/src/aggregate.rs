@@ -265,8 +265,8 @@ pub(crate) fn answer_batch(st: &ServerState, d: &mut Dispatcher, batch: &mut Bat
     let Batch { jobs, flying } = batch;
     // The queue-depth gauge reads the jobs of the batch still waiting behind
     // the one served next — what it read of the queue behind each job when
-    // jobs were served one at a time, and what the brownout controller
-    // reads — and 0 before the batch's last answer goes out.
+    // jobs were served one at a time — and 0 before the batch's last answer
+    // goes out. Each job is served at the brownout level of its start.
     let depth = &st.shared.metrics.queue_depth;
     let mut left = jobs.len();
     depth.store(left.saturating_sub(1) as u64, Ordering::Relaxed);
@@ -280,7 +280,7 @@ pub(crate) fn answer_batch(st: &ServerState, d: &mut Dispatcher, batch: &mut Bat
             Err(answer) => answered(job, answer),
             Ok(p) => {
                 let exec_t0 = clock::now();
-                let level = st.overload.as_ref().map_or(0, |ov| ov.brownout.level());
+                let level = st.overload.as_ref().map_or(0, |ov| ov.level(&st.shared.metrics));
                 d.enlist(st, job.id, &job.spec, &p.plan, level);
                 flying.push(Flying { job: j, p, level, exec_t0 });
             }
@@ -328,13 +328,13 @@ fn start(st: &ServerState, job: &Job, live: bool) -> Result<Planned, ServedAnswe
     }
 }
 
-/// Stamps a job's latency from its submission, records the answer,
-/// releases its admission reservation and replies.
+/// Stamps a job's latency from its submission, records the answer, takes
+/// the job out of the overload signal's flight and replies.
 fn settle(st: &ServerState, job: &Job, mut answer: ServedAnswer) {
     answer.latency = clock::since(job.submitted);
     record_served(st, &answer);
     if let Some(ov) = st.overload.as_ref() {
-        ov.release(job.cost_milli);
+        ov.settle(job, answer.latency, &st.shared.metrics);
     }
     // The client may have given up on the PendingAnswer; that's fine.
     let _ = job.reply.send(answer);
@@ -346,22 +346,9 @@ fn execute(st: &ServerState, spec: &QuerySpec, f: &Flying, got: &Flight) -> Serv
     // Quarantine-degraded answers consult the degraded ladder.
     let certified =
         if got.refused > 0 && coverage < 1.0 { consult_degraded(st, spec) } else { None };
-    let exec_us = clock::since(f.exec_t0).as_micros() as u64;
-    st.shared.metrics.execute_latency.record(exec_us);
-    feed_brownout(st, exec_us);
+    st.shared.metrics.execute_latency.record(clock::since(f.exec_t0).as_micros() as u64);
     let served = ServedAnswer::served(&f.p, bracket, coverage, got, f.level);
     ServedAnswer::degraded(served, certified)
-}
-
-/// Feeds the brownout controller and records a level shift.
-fn feed_brownout(st: &ServerState, exec_us: u64) {
-    let Some(ov) = st.overload.as_ref() else { return };
-    let metrics = &st.shared.metrics;
-    let depth = metrics.queue_depth.load(Ordering::Relaxed) as usize;
-    if let Some(level) = ov.brownout.observe(depth, exec_us) {
-        metrics.brownout_level.store(level as u64, Ordering::Relaxed);
-        Metrics::bump(&metrics.brownout_shifts);
-    }
 }
 
 /// The degraded-mode consult: degraded mode must be on, every shard must

@@ -63,7 +63,7 @@ mod state;
 mod supervisor;
 
 pub use metrics::{Histogram, Metrics, MetricsReport};
-pub use overload::{BrownoutConfig, OverloadConfig, Rejected, MAX_BROWNOUT_LEVEL};
+pub use overload::{OverloadConfig, Rejected, MAX_BROWNOUT_LEVEL};
 pub use server::{
     DurabilityConfig, IngestError, IngestReport, PendingAnswer, QuerySpec, Runtime, RuntimeConfig,
     ServedAnswer, SubscriptionHandle,

@@ -335,10 +335,10 @@ metrics! {
     overload {
         counters {
             /// Gauge: jobs sitting in the submission queue (sampled at submit and
-            /// dispatch; the brownout controller's first watermark input).
+            /// dispatch). No controller reads it.
             gauge queue_depth,
-            /// Queries the admission gate refused (cost capacity exceeded or the
-            /// queue full on `try_submit`) — each carried a `retry_after` hint.
+            /// Queries `try_submit` refused (the overload signal hot, or the
+            /// queue full) — each carried a `retry_after` hint.
             counter admission_rejected,
             /// Queries whose deadline elapsed before completion (short-circuited at
             /// submit, at dispatch, or clamped mid-fan-out).
@@ -354,7 +354,8 @@ metrics! {
             counter shed,
             /// Gauge: the brownout controller's current precision level (0–3).
             gauge brownout_level,
-            /// Brownout level changes (escalations plus relaxations).
+            /// Brownout levels moved, escalations plus relaxations (a drop of two
+            /// levels after an idle stretch counts two).
             counter brownout_shifts,
         }
     }

@@ -1,26 +1,33 @@
-//! Overload control for the serving runtime: deadline budgets, cost-based
-//! admission, brownout precision shedding, and per-shard circuit breakers.
+//! Overload control for the serving runtime: deadline budgets, one
+//! delay-driven controller for admission and brownout, and per-shard circuit
+//! breakers.
 //!
 //! The paper's central trade — brackets whose width is the price of cheap
 //! answers — is exactly the lever a service needs under overload. Instead of
 //! stalling clients on a full queue or letting latency grow without bound,
 //! the runtime degrades the *precision* of admitted queries while keeping
-//! every `[lower, upper]` bracket sound:
+//! every `[lower, upper]` bracket sound.
 //!
-//! - **Admission** (`OverloadState::try_admit`): each query is priced via
-//!   the §4.9 cost model (`stq_core::cost::CostModel::admission_units` —
-//!   predicted perimeter sensors plus shard fan-out). The gate tracks the
-//!   total estimated cost in flight and rejects with a `retry_after` hint
-//!   once the capacity knob is exceeded. Rejection is *before* any work:
-//!   no plan compile, no queue slot, no shard traffic.
-//! - **Brownout** (`BrownoutController`): a hysteresis controller watches
-//!   queue depth and a windowed p95 of execute latency. Past the high
-//!   watermarks it escalates the precision level; each level maps to a
-//!   boundary-sampling stride (serve every 2nd / 4th / no boundary edge,
-//!   see `QueryPlan::shed_boundary`). Skipped edges degrade exactly like
-//!   silent shards — worst-case totals, reduced coverage — so shed answers
-//!   are wider but provably sound. Levels relax as load drains, with dwell
-//!   counts on both edges so the controller cannot flap.
+//! - **The signal** (`Delay`), after CoDel (Nichols and Jacobson,
+//!   "Controlling Queue Delay", 2012): how long the oldest admitted query
+//!   still in flight has been waiting since its submission, and whether any
+//!   query settled within the target during the last interval. Target and
+//!   interval are both a tenth of [`OverloadConfig::default_deadline`]
+//!   (10 ms without one). The signal is *hot* for `k` intervals when the
+//!   oldest query has been older than the target for `k` whole intervals
+//!   and no query settled within the target during the last one; it is
+//!   *cool* at `k = 0`. It is measured, not predicted.
+//! - **Admission** (`OverloadState::enter`): `try_submit` is refused while
+//!   the signal is hot, with one interval as the `retry_after` hint.
+//!   Refusal is before any work: no plan compile, no queue slot, no shard
+//!   traffic. `submit` is never refused.
+//! - **Brownout**: hot for two intervals or more, the precision level steps
+//!   up one level per interval; cool, it steps down one level per interval;
+//!   in between it holds. Each level maps to a boundary-sampling stride
+//!   (serve every 2nd / 4th / no boundary edge, see
+//!   `QueryPlan::shed_boundary`). Skipped edges degrade exactly like silent
+//!   shards — worst-case totals, reduced coverage — so shed answers are
+//!   wider but provably sound.
 //! - **Breakers** (`Breakers`): a shard silent through
 //!   `FAILURE_THRESHOLD` attempt windows in a row trips open and is skipped
 //!   outright (its edges degrade immediately — no retry storm against a dead
@@ -32,13 +39,15 @@
 //! [`crate::RuntimeConfig::overload`] unset none of it is consulted and the
 //! runtime behaves exactly as before.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use crossbeam::clock;
 use parking_lot::Mutex;
-use stq_core::cost::CostModel;
-use stq_core::sampled::SampledGraph;
-use stq_core::sensing::SensingGraph;
+
+use crate::metrics::Metrics;
+use crate::server::Job;
 
 /// Precision levels the brownout controller can impose (0 = full).
 pub const MAX_BROWNOUT_LEVEL: u8 = 3;
@@ -55,69 +64,21 @@ pub(crate) fn stride_for(level: u8) -> usize {
     }
 }
 
-/// Knobs of the admission gate and brownout controller. Installing this on
-/// [`crate::RuntimeConfig::overload`] turns the whole subsystem on, circuit
-/// breakers included (their trip count and open time are the constants
+/// Installing this on [`crate::RuntimeConfig::overload`] turns overload
+/// control on: admission and brownout on the delay signal, and the circuit
+/// breakers (their trip count and open time are the constants
 /// `FAILURE_THRESHOLD` and `OPEN_FOR`); `None` (the default) keeps the
 /// classic blocking behavior.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OverloadConfig {
-    /// Capacity of the admission gate in cost-model units (see
-    /// [`stq_core::cost::CostModel::admission_units`]): the total estimated
-    /// cost allowed in flight before `try_submit` rejects. Use
-    /// `f64::INFINITY` to disable admission while keeping deadlines,
-    /// brownout, and breakers.
-    pub max_inflight_cost: f64,
     /// Deadline stamped on specs that do not carry one (`None` leaves
-    /// deadline-less queries unbounded, as before).
+    /// deadline-less queries unbounded, as before). A tenth of it is the
+    /// controller's delay target and interval.
     pub default_deadline: Option<Duration>,
-    /// Brownout hysteresis knobs.
-    pub brownout: BrownoutConfig,
 }
 
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            max_inflight_cost: 512.0,
-            default_deadline: None,
-            brownout: BrownoutConfig::default(),
-        }
-    }
-}
-
-/// Hysteresis knobs of the brownout controller.
-#[derive(Clone, Debug)]
-pub struct BrownoutConfig {
-    /// Queue depth at or above which an observation counts as hot.
-    pub queue_high: usize,
-    /// Queue depth at or below which an observation can count as cool.
-    pub queue_low: usize,
-    /// Windowed p95 execute latency (µs) at or above which an observation
-    /// counts as hot.
-    pub p95_high_us: u64,
-    /// Windowed p95 execute latency (µs) at or below which an observation
-    /// can count as cool.
-    pub p95_low_us: u64,
-    /// Consecutive hot (cool) observations required before the level
-    /// escalates (relaxes) one step. Observations between the watermarks
-    /// reset both counts — the hysteresis band where the level holds.
-    pub dwell: u32,
-    /// Execute-latency samples in the sliding p95 window.
-    pub window: usize,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            queue_high: 48,
-            queue_low: 8,
-            p95_high_us: 50_000,
-            p95_low_us: 10_000,
-            dwell: 8,
-            window: 64,
-        }
-    }
-}
+/// The delay target and interval without a default deadline.
+const TARGET_WITHOUT_DEADLINE: Duration = Duration::from_millis(10);
 
 /// Consecutive silent attempt windows before a shard's breaker trips open.
 const FAILURE_THRESHOLD: u32 = 4;
@@ -126,12 +87,13 @@ const FAILURE_THRESHOLD: u32 = 4;
 /// through half-open.
 const OPEN_FOR: Duration = Duration::from_millis(250);
 
-/// Why `try_submit` refused a query. The query consumed no capacity; the
-/// client should back off for roughly `retry_after` before resubmitting.
+/// Why `try_submit` refused a query: the delay signal was hot, or the
+/// submission queue was full. The query consumed nothing; the client should
+/// back off for roughly `retry_after` before resubmitting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Rejected {
-    /// Backoff hint derived from the gate's fullness and the recent
-    /// execute-latency window (clamped to a sane range).
+    /// Backoff hint: one control interval with overload control on, one
+    /// full retry schedule without it.
     pub retry_after: Duration,
 }
 
@@ -226,177 +188,134 @@ impl Breakers {
     }
 }
 
-struct BrownoutWindow {
-    samples: Vec<u64>,
-    next: usize,
-    filled: usize,
-    hot_obs: u32,
-    cool_obs: u32,
+/// The controller's view of the queries in flight: the signal and the
+/// brownout level it sets. A pure core — every reading takes its `now`.
+#[derive(Default)]
+struct Delay {
+    /// `(submitted, id)` of every admitted query not yet settled; the first
+    /// is the oldest.
+    inflight: BTreeSet<(Instant, u64)>,
+    /// When a query last settled within the target.
+    last_quick: Option<Instant>,
+    /// When the signal last read hot.
+    last_hot: Option<Instant>,
+    /// When the level last moved.
+    last_step: Option<Instant>,
+    level: u8,
 }
 
-/// The hysteresis controller deciding the current precision level. One
-/// observation per served query; the level is read lock-free on the serve
-/// path and only the (cheap) observation takes the window mutex.
-pub(crate) struct BrownoutController {
-    cfg: BrownoutConfig,
-    level: AtomicU8,
-    window: Mutex<BrownoutWindow>,
-}
-
-impl BrownoutController {
-    fn new(cfg: BrownoutConfig) -> Self {
-        let window = BrownoutWindow {
-            samples: vec![0; cfg.window.max(1)],
-            next: 0,
-            filled: 0,
-            hot_obs: 0,
-            cool_obs: 0,
-        };
-        BrownoutController { cfg, level: AtomicU8::new(0), window: Mutex::new(window) }
+impl Delay {
+    /// Whole intervals of `target` since `t` (all of them before any `t`).
+    fn intervals(now: Instant, t: Option<Instant>, target: Duration) -> u128 {
+        let Some(t) = t else { return u128::MAX };
+        now.saturating_duration_since(t).as_nanos() / target.as_nanos().max(1)
     }
 
-    /// The precision level queries should currently be served at.
-    pub(crate) fn level(&self) -> u8 {
-        self.level.load(Ordering::Relaxed)
-    }
-
-    /// p95 of the execute-latency window (µs); 0 before any sample.
-    pub(crate) fn window_p95_us(&self) -> u64 {
-        let w = self.window.lock();
-        Self::p95(&w)
-    }
-
-    fn p95(w: &BrownoutWindow) -> u64 {
-        if w.filled == 0 {
+    /// The signal: how many whole intervals the oldest query in flight has
+    /// been older than the target for, or 0 once a query settled within the
+    /// target during the last interval.
+    fn hot_intervals(&self, now: Instant, target: Duration) -> u128 {
+        if Self::intervals(now, self.last_quick, target) == 0 {
             return 0;
         }
-        let mut sorted: Vec<u64> = w.samples[..w.filled].to_vec();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 * 0.95).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        let Some(&(oldest, _)) = self.inflight.first() else { return 0 };
+        let over = now.saturating_duration_since(oldest).saturating_sub(target);
+        over.as_nanos() / target.as_nanos().max(1)
     }
 
-    /// Feeds one served query's context in; returns the new level when it
-    /// changed.
-    pub(crate) fn observe(&self, queue_depth: usize, exec_us: u64) -> Option<u8> {
-        let mut w = self.window.lock();
-        let n = w.next;
-        w.samples[n] = exec_us;
-        w.next = (n + 1) % w.samples.len();
-        w.filled = (w.filled + 1).min(w.samples.len());
-        let p95 = Self::p95(&w);
-        let hot = queue_depth >= self.cfg.queue_high || p95 >= self.cfg.p95_high_us;
-        let cool = queue_depth <= self.cfg.queue_low && p95 <= self.cfg.p95_low_us;
-        let level = self.level.load(Ordering::Relaxed);
-        let dwell = self.cfg.dwell.max(1);
-        if hot {
-            w.cool_obs = 0;
-            w.hot_obs += 1;
-            if w.hot_obs >= dwell && level < MAX_BROWNOUT_LEVEL {
-                w.hot_obs = 0;
-                self.level.store(level + 1, Ordering::Relaxed);
-                return Some(level + 1);
-            }
-        } else if cool {
-            w.hot_obs = 0;
-            w.cool_obs += 1;
-            if w.cool_obs >= dwell && level > 0 {
-                w.cool_obs = 0;
-                self.level.store(level - 1, Ordering::Relaxed);
-                return Some(level - 1);
-            }
-        } else {
-            // Inside the hysteresis band: hold the level, restart both
-            // dwell counts so a change needs sustained evidence.
-            w.hot_obs = 0;
-            w.cool_obs = 0;
+    /// Moves the level on the signal at `now`: up one level per interval
+    /// while hot for two intervals or more, down one level per interval it
+    /// has been cool, and held in between.
+    fn step(&mut self, now: Instant, target: Duration) {
+        let hot = self.hot_intervals(now, target);
+        if hot > 0 {
+            self.last_hot = Some(now);
         }
-        None
+        let since_step = Self::intervals(now, self.last_step, target);
+        let level = if hot >= 2 && since_step >= 1 {
+            (self.level + 1).min(MAX_BROWNOUT_LEVEL)
+        } else if hot == 0 {
+            let cool = since_step.min(Self::intervals(now, self.last_hot, target));
+            self.level.saturating_sub(cool.min(u128::from(MAX_BROWNOUT_LEVEL)) as u8)
+        } else {
+            self.level
+        };
+        if level != self.level {
+            self.level = level;
+            self.last_step = Some(now);
+        }
     }
-}
-
-/// The §4.9-model pricer the admission gate consults at submit time —
-/// before any plan exists, so the price comes from the region's junction
-/// fraction (the model's `A(Q)/A(T)` proxy), not a compiled boundary.
-struct Pricer {
-    model: CostModel,
-    total_junctions: f64,
-    num_shards: usize,
 }
 
 /// All overload-control state of one running [`crate::Runtime`].
 pub(crate) struct OverloadState {
     pub(crate) cfg: OverloadConfig,
-    pricer: Pricer,
-    /// Estimated cost currently admitted and not yet served, in
-    /// milli-units (atomic integer arithmetic; prices are a few hundred
-    /// units at most, so overflow would need ~10¹⁶ in-flight queries).
-    inflight_milli: AtomicU64,
-    pub(crate) brownout: BrownoutController,
+    /// The delay target, which is also the control interval.
+    target: Duration,
+    delay: Mutex<Delay>,
     pub(crate) breakers: Breakers,
 }
 
 impl OverloadState {
-    pub(crate) fn new(
-        cfg: OverloadConfig,
-        sensing: &SensingGraph,
-        sampled: &SampledGraph,
-        num_shards: usize,
-    ) -> Self {
-        let model = CostModel::for_deployment(sensing, sampled, 1.0);
-        let total_junctions = sensing.road().num_junctions().max(1) as f64;
+    pub(crate) fn new(cfg: OverloadConfig, num_shards: usize) -> Self {
+        let target = cfg.default_deadline.map_or(TARGET_WITHOUT_DEADLINE, |d| d / 10);
         OverloadState {
-            brownout: BrownoutController::new(cfg.brownout.clone()),
-            breakers: Breakers::new(num_shards),
             cfg,
-            pricer: Pricer { model, total_junctions, num_shards },
-            inflight_milli: AtomicU64::new(0),
+            target,
+            delay: Mutex::new(Delay::default()),
+            breakers: Breakers::new(num_shards),
         }
     }
 
-    /// Prices a query from its region's junction count.
-    pub(crate) fn price(&self, region_junctions: usize) -> f64 {
-        let frac = region_junctions as f64 / self.pricer.total_junctions;
-        self.pricer.model.admission_units(frac, self.pricer.num_shards)
+    /// The backoff a refused query is told: one interval.
+    pub(crate) fn retry_after(&self) -> Duration {
+        self.target
     }
 
-    /// Tries to reserve `cost` units of gate capacity. On success returns
-    /// the milli-unit reservation to hand back via [`Self::release`]; on
-    /// refusal returns the `retry_after` hint.
-    pub(crate) fn try_admit(&self, cost: f64) -> Result<u64, Duration> {
-        if !self.cfg.max_inflight_cost.is_finite() {
-            return Ok(0);
-        }
-        let cap_milli = (self.cfg.max_inflight_cost.max(0.0) * 1000.0) as u64;
-        let milli = ((cost * 1000.0).round() as u64).max(1);
-        let prev = self.inflight_milli.fetch_add(milli, Ordering::Relaxed);
-        if prev.saturating_add(milli) > cap_milli {
-            self.inflight_milli.fetch_sub(milli, Ordering::Relaxed);
-            return Err(self.retry_after(prev, cap_milli));
-        }
-        Ok(milli)
-    }
-
-    /// Returns a reservation made by [`Self::try_admit`].
-    pub(crate) fn release(&self, milli: u64) {
-        if milli > 0 {
-            self.inflight_milli.fetch_sub(milli, Ordering::Relaxed);
+    /// Steps the level at `now` and records a move in the metrics.
+    fn step(&self, d: &mut Delay, now: Instant, m: &Metrics) {
+        let before = d.level;
+        d.step(now, self.target);
+        if d.level != before {
+            m.brownout_level.store(u64::from(d.level), Ordering::Relaxed);
+            Metrics::add(&m.brownout_shifts, u64::from(d.level.abs_diff(before)));
         }
     }
 
-    /// Backoff hint for a full submission queue (the gate itself had room,
-    /// so there is no fullness ratio to scale by): one recent p95 window.
-    pub(crate) fn queue_retry_after(&self) -> Duration {
-        Duration::from_micros(self.brownout.window_p95_us().clamp(2_000, 250_000))
+    /// Puts a submitted job in flight, or — where `refusable`, as for
+    /// `try_submit` — refuses it while the signal is hot.
+    pub(crate) fn enter(&self, job: &Job, refusable: bool, m: &Metrics) -> Result<(), Rejected> {
+        let mut d = self.delay.lock();
+        self.step(&mut d, job.submitted, m);
+        if refusable && d.hot_intervals(job.submitted, self.target) > 0 {
+            return Err(Rejected { retry_after: self.target });
+        }
+        d.inflight.insert((job.submitted, job.id));
+        Ok(())
     }
 
-    /// Backoff hint: one recent p95 execute window per unit of gate
-    /// fullness — an overfull gate quotes a proportionally longer wait.
-    fn retry_after(&self, inflight_milli: u64, cap_milli: u64) -> Duration {
-        let base_us = self.brownout.window_p95_us().max(2_000);
-        let fullness = if cap_milli == 0 { 1.0 } else { inflight_milli as f64 / cap_milli as f64 };
-        let us = (base_us as f64 * fullness.max(1.0)).min(250_000.0);
-        Duration::from_micros(us as u64)
+    /// Takes a job out of flight unanswered (a full queue refused it).
+    pub(crate) fn forget(&self, job: &Job) {
+        self.delay.lock().inflight.remove(&(job.submitted, job.id));
+    }
+
+    /// Takes a job out of flight as its answer goes out, `latency` after its
+    /// submission. The controller looks while the job is still in flight.
+    pub(crate) fn settle(&self, job: &Job, latency: Duration, m: &Metrics) {
+        let now = clock::now();
+        let mut d = self.delay.lock();
+        self.step(&mut d, now, m);
+        d.inflight.remove(&(job.submitted, job.id));
+        if latency <= self.target {
+            d.last_quick = Some(now);
+        }
+    }
+
+    /// The precision level a query starting now is served at.
+    pub(crate) fn level(&self, m: &Metrics) -> u8 {
+        let mut d = self.delay.lock();
+        self.step(&mut d, clock::now(), m);
+        d.level
     }
 }
 
@@ -466,69 +385,65 @@ mod tests {
         assert_eq!(b.admit(0, t1 + OPEN_FOR).0, Gate::Probe);
     }
 
-    #[test]
-    fn brownout_escalates_and_relaxes_with_hysteresis() {
-        let cfg = BrownoutConfig {
-            queue_high: 10,
-            queue_low: 2,
-            p95_high_us: 1_000_000,
-            p95_low_us: 1_000_000, // latency never blocks cooling here
-            dwell: 3,
-            window: 8,
-        };
-        let c = BrownoutController::new(cfg);
-        assert_eq!(c.level(), 0);
-        // Two hot observations: below dwell, level holds.
-        assert_eq!(c.observe(20, 10), None);
-        assert_eq!(c.observe(20, 10), None);
-        // A band observation resets the dwell count.
-        assert_eq!(c.observe(5, 10), None);
-        assert_eq!(c.observe(20, 10), None);
-        assert_eq!(c.observe(20, 10), None);
-        assert_eq!(c.observe(20, 10), Some(1), "dwell hot observations escalate");
-        // Saturating at the max level.
-        for _ in 0..3 {
-            c.observe(20, 10);
-        }
-        for _ in 0..3 {
-            c.observe(20, 10);
-        }
-        assert_eq!(c.level(), 3);
-        for _ in 0..9 {
-            c.observe(20, 10);
-        }
-        assert_eq!(c.level(), MAX_BROWNOUT_LEVEL, "level saturates");
-        // Cool observations relax one step per dwell run.
-        assert_eq!(c.observe(0, 10), None);
-        assert_eq!(c.observe(0, 10), None);
-        assert_eq!(c.observe(0, 10), Some(2));
-        for _ in 0..6 {
-            c.observe(0, 10);
-        }
-        assert_eq!(c.level(), 0);
+    const T: Duration = Duration::from_millis(10);
+
+    /// `n` ms after `t0`.
+    fn ms(t0: Instant, n: u64) -> Instant {
+        t0 + Duration::from_millis(n)
+    }
+
+    /// The level after a step at `now`, with the target and interval `T`.
+    fn level_at(d: &mut Delay, now: Instant) -> u8 {
+        d.step(now, T);
+        d.level
     }
 
     #[test]
-    fn brownout_latency_watermark_escalates() {
-        let cfg = BrownoutConfig {
-            queue_high: usize::MAX,
-            queue_low: usize::MAX, // queue never blocks cooling
-            p95_high_us: 1_000,
-            p95_low_us: 100,
-            dwell: 1,
-            window: 4,
-        };
-        let c = BrownoutController::new(cfg);
-        assert_eq!(c.observe(0, 5_000), Some(1), "slow executes alone escalate");
-        assert!(c.window_p95_us() >= 5_000);
-        // Fast executes wash the slow sample out of the window, then cool.
-        let mut relaxed = false;
-        for _ in 0..8 {
-            if c.observe(0, 10) == Some(0) {
-                relaxed = true;
-            }
-        }
-        assert!(relaxed, "windowed p95 must recover and relax the level");
+    fn the_signal_is_the_age_of_the_oldest_query_in_flight() {
+        let t0 = Instant::now();
+        let mut d = Delay::default();
+        assert_eq!(d.hot_intervals(ms(t0, 100), T), 0, "nothing in flight is cool");
+        d.inflight.insert((t0, 1));
+        d.inflight.insert((ms(t0, 5), 2));
+        assert_eq!(d.hot_intervals(ms(t0, 19), T), 0, "past the target for under an interval");
+        assert_eq!(d.hot_intervals(ms(t0, 20), T), 1, "a whole interval: admission refuses");
+        assert_eq!(d.hot_intervals(ms(t0, 30), T), 2);
+        d.inflight.remove(&(t0, 1));
+        assert_eq!(d.hot_intervals(ms(t0, 30), T), 1, "the younger query is the oldest now");
+        // A query that settled within the target cools the signal for one
+        // interval, however old the oldest one in flight is.
+        d.last_quick = Some(ms(t0, 25));
+        assert_eq!(d.hot_intervals(ms(t0, 34), T), 0);
+        assert_eq!(d.hot_intervals(ms(t0, 35), T), 2);
+        // A target past the clock's range never reads hot.
+        assert_eq!(d.hot_intervals(ms(t0, 35), Duration::MAX / 10), 0);
+    }
+
+    #[test]
+    fn brownout_escalates_and_relaxes_with_hysteresis() {
+        let t0 = Instant::now();
+        let mut d = Delay::default();
+        d.inflight.insert((t0, 1));
+        assert_eq!(level_at(&mut d, ms(t0, 25)), 0, "one hot interval holds the level");
+        assert_eq!(level_at(&mut d, ms(t0, 30)), 1, "two step it up");
+        assert_eq!(level_at(&mut d, ms(t0, 39)), 1, "one level per interval");
+        assert_eq!(level_at(&mut d, ms(t0, 40)), 2);
+        assert_eq!(level_at(&mut d, ms(t0, 50)), 3);
+        assert_eq!(level_at(&mut d, ms(t0, 90)), MAX_BROWNOUT_LEVEL, "the level saturates");
+        // The old query settles and a young one is in flight: cool, one
+        // step down per interval the signal stays cool.
+        d.inflight.clear();
+        d.inflight.insert((ms(t0, 90), 2));
+        assert_eq!(level_at(&mut d, ms(t0, 95)), 3, "cool for under an interval");
+        assert_eq!(level_at(&mut d, ms(t0, 100)), 2);
+        assert_eq!(level_at(&mut d, ms(t0, 109)), 2);
+        // Hot for one interval is the band where the level holds.
+        assert_eq!(level_at(&mut d, ms(t0, 110)), 2);
+        assert_eq!(level_at(&mut d, ms(t0, 119)), 2);
+        d.inflight.clear();
+        assert_eq!(level_at(&mut d, ms(t0, 128)), 2, "cool counts from the last hot reading");
+        assert_eq!(level_at(&mut d, ms(t0, 129)), 1);
+        assert_eq!(level_at(&mut d, ms(t0, 500)), 0, "an idle stretch steps down all the way");
     }
 
     #[test]

@@ -124,8 +124,9 @@ pub struct RuntimeConfig {
     /// ordinary bracket answers — when a shard is unhealthy or silent, or
     /// when the ladder reads an edge or instant no shard reported.
     pub degraded: bool,
-    /// Overload control: deadline budgets, cost-based admission, brownout
-    /// precision shedding, and per-shard circuit breakers, which trip after
+    /// Overload control: deadline budgets, admission and brownout precision
+    /// shedding on one measured signal — how long the oldest query in flight
+    /// has been waiting — and per-shard circuit breakers, which trip after
     /// 4 silent attempt windows and skip their shard for 250 ms (see
     /// [`crate::overload`]). `None` (the default) keeps the classic
     /// behavior: `submit` blocks on a full queue and serves at full
@@ -225,9 +226,6 @@ pub(crate) struct Job {
     pub spec: QuerySpec,
     /// When the client submitted it: the answer's latency runs from here.
     pub submitted: Instant,
-    /// Admission-gate reservation (milli cost units) to release once the
-    /// answer is out; 0 for jobs that never passed the gate.
-    pub cost_milli: u64,
     pub reply: Sender<ServedAnswer>,
 }
 
@@ -459,16 +457,24 @@ impl Runtime {
     }
 
     /// Wraps a spec into a job with a fresh id and its reply channel,
-    /// stamping the configured default deadline on specs without one.
-    fn job(&self, mut spec: QuerySpec, cost_milli: u64) -> (Job, PendingAnswer) {
+    /// stamping the configured default deadline on specs without one, and
+    /// puts it in flight — or, where `refusable` and the overload signal is
+    /// hot, refuses it.
+    fn job(&self, mut spec: QuerySpec, refusable: bool) -> Result<(Job, PendingAnswer), Rejected> {
+        let st = self.st();
+        let overload = st.overload.as_ref();
         if spec.deadline.is_none() {
-            let default = self.st().overload.as_ref().and_then(|ov| ov.cfg.default_deadline);
+            let default = overload.and_then(|ov| ov.cfg.default_deadline);
             spec.deadline = default.and_then(clock::deadline);
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel::bounded(1);
         let submitted = clock::now();
-        (Job { id, spec, submitted, cost_milli, reply: tx }, PendingAnswer(rx))
+        let job = Job { id, spec, submitted, reply: tx };
+        if let Some(ov) = overload {
+            ov.enter(&job, refusable, &st.shared.metrics)?;
+        }
+        Ok((job, PendingAnswer(rx)))
     }
 
     /// Enqueues a query; blocks only when the submission queue is full.
@@ -479,7 +485,7 @@ impl Runtime {
     /// stalling the caller indefinitely.
     pub fn submit(&self, spec: QuerySpec) -> PendingAnswer {
         let Running { st, jobs, .. } = self.running();
-        let (job, pending) = self.job(spec, 0);
+        let (job, pending) = self.job(spec, false).expect("submit is never refused");
         match job.spec.deadline {
             None => assert!(jobs.send(job).is_ok(), "dispatcher pool alive"),
             // Already past the deadline, or the queue stays full until it:
@@ -509,23 +515,18 @@ impl Runtime {
 
     /// Non-blocking submission: where [`Runtime::submit`] queues, this
     /// rejects. The query is refused with a [`Rejected`] `retry_after`
-    /// hint when the admission gate's estimated-cost capacity is exhausted
-    /// (overload control on) or the submission queue is full — in both
-    /// cases before any plan, queue slot, or shard traffic is spent on it.
+    /// hint while the overload signal is hot (overload control on: the
+    /// oldest query in flight has waited past the target for a whole
+    /// interval and none settled within it) or when the submission queue is
+    /// full — in both cases before any plan, queue slot, or shard traffic is
+    /// spent on it.
     pub fn try_submit(&self, spec: QuerySpec) -> Result<PendingAnswer, Rejected> {
         let Running { st, jobs, .. } = self.running();
         let metrics = &st.shared.metrics;
-        let mut cost_milli = 0u64;
-        if let Some(ov) = st.overload.as_ref() {
-            match ov.try_admit(ov.price(spec.region.junctions().len())) {
-                Ok(milli) => cost_milli = milli,
-                Err(retry_after) => {
-                    Metrics::bump(&metrics.admission_rejected);
-                    return Err(Rejected { retry_after });
-                }
-            }
-        }
-        let (job, pending) = self.job(spec, cost_milli);
+        let (job, pending) = self.job(spec, true).map_err(|rej| {
+            Metrics::bump(&metrics.admission_rejected);
+            rej
+        })?;
         if job.spec.deadline.is_some_and(|dl| dl <= clock::now()) {
             // Expired on arrival: answer straight away, no queue slot.
             answer_expired(st, job);
@@ -538,14 +539,15 @@ impl Runtime {
             }
             Err(channel::TrySendError::Full(job)) => {
                 if let Some(ov) = st.overload.as_ref() {
-                    ov.release(job.cost_milli);
+                    ov.forget(&job);
                 }
                 Metrics::bump(&metrics.admission_rejected);
-                // Rough drain hint: one full backoff schedule, saturating
+                // Rough drain hint: one control interval, or without
+                // overload control one full backoff schedule, saturating
                 // (both factors are the caller's numbers).
                 let (timeout, retries) = (st.cfg.shard_timeout, st.cfg.max_retries);
                 let schedule = || timeout.checked_mul(retries.saturating_add(1));
-                let hint = st.overload.as_ref().map(|ov| ov.queue_retry_after());
+                let hint = st.overload.as_ref().map(|ov| ov.retry_after());
                 let retry_after = hint.or_else(schedule).unwrap_or(Duration::MAX);
                 Err(Rejected { retry_after })
             }

@@ -231,8 +231,8 @@ pub(crate) struct ServerState {
     pub shared: Arc<Shared>,
     pub cfg: RuntimeConfig,
     pub to_shards: Vec<Sender<ShardMsg>>,
-    /// Overload control (admission gate, brownout controller, breakers);
-    /// `None` when [`RuntimeConfig::overload`] is unset.
+    /// Overload control (the delay signal behind admission and brownout,
+    /// and the breakers); `None` when [`RuntimeConfig::overload`] is unset.
     pub overload: Option<OverloadState>,
     /// Capacity of each dispatcher's reply channel, which lives as long as
     /// its thread: `queue_capacity × 2 × num_shards × (max_retries + 2)`,
@@ -261,10 +261,7 @@ impl ServerState {
         to_shards: Vec<Sender<ShardMsg>>,
     ) -> Self {
         let ns = cfg.num_shards;
-        let overload = cfg
-            .overload
-            .as_ref()
-            .map(|oc| OverloadState::new(oc.clone(), &shared.sensing, &shared.sampled, ns));
+        let overload = cfg.overload.as_ref().map(|oc| OverloadState::new(oc.clone(), ns));
         ServerState {
             shared,
             resp_capacity: [2, ns, (cfg.max_retries as usize).saturating_add(2)]

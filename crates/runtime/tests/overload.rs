@@ -1,17 +1,18 @@
-//! Integration tests of the overload-control subsystem: cost-based
-//! admission, deadline propagation, brownout precision shedding, and
-//! per-shard circuit breakers. Every degraded answer is checked against the
-//! synchronous oracle — shedding trades precision, never soundness.
+//! Integration tests of the overload-control subsystem: admission and
+//! brownout precision shedding on the delay signal (the age of the oldest
+//! query in flight), deadline propagation, and per-shard circuit breakers.
+//! Every degraded answer is checked against the synchronous oracle —
+//! shedding trades precision, never soundness.
 
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::clock;
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_forms::FormStore;
 use stq_runtime::{
-    BrownoutConfig, CrashWindow, FaultPlan, OverloadConfig, QuerySpec, Runtime, RuntimeConfig,
+    CrashWindow, FaultPlan, OverloadConfig, PendingAnswer, QuerySpec, Runtime, RuntimeConfig,
     UpdateCause,
 };
 
@@ -89,27 +90,22 @@ fn assert_sound(f: &Fixture, spec: &QuerySpec, lower: f64, upper: f64, what: &st
     );
 }
 
-/// Overload config with the brownout controller parked far out of reach:
-/// the admission gate and the breakers, which no shard here stays silent
-/// long enough to trip.
-fn gate_only(max_inflight_cost: f64) -> OverloadConfig {
-    OverloadConfig {
-        max_inflight_cost,
-        default_deadline: None,
-        brownout: BrownoutConfig {
-            queue_high: usize::MAX,
-            queue_low: 0,
-            p95_high_us: u64::MAX,
-            p95_low_us: 0,
-            dwell: u32::MAX,
-            window: 8,
-        },
-    }
+/// Overload control whose target and interval are a tenth of `budget`,
+/// the default deadline.
+fn controlled(budget: Duration) -> Option<OverloadConfig> {
+    Some(OverloadConfig { default_deadline: Some(budget) })
 }
 
-/// A runtime whose single shard sleeps ~1 ms per boundary edge on every
-/// request: queries take tens of milliseconds, so a short submission burst
-/// reliably fills a capacity-1 queue.
+/// `spec` with a budget of its own, long enough that no test here expires
+/// it: a default deadline then sets only the overload target.
+fn unhurried(spec: QuerySpec) -> QuerySpec {
+    spec.with_budget(Duration::from_secs(3_600))
+}
+
+/// A runtime whose single shard sleeps 1 ms per boundary edge on every
+/// request: queries take milliseconds, so a submission burst fills a
+/// capacity-1 queue. Overload control runs at its target without a
+/// deadline, 10 ms.
 fn slow_runtime(f: &Fixture, queue_capacity: usize) -> Runtime {
     runtime(f, slow_cfg(queue_capacity))
 }
@@ -122,46 +118,65 @@ fn slow_cfg(queue_capacity: usize) -> RuntimeConfig {
         shard_timeout: Duration::from_secs(5),
         max_retries: 0,
         fault: FaultPlan::lossy(5, 0.0, 1.0, 0.0, 1),
-        overload: Some(gate_only(f64::INFINITY)),
+        overload: Some(OverloadConfig::default()),
         ..RuntimeConfig::default()
     }
 }
 
+/// On virtual time, one shard held up 1 ms an edge and a 2 ms target: once
+/// the oldest query in flight has waited past the target for a whole
+/// interval, with none settled within it, `try_submit` is refused before any
+/// work and `submit` is not. An interval after the flight drains, the
+/// signal is cool again and the level back at full precision.
 #[test]
-fn zero_capacity_gate_rejects_try_submit_but_not_submit() {
+fn a_hot_signal_refuses_try_submit_but_not_submit() {
+    let _virtual = clock::virtual_time();
     let f = fixture();
-    let rt = runtime(
-        f,
-        RuntimeConfig { num_shards: 2, overload: Some(gate_only(0.0)), ..RuntimeConfig::default() },
-    );
-    let spec = covered_spec(f, 1, 61);
+    let cfg = RuntimeConfig { overload: controlled(Duration::from_millis(20)), ..slow_cfg(4) };
+    let rt = runtime(f, cfg);
+    let spec = unhurried(covered_spec(f, 8, 61));
+    let exact = sync_value(f, &spec).unwrap();
 
-    // Every try_submit bounces off the zero-capacity gate before any work.
+    let busy = rt.submit(spec.clone());
+    // 3 ms: past the target, but not for a whole interval yet.
+    clock::sleep(Duration::from_millis(3));
+    let admitted = rt.try_submit(spec.clone()).expect("a cool signal admits");
+    // 4 ms: past the target for a whole interval, and nothing settled.
+    clock::sleep(Duration::from_millis(1));
     for _ in 0..3 {
-        let rej = rt.try_submit(spec.clone()).err().expect("gate must reject");
-        assert!(rej.retry_after >= Duration::from_millis(2), "floor on the backoff hint");
-        assert!(rej.retry_after <= Duration::from_millis(250), "cap on the backoff hint");
+        let rej = rt.try_submit(spec.clone()).err().expect("a hot signal refuses");
+        assert_eq!(rej.retry_after, Duration::from_millis(2), "the hint is one interval");
     }
-    // The blocking path does not consult the gate: classic behavior intact.
-    let served = rt.query(spec.clone());
-    assert!(!served.miss && !served.expired);
-    assert_eq!(served.coverage, 1.0);
-    assert_eq!(
-        served.value.to_bits(),
-        sync_value(f, &spec).unwrap().to_bits(),
-        "blocking submit still serves exactly under a closed gate"
-    );
+    let blocking = rt.submit(spec.clone());
+    let mut answers = [busy, admitted, blocking].map(PendingAnswer::wait).to_vec();
+    for (i, served) in answers.iter().enumerate() {
+        assert!(!served.miss && !served.expired);
+        assert_sound(f, &spec, served.lower, served.upper, &format!("admitted query {i}"));
+    }
+    assert_eq!(rt.metrics().report().admission_rejected, 3);
 
+    clock::sleep(Duration::from_millis(10));
+    let cooled = rt.try_submit(spec.clone()).expect("a drained flight admits").wait();
+    assert_eq!(cooled.brownout, 0, "cool intervals step the level back down");
+    assert_eq!(cooled.value.to_bits(), exact.to_bits());
+    answers.push(cooled);
     let report = rt.metrics().report();
     assert_eq!(report.admission_rejected, 3);
-    assert_eq!(report.queries, 1, "rejected queries never reach a dispatcher");
-    assert_eq!(report.shard_requests, served.shards as u64);
+    assert_eq!(report.queries, 4, "refused queries never reach a dispatcher");
+    let asked: usize = answers.iter().map(|a| a.shards).sum();
+    assert_eq!(report.shard_requests, asked as u64, "refused queries reach no shard");
+    rt.shutdown();
 }
 
+/// On virtual time the burst takes no time at all, so every refusal is the
+/// full queue's. A 1 s budget puts the target (100 ms) past the wait of
+/// any query here, so the signal never steps the level up.
 #[test]
 fn full_queue_rejects_try_submit_while_submit_blocks() {
+    let _virtual = clock::virtual_time();
     let f = fixture();
-    let rt = slow_runtime(f, 1);
+    let rt =
+        runtime(f, RuntimeConfig { overload: controlled(Duration::from_secs(1)), ..slow_cfg(1) });
     let spec = covered_spec(f, 8, 61);
     let exact = sync_value(f, &spec).unwrap();
 
@@ -174,7 +189,7 @@ fn full_queue_rejects_try_submit_while_submit_blocks() {
             Ok(pending) => accepted.push(pending),
             Err(rej) => {
                 rejected += 1;
-                assert!(rej.retry_after >= Duration::from_millis(2));
+                assert_eq!(rej.retry_after, Duration::from_millis(100), "one interval");
             }
         }
     }
@@ -199,13 +214,14 @@ fn full_queue_rejects_try_submit_while_submit_blocks() {
 
 #[test]
 fn full_queue_hint_saturates_on_a_timeout_or_retry_count_too_large_to_multiply() {
+    let _virtual = clock::virtual_time();
     let f = fixture();
     let spec = covered_spec(f, 8, 61);
     // `shard_timeout × (max_retries + 1)`: the product overflows for the
     // first, the sum for the second.
     for (shard_timeout, max_retries) in [(Duration::MAX, 1), (Duration::from_secs(5), u32::MAX)] {
-        for overload in [Some(gate_only(f64::INFINITY)), None] {
-            // With overload control the hint is its p95 window, and the
+        for overload in [Some(OverloadConfig::default()), None] {
+            // With overload control the hint is one interval, and the
             // schedule is not even computed.
             let controlled = overload.is_some();
             let cfg = RuntimeConfig { shard_timeout, max_retries, overload, ..slow_cfg(1) };
@@ -216,7 +232,7 @@ fn full_queue_hint_saturates_on_a_timeout_or_retry_count_too_large_to_multiply()
             assert!(!hints.is_empty(), "a capacity-1 queue must reject most of a 12-burst");
             for hint in hints {
                 if controlled {
-                    assert!(hint <= Duration::from_millis(250), "{hint:?}");
+                    assert_eq!(hint, Duration::from_millis(10));
                 } else {
                     assert!(hint >= shard_timeout, "{hint:?} for {shard_timeout:?}");
                 }
@@ -231,21 +247,22 @@ fn full_queue_hint_saturates_on_a_timeout_or_retry_count_too_large_to_multiply()
 
 #[test]
 fn blocking_submit_expires_on_a_full_queue_when_given_a_budget() {
+    let _virtual = clock::virtual_time();
     let f = fixture();
     let rt = slow_runtime(f, 1);
     let spec = covered_spec(f, 8, 61);
 
-    // Saturate: one query executing (~10+ ms), one parked in the queue.
+    // Saturate: one query executing (8+ ms), one parked in the queue.
     let busy: Vec<_> = (0..2).map(|_| rt.submit(spec.clone())).collect();
     // A budgeted submit cannot take a queue slot in time: it must come back
     // expired — with a sound worst-case bracket — instead of blocking.
-    let start = Instant::now();
+    let start = clock::now();
     let served = rt.query(spec.clone().with_budget(Duration::from_millis(3)));
     assert!(served.expired, "the deadline must fire before a slot frees up");
     assert_eq!(served.shards, 0, "an expired query must not fan out");
     assert!(served.degraded);
     assert!(
-        start.elapsed() < Duration::from_secs(2),
+        clock::since(start) < Duration::from_secs(2),
         "an expired submit must not wait out the queue"
     );
     assert_sound(f, &spec, served.lower, served.upper, "expired-on-queue answer");
@@ -265,9 +282,11 @@ fn a_budget_past_the_clocks_range_sets_no_deadline() {
     let spec = covered_spec(f, 1, 61);
     let endless = spec.clone().with_budget(Duration::MAX);
     assert_eq!(endless.deadline, None);
-    let overload =
-        OverloadConfig { default_deadline: Some(Duration::MAX), ..gate_only(f64::INFINITY) };
-    let cfg = RuntimeConfig { num_shards: 2, overload: Some(overload), ..RuntimeConfig::default() };
+    let cfg = RuntimeConfig {
+        num_shards: 2,
+        overload: controlled(Duration::MAX),
+        ..RuntimeConfig::default()
+    };
     let rt = runtime(f, cfg);
     for spec in [spec, endless] {
         let served = rt.query(spec);
@@ -385,7 +404,7 @@ fn breaker_trips_skips_probes_and_recovers() {
             after_messages: 0,
             lasts_messages: 5,
         }),
-        overload: Some(gate_only(f64::INFINITY)),
+        overload: Some(OverloadConfig::default()),
         ..RuntimeConfig::default()
     };
     let rt = runtime(f, cfg);
@@ -432,29 +451,19 @@ fn breaker_trips_skips_probes_and_recovers() {
     rt.shutdown();
 }
 
-/// A hair-trigger controller: any observation is hot (p95 ≥ 1 µs), dwell
-/// 1, queue watermarks out of the way — each served query escalates one
-/// level until the full shed at level 3. Every request is held up 1 ms an
-/// edge on virtual time, so every query that fans out executes for
-/// milliseconds, well inside its window.
+/// A hair-trigger controller: a 10 ms default budget makes the target and
+/// interval 1 ms, and every request is held up 1 ms an edge on virtual time,
+/// so a query that fans out settles past the target for two intervals or
+/// more and steps the level up as it settles, until the full shed at level
+/// 3, which reaches no shard and settles in no time. The queries carry
+/// budgets of their own (`unhurried`), so none expires.
 fn hair_trigger() -> RuntimeConfig {
     RuntimeConfig {
         num_shards: 2,
         dispatchers: 1,
         shard_timeout: Duration::from_secs(1),
         fault: FaultPlan::lossy(5, 0.0, 1.0, 0.0, 1),
-        overload: Some(OverloadConfig {
-            max_inflight_cost: f64::INFINITY,
-            default_deadline: None,
-            brownout: BrownoutConfig {
-                queue_high: usize::MAX,
-                queue_low: 0,
-                p95_high_us: 1,
-                p95_low_us: 0,
-                dwell: 1,
-                window: 4,
-            },
-        }),
+        overload: controlled(Duration::from_millis(10)),
         ..RuntimeConfig::default()
     }
 }
@@ -464,19 +473,25 @@ fn brownout_escalates_to_full_shed_with_sound_brackets() {
     let _virtual = clock::virtual_time();
     let f = fixture();
     let rt = runtime(f, hair_trigger());
-    let spec = covered_spec(f, 8, 61);
+    let spec = unhurried(covered_spec(f, 8, 61));
 
-    let answers: Vec<_> = (0..8).map(|_| rt.query(spec.clone())).collect();
-    // On virtual time the ladder is exact: one level up per hot answer, and
-    // one down once four shed answers, which execute in no time, fill the
-    // window.
+    let mut answers: Vec<_> = (0..6).map(|_| rt.query(spec.clone())).collect();
+    // Shed answers settle in no time, so the level holds at the full shed
+    // until virtual time moves: one cool interval steps it down one level,
+    // and a long cool stretch all the way.
+    clock::sleep(Duration::from_millis(1));
+    answers.push(rt.query(spec.clone()));
+    clock::sleep(Duration::from_millis(10));
+    answers.push(rt.query(spec.clone()));
+    // On virtual time the ladder is exact: one level up per hot answer.
     let levels: Vec<u8> = answers.iter().map(|a| a.brownout).collect();
-    assert_eq!(levels, [0, 1, 2, 3, 3, 3, 3, 2]);
+    assert_eq!(levels, [0, 1, 2, 3, 3, 3, 2, 0]);
     for (i, served) in answers.iter().enumerate() {
         assert_sound(f, &spec, served.lower, served.upper, &format!("brownout answer {i}"));
         assert!(served.value >= served.lower - 1e-12 && served.value <= served.upper + 1e-12);
         if served.brownout == 0 {
             assert_eq!(served.coverage, 1.0);
+            assert_eq!(served.value.to_bits(), sync_value(f, &spec).unwrap().to_bits());
         }
     }
     // The ladder was climbed: full precision, strided, and fully shed
@@ -491,7 +506,7 @@ fn brownout_escalates_to_full_shed_with_sound_brackets() {
     let report = rt.metrics().report();
     assert!(report.downgraded >= 1, "strided answers count as downgraded");
     assert!(report.shed >= 1, "level-3 answers count as shed");
-    assert!(report.brownout_shifts >= 3, "the controller shifted 0→1→2→3");
+    assert!(report.brownout_shifts >= 6, "the controller shifted 0→1→2→3, then back to 0");
     assert!(rt.metrics().recent_traces().iter().any(|t| t.brownout > 0));
     rt.shutdown();
 }
@@ -504,7 +519,7 @@ fn a_full_brownout_still_pushes_every_delta() {
     let _virtual = clock::virtual_time();
     let f = fixture();
     let rt = runtime(f, hair_trigger());
-    let spec = covered_spec(f, 8, 61);
+    let spec = unhurried(covered_spec(f, 8, 61));
     let sub = rt.subscribe(spec.region.clone(), spec.approx).expect("a covered region");
     assert_eq!(sub.updates.try_recv().expect("the baseline").cause, UpdateCause::Registered);
     for _ in 0..3 {

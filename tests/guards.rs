@@ -271,16 +271,25 @@ fn a_knob_needs_a_second_caller() {
 #[test]
 fn overload_keeps_only_the_rungs_a_cell_rewards() {
     assert_absent(&Guard {
-        rule: "an overload rung stays only while a measured `overload_sweep` cell rewards it: \
-               shedding subscription pushes under brownout moved nothing but the pushes, and \
-               charging ingest batches to the admission gate moved nothing at all, so neither \
-               comes back, nor their rows",
+        rule: "an overload rung stays only while a measured `overload_sweep` cell rewards it, \
+               and admission and brownout read one measured signal, the age of the oldest \
+               query in flight: shedding subscription pushes under brownout moved nothing but \
+               the pushes, charging ingest batches to the admission gate moved nothing at all, \
+               the area price refused queries on an idle runtime, and the six brownout \
+               watermarks never engaged at their defaults, so none of them comes back, nor \
+               their rows",
         patterns: &[
             "set_shed_pushes",
             "UpdateCause::Coalesced",
             "pushes_shed",
             "sub_coalesced",
             "charge_ingest",
+            "BrownoutConfig",
+            "max_inflight_cost",
+            "admission_units",
+            "Pricer",
+            "inflight_milli",
+            "window_p95_us",
         ],
         roots: &["crates", "examples"],
         except: &[],
